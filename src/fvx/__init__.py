@@ -45,9 +45,7 @@ from .integral import (
     BoxFamily,
     box_decomposition,
     forbI_formulation,
-    kbest_integral,
     remove_facet_tu,
-    solve_forbidden_integral,
     tu_check,
 )
 from .linsys import LinearSystem
@@ -65,10 +63,8 @@ from .oracles import (
     spanning_tree_oracle,
 )
 from .separation import (
-    PrefixSets,
     SeparatingFamily,
     kbest,
-    prefix_sets,
     separating_faces,
     solve_forbidden,
 )

@@ -17,7 +17,6 @@ from typing import Optional
 
 from .core import LatticeBox, point_coords
 from .errors import DomainError
-from .integral import kbest_integral
 from .oracles import IntegralOracle
 from .separation import kbest
 
@@ -76,10 +75,7 @@ def build_candidates(instance: AlldiffInstance) -> CandidateGraph:
     per_slot = []
     flags = []
     for oracle, c in zip(instance.oracles, instance.objectives):
-        if instance.integral:
-            pts, exhausted = kbest_integral(oracle, instance.ambient, c, k)
-        else:
-            pts, exhausted = kbest(oracle, c, k)
+        pts, exhausted = kbest(oracle, c, k, ambient=instance.ambient)
         per_slot.append(pts)
         flags.append(exhausted)
     vertices = sorted({p for pts in per_slot for p in pts}, key=point_coords)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     BinaryPoint,
@@ -23,6 +23,7 @@ from .core import (
     cube_hrep,
     format_rational,
     parse_rational,
+    point_coords,
 )
 from .errors import FvxError, GuardExceeded, IncompatibleMethod
 from .extension import (
@@ -31,9 +32,10 @@ from .extension import (
     interval_formulation,
     recursive_formulation,
 )
-from .integral import forbI_formulation, solve_forbidden_integral, kbest_integral
+from .integral import forbI_formulation
 from .lp_format import parse_lp, write_lp
 from .oracles import (
+    _DSU,
     CountingOracle,
     cardinality_oracle,
     cube_oracle,
@@ -67,6 +69,28 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _int_field(value, field: str, positive: bool = False) -> int:
+    """`value` if it is a JSON integer; booleans are rejected, not read as 0/1."""
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        _fail(field, "expected a positive integer" if positive else "expected an integer")
+    return value
+
+
+def _int_list(value, n: int, field: str) -> list:
+    if not isinstance(value, list) or len(value) != n:
+        _fail(field, f"expected {n} integers")
+    return [_int_field(v, f"{field}[{j}]") for j, v in enumerate(value)]
+
+
+def _box_of(n: int, spec: dict, field: str) -> LatticeBox:
+    l = _int_list(spec.get("l"), n, f"{field}.l")
+    u = _int_list(spec.get("u"), n, f"{field}.u")
+    try:
+        return LatticeBox.of(l, u)
+    except FvxError as exc:
+        _fail(field, str(exc))
+
+
 def _parse_hrep(n: int, spec: dict, field: str) -> HPolytope:
     rows_doc = spec.get("rows")
     if not isinstance(rows_doc, list) or not rows_doc:
@@ -90,6 +114,91 @@ def _parse_hrep(n: int, spec: dict, field: str) -> HPolytope:
     return HPolytope(n, tuple(rows))
 
 
+# -- polytope types -------------------------------------------------------------
+
+class PolytopeEntry(NamedTuple):
+    """One validated `polytope` object.
+
+    `oracle` (a builder, or None) and the vertex test `member` serve problems
+    of `kind` only; `hpolytope` builds the explicit H-description, or is None
+    when the type has none.
+    """
+
+    kind: str
+    oracle: Optional[Callable[[], object]]
+    hpolytope: Optional[Callable[[], HPolytope]]
+    member: Callable[[object], bool]
+
+
+def _cube(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
+    return PolytopeEntry("binary", lambda: cube_oracle(n), lambda: cube_hrep(n),
+                         lambda p: True)
+
+
+def _cardinality(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
+    s = _int_field(spec.get("s"), f"{field}.s")
+
+    def hpolytope():
+        rows = cube_hrep(n).rows + ((tuple(Fraction(1) for _ in range(n)), "=", Fraction(s)),)
+        return HPolytope(n, rows)
+
+    return PolytopeEntry("binary", lambda: cardinality_oracle(n, s), hpolytope,
+                         lambda p: p.bits.bit_count() == s)
+
+
+def _spanning_tree(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
+    nodes = _int_field(spec.get("nodes"), f"{field}.nodes", positive=True)
+    edges = spec.get("edges")
+    if not isinstance(edges, list) or len(edges) != n:
+        _fail(f"{field}.edges", f"expected {n} edges (the dimension)")
+    for i, edge in enumerate(edges):
+        if not isinstance(edge, list) or len(edge) != 2 or not all(
+                _int_field(v, f"{field}.edges[{i}]") in range(nodes) for v in edge):
+            _fail(f"{field}.edges[{i}]", f"expected a pair [u, v] of node indices "
+                                         f"in 0..{nodes - 1}")
+
+    def member(p: BinaryPoint) -> bool:
+        if p.bits.bit_count() != nodes - 1:
+            return False
+        dsu = _DSU(nodes)
+        return all(dsu.union(*edges[e]) for e in range(n) if (p.bits >> e) & 1)
+
+    return PolytopeEntry("binary",
+                         lambda: spanning_tree_oracle(nodes, [tuple(e) for e in edges]),
+                         None, member)
+
+
+def _hrep(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
+    poly = _parse_hrep(n, spec, field)
+    oracle = (lambda: hrep_binary_oracle(poly)) if kind == "binary" else None
+    return PolytopeEntry(kind, oracle, lambda: poly, poly.satisfies)
+
+
+def _lattice_box(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
+    box = _box_of(n, spec, field)
+
+    def hpolytope():
+        rows = []
+        for i in range(n):
+            a = tuple(Fraction(1 if j == i else 0) for j in range(n))
+            rows.append((a, ">=", Fraction(box.l.coords[i])))
+            rows.append((a, "<=", Fraction(box.u.coords[i])))
+        return HPolytope(n, tuple(rows))
+
+    return PolytopeEntry("integral", lambda: lattice_box_oracle(box.l.coords, box.u.coords),
+                         hpolytope, box.contains)
+
+
+#: `polytope.type` -> validator building its entry from (kind, n, spec, field).
+POLYTOPE_TYPES = {
+    "cube": _cube,
+    "cardinality": _cardinality,
+    "spanning-tree": _spanning_tree,
+    "hrep": _hrep,
+    "lattice-box": _lattice_box,
+}
+
+
 class Problem:
     """A validated problem file."""
 
@@ -99,9 +208,7 @@ class Problem:
         self.kind = _require(doc, "kind")
         if self.kind not in ("binary", "integral"):
             _fail("kind", "expected 'binary' or 'integral'")
-        self.n = _require(doc, "n")
-        if not isinstance(self.n, int) or self.n < 1:
-            _fail("n", "expected a positive integer")
+        self.n = _int_field(_require(doc, "n"), "n", positive=True)
         self.doc = doc
         self.slots = doc.get("slots")
         if self.slots is not None:
@@ -113,14 +220,26 @@ class Problem:
         self.polytope = doc.get("polytope")
         if self.slots is None and self.polytope is None:
             raise InputError("missing field 'polytope'")
+        self.entry = None if self.polytope is None else \
+            self._polytope_entry(self.polytope, "polytope")
+        self.slot_entries = [self._polytope_entry(slot["polytope"], f"slots[{i}].polytope")
+                             for i, slot in enumerate(self.slots or ())]
         self.objective = None
         if "objective" in doc:
             self.objective = self._parse_objective(doc["objective"], "objective")
         self.forbidden = self._parse_forbidden(doc.get("forbidden", []))
         self.ambient = self._parse_ambient(doc.get("ambient"))
         self.k = doc.get("k")
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 1):
-            _fail("k", "expected a positive integer")
+        if self.k is not None:
+            self.k = _int_field(self.k, "k", positive=True)
+
+    def _polytope_entry(self, spec, field: str) -> PolytopeEntry:
+        if not isinstance(spec, dict):
+            _fail(field, "expected an object with 'type'")
+        build = POLYTOPE_TYPES.get(spec.get("type"))
+        if build is None:
+            _fail(f"{field}.type", f"unsupported polytope type {spec.get('type')!r}")
+        return build(self.kind, self.n, spec, field)
 
     def _parse_objective(self, raw, field: str) -> Objective:
         if not isinstance(raw, list) or len(raw) != self.n:
@@ -135,180 +254,72 @@ class Problem:
             _fail("forbidden", "expected a list")
         out = []
         for i, item in enumerate(raw):
-            if self.kind == "binary":
-                if not isinstance(item, str) or len(item) != self.n \
-                        or any(ch not in "01" for ch in item):
-                    _fail(f"forbidden[{i}]", f"expected a bitstring of length {self.n}")
-                out.append(BinaryPoint.from_string(item))
-            else:
-                if not isinstance(item, list) or len(item) != self.n \
-                        or any(not isinstance(v, int) for v in item):
-                    _fail(f"forbidden[{i}]", f"expected {self.n} integers")
-                out.append(LatticePoint.from_coords(item))
+            if self.kind == "integral":
+                out.append(LatticePoint.from_coords(
+                    _int_list(item, self.n, f"forbidden[{i}]")))
+                continue
+            if not isinstance(item, str) or len(item) != self.n \
+                    or any(ch not in "01" for ch in item):
+                _fail(f"forbidden[{i}]", f"expected a bitstring of length {self.n}")
+            out.append(BinaryPoint.from_string(item))
         return out
 
     def _parse_ambient(self, raw) -> Optional[LatticeBox]:
         if raw is None:
             if self.kind == "integral" and self.polytope \
                     and self.polytope.get("type") == "lattice-box":
-                return self._box_of(self.polytope, "polytope")
+                return _box_of(self.n, self.polytope, "polytope")
             return None
         if not isinstance(raw, dict):
             _fail("ambient", "expected an object with 'l' and 'u'")
-        return self._box_of(raw, "ambient")
-
-    def _box_of(self, spec: dict, field: str) -> LatticeBox:
-        l = spec.get("l")
-        u = spec.get("u")
-        for name, arr in (("l", l), ("u", u)):
-            if not isinstance(arr, list) or len(arr) != self.n \
-                    or any(not isinstance(v, int) for v in arr):
-                _fail(f"{field}.{name}", f"expected {self.n} integers")
-        try:
-            return LatticeBox.of(l, u)
-        except FvxError as exc:
-            _fail(field, str(exc))
+        return _box_of(self.n, raw, "ambient")
 
     # -- oracle / polytope assembly -------------------------------------------
 
-    def binary_oracle(self, polytope: Optional[dict] = None):
-        spec = polytope if polytope is not None else self.polytope
-        ptype = spec.get("type")
-        if ptype == "cube":
-            return cube_oracle(self.n)
-        if ptype == "cardinality":
-            s = spec.get("s")
-            if not isinstance(s, int):
-                _fail("polytope.s", "expected an integer")
-            return cardinality_oracle(self.n, s)
-        if ptype == "spanning-tree":
-            nodes = spec.get("nodes")
-            edges = spec.get("edges")
-            if not isinstance(nodes, int) or nodes < 1:
-                _fail("polytope.nodes", "expected a positive integer")
-            if not isinstance(edges, list) or len(edges) != self.n:
-                _fail("polytope.edges", f"expected {self.n} edges (the dimension)")
-            return spanning_tree_oracle(nodes, [tuple(e) for e in edges])
-        if ptype == "hrep":
-            return hrep_binary_oracle(_parse_hrep(self.n, spec, "polytope"))
-        _fail("polytope.type", f"unsupported binary polytope type {ptype!r}")
+    def _entry(self, slot: Optional[int] = None, part: Optional[str] = None) -> PolytopeEntry:
+        """The entry of the polytope or of slot `slot`, which must serve this
+        problem's kind with `part` ("oracle" or "member") when one is named."""
+        entry = self.entry if slot is None else self.slot_entries[slot]
+        if entry is None:
+            raise InputError("missing field 'polytope'")
+        if part is not None and (entry.kind != self.kind or getattr(entry, part) is None):
+            spec = self.polytope if slot is None else self.slots[slot]["polytope"]
+            field = "polytope" if slot is None else f"slots[{slot}].polytope"
+            _fail(f"{field}.type", f"type {spec['type']!r} has no {self.kind} {part}")
+        return entry
 
-    def integral_oracle(self, polytope: Optional[dict] = None):
-        spec = polytope if polytope is not None else self.polytope
-        ptype = spec.get("type")
-        if ptype == "lattice-box":
-            box = self._box_of(spec, "polytope")
-            return lattice_box_oracle(box.l.coords, box.u.coords)
-        _fail("polytope.type",
-              f"integral solving supports 'lattice-box', got {ptype!r}")
-
-    def oracle(self, polytope: Optional[dict] = None):
-        if self.kind == "binary":
-            return self.binary_oracle(polytope)
-        return self.integral_oracle(polytope)
+    def oracle(self, slot: Optional[int] = None):
+        """The optimization oracle of the polytope, or of slot `slot`."""
+        return self._entry(slot, "oracle").oracle()
 
     def hpolytope(self) -> HPolytope:
-        ptype = self.polytope.get("type")
-        if ptype == "cube":
-            return cube_hrep(self.n)
-        if ptype == "cardinality":
-            s = self.polytope.get("s")
-            if not isinstance(s, int):
-                _fail("polytope.s", "expected an integer")
-            rows = list(cube_hrep(self.n).rows)
-            rows.append((tuple(Fraction(1) for _ in range(self.n)), "=", Fraction(s)))
-            return HPolytope(self.n, tuple(rows))
-        if ptype == "hrep":
-            return _parse_hrep(self.n, self.polytope, "polytope")
-        if ptype == "lattice-box":
-            box = self._box_of(self.polytope, "polytope")
-            rows = []
-            for i in range(self.n):
-                a = tuple(Fraction(1 if j == i else 0) for j in range(self.n))
-                rows.append((a, ">=", Fraction(box.l.coords[i])))
-                rows.append((a, "<=", Fraction(box.u.coords[i])))
-            return HPolytope(self.n, tuple(rows))
-        raise IncompatibleMethod(
-            f"polytope type {ptype!r} has no explicit H-description")
+        entry = self._entry()
+        if entry.hpolytope is None:
+            raise IncompatibleMethod(
+                f"polytope type {self.polytope['type']!r} has no explicit H-description")
+        return entry.hpolytope()
 
     # -- ground truth -----------------------------------------------------------
 
     def enumerate_allowed(self) -> list:
         """All allowed vertices (sorted lexicographically); guarded."""
+        entry = self._entry(part="member")
         if self.kind == "binary":
             if self.n > ENUM_GUARD_DIM:
                 raise GuardExceeded(
                     f"dimension {self.n} exceeds the enumeration guard {ENUM_GUARD_DIM}")
-            forbidden = {p.bits for p in self.forbidden}
-            out = []
-            for bits in range(1 << self.n):
-                if bits in forbidden:
-                    continue
-                p = BinaryPoint(self.n, bits)
-                if self._binary_member(p):
-                    out.append(p)
-            return sorted(out, key=lambda p: p.coords())
-        if self.ambient is None:
-            _fail("ambient", "required to enumerate an integral problem")
-        if self.ambient.lattice_count() > ENUM_GUARD_POINTS:
-            raise GuardExceeded(
-                f"{self.ambient.lattice_count()} lattice points exceed the "
-                f"guard {ENUM_GUARD_POINTS}")
-        forbidden = {p.coords for p in self.forbidden}
-        out = []
-        for p in self.ambient.iter_points():
-            if p.coords in forbidden:
-                continue
-            if self._integral_member(p):
-                out.append(p)
-        return sorted(out, key=lambda p: p.coords)
-
-    def _binary_member(self, p: BinaryPoint) -> bool:
-        ptype = self.polytope.get("type")
-        if ptype == "cube":
-            return True
-        if ptype == "cardinality":
-            return p.bits.bit_count() == self.polytope.get("s")
-        if ptype == "hrep":
-            return self._cached_hrep().satisfies(p)
-        if ptype == "spanning-tree":
-            return self._is_spanning_tree(p)
-        _fail("polytope.type", f"unsupported binary polytope type {ptype!r}")
-
-    def _integral_member(self, p: LatticePoint) -> bool:
-        ptype = self.polytope.get("type")
-        if ptype == "lattice-box":
-            return self._box_of(self.polytope, "polytope").contains(p)
-        if ptype == "hrep":
-            return self._cached_hrep().satisfies(p)
-        _fail("polytope.type", f"unsupported integral polytope type {ptype!r}")
-
-    def _cached_hrep(self) -> HPolytope:
-        if not hasattr(self, "_hrep_cache"):
-            self._hrep_cache = _parse_hrep(self.n, self.polytope, "polytope")
-        return self._hrep_cache
-
-    def _is_spanning_tree(self, p: BinaryPoint) -> bool:
-        nodes = self.polytope.get("nodes")
-        edges = self.polytope.get("edges")
-        if p.bits.bit_count() != nodes - 1:
-            return False
-        parent = list(range(nodes))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in range(self.n):
-            if (p.bits >> e) & 1:
-                u, v = edges[e]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-        return True
+            candidates = (BinaryPoint(self.n, bits) for bits in range(1 << self.n))
+        else:
+            if self.ambient is None:
+                _fail("ambient", "required to enumerate an integral problem")
+            if self.ambient.lattice_count() > ENUM_GUARD_POINTS:
+                raise GuardExceeded(
+                    f"{self.ambient.lattice_count()} lattice points exceed the "
+                    f"guard {ENUM_GUARD_POINTS}")
+            candidates = self.ambient.iter_points()
+        forbidden = set(self.forbidden)
+        return sorted((p for p in candidates if p not in forbidden and entry.member(p)),
+                      key=point_coords)
 
 
 def load_problem(path: str) -> Problem:
@@ -339,13 +350,8 @@ def cmd_solve(args) -> int:
     if problem.objective is None:
         raise InputError("missing field 'objective'")
     oracle = CountingOracle(problem.oracle())
-    if problem.kind == "binary":
-        outcome = solve_forbidden(oracle, problem.forbidden, problem.objective)
-    else:
-        if problem.ambient is None:
-            _fail("ambient", "required for integral problems")
-        outcome = solve_forbidden_integral(oracle, problem.forbidden,
-                                           problem.ambient, problem.objective)
+    outcome = solve_forbidden(oracle, problem.forbidden, problem.objective,
+                              problem.ambient)
     if not outcome.feasible:
         _emit({"status": "infeasible", "oracle_calls": oracle.calls})
         return EXIT_INFEASIBLE
@@ -364,15 +370,8 @@ def cmd_kbest(args) -> int:
     if k is None:
         raise InputError("missing 'k' (flag -k or file field)")
     oracle = CountingOracle(problem.oracle())
-    if problem.kind == "binary":
-        vertices, exhausted = kbest(oracle, problem.objective, k,
-                                    exclude=problem.forbidden)
-    else:
-        if problem.ambient is None:
-            _fail("ambient", "required for integral problems")
-        vertices, exhausted = kbest_integral(oracle, problem.ambient,
-                                             problem.objective, k,
-                                             exclude=problem.forbidden)
+    vertices, exhausted = kbest(oracle, problem.objective, k,
+                                exclude=problem.forbidden, ambient=problem.ambient)
     _emit({"status": "ok",
            "vertices": [_vertex_out(problem, v) for v in vertices],
            "values": [format_rational(problem.objective.dot(v)) for v in vertices],
@@ -390,7 +389,7 @@ def cmd_alldiff(args) -> int:
     oracles = []
     objectives = []
     for i, slot in enumerate(problem.slots):
-        oracles.append(problem.oracle(slot["polytope"]))
+        oracles.append(problem.oracle(i))
         if "objective" not in slot:
             _fail(f"slots[{i}].objective", "missing")
         objectives.append(problem._parse_objective(slot["objective"],
@@ -412,6 +411,8 @@ def cmd_alldiff(args) -> int:
 def compile_system(problem: Problem, method: str):
     if method not in ALL_METHODS:
         raise IncompatibleMethod(f"unknown method {method!r}")
+    if problem.polytope is None:
+        raise InputError("missing field 'polytope'")
     if method == "boxes":
         if problem.kind != "integral":
             raise IncompatibleMethod("method 'boxes' requires kind 'integral'")

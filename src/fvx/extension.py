@@ -30,7 +30,7 @@ from .errors import (
     NoFaceExcludes,
 )
 from .exactlp import feasible_with_fixings
-from .linsys import LinearSystem
+from .linsys import LinearSystem, intersect_bounds
 from .separation import separating_faces
 
 
@@ -364,12 +364,8 @@ def intersect_systems(systems: Sequence[LinearSystem]) -> LinearSystem:
             variables.append(rename[v])
         for coeffs, rel, rhs in sys_j.rows:
             rows.append(({rename[v]: a for v, a in coeffs.items()}, rel, rhs))
-        for v, (lo, hi) in sys_j.bounds.items():
-            name = rename[v]
-            cur_lo, cur_hi = bounds.get(name, (None, None))
-            new_lo = cur_lo if lo is None else (lo if cur_lo is None else max(lo, cur_lo))
-            new_hi = cur_hi if hi is None else (hi if cur_hi is None else min(hi, cur_hi))
-            bounds[name] = (new_lo, new_hi)
+        for v, bound in sys_j.bounds.items():
+            bounds[rename[v]] = intersect_bounds(bound, bounds.get(rename[v], (None, None)))
     system = LinearSystem.build(n, tuple(variables[n:]), rows, bounds,
                                 meta={"method": "intersection",
                                       "parts": len(systems)})

@@ -3,8 +3,10 @@
 The complement of a forbidden set X inside an integer lattice
 {0..r1-1} x ... x {0..rn-1} decomposes into at most 2n|X| disjoint boxes:
 for each prefix level, the prefixes of X extend into maximal allowed
-last-coordinate intervals, padded with the full range behind.  The same
-family drives the oracle solver, the block formulation, and integral k-best.
+last-coordinate intervals, padded with the full range behind.  The family is
+the prefix decomposition of `fvx.separation`, which also drives the oracle
+solver and k-best for integral oracles (`solve_forbidden(..., ambient=)`,
+`kbest(..., ambient=)`); here it drives the block formulation.
 
 For H-polytopes with a totally unimodular matrix and integral rhs, the
 vertex set of one facet is removed by decrementing that row's rhs.
@@ -13,29 +15,15 @@ vertex set of one facet is removed by decrementing that row's rhs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
-from .core import HPolytope, LatticeBox, LatticePoint, Objective
+from .core import HPolytope, LatticeBox
 from .errors import AllForbidden, DomainError, NonIntegralRhs, NotTU, SizeCap
 from .exactlp import feasible_with_fixings
 from .extension import disjunctive_hull, _finalize
 from .linsys import LinearSystem
-from .oracles import INFEASIBLE, IntegralOracle, OracleOutcome
-
-
-@dataclass(frozen=True)
-class BoxFamily:
-    """Pairwise lattice-disjoint boxes covering the ambient lattice minus X."""
-
-    boxes: tuple
-    ranges: tuple   # per-coordinate range sizes of the (normalized) ambient
-    source: frozenset  # forbidden coordinate tuples
-    levels: tuple = ()  # prefix level that produced each box
-
-    def __len__(self) -> int:
-        return len(self.boxes)
+from .separation import BoxFamily, box_family
 
 
 def _normalize_ranges(r: Union[int, Sequence[int]], n: int) -> tuple:
@@ -47,23 +35,6 @@ def _normalize_ranges(r: Union[int, Sequence[int]], n: int) -> tuple:
     return ranges
 
 
-def _max_intervals(allowed: Iterable[int]) -> List[Tuple[int, int]]:
-    """Maximal runs of consecutive integers, in increasing order."""
-    out = []
-    run = None
-    for v in sorted(allowed):
-        if run is None:
-            run = [v, v]
-        elif v == run[1] + 1:
-            run[1] = v
-        else:
-            out.append((run[0], run[1]))
-            run = [v, v]
-    if run is not None:
-        out.append((run[0], run[1]))
-    return out
-
-
 def box_decomposition(X: Iterable, r: Union[int, Sequence[int]], n: int) -> BoxFamily:
     """Split {0..r-1}^n minus X into at most 2n|X| disjoint boxes.
 
@@ -72,94 +43,7 @@ def box_decomposition(X: Iterable, r: Union[int, Sequence[int]], n: int) -> BoxF
     empty family.
     """
     ranges = _normalize_ranges(r, n)
-    forb = set()
-    for p in X:
-        coords = tuple(p.coords) if isinstance(p, LatticePoint) else tuple(int(v) for v in p)
-        if len(coords) != n:
-            raise DomainError(f"point {coords} has wrong dimension")
-        if any(not 0 <= v < ranges[i] for i, v in enumerate(coords)):
-            raise DomainError(f"point {coords} outside the lattice")
-        forb.add(coords)
-
-    boxes = []
-    levels = []
-    if not forb:
-        boxes.append(LatticeBox.of((0,) * n, tuple(v - 1 for v in ranges)))
-        return BoxFamily(tuple(boxes), ranges, frozenset(), (1,))
-
-    prev = {()}  # X^0: the empty prefix
-    for i in range(1, n + 1):
-        proj = {coords[:i] for coords in forb}
-        for prefix in sorted(prev):
-            banned = {t for t in range(ranges[i - 1]) if prefix + (t,) in proj}
-            allowed = [t for t in range(ranges[i - 1]) if t not in banned]
-            for alpha, beta in _max_intervals(allowed):
-                lo = prefix + (alpha,) + (0,) * (n - i)
-                hi = prefix + (beta,) + tuple(ranges[j] - 1 for j in range(i, n))
-                boxes.append(LatticeBox.of(lo, hi))
-                levels.append(i)
-        prev = proj
-    return BoxFamily(tuple(boxes), ranges, frozenset(forb), tuple(levels))
-
-
-def _normalize_forbidden(X: Iterable, ambient: LatticeBox) -> List[LatticePoint]:
-    pts = []
-    for p in X:
-        point = p if isinstance(p, LatticePoint) else LatticePoint.from_coords(p)
-        if point.n != ambient.n:
-            raise DomainError("forbidden point dimension mismatch")
-        if not ambient.contains(point):
-            raise DomainError(f"forbidden point {list(point.coords)} outside the ambient box")
-        pts.append(point)
-    return pts
-
-
-def _ambient_boxes(X: Sequence[LatticePoint], ambient: LatticeBox) -> BoxFamily:
-    """Box decomposition over a general ambient box, by translation."""
-    lo = ambient.l.coords
-    ranges = tuple(u - l + 1 for l, u in zip(lo, ambient.u.coords))
-    shifted = [tuple(v - l for v, l in zip(p.coords, lo)) for p in X]
-    family = box_decomposition(shifted, ranges, ambient.n)
-    boxes = tuple(
-        LatticeBox.of(tuple(a + l for a, l in zip(box.l.coords, lo)),
-                      tuple(b + l for b, l in zip(box.u.coords, lo)))
-        for box in family.boxes
-    )
-    return BoxFamily(boxes, ranges, frozenset(p.coords for p in X), family.levels)
-
-
-def solve_forbidden_integral(oracle: IntegralOracle, X: Iterable,
-                             ambient: LatticeBox, c: Objective) -> OracleOutcome:
-    """Minimize c over (P cap Z^n) \\ X with one oracle query per box."""
-    if c.n != oracle.n or ambient.n != oracle.n:
-        raise DomainError("dimension mismatch")
-    pts = _normalize_forbidden(X, ambient)
-    family = _ambient_boxes(pts, ambient)
-    best: Optional[OracleOutcome] = None
-    best_key = None
-    for box in family.boxes:
-        outcome = oracle.minimize(c, box)
-        if not outcome.feasible:
-            continue
-        key = (outcome.value, outcome.vertex.coords)
-        if best_key is None or key < best_key:
-            best, best_key = outcome, key
-    return best if best is not None else INFEASIBLE
-
-
-def kbest_integral(oracle: IntegralOracle, ambient: LatticeBox,
-                   c: Objective, k: int, exclude: Iterable = ()) -> Tuple[list, bool]:
-    """Integral k-best enumeration over P cap ambient (see separation.kbest)."""
-    if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
-    removed: List[LatticePoint] = list(exclude)
-    found: List[LatticePoint] = []
-    for _ in range(k):
-        outcome = solve_forbidden_integral(oracle, removed + found, ambient, c)
-        if not outcome.feasible:
-            return found, True
-        found.append(outcome.vertex)
-    return found, False
+    return box_family(X, LatticeBox.of((0,) * n, tuple(v - 1 for v in ranges)))
 
 
 def forbI_formulation(P: HPolytope, X: Iterable, ambient: LatticeBox,
@@ -172,13 +56,12 @@ def forbI_formulation(P: HPolytope, X: Iterable, ambient: LatticeBox,
     """
     if P.n != ambient.n:
         raise DomainError("ambient box dimension mismatch")
+    pts = list(X)
+    family = box_family(pts, ambient)
     if r is not None:
         expect = _normalize_ranges(r, P.n)
-        actual = tuple(u - l + 1 for l, u in zip(ambient.l.coords, ambient.u.coords))
-        if expect != actual:
-            raise DomainError(f"ambient box has ranges {actual}, caller claimed {expect}")
-    pts = _normalize_forbidden(X, ambient)
-    family = _ambient_boxes(pts, ambient)
+        if expect != family.ranges:
+            raise DomainError(f"ambient box has ranges {family.ranges}, caller claimed {expect}")
     base = LinearSystem.from_hpolytope(P)
     blocks = []
     dropped = 0

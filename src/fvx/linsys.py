@@ -34,6 +34,13 @@ def _scale_row(coeffs: Mapping[str, Fraction], rhs: Fraction):
     return out, int(rhs * den)
 
 
+def intersect_bounds(new: Bound, current: Bound) -> Bound:
+    """Tightest (lower, upper) pair satisfying both bounds; None is unbounded."""
+    (lo, hi), (cur_lo, cur_hi) = new, current
+    return (cur_lo if lo is None else (lo if cur_lo is None else max(lo, cur_lo)),
+            cur_hi if hi is None else (hi if cur_hi is None else min(hi, cur_hi)))
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     variables: tuple          # all variable names, x1..xn first
@@ -75,9 +82,7 @@ class LinearSystem:
         for coeffs, rel, rhs in rows:
             rat = {k: parse_rational(v) for k, v in coeffs.items()}
             c, b = _scale_row(rat, parse_rational(rhs))
-            if rel == ">=":  # store as given; scaling keeps the sense
-                pass
-            norm_rows.append((c, rel, b))
+            norm_rows.append((c, rel, b))  # positive scaling keeps the sense
         bnd = {}
         for name, (lo, hi) in (bounds or {}).items():
             bnd[name] = (None if lo is None else parse_rational(lo),
@@ -118,13 +123,10 @@ class LinearSystem:
     def with_bounds(self, overrides: Mapping[str, Bound]) -> "LinearSystem":
         """New system with per-variable bounds intersected with `overrides`."""
         bnd = dict(self.bounds)
-        for name, (lo, hi) in overrides.items():
+        for name, bound in overrides.items():
             if name not in self.variables:
                 raise DomainError(f"bound on undeclared variable {name!r}")
-            cur_lo, cur_hi = bnd.get(name, (None, None))
-            new_lo = cur_lo if lo is None else (lo if cur_lo is None else max(lo, cur_lo))
-            new_hi = cur_hi if hi is None else (hi if cur_hi is None else min(hi, cur_hi))
-            bnd[name] = (new_lo, new_hi)
+            bnd[name] = intersect_bounds(bound, bnd.get(name, (None, None)))
         return LinearSystem(self.variables, self.n_original, self.rows, bnd, self.meta)
 
     def with_meta(self, meta: Mapping) -> "LinearSystem":

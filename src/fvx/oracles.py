@@ -26,6 +26,7 @@ from .core import (
     LatticeBox,
     LatticePoint,
     Objective,
+    point_coords,
 )
 from .errors import DomainError, NotBinaryPolytope, UnboundedInput
 from .exactlp import solve_lp
@@ -248,61 +249,42 @@ class HrepBinaryOracle(BinaryOracle):
         return OracleOutcome.optimum(BinaryPoint.from_coords(coords), result.value)
 
 
-class BruteForceBinaryOracle(BinaryOracle):
-    """Reference oracle: exact scan of an explicit vertex list."""
+class _BruteForce:
+    """Reference oracle: exact scan of an explicit point list of one kind."""
 
-    def __init__(self, points: Sequence[BinaryPoint]):
+    def __init__(self, points: Sequence):
         if not points:
             raise DomainError("point list must be nonempty")
         n = points[0].n
         if any(p.n != n for p in points):
             raise DomainError("points disagree on dimension")
         self.n = n
-        self.points = sorted(set(points), key=lambda p: p.coords())
+        self.points = sorted(set(points), key=point_coords)
 
-    def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
-        face = _check_binary_query(self.n, c, face)
-        best = None
-        best_key = None
-        for p in self.points:
-            if not face.contains(p):
-                continue
-            key = (c.dot(p), p.coords())
-            if best_key is None or key < best_key:
-                best, best_key = p, key
-        if best is None:
-            return INFEASIBLE
-        return OracleOutcome.optimum(best, best_key[0])
-
-
-class BruteForceIntegralOracle(IntegralOracle):
-    """Reference integral oracle over an explicit lattice point list."""
-
-    def __init__(self, points: Sequence[LatticePoint]):
-        if not points:
-            raise DomainError("point list must be nonempty")
-        n = points[0].n
-        if any(p.n != n for p in points):
-            raise DomainError("points disagree on dimension")
-        self.n = n
-        self.points = sorted(set(points), key=lambda p: p.coords)
-
-    def minimize(self, c: Objective, box: Optional[LatticeBox] = None) -> OracleOutcome:
+    def minimize(self, c: Objective, restriction=None) -> OracleOutcome:
         if c.n != self.n:
-            raise DomainError("objective dimension mismatch")
-        if box is not None and box.n != self.n:
-            raise DomainError("box dimension mismatch")
+            raise DomainError(f"objective dimension {c.n} != oracle dimension {self.n}")
+        if restriction is not None and restriction.n != self.n:
+            raise DomainError(f"restriction dimension {restriction.n} != oracle dimension {self.n}")
         best = None
         best_key = None
         for p in self.points:
-            if box is not None and not box.contains(p):
+            if restriction is not None and not restriction.contains(p):
                 continue
-            key = (c.dot(p), p.coords)
+            key = (c.dot(p), point_coords(p))
             if best_key is None or key < best_key:
                 best, best_key = p, key
         if best is None:
             return INFEASIBLE
         return OracleOutcome.optimum(best, best_key[0])
+
+
+class BruteForceBinaryOracle(_BruteForce, BinaryOracle):
+    pass
+
+
+class BruteForceIntegralOracle(_BruteForce, IntegralOracle):
+    pass
 
 
 class LatticeBoxOracle(IntegralOracle):

@@ -1,64 +1,47 @@
-"""Separating faces of the cube and the forbidden-vertices solver.
+"""Prefix decomposition of the complement of X, and the solver built on it.
 
-Given a forbidden set X of binary points, a family of cube faces is
-X-separating when the binary points of its faces union to exactly
-{0,1}^n \\ X.  The constructive family used here fixes, for each prefix
-level i, the prefixes that leave X: it has at most n|X| members, and one
-face-restricted oracle call per member solves linear optimization over
-V(P) \\ X.  Repeating that solve with a growing forbidden list yields the
-k-best enumeration.
+For a forbidden set X inside the lattice {0..r1-1} x ... x {0..rn-1}, the
+level-i prefixes that leave X (one-coordinate extensions of a prefix of X
+that are not prefixes of X themselves), padded with the full range behind,
+partition the complement of X.  On binary points (r = 2) each member is a
+cube face, and the family is X-separating with at most n|X| faces.  On a
+lattice box, consecutive last values of one prefix merge into a box, which
+gives at most 2n|X| disjoint boxes.
+
+One oracle query per member solves linear optimization over the allowed
+points: a binary oracle is queried on the separating faces of X, an integral
+oracle on the boxes of its ambient lattice box minus X.  Repeating that solve
+with a growing forbidden list yields the k-best enumeration.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
-from .core import BinaryPoint, CubeFace, Objective
+from .core import BinaryPoint, CubeFace, LatticeBox, LatticePoint, Objective, point_coords
 from .errors import DomainError
-from .oracles import BinaryOracle, OracleOutcome, INFEASIBLE
+from .oracles import INFEASIBLE, IntegralOracle, OracleOutcome
 
 
-def _bits_set(X: Iterable[BinaryPoint], n: int) -> Set[int]:
-    out = set()
-    for p in X:
-        if p.n != n:
-            raise DomainError(f"point of dimension {p.n} in dimension-{n} problem")
-        out.add(p.bits)
-    return out
+def _prefix_levels(codes: Set[int], ranges: Sequence[int]) -> list:
+    """Per level i, the sorted codes of the level-i prefixes that leave X.
 
-
-@dataclass(frozen=True)
-class PrefixSets:
-    """Per-level projections X^i and their complements-within-extension.
-
-    `projections[i-1]` is X^i, the projection of X onto the first i
-    coordinates; `flips[i-1]` is (X^{i-1} x {0,1}) \\ X^i, the level-i
-    prefixes that leave X.  Both are stored as i-bit integer codes.
-    The complement of X is the disjoint union of flips[i-1] x {0,1}^{n-i}.
+    `codes` are the mixed-radix codes of X, coordinate 1 least significant
+    (for r = 2 this is `BinaryPoint.bits`); a level-i prefix is coded by its
+    first i digits.
     """
-
-    n: int
-    projections: tuple
-    flips: tuple
-
-
-def prefix_sets(X: Iterable[BinaryPoint], n: int) -> PrefixSets:
-    bits = _bits_set(X, n)
-    projections = []
-    flips = []
-    prev = {0} if bits else set()  # X^0 = {empty prefix} for nonempty X
-    for i in range(1, n + 1):
-        mask = (1 << i) - 1
-        proj = {b & mask for b in bits}
-        if i == 1:
-            level = {0, 1} - proj
-        else:
-            level = {p | (bit << (i - 1)) for p in prev for bit in (0, 1)} - proj
-        projections.append(frozenset(proj))
-        flips.append(frozenset(level))
-        prev = proj
-    return PrefixSets(n, tuple(projections), tuple(flips))
+    levels = []
+    prev = {0}  # X^0: the empty prefix
+    radix = 1
+    for r in ranges:
+        width = radix * r
+        proj = {code % width for code in codes}
+        levels.append(sorted({p + t * radix for p in prev for t in range(r)} - proj))
+        prev, radix = proj, width
+    return levels
 
 
 @dataclass(frozen=True)
@@ -76,61 +59,122 @@ class SeparatingFamily:
 def separating_faces(X: Iterable[BinaryPoint], n: int) -> SeparatingFamily:
     """The constructive X-separating family (at most n|X| faces).
 
-    Level-i members fix coordinates 1..i to a prefix that has left X; the
-    conventions are: X empty gives the single improper face, X = {0,1}^n
-    gives the empty family.
+    Level-i members fix coordinates 1..i to a prefix that has left X, in
+    code order within a level; X empty gives the single improper face,
+    X = {0,1}^n gives the empty family.
     """
-    bits = _bits_set(X, n)
+    bits = set()
+    for p in X:
+        if p.n != n:
+            raise DomainError(f"point of dimension {p.n} in dimension-{n} problem")
+        bits.add(p.bits)
     if not bits:
         return SeparatingFamily(n, (CubeFace.improper(n),), frozenset())
-    faces: List[CubeFace] = []
-    levels = prefix_sets((BinaryPoint(n, b) for b in bits), n)
-    for i in range(1, n + 1):
-        for w in sorted(levels.flips[i - 1]):
-            fixings = {j: (w >> (j - 1)) & 1 for j in range(1, i + 1)}
-            faces.append(CubeFace.of(n, fixings))
-    return SeparatingFamily(n, tuple(faces), frozenset(bits))
+    faces = tuple(
+        CubeFace.of(n, {j: (w >> (j - 1)) & 1 for j in range(1, i + 1)})
+        for i, level in enumerate(_prefix_levels(bits, (2,) * n), start=1)
+        for w in level
+    )
+    return SeparatingFamily(n, faces, frozenset(bits))
 
 
-def solve_forbidden(oracle: BinaryOracle, X: Iterable[BinaryPoint],
-                    c: Objective) -> OracleOutcome:
-    """Minimize c over V(P) \\ X via one oracle query per separating face.
+@dataclass(frozen=True)
+class BoxFamily:
+    """Pairwise lattice-disjoint boxes covering the ambient lattice minus X."""
 
-    Infeasible exactly when V(P) \\ X is empty; value ties across faces are
-    broken toward the lexicographically smallest vertex.
+    boxes: tuple
+    ranges: tuple   # per-coordinate range sizes of the ambient box
+    source: frozenset  # forbidden coordinate tuples
+    levels: tuple = ()  # prefix level that produced each box
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+
+def box_family(X: Iterable, ambient: LatticeBox) -> BoxFamily:
+    """Split the lattice points of `ambient` minus X into disjoint boxes.
+
+    X holds LatticePoints or coordinate tuples inside the box.  Boxes come
+    level by level, in lexicographic prefix order within a level; an empty X
+    yields the ambient box itself, a fully forbidden box the empty family.
     """
-    n = oracle.n
-    if c.n != n:
+    lo, hi = ambient.l.coords, ambient.u.coords
+    ranges = tuple(u - l + 1 for l, u in zip(lo, hi))
+    radices = tuple(itertools.accumulate(ranges, operator.mul, initial=1))
+    forb = set()
+    for p in X:
+        coords = p.coords if isinstance(p, LatticePoint) else tuple(int(v) for v in p)
+        if len(coords) != ambient.n:
+            raise DomainError(f"point {list(coords)} has wrong dimension")
+        if any(not l <= v <= u for l, v, u in zip(lo, coords, hi)):
+            raise DomainError(f"point {list(coords)} outside the ambient box")
+        forb.add(coords)
+    codes = {sum((v - l) * m for v, l, m in zip(coords, lo, radices)) for coords in forb}
+    boxes = []
+    levels = []
+    for i, level in enumerate(_prefix_levels(codes, ranges), start=1):
+        runs = []  # [prefix digits, first last-digit, final last-digit]
+        for d in sorted(tuple(w // m % r for m, r in zip(radices, ranges[:i]))
+                        for w in level):
+            if runs and runs[-1][0] == d[:-1] and runs[-1][2] + 1 == d[-1]:
+                runs[-1][2] = d[-1]
+            else:
+                runs.append([d[:-1], d[-1], d[-1]])
+        for prefix, alpha, beta in runs:
+            head = tuple(v + l for v, l in zip(prefix, lo))
+            boxes.append(LatticeBox.of(head + (lo[i - 1] + alpha,) + lo[i:],
+                                       head + (lo[i - 1] + beta,) + hi[i:]))
+            levels.append(i)
+    return BoxFamily(tuple(boxes), ranges, frozenset(forb), tuple(levels))
+
+
+def solve_forbidden(oracle, X: Iterable, c: Objective,
+                    ambient: Optional[LatticeBox] = None) -> OracleOutcome:
+    """Minimize c over the oracle's vertices minus X, one query per family member.
+
+    Binary oracles are queried on the separating faces of X; integral
+    oracles on the boxes of `ambient` minus X, so they require `ambient`
+    (binary oracles ignore it).  Infeasible exactly when no allowed vertex
+    is left; value ties across members are broken toward the
+    lexicographically smallest vertex.
+    """
+    if c.n != oracle.n:
         raise DomainError("objective dimension mismatch")
-    family = separating_faces(X, n)
+    if isinstance(oracle, IntegralOracle):
+        if ambient is None or ambient.n != oracle.n:
+            raise DomainError("integral oracles need an ambient box of their dimension")
+        family = box_family(X, ambient).boxes
+    else:
+        family = separating_faces(X, oracle.n).faces
     best: Optional[OracleOutcome] = None
     best_key = None
-    for face in family.faces:
-        outcome = oracle.minimize(c, face)
+    for restriction in family:
+        outcome = oracle.minimize(c, restriction)
         if not outcome.feasible:
             continue
-        key = (outcome.value, outcome.vertex.coords())
+        key = (outcome.value, point_coords(outcome.vertex))
         if best_key is None or key < best_key:
             best, best_key = outcome, key
     return best if best is not None else INFEASIBLE
 
 
-def kbest(oracle: BinaryOracle, c: Objective, k: int,
-          exclude: Iterable = ()) -> Tuple[list, bool]:
+def kbest(oracle, c: Objective, k: int, exclude: Iterable = (),
+          ambient: Optional[LatticeBox] = None) -> Tuple[list, bool]:
     """First k vertices of P in nondecreasing objective order.
 
     Returns (vertices, exhausted): vertices are distinct, their values are
     nondecreasing, and the worst returned value is at most the value of any
     vertex not returned.  `exhausted` is True exactly when the solve after
     the last returned vertex proved no further vertex exists.  Vertices in
-    `exclude` are treated as already removed and never returned.
+    `exclude` are treated as already removed and never returned; `ambient`
+    is passed on to `solve_forbidden`.
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    removed: List[BinaryPoint] = list(exclude)
-    found: List[BinaryPoint] = []
+    removed = list(exclude)
+    found = []
     for _ in range(k):
-        outcome = solve_forbidden(oracle, removed + found, c)
+        outcome = solve_forbidden(oracle, removed + found, c, ambient)
         if not outcome.feasible:
             return found, True
         found.append(outcome.vertex)

@@ -39,7 +39,6 @@ from fvx import (
     separating_faces,
     solve_alldiff,
     solve_forbidden,
-    solve_forbidden_integral,
     solve_lp,
     spanning_tree_oracle,
     verify_formulation,
@@ -367,8 +366,8 @@ def test_criterion_09_integral():
         ambient = LatticeBox.of((0,) * n, tuple(r - 1 for r in ranges))
         oracle = lattice_box_oracle((0,) * n, tuple(r - 1 for r in ranges))
         c = Objective.of([rng.randint(-9, 9) for _ in range(n)])
-        out = solve_forbidden_integral(
-            oracle, [LatticePoint.from_coords(p) for p in X], ambient, c)
+        out = solve_forbidden(
+            oracle, [LatticePoint.from_coords(p) for p in X], c, ambient)
         expect = brute_min(c.c, [LatticePoint.from_coords(p)
                                  for p in lattice if p not in X])
         if expect is None:

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from fvx.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -139,6 +141,27 @@ class TestCompile:
                 if ln.strip().startswith("r")]
         assert len(rows) <= 10
 
+    # block order of the prefix families: coordinate 1 varies fastest among
+    # the face prefixes, prefix-lexicographic order among the box prefixes
+    @pytest.mark.parametrize("golden, method, doc", [
+        ("faces_cube_n3.lp", "faces", {
+            "kind": "binary", "n": 3, "polytope": {"type": "cube"},
+            "forbidden": ["000", "011", "110"]}),
+        ("faces_cardinality_n4.lp", "faces", {
+            "kind": "binary", "n": 4, "polytope": {"type": "cardinality", "s": 2},
+            "forbidden": ["1100", "0101", "0011"]}),
+        ("boxes_translated_n3.lp", "boxes", {
+            "kind": "integral", "n": 3,
+            "polytope": {"type": "lattice-box", "l": [-2, 5, 0], "u": [0, 7, 2]},
+            "forbidden": [[-2, 5, 1], [-1, 6, 0], [0, 5, 2], [-2, 6, 1]]}),
+    ])
+    def test_golden_block_order(self, tmp_path, capsys, golden, method, doc):
+        path = write_json(tmp_path, "p.json", doc)
+        out_lp = tmp_path / "out.lp"
+        code, _ = run(capsys, ["compile", path, "--method", method, "-o", str(out_lp)])
+        assert code == 0
+        assert out_lp.read_bytes() == (GOLDEN / golden).read_bytes()
+
     def test_incompatible_methods(self, tmp_path, capsys):
         grid = write_json(tmp_path, "g.json", {
             "kind": "integral", "n": 1,
@@ -247,3 +270,41 @@ class TestEnumerate:
         path = cube_problem(tmp_path, 20, ["0"] * 20, [])
         code, out = run(capsys, ["enumerate", path])
         assert code == 1
+
+
+class TestInputValidation:
+    """Malformed fields exit 1 with a message naming the field."""
+
+    TREE = {"type": "spanning-tree", "nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+    GRID = {"type": "lattice-box", "l": [0, 0], "u": [2, 2]}
+
+    # JSON true is a Python int; it must not be read as 1
+    @pytest.mark.parametrize("command, doc, field", [
+        ("solve", {"kind": "binary", "n": True, "polytope": {"type": "cube"},
+                   "objective": ["1"], "forbidden": []}, "'n'"),
+        ("kbest", {"kind": "binary", "n": 2, "polytope": {"type": "cube"},
+                   "objective": ["1", "2"], "forbidden": [], "k": True}, "'k'"),
+        ("solve", {"kind": "binary", "n": 2, "polytope": {"type": "cardinality", "s": True},
+                   "objective": ["1", "2"], "forbidden": []}, "polytope.s"),
+        ("solve", {"kind": "binary", "n": 3, "polytope": dict(TREE, nodes=True),
+                   "objective": ["1", "2", "3"], "forbidden": []}, "polytope.nodes"),
+        ("solve", {"kind": "integral", "n": 2, "polytope": dict(GRID, l=[True, 0]),
+                   "objective": ["1", "1"], "forbidden": []}, "polytope.l[0]"),
+        ("solve", {"kind": "integral", "n": 2, "polytope": GRID,
+                   "ambient": {"l": [0, 0], "u": [2, True]},
+                   "objective": ["1", "1"], "forbidden": []}, "ambient.u[1]"),
+        ("solve", {"kind": "integral", "n": 2, "polytope": GRID,
+                   "objective": ["1", "1"], "forbidden": [[True, 0]]}, "forbidden[0][0]"),
+    ])
+    def test_booleans_are_not_integers(self, tmp_path, capsys, command, doc, field):
+        code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
+        assert code == 1 and field in json.loads(out)["message"]
+
+    @pytest.mark.parametrize("command", ["solve", "enumerate"])
+    @pytest.mark.parametrize("edges", [[[0], [1, 2], [0, 2]], [[0, 1], [1, 3], [0, 2]],
+                                       [[0, 1], "12", [0, 2]]])
+    def test_spanning_tree_edges(self, tmp_path, capsys, command, edges):
+        doc = {"kind": "binary", "n": 3, "polytope": dict(self.TREE, edges=edges),
+               "objective": ["1", "2", "3"], "forbidden": []}
+        code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
+        assert code == 1 and "polytope.edges" in json.loads(out)["message"]

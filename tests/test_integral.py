@@ -15,11 +15,10 @@ from fvx import (
     feasible_with_fixings,
     forbI_formulation,
     kbest,
-    kbest_integral,
     lattice_box_oracle,
     remove_facet_tu,
     separating_faces,
-    solve_forbidden_integral,
+    solve_forbidden,
     solve_lp,
     tu_check,
     cube_oracle,
@@ -101,15 +100,15 @@ class TestSolveForbiddenIntegral:
     def test_examples(self):
         oracle = lattice_box_oracle((0, 0), (2, 2))
         ambient = LatticeBox.of((0, 0), (2, 2))
-        out = solve_forbidden_integral(oracle, [LatticePoint.from_coords((0, 0))],
-                                       ambient, Objective.of([1, 1]))
+        out = solve_forbidden(oracle, [LatticePoint.from_coords((0, 0))],
+                              Objective.of([1, 1]), ambient)
         assert out.value == 1 and out.vertex.coords == (0, 1)
 
         all_pts = [LatticePoint.from_coords(p) for p in lattice_points((3, 3))]
-        out = solve_forbidden_integral(oracle, all_pts, ambient, Objective.of([1, 1]))
+        out = solve_forbidden(oracle, all_pts, Objective.of([1, 1]), ambient)
         assert not out.feasible
 
-        out = solve_forbidden_integral(oracle, [], ambient, Objective.of([1, -2]))
+        out = solve_forbidden(oracle, [], Objective.of([1, -2]), ambient)
         assert out.value == oracle.minimize(Objective.of([1, -2])).value
 
     def test_matches_brute_force(self):
@@ -122,8 +121,8 @@ class TestSolveForbiddenIntegral:
             X = set(rng.sample(lattice, rng.randint(0, len(lattice))))
             c = Objective.of([rng.randint(-9, 9) for _ in range(n)])
             oracle = lattice_box_oracle((0,) * n, (r - 1,) * n)
-            out = solve_forbidden_integral(
-                oracle, [LatticePoint.from_coords(p) for p in X], ambient, c)
+            out = solve_forbidden(
+                oracle, [LatticePoint.from_coords(p) for p in X], c, ambient)
             remaining = [LatticePoint.from_coords(p) for p in lattice if p not in X]
             expect = brute_min(c.c, remaining)
             if expect is None:
@@ -134,8 +133,8 @@ class TestSolveForbiddenIntegral:
     def test_translated_ambient(self):
         oracle = lattice_box_oracle((-2, 5), (0, 7))
         ambient = LatticeBox.of((-2, 5), (0, 7))
-        out = solve_forbidden_integral(oracle, [LatticePoint.from_coords((-2, 5))],
-                                       ambient, Objective.of([1, 1]))
+        out = solve_forbidden(oracle, [LatticePoint.from_coords((-2, 5))],
+                              Objective.of([1, 1]), ambient)
         assert out.value == 4  # (-2, 6) or (-1, 5); lex picks (-2, 6)
         assert out.vertex.coords == (-2, 6)
 
@@ -144,19 +143,19 @@ class TestKbestIntegral:
     def test_examples(self):
         o = lattice_box_oracle((0,), (2,))
         amb = LatticeBox.of((0,), (2,))
-        vs, exhausted = kbest_integral(o, amb, Objective.of([1]), 2)
+        vs, exhausted = kbest(o, Objective.of([1]), 2, ambient=amb)
         assert [v.coords for v in vs] == [(0,), (1,)] and not exhausted
 
         o = lattice_box_oracle((0,), (1,))
         amb = LatticeBox.of((0,), (1,))
-        vs, exhausted = kbest_integral(o, amb, Objective.of([1]), 5)
+        vs, exhausted = kbest(o, Objective.of([1]), 5, ambient=amb)
         assert [v.coords for v in vs] == [(0,), (1,)] and exhausted
 
     def test_matches_binary_kbest_on_unit_box(self):
         o = lattice_box_oracle((0, 0), (1, 1))
         amb = LatticeBox.of((0, 0), (1, 1))
         c = Objective.of([1, 2])
-        integral, _ = kbest_integral(o, amb, c, 3)
+        integral, _ = kbest(o, c, 3, ambient=amb)
         binary, _ = kbest(cube_oracle(2), c, 3)
         assert [v.coords for v in integral] == [v.coords() for v in binary]
 

@@ -8,7 +8,6 @@ from fvx import (
     cardinality_oracle,
     cube_oracle,
     kbest,
-    prefix_sets,
     separating_faces,
     solve_forbidden,
 )
@@ -51,28 +50,13 @@ class TestSeparatingFaces:
             fam = separating_faces(X, n)
             # exact cover of the complement, no forbidden point in any face
             assert covered_codes(fam.faces, n) == set(range(1 << n)) - codes
+            # the faces are pairwise disjoint: their sizes add up to the complement
+            assert sum(1 << (n - len(f.fixed)) for f in fam.faces) == (1 << n) - len(codes)
             # size bounds: n|X| and the neighbor refinement
             assert len(fam.faces) <= n * size
             outside_neighbors = {v ^ (1 << i) for v in codes
                                  for i in range(n)} - codes
             assert len(fam.faces) <= len(outside_neighbors) or not outside_neighbors
-
-    def test_prefix_sets_identity(self):
-        # complement == disjoint union of flip levels x full tails (n <= 6)
-        rng = random.Random(13)
-        for _ in range(60):
-            n = rng.randint(1, 6)
-            X = random_forbidden(rng, n, rng.randint(0, 1 << n))
-            codes = {p.bits for p in X}
-            levels = prefix_sets(X, n)
-            union = set()
-            for i in range(1, n + 1):
-                for w in levels.flips[i - 1]:
-                    for tail in range(1 << (n - i)):
-                        code = w | (tail << i)
-                        assert code not in union  # disjoint
-                        union.add(code)
-            assert union == set(range(1 << n)) - codes
 
 
 class TestSolveForbidden:
