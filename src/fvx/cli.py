@@ -326,7 +326,7 @@ def load_problem(path: str) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
@@ -441,20 +441,25 @@ def cmd_compile(args) -> int:
     problem = load_problem(args.file)
     text = write_lp(compile_system(problem, args.method))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be nonnegative, got {args.trials}")
     problem = load_problem(args.file)
     if args.lp:
         try:
             with open(args.lp, "r", encoding="utf-8") as handle:
                 system = parse_lp(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.lp}: {exc}") from exc
     elif args.method:
         system = compile_system(problem, args.method)

@@ -10,16 +10,25 @@ gives at most 2n|X| disjoint boxes.
 
 One oracle query per member solves linear optimization over the allowed
 points: a binary oracle is queried on the separating faces of X, an integral
-oracle on the boxes of its ambient lattice box minus X.  Repeating that solve
-with a growing forbidden list yields the k-best enumeration.
+oracle on the boxes of its ambient lattice box minus X.  The k-best
+enumeration is the Lawler-Murty partition scheme on top of that family: a
+heap keyed by (value, coords) holds one oracle answer per member, and
+popping vertex v from member F splits only F minus v, by the one-point
+family of v inside F (at most n subfaces, or 2n boxes).  Because every
+member fixes a prefix of the coordinates, the members behind the heap are
+always the family of X plus the vertices found so far; the output, ties
+included, is the one a solve per round with a growing forbidden list gives,
+for at most |family(X)| + n(k-1) oracle calls (|family(X)| + 2n(k-1) for
+boxes) instead of a whole family per round.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from .core import BinaryPoint, CubeFace, LatticeBox, LatticePoint, Objective, point_coords
 from .errors import DomainError
@@ -128,6 +137,57 @@ def box_family(X: Iterable, ambient: LatticeBox) -> BoxFamily:
     return BoxFamily(tuple(boxes), ranges, frozenset(forb), tuple(levels))
 
 
+def _family(oracle, X: Iterable, c: Objective, ambient: Optional[LatticeBox]) -> tuple:
+    """The members to query for the oracle's vertices minus X.
+
+    Binary oracles get the separating faces of X; integral oracles the boxes
+    of `ambient` minus X, so they require `ambient` (binary oracles ignore it).
+    """
+    if c.n != oracle.n:
+        raise DomainError("objective dimension mismatch")
+    if isinstance(oracle, IntegralOracle):
+        if ambient is None or ambient.n != oracle.n:
+            raise DomainError("integral oracles need an ambient box of their dimension")
+        return box_family(X, ambient).boxes
+    return separating_faces(X, oracle.n).faces
+
+
+def _ranked(oracle, c: Objective, restrictions: Iterable) -> Iterator[tuple]:
+    """(value, coords, outcome, restriction) of each feasible query.
+
+    The first two fields are the tie-break key; on pairwise disjoint
+    restrictions the vertices differ, so keys never tie.
+    """
+    for restriction in restrictions:
+        outcome = oracle.minimize(c, restriction)
+        if outcome.feasible:
+            yield outcome.value, point_coords(outcome.vertex), outcome, restriction
+
+
+def _split(restriction, v) -> Iterator:
+    """`restriction` minus its point v, as disjoint faces or boxes.
+
+    Coordinate j in order (free coordinates only, for a face) gives the
+    member that agrees with v before j and differs from it at j: a face with
+    j flipped, or the boxes below and above v_j (empty ones skipped).
+    """
+    if isinstance(restriction, LatticeBox):
+        lo, hi, at = restriction.l.coords, restriction.u.coords, v.coords
+        for j, vj in enumerate(at):
+            head = at[:j]
+            if lo[j] < vj:
+                yield LatticeBox.of(head + lo[j:], head + (vj - 1,) + hi[j + 1:])
+            if vj < hi[j]:
+                yield LatticeBox.of(head + (vj + 1,) + lo[j + 1:], head + hi[j:])
+        return
+    fixed = restriction.fixed_map
+    for j in range(1, restriction.n + 1):
+        if j not in fixed:
+            bit = (v.bits >> (j - 1)) & 1
+            yield CubeFace.of(restriction.n, {**fixed, j: 1 - bit})
+            fixed[j] = bit
+
+
 def solve_forbidden(oracle, X: Iterable, c: Objective,
                     ambient: Optional[LatticeBox] = None) -> OracleOutcome:
     """Minimize c over the oracle's vertices minus X, one query per family member.
@@ -138,24 +198,8 @@ def solve_forbidden(oracle, X: Iterable, c: Objective,
     is left; value ties across members are broken toward the
     lexicographically smallest vertex.
     """
-    if c.n != oracle.n:
-        raise DomainError("objective dimension mismatch")
-    if isinstance(oracle, IntegralOracle):
-        if ambient is None or ambient.n != oracle.n:
-            raise DomainError("integral oracles need an ambient box of their dimension")
-        family = box_family(X, ambient).boxes
-    else:
-        family = separating_faces(X, oracle.n).faces
-    best: Optional[OracleOutcome] = None
-    best_key = None
-    for restriction in family:
-        outcome = oracle.minimize(c, restriction)
-        if not outcome.feasible:
-            continue
-        key = (outcome.value, point_coords(outcome.vertex))
-        if best_key is None or key < best_key:
-            best, best_key = outcome, key
-    return best if best is not None else INFEASIBLE
+    best = min(_ranked(oracle, c, _family(oracle, X, c, ambient)), default=None)
+    return INFEASIBLE if best is None else best[2]
 
 
 def kbest(oracle, c: Objective, k: int, exclude: Iterable = (),
@@ -164,18 +208,30 @@ def kbest(oracle, c: Objective, k: int, exclude: Iterable = (),
 
     Returns (vertices, exhausted): vertices are distinct, their values are
     nondecreasing, and the worst returned value is at most the value of any
-    vertex not returned.  `exhausted` is True exactly when the solve after
-    the last returned vertex proved no further vertex exists.  Vertices in
-    `exclude` are treated as already removed and never returned; `ambient`
-    is passed on to `solve_forbidden`.
+    vertex not returned.  `exhausted` is True exactly when fewer than k
+    vertices are returned, because no further vertex exists.  Vertices in
+    `exclude` are treated as already removed and never returned; integral
+    oracles need `ambient`, as in `solve_forbidden`.
+
+    Lawler-Murty: a heap keyed by (value, coords) starts with one oracle
+    answer per member of the family of `exclude`; each pop returns a vertex
+    v and, until k are out, replaces its member by the split of that member
+    minus v.  The feasible members of the family of `exclude` plus the
+    returned vertices are then exactly the members behind the heap, so each
+    pop is what `solve_forbidden` on that growing list returns, ties
+    included.  Oracle calls are at most |family(exclude)| + n(k-1) for faces
+    and |family(exclude)| + 2n(k-1) for boxes.
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    removed = list(exclude)
+    heap = list(_ranked(oracle, c, _family(oracle, exclude, c, ambient)))
+    heapq.heapify(heap)
     found = []
-    for _ in range(k):
-        outcome = solve_forbidden(oracle, removed + found, c, ambient)
-        if not outcome.feasible:
-            return found, True
+    while heap:
+        *_, outcome, restriction = heapq.heappop(heap)
         found.append(outcome.vertex)
-    return found, False
+        if len(found) == k:
+            return found, False
+        for entry in _ranked(oracle, c, _split(restriction, outcome.vertex)):
+            heapq.heappush(heap, entry)
+    return found, True

@@ -106,6 +106,18 @@ class TestKbest:
         doc = json.loads(out)
         assert code == 0 and doc["vertices"] == ["10", "01"]
 
+    def test_oracle_calls(self, tmp_path, capsys):
+        # 6 separating faces of X, then 2 + 1 calls to split the faces of
+        # 0000 and 0110; 0101, 1101 and 0001 sit on faces with no free
+        # coordinate, and the 6th vertex is not split
+        path = cube_problem(tmp_path, 4, ["1", "-2", "3", "0"], ["0100", "1100"])
+        code, out = run(capsys, ["kbest", path, "-k", "6"])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["vertices"] == ["0101", "1101", "0000", "0001", "0110", "0111"]
+        assert doc["values"] == ["-2", "-1", "0", "0", "1", "1"]
+        assert doc["oracle_calls"] == 9
+
 
 class TestAlldiff:
     def test_example(self, tmp_path, capsys):
@@ -183,6 +195,12 @@ class TestCompile:
         path = cube_problem(tmp_path, 1, ["1"], ["0", "1"])
         code, out = run(capsys, ["compile", path, "--method", "interval"])
         assert code == 1
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
+        target = str(tmp_path / "missing" / "x.lp")
+        code, out = run(capsys, ["compile", path, "--method", "interval", "-o", target])
+        assert code == 1 and target in json.loads(out)["message"]
 
 
 class TestVerifyCommand:
@@ -274,6 +292,25 @@ class TestEnumerate:
 
 class TestInputValidation:
     """Malformed fields exit 1 with a message naming the field."""
+
+    def test_problem_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_bytes(b'{"kind": "binary", "n": 1, "note": "\xff"}')
+        for command in ("solve", "kbest", "enumerate"):
+            code, out = run(capsys, [command, str(path)])
+            assert code == 1 and f"cannot read {path}" in json.loads(out)["message"]
+
+    def test_lp_file_not_utf8(self, tmp_path, capsys):
+        path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
+        lp = tmp_path / "f.lp"
+        lp.write_bytes(b"\\ \xff\n")
+        code, out = run(capsys, ["verify", path, "--lp", str(lp)])
+        assert code == 1 and f"cannot read {lp}" in json.loads(out)["message"]
+
+    def test_negative_trials(self, tmp_path, capsys):
+        path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
+        code, out = run(capsys, ["verify", path, "--method", "interval", "--trials", "-3"])
+        assert code == 1 and "--trials" in json.loads(out)["message"]
 
     TREE = {"type": "spanning-tree", "nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
     GRID = {"type": "lattice-box", "l": [0, 0], "u": [2, 2]}

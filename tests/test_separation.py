@@ -1,18 +1,29 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from fvx import (
     BinaryPoint,
+    CountingOracle,
+    HPolytope,
+    LatticeBox,
+    LatticePoint,
     Objective,
+    brute_force_oracle,
     cardinality_oracle,
+    cube_hrep,
     cube_oracle,
+    hrep_binary_oracle,
     kbest,
+    lattice_box_oracle,
     separating_faces,
     solve_forbidden,
+    spanning_tree_oracle,
 )
 from fvx.errors import DomainError
-from conftest import all_binary, brute_min, random_forbidden, random_objective
+from fvx.separation import box_family
+from conftest import all_binary, brute_min, random_forbidden, random_objective, spanning_trees
 
 
 def covered_codes(faces, n):
@@ -129,3 +140,87 @@ class TestKbest:
             if rest and vs:
                 assert max(values) <= brute_min(c.c, rest)
             assert exhausted == (len(vs) < k)
+
+
+def _kbest_by_resolving(oracle, c, k, exclude=(), ambient=None):
+    """k-best by one full solve per round with a growing forbidden list."""
+    removed = list(exclude)
+    found = []
+    for _ in range(k):
+        outcome = solve_forbidden(oracle, removed + found, c, ambient)
+        if not outcome.feasible:
+            return found, True
+        found.append(outcome.vertex)
+    return found, False
+
+
+def _binary_instances(rng):
+    """(oracle, vertices) pairs over the binary oracle kinds, small dimension."""
+    n = rng.randint(1, 5)
+    yield cube_oracle(n), all_binary(n)
+    s = rng.randint(0, n)
+    yield cardinality_oracle(n, s), [p for p in all_binary(n) if p.bits.bit_count() == s]
+    nodes = rng.randint(2, 4)
+    edges = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
+    yield spanning_tree_oracle(nodes, edges), spanning_trees(nodes, edges)
+    m = rng.randint(1, 3)
+    cap = rng.randint(1, m)
+    cap_row = (tuple(Fraction(1) for _ in range(m)), "<=", Fraction(cap))
+    yield (hrep_binary_oracle(HPolytope(m, cube_hrep(m).rows + (cap_row,))),
+           [p for p in all_binary(m) if p.bits.bit_count() <= cap])
+    points = rng.sample(all_binary(n), rng.randint(1, 1 << n))
+    yield brute_force_oracle(points), points
+
+
+class TestKbestLawlerMurty:
+    def test_matches_resolving_binary(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            for oracle, vertices in _binary_instances(rng):
+                n = oracle.n
+                c = Objective.of([rng.randint(-2, 2) for _ in range(n)])
+                exclude = rng.sample(all_binary(n), rng.randint(0, min(4, 1 << n)))
+                k = rng.randint(1, len(vertices) + 2)
+                got = kbest(oracle, c, k, exclude)
+                assert got == _kbest_by_resolving(oracle, c, k, exclude)
+
+    def test_matches_resolving_integral(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            l = [rng.randint(-3, 3) for _ in range(n)]
+            u = [v + rng.randint(0, 3) for v in l]
+            ambient = LatticeBox.of(l, u)
+            points = list(ambient.iter_points())
+            if rng.random() < 0.5:
+                oracle = lattice_box_oracle(l, u)
+            else:
+                oracle = brute_force_oracle(rng.sample(points, rng.randint(1, len(points))))
+            c = Objective.of([rng.randint(-2, 2) for _ in range(n)])
+            exclude = rng.sample(points, rng.randint(0, min(4, len(points))))
+            k = rng.randint(1, len(points) + 2)
+            got = kbest(oracle, c, k, exclude, ambient)
+            assert got == _kbest_by_resolving(oracle, c, k, exclude, ambient)
+
+    def test_oracle_call_bound_binary(self):
+        rng = random.Random(31)
+        # at n = 30, X empty, k = 100 the bound is 1 + 30 * 99 = 2,971 calls
+        for n, size, k in ((30, 0, 100), (64, 50, 10), (8, 20, 40), (5, 31, 3)):
+            X = [BinaryPoint(n, rng.getrandbits(n)) for _ in range(size)]
+            oracle = CountingOracle(cube_oracle(n))
+            c = Objective.of([rng.randint(-5, 5) for _ in range(n)])
+            vs, _ = kbest(oracle, c, k, X)
+            assert len(vs) == min(k, (1 << n) - len(set(X)))
+            assert oracle.calls <= len(separating_faces(X, n)) + n * (k - 1)
+
+    def test_oracle_call_bound_integral(self):
+        rng = random.Random(37)
+        for n, width, size, k in ((3, 5, 0, 60), (6, 4, 40, 25), (2, 3, 8, 5)):
+            l = [rng.randint(-4, 4) for _ in range(n)]
+            ambient = LatticeBox.of(l, [v + width - 1 for v in l])
+            X = rng.sample(list(ambient.iter_points()), size)
+            oracle = CountingOracle(lattice_box_oracle(ambient.l.coords, ambient.u.coords))
+            c = Objective.of([rng.randint(-5, 5) for _ in range(n)])
+            vs, _ = kbest(oracle, c, k, X, ambient)
+            assert len(vs) == min(k, width ** n - size)
+            assert oracle.calls <= len(box_family(X, ambient)) + 2 * n * (k - 1)
