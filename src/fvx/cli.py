@@ -328,7 +328,8 @@ def load_problem(path: str) -> Problem:
             doc = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return Problem(doc)
 

@@ -6,10 +6,19 @@ pivot arithmetic is integer multiply/subtract plus a gcd normalization; no
 floating point, no tolerances.  Bland's lowest-index rule is used for both
 the entering column and ratio-test ties, which guarantees termination and
 makes every answer (including the optimal basic point) deterministic.
+
+`solve_lp` runs phase 1 once per system: it keeps the post-phase-1 tableau of
+the last LinearSystem it solved (one slot, keyed on the object's identity and
+held by a weak reference), and a later objective on the same object restarts
+phase 2 from that saved basis.  Phase 2 then makes the pivots a cold solve
+would make, so every answer is the cold answer.  Systems are treated as
+immutable: a system's rows and bounds must not change once it is solved.
 """
 
 from __future__ import annotations
 
+import copy
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -72,29 +81,43 @@ def _objective_map(system: LinearSystem, objective) -> dict:
     terms = list(objective)
     if len(terms) != system.n_original:
         raise DomainError(f"objective has {len(terms)} terms, expected {system.n_original}")
-    return {f"x{i + 1}": parse_rational(v) for i, v in enumerate(terms) if parse_rational(v)}
+    return {f"x{i + 1}": q for i, q in enumerate(map(parse_rational, terms)) if q}
 
 
 class _Simplex:
-    """One solve over a LinearSystem; not reusable."""
+    """The tableau of one LinearSystem: build, phase 1, then phase 2.
+
+    Once phase 1 is done, pivots replace tableau rows (the row lists and their
+    column dicts) and never mutate them; `restart` relies on that.
+    """
 
     def __init__(self, system: LinearSystem):
-        self.system = system
+        self.variables = system.variables  # not the system: solve_lp's slot holds it weakly
         self.trivially_infeasible = False
         self.var_cols = {}    # name -> ("const", Fraction) | ("pos", col, lo)
                               #        | ("neg", col, hi) | ("split", colp, colm)
         self.rows = []        # [cols dict, rhs int, den int] in standard equality form
         self.basis = []
-        self._build_columns()
-        self._build_rows()
+        self._build_columns(system)
+        self._build_rows(system)
+
+    def restart(self, rows: list, basis: list) -> "_Simplex":
+        """A copy of this solver set back to a saved tableau, in O(rows).
+
+        The saved row objects are shared, not copied: pivots replace rows and
+        never mutate them.
+        """
+        other = copy.copy(self)
+        other.rows, other.basis = list(rows), list(basis)
+        return other
 
     # -- construction ----------------------------------------------------------
 
-    def _build_columns(self):
+    def _build_columns(self, system: LinearSystem):
         ncol = 0
         self.bound_rows = []  # (col, limit Fraction) meaning col <= limit
-        for name in self.system.variables:
-            lo, hi = self.system.bound(name)
+        for name in system.variables:
+            lo, hi = system.bound(name)
             if lo is not None and hi is not None:
                 if lo == hi:
                     self.var_cols[name] = ("const", lo)
@@ -139,11 +162,11 @@ class _Simplex:
                 out[cm] = out.get(cm, 0) - a
         return {c: v for c, v in out.items() if v}, b
 
-    def _build_rows(self):
+    def _build_rows(self, system: LinearSystem):
         # collect (cols, rel, rhs Fraction); coefficients stay integral except
         # for the rhs, which is rescaled to an integer per row
         pending = []
-        for coeffs, rel, rhs in self.system.rows:
+        for coeffs, rel, rhs in system.rows:
             cols, b = self._transform_row(coeffs, rhs)
             if not cols:
                 ok = (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0)
@@ -355,7 +378,7 @@ class _Simplex:
         cv = self.column_values()
         zero = Fraction(0)
         out = {}
-        for name in self.system.variables:
+        for name in self.variables:
             kind = self.var_cols[name]
             if kind[0] == "const":
                 out[name] = kind[1]
@@ -385,21 +408,60 @@ class _Simplex:
         return {c: v for c, v in col_obj.items() if v}
 
 
+# (weak reference to the last system solve_lp saw, its solver or None when
+# infeasible, and that solver's rows and basis right after phase 1).  The
+# solver itself goes on to pivot for the call that built it, so a restart
+# takes only its fixed attributes and the saved lists.  One slot shared by
+# every caller and replaced whole, so a reader never pairs one system with
+# another's tableau; a racing writer or `_forget` can only drop an entry,
+# which costs one rebuild.
+_last_phase1 = None
+
+
+def _forget(ref) -> None:
+    global _last_phase1
+    last = _last_phase1
+    if last is not None and last[0] is ref:
+        _last_phase1 = None
+
+
+def _after_phase1(system: LinearSystem) -> Optional[_Simplex]:
+    """A solver for `system` just after phase 1, or None if it is infeasible.
+
+    Phase 1 runs only when `system` is not the last system seen; otherwise
+    the saved post-phase-1 tableau is restored.
+    """
+    global _last_phase1
+    last = _last_phase1
+    if last is not None and last[0]() is system:
+        _, solver, rows, basis = last
+        return None if solver is None else solver.restart(rows, basis)
+    solver = _Simplex(system)
+    if not solver.phase1():
+        _last_phase1 = (weakref.ref(system, _forget), None, None, None)
+        return None
+    _last_phase1 = (weakref.ref(system, _forget), solver,
+                    list(solver.rows), list(solver.basis))
+    return solver
+
+
 def solve_lp(system: LinearSystem, objective, sense: str = "min") -> LpResult:
     """Minimize (or maximize) a linear objective over a LinearSystem, exactly.
 
     `objective` may be an Objective (over x1..xn), a mapping from variable
     names to rationals, or a sequence aligned with the original variables.
     Returns an optimal basic solution, `infeasible`, or `unbounded`; results
-    are deterministic for identical inputs.
+    are deterministic for identical inputs.  Consecutive calls on the same
+    system object share one phase 1: phase 2 restarts from the saved
+    post-phase-1 basis, so each answer equals a cold solve's.
     """
     if sense not in ("min", "max"):
         raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
     if not system.variables:
         raise DomainError("system has no variables")
     obj_map = _objective_map(system, objective)
-    solver = _Simplex(system)
-    if not solver.phase1():
+    solver = _after_phase1(system)
+    if solver is None:
         return _INFEASIBLE
     status = solver.phase2(solver.column_objective(obj_map, negate=(sense == "max")))
     if status == UNBOUNDED:

@@ -5,6 +5,16 @@ is probabilistic; the membership and exclusion probes are exhaustive.  The
 combination certifies that the projection's integral points are exactly the
 ground truth: an excluded point is a vertex of the ambient polytope, so it
 can never lie in the hull of the remaining points.
+
+Every `solve_lp` call of a run is an objective on the one system under
+test, so phase 1 runs once for all of them.  The min and max of
+each x_i give the projection's bounding box [l, h]; a point outside it is not
+a member, and a point with every p_i in {l_i, h_i} (every binary point when
+the box is [0,1]^n, every corner of a lattice box) is a member exactly when
+the L1 distance sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i} (h_i - x_i) has
+minimum 0.  Other points (strictly inside the box, or any point when the
+projection is unbounded or the system infeasible) pin x to p and test
+feasibility.
 """
 
 from __future__ import annotations
@@ -82,6 +92,39 @@ class VerificationReport:
         }
 
 
+def _projection_box(system: LinearSystem, names: Sequence[str]) -> Optional[list]:
+    """[(min x_i, max x_i)] over the system, or None unless all 2n LPs are optimal."""
+    box = []
+    for name in names:
+        lo = solve_lp(system, {name: 1}, sense="min")
+        if not lo.is_optimal:
+            return None
+        hi = solve_lp(system, {name: 1}, sense="max")
+        if not hi.is_optimal:
+            return None
+        box.append((lo.value, hi.value))
+    return box
+
+
+def _in_projection(system: LinearSystem, names: Sequence[str],
+                   box: Optional[list], p: tuple) -> bool:
+    """Is the integral point p in the projection of the system onto x1..xn?"""
+    if box is not None:
+        if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):
+            return False
+        if all(v == lo or v == hi for v, (lo, hi) in zip(p, box)):
+            # each term x_i - l_i or h_i - x_i is nonnegative on the projection
+            objective, target = {}, 0
+            for name, v, (lo, hi) in zip(names, p, box):
+                if v == lo:
+                    objective[name], target = 1, target + lo
+                else:
+                    objective[name], target = -1, target - hi
+            lp = solve_lp(system, objective, sense="min")
+            return lp.is_optimal and lp.value == target
+    return feasible_with_fixings(system, dict(zip(names, p)))
+
+
 def verify_formulation(system: LinearSystem, ground_truth: Iterable,
                        X: Iterable = (), trials: int = 50,
                        seed: int = 0) -> VerificationReport:
@@ -93,6 +136,13 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     (exclusion expected exactly when the point is outside the hull of the
     ground truth, which for removed vertices is always), then audits the
     size certificate.  Deterministic for a fixed seed.
+
+    Before the probes, 2n LPs (min and max of each x_i) give the
+    projection's bounding box.  A point outside the box needs no LP; a point
+    on a corner of it is one L1-distance objective on the same system; any
+    other point, or every point when the box LPs are not all optimal, is a
+    feasibility test with x pinned to the point.  All three answer the same
+    question, so the report does not depend on which one ran.
     """
     n = system.n_original
     truth = [point_coords(p) if not isinstance(p, tuple) else p for p in ground_truth]
@@ -121,11 +171,12 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
                 report.support_mismatches.append(
                     (tuple(c), lp.value if lp.is_optimal else None, None))
 
+    box = _projection_box(system, names) if truth or removed else None
     for p in truth:
-        if not feasible_with_fixings(system, dict(zip(names, p))):
+        if not _in_projection(system, names, box, p):
             report.membership_failures.append(p)
     for p in removed:
-        probe = feasible_with_fixings(system, dict(zip(names, p)))
+        probe = _in_projection(system, names, box, p)
         # a removed vertex must probe infeasible; a removed non-vertex point
         # may lie in the hull of the rest, so compare against the exact
         # explicit-point hull membership

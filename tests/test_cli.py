@@ -307,6 +307,13 @@ class TestInputValidation:
         code, out = run(capsys, ["verify", path, "--lp", str(lp)])
         assert code == 1 and f"cannot read {lp}" in json.loads(out)["message"]
 
+    def test_deeply_nested_problem_file(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text("[" * 100_000)
+        code, out = run(capsys, ["solve", str(path)])
+        assert code == 1 and f"{path} is not valid JSON" in json.loads(out)["message"]
+        assert capsys.readouterr().err == ""
+
     def test_negative_trials(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
         code, out = run(capsys, ["verify", path, "--method", "interval", "--trials", "-3"])

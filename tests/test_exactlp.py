@@ -1,5 +1,9 @@
+import copy
+import gc
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from fvx import (
     BinaryPoint,
     LinearSystem,
+    LpResult,
+    exactlp,
     feasible_with_fixings,
     interval_formulation,
     solve_lp,
@@ -166,3 +172,132 @@ class TestAgainstVertexEnumeration:
             first = solve_lp(system, c)
             second = solve_lp(system, c)
             assert repr(first) == repr(second)
+
+
+def cold_solve(system, objective, sense="min"):
+    """Reference: a fresh tableau, phase 1, then phase 2, as before any reuse."""
+    obj_map = exactlp._objective_map(system, objective)
+    solver = exactlp._Simplex(system)
+    if not solver.phase1():
+        return LpResult("infeasible", None, None)
+    status = solver.phase2(solver.column_objective(obj_map, negate=(sense == "max")))
+    if status == "unbounded":
+        return LpResult("unbounded", None, None)
+    point = solver.point()
+    value = sum((c * point[name] for name, c in obj_map.items()), start=Fraction(0))
+    return LpResult("optimal", point, value)
+
+
+def infeasible_system(rng, n):
+    base = random_bounded_system(rng, n)
+    rows = base.rows + (({"x1": 1}, ">=", 5), ({"x1": 1}, "<=", 4))
+    return LinearSystem(base.variables, n, rows, base.bounds)
+
+
+def unbounded_system(rng, n):
+    """x1 free below; the other coordinates boxed, plus one coupling row."""
+    bounds = {f"x{i + 1}": (Fraction(rng.randint(-2, 0)), Fraction(rng.randint(1, 3)))
+              for i in range(1, n)}
+    rows = [({"x1": 1, f"x{n}": rng.randint(1, 3)}, "<=", rng.randint(0, 5))] if n > 1 else []
+    return LinearSystem.build(n, (), rows, bounds)
+
+
+class TestPhaseOneReuse:
+    """Every solve_lp answer equals a cold solve's, point included."""
+
+    def test_sequences_match_cold_solves(self):
+        rng = random.Random(31)
+        makers = [random_bounded_system, random_bounded_system, infeasible_system,
+                  unbounded_system]
+        statuses = set()
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            first = rng.choice(makers)(rng, n)
+            m = rng.randint(1, 4)
+            second = rng.choice(makers)(rng, m)
+            objectives = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)]
+            # min and max of each objective, the objectives again, with solves
+            # of the second system in between evicting and refilling the slot
+            calls = [(first, c, sense) for c in objectives for sense in ("min", "max")]
+            calls += [(first, c, "min") for c in objectives]
+            rng.shuffle(calls)
+            for i in sorted(rng.sample(range(len(calls) + 1), 3), reverse=True):
+                c = [rng.randint(-9, 9) for _ in range(m)]
+                calls.insert(i, (second, c, rng.choice(("min", "max"))))
+            for system, c, sense in calls:
+                got = solve_lp(system, c, sense)
+                assert repr(got) == repr(cold_solve(system, c, sense))
+                statuses.add(got.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_phase1_runs_once_per_system(self, monkeypatch):
+        runs = []
+        original = exactlp._Simplex.phase1
+
+        def counting(self):
+            runs.append(self)
+            return original(self)
+
+        monkeypatch.setattr(exactlp._Simplex, "phase1", counting)
+        rng = random.Random(37)
+        a, b = random_bounded_system(rng, 3), random_bounded_system(rng, 3)
+        for c in ([1, 0, 0], [0, -1, 2], [1, 0, 0]):
+            solve_lp(a, c)
+            solve_lp(a, c, sense="max")
+        assert len(runs) == 1
+        solve_lp(b, [1, 1, 1])
+        solve_lp(a, [1, 1, 1])
+        assert len(runs) == 3
+
+    def test_saved_tableau_is_never_mutated(self):
+        system = interval_formulation([BinaryPoint.from_string(s) for s in ("000", "101")], 3)
+        cold = exactlp._Simplex(system)
+        assert cold.phase1()
+        solve_lp(system, [1, 1, 1])
+        saved = exactlp._last_phase1
+        rows, basis = saved[2], saved[3]
+        assert rows == cold.rows and basis == cold.basis
+        objects = list(rows)
+        snapshot = copy.deepcopy(rows)
+        rng = random.Random(41)
+        for _ in range(20):
+            solve_lp(system, [rng.randint(-5, 5) for _ in range(3)], rng.choice(("min", "max")))
+        assert exactlp._last_phase1 is saved
+        assert all(x is y for x, y in zip(rows, objects)) and len(rows) == len(objects)
+        assert rows == snapshot and basis == cold.basis
+
+    def test_slot_holds_the_system_weakly(self):
+        system = random_bounded_system(random.Random(43), 2)
+        solve_lp(system, [1, 1])
+        assert exactlp._last_phase1[0]() is system
+        del system
+        gc.collect()
+        assert exactlp._last_phase1 is None
+
+    def test_threads_get_cold_answers(self):
+        # the slot is shared by every caller; a lost update may cost a rebuild
+        # but must never hand one system's tableau to another
+        rng = random.Random(47)
+        systems = [random_bounded_system(rng, 3) for _ in range(6)]
+        jobs = [(system, [rng.randint(-9, 9) for _ in range(3)], rng.choice(("min", "max")))
+                for system in systems for _ in range(5)]
+        expect = [repr(cold_solve(*job)) for job in jobs]
+        wrong = []
+
+        def worker(seed):
+            for i in random.Random(seed).sample(range(len(jobs)), len(jobs)):
+                if repr(solve_lp(*jobs[i])) != expect[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

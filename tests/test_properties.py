@@ -1,11 +1,24 @@
-"""Property tests: k-best against brute force on small random instances."""
+"""Property tests: k-best against brute force, and LP-file round trips."""
+
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from fvx import LatticeBox, Objective, cardinality_oracle, cube_oracle, kbest, lattice_box_oracle
+from fvx import (
+    LatticeBox,
+    LinearSystem,
+    Objective,
+    cardinality_oracle,
+    cube_oracle,
+    kbest,
+    lattice_box_oracle,
+    parse_lp,
+    solve_lp,
+    write_lp,
+)
 from conftest import all_binary
 
 # derandomized and without an example database, so every run checks the same cases
@@ -62,3 +75,41 @@ def test_kbest_binary_matches_brute_force(instance):
 @given(lattice_instances())
 def test_kbest_lattice_box_matches_brute_force(instance):
     check_against_brute_force(*instance)
+
+
+bound_values = st.one_of(st.none(), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def lp_instances(draw):
+    """A small system (originals x1..xn, aux y1..ym) and objectives over all its variables."""
+    n = draw(st.integers(1, 3))
+    aux = tuple(f"y{j + 1}" for j in range(draw(st.integers(0, 2))))
+    names = [f"x{i + 1}" for i in range(n)] + list(aux)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = {v: draw(st.integers(-3, 3)) for v in names}
+        coeffs = {v: a for v, a in coeffs.items() if a}
+        rows.append((coeffs, draw(st.sampled_from(["<=", "=", ">="])), draw(st.integers(-5, 5))))
+    bounds = {}
+    for v in names:
+        lo, hi = draw(bound_values), draw(bound_values)
+        if lo is not None and hi is not None and draw(st.booleans()):
+            hi = lo  # a fixing, which counts as an equality
+        bounds[v] = (lo, hi)
+    system = LinearSystem.build(n, aux, rows, bounds, {"method": "random"})
+    objectives = draw(st.lists(st.dictionaries(st.sampled_from(names), costs, max_size=len(names)),
+                               min_size=1, max_size=3))
+    return system, objectives
+
+
+@PROPERTY
+@given(lp_instances())
+def test_lp_round_trip_keeps_counts_and_values(instance):
+    system, objectives = instance
+    back = parse_lp(write_lp(system))
+    assert back.counted_inequalities() == system.counted_inequalities()
+    for c in objectives:
+        for sense in ("min", "max"):
+            got, expect = solve_lp(back, c, sense), solve_lp(system, c, sense)
+            assert (got.status, got.value) == (expect.status, expect.value)

@@ -1,16 +1,25 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+import fvx.verify
 from fvx import (
     BinaryPoint,
     LatticePoint,
     LinearSystem,
+    VerificationReport,
     cube_hrep,
     face_formulation,
+    feasible_with_fixings,
     in_convex_hull,
     interval_formulation,
     recursive_formulation,
+    solve_lp,
     verify_formulation,
 )
+from fvx.cli import Problem, compile_system
+from fvx.core import point_coords
 from fvx.errors import GuardExceeded
 from conftest import all_binary
 
@@ -97,3 +106,138 @@ class TestConvexHullMembership:
 
     def test_empty_hull(self):
         assert not in_convex_hull(LatticePoint.from_coords((0,)), [])
+
+
+def fixings_only_report(system, ground_truth, X, trials, seed):
+    """Reference: the verifier with every probe a feasibility test with x pinned."""
+    truth = [p if isinstance(p, tuple) else point_coords(p) for p in ground_truth]
+    removed = [p if isinstance(p, tuple) else point_coords(p) for p in X]
+    report = VerificationReport(trials=trials, seed=seed)
+    rng = random.Random(seed)
+    names = [f"x{i + 1}" for i in range(system.n_original)]
+    for _ in range(trials):
+        c = [rng.randint(-100, 100) for _ in range(system.n_original)]
+        lp = solve_lp(system, c, sense="min")
+        if truth:
+            brute = min(sum(ci * vi for ci, vi in zip(c, p)) for p in truth)
+            if not lp.is_optimal or lp.value != brute:
+                report.support_mismatches.append(
+                    (tuple(c), lp.value if lp.is_optimal else None, Fraction(brute)))
+        elif not lp.is_infeasible:
+            report.support_mismatches.append(
+                (tuple(c), lp.value if lp.is_optimal else None, None))
+    for p in truth:
+        if not feasible_with_fixings(system, dict(zip(names, p))):
+            report.membership_failures.append(p)
+    for p in removed:
+        if feasible_with_fixings(system, dict(zip(names, p))) != in_convex_hull(p, truth):
+            report.excluded_failures.append(p)
+    report.counted = system.counted_inequalities()
+    report.certified = system.meta.get("certified")
+    if report.certified is not None:
+        report.size_ok = report.counted <= report.certified
+    return report
+
+
+def pinned_probes(monkeypatch):
+    """Record the points that verify_formulation probes by pinning x."""
+    pinned = []
+
+    def recording(system, fixings):
+        if fixings:
+            pinned.append(tuple(fixings.values()))
+        return feasible_with_fixings(system, fixings)
+
+    monkeypatch.setattr(fvx.verify, "feasible_with_fixings", recording)
+    return pinned
+
+
+def binary_doc(ptype, n, forbidden, **polytope):
+    return {"kind": "binary", "n": n, "polytope": {"type": ptype, **polytope},
+            "forbidden": forbidden}
+
+
+LATTICE = {"kind": "integral", "n": 2,
+           "polytope": {"type": "lattice-box", "l": [0, 0], "u": [3, 2]},
+           "ambient": {"l": [0, 0], "u": [3, 2]},
+           "forbidden": [[0, 0], [1, 1], [2, 1], [3, 2]]}
+
+COMPILED = [(doc, method)
+            for doc in (binary_doc("cube", 4, ["0110", "1011"]), binary_doc("cube", 3, []))
+            for method in ("interval", "recursive", "faces", "facet-intersection")]
+COMPILED += [(binary_doc("cardinality", 4, ["1100", "0011"], s=2), "faces"),
+             (LATTICE, "boxes")]
+
+
+def pin_x1_to_zero(system):
+    """The benchmark's fix-bound mutation: x1's bounds replaced by x1 = 0."""
+    bounds = dict(system.bounds, x1=(Fraction(0), Fraction(0)))
+    return LinearSystem(system.variables, system.n_original, system.rows, bounds,
+                        dict(system.meta))
+
+
+class TestProbesMatchFixings:
+    """Box LPs and L1 probes give the report the fixings-only probes give."""
+
+    def check(self, system, truth, X, trials=8, seed=5):
+        expect = fixings_only_report(system, truth, X, trials, seed).to_dict()
+        assert verify_formulation(system, truth, X, trials, seed).to_dict() == expect
+        return expect
+
+    @pytest.mark.parametrize("doc, method", COMPILED,
+                             ids=[f"{d['polytope']['type']}{d['n']}-{m}" for d, m in COMPILED])
+    def test_compiled_formulations(self, doc, method, monkeypatch):
+        problem = Problem(doc)
+        system = compile_system(problem, method)
+        truth = problem.enumerate_allowed()
+        pinned = pinned_probes(monkeypatch)
+        assert self.check(system, truth, problem.forbidden)["verdict"] == "pass"
+        assert self.check(pin_x1_to_zero(system), truth, problem.forbidden)["verdict"] == "fail"
+        if doc["kind"] == "binary":
+            assert pinned == []  # every binary point is a corner of [0,1]^n
+        else:
+            # only lattice points off the corners of [0,3]x[0,2] are pinned
+            assert pinned and not any(x in (0, 3) and y in (0, 2) for x, y in pinned)
+
+    def test_projection_not_in_unit_cube(self, monkeypatch):
+        # x1 = 2y with y in [0, 1]; x2 in [-1, 3/2]; x1 + x2 <= 2
+        system = LinearSystem.build(
+            2, ("y",), [({"x1": 1, "y": -2}, "=", 0), ({"x2": 2}, "<=", 3),
+                        ({"x1": 1, "x2": 1}, "<=", 2)],
+            {"y": (0, 1), "x2": (-1, None)})
+        truth = [(0, -1), (0, 0), (1, 1), (2, -1), (2, 0), (0, 1), (2, 1)]
+        X = [(3, 0), (1, 0), (-1, -1), (0, 2), (1, -1)]
+        pinned = pinned_probes(monkeypatch)
+        report = self.check(system, truth, X)
+        assert report["membership_failures"] == [[2, 1]]
+        # corners (0, -1) and (2, -1) are L1 probes; (3, 0), (-1, -1) and
+        # (0, 2) are outside the box [0, 2] x [-1, 3/2]
+        assert pinned == [(0, 0), (1, 1), (2, 0), (0, 1), (2, 1), (1, 0), (1, -1)]
+
+    def test_unbounded_projection_pins_every_point(self, monkeypatch):
+        system = LinearSystem.build(2, (), [({"x1": 1, "x2": -1}, ">=", 0)],
+                                    {"x2": (0, 1)})
+        truth = [(0, 0), (1, 0), (1, 1), (2, 1)]
+        X = [(0, 1), (5, 0)]
+        pinned = pinned_probes(monkeypatch)
+        self.check(system, truth, X)
+        assert pinned == truth + X
+
+    def test_infeasible_system_pins_every_point(self, monkeypatch):
+        system = LinearSystem.build(2, (), [({"x1": 1}, ">=", 1), ({"x1": 1}, "<=", 0)],
+                                    {"x2": (0, 1)})
+        truth, X = [(1, 0)], [(0, 0)]
+        pinned = pinned_probes(monkeypatch)
+        assert self.check(system, truth, X)["verdict"] == "fail"
+        assert pinned == truth + X
+
+    def test_random_removed_points(self):
+        rng = random.Random(13)
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            X = [p for p in all_binary(n) if rng.random() < 0.3]
+            system = recursive_formulation(X, n)
+            if rng.random() < 0.5:
+                system = pin_x1_to_zero(system)
+            truth = [p for p in all_binary(n) if p not in X]
+            self.check(system, truth, X, trials=4, seed=rng.randint(0, 99))
