@@ -328,8 +328,10 @@ def load_problem(path: str) -> Problem:
             doc = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or an integer literal longer than the
+        # interpreter converts; RecursionError: nesting deeper than the
+        # decoder's recursion limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return Problem(doc)
 

@@ -8,11 +8,13 @@ point is used anywhere on a solve path.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, GuardExceeded
 
 # Arbitrary-precision exact rational.  The stdlib type already guarantees
 # lowest terms and a positive denominator.
@@ -23,27 +25,49 @@ MAX_BINARY_DIM = 64
 
 RationalLike = Union[Fraction, int, str]
 
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+
 
 def parse_rational(text: RationalLike) -> Fraction:
     """Parse an exact rational from "p", "p/q" or an int.
 
-    Raises DomainError on malformed input or a zero denominator.
+    Raises DomainError on malformed input, a zero denominator, a boolean, or
+    exponent notation such as "1e9" (whose value can be far larger than its
+    text, so parsing it could take unbounded time).
     """
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise DomainError(f"refusing boolean {text!r}; pass a 'p/q' string")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
         raise DomainError(f"refusing float {text!r}; pass a 'p/q' string")
+    body = str(text).strip()
+    if _EXPONENT.search(body):
+        raise DomainError(f"refusing exponent notation {text!r}; pass a 'p/q' string")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational: {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a rational as "p" or "p/q" (lossless)."""
-    return str(value)
+    """Render a rational as "p" or "p/q" (lossless).
+
+    Raises GuardExceeded when a numerator or denominator has more digits than
+    the interpreter converts to a string (its int_max_str_digits limit).
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise too_long_to_print() from None
+
+
+def too_long_to_print() -> GuardExceeded:
+    """The error for an integer with more digits than `str` converts."""
+    return GuardExceeded(f"value too long to print: more than "
+                         f"{sys.get_int_max_str_digits()} digits")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,26 @@
 """Exact rational LP solving: two-phase primal simplex with Bland's rule.
 
-Everything is computed over exact rationals.  Tableau rows are stored as
-sparse integer numerator dicts with one positive denominator per row, so all
-pivot arithmetic is integer multiply/subtract plus a gcd normalization; no
-floating point, no tolerances.  Bland's lowest-index rule is used for both
-the entering column and ratio-test ties, which guarantees termination and
-makes every answer (including the optimal basic point) deterministic.
+Everything is computed exactly, with no floating point and no tolerances,
+and in Python ints from the tableau build to the objective value:
+
+- build: bounds with denominator 1 become ints, a row's rhs stays an int
+  unless a non-integral bound is subtracted from it, and only such a row is
+  rescaled by its rhs denominator;
+- pivots: tableau rows are sparse integer numerator dicts with one positive
+  denominator per row, so a pivot is integer multiply/subtract plus a gcd
+  normalization;
+- phase 2: the objective is scaled to integers by the lcm of its
+  denominators and priced against the basis scaled by the lcm of the basic
+  rows' denominators; Bland's rule reads only the signs of the z row, so the
+  scaling changes no pivot;
+- readout: each coordinate of the point is made a Fraction once, and the
+  objective value is summed over one common denominator.
+
+`Fraction`s remain only where values enter (objectives, bounds) and where
+they leave (`LpResult.point`, `LpResult.value`).  Bland's lowest-index rule is
+used for both the entering column and ratio-test ties, which guarantees
+termination and makes every answer (including the optimal basic point)
+deterministic.
 
 `solve_lp` runs phase 1 once per system: it keeps the post-phase-1 tableau of
 the last LinearSystem it solved (one slot, keyed on the object's identity and
@@ -84,6 +99,9 @@ def _objective_map(system: LinearSystem, objective) -> dict:
     return {f"x{i + 1}": q for i, q in enumerate(map(parse_rational, terms)) if q}
 
 
+_NONBASIC = (0, 1)  # the (rhs, den) value of a nonbasic column
+
+
 class _Simplex:
     """The tableau of one LinearSystem: build, phase 1, then phase 2.
 
@@ -94,8 +112,9 @@ class _Simplex:
     def __init__(self, system: LinearSystem):
         self.variables = system.variables  # not the system: solve_lp's slot holds it weakly
         self.trivially_infeasible = False
-        self.var_cols = {}    # name -> ("const", Fraction) | ("pos", col, lo)
-                              #        | ("neg", col, hi) | ("split", colp, colm)
+        self.var_cols = {}    # name -> ("const", v) | ("pos", col, lo)
+                              #        | ("neg", col, hi) | ("split", colp, colm);
+                              # v, lo, hi are ints when integral, else Fractions
         self.rows = []        # [cols dict, rhs int, den int] in standard equality form
         self.basis = []
         self._build_columns(system)
@@ -115,17 +134,22 @@ class _Simplex:
 
     def _build_columns(self, system: LinearSystem):
         ncol = 0
-        self.bound_rows = []  # (col, limit Fraction) meaning col <= limit
+        self.bound_rows = []  # (col, limit) meaning col <= limit
         for name in system.variables:
             lo, hi = system.bound(name)
-            if lo is not None and hi is not None:
-                if lo == hi:
-                    self.var_cols[name] = ("const", lo)
-                    continue
-                if hi < lo:
-                    self.trivially_infeasible = True
-                    self.var_cols[name] = ("const", lo)
-                    continue
+            if lo is not None and lo.denominator == 1:
+                lo = lo.numerator
+            if hi is not None:
+                if hi.denominator == 1:
+                    hi = hi.numerator
+                if lo is not None:
+                    if lo == hi:
+                        self.var_cols[name] = ("const", lo)
+                        continue
+                    if hi < lo:
+                        self.trivially_infeasible = True
+                        self.var_cols[name] = ("const", lo)
+                        continue
             if lo is not None:
                 self.var_cols[name] = ("pos", ncol, lo)
                 if hi is not None:
@@ -139,32 +163,35 @@ class _Simplex:
                 ncol += 2
         self.nstruct = ncol
 
-    def _transform_row(self, coeffs: Mapping[str, int], rhs) -> tuple:
-        """Rewrite a row over variables into one over columns; returns (cols, rhs)."""
+    def _transform_row(self, coeffs: Mapping[str, int], rhs: int) -> tuple:
+        """Rewrite a row over variables into one over columns; returns (cols, rhs).
+
+        Every variable has columns of its own, so no two terms share a column.
+        The rhs stays an int unless a non-integral bound is subtracted from it.
+        """
         out = {}
-        b = Fraction(rhs)
+        b = rhs
+        var_cols = self.var_cols
         for name, a in coeffs.items():
-            kind = self.var_cols[name]
-            if kind[0] == "const":
+            kind = var_cols[name]
+            tag = kind[0]
+            if tag == "split":
+                out[kind[1]] = a
+                out[kind[2]] = -a
+            elif tag == "const":
                 b -= a * kind[1]
-            elif kind[0] == "pos":
-                _, col, lo = kind
-                if lo:
-                    b -= a * lo
-                out[col] = out.get(col, 0) + a
-            elif kind[0] == "neg":
-                _, col, hi = kind
-                b -= a * hi
-                out[col] = out.get(col, 0) - a
+            elif tag == "pos":
+                out[kind[1]] = a
+                if kind[2]:
+                    b -= a * kind[2]
             else:
-                _, cp, cm = kind
-                out[cp] = out.get(cp, 0) + a
-                out[cm] = out.get(cm, 0) - a
+                out[kind[1]] = -a
+                b -= a * kind[2]
         return {c: v for c, v in out.items() if v}, b
 
     def _build_rows(self, system: LinearSystem):
-        # collect (cols, rel, rhs Fraction); coefficients stay integral except
-        # for the rhs, which is rescaled to an integer per row
+        # collect (cols, rel, rhs); coefficients are integers, and a rhs that a
+        # non-integral bound made a Fraction is rescaled to an integer per row
         pending = []
         for coeffs, rel, rhs in system.rows:
             cols, b = self._transform_row(coeffs, rhs)
@@ -178,7 +205,7 @@ class _Simplex:
             if limit < 0:
                 self.trivially_infeasible = True
                 continue
-            pending.append(({col: 1}, "<=", Fraction(limit)))
+            pending.append(({col: 1}, "<=", limit))
 
         nslack = sum(1 for _, rel, _ in pending if rel != "=")
         ncol = self.nstruct
@@ -186,13 +213,12 @@ class _Simplex:
         art = art_start_guess
         slack = ncol
         self.art_start = art_start_guess
-        for cols, rel, b in pending:
-            den = b.denominator
-            if den != 1:
-                cols = {c: v * den for c, v in cols.items()}
-                b = b * den
-            bi = int(b)
-            cols = dict(cols)
+        for cols, rel, bi in pending:
+            if isinstance(bi, Fraction):
+                den = bi.denominator
+                if den != 1:
+                    cols = {c: v * den for c, v in cols.items()}
+                bi = bi.numerator
             if rel == ">=":
                 cols = {c: -v for c, v in cols.items()}
                 bi = -bi
@@ -349,63 +375,97 @@ class _Simplex:
                 del cols[j]
         return True
 
-    def phase2(self, col_obj: Mapping[int, Fraction]) -> str:
-        zfrac = dict(col_obj)
-        obj = Fraction(0)
-        for i, (cols, rhs, den) in enumerate(self.rows):
-            cb = col_obj.get(self.basis[i])
+    def phase2(self, col_obj: Mapping[int, int]) -> str:
+        """Price integer column costs against the basis, then run Bland pivots.
+
+        The z row is a positive multiple of the reduced costs: the costs come
+        scaled from `column_objective`, and pricing scales them again by the
+        lcm of the priced basic rows' denominators, so it is built in
+        integers.  `_bland` reads only signs and `_combine` renormalizes, so
+        the scaling changes no pivot.
+        """
+        priced = []
+        zden = 1
+        for row, b in zip(self.rows, self.basis):
+            cb = col_obj.get(b)
             if cb:
-                obj += cb * Fraction(rhs, den)
-                for j, num in cols.items():
-                    zfrac[j] = zfrac.get(j, Fraction(0)) - cb * Fraction(num, den)
-        zden = obj.denominator
-        for v in zfrac.values():
-            zden = zden * v.denominator // gcd(zden, v.denominator)
-        self.zc = {j: int(v * zden) for j, v in zfrac.items() if v}
-        self.zrhs = int(-obj * zden)
+                priced.append((cb, row))
+                den = row[2]
+                zden = zden // gcd(zden, den) * den
+        zc = {j: c * zden for j, c in col_obj.items()}
+        zrhs = 0
+        for cb, (cols, rhs, den) in priced:
+            f = cb * (zden // den)
+            zrhs -= f * rhs
+            for j, num in cols.items():
+                zc[j] = zc.get(j, 0) - f * num
+        self.zc = {j: v for j, v in zc.items() if v}
+        self.zrhs = zrhs
         self.zden = zden
         return self._bland()
 
     # -- readout ----------------------------------------------------------------
 
-    def column_values(self) -> dict:
-        vals = {}
-        for i, (cols, rhs, den) in enumerate(self.rows):
-            vals[self.basis[i]] = Fraction(rhs, den)
-        return vals
-
     def point(self) -> dict:
-        cv = self.column_values()
-        zero = Fraction(0)
+        """The basic point, one Fraction per variable.
+
+        Column values stay integer pairs (rhs, den) until a variable's value
+        is assembled, so each value is normalized once.
+        """
+        cv = {b: (rhs, den) for b, (_cols, rhs, den) in zip(self.basis, self.rows)}
         out = {}
         for name in self.variables:
             kind = self.var_cols[name]
-            if kind[0] == "const":
-                out[name] = kind[1]
-            elif kind[0] == "pos":
-                out[name] = kind[2] + cv.get(kind[1], zero)
-            elif kind[0] == "neg":
-                out[name] = kind[2] - cv.get(kind[1], zero)
+            tag = kind[0]
+            if tag == "const":
+                out[name] = Fraction(kind[1])
+                continue
+            num, den = cv.get(kind[1], _NONBASIC)
+            if tag == "pos":
+                num += kind[2] * den
+            elif tag == "neg":
+                num = kind[2] * den - num
             else:
-                out[name] = cv.get(kind[1], zero) - cv.get(kind[2], zero)
+                num_m, den_m = cv.get(kind[2], _NONBASIC)
+                num, den = num * den_m - num_m * den, den * den_m
+            out[name] = Fraction(num, den)
         return out
 
     def column_objective(self, obj_map: Mapping[str, Fraction], negate: bool) -> dict:
+        """Integer column costs: the objective times the lcm of its denominators."""
+        scale = 1
+        for c in obj_map.values():
+            scale = scale // gcd(scale, c.denominator) * c.denominator
+        if negate:
+            scale = -scale
         col_obj = {}
         for name, c in obj_map.items():
-            if negate:
-                c = -c
             kind = self.var_cols[name]
             if kind[0] == "const":
                 continue
-            if kind[0] in ("pos",):
-                col_obj[kind[1]] = col_obj.get(kind[1], Fraction(0)) + c
+            c = c.numerator * (scale // c.denominator)
+            if kind[0] == "pos":
+                col_obj[kind[1]] = col_obj.get(kind[1], 0) + c
             elif kind[0] == "neg":
-                col_obj[kind[1]] = col_obj.get(kind[1], Fraction(0)) - c
+                col_obj[kind[1]] = col_obj.get(kind[1], 0) - c
             else:
-                col_obj[kind[1]] = col_obj.get(kind[1], Fraction(0)) + c
-                col_obj[kind[2]] = col_obj.get(kind[2], Fraction(0)) - c
+                col_obj[kind[1]] = col_obj.get(kind[1], 0) + c
+                col_obj[kind[2]] = col_obj.get(kind[2], 0) - c
         return {c: v for c, v in col_obj.items() if v}
+
+
+def _objective_value(obj_map: Mapping[str, Fraction], point: Mapping[str, Fraction]) -> Fraction:
+    """The sum of c * x over one common denominator, made a Fraction once."""
+    num, den = 0, 1
+    for name, c in obj_map.items():
+        x = point[name]
+        d = c.denominator * x.denominator
+        if d != den:
+            lcm = den // gcd(den, d) * d
+            num *= lcm // den
+            den = lcm
+        num += c.numerator * x.numerator * (den // d)
+    return Fraction(num, den)
 
 
 # (weak reference to the last system solve_lp saw, its solver or None when
@@ -467,8 +527,7 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min") -> LpResult:
     if status == UNBOUNDED:
         return _UNBOUNDED
     point = solver.point()
-    value = sum((c * point[name] for name, c in obj_map.items()), start=Fraction(0))
-    return LpResult(OPTIMAL, point, value)
+    return LpResult(OPTIMAL, point, _objective_value(obj_map, point))
 
 
 def feasible_with_fixings(system: LinearSystem, fixings: Mapping[str, object]) -> bool:

@@ -120,18 +120,30 @@ class LinearSystem:
     def certified_bound(self) -> Optional[int]:
         return self.meta.get("certified")
 
+    def _derive(self, **changes) -> "LinearSystem":
+        """A copy sharing this system's validated fields except `changes`.
+
+        `__post_init__` is not run again: the caller validates what it changes.
+        """
+        child = object.__new__(LinearSystem)
+        child.__dict__.update(self.__dict__, **changes)
+        return child
+
     def with_bounds(self, overrides: Mapping[str, Bound]) -> "LinearSystem":
-        """New system with per-variable bounds intersected with `overrides`."""
+        """New system with per-variable bounds intersected with `overrides`.
+
+        The rows are shared with this system, so only the bound names given
+        here are checked.
+        """
         bnd = dict(self.bounds)
         for name, bound in overrides.items():
             if name not in self.variables:
                 raise DomainError(f"bound on undeclared variable {name!r}")
             bnd[name] = intersect_bounds(bound, bnd.get(name, (None, None)))
-        return LinearSystem(self.variables, self.n_original, self.rows, bnd, self.meta)
+        return self._derive(bounds=bnd)
 
     def with_meta(self, meta: Mapping) -> "LinearSystem":
-        return LinearSystem(self.variables, self.n_original, self.rows,
-                            self.bounds, dict(meta))
+        return self._derive(meta=dict(meta))
 
     def describe(self) -> str:
         return (f"LinearSystem({len(self.variables)} vars / {self.n_original} original, "

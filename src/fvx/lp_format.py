@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
-from .core import parse_rational
+from .core import parse_rational, too_long_to_print
 from .errors import DomainError
 from .linsys import LinearSystem
 
@@ -47,7 +47,17 @@ def _bounds_line(name: str, lo, hi) -> str:
 
 
 def write_lp(system: LinearSystem) -> str:
-    """Serialize a LinearSystem to LP text (lossless, byte-stable)."""
+    """Serialize a LinearSystem to LP text (lossless, byte-stable).
+
+    Raises GuardExceeded when a number has more digits than `str` converts.
+    """
+    try:
+        return _write_lp(system)
+    except ValueError:
+        raise too_long_to_print() from None
+
+
+def _write_lp(system: LinearSystem) -> str:
     lines = [_HEADER]
     lines.append(f"\\ meta: n_original={system.n_original}")
     for key in sorted(system.meta):
@@ -76,6 +86,20 @@ def write_lp(system: LinearSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_token(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:  # not an integer, or longer than int() converts
+        raise DomainError(f"expected integer {what}, got {token!r}") from exc
+
+
+def _int_meta(meta: dict, key: str) -> Optional[int]:
+    value = meta.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise DomainError(f"meta '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def _parse_terms(tokens: List[str]) -> dict:
     terms = {}
     sign = 1
@@ -90,10 +114,7 @@ def _parse_terms(tokens: List[str]) -> dict:
             sign = -1
             i += 1
             continue
-        try:
-            coef = int(tok)
-        except ValueError as exc:
-            raise DomainError(f"expected integer coefficient, got {tok!r}") from exc
+        coef = _int_token(tok, "coefficient")
         if i + 1 >= len(tokens):
             raise DomainError("dangling coefficient at end of row")
         terms[tokens[i + 1]] = terms.get(tokens[i + 1], 0) + sign * coef
@@ -119,7 +140,7 @@ def parse_lp(text: str) -> LinearSystem:
                 key, _, value = body[len("meta:"):].strip().partition("=")
                 try:
                     meta[key.strip()] = json.loads(value)
-                except json.JSONDecodeError:
+                except ValueError:  # not JSON, or an integer longer than int() converts
                     meta[key.strip()] = value
             continue
         lowered = line.lower()
@@ -146,7 +167,7 @@ def parse_lp(text: str) -> LinearSystem:
             if rel_at is None or rel_at != len(tokens) - 2:
                 raise DomainError(f"malformed relation in {line!r}")
             coeffs = _parse_terms(tokens[:rel_at])
-            rows.append((coeffs, tokens[rel_at], int(tokens[rel_at + 1])))
+            rows.append((coeffs, tokens[rel_at], _int_token(tokens[rel_at + 1], "rhs")))
             continue
         if section == "bounds":
             tokens = line.split()
@@ -177,9 +198,10 @@ def parse_lp(text: str) -> LinearSystem:
             continue
         raise DomainError(f"unexpected line outside any section: {line!r}")
 
-    n_original = meta.pop("n_original", None)
+    n_original = _int_meta(meta, "n_original")
     if n_original is None:
         raise DomainError("missing 'n_original' meta comment")
+    del meta["n_original"]
+    _int_meta(meta, "certified")  # verify compares it with the counted inequalities
     clean_bounds = {k: v for k, v in bounds.items() if v != (None, None)}
-    return LinearSystem(tuple(variables), int(n_original), tuple(rows),
-                        clean_bounds, meta)
+    return LinearSystem(tuple(variables), n_original, tuple(rows), clean_bounds, meta)

@@ -26,6 +26,7 @@ from .core import (
     LatticeBox,
     LatticePoint,
     Objective,
+    format_rational,
     point_coords,
 )
 from .errors import DomainError, NotBinaryPolytope, UnboundedInput
@@ -213,6 +214,9 @@ class SpanningTreeOracle(BinaryOracle):
         return OracleOutcome.optimum(vertex, c.dot(vertex))
 
 
+_PINNED = {v: (Fraction(v), Fraction(v)) for v in (0, 1)}  # bounds fixing x_i to v
+
+
 class HrepBinaryOracle(BinaryOracle):
     """Optimize over an explicit H-description assumed to have 0/1 vertices.
 
@@ -229,7 +233,7 @@ class HrepBinaryOracle(BinaryOracle):
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
         face = _check_binary_query(self.n, c, face)
-        overrides = {f"x{i}": (Fraction(v), Fraction(v)) for i, v in face.fixed}
+        overrides = {f"x{i}": _PINNED[v] for i, v in face.fixed}
         system = self.system.with_bounds(overrides) if overrides else self.system
         result = solve_lp(system, c, sense="min")
         if result.is_infeasible:
@@ -245,7 +249,7 @@ class HrepBinaryOracle(BinaryOracle):
                 coords.append(1)
             else:
                 raise NotBinaryPolytope(
-                    f"LP vertex has fractional coordinate x{i} = {v}")
+                    f"LP vertex has fractional coordinate x{i} = {format_rational(v)}")
         return OracleOutcome.optimum(BinaryPoint.from_coords(coords), result.value)
 
 
@@ -308,8 +312,17 @@ class LatticeBoxOracle(IntegralOracle):
         return OracleOutcome.optimum(vertex, c.dot(vertex))
 
 
-class _CountingMixin:
-    """Transparent wrapper that counts minimize() calls."""
+class CountingOracle:
+    """Transparent wrapper that counts minimize() calls.
+
+    `CountingOracle(inner)` is an instance of a subclass that also derives
+    from the kind of `inner` (BinaryOracle or IntegralOracle), so the kind
+    checks of the solvers see through the wrapper.
+    """
+
+    def __new__(cls, inner):
+        kind = IntegralOracle if isinstance(inner, IntegralOracle) else BinaryOracle
+        return object.__new__(_COUNTING_KINDS[kind])
 
     def __init__(self, inner):
         self.inner = inner
@@ -321,19 +334,8 @@ class _CountingMixin:
         return self.inner.minimize(c, restriction)
 
 
-class CountingBinaryOracle(_CountingMixin, BinaryOracle):
-    pass
-
-
-class CountingIntegralOracle(_CountingMixin, IntegralOracle):
-    pass
-
-
-def CountingOracle(inner):
-    """Counting wrapper that preserves the oracle kind of `inner`."""
-    if isinstance(inner, IntegralOracle):
-        return CountingIntegralOracle(inner)
-    return CountingBinaryOracle(inner)
+_COUNTING_KINDS = {kind: type(f"Counting{kind.__name__}", (CountingOracle, kind), {})
+                   for kind in (BinaryOracle, IntegralOracle)}
 
 
 # -- factory spellings matching the operation names --------------------------

@@ -314,6 +314,12 @@ class TestInputValidation:
         assert code == 1 and f"{path} is not valid JSON" in json.loads(out)["message"]
         assert capsys.readouterr().err == ""
 
+    def test_integer_literal_too_long(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"kind": "binary", "n": ' + "1" * 5000 + "}")
+        code, out = run(capsys, ["solve", str(path)])
+        assert code == 1 and f"{path} is not valid JSON" in json.loads(out)["message"]
+
     def test_negative_trials(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
         code, out = run(capsys, ["verify", path, "--method", "interval", "--trials", "-3"])
@@ -339,6 +345,13 @@ class TestInputValidation:
                    "objective": ["1", "1"], "forbidden": []}, "ambient.u[1]"),
         ("solve", {"kind": "integral", "n": 2, "polytope": GRID,
                    "objective": ["1", "1"], "forbidden": [[True, 0]]}, "forbidden[0][0]"),
+        ("solve", {"kind": "binary", "n": 2, "polytope": {"type": "cube"},
+                   "objective": [True, "1"], "forbidden": []}, "'objective'"),
+        ("kbest", {"kind": "binary", "n": 2, "polytope": {"type": "cube"},
+                   "objective": ["1", False], "forbidden": [], "k": 2}, "'objective'"),
+        ("solve", {"kind": "binary", "n": 2,
+                   "polytope": {"type": "hrep", "rows": [{"a": [1, 1], "rel": "<=", "b": True}]},
+                   "objective": ["1", "1"], "forbidden": []}, "polytope.rows[0]"),
     ])
     def test_booleans_are_not_integers(self, tmp_path, capsys, command, doc, field):
         code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
@@ -352,3 +365,60 @@ class TestInputValidation:
                "objective": ["1", "2", "3"], "forbidden": []}
         code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
         assert code == 1 and "polytope.edges" in json.loads(out)["message"]
+
+    # the value of "1e4000000" has four million digits; Fraction would build it
+    @pytest.mark.parametrize("command, doc, field", [
+        ("solve", {"kind": "binary", "n": 2, "polytope": {"type": "cube"},
+                   "objective": ["1e4000000", "1"], "forbidden": []}, "'objective'"),
+        ("kbest", {"kind": "binary", "n": 2, "polytope": {"type": "cube"},
+                   "objective": ["1", "-2E+9"], "forbidden": [], "k": 2}, "'objective'"),
+        ("solve", {"kind": "binary", "n": 2,
+                   "polytope": {"type": "hrep", "rows": [{"a": ["1", "1"], "rel": "<=",
+                                                          "b": "3e4000000"}]},
+                   "objective": ["1", "1"], "forbidden": []}, "polytope.rows[0]"),
+    ])
+    def test_exponent_notation_is_refused(self, tmp_path, capsys, command, doc, field):
+        code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
+        message = json.loads(out)["message"]
+        assert code == 1 and field in message and "exponent notation" in message
+
+    def test_exponent_notation_in_lp_file(self, tmp_path, capsys):
+        path = cube_problem(tmp_path, 1, ["0"], [])
+        lp = tmp_path / "f.lp"
+        lp.write_text("\\ fvx-lp v1\n\\ meta: n_original=1\nMinimize\n obj: 0 x1\n"
+                      "Subject To\n r1: 1 x1 >= 0\nBounds\n 0 <= x1 <= 1e4000000\nEnd\n")
+        code, out = run(capsys, ["verify", path, "--lp", str(lp)])
+        assert code == 1 and "exponent notation" in json.loads(out)["message"]
+
+
+class TestValuesTooLongToPrint:
+    """A value with more digits than str() converts exits 1, without a traceback."""
+
+    BIG = "-" + "9" * 4300  # the longest integer str() converts; twice it is longer
+
+    @pytest.mark.parametrize("command", ["solve", "kbest"])
+    def test_objective_value(self, tmp_path, capsys, command):
+        path = cube_problem(tmp_path, 2, [self.BIG, self.BIG], [], k=2)
+        code, out = run(capsys, [command, path])
+        assert code == 1 and "too long to print" in json.loads(out)["message"]
+        assert capsys.readouterr().err == ""
+
+    def test_fractional_vertex(self, tmp_path, capsys):
+        # x1 <= x2 / A and x2 <= 1 / A: the vertex has x1 = 1 / A^2
+        big = "9" * 4300
+        rows = [{"a": [big, "-1"], "rel": "<=", "b": "0"}, {"a": ["0", big], "rel": "<=", "b": "1"},
+                {"a": [1, 0], "rel": ">=", "b": "0"}, {"a": [0, 1], "rel": ">=", "b": "0"}]
+        path = write_json(tmp_path, "p.json", {"kind": "binary", "n": 2, "forbidden": [],
+                                               "polytope": {"type": "hrep", "rows": rows},
+                                               "objective": ["-1", "0"]})
+        code, out = run(capsys, ["solve", path])
+        assert code == 1 and "too long to print" in json.loads(out)["message"]
+
+    def test_compiled_row(self, tmp_path, capsys):
+        # scaling the row to integers multiplies two 4300-digit denominators
+        rows = [{"a": ["1/" + "9" * 4300, "1/" + "8" * 4300], "rel": "<=", "b": "1"},
+                {"a": [1, 0], "rel": ">=", "b": "0"}, {"a": [0, 1], "rel": ">=", "b": "0"}]
+        path = write_json(tmp_path, "p.json", {"kind": "binary", "n": 2, "forbidden": [],
+                                               "polytope": {"type": "hrep", "rows": rows}})
+        code, out = run(capsys, ["compile", path, "--method", "faces"])
+        assert code == 1 and "too long to print" in json.loads(out)["message"]

@@ -18,7 +18,7 @@ from fvx import (
     sigma_decode,
     sigma_encode,
 )
-from fvx.errors import DomainError
+from fvx.errors import DomainError, GuardExceeded
 
 
 class TestRational:
@@ -35,6 +35,20 @@ class TestRational:
             parse_rational("1/0")
         with pytest.raises(DomainError):
             parse_rational(0.5)
+
+    @pytest.mark.parametrize("text", ["1e4000000", "1E-3", "2.5e10", " -3e+2 ", "1_0e1_0"])
+    def test_parse_refuses_exponent_notation(self, text):
+        with pytest.raises(DomainError, match="exponent notation"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_parse_refuses_booleans(self, value):
+        with pytest.raises(DomainError, match="boolean"):
+            parse_rational(value)
+
+    def test_format_refuses_values_too_long_to_print(self):
+        with pytest.raises(GuardExceeded, match="too long to print"):
+            format_rational(Fraction(10 ** 5000 + 1, 3))
 
     def test_format_round_trip(self):
         for text in ("3/4", "-2", "0", "17/3"):

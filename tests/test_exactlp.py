@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -301,3 +302,227 @@ class TestPhaseOneReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+class FractionSimplex(exactlp._Simplex):
+    """Reference: the tableau built and priced over Fractions, then scaled.
+
+    Bounds, shifted right-hand sides and phase-2 costs are Fractions here;
+    each row is scaled by its rhs denominator and the z row by the lcm of all
+    its denominators.  Pivoting is inherited.
+    """
+
+    def _build_columns(self, system):
+        ncol = 0
+        self.bound_rows = []
+        for name in system.variables:
+            lo, hi = system.bound(name)
+            lo = None if lo is None else Fraction(lo)
+            hi = None if hi is None else Fraction(hi)
+            if lo is not None and hi is not None and hi <= lo:
+                self.trivially_infeasible |= hi < lo
+                self.var_cols[name] = ("const", lo)
+            elif lo is not None:
+                self.var_cols[name] = ("pos", ncol, lo)
+                if hi is not None:
+                    self.bound_rows.append((ncol, hi - lo))
+                ncol += 1
+            elif hi is not None:
+                self.var_cols[name] = ("neg", ncol, hi)
+                ncol += 1
+            else:
+                self.var_cols[name] = ("split", ncol, ncol + 1)
+                ncol += 2
+        self.nstruct = ncol
+
+    def _build_rows(self, system):
+        pending = []
+        for coeffs, rel, rhs in system.rows:
+            cols, b = {}, Fraction(rhs)
+            for name, a in coeffs.items():
+                kind = self.var_cols[name]
+                if kind[0] == "const":
+                    b -= a * kind[1]
+                elif kind[0] == "pos":
+                    b -= a * kind[2]
+                    cols[kind[1]] = cols.get(kind[1], 0) + a
+                elif kind[0] == "neg":
+                    b -= a * kind[2]
+                    cols[kind[1]] = cols.get(kind[1], 0) - a
+                else:
+                    cols[kind[1]] = cols.get(kind[1], 0) + a
+                    cols[kind[2]] = cols.get(kind[2], 0) - a
+            cols = {c: v for c, v in cols.items() if v}
+            if cols:
+                pending.append((cols, rel, b))
+            elif not (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0):
+                self.trivially_infeasible = True
+        for col, limit in self.bound_rows:
+            if limit < 0:
+                self.trivially_infeasible = True
+            else:
+                pending.append(({col: 1}, "<=", Fraction(limit)))
+        slack = self.nstruct
+        art = self.art_start = slack + sum(1 for _, rel, _ in pending if rel != "=")
+        for cols, rel, b in pending:
+            den = b.denominator
+            cols, bi = {c: v * den for c, v in cols.items()}, int(b * den)
+            if rel == ">=":
+                cols, bi = {c: -v for c, v in cols.items()}, -bi
+            basis_col = None
+            if rel != "=":
+                cols[slack] = 1
+                basis_col = slack if bi >= 0 else None
+                slack += 1
+            if bi < 0:
+                cols, bi = {c: -v for c, v in cols.items()}, -bi
+            if basis_col is None:
+                cols[art] = 1
+                basis_col = art
+                art += 1
+            self.rows.append([cols, bi, 1])
+            self.basis.append(basis_col)
+        self.ncols = art
+
+    def column_objective(self, obj_map, negate):
+        col_obj = {}
+        for name, c in obj_map.items():
+            c = -c if negate else c
+            kind = self.var_cols[name]
+            if kind[0] in ("pos", "split"):
+                col_obj[kind[1]] = col_obj.get(kind[1], 0) + c
+            if kind[0] in ("neg", "split"):
+                col = kind[2] if kind[0] == "split" else kind[1]
+                col_obj[col] = col_obj.get(col, 0) - c
+        return {c: Fraction(v) for c, v in col_obj.items() if v}
+
+    def phase2(self, col_obj):
+        z = dict(col_obj)
+        obj = Fraction(0)
+        for (cols, rhs, den), b in zip(self.rows, self.basis):
+            cb = col_obj.get(b)
+            if cb:
+                obj += cb * Fraction(rhs, den)
+                for j, num in cols.items():
+                    z[j] = z.get(j, 0) - cb * Fraction(num, den)
+        zden = obj.denominator
+        for v in z.values():
+            zden = zden * v.denominator // gcd(zden, v.denominator)
+        self.zc = {j: int(v * zden) for j, v in z.items() if v}
+        self.zrhs, self.zden = int(-obj * zden), zden
+        return self._bland()
+
+    def point(self):
+        cv = {b: Fraction(rhs, den) for (_, rhs, den), b in zip(self.rows, self.basis)}
+        zero = Fraction(0)
+        out = {}
+        for name in self.variables:
+            kind = self.var_cols[name]
+            if kind[0] == "const":
+                out[name] = kind[1]
+            elif kind[0] == "pos":
+                out[name] = kind[2] + cv.get(kind[1], zero)
+            elif kind[0] == "neg":
+                out[name] = kind[2] - cv.get(kind[1], zero)
+            else:
+                out[name] = cv.get(kind[1], zero) - cv.get(kind[2], zero)
+        return out
+
+
+def mixed_system(rng):
+    """A small system with every kind of variable, bound and row.
+
+    Variables are free, one-sided, boxed, fixed or (rarely) crossed; bounds
+    and row coefficients are integral or not; rows are <=, = or >= with a
+    right-hand side of either sign.
+    """
+    n, m = rng.randint(1, 4), rng.randint(0, 2)
+    aux = [f"y{j + 1}" for j in range(m)]
+    names = [f"x{i + 1}" for i in range(n)] + aux
+
+    def value():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+
+    bounds = {}
+    for name in names:
+        kind = rng.choice(("free", "lower", "upper", "box", "box", "fixed", "crossed"))
+        lo, hi = value(), value()
+        if kind == "crossed" and rng.random() < 0.5:
+            kind = "box"
+        if kind in ("box", "crossed"):
+            lo, hi = sorted((lo, hi), reverse=(kind == "crossed"))
+            if kind == "box" and lo == hi:
+                hi += 1
+        bounds[name] = {"free": (None, None), "lower": (lo, None), "upper": (None, hi),
+                        "box": (lo, hi), "fixed": (lo, lo), "crossed": (lo, hi)}[kind]
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {name: value() if rng.random() < 0.2 else rng.randint(-3, 3)
+                  for name in rng.sample(names, rng.randint(1, len(names)))}
+        rows.append((coeffs, rng.choice(("<=", "=", ">=")), value()))
+    return LinearSystem.build(n, aux, rows, bounds)
+
+
+class TestIntegerBuild:
+    """The integer tableau build and z row equal a Fraction reference build."""
+
+    def test_build_and_points_match_the_fraction_reference(self):
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(400):
+            system = mixed_system(rng)
+            got, ref = exactlp._Simplex(system), FractionSimplex(system)
+            for name in system.variables:
+                kind = got.var_cols[name]
+                assert kind == ref.var_cols[name]
+                offset = kind[1] if kind[0] == "const" else kind[2]
+                if kind[0] != "split" and offset.denominator == 1:
+                    assert type(offset) is int
+            assert got.rows == ref.rows
+            assert all(type(v) is int for cols, rhs, den in got.rows
+                       for v in (*cols.values(), rhs, den))
+            assert (got.basis, got.art_start, got.ncols, got.bound_rows) == \
+                (ref.basis, ref.art_start, ref.ncols, ref.bound_rows)
+            feasible = got.phase1()
+            assert feasible == ref.phase1()
+            assert (got.rows, got.basis) == (ref.rows, ref.basis)
+            if not feasible:
+                seen.add("infeasible")
+                continue
+            rows, basis = list(got.rows), list(got.basis)
+            for _ in range(3):
+                c = {name: value for name in system.variables
+                     if (value := Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 6))))}
+                negate = rng.random() < 0.5
+                got, ref = got.restart(rows, basis), ref.restart(rows, basis)
+                status = got.phase2(got.column_objective(c, negate))
+                assert status == ref.phase2(ref.column_objective(c, negate))
+                seen.add(status)
+                if status == "optimal":
+                    assert repr(got.point()) == repr(ref.point())
+        assert seen == {"optimal", "unbounded", "infeasible"}
+
+    def test_objective_value_is_exact(self):
+        system = LinearSystem.build(2, bounds={"x1": ("1/3", "1/3"), "x2": (0, "5/2")})
+        r = solve_lp(system, ["3/2", "-2/7"])
+        assert r.value == Fraction(3, 2) * Fraction(1, 3) - Fraction(2, 7) * Fraction(5, 2)
+        assert type(r.value) is Fraction and all(type(v) is Fraction for v in r.point.values())
+
+
+class TestWithBounds:
+    def test_child_shares_validated_rows(self, monkeypatch):
+        parent = LinearSystem.build(2, ("y1",), [({"x1": 1, "y1": 2}, "<=", 3)],
+                                    {"x2": (0, 1)}, {"method": "m"})
+        checks = []
+        original = LinearSystem.__post_init__
+        monkeypatch.setattr(LinearSystem, "__post_init__",
+                            lambda self: (checks.append(self), original(self)))
+        child = parent.with_bounds({"x1": (Fraction(1), None), "x2": (None, Fraction(1, 2))})
+        assert checks == []  # the rows were validated when the parent was built
+        assert child.rows is parent.rows and child.variables is parent.variables
+        assert child.bounds == {"x1": (1, None), "x2": (0, Fraction(1, 2))}
+        assert parent.bounds == {"x2": (0, 1)}
+        assert child.meta == parent.meta and child.with_meta({}).meta == {}
+        with pytest.raises(DomainError, match="undeclared variable 'z'"):
+            parent.with_bounds({"z": (0, 0)})
+        assert solve_lp(child, [1, -1]).value == Fraction(1) - Fraction(1, 2)

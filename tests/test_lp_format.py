@@ -89,3 +89,19 @@ class TestParserErrors:
     def test_stray_line(self):
         with pytest.raises(DomainError):
             parse_lp("hello\n")
+
+    @pytest.mark.parametrize("meta, row, message", [
+        ("n_original=1", "1 x1 >= 1/2", "integer rhs"),
+        ("n_original=1", "1 x1 >= " + "1" * 5000, "integer rhs"),
+        ("n_original=1", "1" * 5000 + " x1 >= 0", "integer coefficient"),
+        ('n_original="a"', "1 x1 >= 0", "meta 'n_original'"),
+        ("n_original=true", "1 x1 >= 0", "meta 'n_original'"),
+        ("n_original=1\n\\ meta: certified=" + "1" * 5000, "1 x1 >= 0", "meta 'certified'"),
+        ("n_original=1\n\\ meta: certified=1.5", "1 x1 >= 0", "meta 'certified'"),
+    ], ids=["rational-rhs", "long-rhs", "long-coefficient", "string-n", "boolean-n",
+            "long-certified", "rational-certified"])
+    def test_malformed_numbers(self, meta, row, message):
+        text = (f"\\ meta: {meta}\nMinimize\n obj: 0 x1\nSubject To\n r1: {row}\n"
+                "Bounds\n 0 <= x1 <= 1\nEnd\n")
+        with pytest.raises(DomainError, match=message):
+            parse_lp(text)

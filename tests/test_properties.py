@@ -1,4 +1,4 @@
-"""Property tests: k-best against brute force, and LP-file round trips."""
+"""Property tests: solve and k-best against brute force, and LP-file round trips."""
 
 from fractions import Fraction
 
@@ -8,18 +8,23 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from fvx import (
+    HPolytope,
     LatticeBox,
     LinearSystem,
     Objective,
     cardinality_oracle,
+    cube_hrep,
     cube_oracle,
+    hrep_binary_oracle,
     kbest,
     lattice_box_oracle,
     parse_lp,
+    solve_forbidden,
     solve_lp,
+    spanning_tree_oracle,
     write_lp,
 )
-from conftest import all_binary
+from conftest import all_binary, spanning_trees
 
 # derandomized and without an example database, so every run checks the same cases
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -113,3 +118,59 @@ def test_lp_round_trip_keeps_counts_and_values(instance):
         for sense in ("min", "max"):
             got, expect = solve_lp(back, c, sense), solve_lp(system, c, sense)
             assert (got.status, got.value) == (expect.status, expect.value)
+
+
+def check_solve_against_brute_force(oracle, c, X, vertices):
+    """solve_forbidden returns an allowed vertex of least value, or infeasible."""
+    allowed = [p for p in vertices if p not in set(X)]
+    out = solve_forbidden(oracle, X, c)
+    if not allowed:
+        assert not out.feasible
+        return
+    assert out.feasible and out.vertex in allowed
+    assert out.value == c.dot(out.vertex) == min(c.dot(p) for p in allowed)
+
+
+rational_costs = st.one_of(costs, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def hrep_instances(draw):
+    """The unit cube as explicit rows plus one cardinality (=) or cap (<=) row."""
+    n = draw(st.integers(1, 5))
+    points = all_binary(n)
+    rel = draw(st.sampled_from(["=", "<="]))
+    s = draw(st.integers(0, n))
+    ones = tuple(Fraction(1) for _ in range(n))
+    poly = HPolytope(n, cube_hrep(n).rows + ((ones, rel, Fraction(s)),))
+    vertices = [p for p in points if poly.satisfies(p)]
+    c = Objective.of(draw(st.lists(rational_costs, min_size=n, max_size=n)))
+    X = draw(st.lists(st.sampled_from(points), max_size=6, unique=True))
+    return hrep_binary_oracle(poly), c, X, vertices
+
+
+@st.composite
+def spanning_tree_instances(draw):
+    """A connected graph: a random spanning tree plus a few extra edges."""
+    nodes = draw(st.integers(2, 5))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nodes)]
+    pairs = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    edges = draw(st.permutations(edges))
+    vertices = spanning_trees(nodes, edges)
+    m = len(edges)
+    c = Objective.of(draw(st.lists(rational_costs, min_size=m, max_size=m)))
+    X = draw(st.lists(st.sampled_from(vertices + all_binary(m)[:4]), max_size=6, unique=True))
+    return spanning_tree_oracle(nodes, edges), c, X, vertices
+
+
+@PROPERTY
+@given(hrep_instances())
+def test_solve_hrep_matches_brute_force(instance):
+    check_solve_against_brute_force(*instance)
+
+
+@PROPERTY
+@given(spanning_tree_instances())
+def test_solve_spanning_tree_matches_brute_force(instance):
+    check_solve_against_brute_force(*instance)
