@@ -222,6 +222,8 @@ class Problem:
             raise InputError("missing field 'polytope'")
         self.entry = None if self.polytope is None else \
             self._polytope_entry(self.polytope, "polytope")
+        self.facets = None if self.polytope is None else \
+            self._parse_facets(self.polytope.get("facets"))
         self.slot_entries = [self._polytope_entry(slot["polytope"], f"slots[{i}].polytope")
                              for i, slot in enumerate(self.slots or ())]
         self.objective = None
@@ -236,10 +238,19 @@ class Problem:
     def _polytope_entry(self, spec, field: str) -> PolytopeEntry:
         if not isinstance(spec, dict):
             _fail(field, "expected an object with 'type'")
-        build = POLYTOPE_TYPES.get(spec.get("type"))
+        name = spec.get("type")
+        build = POLYTOPE_TYPES.get(name) if isinstance(name, str) else None
         if build is None:
-            _fail(f"{field}.type", f"unsupported polytope type {spec.get('type')!r}")
+            _fail(f"{field}.type", f"unsupported polytope type {name!r}")
         return build(self.kind, self.n, spec, field)
+
+    @staticmethod
+    def _parse_facets(raw) -> Optional[list]:
+        if raw is None:
+            return None
+        if not isinstance(raw, list):
+            _fail("polytope.facets", "expected a list of row indices")
+        return [_int_field(v, f"polytope.facets[{i}]") for i, v in enumerate(raw)]
 
     def _parse_objective(self, raw, field: str) -> Objective:
         if not isinstance(raw, list) or len(raw) != self.n:
@@ -434,7 +445,7 @@ def compile_system(problem: Problem, method: str):
     poly = problem.hpolytope()
     if method == "faces":
         return face_formulation(poly, problem.forbidden)
-    facets = problem.polytope.get("facets")
+    facets = problem.facets
     if facets is None:
         facets = list(range(len(poly.rows)))
     return facet_intersection_formulation(poly, facets, problem.forbidden)

@@ -22,18 +22,20 @@ used for both the entering column and ratio-test ties, which guarantees
 termination and makes every answer (including the optimal basic point)
 deterministic.
 
-`solve_lp` runs phase 1 once per system: it keeps the post-phase-1 tableau of
-the last LinearSystem it solved (one slot, keyed on the object's identity and
-held by a weak reference), and a later objective on the same object restarts
-phase 2 from that saved basis.  Phase 2 then makes the pivots a cold solve
-would make, so every answer is the cold answer.  Systems are treated as
-immutable: a system's rows and bounds must not change once it is solved.
+`solve_lp` runs phase 1 once per system object: the first call on a
+LinearSystem keeps its post-phase-1 tableau on that object, and every call
+after the first on the same object restarts phase 2 from that saved basis,
+whatever other systems were solved in between.  Phase 2 then makes the
+pivots a cold solve would make, so every answer is the cold answer.  The
+saved state lives and dies with its system (it holds no reference back to
+it), and systems derived by `with_bounds` or `with_meta` start without it.
+Systems are treated as immutable: a system's rows and bounds must not change
+once it is solved.
 """
 
 from __future__ import annotations
 
 import copy
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -110,7 +112,7 @@ class _Simplex:
     """
 
     def __init__(self, system: LinearSystem):
-        self.variables = system.variables  # not the system: solve_lp's slot holds it weakly
+        self.variables = system.variables  # not the system, which keeps this solver
         self.trivially_infeasible = False
         self.var_cols = {}    # name -> ("const", v) | ("pos", col, lo)
                               #        | ("neg", col, hi) | ("split", colp, colm);
@@ -468,40 +470,25 @@ def _objective_value(obj_map: Mapping[str, Fraction], point: Mapping[str, Fracti
     return Fraction(num, den)
 
 
-# (weak reference to the last system solve_lp saw, its solver or None when
-# infeasible, and that solver's rows and basis right after phase 1).  The
-# solver itself goes on to pivot for the call that built it, so a restart
-# takes only its fixed attributes and the saved lists.  One slot shared by
-# every caller and replaced whole, so a reader never pairs one system with
-# another's tableau; a racing writer or `_forget` can only drop an entry,
-# which costs one rebuild.
-_last_phase1 = None
-
-
-def _forget(ref) -> None:
-    global _last_phase1
-    last = _last_phase1
-    if last is not None and last[0] is ref:
-        _last_phase1 = None
-
-
 def _after_phase1(system: LinearSystem) -> Optional[_Simplex]:
     """A solver for `system` just after phase 1, or None if it is infeasible.
 
-    Phase 1 runs only when `system` is not the last system seen; otherwise
-    the saved post-phase-1 tableau is restored.
+    Phase 1 runs on the first call for a system object, which keeps
+    `(solver, rows, basis)` as `_phase1` (solver None when infeasible; rows
+    and basis copied right after phase 1).  The solver built here goes on to
+    pivot for this call, so a later call restores only its fixed attributes
+    and the saved lists.  Two first calls racing on one system may both run
+    phase 1; either saved state is the same tableau.
     """
-    global _last_phase1
-    last = _last_phase1
-    if last is not None and last[0]() is system:
-        _, solver, rows, basis = last
+    saved = system.__dict__.get("_phase1")
+    if saved is not None:
+        solver, rows, basis = saved
         return None if solver is None else solver.restart(rows, basis)
     solver = _Simplex(system)
     if not solver.phase1():
-        _last_phase1 = (weakref.ref(system, _forget), None, None, None)
+        object.__setattr__(system, "_phase1", (None, None, None))
         return None
-    _last_phase1 = (weakref.ref(system, _forget), solver,
-                    list(solver.rows), list(solver.basis))
+    object.__setattr__(system, "_phase1", (solver, list(solver.rows), list(solver.basis)))
     return solver
 
 
@@ -511,9 +498,11 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min") -> LpResult:
     `objective` may be an Objective (over x1..xn), a mapping from variable
     names to rationals, or a sequence aligned with the original variables.
     Returns an optimal basic solution, `infeasible`, or `unbounded`; results
-    are deterministic for identical inputs.  Consecutive calls on the same
-    system object share one phase 1: phase 2 restarts from the saved
-    post-phase-1 basis, so each answer equals a cold solve's.
+    are deterministic for identical inputs.  Phase 1 runs on the first call
+    on a system object; every call after the first on the same object
+    restarts phase 2 from the post-phase-1 basis kept on it, so each answer
+    equals a cold solve's.  That state is freed with the system, and
+    `with_bounds`/`with_meta` children do not inherit it.
     """
     if sense not in ("min", "max"):
         raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")

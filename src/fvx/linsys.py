@@ -53,6 +53,9 @@ class LinearSystem:
         names = set(self.variables)
         if len(names) != len(self.variables):
             raise DomainError("duplicate variable name")
+        if not 0 <= self.n_original <= len(self.variables):
+            raise DomainError(f"n_original={self.n_original} is outside 0..{len(self.variables)}"
+                              " (the number of variables)")
         for i in range(self.n_original):
             if self.variables[i] != f"x{i + 1}":
                 raise DomainError("original variables must be named x1..xn, in order")
@@ -100,10 +103,6 @@ class LinearSystem:
 
     # -- accessors -------------------------------------------------------------
 
-    @property
-    def original_variables(self) -> tuple:
-        return self.variables[: self.n_original]
-
     def bound(self, name: str) -> Bound:
         return self.bounds.get(name, (None, None))
 
@@ -117,16 +116,15 @@ class LinearSystem:
             count += (lo is not None) + (hi is not None)
         return count
 
-    def certified_bound(self) -> Optional[int]:
-        return self.meta.get("certified")
-
     def _derive(self, **changes) -> "LinearSystem":
         """A copy sharing this system's validated fields except `changes`.
 
         `__post_init__` is not run again: the caller validates what it changes.
+        Only the declared fields are copied, so state kept on a solved system
+        (`solve_lp`'s post-phase-1 tableau) never passes to a child.
         """
         child = object.__new__(LinearSystem)
-        child.__dict__.update(self.__dict__, **changes)
+        child.__dict__.update({f: self.__dict__[f] for f in self.__dataclass_fields__}, **changes)
         return child
 
     def with_bounds(self, overrides: Mapping[str, Bound]) -> "LinearSystem":
@@ -145,6 +143,3 @@ class LinearSystem:
     def with_meta(self, meta: Mapping) -> "LinearSystem":
         return self._derive(meta=dict(meta))
 
-    def describe(self) -> str:
-        return (f"LinearSystem({len(self.variables)} vars / {self.n_original} original, "
-                f"{len(self.rows)} rows, {self.counted_inequalities()} counted inequalities)")

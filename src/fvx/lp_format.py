@@ -12,7 +12,6 @@ already integral, so nothing needs to be flagged for branching.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import List, Optional
 
 from .core import parse_rational, too_long_to_print
@@ -30,20 +29,16 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _format_bound_value(value: Fraction) -> str:
-    return str(value)
-
-
 def _bounds_line(name: str, lo, hi) -> str:
     if lo is None and hi is None:
         return f" {name} free"
     if lo is not None and hi is not None:
         if lo == hi:
-            return f" {name} = {_format_bound_value(lo)}"
-        return f" {_format_bound_value(lo)} <= {name} <= {_format_bound_value(hi)}"
+            return f" {name} = {lo}"
+        return f" {lo} <= {name} <= {hi}"
     if lo is not None:
-        return f" {_format_bound_value(lo)} <= {name}"
-    return f" {name} <= {_format_bound_value(hi)}"
+        return f" {lo} <= {name}"
+    return f" {name} <= {hi}"
 
 
 def write_lp(system: LinearSystem) -> str:

@@ -55,11 +55,10 @@ def _prefix_levels(codes: Set[int], ranges: Sequence[int]) -> list:
 
 @dataclass(frozen=True)
 class SeparatingFamily:
-    """An X-separating list of cube faces with its source set."""
+    """An X-separating list of cube faces."""
 
     n: int
     faces: tuple
-    source: frozenset  # codes of X
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -78,13 +77,13 @@ def separating_faces(X: Iterable[BinaryPoint], n: int) -> SeparatingFamily:
             raise DomainError(f"point of dimension {p.n} in dimension-{n} problem")
         bits.add(p.bits)
     if not bits:
-        return SeparatingFamily(n, (CubeFace.improper(n),), frozenset())
+        return SeparatingFamily(n, (CubeFace.improper(n),))
     faces = tuple(
         CubeFace.of(n, {j: (w >> (j - 1)) & 1 for j in range(1, i + 1)})
         for i, level in enumerate(_prefix_levels(bits, (2,) * n), start=1)
         for w in level
     )
-    return SeparatingFamily(n, faces, frozenset(bits))
+    return SeparatingFamily(n, faces)
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,6 @@ class BoxFamily:
 
     boxes: tuple
     ranges: tuple   # per-coordinate range sizes of the ambient box
-    source: frozenset  # forbidden coordinate tuples
     levels: tuple = ()  # prefix level that produced each box
 
     def __len__(self) -> int:
@@ -134,7 +132,7 @@ def box_family(X: Iterable, ambient: LatticeBox) -> BoxFamily:
             boxes.append(LatticeBox.of(head + (lo[i - 1] + alpha,) + lo[i:],
                                        head + (lo[i - 1] + beta,) + hi[i:]))
             levels.append(i)
-    return BoxFamily(tuple(boxes), ranges, frozenset(forb), tuple(levels))
+    return BoxFamily(tuple(boxes), ranges, tuple(levels))
 
 
 def _family(oracle, X: Iterable, c: Objective, ambient: Optional[LatticeBox]) -> tuple:

@@ -7,14 +7,15 @@ ground truth: an excluded point is a vertex of the ambient polytope, so it
 can never lie in the hull of the remaining points.
 
 Every `solve_lp` call of a run is an objective on the one system under
-test, so phase 1 runs once for all of them.  The min and max of
-each x_i give the projection's bounding box [l, h]; a point outside it is not
-a member, and a point with every p_i in {l_i, h_i} (every binary point when
-the box is [0,1]^n, every corner of a lattice box) is a member exactly when
-the L1 distance sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i} (h_i - x_i) has
-minimum 0.  Other points (strictly inside the box, or any point when the
-projection is unbounded or the system infeasible) pin x to p and test
-feasibility.
+test, and `solve_lp` keeps the post-phase-1 tableau on that system object,
+so phase 1 runs once for all of them whatever else is solved in between.
+The min and max of each x_i give the projection's bounding box [l, h]; a
+point outside it is not a member, and a point with every p_i in {l_i, h_i}
+(every binary point when the box is [0,1]^n, every corner of a lattice box)
+is a member exactly when the L1 distance
+sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i} (h_i - x_i) has minimum 0.
+Other points (strictly inside the box, or any point when the projection is
+unbounded or the system infeasible) pin x to p and test feasibility.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linsys import LinearSystem
 
 ENUM_GUARD_POINTS = 4096
 ENUM_GUARD_DIM = 12
+MAX_TRIALS = 10_000  # one LP each; far above the default 50
 
 
 def in_convex_hull(point, points: Sequence) -> bool:
@@ -135,7 +137,8 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     every allowed point for membership and every point of X for exclusion
     (exclusion expected exactly when the point is outside the hull of the
     ground truth, which for removed vertices is always), then audits the
-    size certificate.  Deterministic for a fixed seed.
+    size certificate.  Deterministic for a fixed seed.  More than
+    `MAX_TRIALS` trials raise GuardExceeded.
 
     Before the probes, 2n LPs (min and max of each x_i) give the
     projection's bounding box.  A point outside the box needs no LP; a point
@@ -144,6 +147,8 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     feasibility test with x pinned to the point.  All three answer the same
     question, so the report does not depend on which one ran.
     """
+    if trials > MAX_TRIALS:
+        raise GuardExceeded(f"trials {trials} exceeds the guard {MAX_TRIALS}")
     n = system.n_original
     truth = [point_coords(p) if not isinstance(p, tuple) else p for p in ground_truth]
     removed = [point_coords(p) if not isinstance(p, tuple) else p for p in X]

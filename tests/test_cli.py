@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,35 @@ class TestInputValidation:
         path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
         code, out = run(capsys, ["verify", path, "--method", "interval", "--trials", "-3"])
         assert code == 1 and "--trials" in json.loads(out)["message"]
+
+    def test_trials_guard(self, tmp_path, capsys):
+        # one above the guard: without it this passes after 10,001 LPs
+        path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
+        start = time.perf_counter()
+        code, out = run(capsys, ["verify", path, "--method", "interval", "--trials", "10001"])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and "trials 10001 exceeds the guard" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize("facets, field", [
+        (5, "polytope.facets'"), (["a"], "polytope.facets[0]"), ([0, 1.5], "polytope.facets[1]"),
+        ([True], "polytope.facets[0]"), ([None], "polytope.facets[0]"),
+    ], ids=["number", "string", "float", "boolean", "null"])
+    def test_facets_are_integer_lists(self, tmp_path, capsys, facets, field):
+        path = cube_problem(tmp_path, 2, ["0", "0"], ["00"], polytope={
+            "type": "cube", "facets": facets})
+        code, out = run(capsys, ["compile", path, "--method", "facet-intersection"])
+        assert code == 1 and field in json.loads(out)["message"]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("n_original", [5, -3])
+    def test_lp_n_original_out_of_range(self, tmp_path, capsys, n_original):
+        path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
+        lp = tmp_path / "f.lp"
+        lp.write_text(f"\\ fvx-lp v1\n\\ meta: n_original={n_original}\nMinimize\n obj: 0 x1\n"
+                      "Subject To\n r1: 1 x1 + 1 x2 >= 1\nBounds\n 0 <= x1 <= 1\n"
+                      " 0 <= x2 <= 1\nEnd\n")
+        code, out = run(capsys, ["verify", path, "--lp", str(lp)])
+        assert code == 1 and f"n_original={n_original}" in json.loads(out)["message"]
 
     TREE = {"type": "spanning-tree", "nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
     GRID = {"type": "lattice-box", "l": [0, 0], "u": [2, 2]}

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -218,7 +219,7 @@ class TestPhaseOneReuse:
             second = rng.choice(makers)(rng, m)
             objectives = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)]
             # min and max of each objective, the objectives again, with solves
-            # of the second system in between evicting and refilling the slot
+            # of the second system in between
             calls = [(first, c, sense) for c in objectives for sense in ("min", "max")]
             calls += [(first, c, "min") for c in objectives]
             rng.shuffle(calls)
@@ -248,36 +249,43 @@ class TestPhaseOneReuse:
         assert len(runs) == 1
         solve_lp(b, [1, 1, 1])
         solve_lp(a, [1, 1, 1])
-        assert len(runs) == 3
+        assert len(runs) == 2
 
     def test_saved_tableau_is_never_mutated(self):
         system = interval_formulation([BinaryPoint.from_string(s) for s in ("000", "101")], 3)
         cold = exactlp._Simplex(system)
         assert cold.phase1()
         solve_lp(system, [1, 1, 1])
-        saved = exactlp._last_phase1
-        rows, basis = saved[2], saved[3]
+        saved = system._phase1
+        rows, basis = saved[1], saved[2]
         assert rows == cold.rows and basis == cold.basis
         objects = list(rows)
         snapshot = copy.deepcopy(rows)
         rng = random.Random(41)
         for _ in range(20):
             solve_lp(system, [rng.randint(-5, 5) for _ in range(3)], rng.choice(("min", "max")))
-        assert exactlp._last_phase1 is saved
+        assert system._phase1 is saved
         assert all(x is y for x, y in zip(rows, objects)) and len(rows) == len(objects)
         assert rows == snapshot and basis == cold.basis
 
-    def test_slot_holds_the_system_weakly(self):
-        system = random_bounded_system(random.Random(43), 2)
-        solve_lp(system, [1, 1])
-        assert exactlp._last_phase1[0]() is system
-        del system
-        gc.collect()
-        assert exactlp._last_phase1 is None
+    def test_state_is_freed_with_its_system(self):
+        # the saved solver holds no reference back to its system, so reference
+        # counting frees both with the cycle collector off
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = random_bounded_system(random.Random(43), 2)
+            solve_lp(system, [1, 1])
+            refs = [weakref.ref(system), weakref.ref(system._phase1[0])]
+            del system
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_threads_get_cold_answers(self):
-        # the slot is shared by every caller; a lost update may cost a rebuild
-        # but must never hand one system's tableau to another
+        # systems are shared by every thread; two first calls on one system
+        # may both run phase 1, but no caller may get another system's tableau
         rng = random.Random(47)
         systems = [random_bounded_system(rng, 3) for _ in range(6)]
         jobs = [(system, [rng.randint(-9, 9) for _ in range(3)], rng.choice(("min", "max")))
@@ -302,6 +310,29 @@ class TestPhaseOneReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+class TestDerivedSystems:
+    """Children made by with_bounds or with_meta start without a tableau."""
+
+    def test_children_of_a_solved_system_get_cold_answers(self):
+        rng = random.Random(53)
+        zero = Fraction(0)
+        changed = 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            parent = random_bounded_system(rng, n)
+            c = [rng.randint(-9, 9) for _ in range(n)]
+            sense = rng.choice(("min", "max"))
+            first = solve_lp(parent, c, sense)
+            for child in (parent.with_bounds({"x1": (zero, zero)}),
+                          parent.with_meta({"method": "child"})):
+                assert "_phase1" not in vars(child)
+                got = solve_lp(child, c, sense)
+                assert repr(got) == repr(cold_solve(child, c, sense))
+                changed += repr(got) != repr(first)
+            assert repr(solve_lp(parent, c, sense)) == repr(first)
+        assert changed > 10  # pinning x1 must change many answers to test anything
 
 
 class FractionSimplex(exactlp._Simplex):

@@ -98,8 +98,10 @@ class TestParserErrors:
         ("n_original=true", "1 x1 >= 0", "meta 'n_original'"),
         ("n_original=1\n\\ meta: certified=" + "1" * 5000, "1 x1 >= 0", "meta 'certified'"),
         ("n_original=1\n\\ meta: certified=1.5", "1 x1 >= 0", "meta 'certified'"),
+        ("n_original=2", "1 x1 >= 0", "n_original=2 is outside 0..1"),
+        ("n_original=-3", "1 x1 >= 0", "n_original=-3 is outside 0..1"),
     ], ids=["rational-rhs", "long-rhs", "long-coefficient", "string-n", "boolean-n",
-            "long-certified", "rational-certified"])
+            "long-certified", "rational-certified", "n-above-count", "negative-n"])
     def test_malformed_numbers(self, meta, row, message):
         text = (f"\\ meta: {meta}\nMinimize\n obj: 0 x1\nSubject To\n r1: {row}\n"
                 "Bounds\n 0 <= x1 <= 1\nEnd\n")

@@ -1,6 +1,12 @@
-"""Property tests: solve and k-best against brute force, and LP-file round trips."""
+"""Property tests: solve and k-best against brute force, LP-file round trips,
+and mutated problem files."""
 
+import contextlib
+import io
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +18,7 @@ from fvx import (
     LatticeBox,
     LinearSystem,
     Objective,
+    brute_force_oracle,
     cardinality_oracle,
     cube_hrep,
     cube_oracle,
@@ -24,6 +31,7 @@ from fvx import (
     spanning_tree_oracle,
     write_lp,
 )
+from fvx.cli import main
 from conftest import all_binary, spanning_trees
 
 # derandomized and without an example database, so every run checks the same cases
@@ -174,3 +182,134 @@ def test_solve_hrep_matches_brute_force(instance):
 @given(spanning_tree_instances())
 def test_solve_spanning_tree_matches_brute_force(instance):
     check_solve_against_brute_force(*instance)
+
+
+@st.composite
+def integral_solve_instances(draw):
+    """A lattice-box or brute-force oracle, and an ambient box translated off the origin.
+
+    The oracle's points may reach outside the ambient box; only those inside
+    it, minus X, are allowed.
+    """
+    n = draw(st.integers(1, 3))
+    l = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    ambient = LatticeBox.of(l, [v + draw(st.integers(0, 2)) for v in l])
+    ol = [v + draw(st.integers(-2, 2)) for v in l]
+    region = LatticeBox.of(ol, [v + draw(st.integers(0, 3)) for v in ol])
+    if draw(st.booleans()):
+        oracle, points = lattice_box_oracle(region.l.coords, region.u.coords), list(
+            region.iter_points())
+    else:
+        points = draw(st.lists(st.sampled_from(list(region.iter_points())), min_size=1,
+                               unique=True))
+        oracle = brute_force_oracle(points)
+    X = draw(st.lists(st.sampled_from(list(ambient.iter_points())), max_size=6, unique=True))
+    c = Objective.of(draw(st.lists(rational_costs, min_size=n, max_size=n)))
+    return oracle, c, X, [p for p in points if ambient.contains(p)], ambient
+
+
+@PROPERTY
+@given(integral_solve_instances())
+def test_solve_integral_matches_brute_force(instance):
+    oracle, c, X, inside, ambient = instance
+    allowed = [p for p in inside if p not in set(X)]
+    out = solve_forbidden(oracle, X, c, ambient)
+    if not allowed:
+        assert not out.feasible
+        return
+    # both oracles answer a box with its least (value, coords) point, so the
+    # vertex is the brute-force one under that key, not just its value
+    best = min(allowed, key=lambda p: (c.dot(p), p.coords))
+    assert out.feasible and out.value == c.dot(best) and out.vertex == best
+
+
+# Valid problem files and the commands that read every field of each
+PROBLEM_FILES = [
+    ({"kind": "binary", "n": 3, "polytope": {"type": "cube", "facets": [0, 1, 2, 3, 4, 5]},
+      "objective": ["1", "-2", "1/2"], "forbidden": ["000", "101"], "k": 3},
+     [["solve"], ["kbest"], ["enumerate"], ["compile", "--method", "facet-intersection"],
+      ["verify", "--method", "faces", "--trials", "2"]]),
+    ({"kind": "binary", "n": 2,
+      "polytope": {"type": "hrep", "rows": [{"a": ["1", "1"], "rel": "<=", "b": "1"},
+                                            {"a": [1, 0], "rel": ">=", "b": 0}]},
+      "objective": ["-1", "1"], "forbidden": ["00"]},
+     [["solve"], ["kbest", "-k", "2"], ["compile", "--method", "faces"]]),
+    ({"kind": "binary", "n": 3,
+      "polytope": {"type": "spanning-tree", "nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+      "objective": ["1", "2", "3"], "forbidden": ["110"], "k": 2},
+     [["solve"], ["kbest"], ["enumerate"]]),
+    ({"kind": "integral", "n": 2, "polytope": {"type": "lattice-box", "l": [0, -1], "u": [2, 1]},
+      "ambient": {"l": [-1, -1], "u": [2, 1]}, "objective": ["1", "-1/3"],
+      "forbidden": [[0, 0], [2, 1]], "k": 2},
+     [["solve"], ["kbest"], ["enumerate"], ["compile", "--method", "boxes"]]),
+    ({"kind": "binary", "n": 2,
+      "slots": [{"polytope": {"type": "cube"}, "objective": ["1", "2"]},
+                {"polytope": {"type": "cardinality", "s": 1}, "objective": ["-1", "0"]}]},
+     [["alldiff"]]),
+]
+
+# a value of the wrong type for every field of the files above
+WRONG_VALUES = [True, False, {"z": 1}, "zz"]
+
+
+def _paths(node, path=()):
+    """Every key or index path below `node`."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with the entry at `path` set to `value`, or dropped when None."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _run(doc, command):
+    """(exit code, stdout) of `fvx <command> <file>`; exceptions propagate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command[0], str(path)] + command[1:])
+    return code, out.getvalue()
+
+
+@st.composite
+def mutations(draw):
+    doc, commands = draw(st.sampled_from(PROBLEM_FILES))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(st.sampled_from([None] + WRONG_VALUES))
+    return doc, commands, path, value
+
+
+@settings(PROPERTY, max_examples=600)
+@given(mutations())
+def test_mutated_problem_files_exit_1(mutation):
+    doc, commands, path, value = mutation
+    bad = _mutated(doc, path, value)
+    for command in commands:
+        code, out = _run(bad, command)
+        if code == 1:
+            error = json.loads(out)
+            assert error["status"] == "error" and error["message"]
+        if value is not None:
+            assert code == 1, (command, path, value, out)
+        else:
+            # an optional field or list entry may be dropped; the answer may
+            # change but the outcome class may not
+            assert code in (1, _run(doc, command)[0]), (command, path, out)

@@ -84,6 +84,11 @@ class TestVerifyFormulation:
         with pytest.raises(GuardExceeded):
             verify_formulation(system, [], [], trials=1, seed=0)
 
+    def test_trials_guard(self):
+        system = interval_formulation([BinaryPoint.from_string("00")], 2)
+        with pytest.raises(GuardExceeded, match="trials"):
+            verify_formulation(system, [], [], trials=fvx.verify.MAX_TRIALS + 1, seed=0)
+
     def test_size_audit_failure(self):
         X = [BinaryPoint.from_string("00")]
         system = interval_formulation(X, 2)
