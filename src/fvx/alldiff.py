@@ -17,7 +17,6 @@ from typing import Optional
 
 from .core import LatticeBox, point_coords
 from .errors import DomainError
-from .oracles import IntegralOracle
 from .separation import kbest
 
 
@@ -39,7 +38,7 @@ class AlldiffInstance:
             raise DomainError("slots disagree on dimension")
         if any(c.n != n for c in self.objectives):
             raise DomainError("objective dimension mismatch")
-        kinds = {isinstance(o, IntegralOracle) for o in self.oracles}
+        kinds = {o.integral for o in self.oracles}
         if len(kinds) > 1:
             raise DomainError("cannot mix binary and integral slots")
         if self.integral and self.ambient is None:
@@ -55,7 +54,7 @@ class AlldiffInstance:
 
     @property
     def integral(self) -> bool:
-        return isinstance(self.oracles[0], IntegralOracle)
+        return self.oracles[0].integral
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,8 @@ def _cube(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
 
 def _cardinality(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
     s = _int_field(spec.get("s"), f"{field}.s")
+    if not 0 <= s <= n:
+        _fail(f"{field}.s", f"expected a target sum in 0..{n}")
 
     def hpolytope():
         rows = cube_hrep(n).rows + ((tuple(Fraction(1) for _ in range(n)), "=", Fraction(s)),)

@@ -203,11 +203,8 @@ class _Simplex:
                     self.trivially_infeasible = True
                 continue
             pending.append((cols, rel, b))
-        for col, limit in self.bound_rows:
-            if limit < 0:
-                self.trivially_infeasible = True
-                continue
-            pending.append(({col: 1}, "<=", limit))
+        # each limit is hi - lo > 0: _build_columns made lo >= hi a const column
+        pending.extend(({col: 1}, "<=", limit) for col, limit in self.bound_rows)
 
         nslack = sum(1 for _, rel, _ in pending if rel != "=")
         ncol = self.nstruct

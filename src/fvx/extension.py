@@ -10,7 +10,9 @@ The workhorse is the disjunctive (union) hull: per block it introduces one
 copy of every block variable plus one multiplier, couples x to the sum of
 the copies, and scales each block constraint by its multiplier.  Multiplier
 upper bounds are implied by the convexity row and are deliberately not
-stored, which keeps the certificates at one inequality per block.
+stored, which keeps the certificates at one inequality per block.  Every
+formulation, the box one of `fvx.integral` included, ends in
+`union_formulation` over its list of blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from .core import BinaryPoint, HPolytope
 from .errors import (
@@ -108,6 +110,35 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
                              "raw_rows": len(system.rows)})
 
 
+def _union(blocks: Sequence[LinearSystem]) -> LinearSystem:
+    """One block as it is; more blocks joined by their disjunctive hull."""
+    return blocks[0] if len(blocks) == 1 else disjunctive_hull(blocks)
+
+
+def union_formulation(blocks: Sequence[LinearSystem], meta: dict,
+                      empty: str) -> LinearSystem:
+    """The formulation of the union of `blocks`, audited against `meta`.
+
+    No block at all raises AllForbidden(`empty`); the result carries `meta`
+    plus the counted inequalities and rows of the system.
+    """
+    if not blocks:
+        raise AllForbidden(empty)
+    return _finalize(_union(blocks), meta)
+
+
+def feasible_blocks(blocks: Iterable[LinearSystem]) -> Tuple[list, int]:
+    """(the LP-feasible blocks in order, the number of infeasible ones dropped)."""
+    kept = []
+    dropped = 0
+    for block in blocks:
+        if feasible_with_fixings(block, {}):
+            kept.append(block)
+        else:
+            dropped += 1
+    return kept, dropped
+
+
 def _finalize(system: LinearSystem, meta: dict) -> LinearSystem:
     meta = dict(meta)
     meta["counted"] = system.counted_inequalities()
@@ -173,20 +204,17 @@ def interval_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
     intervals between them; certificate (|X|+1)(4n+3).
     """
     codes = sorted({p.bits for p in _check_points(X, n)})
-    if len(codes) == 1 << n:
-        raise AllForbidden("every binary point is forbidden")
     boundaries = [-1] + codes + [1 << n]
     intervals = []
     for lo, hi in zip(boundaries, boundaries[1:]):
         if lo + 1 <= hi - 1:
             intervals.append(IntervalCode(lo + 1, hi - 1, n))
-    blocks = [conv_K(code) for code in intervals]
-    system = blocks[0] if len(blocks) == 1 else disjunctive_hull(blocks)
     meta = {"method": "interval", "n": n, "forbidden": len(codes),
             "intervals": [(c.a, c.b) for c in intervals],
             "certified": (len(codes) + 1) * (4 * n + 3),
             "formula": "(|X|+1)(4n+3)"}
-    return _finalize(system, meta)
+    return union_formulation([conv_K(code) for code in intervals], meta,
+                             "every binary point is forbidden")
 
 
 def _check_points(X: Iterable[BinaryPoint], n: int) -> List[BinaryPoint]:
@@ -219,33 +247,28 @@ def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
     Certificate n(|X|+4).
     """
     codes = {p.bits for p in _check_points(X, n)}
-    if len(codes) == 1 << n:
-        raise AllForbidden("every binary point is forbidden")
 
-    def recurse(bits: set, k: int) -> LinearSystem:
+    def blocks(bits: set, k: int) -> list:
+        """Blocks whose union is {0,1}^k minus `bits`; none when that is empty."""
         if k == 1:
-            if not bits:
-                return LinearSystem.build(1, (), (), {"x1": (Fraction(0), Fraction(1))},
-                                          meta={"method": "recursive-base"})
-            (fixed,) = ({0, 1} - bits)
-            return LinearSystem.build(1, (), (), {"x1": (Fraction(fixed),) * 2},
-                                      meta={"method": "recursive-base"})
+            allowed = sorted({0, 1} - bits)
+            if not allowed:
+                return []
+            bound = (Fraction(allowed[0]), Fraction(allowed[-1]))
+            return [LinearSystem.build(1, (), (), {"x1": bound},
+                                       meta={"method": "recursive-base"})]
         top = 1 << (k - 1)
         proj = {b & (top - 1) for b in bits}
         flipped = {b ^ top for b in bits}
-        hat = sorted(flipped - bits)
-        blocks = []
+        out = []
         if len(proj) < top:
-            blocks.append(_extend_cube_coordinate(recurse(proj, k - 1), k))
-        blocks.extend(_point_system(v, k) for v in hat)
-        if len(blocks) == 1:
-            return blocks[0]
-        return disjunctive_hull(blocks)
+            out.append(_extend_cube_coordinate(_union(blocks(proj, k - 1)), k))
+        out.extend(_point_system(v, k) for v in sorted(flipped - bits))
+        return out
 
-    system = recurse(codes, n)
     meta = {"method": "recursive", "n": n, "forbidden": len(codes),
             "certified": n * (len(codes) + 4), "formula": "n(|X|+4)"}
-    return _finalize(system, meta)
+    return union_formulation(blocks(codes, n), meta, "every binary point is forbidden")
 
 
 def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
@@ -258,20 +281,16 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
     n = P.n
     pts = _check_points(X, n)
     family = separating_faces(pts, n)
-    if not family.faces:
-        raise AllForbidden("every binary point is forbidden")
     base = LinearSystem.from_hpolytope(P)
     blocks = []
     for face in family.faces:
         overrides = {f"x{i}": (Fraction(v), Fraction(v)) for i, v in face.fixed}
         blocks.append(base.with_bounds(overrides) if overrides else base)
-    system = blocks[0] if len(blocks) == 1 else disjunctive_hull(blocks)
-    base_count = base.counted_inequalities()
     meta = {"method": "faces", "n": n, "forbidden": len(pts),
             "family": len(family.faces),
-            "certified": len(family.faces) * (base_count + 1),
+            "certified": len(family.faces) * (base.counted_inequalities() + 1),
             "formula": "|family| (counted(P)+1)"}
-    return _finalize(system, meta)
+    return union_formulation(blocks, meta, "every binary point is forbidden")
 
 
 def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],
@@ -316,29 +335,22 @@ def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],
     candidates = len(faces)
 
     base = LinearSystem.from_hpolytope(P)
-    blocks = []
-    dropped = 0
-    for tight in faces:
-        rows = tuple(
-            (coeffs, "=" if i in tight else rel, rhs)
-            for i, (coeffs, rel, rhs) in enumerate(base.rows)
-        )
-        block = LinearSystem(base.variables, n, rows, base.bounds,
-                             {"method": "facet-face", "tight": tuple(tight)})
-        if feasible_with_fixings(block, {}):
-            blocks.append(block)
-        else:
-            dropped += 1
-    if not blocks:
-        raise AllForbidden("no facet intersection is feasible; nothing remains")
-    system = blocks[0] if len(blocks) == 1 else disjunctive_hull(blocks)
+
+    def tightened(tight: list) -> LinearSystem:
+        rows = tuple((coeffs, "=" if i in tight else rel, rhs)
+                     for i, (coeffs, rel, rhs) in enumerate(base.rows))
+        return LinearSystem(base.variables, n, rows, base.bounds,
+                            {"method": "facet-face", "tight": tuple(tight)})
+
+    blocks, dropped = feasible_blocks(tightened(tight) for tight in faces)
     meta = {"method": "facet-intersection", "n": n, "forbidden": len(pts),
             "candidate_faces": candidates, "kept_blocks": len(blocks),
             "dropped_blocks": dropped,
             "block_cap": len(facets) ** len(pts),
             "certified": sum(b.counted_inequalities() + 1 for b in blocks),
             "formula": "sum over kept blocks of (counted+1)"}
-    return _finalize(system, meta)
+    return union_formulation(blocks, meta,
+                             "no facet intersection is feasible; nothing remains")
 
 
 def intersect_systems(systems: Sequence[LinearSystem]) -> LinearSystem:

@@ -19,9 +19,8 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
 from .core import HPolytope, LatticeBox
-from .errors import AllForbidden, DomainError, NonIntegralRhs, NotTU, SizeCap
-from .exactlp import feasible_with_fixings
-from .extension import disjunctive_hull, _finalize
+from .errors import DomainError, NonIntegralRhs, NotTU, SizeCap
+from .extension import feasible_blocks, union_formulation
 from .linsys import LinearSystem
 from .separation import BoxFamily, box_family
 
@@ -46,45 +45,28 @@ def box_decomposition(X: Iterable, r: Union[int, Sequence[int]], n: int) -> BoxF
     return box_family(X, LatticeBox.of((0,) * n, tuple(v - 1 for v in ranges)))
 
 
-def forbI_formulation(P: HPolytope, X: Iterable, ambient: LatticeBox,
-                      r: Union[int, Sequence[int], None] = None) -> LinearSystem:
+def forbI_formulation(P: HPolytope, X: Iterable, ambient: LatticeBox) -> LinearSystem:
     """Hull of P restricted to each box of the complement decomposition.
 
     P is trusted to be box-integral; one block per box (P's rows plus the box
-    bounds), LP-infeasible blocks dropped.  `r` optionally asserts the
-    ambient range sizes.
+    bounds), LP-infeasible blocks dropped.
     """
     if P.n != ambient.n:
         raise DomainError("ambient box dimension mismatch")
     pts = list(X)
     family = box_family(pts, ambient)
-    if r is not None:
-        expect = _normalize_ranges(r, P.n)
-        if expect != family.ranges:
-            raise DomainError(f"ambient box has ranges {family.ranges}, caller claimed {expect}")
     base = LinearSystem.from_hpolytope(P)
-    blocks = []
-    dropped = 0
-    for box in family.boxes:
-        overrides = {
-            f"x{i + 1}": (Fraction(lo), Fraction(hi))
-            for i, (lo, hi) in enumerate(zip(box.l.coords, box.u.coords))
-        }
-        block = base.with_bounds(overrides)
-        if feasible_with_fixings(block, {}):
-            blocks.append(block)
-        else:
-            dropped += 1
-    if not blocks:
-        raise AllForbidden("P misses every box of the decomposition")
-    system = blocks[0] if len(blocks) == 1 else disjunctive_hull(blocks)
+    blocks, dropped = feasible_blocks(
+        base.with_bounds({f"x{i + 1}": (Fraction(lo), Fraction(hi))
+                          for i, (lo, hi) in enumerate(zip(box.l.coords, box.u.coords))})
+        for box in family.boxes)
     meta = {"method": "boxes", "n": P.n, "forbidden": len(pts),
             "boxes": len(family.boxes), "kept_blocks": len(blocks),
             "dropped_blocks": dropped,
             "box_cap": 2 * P.n * len(pts) if pts else 1,
             "certified": sum(b.counted_inequalities() + 1 for b in blocks),
             "formula": "sum over kept blocks of (counted+1)"}
-    return _finalize(system, meta)
+    return union_formulation(blocks, meta, "P misses every box of the decomposition")
 
 
 # -- totally unimodular facet removal ----------------------------------------

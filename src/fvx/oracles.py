@@ -8,8 +8,12 @@ toward coordinate value 0 and then the lexicographically smallest vertex,
 except where an oracle documents its own rule (Kruskal index order, simplex
 pivoting order).
 
-The brute-force oracle over an explicit point list is the reference that
-every other oracle is tested against.
+The kind is one class attribute, `integral`: False on `BinaryOracle`
+(queries restricted by cube faces), True on `IntegralOracle` (by lattice
+boxes).  The solvers read it to pick the family to query, and wrappers such
+as `CountingOracle` copy it from the oracle they wrap.  `BruteForceOracle`
+over an explicit point list takes its kind from the point type; it is the
+reference that every other oracle is tested against.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ class BinaryOracle:
     """Contract: minimize over V(P) within a cube face, or report Infeasible."""
 
     n: int
+    integral = False
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
         raise NotImplementedError
@@ -80,6 +85,7 @@ class IntegralOracle:
     """Contract: minimize over P cap Z^n within a box, or report Infeasible."""
 
     n: int
+    integral = True
 
     def minimize(self, c: Objective, box: Optional[LatticeBox] = None) -> OracleOutcome:
         raise NotImplementedError
@@ -253,12 +259,24 @@ class HrepBinaryOracle(BinaryOracle):
         return OracleOutcome.optimum(BinaryPoint.from_coords(coords), result.value)
 
 
-class _BruteForce:
-    """Reference oracle: exact scan of an explicit point list of one kind."""
+class BruteForceOracle:
+    """Reference oracle: exact scan of an explicit point list.
 
-    def __init__(self, points: Sequence):
+    BinaryPoints make a binary oracle, LatticePoints an integral one; a list
+    that mixes the two is refused.
+    """
+
+    def __init__(self, points: Iterable):
+        points = list(points)
         if not points:
             raise DomainError("point list must be nonempty")
+        self.integral = isinstance(points[0], LatticePoint)
+        kind = LatticePoint if self.integral else BinaryPoint
+        for p in points:
+            if not isinstance(p, (BinaryPoint, LatticePoint)):
+                raise DomainError(f"unsupported point type {p.__class__.__name__}")
+            if not isinstance(p, kind):
+                raise DomainError("point list mixes binary and lattice points")
         n = points[0].n
         if any(p.n != n for p in points):
             raise DomainError("points disagree on dimension")
@@ -283,14 +301,6 @@ class _BruteForce:
         return OracleOutcome.optimum(best, best_key[0])
 
 
-class BruteForceBinaryOracle(_BruteForce, BinaryOracle):
-    pass
-
-
-class BruteForceIntegralOracle(_BruteForce, IntegralOracle):
-    pass
-
-
 class LatticeBoxOracle(IntegralOracle):
     """P = an integer box [l, u]; optimization is coordinate-wise."""
 
@@ -313,29 +323,17 @@ class LatticeBoxOracle(IntegralOracle):
 
 
 class CountingOracle:
-    """Transparent wrapper that counts minimize() calls.
-
-    `CountingOracle(inner)` is an instance of a subclass that also derives
-    from the kind of `inner` (BinaryOracle or IntegralOracle), so the kind
-    checks of the solvers see through the wrapper.
-    """
-
-    def __new__(cls, inner):
-        kind = IntegralOracle if isinstance(inner, IntegralOracle) else BinaryOracle
-        return object.__new__(_COUNTING_KINDS[kind])
+    """Transparent wrapper that counts minimize() calls; keeps the inner kind."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n = inner.n
+        self.integral = inner.integral
         self.calls = 0
 
     def minimize(self, c: Objective, restriction=None) -> OracleOutcome:
         self.calls += 1
         return self.inner.minimize(c, restriction)
-
-
-_COUNTING_KINDS = {kind: type(f"Counting{kind.__name__}", (CountingOracle, kind), {})
-                   for kind in (BinaryOracle, IntegralOracle)}
 
 
 # -- factory spellings matching the operation names --------------------------
@@ -356,16 +354,8 @@ def hrep_binary_oracle(poly: HPolytope) -> HrepBinaryOracle:
     return HrepBinaryOracle(poly)
 
 
-def brute_force_oracle(points: Iterable):
-    """Reference oracle; the point type selects the binary or integral kind."""
-    pts = list(points)
-    if not pts:
-        raise DomainError("point list must be nonempty")
-    if isinstance(pts[0], BinaryPoint):
-        return BruteForceBinaryOracle(pts)
-    if isinstance(pts[0], LatticePoint):
-        return BruteForceIntegralOracle(pts)
-    raise DomainError(f"unsupported point type {type(pts[0]).__name__}")
+def brute_force_oracle(points: Iterable) -> BruteForceOracle:
+    return BruteForceOracle(points)
 
 
 def lattice_box_oracle(l: Sequence[int], u: Sequence[int]) -> LatticeBoxOracle:

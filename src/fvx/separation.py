@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from .core import BinaryPoint, CubeFace, LatticeBox, LatticePoint, Objective, point_coords
 from .errors import DomainError
-from .oracles import INFEASIBLE, IntegralOracle, OracleOutcome
+from .oracles import INFEASIBLE, OracleOutcome
 
 
 def _prefix_levels(codes: Set[int], ranges: Sequence[int]) -> list:
@@ -91,7 +91,6 @@ class BoxFamily:
     """Pairwise lattice-disjoint boxes covering the ambient lattice minus X."""
 
     boxes: tuple
-    ranges: tuple   # per-coordinate range sizes of the ambient box
     levels: tuple = ()  # prefix level that produced each box
 
     def __len__(self) -> int:
@@ -132,7 +131,7 @@ def box_family(X: Iterable, ambient: LatticeBox) -> BoxFamily:
             boxes.append(LatticeBox.of(head + (lo[i - 1] + alpha,) + lo[i:],
                                        head + (lo[i - 1] + beta,) + hi[i:]))
             levels.append(i)
-    return BoxFamily(tuple(boxes), ranges, tuple(levels))
+    return BoxFamily(tuple(boxes), tuple(levels))
 
 
 def _family(oracle, X: Iterable, c: Objective, ambient: Optional[LatticeBox]) -> tuple:
@@ -143,7 +142,7 @@ def _family(oracle, X: Iterable, c: Objective, ambient: Optional[LatticeBox]) ->
     """
     if c.n != oracle.n:
         raise DomainError("objective dimension mismatch")
-    if isinstance(oracle, IntegralOracle):
+    if oracle.integral:
         if ambient is None or ambient.n != oracle.n:
             raise DomainError("integral oracles need an ambient box of their dimension")
         return box_family(X, ambient).boxes

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import format_rational, point_coords
-from .errors import GuardExceeded
+from .errors import DomainError, GuardExceeded
 from .exactlp import feasible_with_fixings, solve_lp
 from .linsys import LinearSystem
 
@@ -137,8 +137,8 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     every allowed point for membership and every point of X for exclusion
     (exclusion expected exactly when the point is outside the hull of the
     ground truth, which for removed vertices is always), then audits the
-    size certificate.  Deterministic for a fixed seed.  More than
-    `MAX_TRIALS` trials raise GuardExceeded.
+    size certificate.  Deterministic for a fixed seed.  A negative `trials`
+    raises DomainError, more than `MAX_TRIALS` trials GuardExceeded.
 
     Before the probes, 2n LPs (min and max of each x_i) give the
     projection's bounding box.  A point outside the box needs no LP; a point
@@ -147,6 +147,8 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     feasibility test with x pinned to the point.  All three answer the same
     question, so the report does not depend on which one ran.
     """
+    if trials < 0:
+        raise DomainError(f"trials must be nonnegative, got {trials}")
     if trials > MAX_TRIALS:
         raise GuardExceeded(f"trials {trials} exceeds the guard {MAX_TRIALS}")
     n = system.n_original

@@ -167,6 +167,17 @@ class TestCompile:
             "kind": "integral", "n": 3,
             "polytope": {"type": "lattice-box", "l": [-2, 5, 0], "u": [0, 7, 2]},
             "forbidden": [[-2, 5, 1], [-1, 6, 0], [0, 5, 2], [-2, 6, 1]]}),
+        ("interval_cube_n3.lp", "interval", {
+            "kind": "binary", "n": 3, "polytope": {"type": "cube"},
+            "forbidden": ["010", "101"]}),
+        # every facet intersection probed; three of the nine are empty
+        ("facet_intersection_cube_n3.lp", "facet-intersection", {
+            "kind": "binary", "n": 3, "polytope": {"type": "cube"},
+            "forbidden": ["000", "111"]}),
+        # one block is the formulation as it is, with no hull around it
+        ("interval_single_block_n2.lp", "interval", {
+            "kind": "binary", "n": 2, "polytope": {"type": "cube"},
+            "forbidden": []}),
     ])
     def test_golden_block_order(self, tmp_path, capsys, golden, method, doc):
         path = write_json(tmp_path, "p.json", doc)
@@ -325,6 +336,24 @@ class TestInputValidation:
         path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
         code, out = run(capsys, ["verify", path, "--method", "interval", "--trials", "-3"])
         assert code == 1 and "--trials" in json.loads(out)["message"]
+
+    def test_cardinality_sum_out_of_range(self, tmp_path, capsys):
+        polytope = {"type": "cardinality", "s": 5}
+        single = write_json(tmp_path, "p.json", {
+            "kind": "binary", "n": 3, "polytope": polytope,
+            "objective": ["1", "1", "1"], "forbidden": []})
+        for argv in (["solve", single], ["kbest", single, "-k", "2"],
+                     ["enumerate", single],
+                     ["verify", single, "--method", "faces"]):
+            code, out = run(capsys, argv)
+            assert code == 1 and "polytope.s" in json.loads(out)["message"], argv
+        slots = write_json(tmp_path, "s.json", {
+            "kind": "binary", "n": 3, "slots": [
+                {"polytope": {"type": "cube"}, "objective": ["1", "1", "1"]},
+                {"polytope": {"type": "cardinality", "s": -1},
+                 "objective": ["1", "1", "1"]}]})
+        code, out = run(capsys, ["alldiff", slots])
+        assert code == 1 and "slots[1].polytope.s" in json.loads(out)["message"]
 
     def test_trials_guard(self, tmp_path, capsys):
         # one above the guard: without it this passes after 10,001 LPs

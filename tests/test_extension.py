@@ -259,6 +259,12 @@ class TestFacetIntersection:
         rng = random.Random(79)
         assert_projection(system, 2, {0, 1, 2, 3}, rng)
 
+    def test_no_feasible_intersection(self):
+        # x1 = 1 and x1 = 0 at once: the one candidate face is empty
+        with pytest.raises(AllForbidden,
+                           match="^no facet intersection is feasible; nothing remains$"):
+            facet_intersection_formulation(cube_hrep(1), [0, 1], all_binary(1))
+
     def test_cardinality_cap(self):
         with pytest.raises(CardinalityCap):
             facet_intersection_formulation(cube_hrep(2), list(range(4)),

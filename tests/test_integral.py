@@ -176,7 +176,7 @@ class TestForbIFormulation:
         # points is the full square again, so the center stays a member
         P = box_hrep((0, 0), (2, 2))
         ambient = LatticeBox.of((0, 0), (2, 2))
-        system = forbI_formulation(P, [LatticePoint.from_coords((1, 1))], ambient, 3)
+        system = forbI_formulation(P, [LatticePoint.from_coords((1, 1))], ambient)
         assert solve_lp(system, [1, 1]).value == 0
         assert feasible_with_fixings(system, {"x1": 1, "x2": 1})
         for p in lattice_points((3, 3)):
@@ -210,14 +210,8 @@ class TestForbIFormulation:
         # P = the single point (1,1); removing it empties every box
         P = box_hrep((1, 1), (1, 1))
         ambient = LatticeBox.of((0, 0), (2, 2))
-        with pytest.raises(AllForbidden):
+        with pytest.raises(AllForbidden, match="^P misses every box of the decomposition$"):
             forbI_formulation(P, [LatticePoint.from_coords((1, 1))], ambient)
-
-    def test_range_assertion(self):
-        P = box_hrep((0, 0), (2, 2))
-        ambient = LatticeBox.of((0, 0), (2, 2))
-        with pytest.raises(DomainError):
-            forbI_formulation(P, [], ambient, 4)
 
 
 class TestTuCheck:

@@ -145,6 +145,16 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_oracle([])
 
+    def test_kind_from_point_type(self):
+        assert brute_force_oracle(all_binary(2)).integral is False
+        assert brute_force_oracle([LatticePoint.from_coords((0, 1))]).integral is True
+
+    def test_mixed_kinds_rejected(self):
+        pts = [BinaryPoint.from_coords((0, 1)), LatticePoint.from_coords((0, 1))]
+        for order in (pts, pts[::-1]):
+            with pytest.raises(DomainError, match="mix"):
+                brute_force_oracle(order)
+
 
 class TestLatticeBoxOracle:
     def test_examples(self):
@@ -251,15 +261,14 @@ class TestOracleAgreement:
 class TestCountingOracle:
     def test_counts_and_preserves_kind(self):
         from fvx import CountingOracle
-        from fvx.oracles import BinaryOracle as B, IntegralOracle as I
 
         wrapped = CountingOracle(cube_oracle(2))
-        assert isinstance(wrapped, B) and not isinstance(wrapped, I)
+        assert wrapped.integral is False
         wrapped.minimize(Objective.of([1, 1]))
         wrapped.minimize(Objective.of([1, 1]))
         assert wrapped.calls == 2
 
         wrapped = CountingOracle(lattice_box_oracle((0,), (1,)))
-        assert isinstance(wrapped, I) and not isinstance(wrapped, B)
+        assert wrapped.integral is True
         wrapped.minimize(Objective.of([1]))
         assert wrapped.calls == 1

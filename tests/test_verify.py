@@ -20,7 +20,7 @@ from fvx import (
 )
 from fvx.cli import Problem, compile_system
 from fvx.core import point_coords
-from fvx.errors import GuardExceeded
+from fvx.errors import DomainError, GuardExceeded
 from conftest import all_binary
 
 
@@ -88,6 +88,12 @@ class TestVerifyFormulation:
         system = interval_formulation([BinaryPoint.from_string("00")], 2)
         with pytest.raises(GuardExceeded, match="trials"):
             verify_formulation(system, [], [], trials=fvx.verify.MAX_TRIALS + 1, seed=0)
+
+    def test_negative_trials(self):
+        system = interval_formulation([BinaryPoint.from_string("00")], 2)
+        truth = [BinaryPoint.from_string(s) for s in ("01", "10", "11")]
+        with pytest.raises(DomainError, match="trials"):
+            verify_formulation(system, truth, [BinaryPoint.from_string("00")], trials=-3)
 
     def test_size_audit_failure(self):
         X = [BinaryPoint.from_string("00")]
