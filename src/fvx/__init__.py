@@ -30,7 +30,7 @@ from .alldiff import (
     min_weight_R_matching,
     solve_alldiff,
 )
-from .exactlp import LpResult, feasible_with_fixings, solve_lp
+from .exactlp import LpResult, solve_lp
 from .extension import (
     IntervalCode,
     conv_K,

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .alldiff import AlldiffInstance, solve_alldiff
 from .core import (
     BinaryPoint,
     HPolytope,
@@ -211,7 +212,6 @@ class Problem:
         if self.kind not in ("binary", "integral"):
             _fail("kind", "expected 'binary' or 'integral'")
         self.n = _int_field(_require(doc, "n"), "n", positive=True)
-        self.doc = doc
         self.slots = doc.get("slots")
         if self.slots is not None:
             if not isinstance(self.slots, list) or not self.slots:
@@ -397,8 +397,6 @@ def cmd_kbest(args) -> int:
 
 
 def cmd_alldiff(args) -> int:
-    from .alldiff import AlldiffInstance, solve_alldiff
-
     problem = load_problem(args.file)
     if problem.slots is None:
         raise InputError("missing field 'slots' (alldiff needs one entry per slot)")
@@ -477,6 +475,9 @@ def cmd_verify(args) -> int:
                 system = parse_lp(handle.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.lp}: {exc}") from exc
+        if system.n_original != problem.n:
+            raise InputError(f"{args.lp} has n_original={system.n_original}, "
+                             f"but the problem has n={problem.n}")
     elif args.method:
         system = compile_system(problem, args.method)
     else:

@@ -87,7 +87,7 @@ class BinaryPoint:
     def from_coords(cls, coords: Sequence[int]) -> "BinaryPoint":
         bits = 0
         for i, v in enumerate(coords):
-            if v not in (0, 1):
+            if type(v) is not int or v not in (0, 1):
                 raise DomainError(f"coordinate {i + 1} is {v!r}, expected 0 or 1")
             bits |= v << i
         return cls(len(coords), bits)
@@ -143,7 +143,7 @@ class LatticePoint:
             raise DomainError(f"dimension must be positive, got {self.n}")
         if len(self.coords) != self.n:
             raise DomainError(f"expected {self.n} coordinates, got {len(self.coords)}")
-        object.__setattr__(self, "coords", tuple(int(v) for v in self.coords))
+        object.__setattr__(self, "coords", int_coords(self.coords))
 
     @classmethod
     def from_coords(cls, coords: Sequence[int]) -> "LatticePoint":
@@ -159,6 +159,15 @@ class LatticePoint:
 
 
 Point = Union[BinaryPoint, LatticePoint]
+
+
+def int_coords(values: Iterable) -> tuple:
+    """The values as a tuple; DomainError unless each is an int (bool excluded)."""
+    out = tuple(values)
+    for v in out:
+        if type(v) is not int:
+            raise DomainError(f"coordinate {v!r} is not an integer")
+    return out
 
 
 def point_coords(point: Point) -> tuple:
@@ -205,7 +214,12 @@ class CubeFace:
 
     def __post_init__(self):
         pairs = self.fixed.items() if isinstance(self.fixed, dict) else self.fixed
-        items = tuple(sorted((int(i), int(v)) for i, v in pairs))
+        items = []
+        for i, v in pairs:
+            if type(i) is not int or type(v) is not int:
+                raise DomainError(f"fixing {i!r}: {v!r} is not a pair of integers")
+            items.append((i, v))
+        items = tuple(sorted(items))
         for i, v in items:
             if not 1 <= i <= self.n:
                 raise DomainError(f"fixed index {i} out of 1..{self.n}")

@@ -31,6 +31,10 @@ saved state lives and dies with its system (it holds no reference back to
 it), and systems derived by `with_bounds` or `with_meta` start without it.
 Systems are treated as immutable: a system's rows and bounds must not change
 once it is solved.
+
+`solve_lp` is the only entry point.  A feasibility question is
+`solve_lp(system, {})`: phase 2 then makes no pivot, so the answer is optimal
+(value 0) exactly when the system is feasible, bounded or not.
 """
 
 from __future__ import annotations
@@ -515,18 +519,3 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min") -> LpResult:
     point = solver.point()
     return LpResult(OPTIMAL, point, _objective_value(obj_map, point))
 
-
-def feasible_with_fixings(system: LinearSystem, fixings: Mapping[str, object]) -> bool:
-    """Phase-1 feasibility of the system with original variables pinned.
-
-    Fixing keys must be declared variables; values are exact rationals.  An
-    empty fixing map tests plain feasibility.
-    """
-    overrides = {}
-    for name, v in fixings.items():
-        if name not in system.variables:
-            raise DomainError(f"fixing references undeclared variable {name!r}")
-        q = parse_rational(v)
-        overrides[name] = (q, q)
-    solver = _Simplex(system.with_bounds(overrides) if overrides else system)
-    return solver.phase1()

@@ -31,7 +31,7 @@ from .errors import (
     EmptyUnion,
     NoFaceExcludes,
 )
-from .exactlp import feasible_with_fixings
+from .exactlp import solve_lp
 from .linsys import LinearSystem, intersect_bounds
 from .separation import separating_faces
 
@@ -106,8 +106,7 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
               "certified": certified,
               "formula": "sum over blocks of (counted+1)"},
     )
-    return system.with_meta({**system.meta, "counted": system.counted_inequalities(),
-                             "raw_rows": len(system.rows)})
+    return _finalize(system, system.meta)
 
 
 def _union(blocks: Sequence[LinearSystem]) -> LinearSystem:
@@ -132,7 +131,7 @@ def feasible_blocks(blocks: Iterable[LinearSystem]) -> Tuple[list, int]:
     kept = []
     dropped = 0
     for block in blocks:
-        if feasible_with_fixings(block, {}):
+        if solve_lp(block, {}).is_optimal:
             kept.append(block)
         else:
             dropped += 1

@@ -234,7 +234,6 @@ class HrepBinaryOracle(BinaryOracle):
         if not 1 <= poly.n <= MAX_BINARY_DIM:
             raise DomainError(f"dimension must be in 1..{MAX_BINARY_DIM}")
         self.n = poly.n
-        self.poly = poly
         self.system = LinearSystem.from_hpolytope(poly)
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:

@@ -30,7 +30,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Set, Tuple
 
-from .core import BinaryPoint, CubeFace, LatticeBox, LatticePoint, Objective, point_coords
+from .core import (BinaryPoint, CubeFace, LatticeBox, LatticePoint, Objective, int_coords,
+                   point_coords)
 from .errors import DomainError
 from .oracles import INFEASIBLE, OracleOutcome
 
@@ -109,7 +110,7 @@ def box_family(X: Iterable, ambient: LatticeBox) -> BoxFamily:
     radices = tuple(itertools.accumulate(ranges, operator.mul, initial=1))
     forb = set()
     for p in X:
-        coords = p.coords if isinstance(p, LatticePoint) else tuple(int(v) for v in p)
+        coords = p.coords if isinstance(p, LatticePoint) else int_coords(p)
         if len(coords) != ambient.n:
             raise DomainError(f"point {list(coords)} has wrong dimension")
         if any(not l <= v <= u for l, v, u in zip(lo, coords, hi)):

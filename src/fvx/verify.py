@@ -6,16 +6,22 @@ combination certifies that the projection's integral points are exactly the
 ground truth: an excluded point is a vertex of the ambient polytope, so it
 can never lie in the hull of the remaining points.
 
-Every `solve_lp` call of a run is an objective on the one system under
-test, and `solve_lp` keeps the post-phase-1 tableau on that system object,
-so phase 1 runs once for all of them whatever else is solved in between.
+Every trial, box and L1 objective of a run is a `solve_lp` call on the one
+system under test, and `solve_lp` keeps the post-phase-1 tableau on that
+system object, so phase 1 runs once for all of them whatever else is solved
+in between.
 The min and max of each x_i give the projection's bounding box [l, h]; a
 point outside it is not a member, and a point with every p_i in {l_i, h_i}
 (every binary point when the box is [0,1]^n, every corner of a lattice box)
 is a member exactly when the L1 distance
 sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i} (h_i - x_i) has minimum 0.
 Other points (strictly inside the box, or any point when the projection is
-unbounded or the system infeasible) pin x to p and test feasibility.
+unbounded or the system infeasible) pin x to p with `with_bounds` and ask a
+zero-objective `solve_lp`, which is optimal exactly when that is feasible.
+
+Points may be BinaryPoints, LatticePoints or coordinate tuples; a point
+whose length is not the dimension (the system's `n_original`) raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -27,12 +33,23 @@ from typing import Iterable, Optional, Sequence
 
 from .core import format_rational, point_coords
 from .errors import DomainError, GuardExceeded
-from .exactlp import feasible_with_fixings, solve_lp
+from .exactlp import solve_lp
 from .linsys import LinearSystem
 
 ENUM_GUARD_POINTS = 4096
 ENUM_GUARD_DIM = 12
 MAX_TRIALS = 10_000  # one LP each; far above the default 50
+
+
+def _coords(points: Iterable, n: Optional[int] = None) -> list:
+    """Coordinate tuples of the points, each of length n (default: the first's)."""
+    out = [p if isinstance(p, tuple) else point_coords(p) for p in points]
+    if n is None and out:
+        n = len(out[0])
+    for p in out:
+        if len(p) != n:
+            raise DomainError(f"point {list(p)} has {len(p)} coordinates, expected {n}")
+    return out
 
 
 def in_convex_hull(point, points: Sequence) -> bool:
@@ -43,8 +60,7 @@ def in_convex_hull(point, points: Sequence) -> bool:
     (vertices are extreme), but removed integral points that are not
     vertices can legitimately stay inside the hull of the rest.
     """
-    pts = [point_coords(p) if not isinstance(p, tuple) else p for p in points]
-    target = point_coords(point) if not isinstance(point, tuple) else point
+    target, *pts = _coords([point, *points])
     if not pts:
         return False
     n = len(target)
@@ -56,7 +72,7 @@ def in_convex_hull(point, points: Sequence) -> bool:
     rows.append(({name: 1 for name in names}, "=", 1))
     bounds = {name: (Fraction(0), None) for name in names}
     system = LinearSystem.build(0, names, rows, bounds)
-    return feasible_with_fixings(system, {})
+    return solve_lp(system, {}).is_optimal
 
 
 @dataclass
@@ -124,7 +140,8 @@ def _in_projection(system: LinearSystem, names: Sequence[str],
                     objective[name], target = -1, target - hi
             lp = solve_lp(system, objective, sense="min")
             return lp.is_optimal and lp.value == target
-    return feasible_with_fixings(system, dict(zip(names, p)))
+    pins = {name: (Fraction(v), Fraction(v)) for name, v in zip(names, p)}
+    return solve_lp(system.with_bounds(pins), {}).is_optimal
 
 
 def verify_formulation(system: LinearSystem, ground_truth: Iterable,
@@ -138,22 +155,23 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     (exclusion expected exactly when the point is outside the hull of the
     ground truth, which for removed vertices is always), then audits the
     size certificate.  Deterministic for a fixed seed.  A negative `trials`
-    raises DomainError, more than `MAX_TRIALS` trials GuardExceeded.
+    or a point whose length is not `system.n_original` raises DomainError,
+    more than `MAX_TRIALS` trials GuardExceeded.
 
     Before the probes, 2n LPs (min and max of each x_i) give the
     projection's bounding box.  A point outside the box needs no LP; a point
     on a corner of it is one L1-distance objective on the same system; any
     other point, or every point when the box LPs are not all optimal, is a
-    feasibility test with x pinned to the point.  All three answer the same
-    question, so the report does not depend on which one ran.
+    zero-objective `solve_lp` with x pinned to the point.  All three answer
+    the same question, so the report does not depend on which one ran.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     if trials > MAX_TRIALS:
         raise GuardExceeded(f"trials {trials} exceeds the guard {MAX_TRIALS}")
     n = system.n_original
-    truth = [point_coords(p) if not isinstance(p, tuple) else p for p in ground_truth]
-    removed = [point_coords(p) if not isinstance(p, tuple) else p for p in X]
+    truth = _coords(ground_truth, n)
+    removed = _coords(X, n)
     if n > ENUM_GUARD_DIM:
         raise GuardExceeded(f"dimension {n} exceeds the enumeration guard {ENUM_GUARD_DIM}")
     if len(truth) > ENUM_GUARD_POINTS:
@@ -166,17 +184,12 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     for _ in range(trials):
         c = [rng.randint(-100, 100) for _ in range(n)]
         lp = solve_lp(system, c, sense="min")
-        brute = None
         if truth:
-            brute = min(sum(ci * vi for ci, vi in zip(c, p)) for p in truth)
-        if truth:
-            if not lp.is_optimal or lp.value != brute:
-                report.support_mismatches.append(
-                    (tuple(c), lp.value if lp.is_optimal else None, Fraction(brute)))
-        else:
-            if not lp.is_infeasible:
-                report.support_mismatches.append(
-                    (tuple(c), lp.value if lp.is_optimal else None, None))
+            brute = Fraction(min(sum(ci * vi for ci, vi in zip(c, p)) for p in truth))
+            if lp.value != brute:  # None unless optimal
+                report.support_mismatches.append((tuple(c), lp.value, brute))
+        elif not lp.is_infeasible:
+            report.support_mismatches.append((tuple(c), lp.value, None))
 
     box = _projection_box(system, names) if truth or removed else None
     for p in truth:

@@ -2,7 +2,13 @@
 
 from fractions import Fraction
 
-from fvx import BinaryPoint, Objective
+from fvx import BinaryPoint, Objective, solve_lp
+
+
+def feasible_at(system, p):
+    """Is the system feasible with x1..xn pinned to the point p?"""
+    pins = {f"x{i + 1}": (Fraction(v), Fraction(v)) for i, v in enumerate(p)}
+    return solve_lp(system.with_bounds(pins), {}).is_optimal
 
 
 def all_binary(n):

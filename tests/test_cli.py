@@ -1,9 +1,11 @@
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from fvx import BinaryPoint, LinearSystem, interval_formulation, write_lp
 from fvx.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -273,6 +275,23 @@ class TestVerifyCommand:
         _, out2 = run(capsys, ["verify", path, "--method", "interval",
                                "--seed", "42"])
         assert out1 == out2
+
+    def test_lp_of_another_dimension_exit_1(self, tmp_path, capsys):
+        path = write_json(tmp_path, "p3.json", {"kind": "binary", "n": 3,
+                                                "polytope": {"type": "cube"},
+                                                "forbidden": ["000"]})
+        system = interval_formulation([BinaryPoint.from_string("000")], 3)
+        # x4 fixed to 0 as a fourth original variable
+        variables = ("x1", "x2", "x3", "x4") + system.variables[3:]
+        padded = LinearSystem(variables, 4, system.rows,
+                              {**system.bounds, "x4": (Fraction(0), Fraction(0))},
+                              dict(system.meta))
+        lp = tmp_path / "padded.lp"
+        lp.write_text(write_lp(padded))
+        code, out = run(capsys, ["verify", path, "--lp", str(lp)])
+        assert code == 1
+        message = json.loads(out)["message"]
+        assert "n_original=4" in message and "n=3" in message
 
     def test_needs_lp_or_method(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], [])

@@ -98,6 +98,11 @@ class TestBinaryPoint:
         with pytest.raises(DomainError):
             BinaryPoint.from_string("012")
 
+    @pytest.mark.parametrize("coords", [[1.0, 0], [True, 0], [Fraction(1), 0]])
+    def test_non_int_coordinate_refused(self, coords):
+        with pytest.raises(DomainError, match="expected 0 or 1"):
+            BinaryPoint.from_coords(coords)
+
     def test_hamming_flip_prefix(self):
         p = BinaryPoint.from_string("101")
         q = BinaryPoint.from_string("001")
@@ -177,6 +182,12 @@ class TestCubeFace:
         with pytest.raises(DomainError):
             CubeFace(2, ((1, 0), (1, 1)))
 
+    @pytest.mark.parametrize("fixings", [{1.9: 1}, {1: 1.0}, {1: True}, {Fraction(1): 0}])
+    def test_non_int_fixing_refused(self, fixings):
+        # int() would truncate 1.9 to coordinate 1 and fix it
+        with pytest.raises(DomainError, match="not a pair of integers"):
+            CubeFace.of(2, fixings)
+
 
 class TestLatticeBox:
     def test_contains_count_iter(self):
@@ -198,6 +209,18 @@ class TestLatticeBox:
     def test_validation(self):
         with pytest.raises(DomainError):
             LatticeBox.of((1,), (0,))
+
+    @pytest.mark.parametrize("l, u", [((0.5,), (2,)), ((0,), (2.0,)), ((0,), (Fraction(2),)),
+                                      ((False,), (2,))])
+    def test_non_int_corner_refused(self, l, u):
+        # int() would read l = (0.5,) as 0
+        with pytest.raises(DomainError, match="is not an integer"):
+            LatticeBox.of(l, u)
+
+    @pytest.mark.parametrize("coords", [(1, 0.5), (1.0, 2), (Fraction(1, 1), 0), (True, 0)])
+    def test_non_int_lattice_point_refused(self, coords):
+        with pytest.raises(DomainError, match="is not an integer"):
+            LatticePoint.from_coords(coords)
 
 
 class TestHPolytope:

@@ -15,7 +15,6 @@ from fvx import (
     LinearSystem,
     LpResult,
     exactlp,
-    feasible_with_fixings,
     interval_formulation,
     solve_lp,
 )
@@ -135,17 +134,58 @@ class TestBasics:
         assert solve_lp(s, [1]).is_infeasible
 
 
+def pinned(system, fixings):
+    """The system with each named variable fixed to its value."""
+    return system.with_bounds({name: (Fraction(v), Fraction(v)) for name, v in fixings.items()})
+
+
 class TestFeasibleWithFixings:
+    """Feasibility is a zero-objective solve_lp, on a pinned child for a point."""
+
     def test_formulation_membership(self):
         system = interval_formulation([BinaryPoint.from_string("00")], 2)
-        assert not feasible_with_fixings(system, {"x1": 0, "x2": 0})
-        assert feasible_with_fixings(system, {"x1": 1, "x2": 1})
-        assert feasible_with_fixings(system, {})
+        assert not solve_lp(pinned(system, {"x1": 0, "x2": 0}), {}).is_optimal
+        assert solve_lp(pinned(system, {"x1": 1, "x2": 1}), {}).is_optimal
+        assert solve_lp(system, {}).is_optimal
 
     def test_fixing_validation(self):
         s = LinearSystem.build(1, bounds={"x1": (0, 1)})
-        with pytest.raises(DomainError):
-            feasible_with_fixings(s, {"y": 1})
+        with pytest.raises(DomainError, match="undeclared variable 'y'"):
+            solve_lp(pinned(s, {"y": 1}), {})
+
+    def test_zero_objective_matches_cold_phase1(self):
+        rng = random.Random(43)
+        makers = (random_bounded_system, infeasible_system, unbounded_system)
+        seen = set()
+        for _ in range(60):
+            maker = rng.choice(makers)
+            system = maker(rng, rng.randint(1, 4))
+            child = pinned(system, {"x1": rng.randint(-3, 3)})
+            for s in (system, child):
+                feasible = exactlp._Simplex(s).phase1()  # cold reference
+                got = solve_lp(s, {})
+                assert got.is_optimal == feasible and got.is_infeasible == (not feasible)
+                if feasible:
+                    assert got.value == 0 and satisfies(s, got.point)
+                seen.add((maker.__name__, s is child, feasible))
+            if maker is unbounded_system:
+                # feasible and unbounded below in x1, yet the zero objective is optimal
+                assert solve_lp(system, {"x1": 1}).is_unbounded
+                assert solve_lp(system, {}).is_optimal
+        assert {("random_bounded_system", False, True), ("infeasible_system", False, False),
+                ("unbounded_system", False, True), ("random_bounded_system", True, True),
+                ("random_bounded_system", True, False)} <= seen
+
+
+def satisfies(system, point):
+    """Does the point meet every row and bound of the system?"""
+    for coeffs, rel, rhs in system.rows:
+        lhs = sum(a * point[name] for name, a in coeffs.items())
+        if (rel == "<=" and lhs > rhs) or (rel == ">=" and lhs < rhs) \
+                or (rel == "=" and lhs != rhs):
+            return False
+    return all((lo is None or lo <= point[v]) and (hi is None or point[v] <= hi)
+               for v in system.variables for lo, hi in [system.bound(v)])
 
 
 class TestAgainstVertexEnumeration:

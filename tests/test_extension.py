@@ -13,7 +13,6 @@ from fvx import (
     disjunctive_hull,
     face_formulation,
     facet_intersection_formulation,
-    feasible_with_fixings,
     intersect_systems,
     interval_formulation,
     recursive_formulation,
@@ -27,7 +26,7 @@ from fvx.errors import (
     EmptyUnion,
     NoFaceExcludes,
 )
-from conftest import all_binary, brute_min, random_forbidden
+from conftest import all_binary, brute_min, feasible_at, random_forbidden
 
 
 def binary_solutions(system, n):
@@ -59,8 +58,7 @@ def assert_projection(system, n, allowed_codes, rng, directions=15):
         else:
             assert lp.is_optimal and lp.value == expect, (c, lp.value, expect)
     for b in range(1 << n):
-        fix = {f"x{i + 1}": (b >> i) & 1 for i in range(n)}
-        assert feasible_with_fixings(system, fix) == (b in allowed_codes)
+        assert feasible_at(system, [(b >> i) & 1 for i in range(n)]) == (b in allowed_codes)
 
 
 class TestConvK:
@@ -132,6 +130,13 @@ class TestDisjunctiveHull:
         hull = disjunctive_hull(blocks)
         assert hull.counted_inequalities() <= hull.meta["certified"]
         assert hull.meta["certified"] == sum(b.counted_inequalities() + 1 for b in blocks)
+
+    def test_meta_keys_and_order(self):
+        hull = disjunctive_hull([conv_K(IntervalCode(0, 1, 2)), conv_K(IntervalCode(3, 3, 2))])
+        assert list(hull.meta.items()) == [
+            ("method", "disjunctive-hull"), ("blocks", 2), ("certified", hull.meta["certified"]),
+            ("formula", "sum over blocks of (counted+1)"),
+            ("counted", hull.counted_inequalities()), ("raw_rows", len(hull.rows))]
 
 
 class TestIntervalFormulation:

@@ -12,7 +12,6 @@ from fvx import (
     Objective,
     box_decomposition,
     cube_hrep,
-    feasible_with_fixings,
     forbI_formulation,
     kbest,
     lattice_box_oracle,
@@ -24,7 +23,7 @@ from fvx import (
     cube_oracle,
 )
 from fvx.errors import AllForbidden, DomainError, NonIntegralRhs, NotTU, SizeCap
-from conftest import brute_min
+from conftest import brute_min, feasible_at
 
 
 def lattice_points(ranges):
@@ -95,6 +94,10 @@ class TestBoxDecomposition:
         with pytest.raises(DomainError):
             box_decomposition([(0, 0)], 3, 1)
 
+    def test_non_int_point_refused(self):
+        with pytest.raises(DomainError, match="0.5 is not an integer"):
+            box_decomposition([(0.5,)], 3, 1)
+
 
 class TestSolveForbiddenIntegral:
     def test_examples(self):
@@ -129,6 +132,12 @@ class TestSolveForbiddenIntegral:
                 assert not out.feasible
             else:
                 assert out.feasible and out.value == expect
+
+    def test_non_int_forbidden_tuple_refused(self):
+        # int() would forbid 0 for (0.5,) and return the value 1 instead of 0
+        oracle = lattice_box_oracle((0,), (2,))
+        with pytest.raises(DomainError, match="0.5 is not an integer"):
+            solve_forbidden(oracle, [(0.5,)], Objective.of([1]), ambient=LatticeBox.of((0,), (2,)))
 
     def test_translated_ambient(self):
         oracle = lattice_box_oracle((-2, 5), (0, 7))
@@ -178,17 +187,17 @@ class TestForbIFormulation:
         ambient = LatticeBox.of((0, 0), (2, 2))
         system = forbI_formulation(P, [LatticePoint.from_coords((1, 1))], ambient)
         assert solve_lp(system, [1, 1]).value == 0
-        assert feasible_with_fixings(system, {"x1": 1, "x2": 1})
+        assert feasible_at(system, (1, 1))
         for p in lattice_points((3, 3)):
             if p != (1, 1):
-                assert feasible_with_fixings(system, {"x1": p[0], "x2": p[1]})
+                assert feasible_at(system, p)
 
     def test_corner_removed(self):
         P = box_hrep((0, 0), (2, 2))
         ambient = LatticeBox.of((0, 0), (2, 2))
         system = forbI_formulation(P, [LatticePoint.from_coords((0, 0))], ambient)
         assert solve_lp(system, [1, 1]).value == 1
-        assert not feasible_with_fixings(system, {"x1": 0, "x2": 0})
+        assert not feasible_at(system, (0, 0))
 
     def test_empty_forbidden_single_block(self):
         P = box_hrep((0, 0), (2, 2))

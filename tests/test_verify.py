@@ -11,7 +11,6 @@ from fvx import (
     VerificationReport,
     cube_hrep,
     face_formulation,
-    feasible_with_fixings,
     in_convex_hull,
     interval_formulation,
     recursive_formulation,
@@ -21,7 +20,7 @@ from fvx import (
 from fvx.cli import Problem, compile_system
 from fvx.core import point_coords
 from fvx.errors import DomainError, GuardExceeded
-from conftest import all_binary
+from conftest import all_binary, feasible_at
 
 
 def corrupt_system(system):
@@ -95,6 +94,17 @@ class TestVerifyFormulation:
         with pytest.raises(DomainError, match="trials"):
             verify_formulation(system, truth, [BinaryPoint.from_string("00")], trials=-3)
 
+    @pytest.mark.parametrize("truth, X", [
+        ([(0, 1, 0), (1, 0, 1), (1, 1, 1)], [(0, 0, 0)]),
+        ([(0, 1), (1, 0), (1, 1)], [(0,)]),
+        ([BinaryPoint.from_string("010")], []),
+    ])
+    def test_point_of_another_dimension(self, truth, X):
+        # zip used to cut the longer point short, and the report passed
+        system = interval_formulation([BinaryPoint.from_string("00")], 2)
+        with pytest.raises(DomainError, match="coordinates, expected 2"):
+            verify_formulation(system, truth, X)
+
     def test_size_audit_failure(self):
         X = [BinaryPoint.from_string("00")]
         system = interval_formulation(X, 2)
@@ -118,6 +128,12 @@ class TestConvexHullMembership:
     def test_empty_hull(self):
         assert not in_convex_hull(LatticePoint.from_coords((0,)), [])
 
+    def test_point_of_another_dimension(self):
+        with pytest.raises(DomainError, match="has 2 coordinates, expected 3"):
+            in_convex_hull((0, 0, 1), [(0, 1), (1, 0)])
+        with pytest.raises(DomainError, match="has 3 coordinates, expected 2"):
+            in_convex_hull((0, 1), [(0, 1), (1, 0, 0)])
+
 
 def fixings_only_report(system, ground_truth, X, trials, seed):
     """Reference: the verifier with every probe a feasibility test with x pinned."""
@@ -125,7 +141,6 @@ def fixings_only_report(system, ground_truth, X, trials, seed):
     removed = [p if isinstance(p, tuple) else point_coords(p) for p in X]
     report = VerificationReport(trials=trials, seed=seed)
     rng = random.Random(seed)
-    names = [f"x{i + 1}" for i in range(system.n_original)]
     for _ in range(trials):
         c = [rng.randint(-100, 100) for _ in range(system.n_original)]
         lp = solve_lp(system, c, sense="min")
@@ -138,10 +153,10 @@ def fixings_only_report(system, ground_truth, X, trials, seed):
             report.support_mismatches.append(
                 (tuple(c), lp.value if lp.is_optimal else None, None))
     for p in truth:
-        if not feasible_with_fixings(system, dict(zip(names, p))):
+        if not feasible_at(system, p):
             report.membership_failures.append(p)
     for p in removed:
-        if feasible_with_fixings(system, dict(zip(names, p))) != in_convex_hull(p, truth):
+        if feasible_at(system, p) != in_convex_hull(p, truth):
             report.excluded_failures.append(p)
     report.counted = system.counted_inequalities()
     report.certified = system.meta.get("certified")
@@ -154,12 +169,15 @@ def pinned_probes(monkeypatch):
     """Record the points that verify_formulation probes by pinning x."""
     pinned = []
 
-    def recording(system, fixings):
-        if fixings:
-            pinned.append(tuple(fixings.values()))
-        return feasible_with_fixings(system, fixings)
+    def recording(system, objective, sense="min"):
+        # a pinned probe is a zero objective on a system with x1..xn fixed;
+        # hull tests have no original variables
+        if objective == {} and system.n_original:
+            pinned.append(tuple(system.bound(f"x{i + 1}")[0]
+                                for i in range(system.n_original)))
+        return solve_lp(system, objective, sense)
 
-    monkeypatch.setattr(fvx.verify, "feasible_with_fixings", recording)
+    monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     return pinned
 
 
