@@ -26,11 +26,18 @@ deterministic.
 LinearSystem keeps its post-phase-1 tableau on that object, and every call
 after the first on the same object restarts phase 2 from that saved basis,
 whatever other systems were solved in between.  Phase 2 then makes the
-pivots a cold solve would make, so every answer is the cold answer.  The
-saved state lives and dies with its system (it holds no reference back to
-it), and systems derived by `with_bounds` or `with_meta` start without it.
-Systems are treated as immutable: a system's rows and bounds must not change
-once it is solved.
+pivots a cold solve would make, so every answer is the cold answer unless
+`start` is given.  The saved state lives and dies with its system (it holds
+no reference back to it), and systems derived by `with_bounds` or
+`with_meta` start without it.  Systems are treated as immutable: a system's
+rows and bounds must not change once it is solved.
+
+Warm starts: an optimal `LpResult` carries its optimal tableau (the
+solver's own row and basis lists, not copied), and
+`solve_lp(system, objective, start=result)` runs phase 2 from that basis
+instead of the post-phase-1 one.  Any feasible basis is a valid phase-2
+start, so the status and the value are the cold ones; only the point may be
+another optimum.  `start` must come from the same system object.
 
 `solve_lp` is the only entry point.  A feasibility question is
 `solve_lp(system, {})`: phase 2 then makes no pivot, so the answer is optimal
@@ -40,7 +47,7 @@ once it is solved.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
@@ -59,12 +66,15 @@ class LpResult:
     """Outcome of an exact LP solve.
 
     When optimal, `point` assigns an exact rational to every variable of the
-    system and `value` is the objective evaluated at that point.
+    system and `value` is the objective evaluated at that point; the result
+    then also keeps `(system, solver)` for `solve_lp`'s `start`, outside
+    `repr` and `==`.
     """
 
     status: str
     point: Optional[dict]
     value: Optional[Fraction]
+    _tableau: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -493,7 +503,8 @@ def _after_phase1(system: LinearSystem) -> Optional[_Simplex]:
     return solver
 
 
-def solve_lp(system: LinearSystem, objective, sense: str = "min") -> LpResult:
+def solve_lp(system: LinearSystem, objective, sense: str = "min",
+             start: Optional[LpResult] = None) -> LpResult:
     """Minimize (or maximize) a linear objective over a LinearSystem, exactly.
 
     `objective` may be an Objective (over x1..xn), a mapping from variable
@@ -504,18 +515,30 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min") -> LpResult:
     restarts phase 2 from the post-phase-1 basis kept on it, so each answer
     equals a cold solve's.  That state is freed with the system, and
     `with_bounds`/`with_meta` children do not inherit it.
+
+    `start`, an earlier optimal result of this same system object, makes
+    phase 2 start from that result's optimal basis instead.  The status and
+    the value then still equal the cold ones, but the point may be another
+    optimum.  A `start` of another system, or one that is not optimal,
+    raises DomainError.
     """
     if sense not in ("min", "max"):
         raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
     if not system.variables:
         raise DomainError("system has no variables")
     obj_map = _objective_map(system, objective)
-    solver = _after_phase1(system)
-    if solver is None:
-        return _INFEASIBLE
+    if start is None:
+        solver = _after_phase1(system)
+        if solver is None:
+            return _INFEASIBLE
+    else:
+        if start._tableau is None or start._tableau[0] is not system:
+            raise DomainError("start must be an optimal result of this same system")
+        base = start._tableau[1]
+        solver = base.restart(base.rows, base.basis)
     status = solver.phase2(solver.column_objective(obj_map, negate=(sense == "max")))
     if status == UNBOUNDED:
         return _UNBOUNDED
     point = solver.point()
-    return LpResult(OPTIMAL, point, _objective_value(obj_map, point))
+    return LpResult(OPTIMAL, point, _objective_value(obj_map, point), (system, solver))
 

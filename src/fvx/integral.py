@@ -26,7 +26,16 @@ from .separation import BoxFamily, box_family
 
 
 def _normalize_ranges(r: Union[int, Sequence[int]], n: int) -> tuple:
-    ranges = tuple([int(r)] * n) if isinstance(r, int) else tuple(int(v) for v in r)
+    """The n range sizes; DomainError unless each is a positive int (bool excluded)."""
+    if type(r) is int:
+        ranges = (r,) * n
+    elif isinstance(r, Sequence):
+        ranges = tuple(r)
+    else:
+        raise DomainError(f"range size {r!r} is neither an integer nor a sequence")
+    for v in ranges:
+        if type(v) is not int:
+            raise DomainError(f"range size {v!r} is not an integer")
     if len(ranges) != n:
         raise DomainError(f"expected {n} range sizes, got {len(ranges)}")
     if any(v < 1 for v in ranges):

@@ -6,22 +6,33 @@ combination certifies that the projection's integral points are exactly the
 ground truth: an excluded point is a vertex of the ambient polytope, so it
 can never lie in the hull of the remaining points.
 
-Every trial, box and L1 objective of a run is a `solve_lp` call on the one
-system under test, and `solve_lp` keeps the post-phase-1 tableau on that
-system object, so phase 1 runs once for all of them whatever else is solved
-in between.
-The min and max of each x_i give the projection's bounding box [l, h]; a
-point outside it is not a member, and a point with every p_i in {l_i, h_i}
-(every binary point when the box is [0,1]^n, every corner of a lattice box)
-is a member exactly when the L1 distance
+A run has three phases, in this order: the box LPs, the support trials, the
+probes.  Every box LP, trial and L1 objective is a `solve_lp` call on the
+one system under test, and `solve_lp` keeps the post-phase-1 tableau on
+that system object, so phase 1 runs once for all of them.
+
+Witnesses: every optimal LP of those phases returns a feasible point of the
+system.  When the point projects onto an integral point p, and `satisfies`
+(plain substitution into the system's rows and bounds, with no tableau
+code) confirms it, p is a proven member of the projection and the run keeps
+that LP result as p's witness, one per point.  A membership or exclusion
+probe of a witnessed point is skipped: the point is a member.  Each trial
+takes its (value, coords)-least brute-force minimizer v*; when v* has a
+witness, the trial's `solve_lp` starts from the witness's optimal basis,
+which changes no value, only the pivots it takes to reach it.
+
+Probes: the min and max of each x_i give the projection's bounding box
+[l, h]; a point outside it is not a member, and a point with every p_i in
+{l_i, h_i} (every binary point when the box is [0,1]^n, every corner of a
+lattice box) is a member exactly when the L1 distance
 sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i} (h_i - x_i) has minimum 0.
 Other points (strictly inside the box, or any point when the projection is
 unbounded or the system infeasible) pin x to p with `with_bounds` and ask a
 zero-objective `solve_lp`, which is optimal exactly when that is feasible.
 
-Points may be BinaryPoints, LatticePoints or coordinate tuples; a point
-whose length is not the dimension (the system's `n_original`) raises
-DomainError.
+Points may be BinaryPoints, LatticePoints or sequences of ints (lists are
+read as tuples); anything else, or a point whose length is not the
+dimension (the system's `n_original`), raises DomainError.
 """
 
 from __future__ import annotations
@@ -29,9 +40,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import gcd
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import format_rational, point_coords
+from .core import BinaryPoint, LatticePoint, format_rational, int_coords, point_coords
 from .errors import DomainError, GuardExceeded
 from .exactlp import solve_lp
 from .linsys import LinearSystem
@@ -43,13 +55,64 @@ MAX_TRIALS = 10_000  # one LP each; far above the default 50
 
 def _coords(points: Iterable, n: Optional[int] = None) -> list:
     """Coordinate tuples of the points, each of length n (default: the first's)."""
-    out = [p if isinstance(p, tuple) else point_coords(p) for p in points]
+    out = []
+    for p in points:
+        if isinstance(p, (BinaryPoint, LatticePoint)):
+            out.append(point_coords(p))
+        elif isinstance(p, Sequence):
+            out.append(int_coords(p))
+        else:
+            raise DomainError(f"point {p!r} is neither a point nor a sequence of ints")
     if n is None and out:
         n = len(out[0])
     for p in out:
         if len(p) != n:
             raise DomainError(f"point {list(p)} has {len(p)} coordinates, expected {n}")
     return out
+
+
+def satisfies(system: LinearSystem, point: Mapping[str, Fraction]) -> bool:
+    """Does `point` (a rational per variable) meet every bound and row of the system?
+
+    Plain substitution, independent of the LP engine: the point is scaled to
+    integers over one common denominator and each row and bound is compared
+    exactly in ints.
+    """
+    if point.keys() != set(system.variables):
+        return False
+    den = 1
+    for v in point.values():
+        den = den // gcd(den, v.denominator) * v.denominator
+    x = {name: v.numerator * (den // v.denominator) for name, v in point.items()}
+    for name, (lo, hi) in system.bounds.items():
+        if lo is not None and x[name] * lo.denominator < lo.numerator * den:
+            return False
+        if hi is not None and x[name] * hi.denominator > hi.numerator * den:
+            return False
+    for coeffs, rel, rhs in system.rows:
+        lhs, b = sum([a * x[name] for name, a in coeffs.items()]), rhs * den
+        if lhs > b if rel == "<=" else lhs < b if rel == ">=" else lhs != b:
+            return False
+    return True
+
+
+class _Witnesses(dict):
+    """Integral projected points of one run -> the optimal LP result proving each."""
+
+    def __init__(self, system: LinearSystem, names: Sequence[str]):
+        super().__init__()
+        self.system, self.names = system, names
+
+    def solve(self, objective, sense: str = "min", start=None):
+        """`solve_lp` on the system under test; an optimal point may become a witness."""
+        lp = solve_lp(self.system, objective, sense, start=start)
+        if lp.is_optimal:
+            x = [lp.point[name] for name in self.names]
+            if all(v.denominator == 1 for v in x):
+                p = tuple(v.numerator for v in x)
+                if p not in self and satisfies(self.system, lp.point):
+                    self[p] = lp
+        return lp
 
 
 def in_convex_hull(point, points: Sequence) -> bool:
@@ -110,38 +173,39 @@ class VerificationReport:
         }
 
 
-def _projection_box(system: LinearSystem, names: Sequence[str]) -> Optional[list]:
+def _projection_box(run: _Witnesses) -> Optional[list]:
     """[(min x_i, max x_i)] over the system, or None unless all 2n LPs are optimal."""
     box = []
-    for name in names:
-        lo = solve_lp(system, {name: 1}, sense="min")
+    for name in run.names:
+        lo = run.solve({name: 1}, sense="min")
         if not lo.is_optimal:
             return None
-        hi = solve_lp(system, {name: 1}, sense="max")
+        hi = run.solve({name: 1}, sense="max")
         if not hi.is_optimal:
             return None
         box.append((lo.value, hi.value))
     return box
 
 
-def _in_projection(system: LinearSystem, names: Sequence[str],
-                   box: Optional[list], p: tuple) -> bool:
+def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
     """Is the integral point p in the projection of the system onto x1..xn?"""
+    if p in run:
+        return True
     if box is not None:
         if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):
             return False
         if all(v == lo or v == hi for v, (lo, hi) in zip(p, box)):
             # each term x_i - l_i or h_i - x_i is nonnegative on the projection
             objective, target = {}, 0
-            for name, v, (lo, hi) in zip(names, p, box):
+            for name, v, (lo, hi) in zip(run.names, p, box):
                 if v == lo:
                     objective[name], target = 1, target + lo
                 else:
                     objective[name], target = -1, target - hi
-            lp = solve_lp(system, objective, sense="min")
+            lp = run.solve(objective, sense="min")
             return lp.is_optimal and lp.value == target
-    pins = {name: (Fraction(v), Fraction(v)) for name, v in zip(names, p)}
-    return solve_lp(system.with_bounds(pins), {}).is_optimal
+    pins = {name: (Fraction(v), Fraction(v)) for name, v in zip(run.names, p)}
+    return solve_lp(run.system.with_bounds(pins), {}).is_optimal
 
 
 def verify_formulation(system: LinearSystem, ground_truth: Iterable,
@@ -158,12 +222,18 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     or a point whose length is not `system.n_original` raises DomainError,
     more than `MAX_TRIALS` trials GuardExceeded.
 
-    Before the probes, 2n LPs (min and max of each x_i) give the
-    projection's bounding box.  A point outside the box needs no LP; a point
-    on a corner of it is one L1-distance objective on the same system; any
+    The phases run in this order: 2n box LPs (min and max of each x_i)
+    give the projection's bounding box, then the trials, then the probes.
+    Each optimal LP on the system whose point projects onto an integral
+    point, and passes `satisfies`, witnesses that point; a trial whose
+    brute-force minimizer (the (value, coords)-least one) has a witness
+    starts from the witness's optimal basis.  A witnessed point needs no
+    probe.  Of the others, a point outside the box needs no LP; a point on
+    a corner of it is one L1-distance objective on the same system; any
     other point, or every point when the box LPs are not all optimal, is a
-    zero-objective `solve_lp` with x pinned to the point.  All three answer
-    the same question, so the report does not depend on which one ran.
+    zero-objective `solve_lp` with x pinned to the point.  All of these
+    answer the same question, and a warm start changes no LP value, so the
+    report does not depend on which one ran.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -179,24 +249,26 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
                             f"guard {ENUM_GUARD_POINTS}")
     report = VerificationReport(trials=trials, seed=seed)
     rng = random.Random(seed)
-    names = [f"x{i + 1}" for i in range(n)]
+    run = _Witnesses(system, [f"x{i + 1}" for i in range(n)])
 
+    box = _projection_box(run) if truth or removed else None
     for _ in range(trials):
         c = [rng.randint(-100, 100) for _ in range(n)]
-        lp = solve_lp(system, c, sense="min")
         if truth:
-            brute = Fraction(min(sum(ci * vi for ci, vi in zip(c, p)) for p in truth))
+            brute, best = min((sum(ci * vi for ci, vi in zip(c, p)), p) for p in truth)
+            lp = run.solve(c, start=run.get(best))
             if lp.value != brute:  # None unless optimal
-                report.support_mismatches.append((tuple(c), lp.value, brute))
-        elif not lp.is_infeasible:
-            report.support_mismatches.append((tuple(c), lp.value, None))
+                report.support_mismatches.append((tuple(c), lp.value, Fraction(brute)))
+        else:
+            lp = run.solve(c)
+            if not lp.is_infeasible:
+                report.support_mismatches.append((tuple(c), lp.value, None))
 
-    box = _projection_box(system, names) if truth or removed else None
     for p in truth:
-        if not _in_projection(system, names, box, p):
+        if not _in_projection(run, box, p):
             report.membership_failures.append(p)
     for p in removed:
-        probe = _in_projection(system, names, box, p)
+        probe = _in_projection(run, box, p)
         # a removed vertex must probe infeasible; a removed non-vertex point
         # may lie in the hull of the rest, so compare against the exact
         # explicit-point hull membership

@@ -352,6 +352,75 @@ class TestPhaseOneReuse:
         assert wrong == []
 
 
+class TestWarmStart:
+    """`start` may change the point and the pivots, never the status or the value."""
+
+    def test_warm_answers_match_cold(self):
+        rng = random.Random(59)
+        statuses = set()
+        warm = moved = 0
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            system = rng.choice((random_bounded_system, unbounded_system))(rng, n)
+            starts = []  # every earlier optimal result of this system object
+            for _ in range(6):
+                c = [rng.randint(-9, 9) for _ in range(n)]
+                sense = rng.choice(("min", "max"))
+                cold = cold_solve(system, c, sense)
+                got = None
+                for start in [None, *starts]:
+                    got = solve_lp(system, c, sense, start=start)
+                    assert (got.status, got.value) == (cold.status, cold.value)
+                    if got.is_optimal:
+                        assert satisfies(system, got.point)
+                    warm += start is not None
+                    moved += got.point != cold.point
+                statuses.add(got.status)
+                if got.is_optimal:  # the last warm result starts later calls too
+                    starts.append(got)
+                    first = solve_lp(system, c, sense)
+                    if first.is_optimal:
+                        starts.append(first)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert warm > 400 and moved > 0
+
+    def test_start_from_the_same_objective_makes_no_pivot(self, monkeypatch):
+        system = interval_formulation([BinaryPoint.from_string(s) for s in ("000", "101")], 3)
+        pivots = []
+        original = exactlp._Simplex._pivot
+
+        def counting(self, r, s):
+            pivots.append(r)
+            return original(self, r, s)
+
+        monkeypatch.setattr(exactlp._Simplex, "_pivot", counting)
+        solve_lp(system, {})  # phase 1
+        del pivots[:]
+        first = solve_lp(system, [3, -2, 1])
+        assert first.is_optimal and pivots
+        del pivots[:]
+        again = solve_lp(system, [3, -2, 1], start=first)
+        assert pivots == [] and again == first
+
+    def test_start_of_another_system_refused(self):
+        rng = random.Random(61)
+        system = random_bounded_system(rng, 2)
+        start = solve_lp(system, [1, 1])
+        assert start.is_optimal
+        twin = LinearSystem(system.variables, 2, system.rows, system.bounds)
+        assert twin == system  # equal, but another object
+        for other in (twin, system.with_bounds({}), system.with_meta({})):
+            with pytest.raises(DomainError, match="same system"):
+                solve_lp(other, [1, 1], start=start)
+        bare = LpResult(start.status, start.point, start.value)  # no tableau
+        assert bare == start and repr(bare) == repr(start)
+        with pytest.raises(DomainError, match="same system"):
+            solve_lp(system, [1, 1], start=bare)
+        free = unbounded_system(rng, 2)
+        with pytest.raises(DomainError, match="same system"):
+            solve_lp(free, [1, 0], start=solve_lp(free, [1, 0]))  # unbounded
+
+
 class TestDerivedSystems:
     """Children made by with_bounds or with_meta start without a tableau."""
 

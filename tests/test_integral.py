@@ -98,6 +98,19 @@ class TestBoxDecomposition:
         with pytest.raises(DomainError, match="0.5 is not an integer"):
             box_decomposition([(0.5,)], 3, 1)
 
+    @pytest.mark.parametrize("r, message", [
+        ((2.5,), "range size 2.5 is not an integer"),
+        (2.5, "range size 2.5 is neither an integer nor a sequence"),
+        ((Fraction(3),), "range size Fraction"),
+        ((True,), "range size True is not an integer"),
+        (True, "range size True is neither"),
+        ("3", "range size '3' is not an integer"),
+    ])
+    def test_non_int_range_refused(self, r, message):
+        # int() used to truncate (2.5,) to a range of 2, i.e. the box [0, 1]
+        with pytest.raises(DomainError, match=message):
+            box_decomposition([], r, 1)
+
 
 class TestSolveForbiddenIntegral:
     def test_examples(self):

@@ -105,6 +105,25 @@ class TestVerifyFormulation:
         with pytest.raises(DomainError, match="coordinates, expected 2"):
             verify_formulation(system, truth, X)
 
+    def test_lists_read_as_tuples(self):
+        system = interval_formulation([BinaryPoint.from_string("00")], 2)
+        truth, X = [(0, 1), (1, 0), (1, 1)], [(0, 0)]
+        expect = verify_formulation(system, truth, X, trials=10, seed=4).to_dict()
+        got = verify_formulation(system, [list(p) for p in truth], [[0, 0]], trials=10, seed=4)
+        assert got.to_dict() == expect and expect["verdict"] == "pass"
+        assert verify_formulation(system, [[0, 1]], trials=0).membership_failures == []
+
+    @pytest.mark.parametrize("truth, message", [
+        (["01"], "'0' is not an integer"),
+        ([3], "3 is neither a point nor a sequence of ints"),
+        ([(0.5, 1)], "0.5 is not an integer"),
+        ([[True, 0]], "True is not an integer"),
+    ])
+    def test_non_point_refused(self, truth, message):
+        system = interval_formulation([BinaryPoint.from_string("00")], 2)
+        with pytest.raises(DomainError, match=message):
+            verify_formulation(system, truth)
+
     def test_size_audit_failure(self):
         X = [BinaryPoint.from_string("00")]
         system = interval_formulation(X, 2)
@@ -127,6 +146,13 @@ class TestConvexHullMembership:
 
     def test_empty_hull(self):
         assert not in_convex_hull(LatticePoint.from_coords((0,)), [])
+
+    def test_lists_read_as_tuples(self):
+        assert in_convex_hull([0, 1], [(0, 1)])
+        assert in_convex_hull([1, 1], [[0, 0], [2, 2]])
+        assert not in_convex_hull([1, 0], [[0, 0], [2, 2]])
+        with pytest.raises(DomainError, match="neither a point nor a sequence"):
+            in_convex_hull({0: 1}, [(0, 1)])
 
     def test_point_of_another_dimension(self):
         with pytest.raises(DomainError, match="has 2 coordinates, expected 3"):
@@ -169,13 +195,13 @@ def pinned_probes(monkeypatch):
     """Record the points that verify_formulation probes by pinning x."""
     pinned = []
 
-    def recording(system, objective, sense="min"):
+    def recording(system, objective, sense="min", **kwargs):
         # a pinned probe is a zero objective on a system with x1..xn fixed;
         # hull tests have no original variables
         if objective == {} and system.n_original:
             pinned.append(tuple(system.bound(f"x{i + 1}")[0]
                                 for i in range(system.n_original)))
-        return solve_lp(system, objective, sense)
+        return solve_lp(system, objective, sense, **kwargs)
 
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     return pinned
@@ -250,7 +276,9 @@ class TestProbesMatchFixings:
         X = [(0, 1), (5, 0)]
         pinned = pinned_probes(monkeypatch)
         self.check(system, truth, X)
-        assert pinned == truth + X
+        # no box (max x1 is unbounded), so every point is pinned except
+        # (0, 0), which the optimal min-x1 box LP witnesses
+        assert pinned == [(1, 0), (2, 1), (0, 1), (5, 0)]
 
     def test_infeasible_system_pins_every_point(self, monkeypatch):
         system = LinearSystem.build(2, (), [({"x1": 1}, ">=", 1), ({"x1": 1}, "<=", 0)],
@@ -270,3 +298,86 @@ class TestProbesMatchFixings:
                 system = pin_x1_to_zero(system)
             truth = [p for p in all_binary(n) if p not in X]
             self.check(system, truth, X, trials=4, seed=rng.randint(0, 99))
+
+
+class TestSatisfies:
+    """The witness evaluator substitutes a point into the rows and bounds."""
+
+    # each row has a private free variable y_i, and each bound sits on a
+    # variable z_i in no row, so one change below breaks exactly one of them
+    SYSTEM = LinearSystem.build(
+        3, ("y1", "y2", "y3", "z1", "z2", "z3"),
+        [({"x1": 1, "y1": 1}, "<=", 2), ({"x2": 1, "y2": -1}, ">=", -1),
+         ({"x1": 1, "x2": 1, "x3": 1, "y3": 1}, "=", 3)],
+        {"x1": (0, 1), "z1": (0, 1), "z2": ("1/2", None), "z3": (None, "-1/2")})
+    POINT = {name: Fraction(v) for name, v in (
+        ("x1", 1), ("x2", "1/2"), ("x3", "1/2"), ("y1", 1), ("y2", "3/2"),
+        ("y3", 1), ("z1", 1), ("z2", "1/2"), ("z3", "-1/2"))}
+
+    def test_feasible_point(self):
+        assert fvx.verify.satisfies(self.SYSTEM, self.POINT)
+        assert fvx.verify.satisfies(self.SYSTEM, dict(self.POINT, z1=Fraction(0)))
+
+    @pytest.mark.parametrize("name, delta", [
+        ("y1", "1/2"), ("y2", "1/2"), ("y3", "1/2"), ("y3", "-1/2"),  # rows
+        ("z1", "1/2"), ("z2", "-1/2"), ("z3", "1/2"),                 # bounds
+    ])
+    def test_breach_by_one_half_rejected(self, name, delta):
+        point = dict(self.POINT)
+        point[name] += Fraction(delta)
+        assert not fvx.verify.satisfies(self.SYSTEM, point)
+
+    def test_missing_or_extra_variable_rejected(self):
+        point = dict(self.POINT)
+        del point["z3"]
+        assert not fvx.verify.satisfies(self.SYSTEM, point)
+        assert not fvx.verify.satisfies(self.SYSTEM, dict(self.POINT, w=Fraction(0)))
+
+
+class TestWitnesses:
+    def test_forged_lp_points_witness_nothing(self, monkeypatch):
+        # every optimal LP on the system claims a point with x1 = 1, which the
+        # bound x1 = 0 refutes; the report must not take it as a witness
+        problem = Problem(binary_doc("cube", 3, ["010"]))
+        system = pin_x1_to_zero(compile_system(problem, "recursive"))
+        truth = problem.enumerate_allowed()
+        expect = fixings_only_report(system, truth, problem.forbidden, 20, 3).to_dict()
+        assert expect["membership_failures"]
+
+        def forging(target, objective, sense="min", start=None):
+            lp = solve_lp(target, objective, sense, start=start)
+            if target is system and lp.is_optimal:
+                forged = dict(lp.point, x1=Fraction(1))
+                return type(lp)(lp.status, forged, lp.value, lp._tableau)
+            return lp
+
+        monkeypatch.setattr(fvx.verify, "solve_lp", forging)
+        got = verify_formulation(system, truth, problem.forbidden, 20, 3)
+        assert got.to_dict() == expect
+
+
+def lp_calls(monkeypatch):
+    """Record each solve_lp call of fvx.verify: True when it is warm-started."""
+    calls = []
+
+    def recording(system, objective, sense="min", start=None):
+        calls.append(start is not None)
+        return solve_lp(system, objective, sense, start=start)
+
+    monkeypatch.setattr(fvx.verify, "solve_lp", recording)
+    return calls
+
+
+@pytest.mark.parametrize("doc, method, total, warm", [
+    # 8 box LPs, 50 trials, 2 probes, 2 hull tests; the 14 members are witnessed
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 62, 40),
+    (LATTICE, "boxes", 64, 47),
+], ids=["cube4-faces", "lattice-boxes"])
+def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
+    """A change in probe routing or warm starts shows here as a count diff."""
+    problem = Problem(doc)
+    system = compile_system(problem, method)
+    calls = lp_calls(monkeypatch)
+    report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden)
+    assert report.passed
+    assert (len(calls), sum(calls)) == (total, warm)
