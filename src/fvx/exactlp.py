@@ -98,7 +98,7 @@ def _objective_map(system: LinearSystem, objective) -> dict:
     if isinstance(objective, Objective):
         if objective.n != system.n_original:
             raise DomainError("objective dimension mismatch")
-        return {f"x{i + 1}": c for i, c in enumerate(objective.c) if c}
+        return {name: c for name, c in zip(system.variables, objective.c) if c}
     if isinstance(objective, Mapping):
         out = {}
         for name, v in objective.items():

@@ -3,10 +3,9 @@
 A binary oracle minimizes a linear objective over V(P) restricted to a face
 of the unit cube (coordinate fixings only); an integral oracle minimizes over
 P intersected with an integer box.  Both report either Infeasible or a true
-minimizer with its exact value, and both are deterministic: ties are broken
-toward coordinate value 0 and then the lexicographically smallest vertex,
-except where an oracle documents its own rule (Kruskal index order, simplex
-pivoting order).
+minimizer with its exact value, and every oracle here returns its
+(value, coords)-least optimum: ties go to the lexicographically smallest
+vertex.
 
 The kind is one class attribute, `integral`: False on `BinaryOracle`
 (queries restricted by cube faces), True on `IntegralOracle` (by lattice
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .core import (
@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import DomainError, NotBinaryPolytope, UnboundedInput
 from .exactlp import solve_lp
-from .linsys import LinearSystem
+from .linsys import LinearSystem, intersect_bounds
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,9 @@ class _DSU:
 class SpanningTreeOracle(BinaryOracle):
     """V(P) = spanning trees of a connected graph; dimension = edge count.
 
-    Kruskal greedy with (cost, edge index) ordering; edges fixed to 1 are
-    forced (contracted), edges fixed to 0 are deleted.
+    Kruskal greedy by (cost, -edge index): among cost ties the later edge
+    comes first, which gives the lexicographically least tree.  Edges fixed
+    to 1 are forced (contracted), edges fixed to 0 are deleted.
     """
 
     def __init__(self, num_nodes: int, edges: Sequence[Tuple[int, int]]):
@@ -207,7 +208,7 @@ class SpanningTreeOracle(BinaryOracle):
                 count += 1
         order = sorted(
             (e for e in range(1, self.n + 1) if e not in fixed),
-            key=lambda e: (c.c[e - 1], e),
+            key=lambda e: (c.c[e - 1], -e),
         )
         for e in order:
             u, v = self.edges[e - 1]
@@ -221,40 +222,64 @@ class SpanningTreeOracle(BinaryOracle):
 
 
 _PINNED = {v: (Fraction(v), Fraction(v)) for v in (0, 1)}  # bounds fixing x_i to v
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 class HrepBinaryOracle(BinaryOracle):
     """Optimize over an explicit H-description assumed to have 0/1 vertices.
 
-    Each query is one exact LP; a fractional optimal basic point means the
-    input violated the 0-1 assumption and raises NotBinaryPolytope.
+    Rows on one variable are folded into its bounds.  A query solves one
+    exact LP under K*c' + sum 2^(n-i) x_i (c' is c times the lcm of its
+    denominators, K = 2^n), whose only minimizer over 0/1 vertices is the
+    (value, coords)-least optimum, then re-prices that basis under c: a
+    fractional optimum raises NotBinaryPolytope, an unbounded one
+    UnboundedInput.
     """
 
     def __init__(self, poly: HPolytope):
         if not 1 <= poly.n <= MAX_BINARY_DIM:
             raise DomainError(f"dimension must be in 1..{MAX_BINARY_DIM}")
         self.n = poly.n
-        self.system = LinearSystem.from_hpolytope(poly)
+        rows, bounds = [], {}
+        for a, rel, b in poly.rows:
+            coeffs = {f"x{i + 1}": v for i, v in enumerate(a) if v}
+            if len(coeffs) != 1:
+                rows.append((coeffs, rel, b))
+                continue
+            (name, v), = coeffs.items()
+            rel = _FLIPPED[rel] if v < 0 else rel
+            bound = (None if rel == "<=" else b / v, None if rel == ">=" else b / v)
+            bounds[name] = intersect_bounds(bound, bounds.get(name, (None, None)))
+        self.system = LinearSystem.build(self.n, (), rows, bounds)
+        self._canonical = (None, None)  # (c, its perturbed objective)
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
         face = _check_binary_query(self.n, c, face)
-        overrides = {f"x{i}": _PINNED[v] for i, v in face.fixed}
-        system = self.system.with_bounds(overrides) if overrides else self.system
-        result = solve_lp(system, c, sense="min")
+        system = self.system
+        names = system.variables
+        if face.fixed:
+            system = system.with_bounds({names[i - 1]: _PINNED[v] for i, v in face.fixed})
+        if self._canonical[0] != c:
+            scale, K = lcm(*(q.denominator for q in c.c)), 1 << self.n
+            self._canonical = (c, Objective.of(
+                [int(q * scale) * K + (K >> i) for i, q in enumerate(c.c, start=1)]))
+        result = solve_lp(system, self._canonical[1])
         if result.is_infeasible:
             return INFEASIBLE
+        if result.is_optimal:
+            result = solve_lp(system, c, start=result)
         if result.is_unbounded:
             raise UnboundedInput("H-description is unbounded; not a polytope")
         coords = []
-        for i in range(1, self.n + 1):
-            v = result.point[f"x{i}"]
+        for name in names:
+            v = result.point[name]
             if v == 0:
                 coords.append(0)
             elif v == 1:
                 coords.append(1)
             else:
                 raise NotBinaryPolytope(
-                    f"LP vertex has fractional coordinate x{i} = {format_rational(v)}")
+                    f"LP vertex has fractional coordinate {name} = {format_rational(v)}")
         return OracleOutcome.optimum(BinaryPoint.from_coords(coords), result.value)
 
 

@@ -70,7 +70,8 @@ class TestSolve:
             "objective": ["-1", "-1"], "forbidden": []})
         code, out = run(capsys, ["solve", path])
         doc = json.loads(out)
-        assert code == 0 and doc["value"] == "-1" and doc["vertex"] == "10"
+        # of the two optima (1,0) and (0,1), the (value, coords)-least one
+        assert code == 0 and doc["value"] == "-1" and doc["vertex"] == "01"
 
     def test_integral(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", {

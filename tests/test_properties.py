@@ -32,6 +32,7 @@ from fvx import (
     write_lp,
 )
 from fvx.cli import main
+from fvx.core import point_coords
 from conftest import all_binary, spanning_trees
 
 # derandomized and without an example database, so every run checks the same cases
@@ -40,11 +41,15 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 costs = st.integers(-3, 3)
 
 
+def least_first(c, points):
+    """The points in (value, coords) order: the order every oracle breaks ties in."""
+    return sorted(points, key=lambda p: (c.dot(p), point_coords(p)))
+
+
 def check_against_brute_force(oracle, c, k, exclude, allowed, ambient=None):
+    """kbest returns exactly the first k allowed points in (value, coords) order."""
     got, exhausted = kbest(oracle, c, k, exclude, ambient)
-    expect = sorted(c.dot(p) for p in allowed)
-    assert [c.dot(v) for v in got] == expect[:k]
-    assert len(set(got)) == len(got) and set(got) <= set(allowed)
+    assert got == least_first(c, allowed)[:k]
     assert exhausted == (len(allowed) < k)
 
 
@@ -129,14 +134,14 @@ def test_lp_round_trip_keeps_counts_and_values(instance):
 
 
 def check_solve_against_brute_force(oracle, c, X, vertices):
-    """solve_forbidden returns an allowed vertex of least value, or infeasible."""
+    """solve_forbidden returns the (value, coords)-least allowed vertex, or infeasible."""
     allowed = [p for p in vertices if p not in set(X)]
     out = solve_forbidden(oracle, X, c)
     if not allowed:
         assert not out.feasible
         return
-    assert out.feasible and out.vertex in allowed
-    assert out.value == c.dot(out.vertex) == min(c.dot(p) for p in allowed)
+    best = least_first(c, allowed)[0]
+    assert out.feasible and out.vertex == best and out.value == c.dot(best)
 
 
 rational_costs = st.one_of(costs, st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -184,6 +189,13 @@ def test_solve_spanning_tree_matches_brute_force(instance):
     check_solve_against_brute_force(*instance)
 
 
+@PROPERTY
+@given(st.one_of(hrep_instances(), spanning_tree_instances()), st.integers(1, 8))
+def test_kbest_hrep_and_spanning_tree_match_brute_force(instance, k):
+    oracle, c, X, vertices = instance
+    check_against_brute_force(oracle, c, k, X, [p for p in vertices if p not in set(X)])
+
+
 @st.composite
 def integral_solve_instances(draw):
     """A lattice-box or brute-force oracle, and an ambient box translated off the origin.
@@ -217,9 +229,7 @@ def test_solve_integral_matches_brute_force(instance):
     if not allowed:
         assert not out.feasible
         return
-    # both oracles answer a box with its least (value, coords) point, so the
-    # vertex is the brute-force one under that key, not just its value
-    best = min(allowed, key=lambda p: (c.dot(p), p.coords))
+    best = least_first(c, allowed)[0]
     assert out.feasible and out.value == c.dot(best) and out.vertex == best
 
 
