@@ -9,6 +9,7 @@ input error, 2 infeasible, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -498,6 +499,7 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fvx",

@@ -22,15 +22,18 @@ used for both the entering column and ratio-test ties, which guarantees
 termination and makes every answer (including the optimal basic point)
 deterministic.
 
-`solve_lp` runs phase 1 once per system object: the first call on a
-LinearSystem keeps its post-phase-1 tableau on that object, and every call
-after the first on the same object restarts phase 2 from that saved basis,
-whatever other systems were solved in between.  Phase 2 then makes the
-pivots a cold solve would make, so every answer is the cold answer unless
-`start` is given.  The saved state lives and dies with its system (it holds
-no reference back to it), and systems derived by `with_bounds` or
-`with_meta` start without it.  Systems are treated as immutable: a system's
-rows and bounds must not change once it is solved.
+Presolve: the tableau is built from `LinearSystem.folded()`, where each
+one-variable row is a bound (Andersen & Andersen 1995), so it adds no tableau
+row and its variable no split column pair; points are the original system's.
+
+`solve_lp` runs phase 1 once per system object and keeps the post-phase-1
+solver on it as `_phase1` (None when infeasible).  That solver is never
+pivoted: every solve, cold or from `start`, pivots a `restart()` copy of its
+base solver, whatever other systems were solved in between, so every answer
+is the cold answer unless `start` is given.  The saved solver lives and dies
+with its system (it holds no reference back to it), and systems derived by
+`with_bounds` or `with_meta` start without it.  Systems are treated as
+immutable: a system's rows and bounds must not change once it is solved.
 
 Warm starts: an optimal `LpResult` carries its optimal tableau (the
 solver's own row and basis lists, not copied), and
@@ -95,10 +98,6 @@ _UNBOUNDED = LpResult(UNBOUNDED, None, None)
 
 def _objective_map(system: LinearSystem, objective) -> dict:
     """Normalize an objective (mapping, sequence, or Objective) to name->Fraction."""
-    if isinstance(objective, Objective):
-        if objective.n != system.n_original:
-            raise DomainError("objective dimension mismatch")
-        return {name: c for name, c in zip(system.variables, objective.c) if c}
     if isinstance(objective, Mapping):
         out = {}
         for name, v in objective.items():
@@ -109,10 +108,10 @@ def _objective_map(system: LinearSystem, objective) -> dict:
                 out[name] = q
         return out
     # positional: applies to the original variables
-    terms = list(objective)
+    terms = objective.c if isinstance(objective, Objective) else list(objective)
     if len(terms) != system.n_original:
         raise DomainError(f"objective has {len(terms)} terms, expected {system.n_original}")
-    return {f"x{i + 1}": q for i, q in enumerate(map(parse_rational, terms)) if q}
+    return {name: q for name, q in zip(system.variables, map(parse_rational, terms)) if q}
 
 
 _NONBASIC = (0, 1)  # the (rhs, den) value of a nonbasic column
@@ -133,26 +132,27 @@ class _Simplex:
                               # v, lo, hi are ints when integral, else Fractions
         self.rows = []        # [cols dict, rhs int, den int] in standard equality form
         self.basis = []
-        self._build_columns(system)
-        self._build_rows(system)
+        bounds, rows = system.folded()
+        self._build_columns(bounds)
+        self._build_rows(rows)
 
-    def restart(self, rows: list, basis: list) -> "_Simplex":
-        """A copy of this solver set back to a saved tableau, in O(rows).
+    def restart(self) -> "_Simplex":
+        """A copy of this solver with row and basis lists of its own, in O(rows).
 
-        The saved row objects are shared, not copied: pivots replace rows and
-        never mutate them.
+        The row objects are shared, not copied: pivots replace rows and never
+        mutate them, so pivoting the copy leaves this solver as it is.
         """
         other = copy.copy(self)
-        other.rows, other.basis = list(rows), list(basis)
+        other.rows, other.basis = list(self.rows), list(self.basis)
         return other
 
     # -- construction ----------------------------------------------------------
 
-    def _build_columns(self, system: LinearSystem):
+    def _build_columns(self, bounds: Mapping[str, tuple]):
         ncol = 0
         self.bound_rows = []  # (col, limit) meaning col <= limit
-        for name in system.variables:
-            lo, hi = system.bound(name)
+        for name in self.variables:
+            lo, hi = bounds.get(name, (None, None))
             if lo is not None and lo.denominator == 1:
                 lo = lo.numerator
             if hi is not None:
@@ -205,11 +205,11 @@ class _Simplex:
                 b -= a * kind[2]
         return {c: v for c, v in out.items() if v}, b
 
-    def _build_rows(self, system: LinearSystem):
+    def _build_rows(self, rows: tuple):
         # collect (cols, rel, rhs); coefficients are integers, and a rhs that a
         # non-integral bound made a Fraction is rescaled to an integer per row
         pending = []
-        for coeffs, rel, rhs in system.rows:
+        for coeffs, rel, rhs in rows:
             cols, b = self._transform_row(coeffs, rhs)
             if not cols:
                 ok = (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0)
@@ -482,25 +482,17 @@ def _objective_value(obj_map: Mapping[str, Fraction], point: Mapping[str, Fracti
 
 
 def _after_phase1(system: LinearSystem) -> Optional[_Simplex]:
-    """A solver for `system` just after phase 1, or None if it is infeasible.
+    """The solver of `system` just after phase 1, or None if it is infeasible.
 
-    Phase 1 runs on the first call for a system object, which keeps
-    `(solver, rows, basis)` as `_phase1` (solver None when infeasible; rows
-    and basis copied right after phase 1).  The solver built here goes on to
-    pivot for this call, so a later call restores only its fixed attributes
-    and the saved lists.  Two first calls racing on one system may both run
-    phase 1; either saved state is the same tableau.
+    Phase 1 runs on the first call for a system object, which keeps the
+    result as `_phase1`.  That solver is never pivoted: every solve pivots a
+    `restart()` copy of it.  Two first calls racing on one system may both
+    run phase 1; either saved solver is the same tableau.
     """
-    saved = system.__dict__.get("_phase1")
-    if saved is not None:
-        solver, rows, basis = saved
-        return None if solver is None else solver.restart(rows, basis)
-    solver = _Simplex(system)
-    if not solver.phase1():
-        object.__setattr__(system, "_phase1", (None, None, None))
-        return None
-    object.__setattr__(system, "_phase1", (solver, list(solver.rows), list(solver.basis)))
-    return solver
+    if "_phase1" not in system.__dict__:
+        solver = _Simplex(system)
+        object.__setattr__(system, "_phase1", solver if solver.phase1() else None)
+    return system.__dict__["_phase1"]
 
 
 def solve_lp(system: LinearSystem, objective, sense: str = "min",
@@ -528,14 +520,14 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
         raise DomainError("system has no variables")
     obj_map = _objective_map(system, objective)
     if start is None:
-        solver = _after_phase1(system)
-        if solver is None:
+        base = _after_phase1(system)
+        if base is None:
             return _INFEASIBLE
+    elif start._tableau is None or start._tableau[0] is not system:
+        raise DomainError("start must be an optimal result of this same system")
     else:
-        if start._tableau is None or start._tableau[0] is not system:
-            raise DomainError("start must be an optimal result of this same system")
         base = start._tableau[1]
-        solver = base.restart(base.rows, base.basis)
+    solver = base.restart()
     status = solver.phase2(solver.column_objective(obj_map, negate=(sense == "max")))
     if status == UNBOUNDED:
         return _UNBOUNDED

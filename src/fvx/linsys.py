@@ -23,6 +23,7 @@ from .core import parse_rational
 from .errors import DomainError
 
 Bound = Tuple[Optional[Fraction], Optional[Fraction]]
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 def _scale_row(coeffs: Mapping[str, Fraction], rhs: Fraction):
@@ -116,12 +117,32 @@ class LinearSystem:
             count += (lo is not None) + (hi is not None)
         return count
 
+    def folded(self) -> Tuple[dict, tuple]:
+        """(bounds, rows): the bounds tightened by each one-variable row a*v rel b
+        (to b/a, the sense flipped when a < 0; crossed bounds stay crossed) and
+        the other rows in order.  Computed once per system and kept on it."""
+        saved = self.__dict__.get("_folded")
+        if saved is None:
+            bounds, rows = dict(self.bounds), []
+            for row in self.rows:
+                coeffs, rel, rhs = row
+                if len(coeffs) != 1 or 0 in coeffs.values():
+                    rows.append(row)
+                    continue
+                (name, a), = coeffs.items()
+                q, rel = Fraction(rhs, a), rel if a > 0 else _FLIPPED[rel]
+                bound = (None if rel == "<=" else q, None if rel == ">=" else q)
+                bounds[name] = intersect_bounds(bound, bounds.get(name, (None, None)))
+            saved = (bounds, tuple(rows))
+            object.__setattr__(self, "_folded", saved)
+        return saved
+
     def _derive(self, **changes) -> "LinearSystem":
         """A copy sharing this system's validated fields except `changes`.
 
         `__post_init__` is not run again: the caller validates what it changes.
-        Only the declared fields are copied, so state kept on a solved system
-        (`solve_lp`'s post-phase-1 tableau) never passes to a child.
+        Only the declared fields and `changes` are copied, so state kept on a
+        solved system (`solve_lp`'s saved solver) never passes to a child.
         """
         child = object.__new__(LinearSystem)
         child.__dict__.update({f: self.__dict__[f] for f in self.__dataclass_fields__}, **changes)
@@ -131,14 +152,16 @@ class LinearSystem:
         """New system with per-variable bounds intersected with `overrides`.
 
         The rows are shared with this system, so only the bound names given
-        here are checked.
+        here are checked, and the child's fold is this fold with them intersected.
         """
-        bnd = dict(self.bounds)
+        folded, rows = self.folded()
+        bnd, folded = dict(self.bounds), dict(folded)
         for name, bound in overrides.items():
             if name not in self.variables:
                 raise DomainError(f"bound on undeclared variable {name!r}")
             bnd[name] = intersect_bounds(bound, bnd.get(name, (None, None)))
-        return self._derive(bounds=bnd)
+            folded[name] = intersect_bounds(bound, folded.get(name, (None, None)))
+        return self._derive(bounds=bnd, _folded=(folded, rows))
 
     def with_meta(self, meta: Mapping) -> "LinearSystem":
         return self._derive(meta=dict(meta))

@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import DomainError, NotBinaryPolytope, UnboundedInput
 from .exactlp import solve_lp
-from .linsys import LinearSystem, intersect_bounds
+from .linsys import LinearSystem
 
 
 @dataclass(frozen=True)
@@ -222,13 +222,13 @@ class SpanningTreeOracle(BinaryOracle):
 
 
 _PINNED = {v: (Fraction(v), Fraction(v)) for v in (0, 1)}  # bounds fixing x_i to v
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 class HrepBinaryOracle(BinaryOracle):
     """Optimize over an explicit H-description assumed to have 0/1 vertices.
 
-    Rows on one variable are folded into its bounds.  A query solves one
+    The system is `LinearSystem.from_hpolytope(poly)`; `solve_lp` folds its
+    one-variable rows, such as 0 <= x_i <= 1, into bounds.  A query solves one
     exact LP under K*c' + sum 2^(n-i) x_i (c' is c times the lcm of its
     denominators, K = 2^n), whose only minimizer over 0/1 vertices is the
     (value, coords)-least optimum, then re-prices that basis under c: a
@@ -240,17 +240,7 @@ class HrepBinaryOracle(BinaryOracle):
         if not 1 <= poly.n <= MAX_BINARY_DIM:
             raise DomainError(f"dimension must be in 1..{MAX_BINARY_DIM}")
         self.n = poly.n
-        rows, bounds = [], {}
-        for a, rel, b in poly.rows:
-            coeffs = {f"x{i + 1}": v for i, v in enumerate(a) if v}
-            if len(coeffs) != 1:
-                rows.append((coeffs, rel, b))
-                continue
-            (name, v), = coeffs.items()
-            rel = _FLIPPED[rel] if v < 0 else rel
-            bound = (None if rel == "<=" else b / v, None if rel == ">=" else b / v)
-            bounds[name] = intersect_bounds(bound, bounds.get(name, (None, None)))
-        self.system = LinearSystem.build(self.n, (), rows, bounds)
+        self.system = LinearSystem.from_hpolytope(poly)
         self._canonical = (None, None)  # (c, its perturbed objective)
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:

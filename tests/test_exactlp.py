@@ -14,6 +14,7 @@ from fvx import (
     BinaryPoint,
     LinearSystem,
     LpResult,
+    Objective,
     exactlp,
     interval_formulation,
     solve_lp,
@@ -122,6 +123,9 @@ class TestBasics:
             solve_lp(s, [1])
         with pytest.raises(DomainError):
             solve_lp(s, [1, 1], sense="best")
+        assert solve_lp(s, Objective.of([1, "-1/2"])).value == Fraction(-1, 2)
+        with pytest.raises(DomainError, match="3 terms, expected 2"):
+            solve_lp(s, Objective.of([1, 1, 1]))
 
     def test_equality_rows(self):
         s = LinearSystem.build(2, rows=[({"x1": 1, "x2": 1}, "=", 1)],
@@ -297,7 +301,7 @@ class TestPhaseOneReuse:
         assert cold.phase1()
         solve_lp(system, [1, 1, 1])
         saved = system._phase1
-        rows, basis = saved[1], saved[2]
+        rows, basis = saved.rows, saved.basis
         assert rows == cold.rows and basis == cold.basis
         objects = list(rows)
         snapshot = copy.deepcopy(rows)
@@ -316,7 +320,7 @@ class TestPhaseOneReuse:
         try:
             system = random_bounded_system(random.Random(43), 2)
             solve_lp(system, [1, 1])
-            refs = [weakref.ref(system), weakref.ref(system._phase1[0])]
+            refs = [weakref.ref(system), weakref.ref(system._phase1)]
             del system
             assert [ref() for ref in refs] == [None, None]
         finally:
@@ -449,14 +453,15 @@ class FractionSimplex(exactlp._Simplex):
 
     Bounds, shifted right-hand sides and phase-2 costs are Fractions here;
     each row is scaled by its rhs denominator and the z row by the lcm of all
-    its denominators.  Pivoting is inherited.
+    its denominators.  Pivoting is inherited, and so is the constructor, so
+    both builds read the same folded (bounds, rows) of the system.
     """
 
-    def _build_columns(self, system):
+    def _build_columns(self, bounds):
         ncol = 0
         self.bound_rows = []
-        for name in system.variables:
-            lo, hi = system.bound(name)
+        for name in self.variables:
+            lo, hi = bounds.get(name, (None, None))
             lo = None if lo is None else Fraction(lo)
             hi = None if hi is None else Fraction(hi)
             if lo is not None and hi is not None and hi <= lo:
@@ -475,9 +480,9 @@ class FractionSimplex(exactlp._Simplex):
                 ncol += 2
         self.nstruct = ncol
 
-    def _build_rows(self, system):
+    def _build_rows(self, rows):
         pending = []
-        for coeffs, rel, rhs in system.rows:
+        for coeffs, rel, rhs in rows:
             cols, b = {}, Fraction(rhs)
             for name, a in coeffs.items():
                 kind = self.var_cols[name]
@@ -629,12 +634,12 @@ class TestIntegerBuild:
             if not feasible:
                 seen.add("infeasible")
                 continue
-            rows, basis = list(got.rows), list(got.basis)
+            saved_got, saved_ref = got, ref
             for _ in range(3):
                 c = {name: value for name in system.variables
                      if (value := Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 6))))}
                 negate = rng.random() < 0.5
-                got, ref = got.restart(rows, basis), ref.restart(rows, basis)
+                got, ref = saved_got.restart(), saved_ref.restart()
                 status = got.phase2(got.column_objective(c, negate))
                 assert status == ref.phase2(ref.column_objective(c, negate))
                 seen.add(status)
@@ -666,3 +671,69 @@ class TestWithBounds:
         with pytest.raises(DomainError, match="undeclared variable 'z'"):
             parent.with_bounds({"z": (0, 0)})
         assert solve_lp(child, [1, -1]).value == Fraction(1) - Fraction(1, 2)
+
+
+class TestFold:
+    """One-variable rows become bounds in the tableau, never in the system."""
+
+    def test_singleton_rows_become_bounds(self):
+        rows = [({"x1": -2}, "<=", 3),           # x1 >= -3/2: the sense flips
+                ({"x2": 3}, "=", 2),             # x2 fixed to 2/3
+                ({"x1": 1, "x2": 1}, "<=", 4),
+                ({"x1": 4}, "<=", 6)]            # x1 <= 3/2, under the bound 5
+        system = LinearSystem.build(2, (), rows, {"x1": (None, 5)})
+        bounds, kept = system.folded()
+        assert bounds == {"x1": (Fraction(-3, 2), Fraction(3, 2)),
+                          "x2": (Fraction(2, 3), Fraction(2, 3))}
+        assert kept == (({"x1": 1, "x2": 1}, "<=", 4),)
+        assert system.folded() is system.folded()
+        assert len(system.rows) == 4 and system.bounds == {"x1": (None, 5)}
+        assert system.counted_inequalities() == 4
+        assert solve_lp(system, ["-1", "3"]).value == Fraction(-3, 2) + 2
+        assert solve_lp(system, ["-1", "3"], sense="max").value == Fraction(3, 2) + 2
+
+    @pytest.mark.parametrize("rows, bounds", [
+        ([({"x1": 1}, ">=", 2)], {"x1": (0, 1)}),                  # crosses a bound
+        ([({"x1": -1}, ">=", -1), ({"x1": 1}, ">=", 2)], {}),      # crosses another row
+        ([({"x1": 2}, "=", 3)], {"x1": (0, 1)}),                   # = outside the box
+    ], ids=["bound", "row", "equality"])
+    def test_crossing_singletons_are_infeasible(self, rows, bounds):
+        system = LinearSystem.build(2, (), rows + [({"x1": 1, "x2": 1}, "<=", 9)], bounds)
+        lo, hi = system.folded()[0]["x1"]
+        assert hi < lo
+        assert solve_lp(system, {}).is_infeasible
+        assert solve_lp(system.with_bounds({"x2": (Fraction(0), None)}), {}).is_infeasible
+
+    def test_zero_coefficient_row_is_kept(self):
+        system = LinearSystem(("x1",), 1, (({"x1": 0}, "<=", -1),), {})
+        assert system.folded() == ({}, system.rows)
+        assert solve_lp(system, {}).is_infeasible
+
+    def test_child_crossing_a_folded_bound(self):
+        parent = LinearSystem.build(1, (), [({"x1": 1}, "<=", 1)])
+        child = parent.with_bounds({"x1": (Fraction(2), None)})
+        assert child.bounds == {"x1": (2, None)} and child.folded()[0] == {"x1": (2, 1)}
+        assert solve_lp(child, {}).is_infeasible
+
+    def test_children_carry_the_fold_of_a_fresh_system(self):
+        rng = random.Random(67)
+
+        def bound():
+            return tuple(None if rng.random() < 0.4
+                         else Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(2))
+
+        statuses, folds = set(), 0
+        for _ in range(300):
+            system = mixed_system(rng)
+            folds += len(system.folded()[1]) < len(system.rows)
+            for _ in range(2):  # a child, then a grandchild
+                names = rng.sample(system.variables, rng.randint(0, len(system.variables)))
+                system = system.with_bounds({name: bound() for name in names})
+                fresh = LinearSystem(system.variables, system.n_original, system.rows,
+                                     system.bounds)
+                assert system.folded() == fresh.folded()
+                c = {name: rng.randint(-5, 5) for name in system.variables}
+                got = solve_lp(system, c)
+                assert repr(got) == repr(solve_lp(fresh, c))
+                statuses.add(got.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"} and folds > 50

@@ -10,6 +10,7 @@ from fvx import (
     LinearSystem,
     VerificationReport,
     cube_hrep,
+    exactlp,
     face_formulation,
     in_convex_hull,
     interval_formulation,
@@ -381,3 +382,17 @@ def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden)
     assert report.passed
     assert (len(calls), sum(calls)) == (total, warm)
+
+
+def test_pinned_pivot_count(monkeypatch):
+    """A change in the tableau or the pivot rule shows here as a count diff."""
+    problem = Problem(binary_doc("cube", 4, ["0110", "1011"]))
+    system = compile_system(problem, "faces")
+    pivots = []
+    pivot = exactlp._Simplex._pivot
+    monkeypatch.setattr(exactlp._Simplex, "_pivot",
+                        lambda self, r, s: pivots.append(s) or pivot(self, r, s))
+    report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden,
+                                trials=20, seed=0)
+    assert report.passed
+    assert len(pivots) == 106
