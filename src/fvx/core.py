@@ -317,8 +317,6 @@ class LatticeBox:
         yield from rec([], 0)
 
 
-Relation = str  # one of "<=", "=", ">="
-
 _RELATIONS = ("<=", "=", ">=")
 
 

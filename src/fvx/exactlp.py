@@ -3,12 +3,15 @@
 Everything is computed exactly, with no floating point and no tolerances,
 and in Python ints from the tableau build to the objective value:
 
-- build: bounds with denominator 1 become ints, a row's rhs stays an int
-  unless a non-integral bound is subtracted from it, and only such a row is
-  rescaled by its rhs denominator;
+- build: each variable is one affine map x = offset + sum of sign * column
+  (signs +-1; no column for a fixed variable, one for a one-sided or boxed
+  one, a +/- pair for a free one); bounds with denominator 1 become int
+  offsets, a row's rhs stays an int unless a non-integral offset is
+  subtracted from it, and only such a row is rescaled by its rhs denominator;
 - pivots: tableau rows are sparse integer numerator dicts with one positive
   denominator per row, so a pivot is integer multiply/subtract plus a gcd
   normalization;
+- phase 1 is phase 2 with cost 1 on every artificial column;
 - phase 2: the objective is scaled to integers by the lcm of its
   denominators and priced against the basis scaled by the lcm of the basic
   rows' denominators; Bland's rule reads only the signs of the z row, so the
@@ -127,9 +130,9 @@ class _Simplex:
     def __init__(self, system: LinearSystem):
         self.variables = system.variables  # not the system, which keeps this solver
         self.trivially_infeasible = False
-        self.var_cols = {}    # name -> ("const", v) | ("pos", col, lo)
-                              #        | ("neg", col, hi) | ("split", colp, colm);
-                              # v, lo, hi are ints when integral, else Fractions
+        self.var_cols = {}    # name -> (offset, ((col, sign), ...)): x = offset +
+                              # sum of sign * col, sign +-1; the offset is an int
+                              # when integral, else a Fraction
         self.rows = []        # [cols dict, rhs int, den int] in standard equality form
         self.basis = []
         bounds, rows = system.folded()
@@ -158,24 +161,20 @@ class _Simplex:
             if hi is not None:
                 if hi.denominator == 1:
                     hi = hi.numerator
-                if lo is not None:
-                    if lo == hi:
-                        self.var_cols[name] = ("const", lo)
-                        continue
-                    if hi < lo:
-                        self.trivially_infeasible = True
-                        self.var_cols[name] = ("const", lo)
-                        continue
+                if lo is not None and hi <= lo:
+                    self.trivially_infeasible |= hi < lo
+                    self.var_cols[name] = (lo, ())
+                    continue
             if lo is not None:
-                self.var_cols[name] = ("pos", ncol, lo)
+                self.var_cols[name] = (lo, ((ncol, 1),))
                 if hi is not None:
                     self.bound_rows.append((ncol, hi - lo))
                 ncol += 1
             elif hi is not None:
-                self.var_cols[name] = ("neg", ncol, hi)
+                self.var_cols[name] = (hi, ((ncol, -1),))
                 ncol += 1
             else:
-                self.var_cols[name] = ("split", ncol, ncol + 1)
+                self.var_cols[name] = (0, ((ncol, 1), (ncol + 1, -1)))
                 ncol += 2
         self.nstruct = ncol
 
@@ -183,26 +182,17 @@ class _Simplex:
         """Rewrite a row over variables into one over columns; returns (cols, rhs).
 
         Every variable has columns of its own, so no two terms share a column.
-        The rhs stays an int unless a non-integral bound is subtracted from it.
+        The rhs stays an int unless a non-integral offset is subtracted from it.
         """
         out = {}
         b = rhs
         var_cols = self.var_cols
         for name, a in coeffs.items():
-            kind = var_cols[name]
-            tag = kind[0]
-            if tag == "split":
-                out[kind[1]] = a
-                out[kind[2]] = -a
-            elif tag == "const":
-                b -= a * kind[1]
-            elif tag == "pos":
-                out[kind[1]] = a
-                if kind[2]:
-                    b -= a * kind[2]
-            else:
-                out[kind[1]] = -a
-                b -= a * kind[2]
+            offset, cols = var_cols[name]
+            if offset:
+                b -= a * offset
+            for col, sign in cols:
+                out[col] = a * sign
         return {c: v for c, v in out.items() if v}, b
 
     def _build_rows(self, rows: tuple):
@@ -217,7 +207,7 @@ class _Simplex:
                     self.trivially_infeasible = True
                 continue
             pending.append((cols, rel, b))
-        # each limit is hi - lo > 0: _build_columns made lo >= hi a const column
+        # each limit is hi - lo > 0: _build_columns fixed a variable with lo >= hi
         pending.extend(({col: 1}, "<=", limit) for col, limit in self.bound_rows)
 
         nslack = sum(1 for _, rel, _ in pending if rel != "=")
@@ -346,45 +336,28 @@ class _Simplex:
         """Drive artificials to zero; True iff the system is feasible."""
         if self.trivially_infeasible:
             return False
-        art_rows = [i for i, b in enumerate(self.basis) if b >= self.art_start]
-        if not art_rows:
-            self.zc, self.zrhs, self.zden = {}, 0, 1
-            return True
-        zc = {}
-        zrhs = 0
-        for i in art_rows:
-            cols, rhs, _den = self.rows[i]  # dens are 1 before any pivot
-            for j, v in cols.items():
-                if j >= self.art_start:
-                    continue
-                t = zc.get(j, 0) - v
-                if t:
-                    zc[j] = t
-                else:
-                    zc.pop(j, None)
-            zrhs -= rhs
-        self.zc, self.zrhs, self.zden = zc, zrhs, 1
-        status = self._bland()
+        art = self.art_start
+        # every artificial is basic in its own row, so its priced cost is 1 - 1
+        status = self.phase2({j: 1 for j in range(art, self.ncols)})
         assert status == OPTIMAL  # phase-1 objective is bounded below by 0
         if self.zrhs < 0:  # optimum of sum of artificials is -zrhs/zden > 0
             return False
         # drive remaining artificials out of the basis (all at value zero)
         for i in range(len(self.rows)):
-            if self.basis[i] < self.art_start:
+            if self.basis[i] < art:
                 continue
             cols = self.rows[i][0]
             target = None
             for j, v in cols.items():
-                if j < self.art_start and v and (target is None or j < target):
+                if j < art and v and (target is None or j < target):
                     target = j
             if target is not None:
                 self._pivot(i, target)
-        keep = [i for i in range(len(self.rows)) if self.basis[i] < self.art_start]
+        keep = [i for i, b in enumerate(self.basis) if b < art]
         self.rows = [self.rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
-        for row in self.rows:
-            cols = row[0]
-            for j in [j for j in cols if j >= self.art_start]:
+        for cols, _rhs, _den in self.rows:
+            for j in [j for j in cols if j >= art]:
                 del cols[j]
         return True
 
@@ -428,19 +401,11 @@ class _Simplex:
         cv = {b: (rhs, den) for b, (_cols, rhs, den) in zip(self.basis, self.rows)}
         out = {}
         for name in self.variables:
-            kind = self.var_cols[name]
-            tag = kind[0]
-            if tag == "const":
-                out[name] = Fraction(kind[1])
-                continue
-            num, den = cv.get(kind[1], _NONBASIC)
-            if tag == "pos":
-                num += kind[2] * den
-            elif tag == "neg":
-                num = kind[2] * den - num
-            else:
-                num_m, den_m = cv.get(kind[2], _NONBASIC)
-                num, den = num * den_m - num_m * den, den * den_m
+            offset, cols = self.var_cols[name]
+            num, den = offset, 1
+            for col, sign in cols:
+                n, d = cv.get(col, _NONBASIC)
+                num, den = num * d + sign * n * den, den * d
             out[name] = Fraction(num, den)
         return out
 
@@ -452,18 +417,11 @@ class _Simplex:
         if negate:
             scale = -scale
         col_obj = {}
+        var_cols = self.var_cols
         for name, c in obj_map.items():
-            kind = self.var_cols[name]
-            if kind[0] == "const":
-                continue
             c = c.numerator * (scale // c.denominator)
-            if kind[0] == "pos":
-                col_obj[kind[1]] = col_obj.get(kind[1], 0) + c
-            elif kind[0] == "neg":
-                col_obj[kind[1]] = col_obj.get(kind[1], 0) - c
-            else:
-                col_obj[kind[1]] = col_obj.get(kind[1], 0) + c
-                col_obj[kind[2]] = col_obj.get(kind[2], 0) - c
+            for col, sign in var_cols[name][1]:
+                col_obj[col] = col_obj.get(col, 0) + sign * c
         return {c: v for c, v in col_obj.items() if v}
 
 

@@ -51,6 +51,7 @@ from .linsys import LinearSystem
 ENUM_GUARD_POINTS = 4096
 ENUM_GUARD_DIM = 12
 MAX_TRIALS = 10_000  # one LP each; far above the default 50
+PIN_GUARD = 20_000  # pinned probes x system rows; each probe is a cold phase 1
 
 
 def _coords(points: Iterable, n: Optional[int] = None) -> list:
@@ -187,25 +188,32 @@ def _projection_box(run: _Witnesses) -> Optional[list]:
     return box
 
 
+def _needs_pin(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
+    """Does p have no witness yet, and neither lie outside the box nor on a corner?"""
+    return p not in run and (box is None or (
+        all(lo <= v <= hi for v, (lo, hi) in zip(p, box))
+        and not all(v == lo or v == hi for v, (lo, hi) in zip(p, box))))
+
+
 def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
     """Is the integral point p in the projection of the system onto x1..xn?"""
+    if _needs_pin(run, box, p):
+        pins = {name: (Fraction(v), Fraction(v)) for name, v in zip(run.names, p)}
+        return solve_lp(run.system.with_bounds(pins), {}).is_optimal
     if p in run:
         return True
-    if box is not None:
-        if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):
-            return False
-        if all(v == lo or v == hi for v, (lo, hi) in zip(p, box)):
-            # each term x_i - l_i or h_i - x_i is nonnegative on the projection
-            objective, target = {}, 0
-            for name, v, (lo, hi) in zip(run.names, p, box):
-                if v == lo:
-                    objective[name], target = 1, target + lo
-                else:
-                    objective[name], target = -1, target - hi
-            lp = run.solve(objective, sense="min")
-            return lp.is_optimal and lp.value == target
-    pins = {name: (Fraction(v), Fraction(v)) for name, v in zip(run.names, p)}
-    return solve_lp(run.system.with_bounds(pins), {}).is_optimal
+    if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):
+        return False
+    # p is on a corner: each term x_i - l_i or h_i - x_i is nonnegative on
+    # the projection
+    objective, target = {}, 0
+    for name, v, (lo, hi) in zip(run.names, p, box):
+        if v == lo:
+            objective[name], target = 1, target + lo
+        else:
+            objective[name], target = -1, target - hi
+    lp = run.solve(objective, sense="min")
+    return lp.is_optimal and lp.value == target
 
 
 def verify_formulation(system: LinearSystem, ground_truth: Iterable,
@@ -220,7 +228,9 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     ground truth, which for removed vertices is always), then audits the
     size certificate.  Deterministic for a fixed seed.  A negative `trials`
     or a point whose length is not `system.n_original` raises DomainError,
-    more than `MAX_TRIALS` trials GuardExceeded.
+    more than `MAX_TRIALS` trials GuardExceeded, and so does a run whose
+    pinned probes left after the trials, times the system's rows, exceed
+    `PIN_GUARD` (checked before any probe runs).
 
     The phases run in this order: 2n box LPs (min and max of each x_i)
     give the projection's bounding box, then the trials, then the probes.
@@ -264,6 +274,10 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
             if not lp.is_infeasible:
                 report.support_mismatches.append((tuple(c), lp.value, None))
 
+    pinned = sum(_needs_pin(run, box, p) for p in (*truth, *removed))
+    if pinned * len(system.rows) > PIN_GUARD:
+        raise GuardExceeded(f"{pinned} pinned probes on {len(system.rows)} rows exceed "
+                            f"the pinned-probe guard {PIN_GUARD} (probes x rows)")
     for p in truth:
         if not _in_projection(run, box, p):
             report.membership_failures.append(p)

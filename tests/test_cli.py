@@ -383,6 +383,19 @@ class TestInputValidation:
         assert time.perf_counter() - start < 1
         assert code == 1 and "trials 10001 exceeds the guard" in json.loads(out)["message"]
 
+    def test_pinned_probe_guard(self, tmp_path, capsys):
+        # over 200 inner points to pin on a system of about 200 rows: without
+        # the guard this passes after one cold phase 1 per inner point
+        forbidden = [[1, 2, 3], [4, 4, 1], [2, 0, 5], [3, 3, 3],
+                     [0, 5, 2], [5, 1, 1], [2, 4, 4], [1, 1, 0]]
+        path = write_json(tmp_path, "g.json", {
+            "kind": "integral", "n": 3, "forbidden": forbidden,
+            "polytope": {"type": "lattice-box", "l": [0, 0, 0], "u": [5, 5, 5]}})
+        start = time.perf_counter()
+        code, out = run(capsys, ["verify", path, "--method", "boxes", "--trials", "0"])
+        assert time.perf_counter() - start < 2
+        assert code == 1 and "pinned-probe guard" in json.loads(out)["message"]
+
     @pytest.mark.parametrize("facets, field", [
         (5, "polytope.facets'"), (["a"], "polytope.facets[0]"), ([0, 1.5], "polytope.facets[1]"),
         ([True], "polytope.facets[0]"), ([None], "polytope.facets[0]"),

@@ -454,7 +454,8 @@ class FractionSimplex(exactlp._Simplex):
     Bounds, shifted right-hand sides and phase-2 costs are Fractions here;
     each row is scaled by its rhs denominator and the z row by the lcm of all
     its denominators.  Pivoting is inherited, and so is the constructor, so
-    both builds read the same folded (bounds, rows) of the system.
+    both builds read the same folded (bounds, rows) of the system; so is
+    phase 1, which then prices its artificials with the phase 2 here.
     """
 
     def _build_columns(self, bounds):
@@ -466,18 +467,17 @@ class FractionSimplex(exactlp._Simplex):
             hi = None if hi is None else Fraction(hi)
             if lo is not None and hi is not None and hi <= lo:
                 self.trivially_infeasible |= hi < lo
-                self.var_cols[name] = ("const", lo)
-            elif lo is not None:
-                self.var_cols[name] = ("pos", ncol, lo)
+                self.var_cols[name] = (lo, ())
+                continue
+            if lo is not None:
+                self.var_cols[name] = (lo, ((ncol, 1),))
                 if hi is not None:
                     self.bound_rows.append((ncol, hi - lo))
-                ncol += 1
             elif hi is not None:
-                self.var_cols[name] = ("neg", ncol, hi)
-                ncol += 1
+                self.var_cols[name] = (hi, ((ncol, -1),))
             else:
-                self.var_cols[name] = ("split", ncol, ncol + 1)
-                ncol += 2
+                self.var_cols[name] = (Fraction(0), ((ncol, 1), (ncol + 1, -1)))
+            ncol += len(self.var_cols[name][1])
         self.nstruct = ncol
 
     def _build_rows(self, rows):
@@ -485,18 +485,10 @@ class FractionSimplex(exactlp._Simplex):
         for coeffs, rel, rhs in rows:
             cols, b = {}, Fraction(rhs)
             for name, a in coeffs.items():
-                kind = self.var_cols[name]
-                if kind[0] == "const":
-                    b -= a * kind[1]
-                elif kind[0] == "pos":
-                    b -= a * kind[2]
-                    cols[kind[1]] = cols.get(kind[1], 0) + a
-                elif kind[0] == "neg":
-                    b -= a * kind[2]
-                    cols[kind[1]] = cols.get(kind[1], 0) - a
-                else:
-                    cols[kind[1]] = cols.get(kind[1], 0) + a
-                    cols[kind[2]] = cols.get(kind[2], 0) - a
+                offset, terms = self.var_cols[name]
+                b -= a * offset
+                for col, sign in terms:
+                    cols[col] = cols.get(col, 0) + sign * a
             cols = {c: v for c, v in cols.items() if v}
             if cols:
                 pending.append((cols, rel, b))
@@ -533,12 +525,8 @@ class FractionSimplex(exactlp._Simplex):
         col_obj = {}
         for name, c in obj_map.items():
             c = -c if negate else c
-            kind = self.var_cols[name]
-            if kind[0] in ("pos", "split"):
-                col_obj[kind[1]] = col_obj.get(kind[1], 0) + c
-            if kind[0] in ("neg", "split"):
-                col = kind[2] if kind[0] == "split" else kind[1]
-                col_obj[col] = col_obj.get(col, 0) - c
+            for col, sign in self.var_cols[name][1]:
+                col_obj[col] = col_obj.get(col, 0) + sign * c
         return {c: Fraction(v) for c, v in col_obj.items() if v}
 
     def phase2(self, col_obj):
@@ -559,19 +547,8 @@ class FractionSimplex(exactlp._Simplex):
 
     def point(self):
         cv = {b: Fraction(rhs, den) for (_, rhs, den), b in zip(self.rows, self.basis)}
-        zero = Fraction(0)
-        out = {}
-        for name in self.variables:
-            kind = self.var_cols[name]
-            if kind[0] == "const":
-                out[name] = kind[1]
-            elif kind[0] == "pos":
-                out[name] = kind[2] + cv.get(kind[1], zero)
-            elif kind[0] == "neg":
-                out[name] = kind[2] - cv.get(kind[1], zero)
-            else:
-                out[name] = cv.get(kind[1], zero) - cv.get(kind[2], zero)
-        return out
+        return {name: offset + sum(sign * cv.get(col, 0) for col, sign in cols)
+                for name, (offset, cols) in self.var_cols.items()}
 
 
 def mixed_system(rng):
@@ -618,10 +595,9 @@ class TestIntegerBuild:
             system = mixed_system(rng)
             got, ref = exactlp._Simplex(system), FractionSimplex(system)
             for name in system.variables:
-                kind = got.var_cols[name]
-                assert kind == ref.var_cols[name]
-                offset = kind[1] if kind[0] == "const" else kind[2]
-                if kind[0] != "split" and offset.denominator == 1:
+                assert got.var_cols[name] == ref.var_cols[name]
+                offset = got.var_cols[name][0]
+                if offset.denominator == 1:
                     assert type(offset) is int
             assert got.rows == ref.rows
             assert all(type(v) is int for cols, rhs, den in got.rows

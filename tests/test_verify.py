@@ -385,14 +385,28 @@ def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
 
 
 def test_pinned_pivot_count(monkeypatch):
-    """A change in the tableau or the pivot rule shows here as a count diff."""
+    """A change in the tableau, the phase-1 pricing or the pivot rule shows here
+    as a count diff in its phase (drive-out pivots count in phase 1)."""
     problem = Problem(binary_doc("cube", 4, ["0110", "1011"]))
     system = compile_system(problem, "faces")
-    pivots = []
-    pivot = exactlp._Simplex._pivot
-    monkeypatch.setattr(exactlp._Simplex, "_pivot",
-                        lambda self, r, s: pivots.append(s) or pivot(self, r, s))
+    pivots = {1: 0, 2: 0}
+    phase = [2]
+    pivot, phase1 = exactlp._Simplex._pivot, exactlp._Simplex.phase1
+
+    def counting(self, r, s):
+        pivots[phase[0]] += 1
+        return pivot(self, r, s)
+
+    def in_phase1(self):
+        phase[0] = 1
+        try:
+            return phase1(self)
+        finally:
+            phase[0] = 2
+
+    monkeypatch.setattr(exactlp._Simplex, "_pivot", counting)
+    monkeypatch.setattr(exactlp._Simplex, "phase1", in_phase1)
     report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden,
                                 trials=20, seed=0)
     assert report.passed
-    assert len(pivots) == 106
+    assert pivots == {1: 35, 2: 71}  # 106 in all
