@@ -12,6 +12,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, GuardExceeded
@@ -170,6 +172,13 @@ def int_coords(values: Iterable) -> tuple:
     return out
 
 
+def _int_scaled(terms: Mapping[str, Fraction]) -> dict:
+    """The terms times the lcm of their denominators: positive, so the same
+    objective up to a positive factor, in ints."""
+    scale = lcm(*(q.denominator for q in terms.values()))
+    return {name: q.numerator * (scale // q.denominator) for name, q in terms.items()}
+
+
 def point_coords(point: Point) -> tuple:
     """Coordinate tuple of either point kind; shared tie-break key."""
     if isinstance(point, BinaryPoint):
@@ -192,6 +201,13 @@ class Objective:
     @classmethod
     def of(cls, terms: Sequence[RationalLike]) -> "Objective":
         return cls(len(terms), tuple(terms))
+
+    @cached_property
+    def named_terms(self) -> tuple:
+        """(nonzero terms by name x1..xn, the same terms as ints scaled by the
+        lcm of their denominators), computed once: an objective is immutable."""
+        terms = {f"x{i}": q for i, q in enumerate(self.c, start=1) if q}
+        return terms, _int_scaled(terms)
 
     def dot(self, point: Point) -> Fraction:
         if point.n != self.n:

@@ -17,10 +17,14 @@ and in Python ints from the tableau build to the objective value:
   rows' denominators; Bland's rule reads only the signs of the z row, so the
   scaling changes no pivot;
 - readout: each coordinate of the point is made a Fraction once, and the
-  objective value is summed over one common denominator.
+  objective value is summed over one common denominator; an `LpResult` does
+  this on the first access to its point or value, so a result whose point
+  is never read costs no readout.
 
 `Fraction`s remain only where values enter (objectives, bounds) and where
-they leave (`LpResult.point`, `LpResult.value`).  Bland's lowest-index rule is
+they leave (`LpResult.point`, `LpResult.value`).  An `Objective` of the
+system's dimension is priced once: its terms by name and their integer
+scaling are a cached property of the objective.  Bland's lowest-index rule is
 used for both the entering column and ratio-test ties, which guarantees
 termination and makes every answer (including the optimal basic point)
 deterministic.
@@ -45,6 +49,19 @@ instead of the post-phase-1 one.  Any feasible basis is a valid phase-2
 start, so the status and the value are the cold ones; only the point may be
 another optimum.  `start` must come from the same system object.
 
+Fixings: each solver keeps its folded rows over columns, before any sign
+flip, as `template` (with `var_cols` and `bound_rows`, which pivots never
+touch either).  `solve_lp(system, objective, fix={name: int})` takes the kept
+solver's `fixed(fix)`: a copy whose fixed variables map to their values with
+no column, and whose tableau `_normalize` rebuilds from the template with
+each dropped column's value moved into the right-hand sides (a row left
+empty, or a bound row of a dropped column, is checked and dropped).  Every
+other column keeps its number, and the pivot rule compares only column
+order, so the copy's phase 1 and phase 2 take exactly the pivots of a cold
+build of `system.with_bounds({name: (v, v)})`, with no `with_bounds` child,
+`_transform_row` or fold per call.  A restriction of an infeasible system is
+infeasible with no tableau at all.
+
 `solve_lp` is the only entry point.  A feasibility question is
 `solve_lp(system, {})`: phase 2 then makes no pivot, so the answer is optimal
 (value 0) exactly when the system is feasible, bounded or not.
@@ -53,12 +70,11 @@ another optimum.  `start` must come from the same system object.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
 
-from .core import Objective, parse_rational
+from .core import Objective, _int_scaled, parse_rational
 from .errors import DomainError
 from .linsys import LinearSystem
 
@@ -67,20 +83,60 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
 class LpResult:
     """Outcome of an exact LP solve.
 
     When optimal, `point` assigns an exact rational to every variable of the
     system and `value` is the objective evaluated at that point; the result
     then also keeps `(system, solver)` for `solve_lp`'s `start`, outside
-    `repr` and `==`.
+    `repr` and `==`.  A result of `solve_lp` reads its point and value out of
+    that solver on first access and keeps them.  The solver is never pivoted
+    after it is returned (`start` pivots a `restart()` copy of it, and a
+    solver built for `fix` belongs to its result alone), so a late readout
+    equals an eager one.  `LpResult(status, point, value)` is a result with
+    the given point and value; `repr` and `==` read a result out first and
+    compare `(status, point, value)`.
     """
 
-    status: str
-    point: Optional[dict]
-    value: Optional[Fraction]
-    _tableau: Optional[tuple] = field(default=None, repr=False, compare=False)
+    __slots__ = ("status", "_point", "_value", "_tableau", "_terms")
+
+    def __init__(self, status: str, point: Optional[dict] = None,
+                 value: Optional[Fraction] = None, _tableau: Optional[tuple] = None,
+                 _terms: Optional[Mapping[str, Fraction]] = None):
+        self.status = status
+        self._point, self._value, self._tableau = point, value, _tableau
+        self._terms = _terms  # the objective by name while the readout is pending
+
+    def _read_out(self) -> None:
+        # threads racing here read out equal values; `_terms` is cleared
+        # only after the point and value are stored
+        terms = self._terms
+        if terms is not None:
+            point = self._tableau[1].point()
+            self._point, self._value = point, _objective_value(terms, point)
+            self._terms = None
+
+    @property
+    def point(self) -> Optional[dict]:
+        if self._terms is not None:
+            self._read_out()
+        return self._point
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        if self._terms is not None:
+            self._read_out()
+        return self._value
+
+    def __eq__(self, other):
+        if not isinstance(other, LpResult):
+            return NotImplemented
+        return (self.status, self.point, self.value) == (other.status, other.point, other.value)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"LpResult(status={self.status!r}, point={self.point!r}, value={self.value!r})"
 
     @property
     def is_optimal(self) -> bool:
@@ -196,32 +252,65 @@ class _Simplex:
         return {c: v for c, v in out.items() if v}, b
 
     def _build_rows(self, rows: tuple):
-        # collect (cols, rel, rhs); coefficients are integers, and a rhs that a
-        # non-integral bound made a Fraction is rescaled to an integer per row
-        pending = []
+        """Keep each folded row over columns as the template, then normalize.
+
+        A template row is (cols, rhs, rel) as `_transform_row` returns it,
+        before any sign flip; a row with no column is checked here and not
+        kept.  Coefficients are integers, and a rhs that a non-integral bound
+        made a Fraction is rescaled to an integer per row by `_normalize`.
+        """
+        self.template = []
         for coeffs, rel, rhs in rows:
             cols, b = self._transform_row(coeffs, rhs)
-            if not cols:
-                ok = (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0)
-                if not ok:
-                    self.trivially_infeasible = True
-                continue
+            if cols:
+                self.template.append((cols, b, rel))
+            elif not (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0):
+                self.trivially_infeasible = True
+        self._normalize({})
+
+    def _normalize(self, shift: Mapping[int, object]):
+        """Build the tableau rows from the template with columns fixed to values.
+
+        Each column in `shift` (col -> value) leaves every row: its value
+        times its coefficient moves into the rhs, a row left with no column
+        is checked and dropped, and so is the bound row of the column.  Then
+        each row becomes an equality with a slack (<=, >=) and, where the
+        slack cannot be basic, an artificial.  Every other column keeps its
+        number, so the pivot rule, which compares only column order, takes
+        the pivots of a build that never had the shifted columns.
+        """
+        pending = []
+        for cols, b, rel in self.template:
+            if shift and not shift.keys().isdisjoint(cols):
+                kept = {}
+                for c, a in cols.items():
+                    if c in shift:
+                        b -= a * shift[c]
+                    else:
+                        kept[c] = a
+                if not kept:
+                    if not (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0):
+                        self.trivially_infeasible = True
+                    continue
+                cols = kept
             pending.append((cols, rel, b))
         # each limit is hi - lo > 0: _build_columns fixed a variable with lo >= hi
-        pending.extend(({col: 1}, "<=", limit) for col, limit in self.bound_rows)
+        for col, limit in self.bound_rows:
+            if col not in shift:
+                pending.append(({col: 1}, "<=", limit))
+            elif shift[col] > limit:
+                self.trivially_infeasible = True
 
         nslack = sum(1 for _, rel, _ in pending if rel != "=")
-        ncol = self.nstruct
-        art_start_guess = ncol + nslack
-        art = art_start_guess
-        slack = ncol
-        self.art_start = art_start_guess
+        slack = self.nstruct
+        art = self.art_start = slack + nslack
         for cols, rel, bi in pending:
             if isinstance(bi, Fraction):
                 den = bi.denominator
-                if den != 1:
-                    cols = {c: v * den for c, v in cols.items()}
+                cols = {c: v * den for c, v in cols.items()} if den != 1 else dict(cols)
                 bi = bi.numerator
+            else:
+                cols = dict(cols)  # the template keeps its own
             if rel == ">=":
                 cols = {c: -v for c, v in cols.items()}
                 bi = -bi
@@ -242,6 +331,36 @@ class _Simplex:
             self.rows.append([cols, bi, 1])
             self.basis.append(basis_col)
         self.ncols = art
+
+    def fixed(self, values: Mapping[str, int]) -> "_Simplex":
+        """A solver for this system with each named variable fixed to its int value.
+
+        Its tableau comes from this solver's template, not from a new build:
+        each fixed variable's map becomes (value, ()), and the value of each
+        column it drops goes into `_normalize`'s shift.  A value outside the
+        variable's bounds makes the copy trivially infeasible.  The copy has
+        rows of its own; `phase1` runs on it before `phase2`.
+        """
+        other = copy.copy(self)
+        other.var_cols, other.rows, other.basis = dict(self.var_cols), [], []
+        shift = {}
+        for name, v in values.items():
+            offset, cols = self.var_cols[name]
+            if not cols:  # already fixed
+                ok = v == offset
+            elif len(cols) == 1:
+                (col, sign), = cols
+                shift[col] = (v - offset) * sign
+                ok = shift[col] >= 0
+            else:  # a free variable's +/- pair
+                shift[cols[0][0]], shift[cols[1][0]] = v, 0
+                ok = True
+            if not ok:
+                other.trivially_infeasible = True
+                return other
+            other.var_cols[name] = (v, ())
+        other._normalize(shift)
+        return other
 
     # -- pivoting ---------------------------------------------------------------
 
@@ -409,17 +528,13 @@ class _Simplex:
             out[name] = Fraction(num, den)
         return out
 
-    def column_objective(self, obj_map: Mapping[str, Fraction], negate: bool) -> dict:
-        """Integer column costs: the objective times the lcm of its denominators."""
-        scale = 1
-        for c in obj_map.values():
-            scale = scale // gcd(scale, c.denominator) * c.denominator
-        if negate:
-            scale = -scale
+    def column_objective(self, costs: Mapping[str, int], negate: bool) -> dict:
+        """Integer column costs of integer costs by name, negated for a max."""
         col_obj = {}
         var_cols = self.var_cols
-        for name, c in obj_map.items():
-            c = c.numerator * (scale // c.denominator)
+        for name, c in costs.items():
+            if negate:
+                c = -c
             for col, sign in var_cols[name][1]:
                 col_obj[col] = col_obj.get(col, 0) + sign * c
         return {c: v for c, v in col_obj.items() if v}
@@ -454,7 +569,8 @@ def _after_phase1(system: LinearSystem) -> Optional[_Simplex]:
 
 
 def solve_lp(system: LinearSystem, objective, sense: str = "min",
-             start: Optional[LpResult] = None) -> LpResult:
+             start: Optional[LpResult] = None,
+             fix: Optional[Mapping[str, int]] = None) -> LpResult:
     """Minimize (or maximize) a linear objective over a LinearSystem, exactly.
 
     `objective` may be an Objective (over x1..xn), a mapping from variable
@@ -466,6 +582,14 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     equals a cold solve's.  That state is freed with the system, and
     `with_bounds`/`with_meta` children do not inherit it.
 
+    `fix`, a mapping from variable names to ints, answers for the system
+    with those variables fixed: the same answer, pivots included, as a cold
+    solve of `system.with_bounds({name: (v, v)})`, from a tableau derived
+    from the kept one (`_Simplex.fixed`) with a phase 1 of its own.  An
+    undeclared name, a value that is not an int (bools, floats, Fractions
+    and strings are refused) or `fix` together with `start` raises
+    DomainError; a start result carries its own fixings.
+
     `start`, an earlier optimal result of this same system object, makes
     phase 2 start from that result's optimal basis instead.  The status and
     the value then still equal the cold ones, but the point may be another
@@ -476,19 +600,34 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
         raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
     if not system.variables:
         raise DomainError("system has no variables")
-    obj_map = _objective_map(system, objective)
+    if fix:
+        if start is not None:
+            raise DomainError("fix cannot be combined with start: "
+                              "a start result carries its own fixings")
+        for name, v in fix.items():
+            if name not in system.variables:
+                raise DomainError(f"fix references undeclared variable {name!r}")
+            if type(v) is not int:
+                raise DomainError(f"fix value {v!r} of {name} is not an int")
+    if isinstance(objective, Objective) and objective.n == system.n_original:
+        obj_map, costs = objective.named_terms
+    else:
+        obj_map = _objective_map(system, objective)
+        costs = _int_scaled(obj_map)
     if start is None:
         base = _after_phase1(system)
         if base is None:
-            return _INFEASIBLE
+            return _INFEASIBLE  # so is every restriction of it
+        if fix:
+            solver = base.fixed(fix)
+            if not solver.phase1():
+                return _INFEASIBLE
+        else:
+            solver = base.restart()
     elif start._tableau is None or start._tableau[0] is not system:
         raise DomainError("start must be an optimal result of this same system")
     else:
-        base = start._tableau[1]
-    solver = base.restart()
-    status = solver.phase2(solver.column_objective(obj_map, negate=(sense == "max")))
-    if status == UNBOUNDED:
+        solver = start._tableau[1].restart()
+    if solver.phase2(solver.column_objective(costs, negate=(sense == "max"))) == UNBOUNDED:
         return _UNBOUNDED
-    point = solver.point()
-    return LpResult(OPTIMAL, point, _objective_value(obj_map, point), (system, solver))
-
+    return LpResult(OPTIMAL, _tableau=(system, solver), _terms=obj_map)

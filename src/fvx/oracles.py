@@ -221,17 +221,16 @@ class SpanningTreeOracle(BinaryOracle):
         return OracleOutcome.optimum(vertex, c.dot(vertex))
 
 
-_PINNED = {v: (Fraction(v), Fraction(v)) for v in (0, 1)}  # bounds fixing x_i to v
-
-
 class HrepBinaryOracle(BinaryOracle):
     """Optimize over an explicit H-description assumed to have 0/1 vertices.
 
     The system is `LinearSystem.from_hpolytope(poly)`; `solve_lp` folds its
     one-variable rows, such as 0 <= x_i <= 1, into bounds.  A query solves one
     exact LP under K*c' + sum 2^(n-i) x_i (c' is c times the lcm of its
-    denominators, K = 2^n), whose only minimizer over 0/1 vertices is the
-    (value, coords)-least optimum, then re-prices that basis under c: a
+    denominators, K = 2^n) with the face's coordinates as `solve_lp`'s `fix`,
+    so every face is solved on a tableau derived from the one kept on the
+    system.  Its only minimizer over 0/1 vertices is the (value,
+    coords)-least optimum; the query then re-prices that basis under c: a
     fractional optimum raises NotBinaryPolytope, an unbounded one
     UnboundedInput.
     """
@@ -247,13 +246,12 @@ class HrepBinaryOracle(BinaryOracle):
         face = _check_binary_query(self.n, c, face)
         system = self.system
         names = system.variables
-        if face.fixed:
-            system = system.with_bounds({names[i - 1]: _PINNED[v] for i, v in face.fixed})
         if self._canonical[0] != c:
             scale, K = lcm(*(q.denominator for q in c.c)), 1 << self.n
             self._canonical = (c, Objective.of(
                 [int(q * scale) * K + (K >> i) for i, q in enumerate(c.c, start=1)]))
-        result = solve_lp(system, self._canonical[1])
+        result = solve_lp(system, self._canonical[1],
+                          fix={names[i - 1]: v for i, v in face.fixed})
         if result.is_infeasible:
             return INFEASIBLE
         if result.is_optimal:

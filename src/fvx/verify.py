@@ -27,8 +27,8 @@ Probes: the min and max of each x_i give the projection's bounding box
 lattice box) is a member exactly when the L1 distance
 sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i} (h_i - x_i) has minimum 0.
 Other points (strictly inside the box, or any point when the projection is
-unbounded or the system infeasible) pin x to p with `with_bounds` and ask a
-zero-objective `solve_lp`, which is optimal exactly when that is feasible.
+unbounded or the system infeasible) ask a zero-objective `solve_lp` with x
+pinned to p by its `fix`, which is optimal exactly when that is feasible.
 
 Points may be BinaryPoints, LatticePoints or sequences of ints (lists are
 read as tuples); anything else, or a point whose length is not the
@@ -51,7 +51,7 @@ from .linsys import LinearSystem
 ENUM_GUARD_POINTS = 4096
 ENUM_GUARD_DIM = 12
 MAX_TRIALS = 10_000  # one LP each; far above the default 50
-PIN_GUARD = 20_000  # pinned probes x system rows; each probe is a cold phase 1
+PIN_GUARD = 20_000  # pinned probes x system rows; each probe runs a phase 1 of its own
 
 
 def _coords(points: Iterable, n: Optional[int] = None) -> list:
@@ -198,8 +198,7 @@ def _needs_pin(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
 def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
     """Is the integral point p in the projection of the system onto x1..xn?"""
     if _needs_pin(run, box, p):
-        pins = {name: (Fraction(v), Fraction(v)) for name, v in zip(run.names, p)}
-        return solve_lp(run.system.with_bounds(pins), {}).is_optimal
+        return solve_lp(run.system, {}, fix=dict(zip(run.names, p))).is_optimal
     if p in run:
         return True
     if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):

@@ -6,7 +6,7 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -226,7 +226,8 @@ def cold_solve(system, objective, sense="min"):
     solver = exactlp._Simplex(system)
     if not solver.phase1():
         return LpResult("infeasible", None, None)
-    status = solver.phase2(solver.column_objective(obj_map, negate=(sense == "max")))
+    costs = exactlp._int_scaled(obj_map)
+    status = solver.phase2(solver.column_objective(costs, negate=(sense == "max")))
     if status == "unbounded":
         return LpResult("unbounded", None, None)
     point = solver.point()
@@ -616,7 +617,7 @@ class TestIntegerBuild:
                      if (value := Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 6))))}
                 negate = rng.random() < 0.5
                 got, ref = saved_got.restart(), saved_ref.restart()
-                status = got.phase2(got.column_objective(c, negate))
+                status = got.phase2(got.column_objective(exactlp._int_scaled(c), negate))
                 assert status == ref.phase2(ref.column_objective(c, negate))
                 seen.add(status)
                 if status == "optimal":
@@ -713,3 +714,182 @@ class TestFold:
                 assert repr(got) == repr(solve_lp(fresh, c))
                 statuses.add(got.status)
         assert statuses == {"optimal", "infeasible", "unbounded"} and folds > 50
+
+
+def phase_pivots(monkeypatch):
+    """Count pivots per phase, {1: ..., 2: ...} (drive-out pivots in phase 1)."""
+    counts, phase = {1: 0, 2: 0}, [2]
+    pivot, phase1 = exactlp._Simplex._pivot, exactlp._Simplex.phase1
+
+    def counting(self, r, s):
+        counts[phase[0]] += 1
+        return pivot(self, r, s)
+
+    def in_phase1(self):
+        phase[0] = 1
+        try:
+            return phase1(self)
+        finally:
+            phase[0] = 2
+
+    monkeypatch.setattr(exactlp._Simplex, "_pivot", counting)
+    monkeypatch.setattr(exactlp._Simplex, "phase1", in_phase1)
+    return counts
+
+
+def fix_value(rng, system, name):
+    """An int inside, on or outside the folded bounds of a variable."""
+    lo, hi = system.folded()[0].get(name, (None, None))
+    q = rng.choice([b for b in (lo, hi) if b is not None] or [Fraction(rng.randint(-3, 3))])
+    return rng.choice((floor(q) - 1, floor(q), ceil(q), ceil(q) + 1))
+
+
+class TestFix:
+    """`fix` answers exactly as a cold solve of the `with_bounds` child."""
+
+    def test_matches_with_bounds_children(self, monkeypatch):
+        rng = random.Random(71)
+        pivots = phase_pivots(monkeypatch)
+        seen = set()
+        for _ in range(300):
+            system = mixed_system(rng)
+            names = system.variables
+            k = len(names) if rng.random() < 0.25 else rng.randint(1, len(names))
+            fix = {name: fix_value(rng, system, name) for name in rng.sample(names, k)}
+            pins = {name: (Fraction(v), Fraction(v)) for name, v in fix.items()}
+            n = system.n_original
+            objectives = [{name: rng.randint(-5, 5) for name in names},
+                          Objective.of([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                                        for _ in range(n)])]
+            base_feasible = solve_lp(system, {}).is_optimal  # the kept phase 1 runs here
+            for c in objectives:
+                sense = rng.choice(("min", "max"))
+                before = dict(pivots)
+                got = solve_lp(system, c, sense, fix=fix)
+                used = {p: pivots[p] - before[p] for p in pivots}
+                child = system.with_bounds(pins)  # a cold phase 1 for each objective
+                before = dict(pivots)
+                expect = solve_lp(child, c, sense)
+                cold = {p: pivots[p] - before[p] for p in pivots}
+                assert (got.status, got.point, got.value) == \
+                    (expect.status, expect.point, expect.value)
+                if base_feasible:
+                    assert used == cold
+                seen.add((got.status, k == len(names)))
+                if not got.is_optimal:
+                    continue
+                again = objectives[0]
+                before = dict(pivots)
+                warm = solve_lp(system, again, start=got)
+                used = {p: pivots[p] - before[p] for p in pivots}
+                before = dict(pivots)
+                warm_child = solve_lp(child, again, start=expect)
+                assert used == {p: pivots[p] - before[p] for p in pivots}
+                assert repr(warm) == repr(warm_child)
+        assert {("optimal", False), ("infeasible", False), ("unbounded", False),
+                ("optimal", True), ("infeasible", True)} <= seen
+
+    def test_fix_kinds_are_covered(self):
+        # free, lower-only, upper-only, boxed, fixed and fractional bounds, each
+        # fixed inside, on and outside its bounds
+        system = LinearSystem.build(
+            3, ("y1", "y2", "y3"),
+            [({"x1": 1, "x2": 1, "x3": 1, "y1": 1, "y2": 1, "y3": 1}, "<=", 9),
+             ({"x1": 1, "y3": -1}, ">=", "-5/2")],
+            {"x2": (0, None), "x3": (None, 2), "y1": ("1/2", "7/2"), "y2": (1, 1),
+             "y3": (-2, 3)})
+        c = {"x1": 1, "x2": -1, "x3": 2, "y1": -3, "y2": 1, "y3": 1}
+        statuses = set()
+        for fix in ({"x1": -4}, {"x2": 0}, {"x2": -1}, {"x3": 2}, {"x3": 3},
+                    {"y1": 1}, {"y1": 0}, {"y1": 4}, {"y2": 1}, {"y2": 0},
+                    {"y3": 3}, {"y3": 4}, {"x1": 0, "x2": 1, "x3": 1, "y1": 3, "y2": 1, "y3": 2},
+                    {"x1": 1, "x2": 1, "x3": 2, "y1": 3, "y2": 1, "y3": 3}):
+            child = system.with_bounds({k: (Fraction(v), Fraction(v)) for k, v in fix.items()})
+            for sense in ("min", "max"):
+                got = solve_lp(system, c, sense, fix=fix)
+                assert repr(got) == repr(solve_lp(child, c, sense))
+                statuses.add(got.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_restriction_of_an_infeasible_system(self):
+        system = LinearSystem.build(2, (), [({"x1": 1, "x2": 1}, "<=", -1)],
+                                    {"x1": (0, 1), "x2": (0, 1)})
+        assert solve_lp(system, {}, fix={"x1": 0}).is_infeasible
+        assert system._phase1 is None
+
+    def test_empty_fix_is_the_plain_solve(self):
+        system = interval_formulation([BinaryPoint.from_string("01")], 2)
+        assert repr(solve_lp(system, [1, -1], fix={})) == repr(solve_lp(system, [1, -1]))
+
+    def test_one_tableau_build_per_system(self, monkeypatch):
+        builds = []
+        init = exactlp._Simplex.__init__
+        monkeypatch.setattr(exactlp._Simplex, "__init__",
+                            lambda self, system: builds.append(system) or init(self, system))
+        system = interval_formulation([BinaryPoint.from_string(s) for s in ("000", "110")], 3)
+        for v in itertools.product((0, 1), repeat=3):
+            solve_lp(system, [1, 2, 3], fix=dict(zip(("x1", "x2", "x3"), v)))
+        assert builds == [system]
+
+    def test_saved_solver_is_untouched(self):
+        system = interval_formulation([BinaryPoint.from_string("101")], 3)
+        solve_lp(system, {})
+        saved = system._phase1
+        snapshot = copy.deepcopy((saved.rows, saved.basis, saved.template, saved.var_cols,
+                                  saved.bound_rows))
+        for v in itertools.product((0, 1), repeat=2):
+            result = solve_lp(system, [1, -1, 1], fix={"x1": v[0], "x3": v[1]})
+            if result.is_optimal:
+                solve_lp(system, [-1, 1, 1], start=result)
+        assert system._phase1 is saved
+        assert (saved.rows, saved.basis, saved.template, saved.var_cols,
+                saved.bound_rows) == snapshot
+
+    @pytest.mark.parametrize("value", [True, 1.0, Fraction(1), "1"],
+                             ids=["bool", "float", "Fraction", "str"])
+    def test_value_must_be_an_int(self, value):
+        system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
+        with pytest.raises(DomainError, match="x2"):
+            solve_lp(system, {}, fix={"x1": 0, "x2": value})
+
+    def test_undeclared_name(self):
+        system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
+        with pytest.raises(DomainError, match="undeclared variable 'y'"):
+            solve_lp(system, {}, fix={"y": 1})
+
+    def test_fix_with_start_refused(self):
+        system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
+        start = solve_lp(system, [1, 1])
+        with pytest.raises(DomainError, match="start"):
+            solve_lp(system, [1, 1], start=start, fix={"x1": 1})
+
+    def test_objective_of_wrong_length(self):
+        system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
+        for fix in (None, {"x1": 1}):
+            with pytest.raises(DomainError, match="objective has 3 terms, expected 2"):
+                solve_lp(system, Objective.of([1, 1, 1]), fix=fix)
+
+
+class TestLazyReadout:
+    """A result reads its point and value out on first access, as an eager readout would."""
+
+    def test_readout_equals_an_eager_one(self, monkeypatch):
+        reads = []
+        point = exactlp._Simplex.point
+        monkeypatch.setattr(exactlp._Simplex, "point", lambda self: reads.append(1) or point(self))
+        rng = random.Random(73)
+        for _ in range(40):
+            system = mixed_system(rng)
+            c = {name: rng.randint(-5, 5) for name in system.variables}
+            result = solve_lp(system, c)
+            if not result.is_optimal:
+                continue
+            expect = cold_solve(system, c)  # reads its point out eagerly
+            del reads[:]
+            ones = {name: 1 for name in system.variables}
+            later = solve_lp(system, ones, start=result)
+            assert reads == []  # neither result has been read out yet
+            assert (result.point, result.value) == (expect.point, expect.value)
+            assert result.point is result.point and len(reads) == 1
+            if later.is_optimal:
+                assert later.value == sum(later.point.values()) and len(reads) == 2

@@ -22,7 +22,7 @@ from fvx import (
     lattice_box_oracle,
     spanning_tree_oracle,
 )
-from fvx import exactlp
+from fvx import exactlp, oracles
 from fvx.errors import DomainError, NotBinaryPolytope, UnboundedInput
 from conftest import all_binary, random_rational_objective, spanning_trees
 
@@ -154,18 +154,62 @@ class TestHrepOracle:
             rows.append((tuple(int(e // 3 == i) for e in range(9)), "<=", 1))
             rows.append((tuple(int(e % 3 == i) for e in range(9)), "<=", 1))
         rows += [(tuple(int(e == f) for e in range(9)), ">=", 0) for f in range(9)]
-        pivots = []
-        pivot = exactlp._Simplex._pivot
+        pivots, builds = [], []
+        pivot, init = exactlp._Simplex._pivot, exactlp._Simplex.__init__
         monkeypatch.setattr(exactlp._Simplex, "_pivot",
                             lambda self, r, s: pivots.append(s) or pivot(self, r, s))
+        monkeypatch.setattr(exactlp._Simplex, "__init__",
+                            lambda self, system: builds.append(system) or init(self, system))
         oracle = CountingOracle(hrep_binary_oracle(HPolytope.of(9, rows)))
         X = [BinaryPoint.from_string(v) for v in ("100010001", "010001100")]
         c = Objective.of([-3, -1, -2, -2, -3, -1, -1, -2, -3])
         got, _ = kbest(oracle, c, 3, X)
         # the first three allowed vertices in (value, coords) order, all of value -6
         assert [v.to_string() for v in got] == ["000010001", "001010100", "001100010"]
-        # a pivot-path or query-count change shows here as a count diff
-        assert (oracle.calls, len(pivots)) == (29, 71)
+        # a pivot-path, query-count or tableau-build change shows here as a
+        # count diff; every face is solved on a tableau derived from the one build
+        assert (oracle.calls, len(pivots), len(builds)) == (29, 71, 1)
+
+    def test_face_solves_match_with_bounds_children(self, monkeypatch):
+        # each face's two LPs (the perturbed solve with the face as `fix`, then
+        # the re-price from it) answer as on a cold with_bounds child
+        calls = []
+
+        def recording(system, objective, sense="min", start=None, fix=None):
+            result = exactlp.solve_lp(system, objective, sense, start=start, fix=fix)
+            calls.append((system, objective, start, fix, result))
+            return result
+
+        monkeypatch.setattr(oracles, "solve_lp", recording)
+        rng = random.Random(79)
+        checked = set()
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            rows = list(cube_hrep(n).rows)
+            for _ in range(rng.randint(1, 3)):
+                a = tuple(Fraction(rng.randint(-2, 3)) for _ in range(n))
+                rows.append((a, rng.choice(("<=", ">=")), Fraction(rng.randint(-1, 4))))
+            oracle = hrep_binary_oracle(HPolytope.of(n, rows))
+            for _ in range(6):
+                face = CubeFace.of(n, {i: rng.randint(0, 1)
+                                       for i in rng.sample(range(1, n + 1), rng.randint(0, n))})
+                del calls[:]
+                try:
+                    oracle.minimize(random_rational_objective(rng, n), face)
+                except NotBinaryPolytope:
+                    checked.add("fractional")
+                child = oracle.system.with_bounds(
+                    {f"x{i}": (Fraction(v), Fraction(v)) for i, v in face.fixed})
+                previous = None
+                for system, objective, start, fix, result in calls:
+                    assert system is oracle.system
+                    assert (fix or {}) == ({} if start else {f"x{i}": v for i, v in face.fixed})
+                    expect = exactlp.solve_lp(child, objective, start=previous if start else None)
+                    assert repr(result) == repr(expect)
+                    previous = expect
+                    checked.add((result.status, bool(face.fixed)))
+        assert {"fractional", ("optimal", True), ("infeasible", True),
+                ("optimal", False)} <= checked
 
 
 class TestBruteForce:

@@ -197,11 +197,11 @@ def pinned_probes(monkeypatch):
     pinned = []
 
     def recording(system, objective, sense="min", **kwargs):
-        # a pinned probe is a zero objective on a system with x1..xn fixed;
-        # hull tests have no original variables
-        if objective == {} and system.n_original:
-            pinned.append(tuple(system.bound(f"x{i + 1}")[0]
-                                for i in range(system.n_original)))
+        # a pinned probe is a zero objective with x1..xn fixed by `fix`
+        fix = kwargs.get("fix")
+        if fix:
+            assert objective == {}
+            pinned.append(tuple(fix[f"x{i + 1}"] for i in range(system.n_original)))
         return solve_lp(system, objective, sense, **kwargs)
 
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
@@ -361,9 +361,9 @@ def lp_calls(monkeypatch):
     """Record each solve_lp call of fvx.verify: True when it is warm-started."""
     calls = []
 
-    def recording(system, objective, sense="min", start=None):
+    def recording(system, objective, sense="min", start=None, fix=None):
         calls.append(start is not None)
-        return solve_lp(system, objective, sense, start=start)
+        return solve_lp(system, objective, sense, start=start, fix=fix)
 
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     return calls
