@@ -3,7 +3,9 @@
 Coordinates are 1-indexed throughout: coordinate i of a binary point lives in
 bit i-1 of its code word, so the code of a point is sum(2**(i-1) * v_i).  All
 numeric data is held as exact rationals (`fractions.Fraction`); no floating
-point is used anywhere on a solve path.
+point is used anywhere on a solve path.  An `Objective` is scaled to ints
+once (`Objective.scaled`); oracles compare and sum in those ints and make
+one `Fraction` per answer.
 """
 
 from __future__ import annotations
@@ -172,11 +174,17 @@ def int_coords(values: Iterable) -> tuple:
     return out
 
 
+def _scale(values: Iterable[Fraction]) -> tuple:
+    """(L, the values times L as ints), L > 0 the lcm of their denominators:
+    the same signs, order and ties as the values, in ints."""
+    values = tuple(values)
+    scale = lcm(*(q.denominator for q in values))
+    return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
+
+
 def _int_scaled(terms: Mapping[str, Fraction]) -> dict:
-    """The terms times the lcm of their denominators: positive, so the same
-    objective up to a positive factor, in ints."""
-    scale = lcm(*(q.denominator for q in terms.values()))
-    return {name: q.numerator * (scale // q.denominator) for name, q in terms.items()}
+    """The terms by name, scaled to ints by `_scale`."""
+    return dict(zip(terms, _scale(terms.values())[1]))
 
 
 def point_coords(point: Point) -> tuple:
@@ -203,19 +211,34 @@ class Objective:
         return cls(len(terms), tuple(terms))
 
     @cached_property
-    def named_terms(self) -> tuple:
-        """(nonzero terms by name x1..xn, the same terms as ints scaled by the
-        lcm of their denominators), computed once: an objective is immutable."""
-        terms = {f"x{i}": q for i, q in enumerate(self.c, start=1) if q}
-        return terms, _int_scaled(terms)
+    def scaled(self) -> tuple:
+        """(L, c*L as a tuple of ints) by `_scale`, computed once: an objective
+        is immutable."""
+        return _scale(self.c)
 
-    def dot(self, point: Point) -> Fraction:
+    @cached_property
+    def named_terms(self) -> tuple:
+        """(nonzero terms by name x1..xn, the same terms from `scaled`)."""
+        ints = self.scaled[1]
+        return ({f"x{i}": q for i, q in enumerate(self.c, start=1) if q},
+                {f"x{i}": k for i, k in enumerate(ints, start=1) if k})
+
+    def scaled_dot(self, point: Point) -> int:
+        """c.point times L, summed in ints; see `scaled`."""
         if point.n != self.n:
             raise DomainError("dimension mismatch")
-        return sum(
-            (ci * vi for ci, vi in zip(self.c, point_coords(point)) if vi),
-            start=Fraction(0),
-        )
+        ints = self.scaled[1]
+        if isinstance(point, BinaryPoint):
+            total, bits = 0, point.bits
+            while bits:
+                low = bits & -bits
+                total += ints[low.bit_length() - 1]
+                bits ^= low
+            return total
+        return sum(k * v for k, v in zip(ints, point.coords))
+
+    def dot(self, point: Point) -> Fraction:
+        return Fraction(self.scaled_dot(point), self.scaled[0])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ of the unit cube (coordinate fixings only); an integral oracle minimizes over
 P intersected with an integer box.  Both report either Infeasible or a true
 minimizer with its exact value, and every oracle here returns its
 (value, coords)-least optimum: ties go to the lexicographically smallest
-vertex.
+vertex.  The oracles work on the objective's integer scaling c*L
+(`Objective.scaled`; L > 0, so signs, order and ties are those of c): sign
+tests, sort keys and sums are in ints, and each answer's value is made a
+`Fraction` once.
 
 The kind is one class attribute, `integral`: False on `BinaryOracle`
 (queries restricted by cube faces), True on `IntegralOracle` (by lattice
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .core import (
@@ -51,7 +53,7 @@ class OracleOutcome:
 
     @classmethod
     def optimum(cls, vertex, value: Fraction) -> "OracleOutcome":
-        return cls(vertex, Fraction(value))
+        return cls(vertex, value if isinstance(value, Fraction) else Fraction(value))
 
     @property
     def feasible(self) -> bool:
@@ -102,16 +104,14 @@ class CubeOracle(BinaryOracle):
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
         face = _check_binary_query(self.n, c, face)
         fixed = face.fixed_map
-        bits = 0
-        value = Fraction(0)
-        for i in range(1, self.n + 1):
-            v = fixed.get(i)
-            if v is None:
-                v = 1 if c.c[i - 1] < 0 else 0
-            if v:
-                bits |= 1 << (i - 1)
-                value += c.c[i - 1]
-        return OracleOutcome.optimum(BinaryPoint(self.n, bits), value)
+        scale, ints = c.scaled
+        bits = total = 0
+        for i, k in enumerate(ints):
+            v = fixed.get(i + 1)
+            if v == 1 or (v is None and k < 0):
+                bits |= 1 << i
+                total += k
+        return OracleOutcome.optimum(BinaryPoint(self.n, bits), Fraction(total, scale))
 
 
 class CardinalityOracle(BinaryOracle):
@@ -135,7 +135,8 @@ class CardinalityOracle(BinaryOracle):
             return INFEASIBLE
         # cheapest selection; among cost ties the latest indices, which gives
         # the lexicographically smallest vertex
-        free.sort(key=lambda i: (c.c[i - 1], -i))
+        ints = c.scaled[1]
+        free.sort(key=lambda i: (ints[i - 1], -i))
         bits = 0
         for i, v in fixed.items():
             bits |= v << (i - 1)
@@ -206,9 +207,10 @@ class SpanningTreeOracle(BinaryOracle):
                     return INFEASIBLE  # forced edges contain a cycle
                 chosen |= 1 << (e - 1)
                 count += 1
+        ints = c.scaled[1]
         order = sorted(
             (e for e in range(1, self.n + 1) if e not in fixed),
-            key=lambda e: (c.c[e - 1], -e),
+            key=lambda e: (ints[e - 1], -e),
         )
         for e in order:
             u, v = self.edges[e - 1]
@@ -226,13 +228,12 @@ class HrepBinaryOracle(BinaryOracle):
 
     The system is `LinearSystem.from_hpolytope(poly)`; `solve_lp` folds its
     one-variable rows, such as 0 <= x_i <= 1, into bounds.  A query solves one
-    exact LP under K*c' + sum 2^(n-i) x_i (c' is c times the lcm of its
-    denominators, K = 2^n) with the face's coordinates as `solve_lp`'s `fix`,
-    so every face is solved on a tableau derived from the one kept on the
-    system.  Its only minimizer over 0/1 vertices is the (value,
-    coords)-least optimum; the query then re-prices that basis under c: a
-    fractional optimum raises NotBinaryPolytope, an unbounded one
-    UnboundedInput.
+    exact LP under K*c' + sum 2^(n-i) x_i (c' is `c.scaled`, K = 2^n) with
+    the face's coordinates as `solve_lp`'s `fix`, so every face is solved on
+    a tableau derived from the one kept on the system.  Its only minimizer
+    over 0/1 vertices is the (value, coords)-least optimum; the query then
+    re-prices that basis under c: a fractional optimum raises
+    NotBinaryPolytope, an unbounded one UnboundedInput.
     """
 
     def __init__(self, poly: HPolytope):
@@ -247,9 +248,9 @@ class HrepBinaryOracle(BinaryOracle):
         system = self.system
         names = system.variables
         if self._canonical[0] != c:
-            scale, K = lcm(*(q.denominator for q in c.c)), 1 << self.n
+            K = 1 << self.n
             self._canonical = (c, Objective.of(
-                [int(q * scale) * K + (K >> i) for i, q in enumerate(c.c, start=1)]))
+                [k * K + (K >> i) for i, k in enumerate(c.scaled[1], start=1)]))
         result = solve_lp(system, self._canonical[1],
                           fix={names[i - 1]: v for i, v in face.fixed})
         if result.is_infeasible:
@@ -305,12 +306,12 @@ class BruteForceOracle:
         for p in self.points:
             if restriction is not None and not restriction.contains(p):
                 continue
-            key = (c.dot(p), point_coords(p))
+            key = (c.scaled_dot(p), point_coords(p))
             if best_key is None or key < best_key:
                 best, best_key = p, key
         if best is None:
             return INFEASIBLE
-        return OracleOutcome.optimum(best, best_key[0])
+        return OracleOutcome.optimum(best, Fraction(best_key[0], c.scaled[0]))
 
 
 class LatticeBoxOracle(IntegralOracle):
@@ -327,8 +328,8 @@ class LatticeBoxOracle(IntegralOracle):
         if domain is None:
             return INFEASIBLE
         coords = tuple(
-            lo if c.c[i] >= 0 else hi
-            for i, (lo, hi) in enumerate(zip(domain.l.coords, domain.u.coords))
+            lo if k >= 0 else hi
+            for k, lo, hi in zip(c.scaled[1], domain.l.coords, domain.u.coords)
         )
         vertex = LatticePoint.from_coords(coords)
         return OracleOutcome.optimum(vertex, c.dot(vertex))

@@ -18,6 +18,8 @@ from fvx import (
     sigma_decode,
     sigma_encode,
 )
+from fvx import core
+from fvx.core import point_coords
 from fvx.errors import DomainError, GuardExceeded
 
 
@@ -239,14 +241,60 @@ class TestHPolytope:
             HPolytope.of(1, [((1,), "<", 1)])
 
 
+def plain_dot(c, coords):
+    return sum((q * v for q, v in zip(c.c, coords)), Fraction(0))
+
+
 class TestObjective:
     def test_dot(self):
         c = Objective.of(["1/2", "-3", "2"])
         assert c.dot(BinaryPoint.from_string("101")) == Fraction(5, 2)
         assert c.dot(LatticePoint.from_coords((2, 1, 0))) == Fraction(-2)
 
+    def test_dot_mixed_denominators(self):
+        c = Objective.of(["1/3", "-1/6", "1/4"])
+        assert c.scaled == (12, (4, -2, 3))
+        assert c.dot(BinaryPoint.from_string("111")) == Fraction(5, 12)
+        assert c.dot(LatticePoint.from_coords((-3, 2, -4))) == Fraction(-7, 3)
+        points = [BinaryPoint(3, bits) for bits in range(8)]
+        points += [LatticePoint.from_coords(v) for v in
+                   [(0, 0, 0), (-1, 5, 2), (7, -7, -3), (-2, -3, 0), (6, 0, -8)]]
+        for p in points:
+            got = c.dot(p)
+            assert type(got) is Fraction and got == plain_dot(c, point_coords(p))
+
+    def test_all_zero_objective(self):
+        c = Objective.of([0, "0/5", 0])
+        assert c.scaled == (1, (0, 0, 0))
+        assert c.named_terms == ({}, {})
+        for p in (BinaryPoint.from_string("111"), LatticePoint.from_coords((-4, 0, 9))):
+            got = c.dot(p)
+            assert type(got) is Fraction and got == 0
+
+    def test_named_terms_share_the_scaling(self):
+        c = Objective.of(["1/3", 0, "-1/6", "5/4"])
+        assert c.named_terms == (
+            {"x1": Fraction(1, 3), "x3": Fraction(-1, 6), "x4": Fraction(5, 4)},
+            {"x1": 4, "x3": -2, "x4": 15})
+
+    def test_scaling_computed_once(self, monkeypatch):
+        calls = []
+        real = core._scale
+        monkeypatch.setattr(core, "_scale", lambda values: calls.append(1) or real(values))
+        c = Objective.of(["1/3", "-1/6", "1/4"])
+        for p in (BinaryPoint.from_string("011"), LatticePoint.from_coords((1, -2, 3))):
+            c.dot(p)
+            c.dot(p)
+        assert c.named_terms[1] == {"x1": 4, "x2": -2, "x3": 3}
+        assert c.scaled is c.scaled
+        assert len(calls) == 1
+        Objective.of(["1/3", "-1/6", "1/4"]).dot(BinaryPoint.from_string("100"))
+        assert len(calls) == 2  # an equal objective is another object
+
     def test_validation(self):
         with pytest.raises(DomainError):
             Objective(2, (Fraction(1),))
         with pytest.raises(DomainError):
             Objective.of(["1"]).dot(BinaryPoint.from_string("11"))
+        with pytest.raises(DomainError):
+            Objective.of(["1/3", "1/2"]).dot(LatticePoint.from_coords((1, 2, 3)))

@@ -354,3 +354,24 @@ class TestCountingOracle:
         assert wrapped.integral is True
         wrapped.minimize(Objective.of([1]))
         assert wrapped.calls == 1
+
+    @pytest.mark.parametrize("oracle, c, X, expect", [
+        (cube_oracle(5), ["1/3", "-1/6", "1/4", "-1/2", "1/12"],
+         ["01010", "01011", "00010"],
+         (8, ["00011", "01110", "01111", "11010"], ["-5/12", "-5/12", "-1/3", "-1/3"])),
+        (cardinality_oracle(6, 3), ["-1/2", "1/3", "-1/2", "1/6", "0", "-1/4"],
+         ["101001", "101000"],
+         (13, ["101010", "101100", "001011", "100011"], ["-1", "-5/6", "-3/4", "-3/4"])),
+        (spanning_tree_oracle(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+         ["1/2", "1/3", "1/2", "-1/6", "1/3", "1/4"], ["110001"],
+         (16, ["010101", "010110", "001101", "100101"], ["5/12", "1/2", "7/12", "7/12"])),
+    ], ids=["cube", "cardinality", "spanning-tree"])
+    def test_pinned_kbest_counts(self, oracle, c, X, expect):
+        # mixed denominators with value ties among the four answers; a change
+        # in the order or number of oracle queries shows here as a count diff
+        counting = CountingOracle(oracle)
+        c = Objective.of(c)
+        got, exhausted = kbest(counting, c, 4, [BinaryPoint.from_string(x) for x in X])
+        assert not exhausted
+        assert (counting.calls, [v.to_string() for v in got],
+                [str(c.dot(v)) for v in got]) == expect
