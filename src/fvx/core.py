@@ -1,7 +1,9 @@
 """Domain types, exact rational arithmetic and elementary cube geometry.
 
 Coordinates are 1-indexed throughout: coordinate i of a binary point lives in
-bit i-1 of its code word, so the code of a point is sum(2**(i-1) * v_i).  All
+bit i-1 of its code word, so the code of a point is sum(2**(i-1) * v_i).  A
+`CubeFace` is (n, mask, bits), packed like `BinaryPoint`: bit i-1 of mask
+marks coordinate i as fixed, bit i-1 of bits holds its value.  All
 numeric data is held as exact rationals (`fractions.Fraction`); no floating
 point is used anywhere on a solve path.  An `Objective` is scaled to ints
 once (`Objective.scaled`); oracles compare and sum in those ints and make
@@ -245,61 +247,63 @@ class Objective:
 class CubeFace:
     """A face of [0,1]^n given by fixing a subset of coordinates to 0/1.
 
-    The empty fixing is the improper face (the whole cube).
+    Point p lies in the face exactly when p.bits & mask == bits; mask 0 is
+    the improper face (the whole cube).
     """
 
     n: int
-    fixed: tuple  # sorted tuple of (coordinate index, value) pairs
+    mask: int
+    bits: int
 
     def __post_init__(self):
-        pairs = self.fixed.items() if isinstance(self.fixed, dict) else self.fixed
-        items = []
-        for i, v in pairs:
-            if type(i) is not int or type(v) is not int:
-                raise DomainError(f"fixing {i!r}: {v!r} is not a pair of integers")
-            items.append((i, v))
-        items = tuple(sorted(items))
-        for i, v in items:
-            if not 1 <= i <= self.n:
-                raise DomainError(f"fixed index {i} out of 1..{self.n}")
-            if v not in (0, 1):
-                raise DomainError(f"fixed value for coordinate {i} must be 0/1, got {v}")
-        if len({i for i, _ in items}) != len(items):
-            raise DomainError("coordinate fixed twice")
-        object.__setattr__(self, "fixed", items)
+        if not 1 <= self.n <= MAX_BINARY_DIM:
+            raise DomainError(f"binary dimension must be in 1..{MAX_BINARY_DIM}, got {self.n}")
+        if not 0 <= self.mask < (1 << self.n):
+            raise DomainError(f"mask {self.mask} out of range for dimension {self.n}")
+        if self.bits & ~self.mask:
+            raise DomainError(f"bits {self.bits} set outside mask {self.mask}")
 
     @classmethod
     def of(cls, n: int, fixings: Mapping[int, int]) -> "CubeFace":
-        return cls(n, tuple(sorted(fixings.items())))
+        mask = bits = 0
+        for i, v in fixings.items():
+            if type(i) is not int or type(v) is not int:
+                raise DomainError(f"fixing {i!r}: {v!r} is not a pair of integers")
+            if not 1 <= i <= n:
+                raise DomainError(f"fixed index {i} out of 1..{n}")
+            if v not in (0, 1):
+                raise DomainError(f"fixed value for coordinate {i} must be 0/1, got {v}")
+            mask |= 1 << (i - 1)
+            bits |= v << (i - 1)
+        return cls(n, mask, bits)
 
     @classmethod
     def improper(cls, n: int) -> "CubeFace":
-        return cls(n, ())
+        return cls(n, 0, 0)
 
     @property
-    def fixed_map(self) -> dict:
-        return dict(self.fixed)
+    def fixed(self) -> tuple:
+        """The sorted (coordinate, value) pairs of the fixing."""
+        return tuple((i + 1, (self.bits >> i) & 1) for i in range(self.n) if (self.mask >> i) & 1)
 
     @property
     def is_improper(self) -> bool:
-        return not self.fixed
+        return not self.mask
 
     def contains(self, point: BinaryPoint) -> bool:
         if point.n != self.n:
             raise DomainError("dimension mismatch")
-        return all(point.coord(i) == v for i, v in self.fixed)
+        return point.bits & self.mask == self.bits
 
     def vertices(self) -> Iterator[BinaryPoint]:
-        """All binary points of the face (desk scale)."""
-        free = [i for i in range(1, self.n + 1) if i not in self.fixed_map]
-        base = 0
-        for i, v in self.fixed:
-            base |= v << (i - 1)
-        for mask in range(1 << len(free)):
-            bits = base
-            for t, i in enumerate(free):
-                bits |= ((mask >> t) & 1) << (i - 1)
-            yield BinaryPoint(self.n, bits)
+        """All binary points of the face by increasing bits (desk scale)."""
+        free = ((1 << self.n) - 1) & ~self.mask
+        sub = 0
+        while True:
+            yield BinaryPoint(self.n, self.bits | sub)
+            sub = (sub - free) & free  # the next subset of the free bits
+            if not sub:
+                return
 
 
 @dataclass(frozen=True)

@@ -103,15 +103,12 @@ class CubeOracle(BinaryOracle):
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
         face = _check_binary_query(self.n, c, face)
-        fixed = face.fixed_map
-        scale, ints = c.scaled
-        bits = total = 0
-        for i, k in enumerate(ints):
-            v = fixed.get(i + 1)
-            if v == 1 or (v is None and k < 0):
+        bits = face.bits
+        for i, k in enumerate(c.scaled[1]):
+            if k < 0 and not (face.mask >> i) & 1:
                 bits |= 1 << i
-                total += k
-        return OracleOutcome.optimum(BinaryPoint(self.n, bits), Fraction(total, scale))
+        vertex = BinaryPoint(self.n, bits)
+        return OracleOutcome.optimum(vertex, c.dot(vertex))
 
 
 class CardinalityOracle(BinaryOracle):
@@ -127,21 +124,17 @@ class CardinalityOracle(BinaryOracle):
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
         face = _check_binary_query(self.n, c, face)
-        fixed = face.fixed_map
-        ones = sum(fixed.values())
-        free = [i for i in range(1, self.n + 1) if i not in fixed]
-        need = self.s - ones
+        free = [i for i in range(self.n) if not (face.mask >> i) & 1]
+        need = self.s - face.bits.bit_count()
         if need < 0 or need > len(free):
             return INFEASIBLE
         # cheapest selection; among cost ties the latest indices, which gives
         # the lexicographically smallest vertex
         ints = c.scaled[1]
-        free.sort(key=lambda i: (ints[i - 1], -i))
-        bits = 0
-        for i, v in fixed.items():
-            bits |= v << (i - 1)
+        free.sort(key=lambda i: (ints[i], -i))
+        bits = face.bits
         for i in free[:need]:
-            bits |= 1 << (i - 1)
+            bits |= 1 << i
         vertex = BinaryPoint(self.n, bits)
         return OracleOutcome.optimum(vertex, c.dot(vertex))
 
@@ -186,6 +179,8 @@ class SpanningTreeOracle(BinaryOracle):
             if u == v:
                 raise DomainError(f"self-loop ({u},{v}) not allowed")
             self.edges.append((u, v))
+        if num_nodes > len(self.edges) + 1:  # fewer than nodes - 1 edges
+            raise DomainError("graph is not connected")
         dsu = _DSU(num_nodes)
         comps = num_nodes
         for u, v in self.edges:
@@ -197,25 +192,19 @@ class SpanningTreeOracle(BinaryOracle):
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
         face = _check_binary_query(self.n, c, face)
-        fixed = face.fixed_map
         dsu = _DSU(self.num_nodes)
-        chosen = 0
-        count = 0
-        for e, (u, v) in enumerate(self.edges, start=1):
-            if fixed.get(e) == 1:
-                if not dsu.union(u, v):
-                    return INFEASIBLE  # forced edges contain a cycle
-                chosen |= 1 << (e - 1)
-                count += 1
+        chosen = face.bits
+        for e, (u, v) in enumerate(self.edges):
+            if (chosen >> e) & 1 and not dsu.union(u, v):
+                return INFEASIBLE  # forced edges contain a cycle
+        count = chosen.bit_count()
         ints = c.scaled[1]
-        order = sorted(
-            (e for e in range(1, self.n + 1) if e not in fixed),
-            key=lambda e: (ints[e - 1], -e),
-        )
+        order = sorted((e for e in range(self.n) if not (face.mask >> e) & 1),
+                       key=lambda e: (ints[e], -e))
         for e in order:
-            u, v = self.edges[e - 1]
+            u, v = self.edges[e]
             if dsu.union(u, v):
-                chosen |= 1 << (e - 1)
+                chosen |= 1 << e
                 count += 1
         if count != self.num_nodes - 1:
             return INFEASIBLE  # deletions disconnected the graph
@@ -252,7 +241,8 @@ class HrepBinaryOracle(BinaryOracle):
             self._canonical = (c, Objective.of(
                 [k * K + (K >> i) for i, k in enumerate(c.scaled[1], start=1)]))
         result = solve_lp(system, self._canonical[1],
-                          fix={names[i - 1]: v for i, v in face.fixed})
+                          fix={name: (face.bits >> i) & 1
+                               for i, name in enumerate(names) if (face.mask >> i) & 1})
         if result.is_infeasible:
             return INFEASIBLE
         if result.is_optimal:

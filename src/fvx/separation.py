@@ -4,7 +4,8 @@ For a forbidden set X inside the lattice {0..r1-1} x ... x {0..rn-1}, the
 level-i prefixes that leave X (one-coordinate extensions of a prefix of X
 that are not prefixes of X themselves), padded with the full range behind,
 partition the complement of X.  On binary points (r = 2) each member is a
-cube face, and the family is X-separating with at most n|X| faces.  On a
+cube face, and the family is X-separating with at most n|X| faces: the
+level-i member of prefix code w is the face mask = 2^i - 1, bits = w.  On a
 lattice box, consecutive last values of one prefix merge into a box, which
 gives at most 2n|X| disjoint boxes.
 
@@ -79,11 +80,9 @@ def separating_faces(X: Iterable[BinaryPoint], n: int) -> SeparatingFamily:
         bits.add(p.bits)
     if not bits:
         return SeparatingFamily(n, (CubeFace.improper(n),))
-    faces = tuple(
-        CubeFace.of(n, {j: (w >> (j - 1)) & 1 for j in range(1, i + 1)})
-        for i, level in enumerate(_prefix_levels(bits, (2,) * n), start=1)
-        for w in level
-    )
+    faces = tuple(CubeFace(n, (1 << i) - 1, w)
+                  for i, level in enumerate(_prefix_levels(bits, (2,) * n), start=1)
+                  for w in level)
     return SeparatingFamily(n, faces)
 
 
@@ -151,15 +150,17 @@ def _family(oracle, X: Iterable, c: Objective, ambient: Optional[LatticeBox]) ->
 
 
 def _ranked(oracle, c: Objective, restrictions: Iterable) -> Iterator[tuple]:
-    """(value, coords, outcome, restriction) of each feasible query.
+    """(c.v times L, coords of v, outcome, restriction) per feasible answer v.
 
-    The first two fields are the tie-break key; on pairwise disjoint
-    restrictions the vertices differ, so keys never tie.
+    The first two fields are the tie-break key (L > 0: the ints order and tie
+    like the values); on pairwise disjoint restrictions the vertices differ,
+    so keys never tie.
     """
     for restriction in restrictions:
         outcome = oracle.minimize(c, restriction)
         if outcome.feasible:
-            yield outcome.value, point_coords(outcome.vertex), outcome, restriction
+            v = outcome.vertex
+            yield c.scaled_dot(v), point_coords(v), outcome, restriction
 
 
 def _split(restriction, v) -> Iterator:
@@ -178,12 +179,13 @@ def _split(restriction, v) -> Iterator:
             if vj < hi[j]:
                 yield LatticeBox.of(head + (vj + 1,) + lo[j + 1:], head + hi[j:])
         return
-    fixed = restriction.fixed_map
-    for j in range(1, restriction.n + 1):
-        if j not in fixed:
-            bit = (v.bits >> (j - 1)) & 1
-            yield CubeFace.of(restriction.n, {**fixed, j: 1 - bit})
-            fixed[j] = bit
+    n, mask, bits = restriction.n, restriction.mask, restriction.bits
+    for j in range(n):
+        bit = 1 << j
+        if not mask & bit:
+            mask |= bit
+            bits |= v.bits & bit
+            yield CubeFace(n, mask, bits ^ bit)
 
 
 def solve_forbidden(oracle, X: Iterable, c: Objective,

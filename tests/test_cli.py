@@ -458,6 +458,16 @@ class TestInputValidation:
         code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
         assert code == 1 and "polytope.edges" in json.loads(out)["message"]
 
+    # a connected graph has at most edges + 1 nodes: refused before any
+    # per-node list is allocated
+    @pytest.mark.parametrize("command", ["solve", "kbest"])
+    def test_spanning_tree_too_many_nodes(self, tmp_path, capsys, command):
+        doc = {"kind": "binary", "n": 3, "polytope": dict(self.TREE, nodes=2 ** 62),
+               "objective": ["1", "2", "3"], "forbidden": [], "k": 2}
+        code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
+        assert code == 1 and json.loads(out)["message"] == "graph is not connected"
+        assert capsys.readouterr().err == ""
+
     # the value of "1e4000000" has four million digits; Fraction would build it
     @pytest.mark.parametrize("command, doc, field", [
         ("solve", {"kind": "binary", "n": 2, "polytope": {"type": "cube"},

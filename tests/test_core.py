@@ -165,7 +165,8 @@ class TestNoGoodCut:
 class TestCubeFace:
     def test_basic(self):
         face = CubeFace.of(3, {1: 1, 3: 0})
-        assert face.fixed_map == {1: 1, 3: 0}
+        assert face.fixed == ((1, 1), (3, 0))
+        assert (face.mask, face.bits) == (0b101, 0b001)
         assert not face.is_improper
         assert face.contains(BinaryPoint.from_string("110"))
         assert not face.contains(BinaryPoint.from_string("011"))
@@ -181,14 +182,32 @@ class TestCubeFace:
             CubeFace.of(2, {3: 1})
         with pytest.raises(DomainError):
             CubeFace.of(2, {1: 2})
-        with pytest.raises(DomainError):
-            CubeFace(2, ((1, 0), (1, 1)))
+        for n, mask, bits in [(2, 4, 0),     # mask >= 2^n
+                              (2, -1, 0),    # negative mask
+                              (2, 1, 2),     # bits outside the mask
+                              (0, 0, 0), (65, 0, 0)]:
+            with pytest.raises(DomainError):
+                CubeFace(n, mask, bits)
 
     @pytest.mark.parametrize("fixings", [{1.9: 1}, {1: 1.0}, {1: True}, {Fraction(1): 0}])
     def test_non_int_fixing_refused(self, fixings):
         # int() would truncate 1.9 to coordinate 1 and fix it
         with pytest.raises(DomainError, match="not a pair of integers"):
             CubeFace.of(2, fixings)
+
+    def test_of_agrees_with_a_dict_reference(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            fixings = {i: rng.randint(0, 1)
+                       for i in rng.sample(range(1, n + 1), rng.randint(0, n))}
+            face = CubeFace.of(n, fixings)
+            points = [BinaryPoint(n, b) for b in range(1 << n)]  # by increasing bits
+            inside = [p for p in points if all(p.coord(i) == v for i, v in fixings.items())]
+            assert [p for p in points if face.contains(p)] == inside
+            assert list(face.vertices()) == inside
+            assert len(inside) == 1 << (n - face.mask.bit_count())
+            assert face.fixed == tuple(sorted(fixings.items()))
 
 
 class TestLatticeBox:

@@ -88,6 +88,8 @@ class TestSpanningTreeOracle:
     def test_validation(self):
         with pytest.raises(DomainError):
             spanning_tree_oracle(3, [(0, 1)])  # disconnected
+        with pytest.raises(DomainError, match="not connected"):
+            spanning_tree_oracle(2 ** 62, [(0, 1)])  # more nodes than edges + 1
         with pytest.raises(DomainError):
             spanning_tree_oracle(2, [(0, 0)])  # self-loop
         with pytest.raises(DomainError):

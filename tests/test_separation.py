@@ -6,6 +6,7 @@ import pytest
 from fvx import (
     BinaryPoint,
     CountingOracle,
+    CubeFace,
     HPolytope,
     LatticeBox,
     LatticePoint,
@@ -22,7 +23,7 @@ from fvx import (
     spanning_tree_oracle,
 )
 from fvx.errors import DomainError
-from fvx.separation import box_family
+from fvx.separation import _split, box_family
 from conftest import all_binary, brute_min, random_forbidden, random_objective, spanning_trees
 
 
@@ -224,3 +225,43 @@ class TestKbestLawlerMurty:
             vs, _ = kbest(oracle, c, k, X, ambient)
             assert len(vs) == min(k, width ** n - size)
             assert oracle.calls <= len(box_family(X, ambient)) + 2 * n * (k - 1)
+
+
+class _RecordingOracle(CountingOracle):
+    """Counts calls and keeps every restriction queried."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.queried = []
+
+    def minimize(self, c, restriction=None):
+        self.queried.append(restriction)
+        return super().minimize(c, restriction)
+
+
+class TestFaceSplit:
+    def test_split_partitions_face_minus_vertex(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            face = CubeFace.of(n, {i: rng.randint(0, 1)
+                                   for i in rng.sample(range(1, n + 1), rng.randint(0, n))})
+            inside = {p.bits for p in face.vertices()}
+            for v in face.vertices():
+                children = [{p.bits for p in child.vertices()} for child in _split(face, v)]
+                assert all(child <= inside and v.bits not in child for child in children)
+                assert sum(map(len, children)) == len(inside) - 1
+                assert len(set().union(*children)) == len(inside) - 1  # pairwise disjoint
+
+    def test_kbest_queries_prefix_faces_only(self):
+        rng = random.Random(43)
+        queried = 0
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            for inner in (cube_oracle(n), cardinality_oracle(n, rng.randint(0, n))):
+                oracle = _RecordingOracle(inner)
+                exclude = rng.sample(all_binary(n), rng.randint(0, min(5, 1 << n)))
+                kbest(oracle, random_objective(rng, n), rng.randint(1, 1 << n), exclude)
+                assert all(f.mask & (f.mask + 1) == 0 for f in oracle.queried)
+                queried += len(oracle.queried)
+        assert queried > 1000
