@@ -42,7 +42,6 @@ from .extension import (
     recursive_formulation,
 )
 from .integral import (
-    BoxFamily,
     box_decomposition,
     forbI_formulation,
     remove_facet_tu,
@@ -63,7 +62,6 @@ from .oracles import (
     spanning_tree_oracle,
 )
 from .separation import (
-    SeparatingFamily,
     kbest,
     separating_faces,
     solve_forbidden,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import LatticeBox, point_coords
+from .core import LatticeBox
 from .errors import DomainError
 from .separation import kbest
 
@@ -77,7 +77,7 @@ def build_candidates(instance: AlldiffInstance) -> CandidateGraph:
         pts, exhausted = kbest(oracle, c, k, ambient=instance.ambient)
         per_slot.append(pts)
         flags.append(exhausted)
-    vertices = sorted({p for pts in per_slot for p in pts}, key=point_coords)
+    vertices = sorted({p for pts in per_slot for p in pts})
     index = {p: i for i, p in enumerate(vertices)}
     slot_candidates = []
     weights = {}

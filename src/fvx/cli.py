@@ -25,7 +25,6 @@ from .core import (
     cube_hrep,
     format_rational,
     parse_rational,
-    point_coords,
 )
 from .errors import FvxError, GuardExceeded, IncompatibleMethod
 from .extension import (
@@ -332,8 +331,7 @@ class Problem:
                     f"guard {ENUM_GUARD_POINTS}")
             candidates = self.ambient.iter_points()
         forbidden = set(self.forbidden)
-        return sorted((p for p in candidates if p not in forbidden and entry.member(p)),
-                      key=point_coords)
+        return sorted(p for p in candidates if p not in forbidden and entry.member(p))
 
 
 def load_problem(path: str) -> Problem:

@@ -133,13 +133,24 @@ class BinaryPoint:
             raise DomainError(f"prefix length {k} out of 1..{self.n}")
         return BinaryPoint(k, self.bits & ((1 << k) - 1))
 
+    def __lt__(self, other: "BinaryPoint") -> bool:
+        """Lexicographic order of the coordinates, coordinate 1 first: the
+        lowest bit where the two differ decides."""
+        if not isinstance(other, BinaryPoint):
+            return NotImplemented
+        if self.n != other.n:
+            return self.n < other.n
+        diff = self.bits ^ other.bits
+        return bool(other.bits & diff & -diff)
+
     def __repr__(self):
         return f"BinaryPoint({self.to_string()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LatticePoint:
-    """An integer point in dimension n (no dimension cap)."""
+    """An integer point in dimension n (no dimension cap); points of one
+    dimension order lexicographically."""
 
     n: int
     coords: tuple
@@ -338,16 +349,6 @@ class LatticeBox:
         for lo, hi in zip(self.l.coords, self.u.coords):
             out *= hi - lo + 1
         return out
-
-    def intersect(self, other: "LatticeBox"):
-        """Intersection box, or None when empty."""
-        if other.n != self.n:
-            raise DomainError("dimension mismatch")
-        lo = tuple(max(a, b) for a, b in zip(self.l.coords, other.l.coords))
-        hi = tuple(min(a, b) for a, b in zip(self.u.coords, other.u.coords))
-        if any(a > b for a, b in zip(lo, hi)):
-            return None
-        return LatticeBox.of(lo, hi)
 
     def iter_points(self) -> Iterator[LatticePoint]:
         """All lattice points, last coordinate fastest (desk scale only)."""

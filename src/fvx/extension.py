@@ -282,12 +282,12 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
     family = separating_faces(pts, n)
     base = LinearSystem.from_hpolytope(P)
     blocks = []
-    for face in family.faces:
+    for face in family:
         overrides = {f"x{i}": (Fraction(v), Fraction(v)) for i, v in face.fixed}
         blocks.append(base.with_bounds(overrides) if overrides else base)
     meta = {"method": "faces", "n": n, "forbidden": len(pts),
-            "family": len(family.faces),
-            "certified": len(family.faces) * (base.counted_inequalities() + 1),
+            "family": len(family),
+            "certified": len(family) * (base.counted_inequalities() + 1),
             "formula": "|family| (counted(P)+1)"}
     return union_formulation(blocks, meta, "every binary point is forbidden")
 

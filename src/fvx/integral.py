@@ -22,7 +22,7 @@ from .core import HPolytope, LatticeBox
 from .errors import DomainError, NonIntegralRhs, NotTU, SizeCap
 from .extension import feasible_blocks, union_formulation
 from .linsys import LinearSystem
-from .separation import BoxFamily, box_family
+from .separation import box_family
 
 
 def _normalize_ranges(r: Union[int, Sequence[int]], n: int) -> tuple:
@@ -43,7 +43,7 @@ def _normalize_ranges(r: Union[int, Sequence[int]], n: int) -> tuple:
     return ranges
 
 
-def box_decomposition(X: Iterable, r: Union[int, Sequence[int]], n: int) -> BoxFamily:
+def box_decomposition(X: Iterable, r: Union[int, Sequence[int]], n: int) -> tuple:
     """Split {0..r-1}^n minus X into at most 2n|X| disjoint boxes.
 
     X may hold LatticePoints or coordinate tuples inside the lattice.  An
@@ -68,9 +68,9 @@ def forbI_formulation(P: HPolytope, X: Iterable, ambient: LatticeBox) -> LinearS
     blocks, dropped = feasible_blocks(
         base.with_bounds({f"x{i + 1}": (Fraction(lo), Fraction(hi))
                           for i, (lo, hi) in enumerate(zip(box.l.coords, box.u.coords))})
-        for box in family.boxes)
+        for box in family)
     meta = {"method": "boxes", "n": P.n, "forbidden": len(pts),
-            "boxes": len(family.boxes), "kept_blocks": len(blocks),
+            "boxes": len(family), "kept_blocks": len(blocks),
             "dropped_blocks": dropped,
             "box_cap": 2 * P.n * len(pts) if pts else 1,
             "certified": sum(b.counted_inequalities() + 1 for b in blocks),

@@ -33,7 +33,6 @@ from .core import (
     LatticePoint,
     Objective,
     format_rational,
-    point_coords,
 )
 from .errors import DomainError, NotBinaryPolytope, UnboundedInput
 from .exactlp import solve_lp
@@ -42,18 +41,25 @@ from .linsys import LinearSystem
 
 @dataclass(frozen=True)
 class OracleOutcome:
-    """Infeasible, or an optimal vertex with its exact objective value."""
+    """Infeasible, or an optimal vertex with its exact objective value.
+
+    `score` is the value times the objective's scale L as an int
+    (`Objective.scaled_dot`): the solvers order answers by it.
+    """
 
     vertex: Optional[object]
     value: Optional[Fraction]
+    score: Optional[int] = None
 
     @classmethod
     def infeasible(cls) -> "OracleOutcome":
         return cls(None, None)
 
     @classmethod
-    def optimum(cls, vertex, value: Fraction) -> "OracleOutcome":
-        return cls(vertex, value if isinstance(value, Fraction) else Fraction(value))
+    def optimum(cls, vertex, c: Objective) -> "OracleOutcome":
+        """The answer `vertex` under c, its value summed once in ints."""
+        score = c.scaled_dot(vertex)
+        return cls(vertex, Fraction(score, c.scaled[0]), score)
 
     @property
     def feasible(self) -> bool:
@@ -108,7 +114,7 @@ class CubeOracle(BinaryOracle):
             if k < 0 and not (face.mask >> i) & 1:
                 bits |= 1 << i
         vertex = BinaryPoint(self.n, bits)
-        return OracleOutcome.optimum(vertex, c.dot(vertex))
+        return OracleOutcome.optimum(vertex, c)
 
 
 class CardinalityOracle(BinaryOracle):
@@ -136,7 +142,7 @@ class CardinalityOracle(BinaryOracle):
         for i in free[:need]:
             bits |= 1 << i
         vertex = BinaryPoint(self.n, bits)
-        return OracleOutcome.optimum(vertex, c.dot(vertex))
+        return OracleOutcome.optimum(vertex, c)
 
 
 class _DSU:
@@ -209,7 +215,7 @@ class SpanningTreeOracle(BinaryOracle):
         if count != self.num_nodes - 1:
             return INFEASIBLE  # deletions disconnected the graph
         vertex = BinaryPoint(self.n, chosen)
-        return OracleOutcome.optimum(vertex, c.dot(vertex))
+        return OracleOutcome.optimum(vertex, c)
 
 
 class HrepBinaryOracle(BinaryOracle):
@@ -259,7 +265,7 @@ class HrepBinaryOracle(BinaryOracle):
             else:
                 raise NotBinaryPolytope(
                     f"LP vertex has fractional coordinate {name} = {format_rational(v)}")
-        return OracleOutcome.optimum(BinaryPoint.from_coords(coords), result.value)
+        return OracleOutcome.optimum(BinaryPoint.from_coords(coords), c)
 
 
 class BruteForceOracle:
@@ -284,7 +290,7 @@ class BruteForceOracle:
         if any(p.n != n for p in points):
             raise DomainError("points disagree on dimension")
         self.n = n
-        self.points = sorted(set(points), key=point_coords)
+        self.points = sorted(set(points))
 
     def minimize(self, c: Objective, restriction=None) -> OracleOutcome:
         if c.n != self.n:
@@ -296,12 +302,12 @@ class BruteForceOracle:
         for p in self.points:
             if restriction is not None and not restriction.contains(p):
                 continue
-            key = (c.scaled_dot(p), point_coords(p))
+            key = (c.scaled_dot(p), p)
             if best_key is None or key < best_key:
                 best, best_key = p, key
         if best is None:
             return INFEASIBLE
-        return OracleOutcome.optimum(best, Fraction(best_key[0], c.scaled[0]))
+        return OracleOutcome.optimum(best, c)
 
 
 class LatticeBoxOracle(IntegralOracle):
@@ -314,15 +320,18 @@ class LatticeBoxOracle(IntegralOracle):
     def minimize(self, c: Objective, box: Optional[LatticeBox] = None) -> OracleOutcome:
         if c.n != self.n:
             raise DomainError("objective dimension mismatch")
-        domain = self.box if box is None else self.box.intersect(box)
-        if domain is None:
-            return INFEASIBLE
-        coords = tuple(
-            lo if k >= 0 else hi
-            for k, lo, hi in zip(c.scaled[1], domain.l.coords, domain.u.coords)
-        )
-        vertex = LatticePoint.from_coords(coords)
-        return OracleOutcome.optimum(vertex, c.dot(vertex))
+        if box is None:
+            box = self.box
+        elif box.n != self.n:
+            raise DomainError("dimension mismatch")
+        coords = []  # per coordinate, the query box clipped to the oracle's
+        for k, a, b, p, q in zip(c.scaled[1], self.box.l.coords, self.box.u.coords,
+                                 box.l.coords, box.u.coords):
+            lo, hi = max(a, p), min(b, q)
+            if lo > hi:
+                return INFEASIBLE
+            coords.append(lo if k >= 0 else hi)
+        return OracleOutcome.optimum(LatticePoint(self.n, tuple(coords)), c)
 
 
 class CountingOracle:

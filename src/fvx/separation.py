@@ -3,24 +3,27 @@
 For a forbidden set X inside the lattice {0..r1-1} x ... x {0..rn-1}, the
 level-i prefixes that leave X (one-coordinate extensions of a prefix of X
 that are not prefixes of X themselves), padded with the full range behind,
-partition the complement of X.  On binary points (r = 2) each member is a
-cube face, and the family is X-separating with at most n|X| faces: the
-level-i member of prefix code w is the face mask = 2^i - 1, bits = w.  On a
-lattice box, consecutive last values of one prefix merge into a box, which
-gives at most 2n|X| disjoint boxes.
+partition the complement of X.  One gap routine, `_runs`, finds them: below
+each level-(i-1) prefix that points of X share, the allowed i-th digits are
+the gaps between the sorted distinct i-th digits of those points, read as
+maximal runs first..last.  It never enumerates a range, so it takes
+O(n|X| log|X|) steps whatever the widths.  On binary points (r = 2) each run
+is one cube face, and the family is X-separating with at most n|X| faces:
+the level-i member of prefix code w is the face mask = 2^i - 1, bits = w.
+On a lattice box each run is one box, at most 2n|X| disjoint boxes.
 
 One oracle query per member solves linear optimization over the allowed
 points: a binary oracle is queried on the separating faces of X, an integral
-oracle on the boxes of its ambient lattice box minus X.  The k-best
-enumeration is the Lawler-Murty partition scheme on top of that family: a
-heap keyed by (value, coords) holds one oracle answer per member, and
-popping vertex v from member F splits only F minus v, by the one-point
-family of v inside F (at most n subfaces, or 2n boxes).  Because every
-member fixes a prefix of the coordinates, the members behind the heap are
-always the family of X plus the vertices found so far; the output, ties
-included, is the one a solve per round with a growing forbidden list gives,
-for at most |family(X)| + n(k-1) oracle calls (|family(X)| + 2n(k-1) for
-boxes) instead of a whole family per round.
+oracle on the boxes of its ambient lattice box minus X.  `_ordered` is the
+Lawler-Murty partition scheme on top of that family: a heap keyed by
+(value, vertex) holds one oracle answer per member, and each pop yields a
+vertex v; only when the next answer is asked for is its member F split into
+F minus v, by the one-point family of v inside F (at most n subfaces, or 2n
+boxes).  Because every member fixes a prefix of the coordinates, the members
+behind the heap are always the family of X plus the vertices found so far;
+so `solve_forbidden` is its first answer and `kbest` its first k, ties
+included, for |family(X)| + n(k-1) oracle calls at most (|family(X)| +
+2n(k-1) for boxes) instead of a whole family per answer.
 """
 
 from __future__ import annotations
@@ -28,45 +31,41 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Set, Tuple
 
-from .core import (BinaryPoint, CubeFace, LatticeBox, LatticePoint, Objective, int_coords,
-                   point_coords)
+from .core import BinaryPoint, CubeFace, LatticeBox, LatticePoint, Objective, int_coords
 from .errors import DomainError
 from .oracles import INFEASIBLE, OracleOutcome
 
 
-def _prefix_levels(codes: Set[int], ranges: Sequence[int]) -> list:
-    """Per level i, the sorted codes of the level-i prefixes that leave X.
+def _runs(codes: Set[int], ranges: Sequence[int]) -> Iterator[list]:
+    """Per level i, the runs (prefix, first, last) of allowed i-th digits.
 
-    `codes` are the mixed-radix codes of X, coordinate 1 least significant
-    (for r = 2 this is `BinaryPoint.bits`); a level-i prefix is coded by its
-    first i digits.
+    `codes` are the mixed-radix codes of a nonempty X, coordinate 1 least
+    significant (for r = 2 this is `BinaryPoint.bits`); `prefix` codes the
+    first i-1 digits of a point of X, and every digit in first..last extends
+    it to a level-i prefix that has left X.  Runs come in (prefix code,
+    first) order.
     """
-    levels = []
-    prev = {0}  # X^0: the empty prefix
     radix = 1
     for r in ranges:
-        width = radix * r
-        proj = {code % width for code in codes}
-        levels.append(sorted({p + t * radix for p in prev for t in range(r)} - proj))
-        prev, radix = proj, width
-    return levels
+        runs = []
+        prefix, first = None, r  # the prefix being read, its next allowed digit
+        for p, t in sorted({(w % radix, w // radix % r) for w in codes}):
+            if p != prefix:
+                if first < r:
+                    runs.append((prefix, first, r - 1))
+                prefix, first = p, 0
+            if first < t:
+                runs.append((prefix, first, t - 1))
+            first = t + 1
+        if first < r:
+            runs.append((prefix, first, r - 1))
+        yield runs
+        radix *= r
 
 
-@dataclass(frozen=True)
-class SeparatingFamily:
-    """An X-separating list of cube faces."""
-
-    n: int
-    faces: tuple
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-
-def separating_faces(X: Iterable[BinaryPoint], n: int) -> SeparatingFamily:
+def separating_faces(X: Iterable[BinaryPoint], n: int) -> tuple:
     """The constructive X-separating family (at most n|X| faces).
 
     Level-i members fix coordinates 1..i to a prefix that has left X, in
@@ -79,25 +78,14 @@ def separating_faces(X: Iterable[BinaryPoint], n: int) -> SeparatingFamily:
             raise DomainError(f"point of dimension {p.n} in dimension-{n} problem")
         bits.add(p.bits)
     if not bits:
-        return SeparatingFamily(n, (CubeFace.improper(n),))
-    faces = tuple(CubeFace(n, (1 << i) - 1, w)
-                  for i, level in enumerate(_prefix_levels(bits, (2,) * n), start=1)
-                  for w in level)
-    return SeparatingFamily(n, faces)
+        return (CubeFace.improper(n),)
+    # a binary run is one digit: a prefix of X keeps at least one child in X
+    return tuple(CubeFace(n, (2 << i) - 1, w)
+                 for i, runs in enumerate(_runs(bits, (2,) * n))
+                 for w in sorted(prefix | first << i for prefix, first, _ in runs))
 
 
-@dataclass(frozen=True)
-class BoxFamily:
-    """Pairwise lattice-disjoint boxes covering the ambient lattice minus X."""
-
-    boxes: tuple
-    levels: tuple = ()  # prefix level that produced each box
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-
-def box_family(X: Iterable, ambient: LatticeBox) -> BoxFamily:
+def box_family(X: Iterable, ambient: LatticeBox) -> tuple:
     """Split the lattice points of `ambient` minus X into disjoint boxes.
 
     X holds LatticePoints or coordinate tuples inside the box.  Boxes come
@@ -107,31 +95,24 @@ def box_family(X: Iterable, ambient: LatticeBox) -> BoxFamily:
     lo, hi = ambient.l.coords, ambient.u.coords
     ranges = tuple(u - l + 1 for l, u in zip(lo, hi))
     radices = tuple(itertools.accumulate(ranges, operator.mul, initial=1))
-    forb = set()
+    codes = set()
     for p in X:
         coords = p.coords if isinstance(p, LatticePoint) else int_coords(p)
         if len(coords) != ambient.n:
             raise DomainError(f"point {list(coords)} has wrong dimension")
         if any(not l <= v <= u for l, v, u in zip(lo, coords, hi)):
             raise DomainError(f"point {list(coords)} outside the ambient box")
-        forb.add(coords)
-    codes = {sum((v - l) * m for v, l, m in zip(coords, lo, radices)) for coords in forb}
+        codes.add(sum((v - l) * m for v, l, m in zip(coords, lo, radices)))
+    if not codes:
+        return (ambient,)
     boxes = []
-    levels = []
-    for i, level in enumerate(_prefix_levels(codes, ranges), start=1):
-        runs = []  # [prefix digits, first last-digit, final last-digit]
-        for d in sorted(tuple(w // m % r for m, r in zip(radices, ranges[:i]))
-                        for w in level):
-            if runs and runs[-1][0] == d[:-1] and runs[-1][2] + 1 == d[-1]:
-                runs[-1][2] = d[-1]
-            else:
-                runs.append([d[:-1], d[-1], d[-1]])
-        for prefix, alpha, beta in runs:
-            head = tuple(v + l for v, l in zip(prefix, lo))
-            boxes.append(LatticeBox.of(head + (lo[i - 1] + alpha,) + lo[i:],
-                                       head + (lo[i - 1] + beta,) + hi[i:]))
-            levels.append(i)
-    return BoxFamily(tuple(boxes), tuple(levels))
+    for i, runs in enumerate(_runs(codes, ranges)):
+        heads = sorted((tuple(prefix // m % r + l for m, r, l in zip(radices, ranges, lo[:i])),
+                        first, last) for prefix, first, last in runs)
+        for head, first, last in heads:
+            boxes.append(LatticeBox.of(head + (lo[i] + first,) + lo[i + 1:],
+                                       head + (lo[i] + last,) + hi[i + 1:]))
+    return tuple(boxes)
 
 
 def _family(oracle, X: Iterable, c: Objective, ambient: Optional[LatticeBox]) -> tuple:
@@ -145,47 +126,58 @@ def _family(oracle, X: Iterable, c: Objective, ambient: Optional[LatticeBox]) ->
     if oracle.integral:
         if ambient is None or ambient.n != oracle.n:
             raise DomainError("integral oracles need an ambient box of their dimension")
-        return box_family(X, ambient).boxes
-    return separating_faces(X, oracle.n).faces
+        return box_family(X, ambient)
+    return separating_faces(X, oracle.n)
 
 
 def _ranked(oracle, c: Objective, restrictions: Iterable) -> Iterator[tuple]:
-    """(c.v times L, coords of v, outcome, restriction) per feasible answer v.
+    """(c.v times L, v, outcome, restriction) per feasible answer v.
 
     The first two fields are the tie-break key (L > 0: the ints order and tie
-    like the values); on pairwise disjoint restrictions the vertices differ,
-    so keys never tie.
+    like the values, and points order lexicographically); on pairwise
+    disjoint restrictions the vertices differ, so keys never tie.
     """
     for restriction in restrictions:
         outcome = oracle.minimize(c, restriction)
         if outcome.feasible:
-            v = outcome.vertex
-            yield c.scaled_dot(v), point_coords(v), outcome, restriction
+            yield outcome.score, outcome.vertex, outcome, restriction
 
 
-def _split(restriction, v) -> Iterator:
+def _split(restriction, v) -> Sequence:
     """`restriction` minus its point v, as disjoint faces or boxes.
 
-    Coordinate j in order (free coordinates only, for a face) gives the
-    member that agrees with v before j and differs from it at j: a face with
-    j flipped, or the boxes below and above v_j (empty ones skipped).
+    A box gives the one-point family of v inside it.  A face gives, per free
+    coordinate j in order, the face that agrees with v on the free
+    coordinates before j and differs from it at j.
     """
     if isinstance(restriction, LatticeBox):
-        lo, hi, at = restriction.l.coords, restriction.u.coords, v.coords
-        for j, vj in enumerate(at):
-            head = at[:j]
-            if lo[j] < vj:
-                yield LatticeBox.of(head + lo[j:], head + (vj - 1,) + hi[j + 1:])
-            if vj < hi[j]:
-                yield LatticeBox.of(head + (vj + 1,) + lo[j + 1:], head + hi[j:])
-        return
+        return box_family((v,), restriction)
     n, mask, bits = restriction.n, restriction.mask, restriction.bits
+    faces = []
     for j in range(n):
         bit = 1 << j
         if not mask & bit:
             mask |= bit
             bits |= v.bits & bit
-            yield CubeFace(n, mask, bits ^ bit)
+            faces.append(CubeFace(n, mask, bits ^ bit))
+    return faces
+
+
+def _ordered(oracle, c: Objective, X: Iterable,
+             ambient: Optional[LatticeBox]) -> Iterator[OracleOutcome]:
+    """The oracle's optima over its vertices minus X, in (value, vertex) order.
+
+    Lawler-Murty: the family of X is queried once and its answers heapified;
+    each pop is yielded, and the popped member is split (and its pieces
+    queried) only when the next answer is asked for.
+    """
+    heap = list(_ranked(oracle, c, _family(oracle, X, c, ambient)))
+    heapq.heapify(heap)
+    while heap:
+        *_, outcome, restriction = heapq.heappop(heap)
+        yield outcome
+        for entry in _ranked(oracle, c, _split(restriction, outcome.vertex)):
+            heapq.heappush(heap, entry)
 
 
 def solve_forbidden(oracle, X: Iterable, c: Objective,
@@ -196,10 +188,10 @@ def solve_forbidden(oracle, X: Iterable, c: Objective,
     oracles on the boxes of `ambient` minus X, so they require `ambient`
     (binary oracles ignore it).  Infeasible exactly when no allowed vertex
     is left; value ties across members are broken toward the
-    lexicographically smallest vertex.
+    lexicographically smallest vertex.  This is the first answer of
+    `kbest`'s search.
     """
-    best = min(_ranked(oracle, c, _family(oracle, X, c, ambient)), default=None)
-    return INFEASIBLE if best is None else best[2]
+    return next(_ordered(oracle, c, X, ambient), INFEASIBLE)
 
 
 def kbest(oracle, c: Objective, k: int, exclude: Iterable = (),
@@ -213,25 +205,15 @@ def kbest(oracle, c: Objective, k: int, exclude: Iterable = (),
     `exclude` are treated as already removed and never returned; integral
     oracles need `ambient`, as in `solve_forbidden`.
 
-    Lawler-Murty: a heap keyed by (value, coords) starts with one oracle
-    answer per member of the family of `exclude`; each pop returns a vertex
-    v and, until k are out, replaces its member by the split of that member
-    minus v.  The feasible members of the family of `exclude` plus the
-    returned vertices are then exactly the members behind the heap, so each
-    pop is what `solve_forbidden` on that growing list returns, ties
-    included.  Oracle calls are at most |family(exclude)| + n(k-1) for faces
-    and |family(exclude)| + 2n(k-1) for boxes.
+    The answers are the first k of `_ordered`: the feasible members of the
+    family of `exclude` plus the returned vertices are exactly the members
+    behind its heap, so each answer is what `solve_forbidden` on that
+    growing list returns, ties included.  Oracle calls are at most
+    |family(exclude)| + n(k-1) for faces and |family(exclude)| + 2n(k-1)
+    for boxes; nothing is split after the k-th answer.
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    heap = list(_ranked(oracle, c, _family(oracle, exclude, c, ambient)))
-    heapq.heapify(heap)
-    found = []
-    while heap:
-        *_, outcome, restriction = heapq.heappop(heap)
-        found.append(outcome.vertex)
-        if len(found) == k:
-            return found, False
-        for entry in _ranked(oracle, c, _split(restriction, outcome.vertex)):
-            heapq.heappush(heap, entry)
-    return found, True
+    found = [outcome.vertex
+             for outcome in itertools.islice(_ordered(oracle, c, exclude, ambient), k)]
+    return found, len(found) < k

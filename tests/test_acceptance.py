@@ -63,9 +63,9 @@ def test_criterion_01_separating_family_bound():
         X = random_forbidden(rng, n, size)
         codes = {p.bits for p in X}
         family = separating_faces(X, n)
-        assert len(family.faces) <= n * size
+        assert len(family) <= n * size
         covered = set()
-        for face in family.faces:
+        for face in family:
             for p in face.vertices():
                 assert p.bits not in codes
                 covered.add(p.bits)
@@ -359,7 +359,7 @@ def test_criterion_09_integral():
         family = box_decomposition(X, ranges, n)
         assert len(family) <= 2 * n * max(1, len(X))
         seen = set()
-        for box in family.boxes:
+        for box in family:
             for p in box.iter_points():
                 assert p.coords not in seen
                 seen.add(p.coords)

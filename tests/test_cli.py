@@ -1,4 +1,8 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -524,3 +528,51 @@ class TestValuesTooLongToPrint:
                                                "polytope": {"type": "hrep", "rows": rows}})
         code, out = run(capsys, ["compile", path, "--method", "faces"])
         assert code == 1 and "too long to print" in json.loads(out)["message"]
+
+
+class TestWideLatticeBox:
+    """A box of width 10^18: the box family follows |X|, not the widths."""
+
+    W = 10 ** 18
+    C = (1, -2, 3)  # optimum (0, W, 0)
+
+    @staticmethod
+    def _capped_run(args, timeout=60):
+        """Run `python -m fvx.cli` in a child capped at 2 GB of address space."""
+        resource = pytest.importorskip("resource")
+        cap = 2 * 1024 ** 3
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-m", "fvx.cli", *args], capture_output=True,
+                              text=True, timeout=timeout, preexec_fn=limit, env=env)
+
+    def test_solve_and_kbest(self, tmp_path):
+        rng = random.Random(53)
+        W, c = self.W, self.C
+        # points within increase 30 of the optimum lie in this small box
+        near = [(x1, W - d2, x3) for x1 in range(31) for d2 in range(16) for x3 in range(11)]
+        forbidden = set(rng.sample(near, 20)) | {(0, W, 0)}
+        while len(forbidden) < 200:
+            forbidden.add(tuple(rng.randint(0, W) for _ in range(3)))
+        path = write_json(tmp_path, "wide.json", {
+            "kind": "integral", "n": 3,
+            "polytope": {"type": "lattice-box", "l": [0, 0, 0], "u": [W, W, W]},
+            "objective": list(c), "forbidden": [list(p) for p in forbidden]})
+        ranked = sorted((sum(a * v for a, v in zip(c, p)), p)
+                        for p in near if p not in forbidden)[:50]
+        assert ranked[-1][0] <= -2 * W + 30  # so no point outside `near` ranks higher
+
+        solve = self._capped_run(["solve", path])
+        assert solve.returncode == 0, solve.stderr
+        doc = json.loads(solve.stdout)
+        assert (doc["value"], tuple(doc["vertex"])) == (str(ranked[0][0]), ranked[0][1])
+
+        top = self._capped_run(["kbest", path, "-k", "50"])
+        assert top.returncode == 0, top.stderr
+        doc = json.loads(top.stdout)
+        assert doc["exhausted"] is False
+        assert [(int(v), tuple(p)) for v, p in zip(doc["values"], doc["vertices"])] == ranked

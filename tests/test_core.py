@@ -113,6 +113,19 @@ class TestBinaryPoint:
         assert p.prefix(2).coords() == (1, 0)
 
 
+class TestPointOrder:
+    def test_points_order_by_coordinates(self):
+        rng = random.Random(73)
+        for n in range(1, 9):
+            pts = [BinaryPoint(n, rng.getrandbits(n)) for _ in range(20)]
+            assert sorted(pts) == sorted(pts, key=point_coords)
+            lat = [LatticePoint.from_coords([rng.randint(-2, 2) for _ in range(n)])
+                   for _ in range(20)]
+            assert sorted(lat) == sorted(lat, key=point_coords)
+        assert not BinaryPoint.from_string("01") < BinaryPoint.from_string("01")
+        assert BinaryPoint.from_string("01") < BinaryPoint.from_string("10")
+
+
 class TestHammingIndependent:
     def test_examples(self):
         mk = BinaryPoint.from_coords
@@ -219,13 +232,6 @@ class TestLatticeBox:
         pts = list(box.iter_points())
         assert len(pts) == 9
         assert pts == sorted(pts, key=lambda p: p.coords)
-
-    def test_intersect(self):
-        a = LatticeBox.of((0, 0), (2, 2))
-        b = LatticeBox.of((1, -5), (4, 0))
-        c = a.intersect(b)
-        assert (c.l.coords, c.u.coords) == ((1, 0), (2, 0))
-        assert a.intersect(LatticeBox.of((3, 3), (4, 4))) is None
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -31,25 +31,32 @@ def lattice_points(ranges):
 
 
 def boxes_as_sets(family):
-    return [set(p.coords for p in box.iter_points()) for box in family.boxes]
+    return [set(p.coords for p in box.iter_points()) for box in family]
+
+
+def box_level(box, ranges):
+    """The prefix level of a box of `box_decomposition`: the last coordinate
+    where it differs from the whole lattice (0 for the whole lattice)."""
+    return max((i for i, (l, u, r) in enumerate(zip(box.l.coords, box.u.coords, ranges), start=1)
+                if (l, u) != (0, r - 1)), default=0)
 
 
 class TestBoxDecomposition:
     def test_one_dim_example(self):
         fam = box_decomposition([(1,)], 3, 1)
-        assert [(b.l.coords, b.u.coords) for b in fam.boxes] == \
+        assert [(b.l.coords, b.u.coords) for b in fam] == \
             [((0,), (0,)), ((2,), (2,))]
         assert len(fam) == 2  # == 2 n |X|
 
     def test_two_dim_example(self):
         fam = box_decomposition([(1, 1)], 3, 2)
-        assert [(b.l.coords, b.u.coords) for b in fam.boxes] == [
+        assert [(b.l.coords, b.u.coords) for b in fam] == [
             ((0, 0), (0, 2)), ((2, 0), (2, 2)), ((1, 0), (1, 0)), ((1, 2), (1, 2))]
-        assert sum(b.lattice_count() for b in fam.boxes) == 8
+        assert sum(b.lattice_count() for b in fam) == 8
 
     def test_empty_and_full(self):
         fam = box_decomposition([], 3, 2)
-        assert len(fam) == 1 and fam.boxes[0].lattice_count() == 9
+        assert len(fam) == 1 and fam[0].lattice_count() == 9
         fam = box_decomposition(lattice_points((2, 2)), 2, 2)
         assert len(fam) == 0
 
@@ -60,9 +67,10 @@ class TestBoxDecomposition:
             codes = rng.sample(range(1 << n), rng.randint(1, 1 << n))
             pts = [BinaryPoint(n, b) for b in codes]
             fam = box_decomposition([p.coords() for p in pts], 2, n)
-            face_fixings = {f.fixed for f in separating_faces(pts, n).faces}
+            face_fixings = {f.fixed for f in separating_faces(pts, n)}
             box_fixings = set()
-            for box, level in zip(fam.boxes, fam.levels):
+            for box in fam:
+                level = box_level(box, (2,) * n)
                 fixings = tuple((i + 1, box.l.coords[i]) for i in range(level))
                 assert box.l.coords[level:] == tuple(0 for _ in range(n - level))
                 assert box.u.coords[level:] == tuple(1 for _ in range(n - level))
@@ -84,7 +92,7 @@ class TestBoxDecomposition:
             assert set(covered) == set(lattice) - X
             # per-level interval count: sum q_v <= 2|X| at every level
             for level in range(1, n + 1):
-                q = sum(1 for lev in fam.levels if lev == level)
+                q = sum(1 for box in fam if box_level(box, ranges) == level)
                 if X:
                     assert q <= 2 * len(X)
 

@@ -261,6 +261,12 @@ class TestLatticeBoxOracle:
         out = o.minimize(Objective.of([0, 0]))
         assert out.vertex.coords == (0, 0)
 
+        out = o.minimize(Objective.of(["1/2", "-1/3"]), LatticeBox.of((-5, 1), (1, 9)))
+        assert out.vertex.coords == (0, 2) and out.value == Fraction(-2, 3)
+        assert out.score == -4  # the value times L = 6
+        with pytest.raises(DomainError):
+            o.minimize(Objective.of([1, 1]), LatticeBox.of((0,), (1,)))
+
 
 def _oracle_fixtures(n):
     """(oracle, full vertex list) pairs for dimension n."""

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,15 +39,15 @@ def covered_codes(faces, n):
 class TestSeparatingFaces:
     def test_example_single_point(self):
         fam = separating_faces([BinaryPoint.from_string("00")], 2)
-        fixings = {f.fixed for f in fam.faces}
+        fixings = {f.fixed for f in fam}
         assert fixings == {((1, 1),), ((1, 0), (2, 1))}
-        assert len(fam.faces) == 2  # == n |X|
+        assert len(fam) == 2  # == n |X|
 
     def test_empty_and_full(self):
         fam = separating_faces([], 3)
-        assert len(fam.faces) == 1 and fam.faces[0].is_improper
+        assert len(fam) == 1 and fam[0].is_improper
         fam = separating_faces(all_binary(2), 2)
-        assert fam.faces == ()
+        assert fam == ()
 
     def test_dimension_check(self):
         with pytest.raises(DomainError):
@@ -61,14 +62,99 @@ class TestSeparatingFaces:
             codes = {p.bits for p in X}
             fam = separating_faces(X, n)
             # exact cover of the complement, no forbidden point in any face
-            assert covered_codes(fam.faces, n) == set(range(1 << n)) - codes
+            assert covered_codes(fam, n) == set(range(1 << n)) - codes
             # the faces are pairwise disjoint: their sizes add up to the complement
-            assert sum(1 << (n - len(f.fixed)) for f in fam.faces) == (1 << n) - len(codes)
+            assert sum(1 << (n - len(f.fixed)) for f in fam) == (1 << n) - len(codes)
             # size bounds: n|X| and the neighbor refinement
-            assert len(fam.faces) <= n * size
+            assert len(fam) <= n * size
             outside_neighbors = {v ^ (1 << i) for v in codes
                                  for i in range(n)} - codes
-            assert len(fam.faces) <= len(outside_neighbors) or not outside_neighbors
+            assert len(fam) <= len(outside_neighbors) or not outside_neighbors
+
+
+
+def _prefix_levels_by_enumeration(codes, ranges):
+    """Per level, the sorted codes of the prefixes that leave X, built from
+    every child of every prefix of X with range(r): the reference for the
+    gap routine."""
+    levels = []
+    prev, radix = {0}, 1
+    for r in ranges:
+        width = radix * r
+        proj = {code % width for code in codes}
+        levels.append(sorted({p + t * radix for p in prev for t in range(r)} - proj))
+        prev, radix = proj, width
+    return levels
+
+
+def _faces_by_enumeration(X, n):
+    levels = _prefix_levels_by_enumeration({p.bits for p in X}, (2,) * n)
+    return tuple(CubeFace(n, (1 << i) - 1, w)
+                 for i, level in enumerate(levels, start=1) for w in level)
+
+
+def _boxes_by_enumeration(X, ambient):
+    """Each level's prefixes decoded, sorted, and merged on consecutive last digits."""
+    lo, hi = ambient.l.coords, ambient.u.coords
+    ranges = tuple(u - l + 1 for l, u in zip(lo, hi))
+    radices = [1]
+    for r in ranges:
+        radices.append(radices[-1] * r)
+    codes = {sum((v - l) * m for v, l, m in zip(p, lo, radices)) for p in X}
+    boxes = []
+    for i, level in enumerate(_prefix_levels_by_enumeration(codes, ranges), start=1):
+        runs = []
+        for d in sorted(tuple(w // m % r for m, r in zip(radices, ranges[:i])) for w in level):
+            if runs and runs[-1][0] == d[:-1] and runs[-1][2] + 1 == d[-1]:
+                runs[-1][2] = d[-1]
+            else:
+                runs.append([d[:-1], d[-1], d[-1]])
+        for prefix, first, last in runs:
+            head = tuple(v + l for v, l in zip(prefix, lo))
+            boxes.append(LatticeBox.of(head + (lo[i - 1] + first,) + lo[i:],
+                                       head + (lo[i - 1] + last,) + hi[i:]))
+    return tuple(boxes)
+
+
+class TestGapRoutine:
+    """The gap routine gives the enumerated families, order included."""
+
+    def test_faces_match_enumeration(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            X = random_forbidden(rng, n, rng.randint(1, 1 << n))
+            assert separating_faces(X, n) == _faces_by_enumeration(X, n)
+
+    def test_boxes_match_enumeration(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            lo = [rng.randint(-3, 3) for _ in range(n)]
+            ambient = LatticeBox.of(lo, [v + rng.randint(0, 5) for v in lo])
+            points = [p.coords for p in ambient.iter_points()]
+            X = rng.sample(points, rng.randint(0, min(len(points), 12)))
+            got = box_family(X, ambient)
+            assert got == (_boxes_by_enumeration(X, ambient) if X else (ambient,))
+
+    def test_split_box_is_one_point_family(self):
+        rng = random.Random(67)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            lo = [rng.randint(-3, 3) for _ in range(n)]
+            box = LatticeBox.of(lo, [v + rng.randint(0, 3) for v in lo])
+            v = rng.choice(list(box.iter_points()))
+            assert tuple(_split(box, v)) == _boxes_by_enumeration([v.coords], box)
+
+    def test_wide_box_family_is_fast(self):
+        rng = random.Random(71)
+        W = 10 ** 5
+        X = [tuple(rng.randint(0, W) for _ in range(3)) for _ in range(20)]
+        start = time.perf_counter()
+        family = box_family(X, LatticeBox.of((0, 0, 0), (W, W, W)))
+        assert time.perf_counter() - start < 0.1
+        assert len(family) <= 2 * 3 * len(X)
+        assert sum(b.lattice_count() for b in family) == (W + 1) ** 3 - len(set(X))
 
 
 class TestSolveForbidden:
