@@ -166,6 +166,15 @@ class LatticePoint:
     def from_coords(cls, coords: Sequence[int]) -> "LatticePoint":
         return cls(len(coords), tuple(coords))
 
+    @classmethod
+    def unchecked(cls, coords: tuple) -> "LatticePoint":
+        """The point of an int tuple, not checked again: for coordinates
+        computed from valid ones."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "n", len(coords))
+        object.__setattr__(point, "coords", coords)
+        return point
+
     def coord(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise DomainError(f"coordinate index {i} out of 1..{self.n}")
@@ -333,6 +342,15 @@ class LatticeBox:
     @classmethod
     def of(cls, l: Sequence[int], u: Sequence[int]) -> "LatticeBox":
         return cls(LatticePoint.from_coords(l), LatticePoint.from_coords(u))
+
+    @classmethod
+    def unchecked(cls, l: tuple, u: tuple) -> "LatticeBox":
+        """The box [l, u] from int tuples with l <= u, not checked again: for
+        boxes cut from a box that is already valid."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "l", LatticePoint.unchecked(l))
+        object.__setattr__(box, "u", LatticePoint.unchecked(u))
+        return box
 
     @property
     def n(self) -> int:

@@ -12,7 +12,7 @@ tests, sort keys and sums are in ints, and each answer's value is made a
 
 The kind is one class attribute, `integral`: False on `BinaryOracle`
 (queries restricted by cube faces), True on `IntegralOracle` (by lattice
-boxes).  The solvers read it to pick the family to query, and wrappers such
+boxes).  The solvers read it to pick faces or boxes, and wrappers such
 as `CountingOracle` copy it from the oracle they wrap.  `BruteForceOracle`
 over an explicit point list takes its kind from the point type; it is the
 reference that every other oracle is tested against.
@@ -168,8 +168,9 @@ class SpanningTreeOracle(BinaryOracle):
     """V(P) = spanning trees of a connected graph; dimension = edge count.
 
     Kruskal greedy by (cost, -edge index): among cost ties the later edge
-    comes first, which gives the lexicographically least tree.  Edges fixed
-    to 1 are forced (contracted), edges fixed to 0 are deleted.
+    comes first, which gives the lexicographically least tree.  The edges
+    are sorted once per objective.  Edges fixed to 1 are forced
+    (contracted), edges fixed to 0 are deleted.
     """
 
     def __init__(self, num_nodes: int, edges: Sequence[Tuple[int, int]]):
@@ -195,6 +196,7 @@ class SpanningTreeOracle(BinaryOracle):
         if comps != 1:
             raise DomainError("graph is not connected")
         self.n = len(self.edges)
+        self._order = (None, ())  # (c, every edge by (cost, -index) under c)
 
     def minimize(self, c: Objective, face: Optional[CubeFace] = None) -> OracleOutcome:
         face = _check_binary_query(self.n, c, face)
@@ -204,10 +206,12 @@ class SpanningTreeOracle(BinaryOracle):
             if (chosen >> e) & 1 and not dsu.union(u, v):
                 return INFEASIBLE  # forced edges contain a cycle
         count = chosen.bit_count()
-        ints = c.scaled[1]
-        order = sorted((e for e in range(self.n) if not (face.mask >> e) & 1),
-                       key=lambda e: (ints[e], -e))
-        for e in order:
+        if self._order[0] != c:
+            ints = c.scaled[1]
+            self._order = (c, sorted(range(self.n), key=lambda e: (ints[e], -e)))
+        for e in self._order[1]:
+            if (face.mask >> e) & 1:
+                continue
             u, v = self.edges[e]
             if dsu.union(u, v):
                 chosen |= 1 << e

@@ -1,4 +1,4 @@
-"""Prefix decomposition of the complement of X, and the solver built on it.
+"""Prefix decomposition of the complement of X, and the best-first solver.
 
 For a forbidden set X inside the lattice {0..r1-1} x ... x {0..rn-1}, the
 level-i prefixes that leave X (one-coordinate extensions of a prefix of X
@@ -12,18 +12,41 @@ is one cube face, and the family is X-separating with at most n|X| faces:
 the level-i member of prefix code w is the face mask = 2^i - 1, bits = w.
 On a lattice box each run is one box, at most 2n|X| disjoint boxes.
 
-One oracle query per member solves linear optimization over the allowed
-points: a binary oracle is queried on the separating faces of X, an integral
-oracle on the boxes of its ambient lattice box minus X.  `_ordered` is the
-Lawler-Murty partition scheme on top of that family: a heap keyed by
-(value, vertex) holds one oracle answer per member, and each pop yields a
-vertex v; only when the next answer is asked for is its member F split into
-F minus v, by the one-point family of v inside F (at most n subfaces, or 2n
-boxes).  Because every member fixes a prefix of the coordinates, the members
-behind the heap are always the family of X plus the vertices found so far;
-so `solve_forbidden` is its first answer and `kbest` its first k, ties
-included, for |family(X)| + n(k-1) oracle calls at most (|family(X)| +
-2n(k-1) for boxes) instead of a whole family per answer.
+The family is what the formulations need (`extension.face_formulation`,
+`integral.forbI_formulation`).  Linear optimization over the allowed points
+needs less: `_ordered` is the Lawler-Murty partition scheme (Lawler 1972,
+Management Sci. 18; Murty 1968, Oper. Res. 16) run from the root
+restriction, the improper face or the ambient box, which is the family of no
+point.  A heap keyed by (value, vertex) holds one oracle answer per
+restriction, with the points of X inside it.  A popped vertex v that lies in
+X is not returned, and its restriction F is split at once into F minus v, by
+the one-point family of v inside F (`_split`: at most n subfaces, or 2n
+boxes).  Any other popped vertex is returned, and F is split only when the
+next answer is asked for.  The points of X in F go down to the pieces in one
+pass, and a piece that holds nothing but points of X is not queried.
+
+Order.  The restrictions behind the heap, the popped vertices and the
+pruned pieces partition the root, and each oracle returns the
+(value, coords)-least optimum of its restriction.  So each pop is the least
+vertex not yet popped outside the pruned pieces, and those hold no allowed
+vertex: the returned vertices are the allowed ones in (value, coords) order.
+`solve_forbidden` is the first answer and `kbest` the first k, ties included.
+
+Bound.  Let r be the number of points of X that are vertices of P and come
+before the k-th answer in (value, coords) order (all of them when fewer than
+k answers exist).  The first k answers cost at most 1 + n(k - 1 + r) oracle
+calls on faces, and 1 + 2n(k - 1 + r) on boxes.  Proof: one call queries the
+root; every other call queries a piece of a split, and a split makes at most
+n pieces (one per free coordinate) or 2n (two per coordinate).  A split
+follows a pop.  Up to the k-th answer the pops are the first k - 1 answers,
+which are split when the next one is asked for, the k-th, which is not, and
+the popped points of X.  Pops come in (value, coords) order and an oracle
+answer is a vertex of P, so those points are among the r.  When only m < k
+answers exist, the search splits all m and at most r points of X, and
+m <= k - 1.  Since r <= |X|, the worst case is 1 + n|X| + n(k - 1): one call
+above querying the whole separating family (up to n|X| faces) and then
+n per further answer.  But a search whose optimum is allowed makes one call,
+whatever X is.
 """
 
 from __future__ import annotations
@@ -65,6 +88,31 @@ def _runs(codes: Set[int], ranges: Sequence[int]) -> Iterator[list]:
         radix *= r
 
 
+def _binary_codes(X: Iterable[BinaryPoint], n: int) -> Set[int]:
+    """The `bits` of the points of X; DomainError on a wrong dimension."""
+    bits = set()
+    for p in X:
+        if p.n != n:
+            raise DomainError(f"point of dimension {p.n} in dimension-{n} problem")
+        bits.add(p.bits)
+    return bits
+
+
+def _lattice_coords(X: Iterable, ambient: LatticeBox) -> Set[tuple]:
+    """The coordinate tuples of X (LatticePoints or tuples); DomainError on a
+    non-int coordinate, a wrong dimension or a point outside `ambient`."""
+    lo, hi = ambient.l.coords, ambient.u.coords
+    out = set()
+    for p in X:
+        coords = p.coords if isinstance(p, LatticePoint) else int_coords(p)
+        if len(coords) != ambient.n:
+            raise DomainError(f"point {list(coords)} has wrong dimension")
+        if any(not l <= v <= u for l, v, u in zip(lo, coords, hi)):
+            raise DomainError(f"point {list(coords)} outside the ambient box")
+        out.add(coords)
+    return out
+
+
 def separating_faces(X: Iterable[BinaryPoint], n: int) -> tuple:
     """The constructive X-separating family (at most n|X| faces).
 
@@ -72,17 +120,20 @@ def separating_faces(X: Iterable[BinaryPoint], n: int) -> tuple:
     code order within a level; X empty gives the single improper face,
     X = {0,1}^n gives the empty family.
     """
-    bits = set()
-    for p in X:
-        if p.n != n:
-            raise DomainError(f"point of dimension {p.n} in dimension-{n} problem")
-        bits.add(p.bits)
+    bits = _binary_codes(X, n)
     if not bits:
         return (CubeFace.improper(n),)
     # a binary run is one digit: a prefix of X keeps at least one child in X
     return tuple(CubeFace(n, (2 << i) - 1, w)
                  for i, runs in enumerate(_runs(bits, (2,) * n))
                  for w in sorted(prefix | first << i for prefix, first, _ in runs))
+
+
+def _box(head: tuple, first: int, last: int, lo: tuple, hi: tuple) -> LatticeBox:
+    """The box of the points that start with `head`, then a digit in
+    first..last, then anything in [lo, hi] behind."""
+    i = len(head) + 1
+    return LatticeBox.unchecked(head + (first,) + lo[i:], head + (last,) + hi[i:])
 
 
 def box_family(X: Iterable, ambient: LatticeBox) -> tuple:
@@ -95,23 +146,16 @@ def box_family(X: Iterable, ambient: LatticeBox) -> tuple:
     lo, hi = ambient.l.coords, ambient.u.coords
     ranges = tuple(u - l + 1 for l, u in zip(lo, hi))
     radices = tuple(itertools.accumulate(ranges, operator.mul, initial=1))
-    codes = set()
-    for p in X:
-        coords = p.coords if isinstance(p, LatticePoint) else int_coords(p)
-        if len(coords) != ambient.n:
-            raise DomainError(f"point {list(coords)} has wrong dimension")
-        if any(not l <= v <= u for l, v, u in zip(lo, coords, hi)):
-            raise DomainError(f"point {list(coords)} outside the ambient box")
-        codes.add(sum((v - l) * m for v, l, m in zip(coords, lo, radices)))
+    codes = {sum((v - l) * m for v, l, m in zip(coords, lo, radices))
+             for coords in _lattice_coords(X, ambient)}
     if not codes:
         return (ambient,)
     boxes = []
     for i, runs in enumerate(_runs(codes, ranges)):
         heads = sorted((tuple(prefix // m % r + l for m, r, l in zip(radices, ranges, lo[:i])),
                         first, last) for prefix, first, last in runs)
-        for head, first, last in heads:
-            boxes.append(LatticeBox.of(head + (lo[i] + first,) + lo[i + 1:],
-                                       head + (lo[i] + last,) + hi[i + 1:]))
+        boxes.extend(_box(head, lo[i] + first, lo[i] + last, lo, hi)
+                     for head, first, last in heads)
     return tuple(boxes)
 
 
@@ -130,28 +174,23 @@ def _family(oracle, X: Iterable, c: Objective, ambient: Optional[LatticeBox]) ->
     return separating_faces(X, oracle.n)
 
 
-def _ranked(oracle, c: Objective, restrictions: Iterable) -> Iterator[tuple]:
-    """(c.v times L, v, outcome, restriction) per feasible answer v.
-
-    The first two fields are the tie-break key (L > 0: the ints order and tie
-    like the values, and points order lexicographically); on pairwise
-    disjoint restrictions the vertices differ, so keys never tie.
-    """
-    for restriction in restrictions:
-        outcome = oracle.minimize(c, restriction)
-        if outcome.feasible:
-            yield outcome.score, outcome.vertex, outcome, restriction
-
-
-def _split(restriction, v) -> Sequence:
+def _split(restriction, v) -> list:
     """`restriction` minus its point v, as disjoint faces or boxes.
 
-    A box gives the one-point family of v inside it.  A face gives, per free
-    coordinate j in order, the face that agrees with v on the free
-    coordinates before j and differs from it at j.
+    A face gives, per free coordinate j in order, the face that agrees with
+    v on the free coordinates before j and differs from it at j.  A box
+    gives the one-point family of v inside it: per coordinate i, the boxes
+    that agree with v before i and lie below it, then above it, at i.
     """
     if isinstance(restriction, LatticeBox):
-        return box_family((v,), restriction)
+        x, lo, hi = v.coords, restriction.l.coords, restriction.u.coords
+        boxes = []
+        for i, (a, t, b) in enumerate(zip(lo, x, hi)):
+            if a < t:
+                boxes.append(_box(x[:i], a, t - 1, lo, hi))
+            if t < b:
+                boxes.append(_box(x[:i], t + 1, b, lo, hi))
+        return boxes
     n, mask, bits = restriction.n, restriction.mask, restriction.bits
     faces = []
     for j in range(n):
@@ -163,33 +202,88 @@ def _split(restriction, v) -> Sequence:
     return faces
 
 
+def _deal(restriction, v, points: list, count: int) -> list:
+    """`points` (of X, in `restriction`) minus v, dealt in one pass to the
+    `count` pieces of `_split(restriction, v)`, in their order.
+
+    A point goes to the piece of the first coordinate where it differs from
+    v; on a box, to the lower piece there or the upper one.  Points are
+    `bits` for a face and coordinate tuples for a box.
+    """
+    held = [[] for _ in range(count)]
+    if isinstance(restriction, LatticeBox):
+        x, lo, hi = v.coords, restriction.l.coords, restriction.u.coords
+        starts = [0]  # per coordinate, the index of its first piece
+        for a, t, b in zip(lo, x, hi):
+            starts.append(starts[-1] + (a < t) + (t < b))
+        for p in points:
+            for i, (s, t) in enumerate(zip(p, x)):
+                if s != t:
+                    held[starts[i] + (s > t and lo[i] < t)].append(p)
+                    break
+        return held
+    free = ~restriction.mask
+    for p in points:
+        d = p ^ v.bits
+        if d:
+            held[(free & ((d & -d) - 1)).bit_count()].append(p)
+    return held
+
+
+def _size(restriction) -> int:
+    """The number of lattice points of a face or box."""
+    if isinstance(restriction, LatticeBox):
+        return restriction.lattice_count()
+    return 1 << (restriction.n - restriction.mask.bit_count())
+
+
 def _ordered(oracle, c: Objective, X: Iterable,
              ambient: Optional[LatticeBox]) -> Iterator[OracleOutcome]:
     """The oracle's optima over its vertices minus X, in (value, vertex) order.
 
-    Lawler-Murty: the family of X is queried once and its answers heapified;
-    each pop is yielded, and the popped member is split (and its pieces
-    queried) only when the next answer is asked for.
+    Best-first from the root restriction (the family of no point): a heap
+    entry is (score, vertex, outcome, restriction, the points of X in the
+    restriction).  A popped vertex in X is split off at once; any other is
+    yielded, and split off only when the next answer is asked for.  A piece
+    that holds nothing but points of X is not queried.
     """
-    heap = list(_ranked(oracle, c, _family(oracle, X, c, ambient)))
-    heapq.heapify(heap)
+    root, = _family(oracle, (), c, ambient)
+    if oracle.integral:
+        forbidden, key = _lattice_coords(X, ambient), operator.attrgetter("coords")
+    else:
+        forbidden, key = _binary_codes(X, oracle.n), operator.attrgetter("bits")
+    heap = []
+
+    def query(restriction, inside: list) -> None:
+        if len(inside) < _size(restriction):
+            outcome = oracle.minimize(c, restriction)
+            if outcome.feasible:
+                # the score orders and ties like the value (c is scaled by
+                # L > 0), and the vertices of disjoint restrictions differ
+                heapq.heappush(heap, (outcome.score, outcome.vertex, outcome,
+                                      restriction, inside))
+
+    query(root, list(forbidden))
     while heap:
-        *_, outcome, restriction = heapq.heappop(heap)
-        yield outcome
-        for entry in _ranked(oracle, c, _split(restriction, outcome.vertex)):
-            heapq.heappush(heap, entry)
+        *_, outcome, restriction, inside = heapq.heappop(heap)
+        v = outcome.vertex
+        if key(v) not in forbidden:
+            yield outcome
+        pieces = _split(restriction, v)
+        for piece, held in zip(pieces, _deal(restriction, v, inside, len(pieces))):
+            query(piece, held)
 
 
 def solve_forbidden(oracle, X: Iterable, c: Objective,
                     ambient: Optional[LatticeBox] = None) -> OracleOutcome:
-    """Minimize c over the oracle's vertices minus X, one query per family member.
+    """Minimize c over the oracle's vertices minus X: `kbest`'s first answer.
 
-    Binary oracles are queried on the separating faces of X; integral
-    oracles on the boxes of `ambient` minus X, so they require `ambient`
-    (binary oracles ignore it).  Infeasible exactly when no allowed vertex
-    is left; value ties across members are broken toward the
-    lexicographically smallest vertex.  This is the first answer of
-    `kbest`'s search.
+    Binary oracles are queried on cube faces; integral oracles on boxes of
+    `ambient`, so they require `ambient` (binary oracles ignore it).  X is
+    checked in full first, as `separating_faces` and `box_family` check it.
+    Infeasible exactly when no allowed vertex is left; value ties are broken
+    toward the lexicographically smallest vertex.  At most 1 + n*r oracle
+    calls (1 + 2n*r for boxes), r the points of X that beat the answer.
     """
     return next(_ordered(oracle, c, X, ambient), INFEASIBLE)
 
@@ -205,12 +299,12 @@ def kbest(oracle, c: Objective, k: int, exclude: Iterable = (),
     `exclude` are treated as already removed and never returned; integral
     oracles need `ambient`, as in `solve_forbidden`.
 
-    The answers are the first k of `_ordered`: the feasible members of the
-    family of `exclude` plus the returned vertices are exactly the members
-    behind its heap, so each answer is what `solve_forbidden` on that
-    growing list returns, ties included.  Oracle calls are at most
-    |family(exclude)| + n(k-1) for faces and |family(exclude)| + 2n(k-1)
-    for boxes; nothing is split after the k-th answer.
+    The answers are the first k of `_ordered`, so each is what
+    `solve_forbidden` returns with `exclude` and the answers before it
+    removed, ties included.  Oracle calls are at most 1 + n(k - 1 + r) for
+    faces and 1 + 2n(k - 1 + r) for boxes, r the points of `exclude` that
+    come before the k-th answer (see the module docstring); nothing is
+    split after the k-th answer.
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")

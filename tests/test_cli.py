@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fvx import BinaryPoint, LinearSystem, interval_formulation, write_lp
-from fvx.cli import main
+from fvx.cli import KBEST_GUARD, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,12 +40,21 @@ class TestSolve:
         doc = json.loads(out)
         assert code == 0
         assert doc["status"] == "optimal" and doc["value"] == "1"
-        assert doc["vertex"] == "001" and doc["oracle_calls"] == 3
+        # the root answer 000 is forbidden; the three faces of its split are queried
+        assert doc["vertex"] == "001" and doc["oracle_calls"] == 4
 
     def test_infeasible_exit_2(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 1, ["1"], ["0", "1"])
         code, out = run(capsys, ["solve", path])
         assert code == 2 and json.loads(out)["status"] == "infeasible"
+
+    def test_everything_forbidden_no_oracle_call(self, tmp_path, capsys):
+        n = 12
+        path = cube_problem(tmp_path, n, ["1"] * n,
+                            [format(w, f"0{n}b") for w in range(1 << n)])
+        code, out = run(capsys, ["solve", path])
+        assert code == 2
+        assert json.loads(out) == {"status": "infeasible", "oracle_calls": 0}
 
     def test_bad_bitstring_exit_1(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 3, ["1", "1", "1"], ["00"])
@@ -114,17 +123,32 @@ class TestKbest:
         doc = json.loads(out)
         assert code == 0 and doc["vertices"] == ["10", "01"]
 
+    def test_k_guard(self, tmp_path, capsys):
+        # refused before any oracle call: on an n=64 cube this k ran until killed
+        path = cube_problem(tmp_path, 64, [str(i % 7 - 3) for i in range(64)], [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "fvx.cli", "kbest", path, "-k", "1000000000"],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert "KBEST_GUARD" in json.loads(proc.stdout)["message"]
+        # the guard itself is allowed
+        path = cube_problem(tmp_path, 3, ["1", "2", "3"], [], name="small.json")
+        code, out = run(capsys, ["kbest", path, "-k", str(KBEST_GUARD)])
+        assert code == 0 and json.loads(out)["exhausted"] is True
+
     def test_oracle_calls(self, tmp_path, capsys):
-        # 6 separating faces of X, then 2 + 1 calls to split the faces of
-        # 0000 and 0110; 0101, 1101 and 0001 sit on faces with no free
-        # coordinate, and the 6th vertex is not split
+        # the root answer 0100 is forbidden: 1 + 4 calls for the root and its
+        # split; then 3 to split the face of the forbidden 1100, and 2 + 1 to
+        # split the faces of 0000 and 0110; 0101, 1101 and 0001 sit on faces
+        # with no free coordinate, and the 6th vertex is not split
         path = cube_problem(tmp_path, 4, ["1", "-2", "3", "0"], ["0100", "1100"])
         code, out = run(capsys, ["kbest", path, "-k", "6"])
         doc = json.loads(out)
         assert code == 0
         assert doc["vertices"] == ["0101", "1101", "0000", "0001", "0110", "0111"]
         assert doc["values"] == ["-2", "-1", "0", "0", "1", "1"]
-        assert doc["oracle_calls"] == 9
+        assert doc["oracle_calls"] == 11
 
 
 class TestAlldiff:

@@ -23,6 +23,7 @@ from fvx import (
     solve_forbidden,
     spanning_tree_oracle,
 )
+from fvx.core import point_coords
 from fvx.errors import DomainError
 from fvx.separation import _split, box_family
 from conftest import all_binary, brute_min, random_forbidden, random_objective, spanning_trees
@@ -229,6 +230,17 @@ class TestKbest:
             assert exhausted == (len(vs) < k)
 
 
+def _ahead(c, X, found, k):
+    """The r of the oracle-call bound, by brute force: the distinct points of
+    X that come before the k-th answer in (value, coords) order, all of them
+    when fewer than k answers came back.  The points given must be vertices."""
+    X = set(X)
+    if len(found) < k:
+        return len(X)
+    last = (c.dot(found[-1]), point_coords(found[-1]))
+    return sum((c.dot(x), point_coords(x)) < last for x in X)
+
+
 def _kbest_by_resolving(oracle, c, k, exclude=(), ambient=None):
     """k-best by one full solve per round with a growing forbidden list."""
     removed = list(exclude)
@@ -299,6 +311,7 @@ class TestKbestLawlerMurty:
             vs, _ = kbest(oracle, c, k, X)
             assert len(vs) == min(k, (1 << n) - len(set(X)))
             assert oracle.calls <= len(separating_faces(X, n)) + n * (k - 1)
+            assert oracle.calls <= 1 + n * (k - 1 + _ahead(c, X, vs, k))
 
     def test_oracle_call_bound_integral(self):
         rng = random.Random(37)
@@ -311,6 +324,71 @@ class TestKbestLawlerMurty:
             vs, _ = kbest(oracle, c, k, X, ambient)
             assert len(vs) == min(k, width ** n - size)
             assert oracle.calls <= len(box_family(X, ambient)) + 2 * n * (k - 1)
+            assert oracle.calls <= 1 + 2 * n * (k - 1 + _ahead(c, X, vs, k))
+
+    def test_oracle_call_bound_random(self):
+        # X random, or the r best vertices plus random ones, so that the
+        # search has to pop and split forbidden vertices before its answers
+        rng = random.Random(47)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            s = rng.randint(0, n)
+            inner, vertices = rng.choice((
+                (cube_oracle(n), all_binary(n)),
+                (cardinality_oracle(n, s), [p for p in all_binary(n) if p.bits.bit_count() == s])))
+            c = Objective.of([rng.randint(-3, 3) for _ in range(n)])
+            ranked = sorted(vertices, key=lambda p: (c.dot(p), p.coords()))
+            X = rng.sample(all_binary(n), rng.randint(0, 1 << n))
+            if rng.random() < 0.5:
+                X += ranked[:rng.randint(0, len(ranked))]
+            k = rng.randint(1, 6)
+            oracle = CountingOracle(inner)
+            vs, _ = kbest(oracle, c, k, X)
+            codes = {p.bits for p in X}
+            assert vs == [p for p in ranked if p.bits not in codes][:k]
+            forbidden_vertices = [p for p in ranked if p.bits in codes]
+            assert oracle.calls <= 1 + n * (k - 1 + _ahead(c, forbidden_vertices, vs, k))
+
+    def test_allowed_optimum_makes_one_call(self):
+        rng = random.Random(89)
+        n = 64
+        c = Objective.of([rng.choice((-3, -1, 2, 5)) for _ in range(n)])
+        optimum = BinaryPoint(n, sum(1 << i for i, q in enumerate(c.c) if q < 0))
+        X = {BinaryPoint(n, rng.getrandbits(n)) for _ in range(3000)} - {optimum}
+        oracle = CountingOracle(cube_oracle(n))
+        assert solve_forbidden(oracle, X, c).vertex == optimum
+        assert oracle.calls == 1
+
+    def test_pieces_of_forbidden_points_only_are_not_queried(self):
+        oracle = CountingOracle(cube_oracle(12))
+        c = Objective.of([1] * 12)
+        assert not solve_forbidden(oracle, all_binary(12), c).feasible
+        assert kbest(oracle, c, 5, all_binary(12)) == ([], True)
+        assert oracle.calls == 0
+        ambient = LatticeBox.of((0, 0), (2, 2))
+        oracle = CountingOracle(lattice_box_oracle((0, 0), (2, 2)))
+        c = Objective.of([1, 1])
+        assert not solve_forbidden(oracle, list(ambient.iter_points()), c, ambient).feasible
+        assert oracle.calls == 0
+        # the root answer (0, 0) is forbidden; of its pieces [1, 2] x [0, 2]
+        # and {0} x [1, 2], the second holds only forbidden points
+        X = [(0, 0), (0, 1), (0, 2)]
+        assert solve_forbidden(oracle, X, c, ambient).vertex.coords == (1, 0)
+        assert oracle.calls == 2
+
+    def test_bad_points_refused_before_the_search(self):
+        # the root answer is allowed, so the search never reaches these points
+        c = Objective.of([1, 1, 1])
+        with pytest.raises(DomainError, match="point of dimension 2 in dimension-3"):
+            solve_forbidden(cube_oracle(3), [BinaryPoint.from_string("11")], c)
+        with pytest.raises(DomainError, match="point of dimension 2 in dimension-3"):
+            kbest(cube_oracle(3), c, 2, [BinaryPoint.from_string("11")])
+        ambient = LatticeBox.of((0, 0, 0), (3, 3, 3))
+        oracle = lattice_box_oracle((0, 0, 0), (3, 3, 3))
+        with pytest.raises(DomainError, match=r"point \[9, 9, 9\] outside the ambient box"):
+            solve_forbidden(oracle, [(9, 9, 9)], c, ambient)
+        with pytest.raises(DomainError, match=r"point \[9, 9, 9\] outside the ambient box"):
+            kbest(oracle, c, 2, [LatticePoint.from_coords((9, 9, 9))], ambient)
 
 
 class _RecordingOracle(CountingOracle):
