@@ -273,13 +273,14 @@ class Problem:
         out = []
         for i, item in enumerate(raw):
             if self.kind == "integral":
-                out.append(LatticePoint.from_coords(
-                    _int_list(item, self.n, f"forbidden[{i}]")))
+                out.append(LatticePoint.unchecked(
+                    tuple(_int_list(item, self.n, f"forbidden[{i}]"))))
                 continue
-            if not isinstance(item, str) or len(item) != self.n \
-                    or any(ch not in "01" for ch in item):
+            # a character other than 0 or 1 survives the strip; int(..., 2)
+            # alone would also take "0_1", " 01" or a full-width digit
+            if not isinstance(item, str) or len(item) != self.n or item.strip("01"):
                 _fail(f"forbidden[{i}]", f"expected a bitstring of length {self.n}")
-            out.append(BinaryPoint.from_string(item))
+            out.append(BinaryPoint(self.n, int(item[::-1], 2)))
         return out
 
     def _parse_ambient(self, raw) -> Optional[LatticeBox]:

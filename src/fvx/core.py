@@ -6,8 +6,8 @@ bit i-1 of its code word, so the code of a point is sum(2**(i-1) * v_i).  A
 marks coordinate i as fixed, bit i-1 of bits holds its value.  All
 numeric data is held as exact rationals (`fractions.Fraction`); no floating
 point is used anywhere on a solve path.  An `Objective` is scaled to ints
-once (`Objective.scaled`); oracles compare and sum in those ints and make
-one `Fraction` per answer.
+once (`Objective.scaled`); oracles compare and sum in those ints, and an
+answer's value becomes a `Fraction` only when it is read.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ minimizer with its exact value, and every oracle here returns its
 (value, coords)-least optimum: ties go to the lexicographically smallest
 vertex.  The oracles work on the objective's integer scaling c*L
 (`Objective.scaled`; L > 0, so signs, order and ties are those of c): sign
-tests, sort keys and sums are in ints, and each answer's value is made a
-`Fraction` once.
+tests, sort keys and sums are in ints, and an answer's value is made a
+`Fraction` only when it is read.
 
 The kind is one class attribute, `integral`: False on `BinaryOracle`
 (queries restricted by cube faces), True on `IntegralOracle` (by lattice
@@ -43,23 +43,27 @@ from .linsys import LinearSystem
 class OracleOutcome:
     """Infeasible, or an optimal vertex with its exact objective value.
 
-    `score` is the value times the objective's scale L as an int
-    (`Objective.scaled_dot`): the solvers order answers by it.
+    `score` is the value times the objective's scale L > 0 as an int
+    (`Objective.scaled_dot`): the solvers order answers by it.  `value` is
+    made from the two when it is read.
     """
 
     vertex: Optional[object]
-    value: Optional[Fraction]
     score: Optional[int] = None
+    scale: int = 1
 
     @classmethod
     def infeasible(cls) -> "OracleOutcome":
-        return cls(None, None)
+        return cls(None)
 
     @classmethod
     def optimum(cls, vertex, c: Objective) -> "OracleOutcome":
         """The answer `vertex` under c, its value summed once in ints."""
-        score = c.scaled_dot(vertex)
-        return cls(vertex, Fraction(score, c.scaled[0]), score)
+        return cls(vertex, c.scaled_dot(vertex), c.scaled[0])
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        return None if self.vertex is None else Fraction(self.score, self.scale)
 
     @property
     def feasible(self) -> bool:

@@ -57,10 +57,12 @@ class TestSolve:
         assert json.loads(out) == {"status": "infeasible", "oracle_calls": 0}
 
     def test_bad_bitstring_exit_1(self, tmp_path, capsys):
-        path = cube_problem(tmp_path, 3, ["1", "1", "1"], ["00"])
-        code, out = run(capsys, ["solve", path])
-        doc = json.loads(out)
-        assert code == 1 and "forbidden[0]" in doc["message"]
+        # int(..., 2) takes the last three, so the character check must refuse them
+        for bad in ("00", "0_1", " 01", "\uff1101"):
+            path = cube_problem(tmp_path, 3, ["1", "1", "1"], [bad])
+            code, out = run(capsys, ["solve", path])
+            doc = json.loads(out)
+            assert code == 1 and "forbidden[0]" in doc["message"], bad
 
     def test_spanning_tree(self, tmp_path, capsys):
         path = write_json(tmp_path, "st.json", {

@@ -25,7 +25,7 @@ from fvx import (
 )
 from fvx.core import point_coords
 from fvx.errors import DomainError
-from fvx.separation import _split, box_family
+from fvx.separation import _Boxes, _Faces, box_family
 from conftest import all_binary, brute_min, random_forbidden, random_objective, spanning_trees
 
 
@@ -117,6 +117,65 @@ def _boxes_by_enumeration(X, ambient):
     return tuple(boxes)
 
 
+def _run_points(lattice, run):
+    """The codes of the points of a run, by enumeration."""
+    i, prefix, first, last = run
+    m, r = lattice.radices[i], lattice.ranges[i]
+    return {w for w in range(lattice.radices[-1])
+            if w % m == prefix and first <= w // m % r <= last}
+
+
+def _restriction_points(lattice, restriction):
+    """The codes of the points of a face or box, by enumeration."""
+    if isinstance(restriction, CubeFace):
+        return {p.bits for p in restriction.vertices()}
+    return lattice.codes(restriction.iter_points())
+
+
+def _one_point_family(lattice, run, w):
+    """The run minus its point w by enumeration: per level j from the run's,
+    the maximal runs of the j-th digits other than w's of the points of the
+    run that share w's first j digits, in digit order."""
+    points = _run_points(lattice, run)
+    family = []
+    for j in range(run[0], len(lattice.ranges)):
+        m, r = lattice.radices[j], lattice.ranges[j]
+        digits = sorted({p // m % r for p in points if p % m == w % m} - {w // m % r})
+        for d in digits:
+            if family and family[-1][0] == j and family[-1][3] + 1 == d:
+                family[-1][3] = d
+            else:
+                family.append([j, w % m, d, d])
+    return [tuple(piece) for piece in family]
+
+
+def _check_splits(rng, lattice):
+    """For every run of the lattice and every point in it, the pieces of the
+    split partition the run minus the point in the order of the enumerated
+    one-point family, each piece holds the dealt points that lie in it, and
+    each piece's restriction has the piece's points."""
+    for i, r in enumerate(lattice.ranges):
+        for prefix in range(lattice.radices[i]):
+            for first in range(r):
+                for last in range(first, r):
+                    run = (i, prefix, first, last)
+                    points = _run_points(lattice, run)
+                    assert lattice.size(run) == len(points)
+                    assert _restriction_points(lattice, lattice.restriction(run)) == points
+                    inside = rng.sample(sorted(points), rng.randint(0, len(points)))
+                    for w in points:
+                        split = lattice.split(run, w, inside)
+                        assert [piece for piece, _ in split] == _one_point_family(lattice, run, w)
+                        seen = set()
+                        for piece, held in split:
+                            got = _run_points(lattice, piece)
+                            assert _restriction_points(lattice, lattice.restriction(piece)) == got
+                            assert held == [p for p in inside if p in got]
+                            assert not got & seen
+                            seen |= got
+                        assert seen == points - {w}
+
+
 class TestGapRoutine:
     """The gap routine gives the enumerated families, order included."""
 
@@ -140,12 +199,11 @@ class TestGapRoutine:
 
     def test_split_box_is_one_point_family(self):
         rng = random.Random(67)
-        for _ in range(100):
+        for _ in range(12):
             n = rng.randint(1, 4)
             lo = [rng.randint(-3, 3) for _ in range(n)]
-            box = LatticeBox.of(lo, [v + rng.randint(0, 3) for v in lo])
-            v = rng.choice(list(box.iter_points()))
-            assert tuple(_split(box, v)) == _boxes_by_enumeration([v.coords], box)
+            hi = [v + rng.randint(0, 3 if n < 4 else 2) for v in lo]
+            _check_splits(rng, _Boxes(LatticeBox.of(lo, hi)))
 
     def test_wide_box_family_is_fast(self):
         rng = random.Random(71)
@@ -406,16 +464,25 @@ class _RecordingOracle(CountingOracle):
 class TestFaceSplit:
     def test_split_partitions_face_minus_vertex(self):
         rng = random.Random(41)
-        for _ in range(60):
+        for n in range(1, 6):
+            _check_splits(rng, _Faces(n))
+
+    def test_cube_and_unit_box_query_the_same_points(self):
+        rng = random.Random(47)
+        for _ in range(40):
             n = rng.randint(1, 6)
-            face = CubeFace.of(n, {i: rng.randint(0, 1)
-                                   for i in rng.sample(range(1, n + 1), rng.randint(0, n))})
-            inside = {p.bits for p in face.vertices()}
-            for v in face.vertices():
-                children = [{p.bits for p in child.vertices()} for child in _split(face, v)]
-                assert all(child <= inside and v.bits not in child for child in children)
-                assert sum(map(len, children)) == len(inside) - 1
-                assert len(set().union(*children)) == len(inside) - 1  # pairwise disjoint
+            c = random_objective(rng, n)
+            exclude = rng.sample(all_binary(n), rng.randint(0, min(6, 1 << n)))
+            k = rng.randint(1, 1 << n)
+            cube = _RecordingOracle(cube_oracle(n))
+            box = _RecordingOracle(lattice_box_oracle((0,) * n, (1,) * n))
+            faces, _ = kbest(cube, c, k, exclude)
+            boxes, _ = kbest(box, c, k, [p.coords() for p in exclude],
+                             LatticeBox.of((0,) * n, (1,) * n))
+            assert [v.coords() for v in faces] == [v.coords for v in boxes]
+            assert cube.calls == box.calls == len(cube.queried)
+            assert [sorted(p.coords() for p in face.vertices()) for face in cube.queried] == \
+                [sorted(p.coords for p in b.iter_points()) for b in box.queried]
 
     def test_kbest_queries_prefix_faces_only(self):
         rng = random.Random(43)
