@@ -83,9 +83,13 @@ def _int_field(value, field: str, positive: bool = False) -> int:
 
 
 def _int_list(value, n: int, field: str) -> list:
+    """`value` itself if it is a list of n JSON integers."""
     if not isinstance(value, list) or len(value) != n:
         _fail(field, f"expected {n} integers")
-    return [_int_field(v, f"{field}[{j}]") for j, v in enumerate(value)]
+    for j, v in enumerate(value):
+        if type(v) is not int:
+            _int_field(v, f"{field}[{j}]")
+    return value
 
 
 def _box_of(n: int, spec: dict, field: str) -> LatticeBox:
@@ -263,7 +267,7 @@ class Problem:
         if not isinstance(raw, list) or len(raw) != self.n:
             _fail(field, f"expected {self.n} rational entries")
         try:
-            return Objective.of([parse_rational(v) for v in raw])
+            return Objective.of(raw)
         except FvxError as exc:
             _fail(field, str(exc))
 

@@ -29,9 +29,11 @@ used for both the entering column and ratio-test ties, which guarantees
 termination and makes every answer (including the optimal basic point)
 deterministic.
 
-Presolve: the tableau is built from `LinearSystem.folded()`, where each
-one-variable row is a bound (Andersen & Andersen 1995), so it adds no tableau
-row and its variable no split column pair; points are the original system's.
+Presolve is the solver's own: a tableau build turns each one-variable row
+into a bound (`_folded`; Andersen & Andersen 1995), so it adds no tableau row
+and its variable no split column pair; points are the original system's.
+The fold runs once per solved system (its solver is kept, below) and never
+for a system that is not solved, such as a `with_bounds` child.
 
 `solve_lp` runs phase 1 once per system object and keeps the post-phase-1
 solver on it as `_phase1` (None when infeasible).  That solver is never
@@ -49,16 +51,17 @@ instead of the post-phase-1 one.  Any feasible basis is a valid phase-2
 start, so the status and the value are the cold ones; only the point may be
 another optimum.  `start` must come from the same system object.
 
-Fixings: each solver keeps its folded rows over columns, before any sign
-flip, as `template` (with `var_cols` and `bound_rows`, which pivots never
-touch either).  `solve_lp(system, objective, fix={name: int})` takes the kept
-solver's `fixed(fix)`: a copy whose fixed variables map to their values with
-no column, and whose tableau `_normalize` rebuilds from the template with
-each dropped column's value moved into the right-hand sides (a row left
-empty, or a bound row of a dropped column, is checked and dropped).  Every
-other column keeps its number, and the pivot rule compares only column
-order, so the copy's phase 1 and phase 2 take exactly the pivots of a cold
-build of `system.with_bounds({name: (v, v)})`, with no `with_bounds` child,
+Fixings: each solver keeps one row list over columns, before any sign flip,
+as `template`: every folded row, then the bound row col <= hi - lo of each
+boxed column (with `var_cols` and `bound_rows`, pivots never touch it).
+`solve_lp(system, objective, fix={name: int})` takes the kept solver's
+`fixed(fix)`: a copy whose fixed variables map to their values with no
+column, and whose tableau `_normalize`, the one place that checks and drops
+a row left with no column, rebuilds from the template with each dropped
+column's value moved into the right-hand sides.  Every other column keeps
+its number, and the pivot rule compares only column order, so the copy's
+phase 1 and phase 2 take exactly the pivots of a cold build of
+`system.with_bounds({name: (v, v)})`, with no `with_bounds` child,
 `_transform_row` or fold per call.  A restriction of an infeasible system is
 infeasible with no tableau at all.
 
@@ -76,7 +79,7 @@ from typing import Mapping, Optional
 
 from .core import Objective, _int_scaled, parse_rational
 from .errors import DomainError
-from .linsys import LinearSystem
+from .linsys import LinearSystem, intersect_bounds
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -174,6 +177,37 @@ def _objective_map(system: LinearSystem, objective) -> dict:
 
 
 _NONBASIC = (0, 1)  # the (rhs, den) value of a nonbasic column
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def _folded(system: LinearSystem) -> tuple:
+    """(bounds, rows): the system's bounds tightened by each one-variable row
+    a*v rel b (to b/a, the sense flipped when a < 0; crossed bounds stay
+    crossed) and the other rows in order, as a tuple."""
+    bounds, rows = dict(system.bounds), []
+    for row in system.rows:
+        coeffs, rel, rhs = row
+        if len(coeffs) != 1 or 0 in coeffs.values():
+            rows.append(row)
+            continue
+        (name, a), = coeffs.items()
+        q, rel = Fraction(rhs, a), rel if a > 0 else _FLIPPED[rel]
+        bound = (None if rel == "<=" else q, None if rel == ">=" else q)
+        bounds[name] = intersect_bounds(bound, bounds.get(name, (None, None)))
+    return bounds, tuple(rows)
+
+
+def _reduced(cols: dict, rhs: int, den: int) -> list:
+    """The tableau row [cols, rhs, den] divided by the gcd of all its entries."""
+    g = gcd(den, rhs)
+    if g != 1:
+        for v in cols.values():
+            g = gcd(g, v)
+            if g == 1:
+                break
+    if g > 1:
+        return [{j: v // g for j, v in cols.items()}, rhs // g, den // g]
+    return [cols, rhs, den]
 
 
 class _Simplex:
@@ -191,7 +225,7 @@ class _Simplex:
                               # when integral, else a Fraction
         self.rows = []        # [cols dict, rhs int, den int] in standard equality form
         self.basis = []
-        bounds, rows = system.folded()
+        bounds, rows = _folded(system)
         self._build_columns(bounds)
         self._build_rows(rows)
 
@@ -252,32 +286,25 @@ class _Simplex:
         return {c: v for c, v in out.items() if v}, b
 
     def _build_rows(self, rows: tuple):
-        """Keep each folded row over columns as the template, then normalize.
-
-        A template row is (cols, rhs, rel) as `_transform_row` returns it,
-        before any sign flip; a row with no column is checked here and not
-        kept.  Coefficients are integers, and a rhs that a non-integral bound
-        made a Fraction is rescaled to an integer per row by `_normalize`.
-        """
-        self.template = []
-        for coeffs, rel, rhs in rows:
-            cols, b = self._transform_row(coeffs, rhs)
-            if cols:
-                self.template.append((cols, b, rel))
-            elif not (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0):
-                self.trivially_infeasible = True
+        """Keep the template, then normalize: each folded row as (cols, rhs,
+        rel) from `_transform_row`, before any sign flip and even with no
+        column, then each boxed column's bound row ({col: 1}, limit, "<=").
+        A rhs that a non-integral bound made a Fraction is rescaled to an
+        integer per row by `_normalize`."""
+        self.template = [(*self._transform_row(coeffs, rhs), rel) for coeffs, rel, rhs in rows]
+        self.template += [({col: 1}, limit, "<=") for col, limit in self.bound_rows]
         self._normalize({})
 
     def _normalize(self, shift: Mapping[int, object]):
         """Build the tableau rows from the template with columns fixed to values.
 
         Each column in `shift` (col -> value) leaves every row: its value
-        times its coefficient moves into the rhs, a row left with no column
-        is checked and dropped, and so is the bound row of the column.  Then
-        each row becomes an equality with a slack (<=, >=) and, where the
-        slack cannot be basic, an artificial.  Every other column keeps its
-        number, so the pivot rule, which compares only column order, takes
-        the pivots of a build that never had the shifted columns.
+        times its coefficient moves into the rhs.  A row with no column left
+        is checked and dropped.  Then each row becomes an equality with a
+        slack (<=, >=) and, where the slack cannot be basic, an artificial.
+        Every other column keeps its number, so the pivot rule, which
+        compares only column order, takes the pivots of a build that never
+        had the shifted columns.
         """
         pending = []
         for cols, b, rel in self.template:
@@ -288,18 +315,12 @@ class _Simplex:
                         b -= a * shift[c]
                     else:
                         kept[c] = a
-                if not kept:
-                    if not (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0):
-                        self.trivially_infeasible = True
-                    continue
                 cols = kept
+            if not cols:
+                if not (b >= 0 if rel == "<=" else b <= 0 if rel == ">=" else b == 0):
+                    self.trivially_infeasible = True
+                continue
             pending.append((cols, rel, b))
-        # each limit is hi - lo > 0: _build_columns fixed a variable with lo >= hi
-        for col, limit in self.bound_rows:
-            if col not in shift:
-                pending.append(({col: 1}, "<=", limit))
-            elif shift[col] > limit:
-                self.trivially_infeasible = True
 
         nslack = sum(1 for _, rel, _ in pending if rel != "=")
         slack = self.nstruct
@@ -312,18 +333,14 @@ class _Simplex:
             else:
                 cols = dict(cols)  # the template keeps its own
             if rel == ">=":
-                cols = {c: -v for c, v in cols.items()}
-                bi = -bi
-                rel = "<="
+                cols, bi = {c: -v for c, v in cols.items()}, -bi
             basis_col = None
-            if rel == "<=":
+            if rel != "=":
                 cols[slack] = 1
-                if bi >= 0:
-                    basis_col = slack
+                basis_col = slack if bi >= 0 else None
                 slack += 1
             if bi < 0:
-                cols = {c: -v for c, v in cols.items()}
-                bi = -bi
+                cols, bi = {c: -v for c, v in cols.items()}, -bi
             if basis_col is None:
                 cols[art] = 1
                 basis_col = art
@@ -376,39 +393,17 @@ class _Simplex:
                 new[j] = t
             else:
                 new.pop(j, None)
-        nb = bi * prd - f * prr
-        nd = di * prd
-        g = gcd(nd, nb)
-        if g != 1:
-            for v in new.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-        if g > 1:
-            new = {j: v // g for j, v in new.items()}
-            nb //= g
-            nd //= g
-        return [new, nb, nd]
+        return _reduced(new, bi * prd - f * prr, di * prd)
 
     def _pivot(self, r: int, s: int):
-        cols, rhs, den = self.rows[r]
+        cols, rhs, _den = self.rows[r]
         p = cols[s]
         if p < 0:
             cols = {j: -v for j, v in cols.items()}
             rhs = -rhs
             p = -p
-        g = gcd(p, rhs)
-        if g != 1:
-            for v in cols.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-        if g > 1:
-            cols = {j: v // g for j, v in cols.items()}
-            rhs //= g
-            p //= g
-        self.rows[r] = [cols, rhs, p]
-        prc, prr, prd = cols, rhs, p
+        self.rows[r] = _reduced(cols, rhs, p)
+        prc, prr, prd = self.rows[r]
         for i, row in enumerate(self.rows):
             if i == r:
                 continue
@@ -465,11 +460,7 @@ class _Simplex:
         for i in range(len(self.rows)):
             if self.basis[i] < art:
                 continue
-            cols = self.rows[i][0]
-            target = None
-            for j, v in cols.items():
-                if j < art and v and (target is None or j < target):
-                    target = j
+            target = min((j for j in self.rows[i][0] if j < art), default=None)
             if target is not None:
                 self._pivot(i, target)
         keep = [i for i, b in enumerate(self.basis) if b < art]

@@ -10,6 +10,10 @@ with relation <= or >= counts one inequality, an equality row counts zero,
 and each finite variable bound counts one except fixings l == u (which are
 equalities).  `counted_inequalities` implements this metric; meta records
 both it and the raw row count.
+
+A system is data: the exact LP folds its one-variable rows into bounds when
+it builds a tableau, and keeps its post-phase-1 solver on the system as
+`_phase1`, the one piece of solver state, which children do not inherit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .core import parse_rational
 from .errors import DomainError
 
 Bound = Tuple[Optional[Fraction], Optional[Fraction]]
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 def _scale_row(coeffs: Mapping[str, Fraction], rhs: Fraction):
@@ -117,26 +120,6 @@ class LinearSystem:
             count += (lo is not None) + (hi is not None)
         return count
 
-    def folded(self) -> Tuple[dict, tuple]:
-        """(bounds, rows): the bounds tightened by each one-variable row a*v rel b
-        (to b/a, the sense flipped when a < 0; crossed bounds stay crossed) and
-        the other rows in order.  Computed once per system and kept on it."""
-        saved = self.__dict__.get("_folded")
-        if saved is None:
-            bounds, rows = dict(self.bounds), []
-            for row in self.rows:
-                coeffs, rel, rhs = row
-                if len(coeffs) != 1 or 0 in coeffs.values():
-                    rows.append(row)
-                    continue
-                (name, a), = coeffs.items()
-                q, rel = Fraction(rhs, a), rel if a > 0 else _FLIPPED[rel]
-                bound = (None if rel == "<=" else q, None if rel == ">=" else q)
-                bounds[name] = intersect_bounds(bound, bounds.get(name, (None, None)))
-            saved = (bounds, tuple(rows))
-            object.__setattr__(self, "_folded", saved)
-        return saved
-
     def _derive(self, **changes) -> "LinearSystem":
         """A copy sharing this system's validated fields except `changes`.
 
@@ -152,16 +135,14 @@ class LinearSystem:
         """New system with per-variable bounds intersected with `overrides`.
 
         The rows are shared with this system, so only the bound names given
-        here are checked, and the child's fold is this fold with them intersected.
+        here are checked.
         """
-        folded, rows = self.folded()
-        bnd, folded = dict(self.bounds), dict(folded)
+        bnd = dict(self.bounds)
         for name, bound in overrides.items():
             if name not in self.variables:
                 raise DomainError(f"bound on undeclared variable {name!r}")
             bnd[name] = intersect_bounds(bound, bnd.get(name, (None, None)))
-            folded[name] = intersect_bounds(bound, folded.get(name, (None, None)))
-        return self._derive(bounds=bnd, _folded=(folded, rows))
+        return self._derive(bounds=bnd)
 
     def with_meta(self, meta: Mapping) -> "LinearSystem":
         return self._derive(meta=dict(meta))

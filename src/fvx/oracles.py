@@ -263,17 +263,15 @@ class HrepBinaryOracle(BinaryOracle):
             result = solve_lp(system, c, start=result)
         if result.is_unbounded:
             raise UnboundedInput("H-description is unbounded; not a polytope")
-        coords = []
-        for name in names:
-            v = result.point[name]
-            if v == 0:
-                coords.append(0)
-            elif v == 1:
-                coords.append(1)
-            else:
+        point, bits = result.point, 0
+        for i, name in enumerate(names):
+            v = point[name]
+            if v == 1:
+                bits |= 1 << i
+            elif v != 0:
                 raise NotBinaryPolytope(
                     f"LP vertex has fractional coordinate {name} = {format_rational(v)}")
-        return OracleOutcome.optimum(BinaryPoint.from_coords(coords), c)
+        return OracleOutcome.optimum(BinaryPoint(self.n, bits), c)
 
 
 class BruteForceOracle:

@@ -2,13 +2,34 @@
 
 from fractions import Fraction
 
-from fvx import BinaryPoint, Objective, solve_lp
+from fvx import BinaryPoint, Objective, exactlp, solve_lp
 
 
 def feasible_at(system, p):
     """Is the system feasible with x1..xn pinned to the point p?"""
     pins = {f"x{i + 1}": (Fraction(v), Fraction(v)) for i, v in enumerate(p)}
     return solve_lp(system.with_bounds(pins), {}).is_optimal
+
+
+def phase_pivots(monkeypatch):
+    """Count pivots per phase, {1: ..., 2: ...} (drive-out pivots in phase 1)."""
+    counts, phase = {1: 0, 2: 0}, [2]
+    pivot, phase1 = exactlp._Simplex._pivot, exactlp._Simplex.phase1
+
+    def counting(self, r, s):
+        counts[phase[0]] += 1
+        return pivot(self, r, s)
+
+    def in_phase1(self):
+        phase[0] = 1
+        try:
+            return phase1(self)
+        finally:
+            phase[0] = 2
+
+    monkeypatch.setattr(exactlp._Simplex, "_pivot", counting)
+    monkeypatch.setattr(exactlp._Simplex, "phase1", in_phase1)
+    return counts
 
 
 def all_binary(n):

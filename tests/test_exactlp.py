@@ -20,6 +20,7 @@ from fvx import (
     solve_lp,
 )
 from fvx.errors import DomainError
+from conftest import phase_pivots
 
 
 def vertices_by_basis_enumeration(system):
@@ -132,6 +133,14 @@ class TestBasics:
                                bounds={"x1": (0, 1), "x2": (0, 1)})
         assert solve_lp(s, [1, 2]).value == 1
         assert solve_lp(s, [1, 2], sense="max").value == 2
+
+    def test_drive_out_takes_the_lowest_column(self):
+        # -x1 - x3 = 0 over x >= 0: phase 1 is optimal at once with its artificial
+        # basic at zero, and the artificial leaves for its row's lowest column
+        s = LinearSystem.build(3, rows=[({"x1": -1, "x3": -1}, "=", 0)],
+                               bounds={name: (0, None) for name in ("x1", "x2", "x3")})
+        assert solve_lp(s, [1, 1, 1]).value == 0
+        assert s._phase1.basis == [0]
 
     def test_crossing_bounds_infeasible(self):
         s = LinearSystem.build(1, bounds={"x1": (1, 0)})
@@ -659,11 +668,10 @@ class TestFold:
                 ({"x1": 1, "x2": 1}, "<=", 4),
                 ({"x1": 4}, "<=", 6)]            # x1 <= 3/2, under the bound 5
         system = LinearSystem.build(2, (), rows, {"x1": (None, 5)})
-        bounds, kept = system.folded()
+        bounds, kept = exactlp._folded(system)
         assert bounds == {"x1": (Fraction(-3, 2), Fraction(3, 2)),
                           "x2": (Fraction(2, 3), Fraction(2, 3))}
         assert kept == (({"x1": 1, "x2": 1}, "<=", 4),)
-        assert system.folded() is system.folded()
         assert len(system.rows) == 4 and system.bounds == {"x1": (None, 5)}
         assert system.counted_inequalities() == 4
         assert solve_lp(system, ["-1", "3"]).value == Fraction(-3, 2) + 2
@@ -676,23 +684,23 @@ class TestFold:
     ], ids=["bound", "row", "equality"])
     def test_crossing_singletons_are_infeasible(self, rows, bounds):
         system = LinearSystem.build(2, (), rows + [({"x1": 1, "x2": 1}, "<=", 9)], bounds)
-        lo, hi = system.folded()[0]["x1"]
+        lo, hi = exactlp._folded(system)[0]["x1"]
         assert hi < lo
         assert solve_lp(system, {}).is_infeasible
         assert solve_lp(system.with_bounds({"x2": (Fraction(0), None)}), {}).is_infeasible
 
     def test_zero_coefficient_row_is_kept(self):
         system = LinearSystem(("x1",), 1, (({"x1": 0}, "<=", -1),), {})
-        assert system.folded() == ({}, system.rows)
+        assert exactlp._folded(system) == ({}, system.rows)
         assert solve_lp(system, {}).is_infeasible
 
     def test_child_crossing_a_folded_bound(self):
         parent = LinearSystem.build(1, (), [({"x1": 1}, "<=", 1)])
         child = parent.with_bounds({"x1": (Fraction(2), None)})
-        assert child.bounds == {"x1": (2, None)} and child.folded()[0] == {"x1": (2, 1)}
+        assert child.bounds == {"x1": (2, None)} and exactlp._folded(child)[0] == {"x1": (2, 1)}
         assert solve_lp(child, {}).is_infeasible
 
-    def test_children_carry_the_fold_of_a_fresh_system(self):
+    def test_children_solve_as_a_fresh_system(self):
         rng = random.Random(67)
 
         def bound():
@@ -702,13 +710,13 @@ class TestFold:
         statuses, folds = set(), 0
         for _ in range(300):
             system = mixed_system(rng)
-            folds += len(system.folded()[1]) < len(system.rows)
+            folds += len(exactlp._folded(system)[1]) < len(system.rows)
             for _ in range(2):  # a child, then a grandchild
                 names = rng.sample(system.variables, rng.randint(0, len(system.variables)))
                 system = system.with_bounds({name: bound() for name in names})
                 fresh = LinearSystem(system.variables, system.n_original, system.rows,
                                      system.bounds)
-                assert system.folded() == fresh.folded()
+                assert exactlp._folded(system) == exactlp._folded(fresh)
                 c = {name: rng.randint(-5, 5) for name in system.variables}
                 got = solve_lp(system, c)
                 assert repr(got) == repr(solve_lp(fresh, c))
@@ -716,30 +724,9 @@ class TestFold:
         assert statuses == {"optimal", "infeasible", "unbounded"} and folds > 50
 
 
-def phase_pivots(monkeypatch):
-    """Count pivots per phase, {1: ..., 2: ...} (drive-out pivots in phase 1)."""
-    counts, phase = {1: 0, 2: 0}, [2]
-    pivot, phase1 = exactlp._Simplex._pivot, exactlp._Simplex.phase1
-
-    def counting(self, r, s):
-        counts[phase[0]] += 1
-        return pivot(self, r, s)
-
-    def in_phase1(self):
-        phase[0] = 1
-        try:
-            return phase1(self)
-        finally:
-            phase[0] = 2
-
-    monkeypatch.setattr(exactlp._Simplex, "_pivot", counting)
-    monkeypatch.setattr(exactlp._Simplex, "phase1", in_phase1)
-    return counts
-
-
 def fix_value(rng, system, name):
     """An int inside, on or outside the folded bounds of a variable."""
-    lo, hi = system.folded()[0].get(name, (None, None))
+    lo, hi = exactlp._folded(system)[0].get(name, (None, None))
     q = rng.choice([b for b in (lo, hi) if b is not None] or [Fraction(rng.randint(-3, 3))])
     return rng.choice((floor(q) - 1, floor(q), ceil(q), ceil(q) + 1))
 

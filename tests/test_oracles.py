@@ -147,7 +147,7 @@ class TestHrepOracle:
     def test_cube_folds_to_bounds(self):
         system = hrep_binary_oracle(cube_hrep(3)).system
         assert system == LinearSystem.from_hpolytope(cube_hrep(3))
-        assert system.folded() == ({f"x{i}": (0, 1) for i in (1, 2, 3)}, ())
+        assert exactlp._folded(system) == ({f"x{i}": (0, 1) for i in (1, 2, 3)}, ())
 
     def test_pinned_counts_k33_matching(self, monkeypatch):
         # matching polytope of K3,3 (edge 3i + j joins left i to right j)

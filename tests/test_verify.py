@@ -21,7 +21,7 @@ from fvx import (
 from fvx.cli import Problem, compile_system
 from fvx.core import point_coords
 from fvx.errors import DomainError, GuardExceeded
-from conftest import all_binary, feasible_at
+from conftest import all_binary, feasible_at, phase_pivots
 
 
 def corrupt_system(system):
@@ -384,29 +384,20 @@ def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     assert (len(calls), sum(calls)) == (total, warm)
 
 
-def test_pinned_pivot_count(monkeypatch):
+@pytest.mark.parametrize("doc, method, phase1, phase2", [
+    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 17, 120),
+    (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 33, 51),
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 35, 71),
+    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 26, 246),
+    (LATTICE, "boxes", 110, 54),
+], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
+def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
     """A change in the tableau, the phase-1 pricing or the pivot rule shows here
     as a count diff in its phase (drive-out pivots count in phase 1)."""
-    problem = Problem(binary_doc("cube", 4, ["0110", "1011"]))
-    system = compile_system(problem, "faces")
-    pivots = {1: 0, 2: 0}
-    phase = [2]
-    pivot, phase1 = exactlp._Simplex._pivot, exactlp._Simplex.phase1
-
-    def counting(self, r, s):
-        pivots[phase[0]] += 1
-        return pivot(self, r, s)
-
-    def in_phase1(self):
-        phase[0] = 1
-        try:
-            return phase1(self)
-        finally:
-            phase[0] = 2
-
-    monkeypatch.setattr(exactlp._Simplex, "_pivot", counting)
-    monkeypatch.setattr(exactlp._Simplex, "phase1", in_phase1)
+    problem = Problem(doc)
+    system = compile_system(problem, method)
+    pivots = phase_pivots(monkeypatch)
     report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden,
                                 trials=20, seed=0)
     assert report.passed
-    assert pivots == {1: 35, 2: 71}  # 106 in all
+    assert pivots == {1: phase1, 2: phase2}
