@@ -204,11 +204,6 @@ def _scale(values: Iterable[Fraction]) -> tuple:
     return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
 
 
-def _int_scaled(terms: Mapping[str, Fraction]) -> dict:
-    """The terms by name, scaled to ints by `_scale`."""
-    return dict(zip(terms, _scale(terms.values())[1]))
-
-
 def point_coords(point: Point) -> tuple:
     """Coordinate tuple of either point kind; shared tie-break key."""
     if isinstance(point, BinaryPoint):

@@ -16,18 +16,20 @@ and in Python ints from the tableau build to the objective value:
   denominators and priced against the basis scaled by the lcm of the basic
   rows' denominators; Bland's rule reads only the signs of the z row, so the
   scaling changes no pivot;
-- readout: each coordinate of the point is made a Fraction once, and the
-  objective value is summed over one common denominator; an `LpResult` does
-  this on the first access to its point or value, so a result whose point
-  is never read costs no readout.
+- readout: the objective value is read off the final z row, with no point:
+  (sum of cost * offset -+ zrhs/zden) / L for the integer costs, scaled by L,
+  made one Fraction; each coordinate of the point is made a Fraction once.
+  An `LpResult` reads out on first access, its value, its point, or only
+  the coordinates named to `coords`, so what is never read costs nothing.
 
 `Fraction`s remain only where values enter (objectives, bounds) and where
-they leave (`LpResult.point`, `LpResult.value`).  An `Objective` of the
+they leave (`LpResult.point`, `value`, `coords`).  An `Objective` of the
 system's dimension is priced once: its terms by name and their integer
-scaling are a cached property of the objective.  Bland's lowest-index rule is
-used for both the entering column and ratio-test ties, which guarantees
-termination and makes every answer (including the optimal basic point)
-deterministic.
+scaling are a cached property of the objective.  A list or tuple of plain
+ints is taken as the integer costs themselves, with L = 1.  Bland's
+lowest-index rule is used for both the entering column and ratio-test ties,
+which guarantees termination and makes every answer (including the optimal
+basic point) deterministic.
 
 Presolve is the solver's own: a tableau build turns each one-variable row
 into a bound (`_folded`; Andersen & Andersen 1995), so it adds no tableau row
@@ -75,9 +77,9 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
-from .core import Objective, _int_scaled, parse_rational
+from .core import Objective, _scale, parse_rational
 from .errors import DomainError
 from .linsys import LinearSystem, intersect_bounds
 
@@ -92,44 +94,47 @@ class LpResult:
     When optimal, `point` assigns an exact rational to every variable of the
     system and `value` is the objective evaluated at that point; the result
     then also keeps `(system, solver)` for `solve_lp`'s `start`, outside
-    `repr` and `==`.  A result of `solve_lp` reads its point and value out of
-    that solver on first access and keeps them.  The solver is never pivoted
-    after it is returned (`start` pivots a `restart()` copy of it, and a
-    solver built for `fix` belongs to its result alone), so a late readout
-    equals an eager one.  `LpResult(status, point, value)` is a result with
-    the given point and value; `repr` and `==` read a result out first and
-    compare `(status, point, value)`.
+    `repr` and `==`.  A result of `solve_lp` reads its value (off the final
+    z row), its point, or the named coordinates of `coords` out of that
+    solver on first access, and keeps the value and the point.  The solver
+    is never pivoted after it is returned (`start` pivots a `restart()` copy
+    of it, and a solver built for `fix` belongs to its result alone), so a
+    late readout equals an eager one.  `LpResult(status, point, value)` is a
+    result with the given point and value; `repr` and `==` read a result out
+    first and compare `(status, point, value)`.
     """
 
-    __slots__ = ("status", "_point", "_value", "_tableau", "_terms")
+    __slots__ = ("status", "_point", "_value", "_tableau", "_objective")
 
     def __init__(self, status: str, point: Optional[dict] = None,
                  value: Optional[Fraction] = None, _tableau: Optional[tuple] = None,
-                 _terms: Optional[Mapping[str, Fraction]] = None):
+                 _objective: Optional[tuple] = None):
         self.status = status
         self._point, self._value, self._tableau = point, value, _tableau
-        self._terms = _terms  # the objective by name while the readout is pending
-
-    def _read_out(self) -> None:
-        # threads racing here read out equal values; `_terms` is cleared
-        # only after the point and value are stored
-        terms = self._terms
-        if terms is not None:
-            point = self._tableau[1].point()
-            self._point, self._value = point, _objective_value(terms, point)
-            self._terms = None
+        # (integer costs by name, their scale L, negate) while the value is pending
+        self._objective = _objective
 
     @property
     def point(self) -> Optional[dict]:
-        if self._terms is not None:
-            self._read_out()
+        # threads racing here read out equal points
+        if self._point is None and self._tableau is not None:
+            self._point = self._tableau[1].point()
         return self._point
 
     @property
     def value(self) -> Optional[Fraction]:
-        if self._terms is not None:
-            self._read_out()
+        # `_objective` is cleared only after the value is stored
+        objective = self._objective
+        if objective is not None:
+            self._value = self._tableau[1].objective_value(*objective)
+            self._objective = None
         return self._value
+
+    def coords(self, names) -> list:
+        """[point[name] for name in names], reading out only those coordinates."""
+        if self._point is None and self._tableau is not None:
+            return list(self._tableau[1].point(names).values())
+        return [self._point[name] for name in names]
 
     def __eq__(self, other):
         if not isinstance(other, LpResult):
@@ -174,6 +179,19 @@ def _objective_map(system: LinearSystem, objective) -> dict:
     if len(terms) != system.n_original:
         raise DomainError(f"objective has {len(terms)} terms, expected {system.n_original}")
     return {name: q for name, q in zip(system.variables, map(parse_rational, terms)) if q}
+
+
+def _costs(system: LinearSystem, objective) -> tuple:
+    """(L, the nonzero terms of the objective times L, as ints by name): L is
+    the lcm of the denominators, 1 for a list or tuple of plain ints."""
+    if isinstance(objective, Objective) and objective.n == system.n_original:
+        return objective.scaled[0], objective.named_terms[1]
+    if (isinstance(objective, (list, tuple)) and len(objective) == system.n_original
+            and all(type(v) is int for v in objective)):
+        return 1, {name: v for name, v in zip(system.variables, objective) if v}
+    terms = _objective_map(system, objective)
+    scale, ints = _scale(terms.values())
+    return scale, dict(zip(terms, ints))
 
 
 _NONBASIC = (0, 1)  # the (rhs, den) value of a nonbasic column
@@ -502,15 +520,15 @@ class _Simplex:
 
     # -- readout ----------------------------------------------------------------
 
-    def point(self) -> dict:
-        """The basic point, one Fraction per variable.
+    def point(self, names: Optional[Sequence[str]] = None) -> dict:
+        """The basic point, one Fraction per variable (or per name in `names`).
 
         Column values stay integer pairs (rhs, den) until a variable's value
         is assembled, so each value is normalized once.
         """
         cv = {b: (rhs, den) for b, (_cols, rhs, den) in zip(self.basis, self.rows)}
         out = {}
-        for name in self.variables:
+        for name in self.variables if names is None else names:
             offset, cols = self.var_cols[name]
             num, den = offset, 1
             for col, sign in cols:
@@ -518,6 +536,26 @@ class _Simplex:
                 num, den = num * d + sign * n * den, den * d
             out[name] = Fraction(num, den)
         return out
+
+    def objective_value(self, costs: Mapping[str, int], scale: int, negate: bool) -> Fraction:
+        """The optimal value of the integer costs (the objective times `scale`)
+        that `phase2` priced, read off the final z row, with no point.
+
+        zden * (column objective) = sum of zc_j * x_j - zrhs, and every basic
+        zc_j and nonbasic x_j is 0, so the columns contribute -zrhs/zden
+        (+zrhs/zden for a max, whose column costs were negated); the offsets
+        contribute sum of cost * offset.
+        """
+        shift = 0
+        for name, c in costs.items():
+            offset = self.var_cols[name][0]
+            if offset:
+                shift += c * offset
+        z = self.zrhs if negate else -self.zrhs
+        if type(shift) is int:
+            return Fraction(shift * self.zden + z, self.zden * scale)
+        return Fraction(shift.numerator * self.zden + z * shift.denominator,
+                        shift.denominator * self.zden * scale)
 
     def column_objective(self, costs: Mapping[str, int], negate: bool) -> dict:
         """Integer column costs of integer costs by name, negated for a max."""
@@ -529,20 +567,6 @@ class _Simplex:
             for col, sign in var_cols[name][1]:
                 col_obj[col] = col_obj.get(col, 0) + sign * c
         return {c: v for c, v in col_obj.items() if v}
-
-
-def _objective_value(obj_map: Mapping[str, Fraction], point: Mapping[str, Fraction]) -> Fraction:
-    """The sum of c * x over one common denominator, made a Fraction once."""
-    num, den = 0, 1
-    for name, c in obj_map.items():
-        x = point[name]
-        d = c.denominator * x.denominator
-        if d != den:
-            lcm = den // gcd(den, d) * d
-            num *= lcm // den
-            den = lcm
-        num += c.numerator * x.numerator * (den // d)
-    return Fraction(num, den)
 
 
 def _after_phase1(system: LinearSystem) -> Optional[_Simplex]:
@@ -565,7 +589,8 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     """Minimize (or maximize) a linear objective over a LinearSystem, exactly.
 
     `objective` may be an Objective (over x1..xn), a mapping from variable
-    names to rationals, or a sequence aligned with the original variables.
+    names to rationals, or a sequence aligned with the original variables
+    (a list or tuple of plain ints is used as is, with no rational parsing).
     Returns an optimal basic solution, `infeasible`, or `unbounded`; results
     are deterministic for identical inputs.  Phase 1 runs on the first call
     on a system object; every call after the first on the same object
@@ -600,11 +625,7 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
                 raise DomainError(f"fix references undeclared variable {name!r}")
             if type(v) is not int:
                 raise DomainError(f"fix value {v!r} of {name} is not an int")
-    if isinstance(objective, Objective) and objective.n == system.n_original:
-        obj_map, costs = objective.named_terms
-    else:
-        obj_map = _objective_map(system, objective)
-        costs = _int_scaled(obj_map)
+    scale, costs = _costs(system, objective)
     if start is None:
         base = _after_phase1(system)
         if base is None:
@@ -619,6 +640,7 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
         raise DomainError("start must be an optimal result of this same system")
     else:
         solver = start._tableau[1].restart()
-    if solver.phase2(solver.column_objective(costs, negate=(sense == "max"))) == UNBOUNDED:
+    negate = sense == "max"
+    if solver.phase2(solver.column_objective(costs, negate)) == UNBOUNDED:
         return _UNBOUNDED
-    return LpResult(OPTIMAL, _tableau=(system, solver), _terms=obj_map)
+    return LpResult(OPTIMAL, _tableau=(system, solver), _objective=(costs, scale, negate))

@@ -16,10 +16,20 @@ system.  When the point projects onto an integral point p, and `satisfies`
 (plain substitution into the system's rows and bounds, with no tableau
 code) confirms it, p is a proven member of the projection and the run keeps
 that LP result as p's witness, one per point.  A membership or exclusion
-probe of a witnessed point is skipped: the point is a member.  Each trial
-takes its (value, coords)-least brute-force minimizer v*; when v* has a
-witness, the trial's `solve_lp` starts from the witness's optimal basis,
-which changes no value, only the pivots it takes to reach it.
+probe of a witnessed point is skipped: the point is a member.  A witness
+reads out only x1..xn (`LpResult.coords`); the full point is built only for
+a new integral candidate, for `satisfies`.
+
+Starts: every trial and corner probe starts from the optimal basis of the
+witness nearest its optimum, when there is one.  A trial takes the
+(value, coords)-least witnessed ground-truth point under its objective (the
+brute-force scan has the values; one dict lookup per point), so it starts
+at its optimum whenever the brute-force minimizer is witnessed.  A corner
+probe of p takes the witnessed corner that differs from p in one
+coordinate, least by (distance, coords); at most n lookups.  The box LPs
+start cold.  Any feasible basis is a valid phase-2 start: a start changes
+no status and no value, only the pivots taken to reach them, and the point
+when there are several optima.
 
 Probes: the min and max of each x_i give the projection's bounding box
 [l, h]; a point outside it is not a member, and a point with every p_i in
@@ -108,7 +118,7 @@ class _Witnesses(dict):
         """`solve_lp` on the system under test; an optimal point may become a witness."""
         lp = solve_lp(self.system, objective, sense, start=start)
         if lp.is_optimal:
-            x = [lp.point[name] for name in self.names]
+            x = lp.coords(self.names)
             if all(v.denominator == 1 for v in x):
                 p = tuple(v.numerator for v in x)
                 if p not in self and satisfies(self.system, lp.point):
@@ -120,13 +130,16 @@ def in_convex_hull(point, points: Sequence) -> bool:
     """Exact test: is `point` a convex combination of the explicit `points`?
 
     Independent of any formulation under test; one multiplier per point.
-    For binary points removed from a 0-1 vertex set this is always False
-    (vertices are extreme), but removed integral points that are not
+    When the point and every one of `points` have 0/1 coordinates no LP
+    runs: a 0/1 point is a vertex of [0,1]^n, so it is in the hull exactly
+    when it is one of the points.  Removed integral points that are not
     vertices can legitimately stay inside the hull of the rest.
     """
     target, *pts = _coords([point, *points])
     if not pts:
         return False
+    if all(v in (0, 1) for p in (target, *pts) for v in p):
+        return target in pts  # every 0/1 point is a vertex of [0,1]^n
     n = len(target)
     names = tuple(f"mu{i + 1}" for i in range(len(pts)))
     rows = []
@@ -205,13 +218,17 @@ def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
         return False
     # p is on a corner: each term x_i - l_i or h_i - x_i is nonnegative on
     # the projection
-    objective, target = {}, 0
-    for name, v, (lo, hi) in zip(run.names, p, box):
+    objective, target, near = {}, 0, []
+    for i, (name, v, (lo, hi)) in enumerate(zip(run.names, p, box)):
         if v == lo:
             objective[name], target = 1, target + lo
         else:
             objective[name], target = -1, target - hi
-    lp = run.solve(objective, sense="min")
+        if lo != hi:  # the corner across coordinate i
+            q = (*p[:i], hi if v == lo else lo, *p[i + 1:])
+            if q in run:
+                near.append((hi - lo, q))
+    lp = run.solve(objective, sense="min", start=run[min(near)[1]] if near else None)
     return lp.is_optimal and lp.value == target
 
 
@@ -234,15 +251,16 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     The phases run in this order: 2n box LPs (min and max of each x_i)
     give the projection's bounding box, then the trials, then the probes.
     Each optimal LP on the system whose point projects onto an integral
-    point, and passes `satisfies`, witnesses that point; a trial whose
-    brute-force minimizer (the (value, coords)-least one) has a witness
-    starts from the witness's optimal basis.  A witnessed point needs no
-    probe.  Of the others, a point outside the box needs no LP; a point on
-    a corner of it is one L1-distance objective on the same system; any
-    other point, or every point when the box LPs are not all optimal, is a
-    zero-objective `solve_lp` with x pinned to the point.  All of these
-    answer the same question, and a warm start changes no LP value, so the
-    report does not depend on which one ran.
+    point, and passes `satisfies`, witnesses that point; each trial starts
+    from the witness of its (value, coords)-least witnessed ground-truth
+    point.  A witnessed point needs no probe.  Of the others, a point
+    outside the box needs no LP; a point on a corner of it is one
+    L1-distance objective on the same system, started from the nearest
+    witnessed corner next to it; any other point, or every point when the
+    box LPs are not all optimal, is a zero-objective `solve_lp` with x
+    pinned to the point.  All of these answer the same question, and a
+    start changes no LP value, so the report does not depend on which one
+    ran.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -264,8 +282,10 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     for _ in range(trials):
         c = [rng.randint(-100, 100) for _ in range(n)]
         if truth:
-            brute, best = min((sum(ci * vi for ci, vi in zip(c, p)), p) for p in truth)
-            lp = run.solve(c, start=run.get(best))
+            scored = [(sum([ci * vi for ci, vi in zip(c, p)]), p) for p in truth]
+            brute = min(scored)[0]
+            near = min((s for s in scored if s[1] in run), default=None)
+            lp = run.solve(c, start=None if near is None else run[near[1]])
             if lp.value != brute:  # None unless optimal
                 report.support_mismatches.append((tuple(c), lp.value, Fraction(brute)))
         else:

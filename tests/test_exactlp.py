@@ -128,6 +128,25 @@ class TestBasics:
         with pytest.raises(DomainError, match="3 terms, expected 2"):
             solve_lp(s, Objective.of([1, 1, 1]))
 
+    def test_int_objectives_are_the_costs(self, monkeypatch):
+        s = LinearSystem.build(2, rows=[({"x1": 1, "x2": 2}, "<=", 3)],
+                               bounds={"x1": ("-1/2", 1), "x2": (0, None)})
+        expect = [repr(solve_lp(s, [Fraction(3), Fraction(-2)], sense)) for sense in ("min", "max")]
+
+        def refuse(value):
+            raise AssertionError(f"parsed {value!r}")
+
+        monkeypatch.setattr(exactlp, "parse_rational", refuse)
+        for c in ([3, -2], (3, -2)):
+            assert [repr(solve_lp(s, c, sense)) for sense in ("min", "max")] == expect
+        monkeypatch.undo()
+        # bools, floats and wrong lengths keep the parsed path's errors
+        for c, message in (([True, 1], "refusing boolean"), ([1, 1.0], "refusing float"),
+                           ([1, 2, 3], "objective has 3 terms, expected 2"),
+                           ((1,), "objective has 1 terms, expected 2")):
+            with pytest.raises(DomainError, match=message):
+                solve_lp(s, c)
+
     def test_equality_rows(self):
         s = LinearSystem.build(2, rows=[({"x1": 1, "x2": 1}, "=", 1)],
                                bounds={"x1": (0, 1), "x2": (0, 1)})
@@ -229,13 +248,18 @@ class TestAgainstVertexEnumeration:
             assert repr(first) == repr(second)
 
 
+def int_scaled(terms):
+    """The terms by name times the lcm of their denominators, as ints."""
+    return dict(zip(terms, exactlp._scale(terms.values())[1]))
+
+
 def cold_solve(system, objective, sense="min"):
     """Reference: a fresh tableau, phase 1, then phase 2, as before any reuse."""
     obj_map = exactlp._objective_map(system, objective)
     solver = exactlp._Simplex(system)
     if not solver.phase1():
         return LpResult("infeasible", None, None)
-    costs = exactlp._int_scaled(obj_map)
+    costs = int_scaled(obj_map)
     status = solver.phase2(solver.column_objective(costs, negate=(sense == "max")))
     if status == "unbounded":
         return LpResult("unbounded", None, None)
@@ -626,7 +650,7 @@ class TestIntegerBuild:
                      if (value := Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 6))))}
                 negate = rng.random() < 0.5
                 got, ref = saved_got.restart(), saved_ref.restart()
-                status = got.phase2(got.column_objective(exactlp._int_scaled(c), negate))
+                status = got.phase2(got.column_objective(int_scaled(c), negate))
                 assert status == ref.phase2(ref.column_objective(c, negate))
                 seen.add(status)
                 if status == "optimal":
@@ -880,3 +904,48 @@ class TestLazyReadout:
             assert result.point is result.point and len(reads) == 1
             if later.is_optimal:
                 assert later.value == sum(later.point.values()) and len(reads) == 2
+
+    def test_z_row_value_and_coords_match_the_point(self):
+        # min and max, fix= and start=, on systems with free variables and
+        # non-integral bounds; objectives by name, as an Objective and as ints
+        rng = random.Random(79)
+        seen = set()
+        for _ in range(300):
+            system = mixed_system(rng)
+            names, n = system.variables, system.n_original
+            ints = [rng.randint(-5, 5) for _ in range(n)]
+            objectives = [
+                {name: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for name in names},
+                Objective.of([Fraction(rng.randint(-9, 9), rng.choice((1, 4))) for _ in range(n)]),
+                ints, tuple(ints)]
+            earlier = None
+            for c in objectives:
+                terms = c.named_terms[0] if isinstance(c, Objective) else \
+                    dict(zip(names, c)) if isinstance(c, (list, tuple)) else c
+                sense = rng.choice(("min", "max"))
+                how = rng.choice(("cold", "fix", "start"))
+                if how == "fix":
+                    fix = {name: fix_value(rng, system, name)
+                           for name in rng.sample(names, rng.randint(1, len(names)))}
+                    result = solve_lp(system, c, sense, fix=fix)
+                elif how == "start" and earlier is not None:
+                    result = solve_lp(system, c, sense, start=earlier)
+                else:
+                    how, result = "cold", solve_lp(system, c, sense)
+                if not result.is_optimal:
+                    continue
+                seen.add((how, sense))
+                if earlier is None:
+                    earlier = result
+                value = result.value
+                picked = rng.sample(names, rng.randint(0, len(names)))
+                coords = result.coords(picked)
+                assert result._point is None  # neither read out the point
+                point = result.point
+                assert type(value) is Fraction
+                assert value == sum((q * point[name] for name, q in terms.items()),
+                                    start=Fraction(0))
+                assert coords == [point[name] for name in picked]
+                assert result.coords(picked) == coords
+        assert seen == {(how, sense) for how in ("cold", "fix", "start")
+                        for sense in ("min", "max")}

@@ -21,6 +21,7 @@ from fvx import (
 from fvx.cli import Problem, compile_system
 from fvx.core import point_coords
 from fvx.errors import DomainError, GuardExceeded
+from fvx.lp_format import parse_lp, write_lp
 from conftest import all_binary, feasible_at, phase_pivots
 
 
@@ -160,6 +161,42 @@ class TestConvexHullMembership:
             in_convex_hull((0, 0, 1), [(0, 1), (1, 0)])
         with pytest.raises(DomainError, match="has 3 coordinates, expected 2"):
             in_convex_hull((0, 1), [(0, 1), (1, 0, 0)])
+
+
+def hull_lp(target, points):
+    """Reference: one multiplier per point, sum 1, reproducing the target."""
+    names = tuple(f"mu{j + 1}" for j in range(len(points)))
+    rows = [({name: p[i] for name, p in zip(names, points) if p[i]}, "=", v)
+            for i, v in enumerate(target)]
+    rows.append(({name: 1 for name in names}, "=", 1))
+    system = LinearSystem.build(0, names, rows, {name: (0, None) for name in names})
+    return solve_lp(system, {}).is_optimal
+
+
+class TestBinaryHull:
+    def test_matches_the_hull_lp_with_no_lp(self, monkeypatch):
+        rng = random.Random(17)
+        cases = []
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            points = [tuple(rng.randint(0, 1) for _ in range(n))
+                      for _ in range(rng.randint(1, 6))]
+            target = tuple(rng.randint(0, 1) for _ in range(n))
+            cases.append((target, points, hull_lp(target, points)))
+        assert {expect for *_, expect in cases} == {True, False}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 0/1 hull test ran an LP")
+
+        monkeypatch.setattr(fvx.verify, "solve_lp", refuse)
+        for target, points, expect in cases:
+            assert in_convex_hull(target, points) == expect
+            assert in_convex_hull(BinaryPoint.from_coords(target),
+                                  [BinaryPoint.from_coords(p) for p in points]) == expect
+
+    def test_lattice_points_keep_the_lp(self, monkeypatch):
+        calls = lp_calls(monkeypatch)
+        assert in_convex_hull((1, 1), [(0, 0), (2, 2)]) and calls == [False]
 
 
 def fixings_only_report(system, ground_truth, X, trials, seed):
@@ -370,9 +407,10 @@ def lp_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("doc, method, total, warm", [
-    # 8 box LPs, 50 trials, 2 probes, 2 hull tests; the 14 members are witnessed
-    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 62, 40),
-    (LATTICE, "boxes", 64, 47),
+    # 8 box LPs, 50 trials and 2 probes; the 14 members are witnessed, and the
+    # hull tests of the binary points take no LP
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 60, 52),
+    (LATTICE, "boxes", 64, 52),
 ], ids=["cube4-faces", "lattice-boxes"])
 def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     """A change in probe routing or warm starts shows here as a count diff."""
@@ -385,11 +423,11 @@ def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
 
 
 @pytest.mark.parametrize("doc, method, phase1, phase2", [
-    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 17, 120),
-    (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 33, 51),
-    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 35, 71),
-    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 26, 246),
-    (LATTICE, "boxes", 110, 54),
+    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 5, 74),
+    (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 21, 28),
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 23, 30),
+    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 14, 125),
+    (LATTICE, "boxes", 110, 44),
 ], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
 def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
     """A change in the tableau, the phase-1 pricing or the pivot rule shows here
@@ -401,3 +439,48 @@ def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
                                 trials=20, seed=0)
     assert report.passed
     assert pivots == {1: phase1, 2: phase2}
+
+
+def drop_row(system, label):
+    """The system written as an LP file, with the row `label` left out."""
+    lines = write_lp(system).split("\n")
+    kept = [line for line in lines if not line.startswith(f" {label}:")]
+    assert len(kept) == len(lines) - 1
+    return parse_lp("\n".join(kept))
+
+
+def certificate_mutation(system):
+    """The benchmark's certificate mutation: one inequality fewer certified."""
+    return system.with_meta({**system.meta, "certified": system.counted_inequalities() - 1})
+
+
+CUBE4 = binary_doc("cube", 4, ["0110", "1011"])
+PLANTED = [(CUBE4, "interval", lambda s: drop_row(s, "r10")),
+           (CUBE4, "faces", pin_x1_to_zero),
+           (LATTICE, "boxes", certificate_mutation)]
+
+
+@pytest.mark.parametrize("doc, method, mutate",
+                         [(CUBE4, m, None) for m in ("interval", "recursive", "faces",
+                                                     "facet-intersection")]
+                         + [(LATTICE, "boxes", None)] + PLANTED,
+                         ids=["interval", "recursive", "faces", "facet-intersection", "boxes",
+                              "interval-r10-dropped", "faces-fix-bound", "boxes-certificate"])
+def test_starts_never_change_a_report(doc, method, mutate, monkeypatch):
+    problem = Problem(doc)
+    system = compile_system(problem, method)
+    if mutate is not None:
+        system = mutate(system)
+    truth = problem.enumerate_allowed()
+    calls = lp_calls(monkeypatch)
+    warm = verify_formulation(system, truth, problem.forbidden).to_dict()
+    assert any(calls)
+
+    def cold(target, objective, sense="min", start=None, fix=None):
+        return solve_lp(target, objective, sense, fix=fix)
+
+    monkeypatch.setattr(fvx.verify, "solve_lp", cold)
+    assert verify_formulation(system, truth, problem.forbidden).to_dict() == warm
+    assert warm["verdict"] == ("pass" if mutate is None else "fail")
+    if method == "interval" and mutate is not None:
+        assert (len(warm["support_mismatches"]), warm["excluded_failures"]) == (2, [[1, 0, 1, 1]])
