@@ -20,7 +20,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DomainError, GuardExceeded
+from .errors import DomainError, GuardExceeded, NumeralTooLong
 
 # Arbitrary-precision exact rational.  The stdlib type already guarantees
 # lowest terms and a positive denominator.
@@ -39,7 +39,8 @@ def parse_rational(text: RationalLike) -> Fraction:
 
     Raises DomainError on malformed input, a zero denominator, a boolean, or
     exponent notation such as "1e9" (whose value can be far larger than its
-    text, so parsing it could take unbounded time).
+    text, so parsing it could take unbounded time); NumeralTooLong, a
+    GuardExceeded, on a numeral longer than `int` converts.
     """
     if isinstance(text, Fraction):
         return text
@@ -55,7 +56,16 @@ def parse_rational(text: RationalLike) -> Fraction:
     try:
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
+        refuse_long_numeral(body)
         raise DomainError(f"not a rational: {text!r}") from exc
+
+
+def refuse_long_numeral(text: str, what: str = "value") -> None:
+    """Raise NumeralTooLong, naming the limit and not echoing `text`, when a numeral
+    that failed to parse has more digits than `int` converts (int_max_str_digits)."""
+    limit = sys.get_int_max_str_digits()
+    if sum(map(str.isdigit, text)) > limit > 0:
+        raise NumeralTooLong(f"{what} too long to parse: more than {limit} digits")
 
 
 def format_rational(value: Fraction) -> str:
@@ -232,13 +242,6 @@ class Objective:
         """(L, c*L as a tuple of ints) by `_scale`, computed once: an objective
         is immutable."""
         return _scale(self.c)
-
-    @cached_property
-    def named_terms(self) -> tuple:
-        """(nonzero terms by name x1..xn, the same terms from `scaled`)."""
-        ints = self.scaled[1]
-        return ({f"x{i}": q for i, q in enumerate(self.c, start=1) if q},
-                {f"x{i}": k for i, k in enumerate(ints, start=1) if k})
 
     def scaled_dot(self, point: Point) -> int:
         """c.point times L, summed in ints; see `scaled`."""

@@ -53,5 +53,9 @@ class GuardExceeded(FvxError):
     """Ground truth would be too large to enumerate."""
 
 
+class NumeralTooLong(GuardExceeded, DomainError):
+    """A numeral has more digits than `int` converts (a guard, and malformed input)."""
+
+
 class IncompatibleMethod(FvxError):
     """Compilation method does not apply to the given problem kind."""

@@ -23,13 +23,14 @@ and in Python ints from the tableau build to the objective value:
   the coordinates named to `coords`, so what is never read costs nothing.
 
 `Fraction`s remain only where values enter (objectives, bounds) and where
-they leave (`LpResult.point`, `value`, `coords`).  An `Objective` of the
-system's dimension is priced once: its terms by name and their integer
-scaling are a cached property of the objective.  A list or tuple of plain
-ints is taken as the integer costs themselves, with L = 1.  Bland's
-lowest-index rule is used for both the entering column and ratio-test ties,
-which guarantees termination and makes every answer (including the optimal
-basic point) deterministic.
+they leave (`LpResult.point`, `value`, `coords`).  A list or tuple of
+plain ints is taken as the integer costs themselves, with L = 1; the
+library's own callers price this way.  Any other objective (a mapping, a
+sequence of rationals or an `Objective`) is parsed on each call and scaled
+to ints by `core._scale`, the package's one rational-to-integer scaler.
+Bland's lowest-index rule is used for both the entering column and
+ratio-test ties, which guarantees termination and makes every answer
+(including the optimal basic point) deterministic.
 
 Presolve is the solver's own: a tableau build turns each one-variable row
 into a bound (`_folded`; Andersen & Andersen 1995), so it adds no tableau row
@@ -182,10 +183,10 @@ def _objective_map(system: LinearSystem, objective) -> dict:
 
 
 def _costs(system: LinearSystem, objective) -> tuple:
-    """(L, the nonzero terms of the objective times L, as ints by name): L is
-    the lcm of the denominators, 1 for a list or tuple of plain ints."""
-    if isinstance(objective, Objective) and objective.n == system.n_original:
-        return objective.scaled[0], objective.named_terms[1]
+    """(L, the nonzero terms of the objective times L, as ints by name): a list
+    or tuple of plain ints is the integer costs themselves, with L = 1; any
+    other objective is parsed to rationals and scaled by `core._scale`, L the
+    lcm of the denominators."""
     if (isinstance(objective, (list, tuple)) and len(objective) == system.n_original
             and all(type(v) is int for v in objective)):
         return 1, {name: v for name, v in zip(system.variables, objective) if v}

@@ -2,8 +2,9 @@
 
 A LinearSystem is an extended formulation: the first `n_original` variables
 x1..xn are the designated projection; everything else is auxiliary.  Rows
-carry integer coefficients and integer right-hand sides (rational input rows
-are scaled losslessly).  Variable bounds may be rational.
+carry integer coefficients and integer right-hand sides (`build` scales each
+rational row by the lcm of its denominators with `core._scale` and drops its
+zero coefficients).  Variable bounds may be rational.
 
 Size certificates use the extension-complexity counting convention: a row
 with relation <= or >= counts one inequality, an equality row counts zero,
@@ -20,22 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from .core import parse_rational
+from .core import _scale, parse_rational
 from .errors import DomainError
 
 Bound = Tuple[Optional[Fraction], Optional[Fraction]]
-
-
-def _scale_row(coeffs: Mapping[str, Fraction], rhs: Fraction):
-    """Scale a rational row to integer coefficients and rhs (lossless)."""
-    den = rhs.denominator
-    for v in coeffs.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    out = {name: int(v * den) for name, v in coeffs.items() if v}
-    return out, int(rhs * den)
 
 
 def intersect_bounds(new: Bound, current: Bound) -> Bound:
@@ -87,9 +78,9 @@ class LinearSystem:
         variables = tuple(f"x{i + 1}" for i in range(n_original)) + tuple(aux)
         norm_rows = []
         for coeffs, rel, rhs in rows:
-            rat = {k: parse_rational(v) for k, v in coeffs.items()}
-            c, b = _scale_row(rat, parse_rational(rhs))
-            norm_rows.append((c, rel, b))  # positive scaling keeps the sense
+            _, (b, *c) = _scale(map(parse_rational, (rhs, *coeffs.values())))
+            # positive scaling keeps the sense
+            norm_rows.append(({k: v for k, v in zip(coeffs, c) if v}, rel, b))
         bnd = {}
         for name, (lo, hi) in (bounds or {}).items():
             bnd[name] = (None if lo is None else parse_rational(lo),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from .core import parse_rational, too_long_to_print
+from .core import parse_rational, refuse_long_numeral, too_long_to_print
 from .errors import DomainError
 from .linsys import LinearSystem
 
@@ -85,6 +85,7 @@ def _int_token(token: str, what: str) -> int:
     try:
         return int(token)
     except ValueError as exc:  # not an integer, or longer than int() converts
+        refuse_long_numeral(token, f"integer {what}")
         raise DomainError(f"expected integer {what}, got {token!r}") from exc
 
 

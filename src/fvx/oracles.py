@@ -235,7 +235,7 @@ class HrepBinaryOracle(BinaryOracle):
     the face's coordinates as `solve_lp`'s `fix`, so every face is solved on
     a tableau derived from the one kept on the system.  Its only minimizer
     over 0/1 vertices is the (value, coords)-least optimum; the query then
-    re-prices that basis under c: a fractional optimum raises
+    re-prices that basis under c': a fractional optimum raises
     NotBinaryPolytope, an unbounded one UnboundedInput.
     """
 
@@ -252,15 +252,16 @@ class HrepBinaryOracle(BinaryOracle):
         names = system.variables
         if self._canonical[0] != c:
             K = 1 << self.n
-            self._canonical = (c, Objective.of(
-                [k * K + (K >> i) for i, k in enumerate(c.scaled[1], start=1)]))
+            self._canonical = (c, tuple(k * K + (K >> i)
+                                        for i, k in enumerate(c.scaled[1], start=1)))
         result = solve_lp(system, self._canonical[1],
                           fix={name: (face.bits >> i) & 1
                                for i, name in enumerate(names) if (face.mask >> i) & 1})
         if result.is_infeasible:
             return INFEASIBLE
         if result.is_optimal:
-            result = solve_lp(system, c, start=result)
+            # only the point is read, never the value, so L = 1 will do
+            result = solve_lp(system, c.scaled[1], start=result)
         if result.is_unbounded:
             raise UnboundedInput("H-description is unbounded; not a polytope")
         point, bits = result.point, 0

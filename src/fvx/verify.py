@@ -50,10 +50,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import BinaryPoint, LatticePoint, format_rational, int_coords, point_coords
+from .core import BinaryPoint, LatticePoint, _scale, format_rational, int_coords, point_coords
 from .errors import DomainError, GuardExceeded
 from .exactlp import solve_lp
 from .linsys import LinearSystem
@@ -91,10 +90,8 @@ def satisfies(system: LinearSystem, point: Mapping[str, Fraction]) -> bool:
     """
     if point.keys() != set(system.variables):
         return False
-    den = 1
-    for v in point.values():
-        den = den // gcd(den, v.denominator) * v.denominator
-    x = {name: v.numerator * (den // v.denominator) for name, v in point.items()}
+    den, ints = _scale(point.values())
+    x = dict(zip(point, ints))
     for name, (lo, hi) in system.bounds.items():
         if lo is not None and x[name] * lo.denominator < lo.numerator * den:
             return False

@@ -556,6 +556,42 @@ class TestValuesTooLongToPrint:
         assert code == 1 and "too long to print" in json.loads(out)["message"]
 
 
+class TestNumeralsTooLongToParse:
+    """A numeral with more digits than int() converts exits 1 at a named
+    guard, and the message does not echo it."""
+
+    LONG = "1/" + "3" * 5000
+
+    @staticmethod
+    def _refused(capsys, args) -> str:
+        code, out = run(capsys, args)
+        message = json.loads(out)["message"]
+        assert code == 1 and len(message) < 300
+        assert f"more than {sys.get_int_max_str_digits()} digits" in message
+        return message
+
+    def test_objective_entry(self, tmp_path, capsys):
+        path = cube_problem(tmp_path, 2, [self.LONG, "0"], [])
+        assert "'objective'" in self._refused(capsys, ["solve", path])
+
+    def test_hrep_rhs(self, tmp_path, capsys):
+        rows = [{"a": [1, 1], "rel": "<=", "b": self.LONG},
+                {"a": [1, 0], "rel": ">=", "b": "0"}, {"a": [0, 1], "rel": ">=", "b": "0"}]
+        path = write_json(tmp_path, "p.json", {"kind": "binary", "n": 2, "forbidden": [],
+                                               "polytope": {"type": "hrep", "rows": rows},
+                                               "objective": ["-1", "0"]})
+        assert "polytope.rows[0]" in self._refused(capsys, ["solve", path])
+
+    def test_lp_coefficient(self, tmp_path, capsys):
+        path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
+        lp = tmp_path / "long.lp"
+        run(capsys, ["compile", path, "--method", "interval", "-o", str(lp)])
+        text = lp.read_text()
+        row = next(line for line in text.splitlines() if line.startswith(" r1: "))
+        lp.write_text(text.replace(row, row.replace(" r1: ", " r1: " + "9" * 5000 + " x1 + ", 1)))
+        self._refused(capsys, ["verify", path, "--lp", str(lp)])
+
+
 class TestWideLatticeBox:
     """A box of width 10^18: the box family follows |X|, not the widths."""
 

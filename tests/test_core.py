@@ -291,16 +291,9 @@ class TestObjective:
     def test_all_zero_objective(self):
         c = Objective.of([0, "0/5", 0])
         assert c.scaled == (1, (0, 0, 0))
-        assert c.named_terms == ({}, {})
         for p in (BinaryPoint.from_string("111"), LatticePoint.from_coords((-4, 0, 9))):
             got = c.dot(p)
             assert type(got) is Fraction and got == 0
-
-    def test_named_terms_share_the_scaling(self):
-        c = Objective.of(["1/3", 0, "-1/6", "5/4"])
-        assert c.named_terms == (
-            {"x1": Fraction(1, 3), "x3": Fraction(-1, 6), "x4": Fraction(5, 4)},
-            {"x1": 4, "x3": -2, "x4": 15})
 
     def test_scaling_computed_once(self, monkeypatch):
         calls = []
@@ -310,7 +303,7 @@ class TestObjective:
         for p in (BinaryPoint.from_string("011"), LatticePoint.from_coords((1, -2, 3))):
             c.dot(p)
             c.dot(p)
-        assert c.named_terms[1] == {"x1": 4, "x2": -2, "x3": 3}
+        assert c.scaled == (12, (4, -2, 3))
         assert c.scaled is c.scaled
         assert len(calls) == 1
         Objective.of(["1/3", "-1/6", "1/4"]).dot(BinaryPoint.from_string("100"))

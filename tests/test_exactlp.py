@@ -6,12 +6,13 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 
 from fvx import (
     BinaryPoint,
+    HPolytope,
     LinearSystem,
     LpResult,
     Objective,
@@ -657,6 +658,36 @@ class TestIntegerBuild:
                     assert repr(got.point()) == repr(ref.point())
         assert seen == {"optimal", "unbounded", "infeasible"}
 
+    def test_rows_are_scaled_by_the_lcm_of_their_denominators(self):
+        # the reference multiplies each Fraction row by the lcm of its
+        # denominators, so the scaling is minimal; LP bytes depend on it
+        rng = random.Random(61)
+        seen = set()
+
+        def value():
+            return Fraction(rng.choice((0, rng.randint(-9, 9))), rng.choice((1, 2, 3, 4, 6, 7)))
+
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            names = [f"x{i + 1}" for i in range(n)]
+            dense = [([value() for _ in names], rng.choice(("<=", "=", ">=")), value())
+                     for _ in range(rng.randint(1, 4))]
+            rows, expect = [], []
+            for a, rel, b in dense:
+                scale = lcm(*(q.denominator for q in (*a, b)))
+                expect.append(({name: (q * scale).numerator for name, q in zip(names, a) if q},
+                               rel, (b * scale).numerator))
+                # as a library caller may give them: Fractions, "p/q" strings and ints
+                given = [rng.choice((q, str(q), int(q) if q.denominator == 1 else q)) for q in a]
+                rows.append((dict(zip(names, given)), rel, rng.choice((b, str(b)))))
+                seen.update((rel, "zero rhs" if b == 0 else "rhs", scale > 1))
+            system = LinearSystem.build(n, (), rows, meta={"method": "hrep"})
+            assert list(system.rows) == expect
+            assert all(type(v) is int for coeffs, _, rhs in system.rows
+                       for v in (*coeffs.values(), rhs))
+            assert LinearSystem.from_hpolytope(HPolytope(n, tuple(dense))) == system
+        assert seen == {"<=", "=", ">=", "zero rhs", "rhs", True, False}
+
     def test_objective_value_is_exact(self):
         system = LinearSystem.build(2, bounds={"x1": ("1/3", "1/3"), "x2": (0, "5/2")})
         r = solve_lp(system, ["3/2", "-2/7"])
@@ -920,7 +951,7 @@ class TestLazyReadout:
                 ints, tuple(ints)]
             earlier = None
             for c in objectives:
-                terms = c.named_terms[0] if isinstance(c, Objective) else \
+                terms = dict(zip(names, c.c)) if isinstance(c, Objective) else \
                     dict(zip(names, c)) if isinstance(c, (list, tuple)) else c
                 sense = rng.choice(("min", "max"))
                 how = rng.choice(("cold", "fix", "start"))
