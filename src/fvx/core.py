@@ -52,12 +52,19 @@ def parse_rational(text: RationalLike) -> Fraction:
         raise DomainError(f"refusing float {text!r}; pass a 'p/q' string")
     body = str(text).strip()
     if _EXPONENT.search(body):
-        raise DomainError(f"refusing exponent notation {text!r}; pass a 'p/q' string")
+        raise DomainError(f"refusing exponent notation {_echo(text)}; pass a 'p/q' string")
     try:
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         refuse_long_numeral(body)
-        raise DomainError(f"not a rational: {text!r}") from exc
+        raise DomainError(f"not a rational: {_echo(text)}") from exc
+
+
+def _echo(value) -> str:
+    """The repr of a malformed value for a message, cut to its first 40
+    characters and its length when it is longer."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else f"{shown[:40]}... ({len(shown)} characters)"
 
 
 def refuse_long_numeral(text: str, what: str = "value") -> None:

@@ -19,11 +19,15 @@ and in Python ints from the tableau build to the objective value:
 - readout: the objective value is read off the final z row, with no point:
   (sum of cost * offset -+ zrhs/zden) / L for the integer costs, scaled by L,
   made one Fraction; each coordinate of the point is made a Fraction once.
-  An `LpResult` reads out on first access, its value, its point, or only
-  the coordinates named to `coords`, so what is never read costs nothing.
+  Two readouts make no Fraction at all: `int_coords(names)`, the named
+  coordinates as ints (None at the first one that is not integral, by
+  `divmod`), and `scaled_point()`, the whole point as (L, an int per
+  variable), L the lcm of the basic rows' denominators and of every
+  non-integral offset's.  An `LpResult` reads out on first access, so what
+  is never read costs nothing.
 
 `Fraction`s remain only where values enter (objectives, bounds) and where
-they leave (`LpResult.point`, `value`, `coords`).  A list or tuple of
+they leave (`LpResult.point` and `value`).  A list or tuple of
 plain ints is taken as the integer costs themselves, with L = 1; the
 library's own callers price this way.  Any other objective (a mapping, a
 sequence of rationals or an `Objective`) is parsed on each call and scaled
@@ -77,7 +81,8 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .core import Objective, _scale, parse_rational
@@ -131,11 +136,22 @@ class LpResult:
             self._objective = None
         return self._value
 
-    def coords(self, names) -> list:
-        """[point[name] for name in names], reading out only those coordinates."""
+    def int_coords(self, names) -> Optional[tuple]:
+        """The named coordinates of the point as ints, or None when one of
+        them is not integral; a result not read out yet reads them off its
+        solver with no Fraction."""
         if self._point is None and self._tableau is not None:
-            return list(self._tableau[1].point(names).values())
-        return [self._point[name] for name in names]
+            return self._tableau[1].int_coords(names)
+        x = [self._point[name] for name in names]
+        return tuple(v.numerator for v in x) if all(v.denominator == 1 for v in x) else None
+
+    def scaled_point(self) -> tuple:
+        """(L, {name: point[name] * L as an int}) for some positive int L,
+        off the solver in ints when the point is not read out yet."""
+        if self._point is None and self._tableau is not None:
+            return self._tableau[1].scaled_point()
+        L, ints = _scale(self._point.values())
+        return L, dict(zip(self._point, ints))
 
     def __eq__(self, other):
         if not isinstance(other, LpResult):
@@ -195,7 +211,6 @@ def _costs(system: LinearSystem, objective) -> tuple:
     return scale, dict(zip(terms, ints))
 
 
-_NONBASIC = (0, 1)  # the (rhs, den) value of a nonbasic column
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
@@ -521,22 +536,52 @@ class _Simplex:
 
     # -- readout ----------------------------------------------------------------
 
-    def point(self, names: Optional[Sequence[str]] = None) -> dict:
-        """The basic point, one Fraction per variable (or per name in `names`).
-
-        Column values stay integer pairs (rhs, den) until a variable's value
-        is assembled, so each value is normalized once.
-        """
-        cv = {b: (rhs, den) for b, (_cols, rhs, den) in zip(self.basis, self.rows)}
-        out = {}
-        for name in self.variables if names is None else names:
-            offset, cols = self.var_cols[name]
-            num, den = offset, 1
-            for col, sign in cols:
-                n, d = cv.get(col, _NONBASIC)
+    def _value(self, name: str, row_of: Mapping[int, list]) -> tuple:
+        """(num, den) with num / den the value of a variable at the basic
+        point, in ints; `row_of` maps each basic column to its row."""
+        offset, cols = self.var_cols[name]
+        num, den = offset.numerator, offset.denominator
+        for col, sign in cols:
+            if col in row_of:
+                _cols, n, d = row_of[col]
                 num, den = num * d + sign * n * den, den * d
-            out[name] = Fraction(num, den)
-        return out
+        return num, den
+
+    def point(self) -> dict:
+        """The basic point, one Fraction per variable, each normalized once."""
+        row_of = dict(zip(self.basis, self.rows))
+        return {name: Fraction(*self._value(name, row_of)) for name in self.variables}
+
+    def int_coords(self, names: Sequence[str]) -> Optional[tuple]:
+        """The named coordinates of the basic point as ints, or None at the
+        first one that is not integral; no Fraction is made."""
+        row_of = dict(zip(self.basis, self.rows))
+        out = []
+        for name in names:
+            q, r = divmod(*self._value(name, row_of))
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
+
+    def scaled_point(self) -> tuple:
+        """(L, {name: its value times L, an int}) for the basic point: L is
+        the lcm of the basic rows' denominators and of the denominator of
+        every non-integral offset."""
+        var_cols = self.var_cols
+        L = lcm(*set(map(itemgetter(2), self.rows)),
+                *{offset.denominator for offset, _ in var_cols.values() if type(offset) is not int})
+        row_of = dict(zip(self.basis, self.rows))
+        out = {}
+        for name in self.variables:
+            offset, cols = var_cols[name]
+            v = offset * L if type(offset) is int else offset.numerator * (L // offset.denominator)
+            for col, sign in cols:
+                if col in row_of:
+                    _cols, n, d = row_of[col]
+                    v += sign * n * (L // d)
+            out[name] = v
+        return L, out
 
     def objective_value(self, costs: Mapping[str, int], scale: int, negate: bool) -> Fraction:
         """The optimal value of the integer costs (the objective times `scale`)

@@ -29,11 +29,18 @@ from .errors import (
     DomainError,
     EmptyInterval,
     EmptyUnion,
+    GuardExceeded,
     NoFaceExcludes,
 )
 from .exactlp import solve_lp
 from .linsys import LinearSystem, intersect_bounds
 from .separation import separating_faces
+
+#: Most certified inequalities `face_formulation` builds, |family| (counted(P)+1),
+#: checked before any block is built: an n=64 cube with 3,000 random forbidden
+#: points has about 155,000 faces (0.7 s to find), and its blocks ran out of
+#: memory after 51 s.
+FACES_GUARD = 1_000_000
 
 
 def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
@@ -275,19 +282,24 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
 
     One block per face: P's rows plus the face's coordinate fixings.  Sound
     for any bounded P with 0/1 vertices; empty face blocks contribute nothing
-    because a bounded system has a trivial recession cone.
+    because a bounded system has a trivial recession cone.  More than
+    `FACES_GUARD` certified inequalities raise GuardExceeded before any
+    block is built.
     """
     n = P.n
     pts = _check_points(X, n)
     family = separating_faces(pts, n)
     base = LinearSystem.from_hpolytope(P)
+    certified = len(family) * (base.counted_inequalities() + 1)
+    if certified > FACES_GUARD:
+        raise GuardExceeded(f"the faces formulation would certify {certified} inequalities "
+                            f"({len(family)} faces), above the guard FACES_GUARD = {FACES_GUARD}")
     blocks = []
     for face in family:
         overrides = {f"x{i}": (Fraction(v), Fraction(v)) for i, v in face.fixed}
         blocks.append(base.with_bounds(overrides) if overrides else base)
     meta = {"method": "faces", "n": n, "forbidden": len(pts),
-            "family": len(family),
-            "certified": len(family) * (base.counted_inequalities() + 1),
+            "family": len(family), "certified": certified,
             "formula": "|family| (counted(P)+1)"}
     return union_formulation(blocks, meta, "every binary point is forbidden")
 

@@ -235,8 +235,10 @@ class HrepBinaryOracle(BinaryOracle):
     the face's coordinates as `solve_lp`'s `fix`, so every face is solved on
     a tableau derived from the one kept on the system.  Its only minimizer
     over 0/1 vertices is the (value, coords)-least optimum; the query then
-    re-prices that basis under c': a fractional optimum raises
-    NotBinaryPolytope, an unbounded one UnboundedInput.
+    re-prices that basis under c' and reads the optimum as ints
+    (`LpResult.int_coords`): a coordinate outside {0, 1}, fractional or
+    not, raises NotBinaryPolytope (the point is made only for its message),
+    an unbounded optimum UnboundedInput.
     """
 
     def __init__(self, poly: HPolytope):
@@ -264,14 +266,13 @@ class HrepBinaryOracle(BinaryOracle):
             result = solve_lp(system, c.scaled[1], start=result)
         if result.is_unbounded:
             raise UnboundedInput("H-description is unbounded; not a polytope")
-        point, bits = result.point, 0
-        for i, name in enumerate(names):
-            v = point[name]
-            if v == 1:
-                bits |= 1 << i
-            elif v != 0:
-                raise NotBinaryPolytope(
-                    f"LP vertex has fractional coordinate {name} = {format_rational(v)}")
+        coords = result.int_coords(names)
+        if coords is None or not {0, 1}.issuperset(coords):
+            point = result.point  # only for the message
+            name = next(name for name in names if point[name] not in (0, 1))
+            raise NotBinaryPolytope(
+                f"LP vertex has fractional coordinate {name} = {format_rational(point[name])}")
+        bits = sum(v << i for i, v in enumerate(coords))
         return OracleOutcome.optimum(BinaryPoint(self.n, bits), c)
 
 

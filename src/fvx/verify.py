@@ -12,13 +12,15 @@ one system under test, and `solve_lp` keeps the post-phase-1 tableau on
 that system object, so phase 1 runs once for all of them.
 
 Witnesses: every optimal LP of those phases returns a feasible point of the
-system.  When the point projects onto an integral point p, and `satisfies`
-(plain substitution into the system's rows and bounds, with no tableau
-code) confirms it, p is a proven member of the projection and the run keeps
-that LP result as p's witness, one per point.  A membership or exclusion
-probe of a witnessed point is skipped: the point is a member.  A witness
-reads out only x1..xn (`LpResult.coords`); the full point is built only for
-a new integral candidate, for `satisfies`.
+system.  When the point projects onto an integral point p, and the integer
+core of `satisfies` (plain substitution into the system's own rows and
+bounds, with no tableau code) confirms it, p is a proven member of the
+projection and the run keeps that LP result as p's witness, one per point.
+A membership or exclusion probe of a witnessed point is skipped: the point
+is a member.  All of this is in ints: an LP reads x1..xn as ints
+(`LpResult.int_coords`, None when one is fractional), and only a new
+integral candidate reads its whole point, once, as (L, ints)
+(`LpResult.scaled_point`), which `_holds` checks as the point ints / L.
 
 Starts: every trial and corner probe starts from the optimal basis of the
 witness nearest its optimum, when there is one.  A trial takes the
@@ -50,6 +52,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import BinaryPoint, LatticePoint, _scale, format_rational, int_coords, point_coords
@@ -85,20 +88,25 @@ def satisfies(system: LinearSystem, point: Mapping[str, Fraction]) -> bool:
     """Does `point` (a rational per variable) meet every bound and row of the system?
 
     Plain substitution, independent of the LP engine: the point is scaled to
-    integers over one common denominator and each row and bound is compared
-    exactly in ints.
+    integers over one common denominator and checked by `_holds`.
     """
     if point.keys() != set(system.variables):
         return False
     den, ints = _scale(point.values())
-    x = dict(zip(point, ints))
+    return _holds(system, den, dict(zip(point, ints)))
+
+
+def _holds(system: LinearSystem, den: int, x: Mapping[str, int]) -> bool:
+    """Does the point x / den (an int per variable over one positive int)
+    meet every bound and row of the system?  Each is compared exactly in ints."""
     for name, (lo, hi) in system.bounds.items():
         if lo is not None and x[name] * lo.denominator < lo.numerator * den:
             return False
         if hi is not None and x[name] * hi.denominator > hi.numerator * den:
             return False
+    value = x.__getitem__
     for coeffs, rel, rhs in system.rows:
-        lhs, b = sum([a * x[name] for name, a in coeffs.items()]), rhs * den
+        lhs, b = sum(map(mul, coeffs.values(), map(value, coeffs))), rhs * den
         if lhs > b if rel == "<=" else lhs < b if rel == ">=" else lhs != b:
             return False
     return True
@@ -115,11 +123,9 @@ class _Witnesses(dict):
         """`solve_lp` on the system under test; an optimal point may become a witness."""
         lp = solve_lp(self.system, objective, sense, start=start)
         if lp.is_optimal:
-            x = lp.coords(self.names)
-            if all(v.denominator == 1 for v in x):
-                p = tuple(v.numerator for v in x)
-                if p not in self and satisfies(self.system, lp.point):
-                    self[p] = lp
+            p = lp.int_coords(self.names)
+            if p is not None and p not in self and _holds(self.system, *lp.scaled_point()):
+                self[p] = lp
         return lp
 
 
@@ -248,9 +254,9 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     The phases run in this order: 2n box LPs (min and max of each x_i)
     give the projection's bounding box, then the trials, then the probes.
     Each optimal LP on the system whose point projects onto an integral
-    point, and passes `satisfies`, witnesses that point; each trial starts
-    from the witness of its (value, coords)-least witnessed ground-truth
-    point.  A witnessed point needs no probe.  Of the others, a point
+    point, and passes the integer check of `satisfies`, witnesses that
+    point; each trial starts from the witness of its (value, coords)-least
+    witnessed ground-truth point.  A witnessed point needs no probe.  Of the others, a point
     outside the box needs no LP; a point on a corner of it is one
     L1-distance objective on the same system, started from the nearest
     witnessed corner next to it; any other point, or every point when the
@@ -279,7 +285,7 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     for _ in range(trials):
         c = [rng.randint(-100, 100) for _ in range(n)]
         if truth:
-            scored = [(sum([ci * vi for ci, vi in zip(c, p)]), p) for p in truth]
+            scored = [(sum(map(mul, c, p)), p) for p in truth]
             brute = min(scored)[0]
             near = min((s for s in scored if s[1] in run), default=None)
             lp = run.solve(c, start=None if near is None else run[near[1]])

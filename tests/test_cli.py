@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fvx import BinaryPoint, LinearSystem, interval_formulation, write_lp
+from fvx import BinaryPoint, LinearSystem, extension, interval_formulation, write_lp
 from fvx.cli import KBEST_GUARD, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -240,6 +240,26 @@ class TestCompile:
         path = cube_problem(tmp_path, 1, ["1"], ["0", "1"])
         code, out = run(capsys, ["compile", path, "--method", "interval"])
         assert code == 1
+
+    def test_faces_guard(self, tmp_path, capsys, monkeypatch):
+        # an n=64 cube with 3,000 random forbidden points has about 155,000
+        # faces: its blocks ran out of memory after 51 s; now it is refused
+        # before the first block
+        rng = random.Random(7)
+        forbidden = sorted({"".join(rng.choice("01") for _ in range(64)) for _ in range(3000)})
+        path = cube_problem(tmp_path, 64, ["1"] * 64, forbidden)
+        proc = TestWideLatticeBox._capped_run(["compile", path, "--method", "faces"], timeout=20)
+        assert proc.returncode == 1 and proc.stderr == ""
+        message = json.loads(proc.stdout)["message"]
+        assert "FACES_GUARD = 1000000" in message and "154797 faces" in message
+        # the bound is |family| (counted(P)+1), refused only above the guard
+        small = cube_problem(tmp_path, 3, ["0"] * 3, ["000", "011", "110"], name="small.json")
+        certified = 4 * (6 + 1)  # 4 faces, 6 bound rows
+        monkeypatch.setattr(extension, "FACES_GUARD", certified)
+        assert run(capsys, ["compile", small, "--method", "faces"])[0] == 0
+        monkeypatch.setattr(extension, "FACES_GUARD", certified - 1)
+        code, out = run(capsys, ["compile", small, "--method", "faces"])
+        assert code == 1 and f"certify {certified} inequalities" in json.loads(out)["message"]
 
     def test_unwritable_output(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
@@ -581,6 +601,15 @@ class TestNumeralsTooLongToParse:
                                                "polytope": {"type": "hrep", "rows": rows},
                                                "objective": ["-1", "0"]})
         assert "polytope.rows[0]" in self._refused(capsys, ["solve", path])
+
+    def test_malformed_entry_is_cut_short(self, tmp_path, capsys):
+        # not a numeral at all, so no digit guard: the echo itself is cut short
+        path = cube_problem(tmp_path, 2, ["x" * 100_000, "0"], [])
+        code, out = run(capsys, ["solve", path])
+        message = json.loads(out)["message"]
+        assert code == 1 and len(message) < 300
+        assert "'objective'" in message and "not a rational: 'xxxx" in message
+        assert "(100002 characters)" in message
 
     def test_lp_coefficient(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])

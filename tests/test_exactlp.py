@@ -940,7 +940,7 @@ class TestLazyReadout:
         # min and max, fix= and start=, on systems with free variables and
         # non-integral bounds; objectives by name, as an Objective and as ints
         rng = random.Random(79)
-        seen = set()
+        seen, kinds, offsets = set(), set(), False
         for _ in range(300):
             system = mixed_system(rng)
             names, n = system.variables, system.n_original
@@ -970,13 +970,30 @@ class TestLazyReadout:
                     earlier = result
                 value = result.value
                 picked = rng.sample(names, rng.randint(0, len(names)))
-                coords = result.coords(picked)
-                assert result._point is None  # neither read out the point
+                ints = result.int_coords(picked)
+                L, scaled = result.scaled_point()
+                assert result._point is None  # no readout built the point
                 point = result.point
                 assert type(value) is Fraction
                 assert value == sum((q * point[name] for name, q in terms.items()),
                                     start=Fraction(0))
-                assert coords == [point[name] for name in picked]
-                assert result.coords(picked) == coords
+                # None exactly when a named coordinate is fractional
+                fractional = any(point[name].denominator != 1 for name in picked)
+                assert (ints is None) == fractional
+                if ints is not None:
+                    assert all(type(v) is int for v in ints)
+                    assert ints == tuple(point[name] for name in picked)
+                assert type(L) is int and L > 0 and list(scaled) == list(names)
+                assert all(type(v) is int and Fraction(v, L) == point[name]
+                           for name, v in scaled.items())
+                assert result.int_coords(picked) == ints  # after the point, too
+                given = LpResult(exactlp.OPTIMAL, dict(point), value)
+                assert given.int_coords(picked) == ints
+                assert {name: Fraction(v, given.scaled_point()[0])
+                        for name, v in given.scaled_point()[1].items()} == point
+                kinds.add(fractional)
+                offsets |= any(type(offset) is not int
+                               for offset, _ in result._tableau[1].var_cols.values())
         assert seen == {(how, sense) for how in ("cold", "fix", "start")
                         for sense in ("min", "max")}
+        assert kinds == {True, False} and offsets  # Fraction offsets were read

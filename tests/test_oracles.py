@@ -115,6 +115,17 @@ class TestHrepOracle:
         with pytest.raises(NotBinaryPolytope):
             o.minimize(Objective.of([-1, -1]))
 
+    def test_not_binary_message_names_the_first_bad_coordinate(self):
+        # minimize -x1 - x2 - x3 over 0 <= x1 <= 1, 0 <= x2 <= hi2, 0 <= 2 x3 <= hi3:
+        # the first coordinate outside {0, 1} is named, integral or not
+        for hi2, hi3, message in ((2, 3, "x2 = 2"), (1, 3, "x3 = 3/2"), (2, 2, "x2 = 2")):
+            rows = [((1, 0, 0), ">=", 0), ((1, 0, 0), "<=", 1), ((0, 1, 0), ">=", 0),
+                    ((0, 1, 0), "<=", hi2), ((0, 0, 1), ">=", 0), ((0, 0, 2), "<=", hi3)]
+            o = hrep_binary_oracle(HPolytope.of(3, rows))
+            with pytest.raises(NotBinaryPolytope) as err:
+                o.minimize(Objective.of([-1, -1, -1]))
+            assert str(err.value) == f"LP vertex has fractional coordinate {message}"
+
     def test_face_infeasible(self):
         rows = list(cube_hrep(2).rows) + [((Fraction(1), Fraction(1)), "<=", Fraction(1))]
         o = hrep_binary_oracle(HPolytope.of(2, rows))

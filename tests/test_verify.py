@@ -372,7 +372,75 @@ class TestSatisfies:
         assert not fvx.verify.satisfies(self.SYSTEM, dict(self.POINT, w=Fraction(0)))
 
 
+    def test_random_points_match_a_fraction_substitution(self):
+        # rows and bounds are built around a point p0, tight or loose, so p0
+        # and points near it fall on both sides; the reference substitutes
+        # Fractions into the system's own rows and bounds
+        rng = random.Random(61)
+
+        def q():
+            return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+
+        def reference(system, point):
+            for name, (lo, hi) in system.bounds.items():
+                if (lo is not None and point[name] < lo) or (hi is not None and point[name] > hi):
+                    return False
+            for coeffs, rel, rhs in system.rows:
+                lhs = sum((a * point[name] for name, a in coeffs.items()), start=Fraction(0))
+                if lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs:
+                    return False
+            return True
+
+        outcomes = set()
+        for _ in range(300):
+            n, m = rng.randint(1, 3), rng.randint(0, 2)
+            names = [f"x{i + 1}" for i in range(n)] + [f"y{j + 1}" for j in range(m)]
+            p0 = {name: q() for name in names}
+            bounds = {name: (p0[name] - rng.choice((0, 0, Fraction(1, 2))) if rng.random() < 0.5
+                             else None,
+                             p0[name] + rng.choice((0, 0, Fraction(1, 3))) if rng.random() < 0.5
+                             else None)
+                      for name in names}
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                coeffs = {name: q() for name in rng.sample(names, rng.randint(1, len(names)))}
+                at = sum((a * p0[name] for name, a in coeffs.items()), start=Fraction(0))
+                rel = rng.choice(("<=", "=", ">="))
+                slack = 0 if rel == "=" else rng.choice((0, 0, Fraction(1, 5)))
+                rows.append((coeffs, rel, at + slack if rel == "<=" else at - slack))
+            system = LinearSystem.build(n, tuple(names[n:]), rows, bounds)
+            for point in (p0, *({name: v + rng.choice((0, 0, q())) for name, v in p0.items()}
+                               for _ in range(3))):
+                expect = reference(system, point)
+                assert fvx.verify.satisfies(system, point) == expect
+                # the integer core takes any common denominator, not only the least
+                den, ints = fvx.verify._scale(point.values())
+                x = {name: 3 * v for name, v in zip(point, ints)}
+                assert fvx.verify._holds(system, 3 * den, x) == expect
+                outcomes.add(expect)
+        assert outcomes == {True, False}
+
+
 class TestWitnesses:
+    def test_integral_candidate_off_the_system_witnesses_nothing(self, monkeypatch):
+        # the tableau's own (L, ints) readout, shifted by 1 in x1 alone, breaks
+        # the row x1 = sum of its copies: the integer check must refuse it
+        system = face_formulation(cube_hrep(3), [BinaryPoint.from_coords((0, 1, 0))])
+        names = ("x1", "x2", "x3")
+        run = fvx.verify._Witnesses(system, names)
+        run.solve([1, 2, -3])
+        assert list(run) == [(0, 0, 1)]
+        readout = exactlp._Simplex.scaled_point
+
+        def shifted(self):
+            L, x = readout(self)
+            return L, dict(x, x1=x["x1"] + L)
+
+        monkeypatch.setattr(exactlp._Simplex, "scaled_point", shifted)
+        run = fvx.verify._Witnesses(system, names)
+        lp = run.solve([1, 2, -3])
+        assert lp.is_optimal and lp.int_coords(names) == (0, 0, 1) and not run
+
     def test_forged_lp_points_witness_nothing(self, monkeypatch):
         # every optimal LP on the system claims a point with x1 = 1, which the
         # bound x1 = 0 refutes; the report must not take it as a witness
