@@ -480,6 +480,7 @@ def cmd_verify(args) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be nonnegative, got {args.trials}")
     problem = load_problem(args.file)
+    truth = problem.enumerate_allowed()  # the guard refuses before any compile
     if args.lp:
         try:
             with open(args.lp, "r", encoding="utf-8") as handle:
@@ -493,7 +494,6 @@ def cmd_verify(args) -> int:
         system = compile_system(problem, args.method)
     else:
         raise InputError("need --lp FILE or --method NAME to know what to verify")
-    truth = problem.enumerate_allowed()
     report = verify_formulation(system, truth, problem.forbidden,
                                 trials=args.trials, seed=args.seed)
     _emit(report.to_dict())

@@ -12,6 +12,7 @@ answer's value becomes a `Fraction` only when it is read.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -375,13 +376,8 @@ class LatticeBox:
 
     def iter_points(self) -> Iterator[LatticePoint]:
         """All lattice points, last coordinate fastest (desk scale only)."""
-        def rec(prefix, k):
-            if k == self.n:
-                yield LatticePoint.from_coords(prefix)
-                return
-            for v in range(self.l.coords[k], self.u.coords[k] + 1):
-                yield from rec(prefix + [v], k + 1)
-        yield from rec([], 0)
+        ranges = (range(l, u + 1) for l, u in zip(self.l.coords, self.u.coords))
+        return map(LatticePoint.from_coords, itertools.product(*ranges))
 
 
 _RELATIONS = ("<=", "=", ">=")

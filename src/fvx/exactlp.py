@@ -16,15 +16,15 @@ and in Python ints from the tableau build to the objective value:
   denominators and priced against the basis scaled by the lcm of the basic
   rows' denominators; Bland's rule reads only the signs of the z row, so the
   scaling changes no pivot;
-- readout: the objective value is read off the final z row, with no point:
-  (sum of cost * offset -+ zrhs/zden) / L for the integer costs, scaled by L,
-  made one Fraction; each coordinate of the point is made a Fraction once.
-  Two readouts make no Fraction at all: `int_coords(names)`, the named
-  coordinates as ints (None at the first one that is not integral, by
-  `divmod`), and `scaled_point()`, the whole point as (L, an int per
-  variable), L the lcm of the basic rows' denominators and of every
-  non-integral offset's.  An `LpResult` reads out on first access, so what
-  is never read costs nothing.
+- readout: `solve_lp` reads the objective value off the final z row, with
+  no point: (sum of cost * offset -+ zrhs/zden) / L for the integer costs,
+  scaled by L, made one Fraction.  Every coordinate readout is one walk of
+  the basis, `_Simplex.scaled(names)`: (L, the named variables' values
+  times L as ints), L the lcm of the basic rows' denominators and of the
+  named variables' non-integral offsets.  The point (one Fraction per
+  variable), `int_coords(names)` (the named coordinates as ints, None when
+  one is not integral) and `scaled_point()` (the whole point as (L, an int
+  per variable)) are views of it, read only when asked for.
 
 `Fraction`s remain only where values enter (objectives, bounds) and where
 they leave (`LpResult.point` and `value`).  A list or tuple of
@@ -100,25 +100,21 @@ class LpResult:
     When optimal, `point` assigns an exact rational to every variable of the
     system and `value` is the objective evaluated at that point; the result
     then also keeps `(system, solver)` for `solve_lp`'s `start`, outside
-    `repr` and `==`.  A result of `solve_lp` reads its value (off the final
-    z row), its point, or the named coordinates of `coords` out of that
-    solver on first access, and keeps the value and the point.  The solver
-    is never pivoted after it is returned (`start` pivots a `restart()` copy
-    of it, and a solver built for `fix` belongs to its result alone), so a
-    late readout equals an eager one.  `LpResult(status, point, value)` is a
-    result with the given point and value; `repr` and `==` read a result out
-    first and compare `(status, point, value)`.
+    `repr` and `==`.  `solve_lp` sets the value (read off the final z row);
+    the point, and the ints of `int_coords` and `scaled_point`, are read out
+    of the solver only when asked for, and the point is kept.  The solver is
+    never pivoted after it is returned (`start` pivots a `restart()` copy of
+    it, and a solver built for `fix` belongs to its result alone), so a late
+    readout equals an eager one.  `LpResult(status, point, value)` is a
+    result with the given point and value; `repr` and `==` compare
+    `(status, point, value)`.
     """
 
-    __slots__ = ("status", "_point", "_value", "_tableau", "_objective")
+    __slots__ = ("status", "_point", "value", "_tableau")
 
     def __init__(self, status: str, point: Optional[dict] = None,
-                 value: Optional[Fraction] = None, _tableau: Optional[tuple] = None,
-                 _objective: Optional[tuple] = None):
-        self.status = status
-        self._point, self._value, self._tableau = point, value, _tableau
-        # (integer costs by name, their scale L, negate) while the value is pending
-        self._objective = _objective
+                 value: Optional[Fraction] = None, _tableau: Optional[tuple] = None):
+        self.status, self._point, self.value, self._tableau = status, point, value, _tableau
 
     @property
     def point(self) -> Optional[dict]:
@@ -127,28 +123,20 @@ class LpResult:
             self._point = self._tableau[1].point()
         return self._point
 
-    @property
-    def value(self) -> Optional[Fraction]:
-        # `_objective` is cleared only after the value is stored
-        objective = self._objective
-        if objective is not None:
-            self._value = self._tableau[1].objective_value(*objective)
-            self._objective = None
-        return self._value
-
     def int_coords(self, names) -> Optional[tuple]:
         """The named coordinates of the point as ints, or None when one of
-        them is not integral; a result not read out yet reads them off its
-        solver with no Fraction."""
-        if self._point is None and self._tableau is not None:
-            return self._tableau[1].int_coords(names)
-        x = [self._point[name] for name in names]
-        return tuple(v.numerator for v in x) if all(v.denominator == 1 for v in x) else None
+        them is not integral; off the solver in ints while the point is not
+        read out."""
+        if self._point is None:
+            L, ints = self._tableau[1].scaled(names)
+        else:
+            L, ints = _scale(map(self._point.__getitem__, names))
+        return None if any(v % L for v in ints) else tuple(v // L for v in ints)
 
     def scaled_point(self) -> tuple:
         """(L, {name: point[name] * L as an int}) for some positive int L,
-        off the solver in ints when the point is not read out yet."""
-        if self._point is None and self._tableau is not None:
+        off the solver in ints while the point is not read out."""
+        if self._point is None:
             return self._tableau[1].scaled_point()
         L, ints = _scale(self._point.values())
         return L, dict(zip(self._point, ints))
@@ -536,52 +524,35 @@ class _Simplex:
 
     # -- readout ----------------------------------------------------------------
 
-    def _value(self, name: str, row_of: Mapping[int, list]) -> tuple:
-        """(num, den) with num / den the value of a variable at the basic
-        point, in ints; `row_of` maps each basic column to its row."""
-        offset, cols = self.var_cols[name]
-        num, den = offset.numerator, offset.denominator
-        for col, sign in cols:
-            if col in row_of:
-                _cols, n, d = row_of[col]
-                num, den = num * d + sign * n * den, den * d
-        return num, den
-
-    def point(self) -> dict:
-        """The basic point, one Fraction per variable, each normalized once."""
-        row_of = dict(zip(self.basis, self.rows))
-        return {name: Fraction(*self._value(name, row_of)) for name in self.variables}
-
-    def int_coords(self, names: Sequence[str]) -> Optional[tuple]:
-        """The named coordinates of the basic point as ints, or None at the
-        first one that is not integral; no Fraction is made."""
+    def scaled(self, names: Sequence[str]) -> tuple:
+        """(L, the named variables' values at the basic point times L, as
+        ints), the one walk of the basis: L is the lcm of the basic rows'
+        denominators and of the named variables' non-integral offsets."""
+        var_cols = self.var_cols
+        L = lcm(*set(map(itemgetter(2), self.rows)),
+                *{offset.denominator for offset, _ in map(var_cols.__getitem__, names)
+                  if type(offset) is not int})
         row_of = dict(zip(self.basis, self.rows))
         out = []
         for name in names:
-            q, r = divmod(*self._value(name, row_of))
-            if r:
-                return None
-            out.append(q)
-        return tuple(out)
-
-    def scaled_point(self) -> tuple:
-        """(L, {name: its value times L, an int}) for the basic point: L is
-        the lcm of the basic rows' denominators and of the denominator of
-        every non-integral offset."""
-        var_cols = self.var_cols
-        L = lcm(*set(map(itemgetter(2), self.rows)),
-                *{offset.denominator for offset, _ in var_cols.values() if type(offset) is not int})
-        row_of = dict(zip(self.basis, self.rows))
-        out = {}
-        for name in self.variables:
             offset, cols = var_cols[name]
             v = offset * L if type(offset) is int else offset.numerator * (L // offset.denominator)
             for col, sign in cols:
                 if col in row_of:
                     _cols, n, d = row_of[col]
                     v += sign * n * (L // d)
-            out[name] = v
+            out.append(v)
         return L, out
+
+    def point(self) -> dict:
+        """The basic point, one Fraction per variable."""
+        L, ints = self.scaled(self.variables)
+        return {name: Fraction(v, L) for name, v in zip(self.variables, ints)}
+
+    def scaled_point(self) -> tuple:
+        """(L, {name: its value times L, an int}) for the basic point."""
+        L, ints = self.scaled(self.variables)
+        return L, dict(zip(self.variables, ints))
 
     def objective_value(self, costs: Mapping[str, int], scale: int, negate: bool) -> Fraction:
         """The optimal value of the integer costs (the objective times `scale`)
@@ -689,4 +660,5 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     negate = sense == "max"
     if solver.phase2(solver.column_objective(costs, negate)) == UNBOUNDED:
         return _UNBOUNDED
-    return LpResult(OPTIMAL, _tableau=(system, solver), _objective=(costs, scale, negate))
+    return LpResult(OPTIMAL, value=solver.objective_value(costs, scale, negate),
+                    _tableau=(system, solver))

@@ -34,12 +34,12 @@ from .errors import (
 )
 from .exactlp import solve_lp
 from .linsys import LinearSystem, intersect_bounds
-from .separation import separating_faces
+from .separation import _Faces, separating_faces
 
 #: Most certified inequalities `face_formulation` builds, |family| (counted(P)+1),
-#: checked before any block is built: an n=64 cube with 3,000 random forbidden
-#: points has about 155,000 faces (0.7 s to find), and its blocks ran out of
-#: memory after 51 s.
+#: checked on the family's size before any face or block is built: an n=64
+#: cube with 3,000 random forbidden points has about 155,000 faces (0.4 s to
+#: count, 1.0 s to build), and its blocks ran out of memory after 51 s.
 FACES_GUARD = 1_000_000
 
 
@@ -284,16 +284,17 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
     for any bounded P with 0/1 vertices; empty face blocks contribute nothing
     because a bounded system has a trivial recession cone.  More than
     `FACES_GUARD` certified inequalities raise GuardExceeded before any
-    block is built.
+    face or block is built.
     """
     n = P.n
     pts = _check_points(X, n)
-    family = separating_faces(pts, n)
+    size = _Faces(n).count(pts)
     base = LinearSystem.from_hpolytope(P)
-    certified = len(family) * (base.counted_inequalities() + 1)
+    certified = size * (base.counted_inequalities() + 1)
     if certified > FACES_GUARD:
         raise GuardExceeded(f"the faces formulation would certify {certified} inequalities "
-                            f"({len(family)} faces), above the guard FACES_GUARD = {FACES_GUARD}")
+                            f"({size} faces), above the guard FACES_GUARD = {FACES_GUARD}")
+    family = separating_faces(pts, n)
     blocks = []
     for face in family:
         overrides = {f"x{i}": (Fraction(v), Fraction(v)) for i, v in face.fixed}

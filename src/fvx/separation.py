@@ -131,6 +131,11 @@ class _Lattice:
                         break
         return list(zip(pieces, held))
 
+    def count(self, X: Iterable) -> int:
+        """The number of members of the family of X, with no restriction made."""
+        codes = self.codes(X)
+        return sum(map(len, self.runs(codes))) if codes else 1
+
     def family(self, X: Iterable, key) -> tuple:
         """The restrictions of the runs of X, level by level, each level in
         `key` order; the root restriction alone when X is empty."""

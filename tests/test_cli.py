@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fvx.cli
 from fvx import BinaryPoint, LinearSystem, extension, interval_formulation, write_lp
 from fvx.cli import KBEST_GUARD, main
 
@@ -344,6 +345,23 @@ class TestVerifyCommand:
         message = json.loads(out)["message"]
         assert "n_original=4" in message and "n=3" in message
 
+    def test_guard_refuses_before_compiling(self, tmp_path, capsys, monkeypatch):
+        # the n=64 cube with 3,000 forbidden points compiled for 24.5 s
+        # (interval) or past 100 s (recursive) before this refusal
+        path = cube_problem(tmp_path, 13, ["0"] * 13, ["0" * 13])
+        lp = tmp_path / "any.lp"
+        lp.write_text("")
+
+        def never(*args):
+            raise AssertionError("compiled or parsed above the enumeration guard")
+
+        monkeypatch.setattr(fvx.cli, "compile_system", never)
+        monkeypatch.setattr(fvx.cli, "parse_lp", never)
+        for how in (["--method", "interval"], ["--method", "recursive"], ["--lp", str(lp)]):
+            code, out = run(capsys, ["verify", path, *how])
+            assert code == 1
+            assert json.loads(out)["message"] == "dimension 13 exceeds the enumeration guard 12"
+
     def test_needs_lp_or_method(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], [])
         code, _ = run(capsys, ["verify", path])
@@ -370,6 +388,21 @@ class TestEnumerate:
         path = cube_problem(tmp_path, 20, ["0"] * 20, [])
         code, out = run(capsys, ["enumerate", path])
         assert code == 1
+
+    def test_one_point_box_of_dimension_1100(self, tmp_path, capsys):
+        # one lattice point, under every guard: both commands once ended in a
+        # RecursionError, one recursion level per coordinate
+        n = 1100
+        path = write_json(tmp_path, "box.json", {
+            "kind": "integral", "n": n,
+            "polytope": {"type": "lattice-box", "l": [0] * n, "u": [0] * n},
+            "forbidden": []})
+        code, out = run(capsys, ["enumerate", path])
+        doc = json.loads(out)
+        assert code == 0 and doc["count"] == 1 and doc["vertices"] == [[0] * n]
+        code, out = run(capsys, ["verify", path, "--method", "boxes"])
+        assert code == 1
+        assert json.loads(out)["message"] == f"dimension {n} exceeds the enumeration guard 12"
 
 
 class TestInputValidation:

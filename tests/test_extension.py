@@ -16,6 +16,8 @@ from fvx import (
     intersect_systems,
     interval_formulation,
     recursive_formulation,
+    extension,
+    separation,
     solve_lp,
 )
 from fvx.errors import (
@@ -24,6 +26,7 @@ from fvx.errors import (
     DomainError,
     EmptyInterval,
     EmptyUnion,
+    GuardExceeded,
     NoFaceExcludes,
 )
 from conftest import all_binary, brute_min, feasible_at, random_forbidden
@@ -227,6 +230,18 @@ class TestFaceFormulation:
     def test_all_forbidden(self):
         with pytest.raises(AllForbidden):
             face_formulation(cube_hrep(1), all_binary(1))
+
+    def test_guard_refuses_before_any_face_is_made(self, monkeypatch):
+        X = [BinaryPoint.from_string(s) for s in ("000", "011", "110")]
+        certified = 4 * (6 + 1)  # 4 faces, 6 bound rows
+        monkeypatch.setattr(extension, "FACES_GUARD", certified - 1)
+
+        def no_face(self, run):
+            raise AssertionError("a face was made above the guard")
+
+        monkeypatch.setattr(separation._Faces, "restriction", no_face)
+        with pytest.raises(GuardExceeded, match=f"certify {certified} inequalities"):
+            face_formulation(cube_hrep(3), X)
 
 
 class TestFacetIntersection:

@@ -197,6 +197,19 @@ class TestGapRoutine:
             got = box_family(X, ambient)
             assert got == (_boxes_by_enumeration(X, ambient) if X else (ambient,))
 
+    def test_count_is_the_family_size(self):
+        # the faces guard counts the family from its runs, making no member
+        rng = random.Random(73)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            X = random_forbidden(rng, n, rng.randint(0, 1 << n))
+            assert _Faces(n).count(X) == len(separating_faces(X, n))
+            lo = [rng.randint(-3, 3) for _ in range(n)]
+            ambient = LatticeBox.of(lo, [v + rng.randint(0, 2) for v in lo])
+            points = [p.coords for p in ambient.iter_points()]
+            X = rng.sample(points, rng.randint(0, min(len(points), 12)))
+            assert _Boxes(ambient).count(X) == len(box_family(X, ambient))
+
     def test_split_box_is_one_point_family(self):
         rng = random.Random(67)
         for _ in range(12):
