@@ -480,7 +480,10 @@ def cmd_verify(args) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be nonnegative, got {args.trials}")
     problem = load_problem(args.file)
-    truth = problem.enumerate_allowed()  # the guard refuses before any compile
+    truth = problem.enumerate_allowed()  # the guards refuse before any compile
+    if problem.n > ENUM_GUARD_DIM:  # integral problems are enumerated by count alone
+        raise GuardExceeded(
+            f"dimension {problem.n} exceeds the enumeration guard {ENUM_GUARD_DIM}")
     if args.lp:
         try:
             with open(args.lp, "r", encoding="utf-8") as handle:

@@ -48,7 +48,9 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
 
     Emptiness of blocks is the caller's responsibility; every internal caller
     constructs or probes blocks to be nonempty.  The certificate is the sum
-    over blocks of (counted inequalities + 1).
+    over blocks of (counted inequalities + 1).  A nonzero bound q of a block
+    variable becomes the int row q.denominator copy - q.numerator lam, so
+    every row is built in ints, in one pass over the blocks.
     """
     if not blocks:
         raise EmptyUnion("no blocks to take a union over")
@@ -59,22 +61,19 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
     variables: List[str] = [f"x{i + 1}" for i in range(n)]
     bounds = {}
     rows = []
-    copy_names = []  # per block: list of copy variable names aligned with block vars
-
-    for j, block in enumerate(blocks, start=1):
-        names = [f"b{j}_y{t + 1}" for t in range(len(block.variables))]
-        copy_names.append(names)
-        variables.extend(names)
-        variables.append(f"lam{j}")
-        bounds[f"lam{j}"] = (Fraction(0), None)
+    coupling = [{f"x{i + 1}": 1} for i in range(n)]  # x_i minus the sum of its copies
 
     for j, block in enumerate(blocks, start=1):
         lam = f"lam{j}"
-        rename = dict(zip(block.variables, copy_names[j - 1]))
+        names = [f"b{j}_y{t + 1}" for t in range(len(block.variables))]
+        variables.extend(names)
+        variables.append(lam)
+        bounds[lam] = (Fraction(0), None)
+        rename = dict(zip(block.variables, names))
         for coeffs, rel, rhs in block.rows:
-            row = {rename[v]: a for v, a in coeffs.items()}
+            row = {rename[v]: a for v, a in coeffs.items() if a}
             if rhs:
-                row[lam] = row.get(lam, 0) - rhs
+                row[lam] = -rhs
             rows.append((row, rel, 0))
         for v in block.variables:
             lo, hi = block.bound(v)
@@ -84,35 +83,31 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
                 if lo == 0:
                     clo = chi = Fraction(0)
                 else:
-                    rows.append(({copy: 1, lam: -lo}, "=", 0))
+                    rows.append(({copy: lo.denominator, lam: -lo.numerator}, "=", 0))
             else:
                 if lo is not None:
                     if lo == 0:
                         clo = Fraction(0)
                     else:
-                        rows.append(({copy: 1, lam: -lo}, ">=", 0))
+                        rows.append(({copy: lo.denominator, lam: -lo.numerator}, ">=", 0))
                 if hi is not None:
                     if hi == 0:
                         chi = Fraction(0)
                     else:
-                        rows.append(({copy: 1, lam: -hi}, "<=", 0))
+                        rows.append(({copy: hi.denominator, lam: -hi.numerator}, "<=", 0))
             if clo is not None or chi is not None:
                 bounds[copy] = (clo, chi)
+        for i, row in enumerate(coupling):
+            row[names[i]] = -1
 
-    for i in range(1, n + 1):
-        row = {f"x{i}": 1}
-        for j in range(1, len(blocks) + 1):
-            row[copy_names[j - 1][i - 1]] = -1
-        rows.append((row, "=", 0))
+    rows.extend((row, "=", 0) for row in coupling)
     rows.append(({f"lam{j}": 1 for j in range(1, len(blocks) + 1)}, "=", 1))
 
     certified = sum(b.counted_inequalities() + 1 for b in blocks)
-    system = LinearSystem.build(
-        n, tuple(variables[n:]), rows, bounds,
-        meta={"method": "disjunctive-hull", "blocks": len(blocks),
-              "certified": certified,
-              "formula": "sum over blocks of (counted+1)"},
-    )
+    system = LinearSystem(tuple(variables), n, tuple(rows), bounds,
+                          {"method": "disjunctive-hull", "blocks": len(blocks),
+                           "certified": certified,
+                           "formula": "sum over blocks of (counted+1)"})
     return _finalize(system, system.meta)
 
 
@@ -197,9 +192,9 @@ def conv_K(code: IntervalCode) -> LinearSystem:
             row[f"x{j}"] = 1
         rows.append((row, "<=", len(later)))
     bounds = {f"x{i}": (Fraction(0), Fraction(1)) for i in range(1, n + 1)}
-    system = LinearSystem.build(n, (), rows, bounds,
-                                meta={"method": "conv-K", "a": code.a, "b": code.b,
-                                      "certified": 4 * n, "formula": "4n"})
+    system = LinearSystem(tuple(bounds), n, tuple(rows), bounds,
+                          {"method": "conv-K", "a": code.a, "b": code.b,
+                           "certified": 4 * n, "formula": "4n"})
     return _finalize(system, system.meta)
 
 
@@ -209,7 +204,7 @@ def interval_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
     Sorts the forbidden codes, hulls the at most |X|+1 nonempty code
     intervals between them; certificate (|X|+1)(4n+3).
     """
-    codes = sorted({p.bits for p in _check_points(X, n)})
+    codes = sorted(_Faces(n).codes(X))
     boundaries = [-1] + codes + [1 << n]
     intervals = []
     for lo, hi in zip(boundaries, boundaries[1:]):
@@ -223,17 +218,9 @@ def interval_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
                              "every binary point is forbidden")
 
 
-def _check_points(X: Iterable[BinaryPoint], n: int) -> List[BinaryPoint]:
-    pts = list(X)
-    for p in pts:
-        if p.n != n:
-            raise DomainError(f"point of dimension {p.n} in dimension-{n} problem")
-    return pts
-
-
 def _point_system(code: int, n: int) -> LinearSystem:
     bounds = {f"x{i}": (Fraction((code >> (i - 1)) & 1),) * 2 for i in range(1, n + 1)}
-    return LinearSystem.build(n, (), (), bounds, meta={"method": "point", "code": code})
+    return LinearSystem(tuple(bounds), n, (), bounds, {"method": "point", "code": code})
 
 
 def _extend_cube_coordinate(system: LinearSystem, k: int) -> LinearSystem:
@@ -252,7 +239,7 @@ def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
     are not; each such point enters the hull as its own one-point block.
     Certificate n(|X|+4).
     """
-    codes = {p.bits for p in _check_points(X, n)}
+    codes = _Faces(n).codes(X)
 
     def blocks(bits: set, k: int) -> list:
         """Blocks whose union is {0,1}^k minus `bits`; none when that is empty."""
@@ -261,8 +248,7 @@ def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
             if not allowed:
                 return []
             bound = (Fraction(allowed[0]), Fraction(allowed[-1]))
-            return [LinearSystem.build(1, (), (), {"x1": bound},
-                                       meta={"method": "recursive-base"})]
+            return [LinearSystem(("x1",), 1, (), {"x1": bound}, {"method": "recursive-base"})]
         top = 1 << (k - 1)
         proj = {b & (top - 1) for b in bits}
         flipped = {b ^ top for b in bits}
@@ -287,8 +273,8 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
     face or block is built.
     """
     n = P.n
-    pts = _check_points(X, n)
-    size = _Faces(n).count(pts)
+    pts = list(X)
+    size = _Faces(n).count(pts)  # checks the points' dimension
     base = LinearSystem.from_hpolytope(P)
     certified = size * (base.counted_inequalities() + 1)
     if certified > FACES_GUARD:
@@ -315,7 +301,8 @@ def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],
     surviving faces are hulled.  Desk-scale cap |X| <= 2.
     """
     n = P.n
-    pts = _check_points(X, n)
+    pts = list(X)
+    _Faces(n).codes(pts)  # checks the points' dimension
     if len(pts) > 2:
         raise CardinalityCap(f"facet-intersection supports |X| <= 2, got {len(pts)}")
     for idx in facets:
@@ -387,10 +374,8 @@ def intersect_systems(systems: Sequence[LinearSystem]) -> LinearSystem:
         for v in sys_j.variables[n:]:
             variables.append(rename[v])
         for coeffs, rel, rhs in sys_j.rows:
-            rows.append(({rename[v]: a for v, a in coeffs.items()}, rel, rhs))
+            rows.append(({rename[v]: a for v, a in coeffs.items() if a}, rel, rhs))
         for v, bound in sys_j.bounds.items():
             bounds[rename[v]] = intersect_bounds(bound, bounds.get(rename[v], (None, None)))
-    system = LinearSystem.build(n, tuple(variables[n:]), rows, bounds,
-                                meta={"method": "intersection",
-                                      "parts": len(systems)})
-    return system
+    return LinearSystem(tuple(variables), n, tuple(rows), bounds,
+                        {"method": "intersection", "parts": len(systems)})

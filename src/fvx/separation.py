@@ -150,6 +150,8 @@ class _Faces(_Lattice):
     """The binary points of dimension n by `bits`, runs as cube faces."""
 
     def __init__(self, n: int):
+        if n < 1:
+            raise DomainError(f"dimension must be positive, got {n}")
         super().__init__((2,) * n)
         self.n = n
 

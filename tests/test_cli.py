@@ -362,6 +362,27 @@ class TestVerifyCommand:
             assert code == 1
             assert json.loads(out)["message"] == "dimension 13 exceeds the enumeration guard 12"
 
+    def test_integral_guard_refuses_before_compiling(self, tmp_path, capsys, monkeypatch):
+        # one lattice point is under the point guard: a 3,000-dim box compiled
+        # for 20 s before verify_formulation refused its dimension
+        path = write_json(tmp_path, "box.json", {
+            "kind": "integral", "n": 13,
+            "polytope": {"type": "lattice-box", "l": [0] * 13, "u": [0] * 13}, "forbidden": []})
+        lp = tmp_path / "any.lp"
+        lp.write_text("")
+
+        def never(*args):
+            raise AssertionError("compiled or parsed above the enumeration guard")
+
+        monkeypatch.setattr(fvx.cli, "compile_system", never)
+        monkeypatch.setattr(fvx.cli, "parse_lp", never)
+        for how in (["--method", "boxes"], ["--lp", str(lp)]):
+            code, out = run(capsys, ["verify", path, *how])
+            assert code == 1
+            assert json.loads(out)["message"] == "dimension 13 exceeds the enumeration guard 12"
+        code, out = run(capsys, ["enumerate", path])
+        assert code == 0 and json.loads(out)["count"] == 1
+
     def test_needs_lp_or_method(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], [])
         code, _ = run(capsys, ["verify", path])

@@ -19,6 +19,7 @@ from fvx import (
     extension,
     separation,
     solve_lp,
+    write_lp,
 )
 from fvx.errors import (
     AllForbidden,
@@ -140,6 +141,74 @@ class TestDisjunctiveHull:
             ("method", "disjunctive-hull"), ("blocks", 2), ("certified", hull.meta["certified"]),
             ("formula", "sum over blocks of (counted+1)"),
             ("counted", hull.counted_inequalities()), ("raw_rows", len(hull.rows))]
+
+    def test_rational_blocks_match_a_hull_built_through_build(self):
+        # each nonzero block bound q enters as the row copy - q lam, scaled by build
+        def reference(blocks):
+            n = blocks[0].n_original
+            variables, bounds, rows, names = [], {}, [], []
+            for j, block in enumerate(blocks, start=1):
+                names.append([f"b{j}_y{t + 1}" for t in range(len(block.variables))])
+                variables += names[-1] + [f"lam{j}"]
+                bounds[f"lam{j}"] = (0, None)
+            for j, block in enumerate(blocks, start=1):
+                lam, rename = f"lam{j}", dict(zip(block.variables, names[j - 1]))
+                for coeffs, rel, rhs in block.rows:
+                    rows.append(({**{rename[v]: a for v, a in coeffs.items()}, lam: -rhs}, rel, 0))
+                for v in block.variables:
+                    (lo, hi), copy = block.bound(v), rename[v]
+                    clo = chi = None
+                    if lo is not None and lo == hi:
+                        if lo == 0:
+                            clo = chi = 0
+                        else:
+                            rows.append(({copy: 1, lam: -lo}, "=", 0))
+                    else:
+                        if lo is not None:
+                            if lo == 0:
+                                clo = 0
+                            else:
+                                rows.append(({copy: 1, lam: -lo}, ">=", 0))
+                        if hi is not None:
+                            if hi == 0:
+                                chi = 0
+                            else:
+                                rows.append(({copy: 1, lam: -hi}, "<=", 0))
+                    if clo is not None or chi is not None:
+                        bounds[copy] = (clo, chi)
+            for i in range(n):
+                rows.append(({f"x{i + 1}": 1, **{copies[i]: -1 for copies in names}}, "=", 0))
+            rows.append(({f"lam{j}": 1 for j in range(1, len(blocks) + 1)}, "=", 1))
+            meta = {"method": "disjunctive-hull", "blocks": len(blocks),
+                    "certified": sum(b.counted_inequalities() + 1 for b in blocks),
+                    "formula": "sum over blocks of (counted+1)"}
+            return extension._finalize(LinearSystem.build(n, variables, rows, bounds, meta), meta)
+
+        rng = random.Random(211)
+
+        def q():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            blocks = []
+            for _ in range(rng.randint(1, 4)):
+                names = [f"x{i + 1}" for i in range(n)]
+                names += [f"a{t}" for t in range(rng.randint(0, 2))]
+                rows = [({v: q() for v in rng.sample(names, rng.randint(1, len(names)))},
+                         rng.choice(("<=", ">=", "=")), q() + rng.choice((0, 1)))
+                        for _ in range(rng.randint(0, 3))]
+                bounds = {}
+                for v in names:
+                    lo, hi = sorted((q(), q()))
+                    bounds[v] = rng.choice([(0, None), (None, 0), (0, 0), (lo, lo), (0, hi),
+                                            (lo, hi), (lo, None), (None, hi), (None, None),
+                                            (rng.randint(-2, 2), rng.randint(3, 4))])
+                blocks.append(LinearSystem.build(n, names[n:], rows, bounds))
+            hull = disjunctive_hull(blocks)
+            expected = reference(blocks)
+            assert write_lp(hull) == write_lp(expected)
+            assert list(hull.meta.items()) == list(expected.meta.items())
 
 
 class TestIntervalFormulation:
@@ -295,6 +364,16 @@ class TestFacetIntersection:
         with pytest.raises(NoFaceExcludes):
             facet_intersection_formulation(cube_hrep(2), [0, 1],
                                            [BinaryPoint.from_string("00")])
+
+
+class TestDimension:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_dimension_is_refused(self, n):
+        for build in (lambda: interval_formulation([], n), lambda: recursive_formulation([], n),
+                      lambda: separation.separating_faces((), n),
+                      lambda: face_formulation(HPolytope(n, ()), [])):
+            with pytest.raises(DomainError, match="dimension must be positive"):
+                build()
 
 
 class TestIntersectSystems:
