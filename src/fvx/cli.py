@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .alldiff import AlldiffInstance, solve_alldiff
@@ -24,7 +23,6 @@ from .core import (
     Objective,
     cube_hrep,
     format_rational,
-    parse_rational,
 )
 from .errors import FvxError, GuardExceeded, IncompatibleMethod
 from .extension import (
@@ -115,13 +113,17 @@ def _parse_hrep(n: int, spec: dict, field: str) -> HPolytope:
         rel = row.get("rel")
         if rel not in ("<=", "=", ">="):
             _fail(f"{field}.rows[{i}].rel", "expected one of '<=', '=', '>='")
-        try:
-            coeffs = tuple(parse_rational(v) for v in a)
-            rhs = parse_rational(row.get("b"))
-        except FvxError as exc:
-            _fail(f"{field}.rows[{i}]", str(exc))
-        rows.append((coeffs, rel, rhs))
-    return HPolytope(n, tuple(rows))
+        rows.append((a, rel, row.get("b")))
+    try:
+        return HPolytope(n, tuple(rows))
+    except FvxError:
+        # name the first row refused; each row is checked on its own
+        for i, row in enumerate(rows):
+            try:
+                HPolytope(n, (row,))
+            except FvxError as exc:
+                _fail(f"{field}.rows[{i}]", str(exc))
+        raise
 
 
 # -- polytope types -------------------------------------------------------------
@@ -151,8 +153,7 @@ def _cardinality(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
         _fail(f"{field}.s", f"expected a target sum in 0..{n}")
 
     def hpolytope():
-        rows = cube_hrep(n).rows + ((tuple(Fraction(1) for _ in range(n)), "=", Fraction(s)),)
-        return HPolytope(n, rows)
+        return HPolytope(n, cube_hrep(n).rows + (((1,) * n, "=", s),))
 
     return PolytopeEntry("binary", lambda: cardinality_oracle(n, s), hpolytope,
                          lambda p: p.bits.bit_count() == s)
@@ -192,9 +193,9 @@ def _lattice_box(kind: str, n: int, spec: dict, field: str) -> PolytopeEntry:
     def hpolytope():
         rows = []
         for i in range(n):
-            a = tuple(Fraction(1 if j == i else 0) for j in range(n))
-            rows.append((a, ">=", Fraction(box.l.coords[i])))
-            rows.append((a, "<=", Fraction(box.u.coords[i])))
+            a = tuple(int(j == i) for j in range(n))
+            rows.append((a, ">=", box.l.coords[i]))
+            rows.append((a, "<=", box.u.coords[i]))
         return HPolytope(n, tuple(rows))
 
     return PolytopeEntry("integral", lambda: lattice_box_oracle(box.l.coords, box.u.coords),

@@ -4,8 +4,9 @@ Coordinates are 1-indexed throughout: coordinate i of a binary point lives in
 bit i-1 of its code word, so the code of a point is sum(2**(i-1) * v_i).  A
 `CubeFace` is (n, mask, bits), packed like `BinaryPoint`: bit i-1 of mask
 marks coordinate i as fixed, bit i-1 of bits holds its value.  All
-numeric data is held as exact rationals (`fractions.Fraction`); no floating
-point is used anywhere on a solve path.  An `Objective` is scaled to ints
+numeric data is held as exact rationals (`fractions.Fraction`, or an int
+where an `HPolytope` entry is integral); no floating point is used anywhere
+on a solve path.  An `Objective` is scaled to ints
 once (`Objective.scaled`); oracles compare and sum in those ints, and an
 answer's value becomes a `Fraction` only when it is read.
 """
@@ -43,12 +44,12 @@ def parse_rational(text: RationalLike) -> Fraction:
     text, so parsing it could take unbounded time); NumeralTooLong, a
     GuardExceeded, on a numeral longer than `int` converts.
     """
-    if isinstance(text, Fraction):
-        return text
     if isinstance(text, bool):
         raise DomainError(f"refusing boolean {text!r}; pass a 'p/q' string")
     if isinstance(text, int):
         return Fraction(text)
+    if isinstance(text, Fraction):
+        return text
     if isinstance(text, float):
         raise DomainError(f"refusing float {text!r}; pass a 'p/q' string")
     body = str(text).strip()
@@ -59,6 +60,15 @@ def parse_rational(text: RationalLike) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         refuse_long_numeral(body)
         raise DomainError(f"not a rational: {_echo(text)}") from exc
+
+
+def _exact(value: RationalLike) -> Union[int, Fraction]:
+    """An int as it is; any other value through `parse_rational`, an integral
+    result as its int."""
+    if type(value) is int:
+        return value
+    q = parse_rational(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _echo(value) -> str:
@@ -387,23 +397,24 @@ _RELATIONS = ("<=", "=", ">=")
 class HPolytope:
     """Explicit inequality/equality description over n named variables.
 
-    Rows are (coefficient vector, relation, rhs) with exact rational entries.
+    Rows are (coefficient vector, relation, rhs) with exact rational entries:
+    an int for each integral entry and a Fraction otherwise (`_exact`).
     The description is intended to be bounded; unboundedness is only detected
     lazily when an LP over it is solved.
     """
 
     n: int
-    rows: tuple  # of (tuple[Fraction,...], relation, Fraction)
+    rows: tuple  # of (tuple[int | Fraction, ...], relation, int | Fraction)
 
     def __post_init__(self):
         norm = []
         for a, rel, b in self.rows:
             if rel not in _RELATIONS:
                 raise DomainError(f"unknown relation {rel!r}")
-            a = tuple(parse_rational(v) for v in a)
+            a = tuple(map(_exact, a))
             if len(a) != self.n:
                 raise DomainError(f"row has {len(a)} coefficients, expected {self.n}")
-            norm.append((a, rel, parse_rational(b)))
+            norm.append((a, rel, _exact(b)))
         object.__setattr__(self, "rows", tuple(norm))
 
     @classmethod
@@ -425,14 +436,8 @@ class HPolytope:
 
 def cube_hrep(n: int) -> HPolytope:
     """The unit cube as 2n explicit rows: x_i >= 0 then x_i <= 1."""
-    rows = []
-    for i in range(n):
-        a = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append((a, ">=", Fraction(0)))
-    for i in range(n):
-        a = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append((a, "<=", Fraction(1)))
-    return HPolytope(n, tuple(rows))
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return HPolytope(n, tuple((a, ">=", 0) for a in units) + tuple((a, "<=", 1) for a in units))
 
 
 # --- sigma bijection -------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exact rational LP solving: two-phase primal simplex with Bland's rule.
+"""Exact rational LP solving: two-phase primal simplex, Dantzig's rule with
+a Bland fallback.
 
 Everything is computed exactly, with no floating point and no tolerances,
 and in Python ints from the tableau build to the objective value:
@@ -14,8 +15,8 @@ and in Python ints from the tableau build to the objective value:
 - phase 1 is phase 2 with cost 1 on every artificial column;
 - phase 2: the objective is scaled to integers by the lcm of its
   denominators and priced against the basis scaled by the lcm of the basic
-  rows' denominators; Bland's rule reads only the signs of the z row, so the
-  scaling changes no pivot;
+  rows' denominators; the z row is one positive multiple of the reduced
+  costs, so the scaling changes no pivot;
 - readout: `solve_lp` reads the objective value off the final z row, with
   no point: (sum of cost * offset -+ zrhs/zden) / L for the integer costs,
   scaled by L, made one Fraction.  Every coordinate readout is one walk of
@@ -32,9 +33,12 @@ plain ints is taken as the integer costs themselves, with L = 1; the
 library's own callers price this way.  Any other objective (a mapping, a
 sequence of rationals or an `Objective`) is parsed on each call and scaled
 to ints by `core._scale`, the package's one rational-to-integer scaler.
-Bland's lowest-index rule is used for both the entering column and
-ratio-test ties, which guarantees termination and makes every answer
-(including the optimal basic point) deterministic.
+Pricing (`_Simplex._iterate`) enters the most negative z-row entry (Dantzig
+1963), the lowest column on ties, and falls back to Bland's lowest-index rule
+(Bland 1977) after `DEGENERATE_RUN` degenerate pivots in a row, until the
+next nondegenerate one; this guarantees termination.  Ratio-test ties go to
+the lowest basic column.  Every answer (including the optimal basic point)
+is deterministic.
 
 Presolve is the solver's own: a tableau build turns each one-variable row
 into a bound (`_folded`; Andersen & Andersen 1995), so it adds no tableau row
@@ -66,9 +70,9 @@ boxed column (with `var_cols` and `bound_rows`, pivots never touch it).
 column, and whose tableau `_normalize`, the one place that checks and drops
 a row left with no column, rebuilds from the template with each dropped
 column's value moved into the right-hand sides.  Every other column keeps
-its number, and the pivot rule compares only column order, so the copy's
-phase 1 and phase 2 take exactly the pivots of a cold build of
-`system.with_bounds({name: (v, v)})`, with no `with_bounds` child,
+its number, and the pivot rule compares only z-row entries and column
+order, so the copy's phase 1 and phase 2 take exactly the pivots of a cold
+build of `system.with_bounds({name: (v, v)})`, with no `with_bounds` child,
 `_transform_row` or fold per call.  A restriction of an infeasible system is
 infeasible with no tableau at all.
 
@@ -92,6 +96,10 @@ from .linsys import LinearSystem, intersect_bounds
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+#: Degenerate pivots in a row after which Bland's rule enters, until the next
+#: nondegenerate pivot.
+DEGENERATE_RUN = 20
 
 
 class LpResult:
@@ -325,8 +333,8 @@ class _Simplex:
         is checked and dropped.  Then each row becomes an equality with a
         slack (<=, >=) and, where the slack cannot be basic, an artificial.
         Every other column keeps its number, so the pivot rule, which
-        compares only column order, takes the pivots of a build that never
-        had the shifted columns.
+        compares only z-row entries and column order, takes the pivots of a
+        build that never had the shifted columns.
         """
         pending = []
         for cols, b, rel in self.template:
@@ -438,15 +446,35 @@ class _Simplex:
             self.zc, self.zrhs, self.zden = zrow
         self.basis[r] = s
 
-    def _bland(self) -> str:
-        """Run Bland pivots until optimal or unbounded."""
+    def _iterate(self) -> str:
+        """Pivot until optimal or unbounded, the pricing loop of both phases.
+
+        Dantzig's rule enters the most negative z-row entry, the lowest
+        column on ties; the z row is one positive multiple of the reduced
+        costs, so comparing its ints is exact.  After `DEGENERATE_RUN`
+        degenerate pivots in a row (a ratio-test rhs of 0), Bland's
+        lowest-index rule enters instead until the next nondegenerate pivot.
+        The ratio test takes the least ratio, the lowest basic column on
+        ties.  This terminates: there are finitely many bases and each
+        nondegenerate pivot strictly improves the objective, so there are
+        finitely many nondegenerate pivots, and between two of them Bland's
+        rule cannot cycle.
+        """
         rows = self.rows
         basis = self.basis
+        degenerate = 0
         while True:
             s = None
-            for j, v in self.zc.items():
-                if v < 0 and (s is None or j < s):
-                    s = j
+            if degenerate < DEGENERATE_RUN:
+                best = 0
+                # no z-row entry is 0, so a tie has best < 0 and s set
+                for j, v in self.zc.items():
+                    if v < best or v == best and j < s:
+                        s, best = j, v
+            else:
+                for j, v in self.zc.items():
+                    if v < 0 and (s is None or j < s):
+                        s = j
             if s is None:
                 return OPTIMAL
             best_r = -1
@@ -464,6 +492,7 @@ class _Simplex:
                     best_r, best_rhs, best_num, best_basis = i, rhs, a, basis[i]
             if best_r < 0:
                 return UNBOUNDED
+            degenerate = degenerate + 1 if best_rhs == 0 else 0
             self._pivot(best_r, s)
 
     # -- phases -----------------------------------------------------------------
@@ -494,13 +523,13 @@ class _Simplex:
         return True
 
     def phase2(self, col_obj: Mapping[int, int]) -> str:
-        """Price integer column costs against the basis, then run Bland pivots.
+        """Price integer column costs against the basis, then pivot (`_iterate`).
 
         The z row is a positive multiple of the reduced costs: the costs come
         scaled from `column_objective`, and pricing scales them again by the
         lcm of the priced basic rows' denominators, so it is built in
-        integers.  `_bland` reads only signs and `_combine` renormalizes, so
-        the scaling changes no pivot.
+        integers.  `_iterate` compares entries of this one row and
+        `_combine` renormalizes, so the scaling changes no pivot.
         """
         priced = []
         zden = 1
@@ -520,7 +549,7 @@ class _Simplex:
         self.zc = {j: v for j, v in zc.items() if v}
         self.zrhs = zrhs
         self.zden = zden
-        return self._bland()
+        return self._iterate()
 
     # -- readout ----------------------------------------------------------------
 

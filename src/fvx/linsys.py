@@ -89,12 +89,15 @@ class LinearSystem:
 
     @classmethod
     def from_hpolytope(cls, poly, meta: Mapping = None) -> "LinearSystem":
-        """Wrap an H-description as a system over x1..xn (rows scaled to ints)."""
+        """Wrap an H-description as a system over x1..xn, the rows `build`
+        makes of it: each row scaled once by `core._scale` (a row of ints
+        comes back as it is), less its zero coefficients."""
+        names = tuple(f"x{i + 1}" for i in range(poly.n))
         rows = []
         for a, rel, b in poly.rows:
-            coeffs = {f"x{i + 1}": v for i, v in enumerate(a) if v}
-            rows.append((coeffs, rel, b))
-        return cls.build(poly.n, (), rows, {}, meta or {"method": "hrep"})
+            _, (b, *a) = _scale((b, *a))
+            rows.append(({name: v for name, v in zip(names, a) if v}, rel, b))
+        return cls(names, poly.n, tuple(rows), {}, dict(meta or {"method": "hrep"}))
 
     # -- accessors -------------------------------------------------------------
 

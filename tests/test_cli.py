@@ -548,6 +548,9 @@ class TestInputValidation:
         ("solve", {"kind": "binary", "n": 2,
                    "polytope": {"type": "hrep", "rows": [{"a": [1, 1], "rel": "<=", "b": True}]},
                    "objective": ["1", "1"], "forbidden": []}, "polytope.rows[0]"),
+        ("solve", {"kind": "binary", "n": 2,
+                   "polytope": {"type": "hrep", "rows": [{"a": [1, True], "rel": "<=", "b": 1}]},
+                   "objective": ["1", "1"], "forbidden": []}, "polytope.rows[0]"),
     ])
     def test_booleans_are_not_integers(self, tmp_path, capsys, command, doc, field):
         code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
@@ -582,6 +585,10 @@ class TestInputValidation:
                    "polytope": {"type": "hrep", "rows": [{"a": ["1", "1"], "rel": "<=",
                                                           "b": "3e4000000"}]},
                    "objective": ["1", "1"], "forbidden": []}, "polytope.rows[0]"),
+        ("solve", {"kind": "binary", "n": 2,
+                   "polytope": {"type": "hrep", "rows": [{"a": [1, "1e3"], "rel": "<=",
+                                                          "b": 1}]},
+                   "objective": ["1", "1"], "forbidden": []}, "polytope.rows[0]"),
     ])
     def test_exponent_notation_is_refused(self, tmp_path, capsys, command, doc, field):
         code, out = run(capsys, [command, write_json(tmp_path, "p.json", doc)])
@@ -595,6 +602,30 @@ class TestInputValidation:
                       "Subject To\n r1: 1 x1 >= 0\nBounds\n 0 <= x1 <= 1e4000000\nEnd\n")
         code, out = run(capsys, ["verify", path, "--lp", str(lp)])
         assert code == 1 and "exponent notation" in json.loads(out)["message"]
+
+
+class TestHrepEntries:
+    """H-rep coefficients: JSON ints kept as ints, other entries parsed once."""
+
+    @staticmethod
+    def hrep_file(tmp_path, a, b=1):
+        rows = [{"a": a, "rel": "<=", "b": b}]
+        rows += [{"a": [int(i == j) for j in range(len(a))], "rel": rel, "b": v}
+                 for i in range(len(a)) for rel, v in ((">=", 0), ("<=", 1))]
+        return write_json(tmp_path, "h.json", {
+            "kind": "binary", "n": len(a), "polytope": {"type": "hrep", "rows": rows},
+            "objective": [-1] * len(a), "forbidden": []})
+
+    @pytest.mark.parametrize("entry", [1.0, 0.5, "1/0"])
+    def test_bad_coefficient_names_its_row(self, tmp_path, capsys, entry):
+        code, out = run(capsys, ["solve", self.hrep_file(tmp_path, [1, entry])])
+        assert code == 1 and "polytope.rows[0]" in json.loads(out)["message"]
+
+    def test_integral_entries_are_ints(self, tmp_path):
+        path = self.hrep_file(tmp_path, [1, "4", "6/3", "1/2"], "10/2")
+        (a, rel, b), *_ = fvx.cli.load_problem(path).hpolytope().rows
+        assert a == (1, 4, 2, Fraction(1, 2)) and (rel, b) == ("<=", 5)
+        assert [type(v) for v in (*a, b)] == [int, int, int, Fraction, int]
 
 
 class TestValuesTooLongToPrint:

@@ -167,6 +167,73 @@ class TestBasics:
         assert solve_lp(s, [1]).is_infeasible
 
 
+def entering_columns(monkeypatch):
+    """Record each pivot as (entering column, whether its row's rhs is 0, the
+    lowest column with a negative z-row entry, the most negative one's)."""
+    log = []
+    pivot = exactlp._Simplex._pivot
+
+    def recording(self, r, s):
+        negative = sorted((v, j) for j, v in self.zc.items() if v < 0)
+        log.append((s, self.rows[r][1] == 0, min(j for _, j in negative), negative[0][1]))
+        return pivot(self, r, s)
+
+    monkeypatch.setattr(exactlp._Simplex, "_pivot", recording)
+    return log
+
+
+def check_pricing(log):
+    """Dantzig's column until DEGENERATE_RUN degenerate pivots in a row, then
+    Bland's until the next nondegenerate pivot; True when Bland's entered."""
+    run, fell_back = 0, False
+    for s, degenerate, bland, dantzig in log:
+        assert s == (bland if run >= exactlp.DEGENERATE_RUN else dantzig)
+        fell_back |= run >= exactlp.DEGENERATE_RUN and bland != dantzig
+        run = run + 1 if degenerate else 0
+    return fell_back
+
+
+class TestPricing:
+    """Dantzig's rule (most negative z-row entry, lowest column on ties), with
+    Bland's rule after DEGENERATE_RUN degenerate pivots in a row."""
+
+    def test_beale_cycling_example_stops(self, monkeypatch):
+        # Beale (1955): min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 over x >= 0, two
+        # degenerate rows and x6 <= 1, here over x3..x6.  The rows' slacks are
+        # the columns x1, x2 of their own: the tableau scales each row to
+        # ints, which would scale its implicit slack's reduced cost.  Each
+        # pivot is degenerate, and from the sixth on Dantzig's rule returns to
+        # the same basis every six pivots until Bland's rule takes over
+        system = LinearSystem.build(6, rows=[
+            ({"x1": 1, "x3": "1/4", "x4": -8, "x5": -1, "x6": 9}, "<=", 0),
+            ({"x2": 1, "x3": "1/2", "x4": -12, "x5": "-1/2", "x6": 3}, "<=", 0)],
+            bounds={**{f"x{i}": (0, None) for i in range(1, 7)}, "x5": (0, 1)})
+        log = entering_columns(monkeypatch)
+        result = solve_lp(system, [0, 0, "-3/4", 20, "-1/2", 6])
+        assert result.value == Fraction(-5, 4)
+        assert result.point == {"x1": Fraction(3, 4), "x2": 0, "x3": 1, "x4": 0,
+                                "x5": 1, "x6": 0}
+        run = exactlp.DEGENERATE_RUN
+        assert [s for s, *_ in log[:run]] == ([2, 3, 4, 5, 0, 1] * run)[:run]
+        assert all(degenerate for _, degenerate, *_ in log[:run])
+        assert check_pricing(log)
+
+    def test_bland_fallback_after_a_degenerate_run(self, monkeypatch):
+        # min -sum i x_i over x_(i+1) <= x_i, x1 <= 1: from the origin each
+        # x_i enters degenerately, highest cost first, until Bland's rule
+        # enters x1 for the one nondegenerate pivot that raises the chain
+        m = 30
+        rows = [({f"x{i + 1}": 1, f"x{i}": -1}, "<=", 0) for i in range(1, m)]
+        system = LinearSystem.build(m, rows=rows + [({"x1": 1}, "<=", 1)],
+                                    bounds={f"x{i}": (0, None) for i in range(1, m + 1)})
+        log = entering_columns(monkeypatch)
+        assert solve_lp(system, [-i for i in range(1, m + 1)]).value == -m * (m + 1) // 2
+        assert check_pricing(log)
+        run = exactlp.DEGENERATE_RUN
+        assert [s for s, *_ in log] == [*range(m - 1, m - 1 - run, -1), 0,
+                                        *range(m - 1 - run, 0, -1)]
+
+
 def pinned(system, fixings):
     """The system with each named variable fixed to its value."""
     return system.with_bounds({name: (Fraction(v), Fraction(v)) for name, v in fixings.items()})
@@ -578,7 +645,7 @@ class FractionSimplex(exactlp._Simplex):
             zden = zden * v.denominator // gcd(zden, v.denominator)
         self.zc = {j: int(v * zden) for j, v in z.items() if v}
         self.zrhs, self.zden = int(-obj * zden), zden
-        return self._bland()
+        return self._iterate()
 
     def point(self):
         cv = {b: Fraction(rhs, den) for (_, rhs, den), b in zip(self.rows, self.basis)}

@@ -181,7 +181,7 @@ class TestHrepOracle:
         assert [v.to_string() for v in got] == ["000010001", "001010100", "001100010"]
         # a pivot-path, query-count or tableau-build change shows here as a
         # count diff; every face is solved on a tableau derived from the one build
-        assert (oracle.calls, len(pivots), len(builds)) == (24, 81, 1)
+        assert (oracle.calls, len(pivots), len(builds)) == (24, 32, 1)
 
     def test_face_solves_match_with_bounds_children(self, monkeypatch):
         # each face's two LPs (the perturbed solve with the face as `fix`, then

@@ -165,6 +165,35 @@ def hrep_instances(draw):
     return hrep_binary_oracle(poly), c, X, vertices
 
 
+# an H-rep entry: an int, an integral Fraction or a "p/q" string, zero often
+hrep_entries = st.one_of(
+    st.integers(-6, 6), st.just(0), st.integers(-6, 6).map(Fraction),
+    st.tuples(st.integers(-12, 12), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"))
+
+
+@st.composite
+def mixed_hrep_rows(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(st.lists(hrep_entries, min_size=n, max_size=n),
+                                   st.sampled_from(["<=", "=", ">="]), hrep_entries),
+                         min_size=1, max_size=4))
+    return n, rows
+
+
+@PROPERTY
+@given(mixed_hrep_rows())
+def test_from_hpolytope_equals_build(instance):
+    n, rows = instance
+    names = [f"x{i + 1}" for i in range(n)]
+    system = LinearSystem.from_hpolytope(HPolytope.of(n, rows))
+    built = LinearSystem.build(n, (), [(dict(zip(names, a)), rel, b) for a, rel, b in rows],
+                               meta={"method": "hrep"})
+    assert system == built
+    assert [list(coeffs.items()) for coeffs, _, _ in system.rows] == \
+        [list(coeffs.items()) for coeffs, _, _ in built.rows]
+    assert all(type(v) is int for coeffs, _, rhs in system.rows for v in (*coeffs.values(), rhs))
+
+
 @st.composite
 def spanning_tree_instances(draw):
     """A connected graph: a random spanning tree plus a few extra edges."""

@@ -495,7 +495,7 @@ def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 21, 28),
     (binary_doc("cube", 4, ["0110", "1011"]), "faces", 23, 30),
     (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 14, 125),
-    (LATTICE, "boxes", 110, 44),
+    (LATTICE, "boxes", 106, 45),
 ], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
 def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
     """A change in the tableau, the phase-1 pricing or the pivot rule shows here
