@@ -19,8 +19,6 @@ from .core import (
     hamming_independent,
     no_good_cut,
     parse_rational,
-    sigma_decode,
-    sigma_encode,
 )
 from .alldiff import (
     AlldiffInstance,

@@ -440,32 +440,18 @@ def cube_hrep(n: int) -> HPolytope:
     return HPolytope(n, tuple((a, ">=", 0) for a in units) + tuple((a, "<=", 1) for a in units))
 
 
-# --- sigma bijection -------------------------------------------------------
-
-def sigma_encode(v: BinaryPoint) -> int:
-    """Positional code of a binary point: sum of 2**(i-1) * v_i."""
-    return v.bits
-
-
-def sigma_decode(k: int, n: int) -> BinaryPoint:
-    """Binary point whose code is k; inverse of sigma_encode."""
-    if not 0 <= k < (1 << n):
-        raise DomainError(f"code {k} out of range for dimension {n}")
-    return BinaryPoint(n, k)
-
-
 # --- elementary cube geometry ---------------------------------------------
 
 def hamming_independent(points: Iterable[BinaryPoint]) -> bool:
-    """True iff no two distinct points are at Hamming distance exactly 1."""
+    """True iff no two distinct points are at Hamming distance exactly 1.
+
+    Each point's n one-bit flips are looked up in the set of codes: O(n|X|).
+    """
     pts = list(points)
     if pts and any(p.n != pts[0].n for p in pts):
         raise DomainError("points must share one dimension")
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            if (p.bits ^ q.bits).bit_count() == 1:
-                return False
-    return True
+    codes = {p.bits for p in pts}
+    return not any(b ^ (1 << i) in codes for b in codes for i in range(pts[0].n))
 
 
 def no_good_cut(v: BinaryPoint):

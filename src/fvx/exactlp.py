@@ -4,11 +4,13 @@ a Bland fallback.
 Everything is computed exactly, with no floating point and no tolerances,
 and in Python ints from the tableau build to the objective value:
 
-- build: each variable is one affine map x = offset + sum of sign * column
-  (signs +-1; no column for a fixed variable, one for a one-sided or boxed
-  one, a +/- pair for a free one); bounds with denominator 1 become int
-  offsets, a row's rhs stays an int unless a non-integral offset is
-  subtracted from it, and only such a row is rescaled by its rhs denominator;
+- build: each variable is one affine map x = offset + sum of coef * column
+  (`var_cols`: no column for a fixed variable, one for a one-sided or boxed
+  one, a +/- pair for a free one, coefficients +-1; a substituted variable,
+  below, maps to the int combination of its variables' columns); bounds
+  with denominator 1 become int offsets, a row's rhs stays an int unless a
+  non-integral offset is subtracted from it, and only such a row is
+  rescaled by its rhs denominator;
 - pivots: tableau rows are sparse integer numerator dicts with one positive
   denominator per row, so a pivot is integer multiply/subtract plus a gcd
   normalization;
@@ -40,11 +42,24 @@ next nondegenerate one; this guarantees termination.  Ratio-test ties go to
 the lowest basic column.  Every answer (including the optimal basic point)
 is deterministic.
 
-Presolve is the solver's own: a tableau build turns each one-variable row
-into a bound (`_folded`; Andersen & Andersen 1995), so it adds no tableau row
-and its variable no split column pair; points are the original system's.
-The fold runs once per solved system (its solver is kept, below) and never
-for a system that is not solved, such as a `with_bounds` child.
+Presolve is the solver's own (Andersen & Andersen 1995), and points are
+the original system's.  A tableau build turns each one-variable row into a
+bound (`_folded`), so it adds no tableau row and its variable no split
+column pair.  Then `_presolve` substitutes variables out through equality
+rows of unit form (every nonzero coefficient +-m, the rhs a multiple of
+m): a free variable through any such row, a bounded one through such a row
+of two variables, its bounds moved onto the other one.  Rows go in order
+and variables in row order, so the tableau stays deterministic.  The row
+leaves the tableau, with its artificial, and so do the variable's columns:
+its map is an int offset plus an int combination of the columns of the
+variables left (x = r + sum of +-y, composed), so every readout
+(`scaled`, `point`, `int_coords`, `column_objective`, `objective_value`)
+reads it as any other map.  The disjunctive hull has such rows by
+construction: x_i = sum_j y_ij, and copy = lam_j for each coordinate that a
+block fixes to 1.  Only the tableau changes: LP files, size counts and
+`verify`'s substitution checks read the system's own rows.  The fold and
+the presolve run once per solved system (its solver is kept, below) and
+never for a system that is not solved, such as a `with_bounds` child.
 
 `solve_lp` runs phase 1 once per system object and keeps the post-phase-1
 solver on it as `_phase1` (None when infeasible).  That solver is never
@@ -63,18 +78,24 @@ start, so the status and the value are the cold ones; only the point may be
 another optimum.  `start` must come from the same system object.
 
 Fixings: each solver keeps one row list over columns, before any sign flip,
-as `template`: every folded row, then the bound row col <= hi - lo of each
-boxed column (with `var_cols` and `bound_rows`, pivots never touch it).
-`solve_lp(system, objective, fix={name: int})` takes the kept solver's
-`fixed(fix)`: a copy whose fixed variables map to their values with no
-column, and whose tableau `_normalize`, the one place that checks and drops
-a row left with no column, rebuilds from the template with each dropped
-column's value moved into the right-hand sides.  Every other column keeps
-its number, and the pivot rule compares only z-row entries and column
-order, so the copy's phase 1 and phase 2 take exactly the pivots of a cold
-build of `system.with_bounds({name: (v, v)})`, with no `with_bounds` child,
-`_transform_row` or fold per call.  A restriction of an infeasible system is
-infeasible with no tableau at all.
+as `template`: every presolved row, then the bound row col <= hi - lo of
+each boxed column (with `var_cols` and `bound_rows`, pivots never touch
+it).  `solve_lp(system, objective, fix={name: int})` takes the kept
+solver's `fixed(fix)`, whose phase 1 and phase 2 take exactly the pivots of
+a cold build of `system.with_bounds({name: (v, v)})`, with no `with_bounds`
+child and no fold per call:
+- when no fixed variable is in an equality row, the presolve of that child
+  makes the same substitutions, so the copy's fixed variables map to their
+  values with no column, and its tableau `_normalize`, the one place that
+  checks and drops a row left with no column, rebuilds from the template
+  with each dropped column's value moved into the right-hand sides.  No
+  substituted map uses a dropped column.  Every other column keeps its
+  number, and the pivot rule compares only z-row entries and column order;
+- otherwise fixing can change what the presolve substitutes (the child's
+  fixed x_i leaves its coupling row to another variable, or a row becomes
+  a doubleton), so the copy is built again, presolve included, from the
+  kept folded rows and the folded bounds intersected with the fixings.
+A restriction of an infeasible system is infeasible with no tableau at all.
 
 `solve_lp` is the only entry point.  A feasibility question is
 `solve_lp(system, {})`: phase 2 then makes no pivot, so the answer is optimal
@@ -249,14 +270,24 @@ class _Simplex:
 
     def __init__(self, system: LinearSystem):
         self.variables = system.variables  # not the system, which keeps this solver
+        self.folded = _folded(system)
+        # the names the presolve reads: a fix of any other name changes none
+        # of its substitutions
+        self.reads = {name for coeffs, rel, _ in self.folded[1] if rel == "=" for name in coeffs}
+        self._build(*self.folded)
+
+    def _build(self, bounds: Mapping[str, tuple], rows: tuple):
+        """Presolve, then build the columns, the substituted maps and the rows."""
         self.trivially_infeasible = False
-        self.var_cols = {}    # name -> (offset, ((col, sign), ...)): x = offset +
-                              # sum of sign * col, sign +-1; the offset is an int
-                              # when integral, else a Fraction
+        self.var_cols = {}    # name -> (offset, ((col, coef), ...)): x = offset +
+                              # sum of coef * col, coef a nonzero int (+-1 unless
+                              # substituted); the offset is an int when
+                              # integral, else a Fraction
         self.rows = []        # [cols dict, rhs int, den int] in standard equality form
         self.basis = []
-        bounds, rows = _folded(system)
+        bounds, rows, self.substituted = self._presolve(bounds, rows)
         self._build_columns(bounds)
+        self._substitute()
         self._build_rows(rows)
 
     def restart(self) -> "_Simplex":
@@ -271,10 +302,105 @@ class _Simplex:
 
     # -- construction ----------------------------------------------------------
 
+    @staticmethod
+    def _presolve(bounds: Mapping[str, tuple], rows: tuple) -> tuple:
+        """(bounds, rows, substitutions): variables substituted out through
+        equality rows (Andersen & Andersen 1995).
+
+        Equality rows go in order, each read under the substitutions made so
+        far.  A row of unit form (every nonzero coefficient +-m, the rhs a
+        multiple of m) gives up the first variable, in row order, that is
+        free, or bounded (not fixed) while the row holds two variables:
+        x = r + sum of t * y, r an int and each t = +-1.  A bounded x's
+        bounds move onto its one y.  The row is dropped; every other row, and
+        every earlier map, is rewritten over the variables left, so rows
+        stay integral.  The substitutions map each name to (r, {name: t})
+        over variables that keep columns, in the order they were made.
+        """
+        bounds, maps, users, spent = dict(bounds), {}, {}, set()
+
+        def expand(coeffs, rhs):
+            if maps.keys().isdisjoint(coeffs):
+                return coeffs, rhs
+            out = {}
+            for name, a in coeffs.items():
+                if name in maps:
+                    r, terms = maps[name]
+                    rhs -= a * r
+                    for other, t in terms.items():
+                        out[other] = out.get(other, 0) + a * t
+                else:
+                    out[name] = out.get(name, 0) + a
+            return {name: a for name, a in out.items() if a}, rhs
+
+        for i, (coeffs, rel, rhs) in enumerate(rows):
+            if rel != "=":
+                continue
+            coeffs, rhs = expand(coeffs, rhs)
+            terms = [(name, a) for name, a in coeffs.items() if a]
+            m = abs(terms[0][1]) if terms else 0
+            if not m or rhs % m or any(abs(a) != m for _, a in terms):
+                continue
+            for x, p in terms:
+                lo, hi = bounds.get(x, (None, None))
+                if (lo is None and hi is None) or (len(terms) == 2 and (
+                        lo is None or hi is None or lo < hi)):
+                    break
+            else:
+                continue
+            r = rhs // p
+            expr = {y: -a // p for y, a in terms if y != x}
+            if lo is not None or hi is not None:  # x = r + t * y within [lo, hi]
+                (y, t), = expr.items()
+                lo, hi = (hi, lo) if t < 0 else (lo, hi)
+                bounds[y] = intersect_bounds((None if lo is None else t * (lo - r),
+                                              None if hi is None else t * (hi - r)),
+                                             bounds.get(y, (None, None)))
+            bounds.pop(x, None)
+            for u in users.pop(x, ()):  # earlier maps that hold x
+                ru, eu = maps[u]
+                c = eu.pop(x, 0)
+                for y, t in expr.items() if c else ():
+                    eu[y] = eu.get(y, 0) + c * t
+                    if not eu[y]:
+                        del eu[y]
+                    users.setdefault(y, set()).add(u)
+                maps[u] = (ru + c * r, eu)
+            maps[x] = (r, expr)
+            for y in expr:
+                users.setdefault(y, set()).add(x)
+            spent.add(i)
+
+        kept = []
+        for i, row in enumerate(rows):
+            if i not in spent:
+                coeffs, rel, rhs = row
+                if not maps.keys().isdisjoint(coeffs):
+                    coeffs, rhs = expand(coeffs, rhs)
+                    row = (coeffs, rel, rhs)
+                kept.append(row)
+        return bounds, tuple(kept), maps
+
+    def _substitute(self):
+        """Give each substituted variable its map over columns: r plus t times
+        each of its variables' maps, the offset an int when integral."""
+        var_cols = self.var_cols
+        for name, (r, expr) in self.substituted.items():
+            offset, cols = r, []
+            for y, t in expr.items():
+                o, terms = var_cols[y]
+                offset += t * o
+                cols += [(col, t * coef) for col, coef in terms]
+            if type(offset) is not int and offset.denominator == 1:
+                offset = offset.numerator
+            var_cols[name] = (offset, tuple(cols))
+
     def _build_columns(self, bounds: Mapping[str, tuple]):
         ncol = 0
         self.bound_rows = []  # (col, limit) meaning col <= limit
         for name in self.variables:
+            if name in self.substituted:
+                continue
             lo, hi = bounds.get(name, (None, None))
             if lo is not None and lo.denominator == 1:
                 lo = lo.numerator
@@ -316,7 +442,7 @@ class _Simplex:
         return {c: v for c, v in out.items() if v}, b
 
     def _build_rows(self, rows: tuple):
-        """Keep the template, then normalize: each folded row as (cols, rhs,
+        """Keep the template, then normalize: each presolved row as (cols, rhs,
         rel) from `_transform_row`, before any sign flip and even with no
         column, then each boxed column's bound row ({col: 1}, limit, "<=").
         A rhs that a non-integral bound made a Fraction is rescaled to an
@@ -382,13 +508,23 @@ class _Simplex:
     def fixed(self, values: Mapping[str, int]) -> "_Simplex":
         """A solver for this system with each named variable fixed to its int value.
 
-        Its tableau comes from this solver's template, not from a new build:
-        each fixed variable's map becomes (value, ()), and the value of each
-        column it drops goes into `_normalize`'s shift.  A value outside the
-        variable's bounds makes the copy trivially infeasible.  The copy has
-        rows of its own; `phase1` runs on it before `phase2`.
+        When no named variable is in an equality row, the presolve makes the
+        substitutions it made here, and the tableau comes from this solver's
+        template: each fixed variable's map becomes (value, ()), and the value
+        of each column it drops goes into `_normalize`'s shift (no map uses
+        it).  A value outside the variable's bounds makes the copy trivially
+        infeasible.  Otherwise the copy is built again from the kept folded
+        rows with the fixings intersected onto the folded bounds, so its
+        presolve makes the substitutions of the `with_bounds` child.  The
+        copy has rows of its own; `phase1` runs on it before `phase2`.
         """
         other = copy.copy(self)
+        if not self.reads.isdisjoint(values):
+            bounds = dict(self.folded[0])
+            for name, v in values.items():
+                bounds[name] = intersect_bounds((v, v), bounds.get(name, (None, None)))
+            other._build(bounds, self.folded[1])
+            return other
         other.var_cols, other.rows, other.basis = dict(self.var_cols), [], []
         shift = {}
         for name, v in values.items():
@@ -566,10 +702,10 @@ class _Simplex:
         for name in names:
             offset, cols = var_cols[name]
             v = offset * L if type(offset) is int else offset.numerator * (L // offset.denominator)
-            for col, sign in cols:
+            for col, coef in cols:
                 if col in row_of:
                     _cols, n, d = row_of[col]
-                    v += sign * n * (L // d)
+                    v += coef * n * (L // d)
             out.append(v)
         return L, out
 
@@ -610,8 +746,8 @@ class _Simplex:
         for name, c in costs.items():
             if negate:
                 c = -c
-            for col, sign in var_cols[name][1]:
-                col_obj[col] = col_obj.get(col, 0) + sign * c
+            for col, coef in var_cols[name][1]:
+                col_obj[col] = col_obj.get(col, 0) + coef * c
         return {c: v for c, v in col_obj.items() if v}
 
 

@@ -20,7 +20,8 @@ A membership or exclusion probe of a witnessed point is skipped: the point
 is a member.  All of this is in ints: an LP reads x1..xn as ints
 (`LpResult.int_coords`, None when one is fractional), and only a new
 integral candidate reads its whole point, once, as (L, ints)
-(`LpResult.scaled_point`), which `_holds` checks as the point ints / L.
+(`LpResult.scaled_point`), which `_holds` checks as the point ints / L
+against the system's rows and its bounds, read as int pairs once per run.
 
 Starts: every trial and corner probe starts from the optimal basis of the
 witness nearest its optimum, when there is one.  A trial takes the
@@ -93,16 +94,31 @@ def satisfies(system: LinearSystem, point: Mapping[str, Fraction]) -> bool:
     if point.keys() != set(system.variables):
         return False
     den, ints = _scale(point.values())
-    return _holds(system, den, dict(zip(point, ints)))
+    return _holds(system, _int_bounds(system), den, dict(zip(point, ints)))
 
 
-def _holds(system: LinearSystem, den: int, x: Mapping[str, int]) -> bool:
-    """Does the point x / den (an int per variable over one positive int)
-    meet every bound and row of the system?  Each is compared exactly in ints."""
+def _int_bounds(system: LinearSystem) -> tuple:
+    """The system's bounds as int pairs: ([(name, p, q) for each lower bound
+    p/q], [(name, p, q) for each upper bound p/q]), q > 0."""
+    lower, upper = [], []
     for name, (lo, hi) in system.bounds.items():
-        if lo is not None and x[name] * lo.denominator < lo.numerator * den:
+        if lo is not None:
+            lower.append((name, lo.numerator, lo.denominator))
+        if hi is not None:
+            upper.append((name, hi.numerator, hi.denominator))
+    return lower, upper
+
+
+def _holds(system: LinearSystem, bounds: tuple, den: int, x: Mapping[str, int]) -> bool:
+    """Does the point x / den (an int per variable over one positive int)
+    meet every bound (`_int_bounds(system)`) and row of the system?  Each is
+    compared exactly in ints."""
+    lower, upper = bounds
+    for name, p, q in lower:
+        if x[name] * q < p * den:
             return False
-        if hi is not None and x[name] * hi.denominator > hi.numerator * den:
+    for name, p, q in upper:
+        if x[name] * q > p * den:
             return False
     value = x.__getitem__
     for coeffs, rel, rhs in system.rows:
@@ -118,13 +134,15 @@ class _Witnesses(dict):
     def __init__(self, system: LinearSystem, names: Sequence[str]):
         super().__init__()
         self.system, self.names = system, names
+        self.bounds = _int_bounds(system)  # read once per run
 
     def solve(self, objective, sense: str = "min", start=None):
         """`solve_lp` on the system under test; an optimal point may become a witness."""
         lp = solve_lp(self.system, objective, sense, start=start)
         if lp.is_optimal:
             p = lp.int_coords(self.names)
-            if p is not None and p not in self and _holds(self.system, *lp.scaled_point()):
+            if p is not None and p not in self and _holds(self.system, self.bounds,
+                                                          *lp.scaled_point()):
                 self[p] = lp
         return lp
 

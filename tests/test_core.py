@@ -15,8 +15,6 @@ from fvx import (
     hamming_independent,
     no_good_cut,
     parse_rational,
-    sigma_decode,
-    sigma_encode,
 )
 from fvx import core
 from fvx.core import point_coords
@@ -58,27 +56,31 @@ class TestRational:
 
 
 class TestSigma:
+    """The positional code sigma(v) = sum of 2**(i-1) v_i is `BinaryPoint.bits`,
+    and its inverse is the constructor `BinaryPoint(n, k)`."""
+
     def test_encode_examples(self):
-        assert sigma_encode(BinaryPoint.from_coords((0, 0, 0))) == 0
-        assert sigma_encode(BinaryPoint.from_coords((1, 0, 1))) == 5
-        assert sigma_encode(BinaryPoint.from_coords((1, 1))) == 3
+        assert BinaryPoint.from_coords((0, 0, 0)).bits == 0
+        assert BinaryPoint.from_coords((1, 0, 1)).bits == 5
+        assert BinaryPoint.from_coords((1, 1)).bits == 3
 
     def test_decode_examples(self):
-        assert sigma_decode(0, 3).coords() == (0, 0, 0)
-        assert sigma_decode(6, 3).coords() == (0, 1, 1)
-        with pytest.raises(DomainError):
-            sigma_decode(8, 3)
+        assert BinaryPoint(3, 0).coords() == (0, 0, 0)
+        assert BinaryPoint(3, 6).coords() == (0, 1, 1)
+        for k in (8, -1):
+            with pytest.raises(DomainError, match="out of range for dimension 3"):
+                BinaryPoint(3, k)
 
     def test_round_trip_exhaustive(self):
         for n in range(1, 17):
             for k in range(1 << n):
-                assert sigma_encode(sigma_decode(k, n)) == k
+                assert BinaryPoint.from_coords(BinaryPoint(n, k).coords()).bits == k
 
     def test_monotone_in_lex_from_last(self):
         # sorting by code equals sorting by reversed-coordinate tuples
         for n in (1, 2, 3, 5, 7):
             pts = [BinaryPoint(n, b) for b in range(1 << n)]
-            by_code = sorted(pts, key=sigma_encode)
+            by_code = sorted(pts, key=lambda p: p.bits)
             by_rev = sorted(pts, key=lambda p: tuple(reversed(p.coords())))
             assert by_code == by_rev
 
@@ -137,6 +139,18 @@ class TestHammingIndependent:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             hamming_independent({BinaryPoint(2, 0), BinaryPoint(3, 0)})
+
+    def test_matches_the_pairwise_check(self):
+        # the one-flip lookup against every pair at Hamming distance 1
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            pts = [BinaryPoint(n, rng.randrange(1 << n)) for _ in range(rng.randint(0, 12))]
+            pairwise = not any(p.hamming(q) == 1 for p in pts for q in pts)
+            assert hamming_independent(pts) == pairwise
+            outcomes.add(pairwise)
+        assert outcomes == {True, False}
 
 
 class TestNoGoodCut:

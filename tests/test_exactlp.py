@@ -18,10 +18,12 @@ from fvx import (
     Objective,
     exactlp,
     interval_formulation,
+    recursive_formulation,
     solve_lp,
+    verify,
 )
 from fvx.errors import DomainError
-from conftest import phase_pivots
+from conftest import phase_pivots, random_forbidden
 
 
 def vertices_by_basis_enumeration(system):
@@ -155,9 +157,10 @@ class TestBasics:
         assert solve_lp(s, [1, 2], sense="max").value == 2
 
     def test_drive_out_takes_the_lowest_column(self):
-        # -x1 - x3 = 0 over x >= 0: phase 1 is optimal at once with its artificial
-        # basic at zero, and the artificial leaves for its row's lowest column
-        s = LinearSystem.build(3, rows=[({"x1": -1, "x3": -1}, "=", 0)],
+        # -2 x1 - x3 = 0 over x >= 0 (not of unit form, so the presolve keeps
+        # it): phase 1 is optimal at once with its artificial basic at zero,
+        # and the artificial leaves for its row's lowest column
+        s = LinearSystem.build(3, rows=[({"x1": -2, "x3": -1}, "=", 0)],
                                bounds={name: (0, None) for name in ("x1", "x2", "x3")})
         assert solve_lp(s, [1, 1, 1]).value == 0
         assert s._phase1.basis == [0]
@@ -555,8 +558,9 @@ class FractionSimplex(exactlp._Simplex):
 
     Bounds, shifted right-hand sides and phase-2 costs are Fractions here;
     each row is scaled by its rhs denominator and the z row by the lcm of all
-    its denominators.  Pivoting is inherited, and so is the constructor, so
-    both builds read the same folded (bounds, rows) of the system; so is
+    its denominators.  Pivoting is inherited, and so are the constructor, the
+    presolve step and the substituted maps, so both builds read the same
+    folded and presolved (bounds, rows, substitutions) of the system; so is
     phase 1, which then prices its artificials with the phase 2 here.
     """
 
@@ -564,6 +568,8 @@ class FractionSimplex(exactlp._Simplex):
         ncol = 0
         self.bound_rows = []
         for name in self.variables:
+            if name in self.substituted:
+                continue
             lo, hi = bounds.get(name, (None, None))
             lo = None if lo is None else Fraction(lo)
             hi = None if hi is None else Fraction(hi)
@@ -649,8 +655,8 @@ class FractionSimplex(exactlp._Simplex):
 
     def point(self):
         cv = {b: Fraction(rhs, den) for (_, rhs, den), b in zip(self.rows, self.basis)}
-        return {name: offset + sum(sign * cv.get(col, 0) for col, sign in cols)
-                for name, (offset, cols) in self.var_cols.items()}
+        return {name: Fraction(offset) + sum(coef * cv.get(col, 0) for col, coef in cols)
+                for name in self.variables for offset, cols in [self.var_cols[name]]}
 
 
 def mixed_system(rng):
@@ -977,6 +983,127 @@ class TestFix:
         for fix in (None, {"x1": 1}):
             with pytest.raises(DomainError, match="objective has 3 terms, expected 2"):
                 solve_lp(system, Objective.of([1, 1, 1]), fix=fix)
+
+
+class NoPresolve(exactlp._Simplex):
+    """The solver with its presolve step made the identity."""
+
+    @staticmethod
+    def _presolve(bounds, rows):
+        return bounds, rows, {}
+
+
+def solved(cls, system, costs, sense):
+    """(status, value, point) of a cold solve of integer costs by name with
+    the solver class `cls`."""
+    solver = cls(system)
+    if not solver.phase1():
+        return "infeasible", None, None
+    negate = sense == "max"
+    if solver.phase2(solver.column_objective(costs, negate)) == "unbounded":
+        return "unbounded", None, None
+    return "optimal", solver.objective_value(costs, 1, negate), solver.point()
+
+
+def presolved_systems(rng, count):
+    """Mixed systems with equality rows of unit form put among their rows
+    (each coefficient +-m, the rhs a multiple of m), then interval and
+    recursive formulations of small cubes."""
+    systems = []
+    for _ in range(count):
+        system = mixed_system(rng)
+        rows = list(system.rows)
+        for _ in range(rng.randint(1, 3)):
+            m = rng.choice((1, 1, 2, 3))
+            names = rng.sample(system.variables, rng.randint(1, min(3, len(system.variables))))
+            row = ({name: rng.choice((-m, m)) for name in names}, "=", m * rng.randint(-3, 3))
+            rows.insert(rng.randint(0, len(rows)), row)
+        systems.append(LinearSystem(system.variables, system.n_original, tuple(rows),
+                                    system.bounds))
+    for _ in range(count // 10):
+        n = rng.randint(2, 4)
+        X = random_forbidden(rng, n, rng.randint(1, (1 << n) - 1))
+        systems.append(rng.choice((interval_formulation, recursive_formulation))(X, n))
+    return systems
+
+
+class TestPresolve:
+    """Free variables and unit doubletons are substituted out of the tableau."""
+
+    def test_substitutions_and_rewritten_rows(self):
+        # x1 is free in r1, x2 is boxed in the doubleton r2 (of unit form with
+        # m = 2), and r3 is not of unit form
+        system = LinearSystem(
+            ("x1", "x2", "x3", "y"), 3,
+            (({"x1": 1, "x2": -1, "y": 1}, "<=", 4),   # r0
+             ({"x1": 1, "x2": 1}, "=", 3),             # r1: x1 = 3 - x2
+             ({"x2": 2, "x3": -2}, "=", 2),            # r2: x2 = 1 + x3
+             ({"x1": 1, "y": 2}, "=", 5)),             # r3
+            {"x2": (Fraction(0), Fraction(2)), "x3": (Fraction(0), Fraction(2))})
+        bounds, rows, substituted = exactlp._Simplex._presolve(*exactlp._folded(system))
+        # the map of x1 is rewritten when x2 goes, and x2's box moves onto x3
+        assert substituted == {"x1": (2, {"x3": -1}), "x2": (1, {"x3": 1})}
+        assert bounds == {"x3": (0, 1)}
+        assert rows == (({"x3": -2, "y": 1}, "<=", 3), ({"x3": -1, "y": 2}, "=", 3))
+        solver = exactlp._Simplex(system)
+        assert solver.var_cols["x1"] == (2, ((0, -1),)) and solver.var_cols["x2"] == (1, ((0, 1),))
+        for c in ([1, 0, 0], [0, 1, 0], [1, 1, 1]):
+            for sense in ("min", "max"):
+                got = solve_lp(system, c, sense)
+                assert (got.status, got.value) == solved(NoPresolve, system, dict(
+                    zip(system.variables, c)), sense)[:2]
+                assert verify.satisfies(system, got.point)
+
+    def test_presolve_on_and_off_agree(self):
+        rng = random.Random(83)
+        seen, kinds, substituted = set(), set(), 0
+        for system in presolved_systems(rng, 300):
+            names = exactlp._Simplex(system).substituted
+            bounds = exactlp._folded(system)[0]
+            kinds.update(bounds.get(name, (None, None)) == (None, None) for name in names)
+            substituted += len(names)
+            for _ in range(3):
+                costs = {name: v for name in system.variables if (v := rng.randint(-5, 5))}
+                sense = rng.choice(("min", "max"))
+                status, value, point = solved(exactlp._Simplex, system, costs, sense)
+                assert (status, value) == solved(NoPresolve, system, costs, sense)[:2]
+                # the Fraction reference build of the same presolved data
+                assert repr(solved(FractionSimplex, system, costs, sense)) == \
+                    repr((status, value, point))
+                if status == "optimal":
+                    assert verify.satisfies(system, point)
+                    assert value == sum(c * point[name] for name, c in costs.items())
+                seen.add((status, system.meta.get("method")))
+        assert {("optimal", None), ("infeasible", None), ("unbounded", None),
+                ("optimal", "interval"), ("optimal", "recursive")} <= seen
+        assert kinds == {True, False} and substituted > 300  # free and bounded ones
+
+    def test_fixing_substituted_variables_matches_with_bounds_children(self):
+        # fix a substituted variable, a variable its map uses, or both: the
+        # copy is built again with the fixings, as the cold child is
+        rng = random.Random(89)
+        seen = set()
+        for system in presolved_systems(rng, 400):
+            substituted = exactlp._Simplex(system).substituted
+            if not substituted:
+                continue
+            name = rng.choice(sorted(substituted))
+            used = sorted({y for _, expr in substituted.values() for y in expr})
+            kind = rng.choice(("substituted", "used", "both")) if used else "substituted"
+            names = {"substituted": [name], "both": [name, rng.choice(used)],
+                     "used": [rng.choice(used)]}[kind]
+            fix = {name: rng.choice((0, 1, fix_value(rng, system, name))) for name in names}
+            child = pinned(system, fix)
+            for _ in range(2):
+                c = {name: rng.randint(-5, 5) for name in system.variables}
+                sense = rng.choice(("min", "max"))
+                got = solve_lp(system, c, sense, fix=fix)
+                expect = solve_lp(child, c, sense)
+                assert (got.status, got.value) == (expect.status, expect.value)
+                assert repr(got) == repr(expect)
+                seen.add((got.status, kind))
+        assert {(status, kind) for status in ("optimal", "infeasible")
+                for kind in ("substituted", "used", "both")} <= seen
 
 
 class TestLazyReadout:

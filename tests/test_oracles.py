@@ -160,6 +160,23 @@ class TestHrepOracle:
         assert system == LinearSystem.from_hpolytope(cube_hrep(3))
         assert exactlp._folded(system) == ({f"x{i}": (0, 1) for i in (1, 2, 3)}, ())
 
+    def test_kbest_with_equality_rows_matches_brute_force(self):
+        # x1 + x2 = 1 and x3 - x4 = 0 in the 5-cube: the tableau substitutes x1
+        # and x3 out (unit doubletons), and a face fixing either is built again
+        rows = list(cube_hrep(5).rows) + [((1, 1, 0, 0, 0), "=", 1), ((0, 0, 1, -1, 0), "=", 0)]
+        P = HPolytope.of(5, rows)
+        vertices = [v for v in all_binary(5) if P.satisfies(v)]
+        assert len(vertices) == 8
+        assert exactlp._Simplex(hrep_binary_oracle(P).system).substituted.keys() == {"x1", "x3"}
+        rng = random.Random(97)
+        for _ in range(20):
+            c = random_rational_objective(rng, 5)
+            X = rng.sample(all_binary(5), rng.randint(0, 8))
+            got, exhausted = kbest(hrep_binary_oracle(P), c, len(vertices) + 1, X)
+            expect = sorted((sum(q * x for q, x in zip(c.c, v.coords())), v.coords())
+                            for v in vertices if v not in X)
+            assert [v.coords() for v in got] == [coords for _, coords in expect] and exhausted
+
     def test_pinned_counts_k33_matching(self, monkeypatch):
         # matching polytope of K3,3 (edge 3i + j joins left i to right j)
         rows = []
