@@ -75,7 +75,8 @@ solver's own row and basis lists, not copied), and
 `solve_lp(system, objective, start=result)` runs phase 2 from that basis
 instead of the post-phase-1 one.  Any feasible basis is a valid phase-2
 start, so the status and the value are the cold ones; only the point may be
-another optimum.  `start` must come from the same system object.
+another optimum.  `start` must come from the same system object, and a
+start that `fix` made carries its fixings.
 
 Fixings: each solver keeps one row list over columns, before any sign flip,
 as `template`: every presolved row, then the bound row col <= hi - lo of
@@ -96,6 +97,13 @@ child and no fold per call:
   a doubleton), so the copy is built again, presolve included, from the
   kept folded rows and the folded bounds intersected with the fixings.
 A restriction of an infeasible system is infeasible with no tableau at all.
+With `start` as well, `fix` re-optimizes instead (Chvatal 1983, *Linear
+Programming*, ch. 10): `_Simplex.pinned` adds one row per fixing,
+sum of coef * col = v - offset over the variable's map, to a `restart()`
+copy of the start's feasible basis, its basic columns eliminated and one
+new artificial basic in it, so phase 1 prices only those artificials and
+phase 2 follows.  The status and the value are the cold child's; the
+point may be another optimum, as with any `start`.
 
 `solve_lp` is the only entry point.  A feasibility question is
 `solve_lp(system, {})`: phase 2 then makes no pivot, so the answer is optimal
@@ -132,11 +140,11 @@ class LpResult:
     `repr` and `==`.  `solve_lp` sets the value (read off the final z row);
     the point, and the ints of `int_coords` and `scaled_point`, are read out
     of the solver only when asked for, and the point is kept.  The solver is
-    never pivoted after it is returned (`start` pivots a `restart()` copy of
-    it, and a solver built for `fix` belongs to its result alone), so a late
-    readout equals an eager one.  `LpResult(status, point, value)` is a
-    result with the given point and value; `repr` and `==` compare
-    `(status, point, value)`.
+    never pivoted after it is returned (`start`, with or without `fix`,
+    pivots a `restart()` copy of it, and a solver built for `fix` belongs to
+    its result alone), so a late readout equals an eager one.
+    `LpResult(status, point, value)` is a result with the given point and
+    value; `repr` and `==` compare `(status, point, value)`.
     """
 
     __slots__ = ("status", "_point", "value", "_tableau")
@@ -545,6 +553,45 @@ class _Simplex:
         other._normalize(shift)
         return other
 
+    def pinned(self, values: Mapping[str, int]) -> "_Simplex":
+        """A `restart()` copy of this solver, which holds a feasible basis,
+        with each named variable fixed to its int value by one new row.
+
+        The row is sum of coef * col = value - offset over the variable's
+        map (a substituted variable needs no special case), its basic columns
+        eliminated against their rows by `_combine`, a non-integral offset
+        scaled to ints, the sign set so that rhs >= 0, and one new artificial,
+        numbered from `ncols`, basic in it.  With `art_start` at the old
+        `ncols`, `phase1` prices only these artificials, then drives them out
+        and deletes them; `phase2` follows.  A row left with no column and a
+        nonzero rhs makes the copy trivially infeasible.
+        """
+        other = self.restart()
+        row_of = dict(zip(self.basis, self.rows))
+        art = other.art_start = self.ncols
+        for name, v in values.items():
+            offset, terms = self.var_cols[name]
+            b, cols = v - offset, dict(terms)
+            if type(b) is not int:
+                cols, b = {c: a * b.denominator for c, a in cols.items()}, b.numerator
+            for col, _ in terms:
+                if col in row_of:
+                    cols, b = self._combine(cols, b, 1, cols[col], *row_of[col])[:2]
+            if not cols:
+                other.trivially_infeasible |= b != 0
+                continue
+            if b < 0:
+                cols, b = {c: -a for c, a in cols.items()}, -b
+            g = gcd(b, *cols.values())
+            if g > 1:
+                cols, b = {c: a // g for c, a in cols.items()}, b // g
+            cols[art] = 1
+            other.rows.append([cols, b, 1])
+            other.basis.append(art)
+            art += 1
+        other.ncols = art
+        return other
+
     # -- pivoting ---------------------------------------------------------------
 
     @staticmethod
@@ -784,13 +831,17 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     with those variables fixed: the same answer, pivots included, as a cold
     solve of `system.with_bounds({name: (v, v)})`, from a tableau derived
     from the kept one (`_Simplex.fixed`) with a phase 1 of its own.  An
-    undeclared name, a value that is not an int (bools, floats, Fractions
-    and strings are refused) or `fix` together with `start` raises
-    DomainError; a start result carries its own fixings.
+    undeclared name or a value that is not an int (bools, floats, Fractions
+    and strings are refused) raises DomainError.
 
     `start`, an earlier optimal result of this same system object, makes
     phase 2 start from that result's optimal basis instead.  The status and
     the value then still equal the cold ones, but the point may be another
+    optimum.  A start made with `fix` carries its fixings.  With `fix` as
+    well, each fixing becomes a row on the start's basis
+    (`_Simplex.pinned`), and a phase 1 over their artificials alone reaches
+    a feasible basis: the status and the value are the cold `with_bounds`
+    child's (of the start's fixings and these), the point may be another
     optimum.  A `start` of another system, or one that is not optimal,
     raises DomainError.
     """
@@ -799,9 +850,6 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     if not system.variables:
         raise DomainError("system has no variables")
     if fix:
-        if start is not None:
-            raise DomainError("fix cannot be combined with start: "
-                              "a start result carries its own fixings")
         for name, v in fix.items():
             if name not in system.variables:
                 raise DomainError(f"fix references undeclared variable {name!r}")
@@ -812,16 +860,13 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
         base = _after_phase1(system)
         if base is None:
             return _INFEASIBLE  # so is every restriction of it
-        if fix:
-            solver = base.fixed(fix)
-            if not solver.phase1():
-                return _INFEASIBLE
-        else:
-            solver = base.restart()
+        solver = base.fixed(fix) if fix else base.restart()
     elif start._tableau is None or start._tableau[0] is not system:
         raise DomainError("start must be an optimal result of this same system")
     else:
-        solver = start._tableau[1].restart()
+        solver = start._tableau[1].pinned(fix) if fix else start._tableau[1].restart()
+    if fix and not solver.phase1():
+        return _INFEASIBLE
     negate = sense == "max"
     if solver.phase2(solver.column_objective(costs, negate)) == UNBOUNDED:
         return _UNBOUNDED

@@ -29,10 +29,11 @@ witness nearest its optimum, when there is one.  A trial takes the
 brute-force scan has the values; one dict lookup per point), so it starts
 at its optimum whenever the brute-force minimizer is witnessed.  A corner
 probe of p takes the witnessed corner that differs from p in one
-coordinate, least by (distance, coords); at most n lookups.  The box LPs
-start cold.  Any feasible basis is a valid phase-2 start: a start changes
-no status and no value, only the pivots taken to reach them, and the point
-when there are several optima.
+coordinate, least by (distance, coords); at most n lookups.  Pinned
+probes start from a witness too (see Probes).  The box LPs start cold.  Any
+feasible basis is a valid phase-2 start: a start changes no status and no
+value, only the pivots taken to reach them, and the point when there are
+several optima.
 
 Probes: the min and max of each x_i give the projection's bounding box
 [l, h]; a point outside it is not a member, and a point with every p_i in
@@ -42,6 +43,10 @@ sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i} (h_i - x_i) has minimum 0.
 Other points (strictly inside the box, or any point when the projection is
 unbounded or the system infeasible) ask a zero-objective `solve_lp` with x
 pinned to p by its `fix`, which is optimal exactly when that is feasible.
+Such a pinned probe starts from the witness of p's least unit neighbour
+(p +- e_i, at most 2n lookups), else from the run's first witness: its
+fixings become rows on that feasible basis, and a phase 1 over their
+artificials alone answers it.  With no witness at all it is the cold `fix`.
 
 Points may be BinaryPoints, LatticePoints or sequences of ints (lists are
 read as tuples); anything else, or a point whose length is not the
@@ -64,7 +69,9 @@ from .linsys import LinearSystem
 ENUM_GUARD_POINTS = 4096
 ENUM_GUARD_DIM = 12
 MAX_TRIALS = 10_000  # one LP each; far above the default 50
-PIN_GUARD = 20_000  # pinned probes x system rows; each probe runs a phase 1 of its own
+# pinned probes x system rows; each probe runs a phase 1 of its own, over
+# its n fixing rows on a witness's basis, or cold when there is no witness
+PIN_GUARD = 20_000
 
 
 def _coords(points: Iterable, n: Optional[int] = None) -> list:
@@ -229,10 +236,19 @@ def _needs_pin(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
         and not all(v == lo or v == hi for v, (lo, hi) in zip(p, box))))
 
 
+def _pin_start(run: _Witnesses, p: tuple):
+    """The witness of p's least unit neighbour (p +- e_i, at most 2n lookups),
+    else the run's first witness, else None."""
+    near = [q for i, v in enumerate(p) for w in (v - 1, v + 1)
+            if (q := (*p[:i], w, *p[i + 1:])) in run]
+    return run[min(near)] if near else next(iter(run.values()), None)
+
+
 def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
     """Is the integral point p in the projection of the system onto x1..xn?"""
     if _needs_pin(run, box, p):
-        return solve_lp(run.system, {}, fix=dict(zip(run.names, p))).is_optimal
+        return solve_lp(run.system, {}, start=_pin_start(run, p),
+                        fix=dict(zip(run.names, p))).is_optimal
     if p in run:
         return True
     if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):
@@ -279,9 +295,10 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     L1-distance objective on the same system, started from the nearest
     witnessed corner next to it; any other point, or every point when the
     box LPs are not all optimal, is a zero-objective `solve_lp` with x
-    pinned to the point.  All of these answer the same question, and a
-    start changes no LP value, so the report does not depend on which one
-    ran.
+    pinned to the point, started from the witness of its least witnessed
+    unit neighbour, else from the first witness.  All of these answer the
+    same question, and a start changes no LP status or value, so the report
+    does not depend on which one ran.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")

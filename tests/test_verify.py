@@ -479,7 +479,7 @@ def lp_calls(monkeypatch):
     # 8 box LPs, 50 trials and 2 probes; the 14 members are witnessed, and the
     # hull tests of the binary points take no LP
     (binary_doc("cube", 4, ["0110", "1011"]), "faces", 60, 52),
-    (LATTICE, "boxes", 63, 52),
+    (LATTICE, "boxes", 63, 55),
 ], ids=["cube4-faces", "lattice-boxes"])
 def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     """A change in probe routing or warm starts shows here as a count diff."""
@@ -491,12 +491,63 @@ def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     assert (len(calls), sum(calls)) == (total, warm)
 
 
+def pin_starts(monkeypatch):
+    """Record each pinned probe of fvx.verify as (p, its start, a copy of the
+    run's witnesses when it ran)."""
+    probes, runs = [], []
+    in_projection = fvx.verify._in_projection
+
+    def probing(run, box, p):
+        runs.append(run)
+        return in_projection(run, box, p)
+
+    def recording(system, objective, sense="min", start=None, fix=None):
+        if fix:
+            probes.append((tuple(fix[name] for name in runs[-1].names), start, dict(runs[-1])))
+        return solve_lp(system, objective, sense, start=start, fix=fix)
+
+    monkeypatch.setattr(fvx.verify, "_in_projection", probing)
+    monkeypatch.setattr(fvx.verify, "solve_lp", recording)
+    return probes
+
+
+def test_pinned_probes_start_from_a_witnessed_unit_neighbour(monkeypatch):
+    problem = Problem(LATTICE)
+    system = compile_system(problem, "boxes")
+    probes = pin_starts(monkeypatch)
+    assert verify_formulation(system, problem.enumerate_allowed(), problem.forbidden).passed
+    near = 0
+    for p, start, witnesses in probes:
+        neighbours = [q for i in range(len(p)) for d in (-1, 1)
+                      if (q := (*p[:i], p[i] + d, *p[i + 1:])) in witnesses]
+        near += bool(neighbours)
+        assert start is (witnesses[min(neighbours)] if neighbours
+                         else next(iter(witnesses.values())))
+    assert near == len(probes) == 3  # (2, 0), and the removed (1, 1) and (2, 1)
+
+
+def test_pinned_probe_with_no_witness_stays_cold(monkeypatch):
+    # an infeasible system has no box (None) and no witness; an unbounded
+    # projection has no box either, but the min-x1 box LP witnesses (0, 0)
+    probes = pin_starts(monkeypatch)
+    system = LinearSystem.build(2, (), [({"x1": 1}, ">=", 1), ({"x1": 1}, "<=", 0)],
+                                {"x2": (0, 1)})
+    verify_formulation(system, [(1, 0)], [(0, 0)])
+    assert [(p, start) for p, start, _ in probes] == [((1, 0), None), ((0, 0), None)]
+    del probes[:]
+    system = LinearSystem.build(2, (), [({"x1": 1, "x2": -1}, ">=", 0)], {"x2": (0, 1)})
+    verify_formulation(system, [(0, 0), (1, 0), (1, 1), (2, 1)], [(0, 1), (5, 0)])
+    assert [p for p, start, _ in probes if start is not None] == [(1, 0), (2, 1), (0, 1), (5, 0)]
+    p, start, witnesses = probes[-1]  # no unit neighbour is witnessed: the first witness
+    assert next(iter(witnesses)) == (0, 0) and start is witnesses[(0, 0)]
+
+
 @pytest.mark.parametrize("doc, method, phase1, phase2", [
     (binary_doc("cube", 4, ["0110", "1011"]), "interval", 1, 68),
     (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 3, 18),
     (binary_doc("cube", 4, ["0110", "1011"]), "faces", 1, 29),
     (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 1, 124),
-    (LATTICE, "boxes", 65, 17),
+    (LATTICE, "boxes", 31, 17),
 ], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
 def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
     """A change in the tableau, the phase-1 pricing or the pivot rule shows here
