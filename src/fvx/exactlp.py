@@ -19,15 +19,17 @@ and in Python ints from the tableau build to the objective value:
   denominators and priced against the basis scaled by the lcm of the basic
   rows' denominators; the z row is one positive multiple of the reduced
   costs, so the scaling changes no pivot;
-- readout: `solve_lp` reads the objective value off the final z row, with
-  no point: (sum of cost * offset -+ zrhs/zden) / L for the integer costs,
-  scaled by L, made one Fraction.  Every coordinate readout is one walk of
-  the basis, `_Simplex.scaled(names)`: (L, the named variables' values
+- readout: the objective value is read off the final z row, with no
+  point, when it is first asked for: (sum of cost * offset -+ zrhs/zden)
+  / L for the integer costs, scaled by L, made one Fraction.  Every
+  coordinate readout is one walk of the basis,
+  `_Simplex.scaled(names)`: (L, the named variables' values
   times L as ints), L the lcm of the basic rows' denominators and of the
   named variables' non-integral offsets.  The point (one Fraction per
   variable), `int_coords(names)` (the named coordinates as ints, None when
   one is not integral) and `scaled_point()` (the whole point as (L, an int
   per variable)) are views of it, read only when asked for.
+  `LpResult.penalties` reads Driebeek's penalties off the final tableau.
 
 `Fraction`s remain only where values enter (objectives, bounds) and where
 they leave (`LpResult.point` and `value`).  A list or tuple of
@@ -114,7 +116,7 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
@@ -136,10 +138,11 @@ class LpResult:
 
     When optimal, `point` assigns an exact rational to every variable of the
     system and `value` is the objective evaluated at that point; the result
-    then also keeps `(system, solver)` for `solve_lp`'s `start`, outside
-    `repr` and `==`.  `solve_lp` sets the value (read off the final z row);
-    the point, and the ints of `int_coords` and `scaled_point`, are read out
-    of the solver only when asked for, and the point is kept.  The solver is
+    then also keeps `(system, solver, pricing)` for `solve_lp`'s `start`,
+    outside `repr` and `==`.  The value (read off the final z row under the
+    kept pricing, `(costs, scale, negate)`), the point, and the ints of
+    `int_coords` and `scaled_point` are read out of the solver only when
+    asked for; the value and the point are kept.  The solver is
     never pivoted after it is returned (`start`, with or without `fix`,
     pivots a `restart()` copy of it, and a solver built for `fix` belongs to
     its result alone), so a late readout equals an eager one.
@@ -147,11 +150,17 @@ class LpResult:
     value; `repr` and `==` compare `(status, point, value)`.
     """
 
-    __slots__ = ("status", "_point", "value", "_tableau")
+    __slots__ = ("status", "_point", "_value", "_tableau")
 
     def __init__(self, status: str, point: Optional[dict] = None,
                  value: Optional[Fraction] = None, _tableau: Optional[tuple] = None):
-        self.status, self._point, self.value, self._tableau = status, point, value, _tableau
+        self.status, self._point, self._value, self._tableau = status, point, value, _tableau
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        if self._value is None and self._tableau is not None:
+            self._value = self._tableau[1].objective_value(*self._tableau[2])
+        return self._value
 
     @property
     def point(self) -> Optional[dict]:
@@ -177,6 +186,43 @@ class LpResult:
             return self._tableau[1].scaled_point()
         L, ints = _scale(self._point.values())
         return L, dict(zip(self._point, ints))
+
+    def penalties(self, steps: Mapping[str, int]) -> list:
+        """Driebeek's penalties (Driebeek 1966, *Management Sci.* 12) off the
+        optimal tableau: per name of `steps`, in order, a lower bound on the
+        rise of the integer costs (the objective times L) from this optimum
+        to any feasible point where the variable has moved at least one unit
+        the way of its step (+1 up, -1 down), rounded up to an int.  It is
+        inf when no feasible point moves the variable so, and None when its
+        map is not one +-1 column.
+
+        Every column is >= 0 and the objective is its optimum plus the sum of
+        zc_j/zden * col_j over the nonbasic columns.  A nonbasic column sits
+        at 0, so moving it one unit up costs zc/zden, and down is infeasible.
+        A basic column is (rhs - sum of a_j * col_j) / den over its row, so
+        it moves one unit only when the columns whose sign moves it that way
+        add up sum of |a_j| col_j >= den: at least den * min of
+        zc_j / (zden * |a_j|) over them.
+        """
+        solver = self._tableau[1]
+        zc, zden, var_cols = solver.zc, solver.zden, solver.var_cols
+        row_of = dict(zip(solver.basis, solver.rows))
+        out = []
+        for name, step in steps.items():
+            cols = var_cols[name][1]
+            if len(cols) != 1 or abs(cols[0][1]) != 1:
+                out.append(None)
+                continue
+            (col, coef), = cols
+            up = coef * step > 0  # the way the column must move
+            if col not in row_of:
+                out.append(-(-zc.get(col, 0) // zden) if up else inf)
+                continue
+            row, _, den = row_of[col]
+            out.append(min((-(-zc.get(j, 0) * den // (zden * abs(a)))
+                            for j, a in row.items() if (a < 0 if up else a > 0) and j != col),
+                           default=inf))
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, LpResult):
@@ -870,5 +916,4 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     negate = sense == "max"
     if solver.phase2(solver.column_objective(costs, negate)) == UNBOUNDED:
         return _UNBOUNDED
-    return LpResult(OPTIMAL, value=solver.objective_value(costs, scale, negate),
-                    _tableau=(system, solver))
+    return LpResult(OPTIMAL, _tableau=(system, solver, (costs, scale, negate)))

@@ -20,9 +20,10 @@ reference that every other oracle is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from math import inf
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .core import (
     MAX_BINARY_DIM,
@@ -46,11 +47,19 @@ class OracleOutcome:
     `score` is the value times the objective's scale L > 0 as an int
     (`Objective.scaled_dot`): the solvers order answers by it.  `value` is
     made from the two when it is read.
+
+    `bounds`, outside `==` and `repr`, is None or a function that the
+    search calls when it splits the answer's restriction, so an answer that
+    is never split costs nothing: it returns per coordinate i a lower bound
+    on the score of every vertex of the restriction whose coordinate i
+    differs from the answer's, an int, inf when there is no such vertex,
+    or None for no bound.
     """
 
     vertex: Optional[object]
     score: Optional[int] = None
     scale: int = 1
+    bounds: Optional[Callable[[], list]] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def infeasible(cls) -> "OracleOutcome":
@@ -239,6 +248,13 @@ class HrepBinaryOracle(BinaryOracle):
     (`LpResult.int_coords`): a coordinate outside {0, 1}, fractional or
     not, raises NotBinaryPolytope (the point is made only for its message),
     an unbounded optimum UnboundedInput.
+
+    The answer's `bounds` are the re-priced tableau's `LpResult.penalties`
+    for flipping each coordinate, plus the score: the LP over the face
+    with x_i flipped costs at least that much, and inf means it is
+    infeasible.  A coordinate whose map is not one +-1 column (fixed by the
+    face or its bounds, or free) gets None.  The outcome holds the LP
+    result, and the search lets go of the outcome once it has split it.
     """
 
     def __init__(self, poly: HPolytope):
@@ -272,8 +288,14 @@ class HrepBinaryOracle(BinaryOracle):
             name = next(name for name in names if point[name] not in (0, 1))
             raise NotBinaryPolytope(
                 f"LP vertex has fractional coordinate {name} = {format_rational(point[name])}")
-        bits = sum(v << i for i, v in enumerate(coords))
-        return OracleOutcome.optimum(BinaryPoint(self.n, bits), c)
+        vertex = BinaryPoint(self.n, sum(v << i for i, v in enumerate(coords)))
+        score = c.scaled_dot(vertex)
+
+        def bounds():
+            steps = {name: 1 - 2 * v for name, v in zip(names, coords)}
+            return [p if p is None or p == inf else score + p for p in result.penalties(steps)]
+
+        return OracleOutcome(vertex, score, c.scaled[0], bounds)
 
 
 class BruteForceOracle:

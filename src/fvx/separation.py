@@ -19,18 +19,27 @@ it is `box_family`; the formulations use it.
 
 The search, `_ordered`, needs less: it is the Lawler-Murty partition
 scheme (Lawler 1972, Management Sci. 18; Murty 1968, Oper. Res. 16) run
-from the root run, all points.  A heap keyed by (value, vertex) holds one
-oracle answer per run, with the codes of the points of X in it.  A popped
-vertex v in X is not returned, and its run is split at once into the run
-minus v (`_Lattice.split`): per level j from the run's own, the points
-that share v's first j digits and have a j-th digit below v's, then above
-it.  Any other popped vertex is returned, and its run is split when the
-next answer is asked for.  The split deals the points of X to the pieces,
-and a piece that holds nothing but points of X is not queried.  The runs
-behind the heap, the popped vertices and the pruned pieces partition the
-root, and each oracle returns the (value, coords)-least optimum of its
-restriction, so the allowed vertices come in (value, coords) order:
-`solve_forbidden` is the first and `kbest` the first k, ties included.
+from the root run, all points, with its subproblems solved only when
+their lower bounds reach the top (Miller, Stone & Cox 1997, IEEE Trans.
+AES 33).  A heap holds runs, each with the codes of the points of X in it:
+answered runs under (score, 1, vertex), the oracle's answer for the run,
+and waiting runs, not yet queried, under (bound, 0, tick), a lower bound on
+the score of each of their vertices.  A popped waiting run is queried and
+pushed back answered.  A popped vertex v in X is not returned, and its run
+is split at once into the run minus v (`_Lattice.split`): per level j from
+the run's own, the points that share v's first j digits and have a j-th
+digit below v's, then above it.  Any other popped vertex is returned, and
+its run is split when the next answer is asked for.  The split deals the
+points of X to the pieces, and a piece that holds nothing but points of X
+is dropped.  Each other piece waits under the bound that the answer's
+`bounds` gives for the coordinate where the piece leaves v (the H-rep
+oracle's LP penalties); an inf bound drops it, and no bound, or one not
+above v's score, queries it at once, as it would pop next.  The runs in
+the heap, the popped vertices and the dropped pieces partition the root.
+Each answer is the (value, coords)-least optimum of its run, and a waiting
+run pops before an answer of score equal to its bound, so the allowed
+vertices come in (value, coords) order: `solve_forbidden` is the first and
+`kbest` the first k, ties included.
 
 Bounds.  Below one prefix, t >= 1 taken digits leave at most t + 1 runs of
 the others, and at most one on the cube.  The family's level-i runs lie
@@ -44,8 +53,10 @@ pop: the first k - 1 answers, split when the next is asked for, and popped
 points of X, which are among the r (pops come in order, and an answer is a
 vertex of P).  So the first k answers cost at most 1 + n(k - 1 + r) calls
 on faces and 1 + 2n(k - 1 + r) on boxes; with r <= |X| that is one call
-above querying the whole family, then one split per further answer.  A
-search whose optimum is allowed makes one call, whatever X is.
+above querying the whole family, then one split per further answer.  These
+count every piece as queried; bounds leave pieces waiting that the search
+never reaches, so they only lower the count.  A search whose optimum is
+allowed makes one call, whatever X is, and asks for no bound.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
+from math import inf
 from typing import Iterable, Iterator, Optional, Set, Tuple
 
 from .core import CubeFace, LatticeBox, LatticePoint, Objective, int_coords
@@ -179,6 +191,7 @@ class _Boxes(_Lattice):
     def __init__(self, ambient: LatticeBox):
         self.lo, self.hi = ambient.l.coords, ambient.u.coords
         super().__init__(tuple(u - l + 1 for l, u in zip(self.lo, self.hi)))
+        self._head = (0, 0, ())  # the last head read: its level, code and coordinates
 
     def codes(self, X: Iterable) -> Set[int]:
         """The codes of X (LatticePoints or tuples); DomainError on a non-int
@@ -200,11 +213,20 @@ class _Boxes(_Lattice):
         return sum(map(operator.mul, map(operator.sub, coords, self.lo), self.radices))
 
     def restriction(self, run: tuple) -> LatticeBox:
+        """The box of a run.  Its head, the coordinates of the prefix, goes
+        on from the last head read when the prefix starts with it, as the
+        prefixes of one split do, so a split decodes its head once."""
         i, prefix, first, last = run
-        head = []
-        for l, r in zip(self.lo[:i], self.ranges):
-            prefix, d = divmod(prefix, r)
-            head.append(l + d)
+        j, code, head = self._head
+        rest, low = divmod(prefix, self.radices[j]) if j <= i else (None, None)
+        if low != code:
+            j, rest, head = 0, prefix, ()
+        more = []
+        for l, r in zip(self.lo[j:i], self.ranges[j:i]):
+            rest, d = divmod(rest, r)
+            more.append(l + d)
+        head = (*head, *more)
+        self._head = (i, prefix, head)
         l = self.lo[i]
         return LatticeBox.unchecked((*head, l + first, *self.lo[i + 1:]),
                                     (*head, l + last, *self.hi[i + 1:]))
@@ -246,27 +268,38 @@ def _ordered(oracle, c: Objective, X: Iterable,
              ambient: Optional[LatticeBox]) -> Iterator[OracleOutcome]:
     """The oracle's optima over its vertices minus X, in (value, vertex)
     order, best-first from the root run (see the module docstring): a heap
-    entry is (score, vertex, outcome, run, the codes of X in the run)."""
+    entry is (score, 1, vertex, outcome, run, the codes of X in the run) for
+    an answered run and (bound, 0, tick, run, codes) for a waiting one."""
     space, root = _space(oracle, c, ambient)
     forbidden = space.codes(X)
-    heap = []
+    heap, ticks = [], itertools.count()
 
     def query(run: tuple, inside: list, restriction=None) -> None:
-        if len(inside) < space.size(run):
-            outcome = oracle.minimize(c, restriction or space.restriction(run))
-            if outcome.feasible:
-                # the score orders and ties like the value (c is scaled by
-                # L > 0), and the vertices of disjoint runs differ
-                heapq.heappush(heap, (outcome.score, outcome.vertex, outcome, run, inside))
+        outcome = oracle.minimize(c, restriction or space.restriction(run))
+        if outcome.feasible:
+            # the score orders and ties like the value (c is scaled by
+            # L > 0), and the vertices of disjoint runs differ
+            heapq.heappush(heap, (outcome.score, 1, outcome.vertex, outcome, run, inside))
 
-    query(space.root, list(forbidden), root)
+    if len(forbidden) < space.size(space.root):
+        query(space.root, list(forbidden), root)
     while heap:
-        *_, outcome, run, inside = heapq.heappop(heap)
+        key, answered, *entry = heapq.heappop(heap)
+        if not answered:
+            query(*entry[1:])
+            continue
+        _, outcome, run, inside = entry
         w = space.code(outcome.vertex)
         if w not in forbidden:
             yield outcome
+        bounds = outcome.bounds and outcome.bounds()
         for piece, held in space.split(run, w, inside):
-            query(piece, held)
+            if len(held) < space.size(piece):
+                bound = bounds[piece[0]] if bounds else None
+                if bound is None or bound <= key:
+                    query(piece, held)
+                elif bound < inf:
+                    heapq.heappush(heap, (bound, 0, next(ticks), piece, held))
 
 
 def solve_forbidden(oracle, X: Iterable, c: Objective,
@@ -278,7 +311,8 @@ def solve_forbidden(oracle, X: Iterable, c: Objective,
     checked in full first, as `separating_faces` and `box_family` check it.
     Infeasible exactly when no allowed vertex is left; value ties are broken
     toward the lexicographically smallest vertex.  At most 1 + n*r oracle
-    calls (1 + 2n*r for boxes), r the points of X that beat the answer.
+    calls (1 + 2n*r for boxes), r the points of X that beat the answer,
+    fewer when the oracle's answers carry bounds.
     """
     return next(_ordered(oracle, c, X, ambient), INFEASIBLE)
 

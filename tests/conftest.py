@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from fvx import BinaryPoint, Objective, exactlp, solve_lp
+from fvx import BinaryPoint, HPolytope, Objective, cube_hrep, exactlp, solve_lp
 
 
 def feasible_at(system, p):
@@ -88,3 +88,32 @@ def spanning_trees(num_nodes, edges):
         if ok:
             out.append(BinaryPoint(m, mask))
     return out
+
+
+def random_01_hpolytope(rng):
+    """A random H-polytope with 0/1 vertices, and its vertices: a capped
+    cube, a small bipartite matching polytope (perfect on one side, or not),
+    or a cube cut by a forest of unit equalities x_a + x_b = 1 and
+    x_a - x_b = 0, which the exact LP substitutes out."""
+    kind = rng.choice(("capped", "matching", "equalities"))
+    if kind == "capped":
+        n = rng.randint(1, 6)
+        rows = list(cube_hrep(n).rows) + [((1,) * n, rng.choice(("<=", ">=")), rng.randint(0, n))]
+    elif kind == "matching":
+        left, right = rng.randint(1, 3), rng.randint(1, 3)
+        n = left * right  # edge right * i + j joins left i to right j
+        perfect = left <= right and rng.random() < 0.5
+        rows = [(tuple(int(e // right == i) for e in range(n)), "=" if perfect else "<=", 1)
+                for i in range(left)]
+        rows += [(tuple(int(e % right == j) for e in range(n)), "<=", 1) for j in range(right)]
+        rows += [(tuple(int(e == f) for e in range(n)), ">=", 0) for f in range(n)]
+    else:
+        n = rng.randint(2, 6)
+        rows = list(cube_hrep(n).rows)
+        for b in rng.sample(range(1, n), rng.randint(1, n - 1)):
+            a, sign = rng.randrange(b), rng.choice((1, -1))
+            rows.append((tuple(1 if i == a else sign if i == b else 0 for i in range(n)),
+                         "=", int(sign == 1)))
+    rng.shuffle(rows)
+    P = HPolytope.of(n, rows)
+    return P, [v for v in all_binary(n) if P.satisfies(v)]

@@ -767,6 +767,24 @@ class TestIntegerBuild:
         assert r.value == Fraction(3, 2) * Fraction(1, 3) - Fraction(2, 7) * Fraction(5, 2)
         assert type(r.value) is Fraction and all(type(v) is Fraction for v in r.point.values())
 
+    def test_value_is_read_when_first_asked_for(self, monkeypatch):
+        # the z row is read on the first access, under the pricing of its own
+        # solve, however many solves from it came in between; the value is kept
+        reads = []
+        value = exactlp._Simplex.objective_value
+        monkeypatch.setattr(exactlp._Simplex, "objective_value",
+                            lambda self, *pricing: reads.append(pricing) or value(self, *pricing))
+        system = LinearSystem.build(2, (), [({"x1": 1, "x2": 1}, "<=", 3)],
+                                    {"x1": (0, 2), "x2": ("1/2", 2)})
+        low = solve_lp(system, ["1/3", 1])
+        high = solve_lp(system, [2, 1], "max", start=low)
+        warm = solve_lp(system, [-1, 0], start=high, fix={"x2": 1})
+        assert reads == []
+        assert (low.value, high.value, warm.value) == (Fraction(1, 2), 5, -2)
+        assert high.value == 5 and len(reads) == 3
+        assert LpResult("optimal", dict(low.point), low.value) == low and repr(warm) == \
+            "LpResult(status='optimal', point={'x1': Fraction(2, 1), 'x2': Fraction(1, 1)}, value=Fraction(-2, 1))"
+
 
 class TestWithBounds:
     def test_child_shares_validated_rows(self, monkeypatch):

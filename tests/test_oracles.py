@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -20,11 +21,12 @@ from fvx import (
     hrep_binary_oracle,
     kbest,
     lattice_box_oracle,
+    solve_forbidden,
     spanning_tree_oracle,
 )
 from fvx import exactlp, oracles
 from fvx.errors import DomainError, NotBinaryPolytope, UnboundedInput
-from conftest import all_binary, random_rational_objective, spanning_trees
+from conftest import all_binary, random_01_hpolytope, random_rational_objective, spanning_trees
 
 TRIANGLE = (3, [(0, 1), (1, 2), (0, 2)])
 
@@ -198,7 +200,7 @@ class TestHrepOracle:
         assert [v.to_string() for v in got] == ["000010001", "001010100", "001100010"]
         # a pivot-path, query-count or tableau-build change shows here as a
         # count diff; every face is solved on a tableau derived from the one build
-        assert (oracle.calls, len(pivots), len(builds)) == (24, 32, 1)
+        assert (oracle.calls, len(pivots), len(builds)) == (21, 32, 1)
 
     def test_face_solves_match_with_bounds_children(self, monkeypatch):
         # each face's two LPs (the perturbed solve with the face as `fix`, then
@@ -240,6 +242,68 @@ class TestHrepOracle:
                     checked.add((result.status, bool(face.fixed)))
         assert {"fractional", ("optimal", True), ("infeasible", True),
                 ("optimal", False)} <= checked
+
+
+class TestHrepBounds:
+    def test_every_bound_holds(self):
+        # bounds[i] is at most the score of every vertex of P in the face whose
+        # coordinate i differs from the answer's, and inf only when there is
+        # none; the objectives have zero and tied entries
+        rng = random.Random(101)
+        seen = {"tight": 0, "inf": 0, "none": 0, "higher": 0}
+        for _ in range(150):
+            P, vertices = random_01_hpolytope(rng)
+            oracle = hrep_binary_oracle(P)
+            n = P.n
+            for _ in range(6):
+                c = Objective.of([rng.choice((0, 0, 1, -1, 2, -2, Fraction(rng.randint(-9, 9), 2)))
+                                  for _ in range(n)])
+                face = CubeFace.of(n, {i: rng.randint(0, 1)
+                                       for i in rng.sample(range(1, n + 1), rng.randint(0, n))})
+                outcome = oracle.minimize(c, face)
+                if not outcome.feasible:
+                    continue
+                w = outcome.vertex
+                for i, bound in enumerate(outcome.bounds()):
+                    scores = [c.scaled_dot(v) for v in vertices
+                              if face.contains(v) and v.coords()[i] != w.coords()[i]]
+                    if bound is None:
+                        seen["none"] += 1
+                        continue
+                    assert bound == inf or type(bound) is int
+                    assert bound >= outcome.score
+                    if bound == inf:
+                        assert not scores
+                        seen["inf"] += 1
+                    elif scores:
+                        assert min(scores) >= bound
+                        seen["tight" if min(scores) == bound else "higher"] += 1
+        assert all(count > 30 for count in seen.values()), seen
+
+    def test_bounds_are_left_out_of_eq_and_repr(self):
+        oracle = hrep_binary_oracle(cube_hrep(3))
+        c = Objective.of([1, -2, 0])
+        outcome = oracle.minimize(c)
+        plain = oracles.OracleOutcome.optimum(outcome.vertex, c)
+        assert outcome.bounds is not None and plain.bounds is None
+        assert outcome == plain and repr(outcome) == repr(plain)
+        # x2 = 1 leaves for a score of 2 more, x1 = 0 and x3 = 0 for 1 and 0 more
+        assert outcome.bounds() == [outcome.score + 1, outcome.score + 2, outcome.score]
+
+    def test_allowed_optimum_asks_for_no_bound(self, monkeypatch):
+        asked = []
+        penalties = exactlp.LpResult.penalties
+        monkeypatch.setattr(exactlp.LpResult, "penalties",
+                            lambda self, steps: asked.append(steps) or penalties(self, steps))
+        P, vertices = random_01_hpolytope(random.Random(5))
+        c = Objective.of([1, -1, 2, -2, 3, -3][:P.n])
+        oracle = CountingOracle(hrep_binary_oracle(P))
+        best = min(vertices, key=lambda v: (c.scaled_dot(v), v.coords()))
+        others = [v for v in all_binary(P.n) if v != best]
+        assert solve_forbidden(oracle, others[:5], c).vertex == best
+        assert oracle.calls == 1 and not asked
+        kbest(oracle, c, 2, [best])
+        assert asked
 
 
 class TestBruteForce:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -26,7 +27,8 @@ from fvx import (
 from fvx.core import point_coords
 from fvx.errors import DomainError
 from fvx.separation import _Boxes, _Faces, box_family
-from conftest import all_binary, brute_min, random_forbidden, random_objective, spanning_trees
+from conftest import (all_binary, brute_min, random_01_hpolytope, random_forbidden, random_objective,
+                      spanning_trees)
 
 
 def covered_codes(faces, n):
@@ -217,6 +219,36 @@ class TestGapRoutine:
             lo = [rng.randint(-3, 3) for _ in range(n)]
             hi = [v + rng.randint(0, 3 if n < 4 else 2) for v in lo]
             _check_splits(rng, _Boxes(LatticeBox.of(lo, hi)))
+
+    def test_box_restriction_is_the_plain_decode(self):
+        # the pieces of a split, in order or not, between runs of other
+        # splits: the head read on from the last one equals a full decode
+        rng = random.Random(109)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            lo = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+            boxes = _Boxes(LatticeBox.of(lo, [v + rng.choice((0, 1, 2, 10 ** 6)) for v in lo]))
+            runs = []
+            for _ in range(20):
+                i = rng.randrange(n)
+                first = rng.randrange(boxes.ranges[i])
+                run = (i, rng.randrange(boxes.radices[i]), first,
+                       rng.randint(first, boxes.ranges[i] - 1))
+                d = rng.randint(run[2], run[3])
+                w = run[1] + (d + boxes.ranges[i] * rng.randrange(boxes.tails[i])) * boxes.radices[i]
+                pieces = [piece for piece, _ in boxes.split(run, w, [])]
+                if rng.random() < 0.3:
+                    rng.shuffle(pieces)
+                runs += [run, *pieces]
+            for run in runs + rng.sample(runs, len(runs)):
+                i, prefix, first, last = run
+                head = []
+                for l, r in zip(boxes.lo[:i], boxes.ranges):
+                    prefix, d = divmod(prefix, r)
+                    head.append(l + d)
+                assert boxes.restriction(run) == LatticeBox.of(
+                    (*head, lo[i] + first, *boxes.lo[i + 1:]),
+                    (*head, lo[i] + last, *boxes.hi[i + 1:]))
 
     def test_wide_box_family_is_fast(self):
         rng = random.Random(71)
@@ -460,6 +492,44 @@ class TestKbestLawlerMurty:
             solve_forbidden(oracle, [(9, 9, 9)], c, ambient)
         with pytest.raises(DomainError, match=r"point \[9, 9, 9\] outside the ambient box"):
             kbest(oracle, c, 2, [LatticePoint.from_coords((9, 9, 9))], ambient)
+
+
+class _Unbounded(CountingOracle):
+    """Counts calls and strips the answers' bounds: every piece is queried
+    when it is made, as an eager search would."""
+
+    def minimize(self, c, restriction=None):
+        return dataclasses.replace(super().minimize(c, restriction), bounds=None)
+
+
+class TestBoundedSearch:
+    def test_hrep_kbest_matches_brute_force(self):
+        # random 0/1 H-polytopes, objectives with zero and tied entries, X of
+        # vertices ahead and of other points; k past the end too
+        rng = random.Random(107)
+        lazy_calls = eager_calls = exhausted = 0
+        for _ in range(200):
+            P, vertices = random_01_hpolytope(rng)
+            n = P.n
+            c = Objective.of([rng.choice((0, 0, 1, -1, 2, -2, Fraction(rng.randint(-5, 5), 3)))
+                              for _ in range(n)])
+            ranked = sorted(vertices, key=lambda v: (c.dot(v), v.coords()))
+            X = rng.sample(all_binary(n), rng.randint(0, min(6, 1 << n)))
+            if rng.random() < 0.5:
+                X += ranked[:rng.randint(0, len(ranked))]
+            allowed = [v for v in ranked if v not in X]
+            k = rng.randint(1, len(vertices) + 2)
+            lazy = CountingOracle(hrep_binary_oracle(P))
+            eager = _Unbounded(hrep_binary_oracle(P))
+            got = kbest(lazy, c, k, X)
+            assert got == (allowed[:k], len(allowed) < k)
+            assert kbest(eager, c, k, X) == got
+            assert lazy.calls <= eager.calls
+            assert solve_forbidden(hrep_binary_oracle(P), X, c).vertex == (allowed or [None])[0]
+            lazy_calls += lazy.calls
+            eager_calls += eager.calls
+            exhausted += got[1]
+        assert 50 < exhausted < 150 and lazy_calls < 0.9 * eager_calls, (lazy_calls, eager_calls)
 
 
 class _RecordingOracle(CountingOracle):
