@@ -13,7 +13,6 @@ from .core import (
     LatticeBox,
     LatticePoint,
     Objective,
-    Rational,
     cube_hrep,
     format_rational,
     hamming_independent,
@@ -40,7 +39,6 @@ from .extension import (
     recursive_formulation,
 )
 from .integral import (
-    box_decomposition,
     forbI_formulation,
     remove_facet_tu,
     tu_check,

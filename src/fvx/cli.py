@@ -43,7 +43,7 @@ from .oracles import (
     spanning_tree_oracle,
 )
 from .separation import kbest, solve_forbidden
-from .verify import ENUM_GUARD_DIM, ENUM_GUARD_POINTS, verify_formulation
+from .verify import ENUM_GUARD_DIM, ENUM_GUARD_POINTS, MAX_TRIALS, verify_formulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -480,6 +480,9 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be nonnegative, got {args.trials}")
+    if args.trials > MAX_TRIALS:  # before the --lp file is read or any compile
+        raise GuardExceeded(f"--trials {args.trials} exceeds the trials guard "
+                            f"MAX_TRIALS = {MAX_TRIALS}")
     problem = load_problem(args.file)
     truth = problem.enumerate_allowed()  # the guards refuse before any compile
     if problem.n > ENUM_GUARD_DIM:  # integral problems are enumerated by count alone

@@ -24,10 +24,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, GuardExceeded, NumeralTooLong
 
-# Arbitrary-precision exact rational.  The stdlib type already guarantees
-# lowest terms and a positive denominator.
-Rational = Fraction
-
 #: Binary points are bit-packed into a single word.
 MAX_BINARY_DIM = 64
 
@@ -133,33 +129,11 @@ class BinaryPoint:
             raise DomainError(f"not a bitstring: {text!r}")
         return cls.from_coords([int(ch) for ch in text])
 
-    def coord(self, i: int) -> int:
-        """Coordinate i (1-indexed)."""
-        if not 1 <= i <= self.n:
-            raise DomainError(f"coordinate index {i} out of 1..{self.n}")
-        return (self.bits >> (i - 1)) & 1
-
     def coords(self) -> tuple:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
 
     def to_string(self) -> str:
         return "".join(str(b) for b in self.coords())
-
-    def hamming(self, other: "BinaryPoint") -> int:
-        if other.n != self.n:
-            raise DomainError("dimension mismatch")
-        return (self.bits ^ other.bits).bit_count()
-
-    def flip(self, i: int) -> "BinaryPoint":
-        if not 1 <= i <= self.n:
-            raise DomainError(f"coordinate index {i} out of 1..{self.n}")
-        return BinaryPoint(self.n, self.bits ^ (1 << (i - 1)))
-
-    def prefix(self, k: int) -> "BinaryPoint":
-        """Projection onto the first k coordinates."""
-        if not 1 <= k <= self.n:
-            raise DomainError(f"prefix length {k} out of 1..{self.n}")
-        return BinaryPoint(k, self.bits & ((1 << k) - 1))
 
     def __lt__(self, other: "BinaryPoint") -> bool:
         """Lexicographic order of the coordinates, coordinate 1 first: the
@@ -202,11 +176,6 @@ class LatticePoint:
         object.__setattr__(point, "n", len(coords))
         object.__setattr__(point, "coords", coords)
         return point
-
-    def coord(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise DomainError(f"coordinate index {i} out of 1..{self.n}")
-        return self.coords[i - 1]
 
     def __repr__(self):
         return f"LatticePoint({list(self.coords)})"
@@ -321,10 +290,6 @@ class CubeFace:
     def fixed(self) -> tuple:
         """The sorted (coordinate, value) pairs of the fixing."""
         return tuple((i + 1, (self.bits >> i) & 1) for i in range(self.n) if (self.mask >> i) & 1)
-
-    @property
-    def is_improper(self) -> bool:
-        return not self.mask
 
     def contains(self, point: BinaryPoint) -> bool:
         if point.n != self.n:

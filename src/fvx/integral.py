@@ -1,12 +1,12 @@
-"""Integral polytopes: box decomposition, removal of lattice points, TU rules.
+"""Integral polytopes: the block formulation over boxes, and TU facet removal.
 
-The complement of a forbidden set X inside an integer lattice
-{0..r1-1} x ... x {0..rn-1} decomposes into at most 2n|X| disjoint boxes:
-for each prefix level, the prefixes of X extend into maximal allowed
-last-coordinate intervals, padded with the full range behind.  The family is
-the prefix decomposition of `fvx.separation`, which also drives the oracle
-solver and k-best for integral oracles (`solve_forbidden(..., ambient=)`,
-`kbest(..., ambient=)`); here it drives the block formulation.
+The lattice points of an ambient box [l, u] minus a forbidden set X split
+into at most 2n|X| disjoint boxes (`fvx.separation.box_family`): for each
+prefix level, the prefixes of X extend into maximal allowed intervals of the
+next coordinate, padded with the full range behind.  The same family drives
+the oracle solver and k-best for integral oracles (`solve_forbidden(...,
+ambient=)`, `kbest(..., ambient=)`); here `forbI_formulation` makes it one
+block per box.
 
 For H-polytopes with a totally unimodular matrix and integral rhs, the
 vertex set of one facet is removed by decrementing that row's rhs.
@@ -16,42 +16,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence
 
 from .core import HPolytope, LatticeBox
 from .errors import DomainError, NonIntegralRhs, NotTU, SizeCap
 from .extension import feasible_blocks, union_formulation
 from .linsys import LinearSystem
 from .separation import box_family
-
-
-def _normalize_ranges(r: Union[int, Sequence[int]], n: int) -> tuple:
-    """The n range sizes; DomainError unless each is a positive int (bool excluded)."""
-    if type(r) is int:
-        ranges = (r,) * n
-    elif isinstance(r, Sequence):
-        ranges = tuple(r)
-    else:
-        raise DomainError(f"range size {r!r} is neither an integer nor a sequence")
-    for v in ranges:
-        if type(v) is not int:
-            raise DomainError(f"range size {v!r} is not an integer")
-    if len(ranges) != n:
-        raise DomainError(f"expected {n} range sizes, got {len(ranges)}")
-    if any(v < 1 for v in ranges):
-        raise DomainError("range sizes must be positive")
-    return ranges
-
-
-def box_decomposition(X: Iterable, r: Union[int, Sequence[int]], n: int) -> tuple:
-    """Split {0..r-1}^n minus X into at most 2n|X| disjoint boxes.
-
-    X may hold LatticePoints or coordinate tuples inside the lattice.  An
-    empty X yields the single full box; a fully forbidden lattice yields the
-    empty family.
-    """
-    ranges = _normalize_ranges(r, n)
-    return box_family(X, LatticeBox.of((0,) * n, tuple(v - 1 for v in ranges)))
 
 
 def forbI_formulation(P: HPolytope, X: Iterable, ambient: LatticeBox) -> LinearSystem:

@@ -303,7 +303,8 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     if trials > MAX_TRIALS:
-        raise GuardExceeded(f"trials {trials} exceeds the guard {MAX_TRIALS}")
+        raise GuardExceeded(f"trials {trials} exceeds the trials guard "
+                            f"MAX_TRIALS = {MAX_TRIALS}")
     n = system.n_original
     truth = _coords(ground_truth, n)
     removed = _coords(X, n)

@@ -19,7 +19,6 @@ from fvx import (
     LatticeBox,
     LatticePoint,
     Objective,
-    box_decomposition,
     brute_force_oracle,
     cardinality_oracle,
     cube_hrep,
@@ -44,6 +43,7 @@ from fvx import (
     verify_formulation,
 )
 from fvx.cli import main as cli_main
+from fvx.separation import box_family
 from conftest import all_binary, brute_min, random_forbidden, spanning_trees
 from test_exactlp import random_bounded_system, vertices_by_basis_enumeration
 
@@ -356,7 +356,8 @@ def test_criterion_09_integral():
         ranges = tuple(rng.randint(2, 4) for _ in range(n))
         lattice = [tuple(p) for p in itertools.product(*(range(r) for r in ranges))]
         X = set(rng.sample(lattice, rng.randint(0, len(lattice))))
-        family = box_decomposition(X, ranges, n)
+        ambient = LatticeBox.of((0,) * n, [r - 1 for r in ranges])
+        family = box_family(X, ambient)
         assert len(family) <= 2 * n * max(1, len(X))
         seen = set()
         for box in family:
@@ -365,7 +366,6 @@ def test_criterion_09_integral():
                 seen.add(p.coords)
         assert seen == set(lattice) - X
         # integral solver equivalence on the same instance
-        ambient = LatticeBox.of((0,) * n, tuple(r - 1 for r in ranges))
         oracle = lattice_box_oracle((0,) * n, tuple(r - 1 for r in ranges))
         c = Objective.of([rng.randint(-9, 9) for _ in range(n)])
         out = solve_forbidden(

@@ -485,7 +485,20 @@ class TestInputValidation:
         start = time.perf_counter()
         code, out = run(capsys, ["verify", path, "--method", "interval", "--trials", "10001"])
         assert time.perf_counter() - start < 1
-        assert code == 1 and "trials 10001 exceeds the guard" in json.loads(out)["message"]
+        assert code == 1 and "trials 10001 exceeds the trials guard MAX_TRIALS = 10000" \
+            in json.loads(out)["message"]
+
+    def test_trials_guard_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # refused before a missing --lp file is named or --method compiles
+        path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
+
+        def refuse(*args):
+            raise AssertionError("compiled before the trials guard")
+
+        monkeypatch.setattr(fvx.cli, "compile_system", refuse)
+        for extra in (["--lp", str(tmp_path / "missing.lp")], ["--method", "faces"]):
+            code, out = run(capsys, ["verify", path, *extra, "--trials", "10001"])
+            assert code == 1 and "trials guard" in json.loads(out)["message"], extra
 
     def test_pinned_probe_guard(self, tmp_path, capsys):
         # over 200 inner points to pin on a system of about 200 rows: without

@@ -90,7 +90,7 @@ class TestBinaryPoint:
         p = BinaryPoint.from_string("0110")
         assert p.coords() == (0, 1, 1, 0)
         assert p.to_string() == "0110"
-        assert p.coord(2) == 1
+        assert p.bits == 0b0110  # bit i-1 holds coordinate i
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -106,13 +106,6 @@ class TestBinaryPoint:
     def test_non_int_coordinate_refused(self, coords):
         with pytest.raises(DomainError, match="expected 0 or 1"):
             BinaryPoint.from_coords(coords)
-
-    def test_hamming_flip_prefix(self):
-        p = BinaryPoint.from_string("101")
-        q = BinaryPoint.from_string("001")
-        assert p.hamming(q) == 1
-        assert p.flip(1) == q
-        assert p.prefix(2).coords() == (1, 0)
 
 
 class TestPointOrder:
@@ -147,7 +140,7 @@ class TestHammingIndependent:
         for _ in range(300):
             n = rng.randint(1, 9)
             pts = [BinaryPoint(n, rng.randrange(1 << n)) for _ in range(rng.randint(0, 12))]
-            pairwise = not any(p.hamming(q) == 1 for p in pts for q in pts)
+            pairwise = not any((p.bits ^ q.bits).bit_count() == 1 for p in pts for q in pts)
             assert hamming_independent(pts) == pairwise
             outcomes.add(pairwise)
         assert outcomes == {True, False}
@@ -194,14 +187,13 @@ class TestCubeFace:
         face = CubeFace.of(3, {1: 1, 3: 0})
         assert face.fixed == ((1, 1), (3, 0))
         assert (face.mask, face.bits) == (0b101, 0b001)
-        assert not face.is_improper
         assert face.contains(BinaryPoint.from_string("110"))
         assert not face.contains(BinaryPoint.from_string("011"))
         assert sorted(p.to_string() for p in face.vertices()) == ["100", "110"]
 
     def test_improper(self):
         face = CubeFace.improper(2)
-        assert face.is_improper
+        assert face.mask == 0
         assert len(list(face.vertices())) == 4
 
     def test_validation(self):
@@ -230,7 +222,7 @@ class TestCubeFace:
                        for i in rng.sample(range(1, n + 1), rng.randint(0, n))}
             face = CubeFace.of(n, fixings)
             points = [BinaryPoint(n, b) for b in range(1 << n)]  # by increasing bits
-            inside = [p for p in points if all(p.coord(i) == v for i, v in fixings.items())]
+            inside = [p for p in points if all(p.coords()[i - 1] == v for i, v in fixings.items())]
             assert [p for p in points if face.contains(p)] == inside
             assert list(face.vertices()) == inside
             assert len(inside) == 1 << (n - face.mask.bit_count())

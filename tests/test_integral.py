@@ -10,7 +10,6 @@ from fvx import (
     LatticeBox,
     LatticePoint,
     Objective,
-    box_decomposition,
     cube_hrep,
     forbI_formulation,
     kbest,
@@ -23,6 +22,7 @@ from fvx import (
     cube_oracle,
 )
 from fvx.errors import AllForbidden, DomainError, NonIntegralRhs, NotTU, SizeCap
+from fvx.separation import box_family
 from conftest import brute_min, feasible_at
 
 
@@ -30,12 +30,17 @@ def lattice_points(ranges):
     return [tuple(p) for p in itertools.product(*(range(r) for r in ranges))]
 
 
+def ambient(ranges):
+    """The ambient box {0..r1-1} x ... x {0..rn-1}."""
+    return LatticeBox.of((0,) * len(ranges), [r - 1 for r in ranges])
+
+
 def boxes_as_sets(family):
     return [set(p.coords for p in box.iter_points()) for box in family]
 
 
 def box_level(box, ranges):
-    """The prefix level of a box of `box_decomposition`: the last coordinate
+    """The prefix level of a box of `box_family`: the last coordinate
     where it differs from the whole lattice (0 for the whole lattice)."""
     return max((i for i, (l, u, r) in enumerate(zip(box.l.coords, box.u.coords, ranges), start=1)
                 if (l, u) != (0, r - 1)), default=0)
@@ -43,21 +48,21 @@ def box_level(box, ranges):
 
 class TestBoxDecomposition:
     def test_one_dim_example(self):
-        fam = box_decomposition([(1,)], 3, 1)
+        fam = box_family([(1,)], ambient((3,)))
         assert [(b.l.coords, b.u.coords) for b in fam] == \
             [((0,), (0,)), ((2,), (2,))]
         assert len(fam) == 2  # == 2 n |X|
 
     def test_two_dim_example(self):
-        fam = box_decomposition([(1, 1)], 3, 2)
+        fam = box_family([(1, 1)], ambient((3, 3)))
         assert [(b.l.coords, b.u.coords) for b in fam] == [
             ((0, 0), (0, 2)), ((2, 0), (2, 2)), ((1, 0), (1, 0)), ((1, 2), (1, 2))]
         assert sum(b.lattice_count() for b in fam) == 8
 
     def test_empty_and_full(self):
-        fam = box_decomposition([], 3, 2)
+        fam = box_family([], ambient((3, 3)))
         assert len(fam) == 1 and fam[0].lattice_count() == 9
-        fam = box_decomposition(lattice_points((2, 2)), 2, 2)
+        fam = box_family(lattice_points((2, 2)), ambient((2, 2)))
         assert len(fam) == 0
 
     def test_binary_case_matches_separating_faces(self):
@@ -66,7 +71,7 @@ class TestBoxDecomposition:
             n = rng.randint(1, 5)
             codes = rng.sample(range(1 << n), rng.randint(1, 1 << n))
             pts = [BinaryPoint(n, b) for b in codes]
-            fam = box_decomposition([p.coords() for p in pts], 2, n)
+            fam = box_family([p.coords() for p in pts], ambient((2,) * n))
             face_fixings = {f.fixed for f in separating_faces(pts, n)}
             box_fixings = set()
             for box in fam:
@@ -85,7 +90,7 @@ class TestBoxDecomposition:
             lattice = lattice_points(ranges)
             size = rng.randint(0, len(lattice))
             X = set(rng.sample(lattice, size))
-            fam = box_decomposition(X, ranges, n)
+            fam = box_family(X, ambient(ranges))
             assert len(fam) <= 2 * n * max(1, len(X))
             covered = [p for s in boxes_as_sets(fam) for p in s]
             assert len(covered) == len(set(covered))  # disjoint
@@ -97,27 +102,14 @@ class TestBoxDecomposition:
                     assert q <= 2 * len(X)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            box_decomposition([(3,)], 3, 1)
-        with pytest.raises(DomainError):
-            box_decomposition([(0, 0)], 3, 1)
+        with pytest.raises(DomainError, match="outside the ambient box"):
+            box_family([(3,)], ambient((3,)))
+        with pytest.raises(DomainError, match="wrong dimension"):
+            box_family([(0, 0)], ambient((3,)))
 
     def test_non_int_point_refused(self):
         with pytest.raises(DomainError, match="0.5 is not an integer"):
-            box_decomposition([(0.5,)], 3, 1)
-
-    @pytest.mark.parametrize("r, message", [
-        ((2.5,), "range size 2.5 is not an integer"),
-        (2.5, "range size 2.5 is neither an integer nor a sequence"),
-        ((Fraction(3),), "range size Fraction"),
-        ((True,), "range size True is not an integer"),
-        (True, "range size True is neither"),
-        ("3", "range size '3' is not an integer"),
-    ])
-    def test_non_int_range_refused(self, r, message):
-        # int() used to truncate (2.5,) to a range of 2, i.e. the box [0, 1]
-        with pytest.raises(DomainError, match=message):
-            box_decomposition([], r, 1)
+            box_family([(0.5,)], ambient((3,)))
 
 
 class TestSolveForbiddenIntegral:

@@ -48,7 +48,7 @@ class TestSeparatingFaces:
 
     def test_empty_and_full(self):
         fam = separating_faces([], 3)
-        assert len(fam) == 1 and fam[0].is_improper
+        assert len(fam) == 1 and fam[0].mask == 0
         fam = separating_faces(all_binary(2), 2)
         assert fam == ()
 

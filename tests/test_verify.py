@@ -542,6 +542,33 @@ def test_pinned_probe_with_no_witness_stays_cold(monkeypatch):
     assert next(iter(witnesses)) == (0, 0) and start is witnesses[(0, 0)]
 
 
+def test_pinned_probe_results_never_become_witnesses(monkeypatch):
+    # a result solved with `fix` would carry its fixings into every later
+    # `start=` solve, and each point is probed once, so it proves nothing new
+    problem = Problem(LATTICE)
+    system = compile_system(problem, "boxes")
+    pinned, stored = [], []
+
+    def recording(system, objective, sense="min", start=None, fix=None):
+        lp = solve_lp(system, objective, sense, start=start, fix=fix)
+        if fix:
+            pinned.append(lp)
+        return lp
+
+    def storing(run, p, lp):
+        stored.append(lp)
+        dict.__setitem__(run, p, lp)
+
+    monkeypatch.setattr(fvx.verify, "solve_lp", recording)
+    monkeypatch.setattr(fvx.verify._Witnesses, "__setitem__", storing)
+    report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden)
+    assert stored and not any(lp is witness for lp in pinned for witness in stored)
+    # the member (2, 0), then the removed (1, 1) and (2, 1), both inside the
+    # hull of the rest: each result is optimal, so each could have been kept
+    assert len(pinned) == 3 and all(lp.is_optimal for lp in pinned)
+    assert report.passed
+
+
 @pytest.mark.parametrize("doc, method, phase1, phase2", [
     (binary_doc("cube", 4, ["0110", "1011"]), "interval", 1, 68),
     (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 3, 18),
