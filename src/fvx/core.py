@@ -48,6 +48,9 @@ def parse_rational(text: RationalLike) -> Fraction:
         return text
     if isinstance(text, float):
         raise DomainError(f"refusing float {text!r}; pass a 'p/q' string")
+    plain = _plain_int(text)
+    if plain is not None:
+        return Fraction(plain)
     body = str(text).strip()
     if _EXPONENT.search(body):
         raise DomainError(f"refusing exponent notation {_echo(text)}; pass a 'p/q' string")
@@ -58,11 +61,26 @@ def parse_rational(text: RationalLike) -> Fraction:
         raise DomainError(f"not a rational: {_echo(text)}") from exc
 
 
+def _plain_int(text) -> Union[int, None]:
+    """The int of an ASCII "[-]digits" str that `int` converts, else None."""
+    if type(text) is str:
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isdigit() and digits.isascii():
+            try:
+                return int(text)
+            except ValueError:  # over int_max_str_digits: parse_rational refuses it
+                pass
+    return None
+
+
 def _exact(value: RationalLike) -> Union[int, Fraction]:
-    """An int as it is; any other value through `parse_rational`, an integral
-    result as its int."""
+    """An int as it is, a plain "[-]digits" string as its int (`_plain_int`);
+    any other value through `parse_rational`, an integral result as its int."""
     if type(value) is int:
         return value
+    plain = _plain_int(value)
+    if plain is not None:
+        return plain
     q = parse_rational(value)
     return q.numerator if q.denominator == 1 else q
 
@@ -363,7 +381,9 @@ class HPolytope:
     """Explicit inequality/equality description over n named variables.
 
     Rows are (coefficient vector, relation, rhs) with exact rational entries:
-    an int for each integral entry and a Fraction otherwise (`_exact`).
+    an int for each integral entry and a Fraction otherwise (`_exact`; a
+    vector of ints is kept as it is).  `int_rows` holds each row scaled to
+    ints once by `_scale`; a vector of ints is shared, not copied.
     The description is intended to be bounded; unboundedness is only detected
     lazily when an LP over it is solved.
     """
@@ -372,15 +392,23 @@ class HPolytope:
     rows: tuple  # of (tuple[int | Fraction, ...], relation, int | Fraction)
 
     def __post_init__(self):
-        norm = []
+        norm, ints = [], []
         for a, rel, b in self.rows:
             if rel not in _RELATIONS:
                 raise DomainError(f"unknown relation {rel!r}")
-            a = tuple(map(_exact, a))
+            a = tuple(a)
+            integral = all(type(v) is int for v in a)
+            if not integral:
+                a = tuple(map(_exact, a))
             if len(a) != self.n:
                 raise DomainError(f"row has {len(a)} coefficients, expected {self.n}")
-            norm.append((a, rel, _exact(b)))
+            b = _exact(b)
+            norm.append((a, rel, b))
+            if not integral or type(b) is not int:
+                _, (b, *a) = _scale((b, *a))
+            ints.append((tuple(a), rel, b))
         object.__setattr__(self, "rows", tuple(norm))
+        object.__setattr__(self, "int_rows", tuple(ints))
 
     @classmethod
     def of(cls, n: int, rows: Iterable) -> "HPolytope":

@@ -287,8 +287,8 @@ _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 def _folded(system: LinearSystem) -> tuple:
     """(bounds, rows): the system's bounds tightened by each one-variable row
-    a*v rel b (to b/a, the sense flipped when a < 0; crossed bounds stay
-    crossed) and the other rows in order, as a tuple."""
+    a*v rel b (to b/a, an int when a divides b, the sense flipped when a < 0;
+    crossed bounds stay crossed) and the other rows in order, as a tuple."""
     bounds, rows = dict(system.bounds), []
     for row in system.rows:
         coeffs, rel, rhs = row
@@ -296,7 +296,8 @@ def _folded(system: LinearSystem) -> tuple:
             rows.append(row)
             continue
         (name, a), = coeffs.items()
-        q, rel = Fraction(rhs, a), rel if a > 0 else _FLIPPED[rel]
+        q = Fraction(rhs, a) if rhs % a else rhs // a
+        rel = rel if a > 0 else _FLIPPED[rel]
         bound = (None if rel == "<=" else q, None if rel == ">=" else q)
         bounds[name] = intersect_bounds(bound, bounds.get(name, (None, None)))
     return bounds, tuple(rows)

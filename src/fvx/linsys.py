@@ -90,14 +90,11 @@ class LinearSystem:
     @classmethod
     def from_hpolytope(cls, poly, meta: Mapping = None) -> "LinearSystem":
         """Wrap an H-description as a system over x1..xn, the rows `build`
-        makes of it: each row scaled once by `core._scale` (a row of ints
-        comes back as it is), less its zero coefficients."""
+        makes of it: the polytope's `int_rows`, less their zero coefficients."""
         names = tuple(f"x{i + 1}" for i in range(poly.n))
-        rows = []
-        for a, rel, b in poly.rows:
-            _, (b, *a) = _scale((b, *a))
-            rows.append(({name: v for name, v in zip(names, a) if v}, rel, b))
-        return cls(names, poly.n, tuple(rows), {}, dict(meta or {"method": "hrep"}))
+        rows = tuple(({name: v for name, v in zip(names, a) if v}, rel, b)
+                     for a, rel, b in poly.int_rows)
+        return cls(names, poly.n, rows, {}, dict(meta or {"method": "hrep"}))
 
     # -- accessors -------------------------------------------------------------
 

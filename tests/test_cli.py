@@ -700,6 +700,25 @@ class TestNumeralsTooLongToParse:
                                                "objective": ["-1", "0"]})
         assert "polytope.rows[0]" in self._refused(capsys, ["solve", path])
 
+    @pytest.mark.parametrize("long", ["3" * 5000, "-" + "3" * 5000], ids=["plus", "minus"])
+    @pytest.mark.parametrize("where", ["coefficient", "rhs", "objective"])
+    def test_plain_integral_numeral(self, tmp_path, capsys, long, where):
+        # no slash: the plain-numeral int() path sees it first and must hand it on
+        rows = [{"a": [1, 1], "rel": "<=", "b": "1"},
+                {"a": [1, 0], "rel": ">=", "b": "0"}, {"a": [0, 1], "rel": ">=", "b": "0"}]
+        objective = ["-1", "0"]
+        if where == "coefficient":
+            rows[0]["a"][0] = long
+        elif where == "rhs":
+            rows[0]["b"] = long
+        else:
+            objective[0] = long
+        path = write_json(tmp_path, "p.json", {"kind": "binary", "n": 2, "forbidden": [],
+                                               "polytope": {"type": "hrep", "rows": rows},
+                                               "objective": objective})
+        message = self._refused(capsys, ["solve", path])
+        assert ("'objective'" if where == "objective" else "polytope.rows[0]") in message
+
     def test_malformed_entry_is_cut_short(self, tmp_path, capsys):
         # not a numeral at all, so no digit guard: the echo itself is cut short
         path = cube_problem(tmp_path, 2, ["x" * 100_000, "0"], [])

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from fvx import (
 )
 from fvx import core
 from fvx.core import point_coords
-from fvx.errors import DomainError, GuardExceeded
+from fvx.errors import DomainError, GuardExceeded, NumeralTooLong
 
 
 class TestRational:
@@ -49,6 +50,37 @@ class TestRational:
     def test_format_refuses_values_too_long_to_print(self):
         with pytest.raises(GuardExceeded, match="too long to print"):
             format_rational(Fraction(10 ** 5000 + 1, 3))
+
+    # each input with its value, or the (class, message) both parsers raise
+    CORPUS = [
+        ("7", 7), ("-0", 0), ("007", 7), ("+5", 5), (" 5", 5), ("5 ", 5), ("1_000", 1000),
+        ("\u0663", 3),  # an Arabic-Indic digit: not ASCII, so Fraction parses it as before
+        ("\u00b2", (DomainError, "not a rational: '\u00b2'")),
+        ("", (DomainError, "not a rational: ''")),
+        ("-", (DomainError, "not a rational: '-'")),
+        ("--1", (DomainError, "not a rational: '--1'")),
+        ("1/2", Fraction(1, 2)), ("4/2", 2), ("1.5", Fraction(3, 2)),
+        ("1e3", (DomainError, "refusing exponent notation '1e3'; pass a 'p/q' string")),
+        ("0x1f", (DomainError, "not a rational: '0x1f'")),
+        (True, (DomainError, "refusing boolean True; pass a 'p/q' string")),
+        (1.0, (DomainError, "refusing float 1.0; pass a 'p/q' string")),
+        ("3" * 5000, (NumeralTooLong, "value too long to parse: "
+                                      f"more than {sys.get_int_max_str_digits()} digits")),
+    ]
+
+    @pytest.mark.parametrize("text, expect", CORPUS, ids=lambda v: repr(v)[:12])
+    def test_plain_numeral_path_keeps_every_answer(self, text, expect):
+        if isinstance(expect, tuple):
+            for parse in (core._exact, parse_rational):
+                with pytest.raises(expect[0]) as info:
+                    parse(text)
+                assert type(info.value) is expect[0] and str(info.value) == expect[1]
+            return
+        exact, q = core._exact(text), parse_rational(text)
+        assert exact == q == expect and type(q) is Fraction
+        assert type(exact) is (int if q.denominator == 1 else Fraction)
+        # only ASCII [-]digits take the int() path
+        assert core._plain_int(text) == (expect if text in ("7", "-0", "007") else None)
 
     def test_format_round_trip(self):
         for text in ("3/4", "-2", "0", "17/3"):

@@ -21,6 +21,7 @@ from fvx import (
     recursive_formulation,
     solve_lp,
     verify,
+    write_lp,
 )
 from fvx.errors import DomainError
 from conftest import phase_pivots, random_forbidden
@@ -761,6 +762,48 @@ class TestIntegerBuild:
             assert LinearSystem.from_hpolytope(HPolytope(n, tuple(dense))) == system
         assert seen == {"<=", "=", ">=", "zero rhs", "rhs", True, False}
 
+    def test_hpolytope_int_rows_match_build(self):
+        # entries as a problem file gives them (JSON ints, integral and "p/q"
+        # strings) and as a library caller may (Fractions); the vector of a
+        # row of ints with an integral rhs is shared by `rows` and `int_rows`
+        rng = random.Random(71)
+
+        def entry(q, plain):
+            if plain:
+                return q.numerator
+            k = rng.randint(1, 3)
+            forms = [q, f"{q.numerator * k}/{q.denominator * k}"]
+            if q.denominator == 1:
+                forms += [q.numerator, str(q.numerator)]
+            return rng.choice(forms)
+
+        shared = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            names = [f"x{i + 1}" for i in range(n)]
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                plain = rng.random() < 0.4  # every entry a JSON int
+                dens = (1,) if plain else (1, 1, 2, 3)
+                b, *a = (Fraction(rng.choice((0, rng.randint(-9, 9))), rng.choice(dens))
+                         for _ in range(n + 1))
+                rows.append(([entry(q, plain) for q in a], rng.choice(("<=", "=", ">=")),
+                             entry(b, plain)))
+            P = HPolytope(n, tuple(rows))
+            system = LinearSystem.from_hpolytope(P)
+            built = LinearSystem.build(n, (), [(dict(zip(names, a)), rel, b)
+                                               for a, rel, b in rows], meta={"method": "hrep"})
+            assert [list(c.items()) for c, _, _ in system.rows] == \
+                [list(c.items()) for c, _, _ in built.rows]
+            assert system.rows == built.rows
+            assert system.counted_inequalities() == built.counted_inequalities()
+            assert write_lp(system) == write_lp(built)
+            for (a, _, b), row, int_row in zip(rows, P.rows, P.int_rows):
+                if all(type(v) is int for v in a) and Fraction(b).denominator == 1:
+                    assert int_row[0] is row[0]
+                    shared += 1
+        assert shared > 100
+
     def test_objective_value_is_exact(self):
         system = LinearSystem.build(2, bounds={"x1": ("1/3", "1/3"), "x2": (0, "5/2")})
         r = solve_lp(system, ["3/2", "-2/7"])
@@ -822,6 +865,24 @@ class TestFold:
         assert system.counted_inequalities() == 4
         assert solve_lp(system, ["-1", "3"]).value == Fraction(-3, 2) + 2
         assert solve_lp(system, ["-1", "3"], sense="max").value == Fraction(3, 2) + 2
+
+    def test_divisible_rows_fold_to_int_bounds(self, monkeypatch):
+        rows = [({"x1": 2}, "<=", 4), ({"x2": -3}, ">=", -3), ({"x3": 2}, "<=", 3),
+                ({"x1": 1, "x2": 1, "x3": 1}, "<=", 4), ({"x1": 1, "x3": -1}, ">=", -1)]
+        system = LinearSystem.build(3, (), rows, {name: (0, None) for name in ("x1", "x2", "x3")})
+        bounds, kept = exactlp._folded(system)
+        assert [(type(hi), hi) for _, hi in bounds.values()] == \
+            [(int, 2), (int, 1), (Fraction, Fraction(3, 2))]
+        assert kept == tuple(rows[3:])
+        # the answers and pivot counts of the build that folded to Fractions
+        counts = phase_pivots(monkeypatch)
+        for c, point, value, pivots in (([-1, -2, -1], (2, 1, 1), -5, 3),
+                                        ([-1, -1, -3], ("3/2", 1, "3/2"), -7, 4)):
+            counts.update({1: 0, 2: 0})
+            r = solve_lp(system, c)
+            assert r.status == "optimal" and r.value == value
+            assert repr(r.point) == repr(dict(zip(system.variables, map(Fraction, point))))
+            assert sum(counts.values()) == pivots
 
     @pytest.mark.parametrize("rows, bounds", [
         ([({"x1": 1}, ">=", 2)], {"x1": (0, 1)}),                  # crosses a bound
