@@ -228,7 +228,8 @@ def point_coords(point: Point) -> tuple:
 
 @dataclass(frozen=True)
 class Objective:
-    """A linear objective c over n variables; sense is always minimize."""
+    """A linear objective c over n variables; sense is always minimize.  Each
+    entry is parsed once by `_exact`: an int when integral, else a Fraction."""
 
     n: int
     c: tuple
@@ -236,7 +237,7 @@ class Objective:
     def __post_init__(self):
         if len(self.c) != self.n:
             raise DomainError(f"objective length {len(self.c)} != dimension {self.n}")
-        object.__setattr__(self, "c", tuple(parse_rational(v) for v in self.c))
+        object.__setattr__(self, "c", tuple(map(_exact, self.c)))
 
     @classmethod
     def of(cls, terms: Sequence[RationalLike]) -> "Objective":

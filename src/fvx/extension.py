@@ -12,7 +12,8 @@ the copies, and scales each block constraint by its multiplier.  Multiplier
 upper bounds are implied by the convexity row and are deliberately not
 stored, which keeps the certificates at one inequality per block.  Every
 formulation, the box one of `fvx.integral` included, ends in
-`union_formulation` over its list of blocks.
+`union_formulation` over its list of blocks, except `recursive_formulation`,
+which counts and checks only its outermost hull.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .separation import _Faces, separating_faces
 #: count, 1.0 s to build), and its blocks ran out of memory after 51 s.
 FACES_GUARD = 1_000_000
 
+_ZERO = Fraction(0)
+
 
 def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
     """Union hull of nonempty blocks over shared original variables x1..xn.
@@ -57,7 +60,22 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
     n = blocks[0].n_original
     if any(b.n_original != n for b in blocks):
         raise DomainError("blocks disagree on the original dimension")
+    hull = _hull(blocks, [b.counted_inequalities() for b in blocks])
+    return _finalize(_checked(hull), hull.meta)
 
+
+def _checked(system: LinearSystem) -> LinearSystem:
+    """The system rebuilt through the constructor, which checks every row."""
+    return LinearSystem(system.variables, system.n_original, system.rows, system.bounds,
+                        system.meta)
+
+
+def _hull(blocks: Sequence[LinearSystem], counts: Sequence[int]) -> LinearSystem:
+    """`disjunctive_hull` of blocks over x1..xn with these counted inequalities,
+    neither checked nor counted: each block row keeps its relation, each block
+    bound becomes one row or bound of the same count, and each lam >= 0 adds
+    one, so meta["counted"] is the certificate."""
+    n = blocks[0].n_original
     variables: List[str] = [f"x{i + 1}" for i in range(n)]
     bounds = {}
     rows = []
@@ -68,7 +86,7 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
         names = [f"b{j}_y{t + 1}" for t in range(len(block.variables))]
         variables.extend(names)
         variables.append(lam)
-        bounds[lam] = (Fraction(0), None)
+        bounds[lam] = (_ZERO, None)
         rename = dict(zip(block.variables, names))
         for coeffs, rel, rhs in block.rows:
             row = {rename[v]: a for v, a in coeffs.items() if a}
@@ -80,19 +98,19 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
             copy = rename[v]
             clo = chi = None
             if lo is not None and lo == hi:
-                if lo == 0:
-                    clo = chi = Fraction(0)
+                if not lo:
+                    clo = chi = _ZERO
                 else:
                     rows.append(({copy: lo.denominator, lam: -lo.numerator}, "=", 0))
             else:
                 if lo is not None:
-                    if lo == 0:
-                        clo = Fraction(0)
+                    if not lo:
+                        clo = _ZERO
                     else:
                         rows.append(({copy: lo.denominator, lam: -lo.numerator}, ">=", 0))
                 if hi is not None:
-                    if hi == 0:
-                        chi = Fraction(0)
+                    if not hi:
+                        chi = _ZERO
                     else:
                         rows.append(({copy: hi.denominator, lam: -hi.numerator}, "<=", 0))
             if clo is not None or chi is not None:
@@ -103,12 +121,12 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
     rows.extend((row, "=", 0) for row in coupling)
     rows.append(({f"lam{j}": 1 for j in range(1, len(blocks) + 1)}, "=", 1))
 
-    certified = sum(b.counted_inequalities() + 1 for b in blocks)
-    system = LinearSystem(tuple(variables), n, tuple(rows), bounds,
-                          {"method": "disjunctive-hull", "blocks": len(blocks),
-                           "certified": certified,
-                           "formula": "sum over blocks of (counted+1)"})
-    return _finalize(system, system.meta)
+    certified = sum(counts) + len(blocks)
+    return LinearSystem._trusted(tuple(variables), n, tuple(rows), bounds,
+                                 {"method": "disjunctive-hull", "blocks": len(blocks),
+                                  "certified": certified,
+                                  "formula": "sum over blocks of (counted+1)",
+                                  "counted": certified, "raw_rows": len(rows)})
 
 
 def _union(blocks: Sequence[LinearSystem]) -> LinearSystem:
@@ -224,11 +242,12 @@ def _point_system(code: int, n: int) -> LinearSystem:
 
 
 def _extend_cube_coordinate(system: LinearSystem, k: int) -> LinearSystem:
-    """Append x_k with bounds [0,1]: the formulation of (previous set) x {0,1}."""
+    """Append x_k with bounds [0,1]: the formulation of (previous set) x {0,1};
+    the rows are shared and not checked again."""
     variables = (system.variables[: k - 1] + (f"x{k}",) + system.variables[k - 1:])
     bounds = dict(system.bounds)
     bounds[f"x{k}"] = (Fraction(0), Fraction(1))
-    return LinearSystem(variables, k, system.rows, bounds, dict(system.meta))
+    return system._derive(variables=variables, n_original=k, bounds=bounds)
 
 
 def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
@@ -237,30 +256,47 @@ def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
     X' is the projection dropping the last coordinate and the flip set
     collects the points whose last-coordinate flip is forbidden while they
     are not; each such point enters the hull as its own one-point block.
-    Certificate n(|X|+4).
+    Certificate n(|X|+4).  Each block's count is carried up the recursion
+    (a point fixes every coordinate, x_k in [0,1] adds two, a hull counts
+    its certificate), so the result alone is counted and checked.
     """
     codes = _Faces(n).codes(X)
 
     def blocks(bits: set, k: int) -> list:
-        """Blocks whose union is {0,1}^k minus `bits`; none when that is empty."""
+        """(block, its counted inequalities) pairs whose union is {0,1}^k
+        minus `bits`; none when that is empty."""
         if k == 1:
             allowed = sorted({0, 1} - bits)
             if not allowed:
                 return []
             bound = (Fraction(allowed[0]), Fraction(allowed[-1]))
-            return [LinearSystem(("x1",), 1, (), {"x1": bound}, {"method": "recursive-base"})]
+            return [(LinearSystem(("x1",), 1, (), {"x1": bound}, {"method": "recursive-base"}),
+                     2 * (len(allowed) - 1))]
         top = 1 << (k - 1)
         proj = {b & (top - 1) for b in bits}
         flipped = {b ^ top for b in bits}
         out = []
         if len(proj) < top:
-            out.append(_extend_cube_coordinate(_union(blocks(proj, k - 1)), k))
-        out.extend(_point_system(v, k) for v in sorted(flipped - bits))
+            inner, counted = _nested(blocks(proj, k - 1))
+            out.append((_extend_cube_coordinate(inner, k), counted + 2))
+        out.extend((_point_system(v, k), 0) for v in sorted(flipped - bits))
         return out
 
     meta = {"method": "recursive", "n": n, "forbidden": len(codes),
             "certified": n * (len(codes) + 4), "formula": "n(|X|+4)"}
-    return union_formulation(blocks(codes, n), meta, "every binary point is forbidden")
+    top = blocks(codes, n)
+    if not top:
+        raise AllForbidden("every binary point is forbidden")
+    return _finalize(_checked(_nested(top)[0]), meta)
+
+
+def _nested(pairs: list) -> tuple:
+    """(the union of the (block, count) pairs, its count): one block as it
+    is, more joined by their unchecked `_hull`."""
+    if len(pairs) == 1:
+        return pairs[0]
+    hull = _hull(*zip(*pairs))
+    return hull, hull.meta["counted"]
 
 
 def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:

@@ -111,6 +111,14 @@ class LinearSystem:
             count += (lo is not None) + (hi is not None)
         return count
 
+    @classmethod
+    def _trusted(cls, variables, n_original, rows, bounds, meta) -> "LinearSystem":
+        """A system of fields that its caller built valid: `__post_init__` is not run."""
+        system = object.__new__(cls)
+        system.__dict__.update(variables=variables, n_original=n_original, rows=rows,
+                               bounds=bounds, meta=meta)
+        return system
+
     def _derive(self, **changes) -> "LinearSystem":
         """A copy sharing this system's validated fields except `changes`.
 
@@ -118,9 +126,8 @@ class LinearSystem:
         Only the declared fields and `changes` are copied, so state kept on a
         solved system (`solve_lp`'s saved solver) never passes to a child.
         """
-        child = object.__new__(LinearSystem)
-        child.__dict__.update({f: self.__dict__[f] for f in self.__dataclass_fields__}, **changes)
-        return child
+        return self._trusted(**{**{f: self.__dict__[f] for f in self.__dataclass_fields__},
+                                **changes})
 
     def with_bounds(self, overrides: Mapping[str, Bound]) -> "LinearSystem":
         """New system with per-variable bounds intersected with `overrides`.

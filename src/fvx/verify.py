@@ -7,9 +7,13 @@ ground truth: an excluded point is a vertex of the ambient polytope, so it
 can never lie in the hull of the remaining points.
 
 A run has three phases, in this order: the box LPs, the support trials, the
-probes.  Every box LP, trial and L1 objective is a `solve_lp` call on the
+probes.  Every box LP, trial LP and L1 objective is a `solve_lp` call on the
 one system under test, and `solve_lp` keeps the post-phase-1 tableau on
-that system object, so phase 1 runs once for all of them.
+that system object, so phase 1 runs once for all of them.  A trial c runs
+no LP when its least witnessed ground-truth point (see Starts) and the box
+bound sum_i min(c_i l_i, c_i h_i) both equal the brute-force minimum: the
+system projects into the box, so its LP minimum is at least the bound, and
+the witness is a point of the system, so it is at most the witness's value.
 
 Witnesses: every optimal LP of those phases returns a feasible point of the
 system.  When the point projects onto an integral point p, and the integer
@@ -58,7 +62,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import BinaryPoint, LatticePoint, _scale, format_rational, int_coords, point_coords
@@ -216,7 +220,8 @@ class VerificationReport:
 
 
 def _projection_box(run: _Witnesses) -> Optional[list]:
-    """[(min x_i, max x_i)] over the system, or None unless all 2n LPs are optimal."""
+    """[(min x_i, max x_i)] over the system, each an int when integral, or
+    None unless all 2n LPs are optimal."""
     box = []
     for name in run.names:
         lo = run.solve({name: 1}, sense="min")
@@ -225,8 +230,22 @@ def _projection_box(run: _Witnesses) -> Optional[list]:
         hi = run.solve({name: 1}, sense="max")
         if not hi.is_optimal:
             return None
-        box.append((lo.value, hi.value))
+        box.append(tuple(q.numerator if q.denominator == 1 else q for q in (lo.value, hi.value)))
     return box
+
+
+def _box_bound(c: list, box: list):
+    """The least of c.x over the box: sum of min(c_i l_i, c_i h_i)."""
+    return sum(ci * (lo if ci > 0 else hi) for ci, (lo, hi) in zip(c, box) if ci)
+
+
+def _scores(c: list, columns: list, size: int) -> list:
+    """c.p for each point p of the truth, one column (coordinate) at a time."""
+    scores = [0] * size
+    for ci, column in zip(c, columns):
+        if ci:
+            scores = list(map(add, scores, map(ci.__mul__, column)))
+    return scores
 
 
 def _needs_pin(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
@@ -290,7 +309,10 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     Each optimal LP on the system whose point projects onto an integral
     point, and passes the integer check of `satisfies`, witnesses that
     point; each trial starts from the witness of its (value, coords)-least
-    witnessed ground-truth point.  A witnessed point needs no probe.  Of the others, a point
+    witnessed ground-truth point, and runs no LP when that point's value and
+    the box bound sum_i min(c_i l_i, c_i h_i) are both the brute-force
+    minimum (bound <= LP minimum <= witness value, so they match).  A
+    witnessed point needs no probe.  Of the others, a point
     outside the box needs no LP; a point on a corner of it is one
     L1-distance objective on the same system, started from the nearest
     witnessed corner next to it; any other point, or every point when the
@@ -318,12 +340,15 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     run = _Witnesses(system, [f"x{i + 1}" for i in range(n)])
 
     box = _projection_box(run) if truth or removed else None
+    columns = list(zip(*truth))
     for _ in range(trials):
         c = [rng.randint(-100, 100) for _ in range(n)]
         if truth:
-            scored = [(sum(map(mul, c, p)), p) for p in truth]
-            brute = min(scored)[0]
-            near = min((s for s in scored if s[1] in run), default=None)
+            scores = _scores(c, columns, len(truth))
+            brute = min(scores)
+            near = min(((v, p) for v, p in zip(scores, truth) if p in run), default=None)
+            if near and near[0] == brute and box and _box_bound(c, box) == brute:
+                continue  # box bound <= LP min <= the witness's value: no mismatch
             lp = run.solve(c, start=None if near is None else run[near[1]])
             if lp.value != brute:  # None unless optimal
                 report.support_mismatches.append((tuple(c), lp.value, Fraction(brute)))

@@ -333,6 +333,14 @@ class TestObjective:
             got = c.dot(p)
             assert type(got) is Fraction and got == 0
 
+    def test_integral_entries_parsed_once_to_ints(self):
+        c = Objective.of([3, "-4", 0, "6/3", Fraction(5)])
+        assert c.c == (3, -4, 0, 2, 5) and all(type(v) is int for v in c.c)
+        assert c.scaled == (1, c.c)
+        mixed = Objective.of(["1/2", "2", 7])
+        assert mixed.c == (Fraction(1, 2), 2, 7) and type(mixed.c[0]) is Fraction
+        assert [type(v) for v in mixed.c[1:]] == [int, int]
+
     def test_scaling_computed_once(self, monkeypatch):
         calls = []
         real = core._scale

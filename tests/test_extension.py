@@ -274,6 +274,23 @@ class TestRecursiveFormulation:
         with pytest.raises(AllForbidden):
             recursive_formulation(all_binary(1), 1)
 
+    def test_counts_carried_up_the_recursion(self, monkeypatch):
+        # each level's blocks used to be counted again: about 3,100 calls here
+        rng = random.Random(67)
+        n = 24
+        X = random_forbidden(rng, n, 200)
+        count = LinearSystem.counted_inequalities
+        calls = []
+
+        def counting(system):
+            calls.append(system)
+            return count(system)
+
+        monkeypatch.setattr(LinearSystem, "counted_inequalities", counting)
+        system = recursive_formulation(X, n)
+        assert len(calls) <= n
+        assert system.meta["counted"] == count(system) <= system.meta["certified"]
+
 
 class TestFaceFormulation:
     def test_cube_one_forbidden(self):

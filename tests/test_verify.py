@@ -476,10 +476,11 @@ def lp_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("doc, method, total, warm", [
-    # 8 box LPs, 50 trials and 2 probes; the 14 members are witnessed, and the
-    # hull tests of the binary points take no LP
-    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 60, 52),
-    (LATTICE, "boxes", 63, 55),
+    # 8 box LPs, 14 trial LPs (the box bound and a witness decide the other
+    # 36 trials) and 2 probes; the 14 members are witnessed, and the hull
+    # tests of the binary points take no LP
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 24, 16),
+    (LATTICE, "boxes", 33, 25),
 ], ids=["cube4-faces", "lattice-boxes"])
 def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     """A change in probe routing or warm starts shows here as a count diff."""
@@ -570,10 +571,10 @@ def test_pinned_probe_results_never_become_witnesses(monkeypatch):
 
 
 @pytest.mark.parametrize("doc, method, phase1, phase2", [
-    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 1, 68),
+    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 1, 57),
     (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 3, 18),
     (binary_doc("cube", 4, ["0110", "1011"]), "faces", 1, 29),
-    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 1, 124),
+    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 1, 117),
     (LATTICE, "boxes", 31, 17),
 ], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
 def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
@@ -631,3 +632,44 @@ def test_starts_never_change_a_report(doc, method, mutate, monkeypatch):
     assert warm["verdict"] == ("pass" if mutate is None else "fail")
     if method == "interval" and mutate is not None:
         assert (len(warm["support_mismatches"]), warm["excluded_failures"]) == (2, [[1, 0, 1, 1]])
+
+
+def weakened_no_good_cut():
+    """The 3-cube less {000} as [0,1]^3 plus x1 + x2 + x3 >= 1/2: the no-good
+    cut of 000 weakened by 1/2, so its LP minimum is below the brute force
+    one for every positive objective."""
+    return LinearSystem.build(3, rows=[({"x1": 1, "x2": 1, "x3": 1}, ">=", "1/2")],
+                              bounds={f"x{i}": (0, 1) for i in (1, 2, 3)})
+
+
+NO_GOOD = binary_doc("cube", 3, ["000"])
+EQUIVALENCE = [(doc, method, None) for doc, method in COMPILED] + [
+    (CUBE4, "interval", lambda s: drop_row(s, "r10")),
+    (NO_GOOD, "interval", lambda s: weakened_no_good_cut())]
+
+
+@pytest.mark.parametrize("doc, method, defect", EQUIVALENCE,
+                         ids=[f"{d['polytope']['type']}{d['n']}-{m}" for d, m in COMPILED]
+                         + ["interval-r10-dropped", "no-good-weakened"])
+def test_support_mismatches_match_a_cold_lp_per_trial(doc, method, defect, monkeypatch):
+    """Trials that the box bound and a witness decide skip their LP; the
+    mismatches must be those of one cold `solve_lp` per seeded objective."""
+    problem = Problem(doc)
+    system = compile_system(problem, method)
+    if defect is not None:
+        system = defect(system)
+    truth = [point_coords(p) for p in problem.enumerate_allowed()]
+    calls = lp_calls(monkeypatch)
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        expect = []
+        for _ in range(50):
+            c = [rng.randint(-100, 100) for _ in range(system.n_original)]
+            lp = solve_lp(system, c)
+            brute = min(sum(ci * vi for ci, vi in zip(c, p)) for p in truth)
+            if not lp.is_optimal or lp.value != brute:
+                expect.append((tuple(c), lp.value if lp.is_optimal else None, brute))
+        report = verify_formulation(system, truth, problem.forbidden, seed=seed)
+        assert report.support_mismatches == expect
+        assert bool(expect) == (defect is not None)
+    assert len(calls) < 3 * 50  # some trials took no LP
