@@ -458,8 +458,8 @@ def compile_system(problem: Problem, method: str):
     if method == "faces":
         return face_formulation(poly, problem.forbidden)
     facets = problem.facets
-    if facets is None:
-        facets = list(range(len(poly.rows)))
+    if facets is None:  # the inequality rows: a vertex meets every equality row
+        facets = [i for i, (_, rel, _) in enumerate(poly.int_rows) if rel != "="]
     return facet_intersection_formulation(poly, facets, problem.forbidden)
 
 

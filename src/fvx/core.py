@@ -416,9 +416,13 @@ class HPolytope:
         return cls(n, tuple(rows))
 
     def satisfies(self, point: Point) -> bool:
+        """Whether the point meets every row, summed in ints over `int_rows`
+        (a positive row scale keeps each sign and each equality)."""
+        if point.n != self.n:
+            raise DomainError("dimension mismatch")
         coords = point_coords(point)
-        for a, rel, b in self.rows:
-            lhs = sum((ai * vi for ai, vi in zip(a, coords) if vi), start=Fraction(0))
+        for a, rel, b in self.int_rows:
+            lhs = sum(ai * vi for ai, vi in zip(a, coords) if vi)
             if rel == "<=" and lhs > b:
                 return False
             if rel == ">=" and lhs < b:

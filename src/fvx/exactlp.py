@@ -69,7 +69,7 @@ pivoted: every solve, cold or from `start`, pivots a `restart()` copy of its
 base solver, whatever other systems were solved in between, so every answer
 is the cold answer unless `start` is given.  The saved solver lives and dies
 with its system (it holds no reference back to it), and systems derived by
-`with_bounds` or `with_meta` start without it.  Systems are treated as
+`with_bounds` start without it.  Systems are treated as
 immutable: a system's rows and bounds must not change once it is solved.
 
 Warm starts: an optimal `LpResult` carries its optimal tableau (the
@@ -872,7 +872,7 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     on a system object; every call after the first on the same object
     restarts phase 2 from the post-phase-1 basis kept on it, so each answer
     equals a cold solve's.  That state is freed with the system, and
-    `with_bounds`/`with_meta` children do not inherit it.
+    `with_bounds` children do not inherit it.
 
     `fix`, a mapping from variable names to ints, answers for the system
     with those variables fixed: the same answer, pivots included, as a cold

@@ -12,8 +12,8 @@ the copies, and scales each block constraint by its multiplier.  Multiplier
 upper bounds are implied by the convexity row and are deliberately not
 stored, which keeps the certificates at one inequality per block.  Every
 formulation, the box one of `fvx.integral` included, ends in
-`union_formulation` over its list of blocks, except `recursive_formulation`,
-which counts and checks only its outermost hull.
+`union_formulation` over its (block, counted inequalities) pairs, so each
+block is counted once and only the result is checked and counted again.
 """
 
 from __future__ import annotations
@@ -61,13 +61,7 @@ def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
     if any(b.n_original != n for b in blocks):
         raise DomainError("blocks disagree on the original dimension")
     hull = _hull(blocks, [b.counted_inequalities() for b in blocks])
-    return _finalize(_checked(hull), hull.meta)
-
-
-def _checked(system: LinearSystem) -> LinearSystem:
-    """The system rebuilt through the constructor, which checks every row."""
-    return LinearSystem(system.variables, system.n_original, system.rows, system.bounds,
-                        system.meta)
+    return _finalize(hull, hull.meta)
 
 
 def _hull(blocks: Sequence[LinearSystem], counts: Sequence[int]) -> LinearSystem:
@@ -129,43 +123,52 @@ def _hull(blocks: Sequence[LinearSystem], counts: Sequence[int]) -> LinearSystem
                                   "counted": certified, "raw_rows": len(rows)})
 
 
-def _union(blocks: Sequence[LinearSystem]) -> LinearSystem:
-    """One block as it is; more blocks joined by their disjunctive hull."""
-    return blocks[0] if len(blocks) == 1 else disjunctive_hull(blocks)
+def union_formulation(pairs: Sequence[tuple], meta: dict, empty: str) -> LinearSystem:
+    """The formulation of the union of the (block, counted inequalities)
+    `pairs`, audited against `meta`.
 
-
-def union_formulation(blocks: Sequence[LinearSystem], meta: dict,
-                      empty: str) -> LinearSystem:
-    """The formulation of the union of `blocks`, audited against `meta`.
-
-    No block at all raises AllForbidden(`empty`); the result carries `meta`
-    plus the counted inequalities and rows of the system.
+    No block at all raises AllForbidden(`empty`); one block stays as it is,
+    more are joined by `_hull`, and the result carries `meta` plus its
+    counted inequalities and rows.
     """
-    if not blocks:
+    if not pairs:
         raise AllForbidden(empty)
-    return _finalize(_union(blocks), meta)
+    return _finalize(_nested(pairs)[0], meta)
+
+
+def _nested(pairs: Sequence[tuple]) -> tuple:
+    """(the union of the (block, count) pairs, its count): one block as it
+    is, more joined by their unchecked `_hull`."""
+    if len(pairs) == 1:
+        return pairs[0]
+    hull = _hull(*zip(*pairs))
+    return hull, hull.meta["counted"]
 
 
 def feasible_blocks(blocks: Iterable[LinearSystem]) -> Tuple[list, int]:
-    """(the LP-feasible blocks in order, the number of infeasible ones dropped)."""
+    """((block, counted inequalities) of each LP-feasible block in order, the
+    number of infeasible blocks dropped)."""
     kept = []
     dropped = 0
     for block in blocks:
         if solve_lp(block, {}).is_optimal:
-            kept.append(block)
+            kept.append((block, block.counted_inequalities()))
         else:
             dropped += 1
     return kept, dropped
 
 
 def _finalize(system: LinearSystem, meta: dict) -> LinearSystem:
+    """`system` with `meta` plus its counted inequalities and rows, counted
+    once, audited against meta["certified"] and built through the checking
+    constructor."""
     meta = dict(meta)
     meta["counted"] = system.counted_inequalities()
     meta["raw_rows"] = len(system.rows)
     if meta["counted"] > meta.get("certified", meta["counted"]):
         raise AssertionError(
             f"size certificate violated: {meta['counted']} > {meta['certified']}")
-    return system.with_meta(meta)
+    return LinearSystem(system.variables, system.n_original, system.rows, system.bounds, meta)
 
 
 @dataclass(frozen=True)
@@ -210,10 +213,8 @@ def conv_K(code: IntervalCode) -> LinearSystem:
             row[f"x{j}"] = 1
         rows.append((row, "<=", len(later)))
     bounds = {f"x{i}": (Fraction(0), Fraction(1)) for i in range(1, n + 1)}
-    system = LinearSystem(tuple(bounds), n, tuple(rows), bounds,
-                          {"method": "conv-K", "a": code.a, "b": code.b,
-                           "certified": 4 * n, "formula": "4n"})
-    return _finalize(system, system.meta)
+    meta = {"method": "conv-K", "a": code.a, "b": code.b, "certified": 4 * n, "formula": "4n"}
+    return _finalize(LinearSystem._trusted(tuple(bounds), n, tuple(rows), bounds, meta), meta)
 
 
 def interval_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
@@ -232,7 +233,8 @@ def interval_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
             "intervals": [(c.a, c.b) for c in intervals],
             "certified": (len(codes) + 1) * (4 * n + 3),
             "formula": "(|X|+1)(4n+3)"}
-    return union_formulation([conv_K(code) for code in intervals], meta,
+    blocks = [conv_K(code) for code in intervals]
+    return union_formulation([(b, b.meta["counted"]) for b in blocks], meta,
                              "every binary point is forbidden")
 
 
@@ -284,19 +286,7 @@ def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
 
     meta = {"method": "recursive", "n": n, "forbidden": len(codes),
             "certified": n * (len(codes) + 4), "formula": "n(|X|+4)"}
-    top = blocks(codes, n)
-    if not top:
-        raise AllForbidden("every binary point is forbidden")
-    return _finalize(_checked(_nested(top)[0]), meta)
-
-
-def _nested(pairs: list) -> tuple:
-    """(the union of the (block, count) pairs, its count): one block as it
-    is, more joined by their unchecked `_hull`."""
-    if len(pairs) == 1:
-        return pairs[0]
-    hull = _hull(*zip(*pairs))
-    return hull, hull.meta["counted"]
+    return union_formulation(blocks(codes, n), meta, "every binary point is forbidden")
 
 
 def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
@@ -312,7 +302,8 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
     pts = list(X)
     size = _Faces(n).count(pts)  # checks the points' dimension
     base = LinearSystem.from_hpolytope(P)
-    certified = size * (base.counted_inequalities() + 1)
+    counted = base.counted_inequalities()  # so does every block: a fixing counts zero
+    certified = size * (counted + 1)
     if certified > FACES_GUARD:
         raise GuardExceeded(f"the faces formulation would certify {certified} inequalities "
                             f"({size} faces), above the guard FACES_GUARD = {FACES_GUARD}")
@@ -320,7 +311,7 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
     blocks = []
     for face in family:
         overrides = {f"x{i}": (Fraction(v), Fraction(v)) for i, v in face.fixed}
-        blocks.append(base.with_bounds(overrides) if overrides else base)
+        blocks.append((base.with_bounds(overrides) if overrides else base, counted))
     meta = {"method": "faces", "n": n, "forbidden": len(pts),
             "family": len(family), "certified": certified,
             "formula": "|family| (counted(P)+1)"}
@@ -342,9 +333,9 @@ def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],
     if len(pts) > 2:
         raise CardinalityCap(f"facet-intersection supports |X| <= 2, got {len(pts)}")
     for idx in facets:
-        if not 0 <= idx < len(P.rows):
+        if not 0 <= idx < len(P.int_rows):
             raise DomainError(f"facet index {idx} out of range")
-        if P.rows[idx][1] == "=":
+        if P.int_rows[idx][1] == "=":
             raise DomainError(f"row {idx} is an equality; facets must be inequalities")
 
     excluding = []
@@ -352,9 +343,8 @@ def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],
         coords = v.coords()
         slack_rows = []
         for idx in facets:
-            a, rel, b = P.rows[idx]
-            lhs = sum((ai * vi for ai, vi in zip(a, coords) if vi), start=Fraction(0))
-            if lhs != b:
+            a, _, b = P.int_rows[idx]
+            if sum(ai * vi for ai, vi in zip(a, coords) if vi) != b:
                 slack_rows.append(idx)
         if not slack_rows:
             raise NoFaceExcludes(f"vertex {v.to_string()} lies on every listed facet")
@@ -382,7 +372,7 @@ def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],
             "candidate_faces": candidates, "kept_blocks": len(blocks),
             "dropped_blocks": dropped,
             "block_cap": len(facets) ** len(pts),
-            "certified": sum(b.counted_inequalities() + 1 for b in blocks),
+            "certified": sum(counted + 1 for _, counted in blocks),
             "formula": "sum over kept blocks of (counted+1)"}
     return union_formulation(blocks, meta,
                              "no facet intersection is feasible; nothing remains")

@@ -44,7 +44,7 @@ def forbI_formulation(P: HPolytope, X: Iterable, ambient: LatticeBox) -> LinearS
             "boxes": len(family), "kept_blocks": len(blocks),
             "dropped_blocks": dropped,
             "box_cap": 2 * P.n * len(pts) if pts else 1,
-            "certified": sum(b.counted_inequalities() + 1 for b in blocks),
+            "certified": sum(counted + 1 for _, counted in blocks),
             "formula": "sum over kept blocks of (counted+1)"}
     return union_formulation(blocks, meta, "P misses every box of the decomposition")
 

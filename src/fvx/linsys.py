@@ -141,7 +141,3 @@ class LinearSystem:
                 raise DomainError(f"bound on undeclared variable {name!r}")
             bnd[name] = intersect_bounds(bound, bnd.get(name, (None, None)))
         return self._derive(bounds=bnd)
-
-    def with_meta(self, meta: Mapping) -> "LinearSystem":
-        return self._derive(meta=dict(meta))
-

@@ -305,6 +305,26 @@ class TestVerifyCommand:
         code, out = run(capsys, ["verify", grid, "--lp", str(out_lp)])
         assert code == 0 and json.loads(out)["verdict"] == "pass"
 
+    def test_facet_intersection_default_skips_equality_rows(self, tmp_path, capsys):
+        # the 3-cube cut by x1 + x2 + x3 = 2; row 6 can only be named explicitly
+        rows = [{"a": [int(i == j) for j in range(3)], "rel": rel, "b": b}
+                for rel, b in ((">=", 0), ("<=", 1)) for i in range(3)]
+        rows.append({"a": [1, 1, 1], "rel": "=", "b": 2})
+        doc = {"kind": "binary", "n": 3, "polytope": {"type": "hrep", "rows": rows},
+               "forbidden": ["110"]}
+        path = write_json(tmp_path, "eq.json", doc)
+        out_lp = tmp_path / "eq.lp"
+        code, _ = run(capsys, ["compile", path, "--method", "facet-intersection",
+                               "-o", str(out_lp)])
+        assert code == 0
+        code, out = run(capsys, ["verify", path, "--lp", str(out_lp)])
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+        doc["polytope"]["facets"] = [0, 6]
+        code, out = run(capsys, ["compile", write_json(tmp_path, "named.json", doc),
+                                 "--method", "facet-intersection"])
+        assert code == 1
+        assert "row 6 is an equality; facets must be inequalities" in json.loads(out)["message"]
+
     def test_planted_corruption_exit_3(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
         out_lp = tmp_path / "ok.lp"

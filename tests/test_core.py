@@ -297,6 +297,12 @@ class TestHPolytope:
         assert tri.satisfies(BinaryPoint.from_string("01"))
         assert not tri.satisfies(BinaryPoint.from_string("11"))
 
+    @pytest.mark.parametrize("point", [BinaryPoint(2, 3), BinaryPoint(4, 0),
+                                       LatticePoint.from_coords((0, 0, 0, 0))])
+    def test_satisfies_refuses_another_dimension(self, point):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            cube_hrep(3).satisfies(point)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             HPolytope.of(2, [((1,), "<=", 1)])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import random
@@ -13,6 +14,7 @@ import pytest
 from fvx import (
     BinaryPoint,
     HPolytope,
+    LatticePoint,
     LinearSystem,
     LpResult,
     Objective,
@@ -23,6 +25,7 @@ from fvx import (
     verify,
     write_lp,
 )
+from fvx.core import point_coords
 from fvx.errors import DomainError
 from conftest import phase_pivots, random_forbidden
 
@@ -519,7 +522,7 @@ class TestWarmStart:
         assert start.is_optimal
         twin = LinearSystem(system.variables, 2, system.rows, system.bounds)
         assert twin == system  # equal, but another object
-        for other in (twin, system.with_bounds({}), system.with_meta({})):
+        for other in (twin, system.with_bounds({}), dataclasses.replace(system, meta={})):
             with pytest.raises(DomainError, match="same system"):
                 solve_lp(other, [1, 1], start=start)
         bare = LpResult(start.status, start.point, start.value)  # no tableau
@@ -532,7 +535,7 @@ class TestWarmStart:
 
 
 class TestDerivedSystems:
-    """Children made by with_bounds or with_meta start without a tableau."""
+    """Children made by with_bounds or dataclasses.replace start without a tableau."""
 
     def test_children_of_a_solved_system_get_cold_answers(self):
         rng = random.Random(53)
@@ -545,7 +548,7 @@ class TestDerivedSystems:
             sense = rng.choice(("min", "max"))
             first = solve_lp(parent, c, sense)
             for child in (parent.with_bounds({"x1": (zero, zero)}),
-                          parent.with_meta({"method": "child"})):
+                          dataclasses.replace(parent, meta={"method": "child"})):
                 assert "_phase1" not in vars(child)
                 got = solve_lp(child, c, sense)
                 assert repr(got) == repr(cold_solve(child, c, sense))
@@ -765,8 +768,16 @@ class TestIntegerBuild:
     def test_hpolytope_int_rows_match_build(self):
         # entries as a problem file gives them (JSON ints, integral and "p/q"
         # strings) and as a library caller may (Fractions); the vector of a
-        # row of ints with an integral rhs is shared by `rows` and `int_rows`
+        # row of ints with an integral rhs is shared by `rows` and `int_rows`,
+        # and `satisfies`, summed in ints, agrees with a Fraction evaluation
         rng = random.Random(71)
+
+        def meets(rows, coords):
+            for a, rel, b in rows:
+                lhs = sum(Fraction(ai) * v for ai, v in zip(a, coords))
+                if lhs != Fraction(b) and (rel == "=" or (lhs < Fraction(b)) != (rel == "<=")):
+                    return False
+            return True
 
         def entry(q, plain):
             if plain:
@@ -777,7 +788,7 @@ class TestIntegerBuild:
                 forms += [q.numerator, str(q.numerator)]
             return rng.choice(forms)
 
-        shared = 0
+        shared = met = 0
         for _ in range(300):
             n = rng.randint(1, 6)
             names = [f"x{i + 1}" for i in range(n)]
@@ -802,7 +813,14 @@ class TestIntegerBuild:
                 if all(type(v) is int for v in a) and Fraction(b).denominator == 1:
                     assert int_row[0] is row[0]
                     shared += 1
-        assert shared > 100
+            for _ in range(4):
+                point = rng.choice((BinaryPoint(n, rng.randrange(1 << n)),
+                                    LatticePoint.from_coords([rng.randint(-3, 3)
+                                                              for _ in range(n)])))
+                expect = meets(rows, point_coords(point))
+                assert P.satisfies(point) == expect
+                met += expect
+        assert shared > 100 and met > 100
 
     def test_objective_value_is_exact(self):
         system = LinearSystem.build(2, bounds={"x1": ("1/3", "1/3"), "x2": (0, "5/2")})
@@ -842,7 +860,7 @@ class TestWithBounds:
         assert child.rows is parent.rows and child.variables is parent.variables
         assert child.bounds == {"x1": (1, None), "x2": (0, Fraction(1, 2))}
         assert parent.bounds == {"x2": (0, 1)}
-        assert child.meta == parent.meta and child.with_meta({}).meta == {}
+        assert child.meta == parent.meta and dataclasses.replace(child, meta={}).meta == {}
         with pytest.raises(DomainError, match="undeclared variable 'z'"):
             parent.with_bounds({"z": (0, 0)})
         assert solve_lp(child, [1, -1]).value == Fraction(1) - Fraction(1, 2)

@@ -7,12 +7,15 @@ from fvx import (
     BinaryPoint,
     HPolytope,
     IntervalCode,
+    LatticeBox,
+    LatticePoint,
     LinearSystem,
     conv_K,
     cube_hrep,
     disjunctive_hull,
     face_formulation,
     facet_intersection_formulation,
+    forbI_formulation,
     intersect_systems,
     interval_formulation,
     recursive_formulation,
@@ -414,6 +417,37 @@ class TestCertificates:
             sr = recursive_formulation(X, n)
             assert sr.meta["counted"] <= sr.meta["certified"]
             assert sr.meta["certified"] == n * (len(X) + 4)
+
+    @pytest.mark.parametrize("n, forbidden", [(5, 0), (5, 2), (6, 3)])
+    def test_each_block_and_the_result_counted_once(self, monkeypatch, n, forbidden):
+        calls = []
+        original = LinearSystem.counted_inequalities
+        monkeypatch.setattr(LinearSystem, "counted_inequalities",
+                            lambda self: calls.append(self) or original(self))
+
+        def counts(build):
+            del calls[:]
+            system = build()
+            return len(calls), system.meta
+
+        rng = random.Random(97 + n + forbidden)
+        X = random_forbidden(rng, n, forbidden)
+        calls_made, meta = counts(lambda: interval_formulation(X, n))
+        assert calls_made == len(meta["intervals"]) + 1
+        assert counts(lambda: recursive_formulation(X, n))[0] == 1
+        P = HPolytope.of(n, cube_hrep(n).rows + ((tuple([1] * n), "<=", n - 1),))
+        assert counts(lambda: face_formulation(P, X))[0] == 2
+        calls_made, meta = counts(
+            lambda: facet_intersection_formulation(P, range(len(P.rows)), X[:2]))
+        assert calls_made == meta["kept_blocks"] + 1
+        box = LatticeBox.of((0,) * 3, (2,) * 3)
+        units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+        capped = HPolytope.of(3, [(a, ">=", 0) for a in units] + [(a, "<=", 2) for a in units]
+                              + [((1, 1, 1), "<=", 2)])
+        lattice = [LatticePoint.from_coords([rng.randint(0, 2) for _ in range(3)])
+                   for _ in range(forbidden)]
+        calls_made, meta = counts(lambda: forbI_formulation(capped, lattice, box))
+        assert calls_made == meta["kept_blocks"] + 1
 
     def test_face_and_facet_shape_bounds(self):
         rng = random.Random(91)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -129,7 +130,7 @@ class TestVerifyFormulation:
     def test_size_audit_failure(self):
         X = [BinaryPoint.from_string("00")]
         system = interval_formulation(X, 2)
-        bad = system.with_meta({**system.meta, "certified": 1})
+        bad = dataclasses.replace(system, meta={**system.meta, "certified": 1})
         report = verify_formulation(bad, [BinaryPoint.from_string(s)
                                           for s in ("01", "10", "11")],
                                     X, trials=5, seed=0)
@@ -599,7 +600,8 @@ def drop_row(system, label):
 
 def certificate_mutation(system):
     """The benchmark's certificate mutation: one inequality fewer certified."""
-    return system.with_meta({**system.meta, "certified": system.counted_inequalities() - 1})
+    return dataclasses.replace(
+        system, meta={**system.meta, "certified": system.counted_inequalities() - 1})
 
 
 CUBE4 = binary_doc("cube", 4, ["0110", "1011"])
