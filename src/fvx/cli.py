@@ -459,7 +459,7 @@ def compile_system(problem: Problem, method: str):
         return face_formulation(poly, problem.forbidden)
     facets = problem.facets
     if facets is None:  # the inequality rows: a vertex meets every equality row
-        facets = [i for i, (_, rel, _) in enumerate(poly.int_rows) if rel != "="]
+        facets = [i for i, (_, rel, _) in enumerate(poly.rows) if rel != "="]
     return facet_intersection_formulation(poly, facets, problem.forbidden)
 
 

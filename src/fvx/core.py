@@ -4,9 +4,10 @@ Coordinates are 1-indexed throughout: coordinate i of a binary point lives in
 bit i-1 of its code word, so the code of a point is sum(2**(i-1) * v_i).  A
 `CubeFace` is (n, mask, bits), packed like `BinaryPoint`: bit i-1 of mask
 marks coordinate i as fixed, bit i-1 of bits holds its value.  All
-numeric data is held as exact rationals (`fractions.Fraction`, or an int
-where an `HPolytope` entry is integral); no floating point is used anywhere
-on a solve path.  An `Objective` is scaled to ints
+numeric data is exact, and this module decides how an exact number is
+stored: an int when integral, else a `fractions.Fraction` (`_exact`); no
+floating point is used anywhere on a solve path.  A row is stored as ints,
+scaled once by `_int_row`.  An `Objective` is scaled to ints
 once (`Objective.scaled`); oracles compare and sum in those ints, and an
 answer's value becomes a `Fraction` only when it is read.
 """
@@ -219,6 +220,17 @@ def _scale(values: Iterable[Fraction]) -> tuple:
     return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
 
 
+def _int_row(a: Iterable[RationalLike], b: RationalLike) -> tuple:
+    """(coefficients, rhs) of the row a.x rel b in ints: the rhs and then each
+    entry read once by `_exact`, a row of ints kept as it is and any other
+    scaled by `_scale` (a positive scale keeps the relation)."""
+    b, a = _exact(b), tuple(a)
+    if type(b) is int and all(type(v) is int for v in a):
+        return a, b
+    _, (b, *a) = _scale((b, *map(_exact, a)))
+    return tuple(a), b
+
+
 def point_coords(point: Point) -> tuple:
     """Coordinate tuple of either point kind; shared tie-break key."""
     if isinstance(point, BinaryPoint):
@@ -381,47 +393,38 @@ _RELATIONS = ("<=", "=", ">=")
 class HPolytope:
     """Explicit inequality/equality description over n named variables.
 
-    Rows are (coefficient vector, relation, rhs) with exact rational entries:
-    an int for each integral entry and a Fraction otherwise (`_exact`; a
-    vector of ints is kept as it is).  `int_rows` holds each row scaled to
-    ints once by `_scale`; a vector of ints is shared, not copied.
+    Rows are (coefficient vector, relation, rhs), each given with exact
+    rational entries and stored in ints by `_int_row`: a row of ints as it
+    is, any other scaled once by the lcm of its denominators (a positive
+    scale describes the same polyhedron).
     The description is intended to be bounded; unboundedness is only detected
     lazily when an LP over it is solved.
     """
 
     n: int
-    rows: tuple  # of (tuple[int | Fraction, ...], relation, int | Fraction)
+    rows: tuple  # of (tuple[int, ...], relation, int)
 
     def __post_init__(self):
-        norm, ints = [], []
+        rows = []
         for a, rel, b in self.rows:
             if rel not in _RELATIONS:
                 raise DomainError(f"unknown relation {rel!r}")
-            a = tuple(a)
-            integral = all(type(v) is int for v in a)
-            if not integral:
-                a = tuple(map(_exact, a))
+            a, b = _int_row(a, b)
             if len(a) != self.n:
                 raise DomainError(f"row has {len(a)} coefficients, expected {self.n}")
-            b = _exact(b)
-            norm.append((a, rel, b))
-            if not integral or type(b) is not int:
-                _, (b, *a) = _scale((b, *a))
-            ints.append((tuple(a), rel, b))
-        object.__setattr__(self, "rows", tuple(norm))
-        object.__setattr__(self, "int_rows", tuple(ints))
+            rows.append((a, rel, b))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def of(cls, n: int, rows: Iterable) -> "HPolytope":
         return cls(n, tuple(rows))
 
     def satisfies(self, point: Point) -> bool:
-        """Whether the point meets every row, summed in ints over `int_rows`
-        (a positive row scale keeps each sign and each equality)."""
+        """Whether the point meets every row, summed in ints."""
         if point.n != self.n:
             raise DomainError("dimension mismatch")
         coords = point_coords(point)
-        for a, rel, b in self.int_rows:
+        for a, rel, b in self.rows:
             lhs = sum(ai * vi for ai, vi in zip(a, coords) if vi)
             if rel == "<=" and lhs > b:
                 return False

@@ -41,10 +41,6 @@ class NotTU(FvxError):
     """Coefficient matrix is not totally unimodular."""
 
 
-class NonIntegralRhs(FvxError):
-    """Right-hand side must be integral for the TU facet-removal rule."""
-
-
 class SizeCap(FvxError):
     """Input exceeds the desk-scale size cap of an exponential procedure."""
 

@@ -7,10 +7,10 @@ and in Python ints from the tableau build to the objective value:
 - build: each variable is one affine map x = offset + sum of coef * column
   (`var_cols`: no column for a fixed variable, one for a one-sided or boxed
   one, a +/- pair for a free one, coefficients +-1; a substituted variable,
-  below, maps to the int combination of its variables' columns); bounds
-  with denominator 1 become int offsets, a row's rhs stays an int unless a
-  non-integral offset is subtracted from it, and only such a row is
-  rescaled by its rhs denominator;
+  below, maps to the int combination of its variables' columns); an int
+  bound (a `LinearSystem` stores every integral bound as an int) becomes an
+  int offset, a row's rhs stays an int unless a non-integral offset is
+  subtracted from it, and only such a row is rescaled by its rhs denominator;
 - pivots: tableau rows are sparse integer numerator dicts with one positive
   denominator per row, so a pivot is integer multiply/subtract plus a gcd
   normalization;
@@ -31,9 +31,9 @@ and in Python ints from the tableau build to the objective value:
   per variable)) are views of it, read only when asked for.
   `LpResult.penalties` reads Driebeek's penalties off the final tableau.
 
-`Fraction`s remain only where values enter (objectives, bounds) and where
-they leave (`LpResult.point` and `value`).  A list or tuple of
-plain ints is taken as the integer costs themselves, with L = 1; the
+`Fraction`s remain only where non-integral values enter (objectives,
+bounds) and where they leave (`LpResult.point` and `value`).  A list or
+tuple of plain ints is taken as the integer costs themselves, with L = 1; the
 library's own callers price this way.  Any other objective (a mapping, a
 sequence of rationals or an `Objective`) is parsed on each call and scaled
 to ints by `core._scale`, the package's one rational-to-integer scaler.
@@ -120,7 +120,7 @@ from math import gcd, inf, lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .core import Objective, _scale, parse_rational
+from .core import Objective, _exact, _scale
 from .errors import DomainError
 from .linsys import LinearSystem, intersect_bounds
 
@@ -252,13 +252,13 @@ _UNBOUNDED = LpResult(UNBOUNDED, None, None)
 
 
 def _objective_map(system: LinearSystem, objective) -> dict:
-    """Normalize an objective (mapping, sequence, or Objective) to name->Fraction."""
+    """An objective (mapping, sequence, or Objective) as its nonzero `_exact` entries by name."""
     if isinstance(objective, Mapping):
         out = {}
         for name, v in objective.items():
             if name not in system.variables:
                 raise DomainError(f"objective references undeclared variable {name!r}")
-            q = parse_rational(v)
+            q = _exact(v)
             if q:
                 out[name] = q
         return out
@@ -266,7 +266,7 @@ def _objective_map(system: LinearSystem, objective) -> dict:
     terms = objective.c if isinstance(objective, Objective) else list(objective)
     if len(terms) != system.n_original:
         raise DomainError(f"objective has {len(terms)} terms, expected {system.n_original}")
-    return {name: q for name, q in zip(system.variables, map(parse_rational, terms)) if q}
+    return {name: q for name, q in zip(system.variables, map(_exact, terms)) if q}
 
 
 def _costs(system: LinearSystem, objective) -> tuple:
@@ -457,11 +457,7 @@ class _Simplex:
             if name in self.substituted:
                 continue
             lo, hi = bounds.get(name, (None, None))
-            if lo is not None and lo.denominator == 1:
-                lo = lo.numerator
             if hi is not None:
-                if hi.denominator == 1:
-                    hi = hi.numerator
                 if lo is not None and hi <= lo:
                     self.trivially_infeasible |= hi < lo
                     self.var_cols[name] = (lo, ())

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import BinaryPoint, HPolytope
@@ -42,8 +41,6 @@ from .separation import _Faces, separating_faces
 #: cube with 3,000 random forbidden points has about 155,000 faces (0.4 s to
 #: count, 1.0 s to build), and its blocks ran out of memory after 51 s.
 FACES_GUARD = 1_000_000
-
-_ZERO = Fraction(0)
 
 
 def disjunctive_hull(blocks: Sequence[LinearSystem]) -> LinearSystem:
@@ -80,7 +77,7 @@ def _hull(blocks: Sequence[LinearSystem], counts: Sequence[int]) -> LinearSystem
         names = [f"b{j}_y{t + 1}" for t in range(len(block.variables))]
         variables.extend(names)
         variables.append(lam)
-        bounds[lam] = (_ZERO, None)
+        bounds[lam] = (0, None)
         rename = dict(zip(block.variables, names))
         for coeffs, rel, rhs in block.rows:
             row = {rename[v]: a for v, a in coeffs.items() if a}
@@ -93,18 +90,18 @@ def _hull(blocks: Sequence[LinearSystem], counts: Sequence[int]) -> LinearSystem
             clo = chi = None
             if lo is not None and lo == hi:
                 if not lo:
-                    clo = chi = _ZERO
+                    clo = chi = 0
                 else:
                     rows.append(({copy: lo.denominator, lam: -lo.numerator}, "=", 0))
             else:
                 if lo is not None:
                     if not lo:
-                        clo = _ZERO
+                        clo = 0
                     else:
                         rows.append(({copy: lo.denominator, lam: -lo.numerator}, ">=", 0))
                 if hi is not None:
                     if not hi:
-                        chi = _ZERO
+                        chi = 0
                     else:
                         rows.append(({copy: hi.denominator, lam: -hi.numerator}, "<=", 0))
             if clo is not None or chi is not None:
@@ -212,7 +209,7 @@ def conv_K(code: IntervalCode) -> LinearSystem:
         for j in later:
             row[f"x{j}"] = 1
         rows.append((row, "<=", len(later)))
-    bounds = {f"x{i}": (Fraction(0), Fraction(1)) for i in range(1, n + 1)}
+    bounds = {f"x{i}": (0, 1) for i in range(1, n + 1)}
     meta = {"method": "conv-K", "a": code.a, "b": code.b, "certified": 4 * n, "formula": "4n"}
     return _finalize(LinearSystem._trusted(tuple(bounds), n, tuple(rows), bounds, meta), meta)
 
@@ -239,7 +236,7 @@ def interval_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
 
 
 def _point_system(code: int, n: int) -> LinearSystem:
-    bounds = {f"x{i}": (Fraction((code >> (i - 1)) & 1),) * 2 for i in range(1, n + 1)}
+    bounds = {f"x{i}": ((code >> (i - 1)) & 1,) * 2 for i in range(1, n + 1)}
     return LinearSystem(tuple(bounds), n, (), bounds, {"method": "point", "code": code})
 
 
@@ -248,7 +245,7 @@ def _extend_cube_coordinate(system: LinearSystem, k: int) -> LinearSystem:
     the rows are shared and not checked again."""
     variables = (system.variables[: k - 1] + (f"x{k}",) + system.variables[k - 1:])
     bounds = dict(system.bounds)
-    bounds[f"x{k}"] = (Fraction(0), Fraction(1))
+    bounds[f"x{k}"] = (0, 1)
     return system._derive(variables=variables, n_original=k, bounds=bounds)
 
 
@@ -271,7 +268,7 @@ def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
             allowed = sorted({0, 1} - bits)
             if not allowed:
                 return []
-            bound = (Fraction(allowed[0]), Fraction(allowed[-1]))
+            bound = (allowed[0], allowed[-1])
             return [(LinearSystem(("x1",), 1, (), {"x1": bound}, {"method": "recursive-base"}),
                      2 * (len(allowed) - 1))]
         top = 1 << (k - 1)
@@ -310,7 +307,7 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
     family = separating_faces(pts, n)
     blocks = []
     for face in family:
-        overrides = {f"x{i}": (Fraction(v), Fraction(v)) for i, v in face.fixed}
+        overrides = {f"x{i}": (v, v) for i, v in face.fixed}
         blocks.append((base.with_bounds(overrides) if overrides else base, counted))
     meta = {"method": "faces", "n": n, "forbidden": len(pts),
             "family": len(family), "certified": certified,
@@ -333,9 +330,9 @@ def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],
     if len(pts) > 2:
         raise CardinalityCap(f"facet-intersection supports |X| <= 2, got {len(pts)}")
     for idx in facets:
-        if not 0 <= idx < len(P.int_rows):
+        if not 0 <= idx < len(P.rows):
             raise DomainError(f"facet index {idx} out of range")
-        if P.int_rows[idx][1] == "=":
+        if P.rows[idx][1] == "=":
             raise DomainError(f"row {idx} is an equality; facets must be inequalities")
 
     excluding = []
@@ -343,7 +340,7 @@ def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],
         coords = v.coords()
         slack_rows = []
         for idx in facets:
-            a, _, b = P.int_rows[idx]
+            a, _, b = P.rows[idx]
             if sum(ai * vi for ai, vi in zip(a, coords) if vi) != b:
                 slack_rows.append(idx)
         if not slack_rows:

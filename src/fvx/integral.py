@@ -8,18 +8,18 @@ the oracle solver and k-best for integral oracles (`solve_forbidden(...,
 ambient=)`, `kbest(..., ambient=)`); here `forbI_formulation` makes it one
 block per box.
 
-For H-polytopes with a totally unimodular matrix and integral rhs, the
-vertex set of one facet is removed by decrementing that row's rhs.
+For H-polytopes whose integer rows (`HPolytope.rows`, each row scaled to ints
+once) have a totally unimodular matrix, the vertex set of one facet is
+removed by tightening that row's rhs by one.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, List, Sequence
 
 from .core import HPolytope, LatticeBox
-from .errors import DomainError, NonIntegralRhs, NotTU, SizeCap
+from .errors import DomainError, NotTU, SizeCap
 from .extension import feasible_blocks, union_formulation
 from .linsys import LinearSystem
 from .separation import box_family
@@ -37,8 +37,8 @@ def forbI_formulation(P: HPolytope, X: Iterable, ambient: LatticeBox) -> LinearS
     family = box_family(pts, ambient)
     base = LinearSystem.from_hpolytope(P)
     blocks, dropped = feasible_blocks(
-        base.with_bounds({f"x{i + 1}": (Fraction(lo), Fraction(hi))
-                          for i, (lo, hi) in enumerate(zip(box.l.coords, box.u.coords))})
+        base.with_bounds({f"x{i + 1}": bound
+                          for i, bound in enumerate(zip(box.l.coords, box.u.coords))})
         for box in family)
     meta = {"method": "boxes", "n": P.n, "forbidden": len(pts),
             "boxes": len(family), "kept_blocks": len(blocks),
@@ -108,24 +108,15 @@ def tu_check(matrix: Sequence[Sequence[int]]) -> bool:
 def remove_facet_tu(P: HPolytope, facet_row: int) -> HPolytope:
     """Remove the vertices of one facet of a TU-described 0-1 polytope.
 
-    Requires a totally unimodular coefficient matrix with integral rhs; the
+    Requires a totally unimodular matrix of P's integer rows (a TU matrix
+    with an integral rhs has integral vertices: Hoffman & Kruskal 1956); the
     returned polytope tightens the chosen row by one, and its vertex set is
     exactly V(P) minus the facet's vertices.  Facet-defining-ness of the row
     is the caller's obligation.
     """
     if not 0 <= facet_row < len(P.rows):
         raise DomainError(f"row index {facet_row} out of range")
-    matrix = []
-    for a, _rel, b in P.rows:
-        if b.denominator != 1:
-            raise NonIntegralRhs(f"rhs {b} is not integral")
-        row = []
-        for v in a:
-            if v.denominator != 1:
-                raise NotTU("coefficient matrix has fractional entries")
-            row.append(int(v))
-        matrix.append(row)
-    if not tu_check(matrix):
+    if not tu_check([a for a, _, _ in P.rows]):
         raise NotTU("coefficient matrix is not totally unimodular")
     a, rel, b = P.rows[facet_row]
     if rel == "<=":

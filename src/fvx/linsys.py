@@ -3,8 +3,9 @@
 A LinearSystem is an extended formulation: the first `n_original` variables
 x1..xn are the designated projection; everything else is auxiliary.  Rows
 carry integer coefficients and integer right-hand sides (`build` scales each
-rational row by the lcm of its denominators with `core._scale` and drops its
-zero coefficients).  Variable bounds may be rational.
+rational row to ints with `core._int_row` and drops its zero coefficients).
+Each variable bound is checked once and stored as None, an int or a
+non-integral Fraction.
 
 Size certificates use the extension-complexity counting convention: a row
 with relation <= or >= counts one inequality, an equality row counts zero,
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .core import _scale, parse_rational
+from .core import _exact, _int_row
 from .errors import DomainError
 
-Bound = Tuple[Optional[Fraction], Optional[Fraction]]
+Bound = Tuple[Optional[Union[int, Fraction]], Optional[Union[int, Fraction]]]
 
 
 def intersect_bounds(new: Bound, current: Bound) -> Bound:
@@ -36,12 +37,26 @@ def intersect_bounds(new: Bound, current: Bound) -> Bound:
             cur_hi if hi is None else (hi if cur_hi is None else min(hi, cur_hi)))
 
 
+def _checked_bound(names, name: str, bound) -> Bound:
+    """A bound on `name`, one of `names`, as stored: a (lower, upper) pair of None,
+    ints and Fractions (no bool), an integral Fraction as its int; else DomainError."""
+    if name not in names:
+        raise DomainError(f"bound on undeclared variable {name!r}")
+    if not isinstance(bound, (tuple, list)) or len(bound) != 2:
+        raise DomainError(f"bound {bound!r} on {name} is not a (lower, upper) pair")
+    for v in bound:
+        if v is not None and type(v) is not int and not isinstance(v, Fraction):
+            raise DomainError(f"bound {v!r} on {name} is not None, an int or a Fraction")
+    return tuple(v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+                 for v in bound)
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     variables: tuple          # all variable names, x1..xn first
     n_original: int
     rows: tuple               # of (coeffs: dict name->int, relation, rhs: int)
-    bounds: dict              # name -> (lower, upper), entries Fraction | None
+    bounds: dict              # name -> (lower, upper), entries int | Fraction | None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -64,9 +79,8 @@ class LinearSystem:
                     raise DomainError(f"non-integer coefficient {v!r} on {name}")
             if not isinstance(rhs, int):
                 raise DomainError(f"non-integer rhs {rhs!r}")
-        for name in self.bounds:
-            if name not in names:
-                raise DomainError(f"bound on undeclared variable {name!r}")
+        object.__setattr__(self, "bounds", {name: _checked_bound(names, name, bound)
+                                            for name, bound in self.bounds.items()})
         # crossing bounds are allowed: they simply make the system infeasible
 
     # -- construction helpers ------------------------------------------------
@@ -74,26 +88,23 @@ class LinearSystem:
     @classmethod
     def build(cls, n_original: int, aux: Sequence[str] = (), rows: Iterable = (),
               bounds: Mapping[str, Bound] = None, meta: Mapping = None) -> "LinearSystem":
-        """Normalize (possibly rational) rows and assemble a system."""
+        """Normalize (possibly rational) rows and bound numerals into a system."""
         variables = tuple(f"x{i + 1}" for i in range(n_original)) + tuple(aux)
         norm_rows = []
         for coeffs, rel, rhs in rows:
-            _, (b, *c) = _scale(map(parse_rational, (rhs, *coeffs.values())))
-            # positive scaling keeps the sense
+            c, b = _int_row(coeffs.values(), rhs)
             norm_rows.append(({k: v for k, v in zip(coeffs, c) if v}, rel, b))
-        bnd = {}
-        for name, (lo, hi) in (bounds or {}).items():
-            bnd[name] = (None if lo is None else parse_rational(lo),
-                         None if hi is None else parse_rational(hi))
+        bnd = {name: tuple(None if v is None else _exact(v) for v in bound)
+               for name, bound in (bounds or {}).items()}
         return cls(variables, n_original, tuple(norm_rows), bnd, dict(meta or {}))
 
     @classmethod
     def from_hpolytope(cls, poly, meta: Mapping = None) -> "LinearSystem":
         """Wrap an H-description as a system over x1..xn, the rows `build`
-        makes of it: the polytope's `int_rows`, less their zero coefficients."""
+        makes of it: the polytope's rows, less their zero coefficients."""
         names = tuple(f"x{i + 1}" for i in range(poly.n))
         rows = tuple(({name: v for name, v in zip(names, a) if v}, rel, b)
-                     for a, rel, b in poly.int_rows)
+                     for a, rel, b in poly.rows)
         return cls(names, poly.n, rows, {}, dict(meta or {"method": "hrep"}))
 
     # -- accessors -------------------------------------------------------------
@@ -132,12 +143,11 @@ class LinearSystem:
     def with_bounds(self, overrides: Mapping[str, Bound]) -> "LinearSystem":
         """New system with per-variable bounds intersected with `overrides`.
 
-        The rows are shared with this system, so only the bound names given
-        here are checked.
+        The rows are shared with this system, so only the bounds given here
+        are checked.
         """
         bnd = dict(self.bounds)
         for name, bound in overrides.items():
-            if name not in self.variables:
-                raise DomainError(f"bound on undeclared variable {name!r}")
-            bnd[name] = intersect_bounds(bound, bnd.get(name, (None, None)))
+            bnd[name] = intersect_bounds(_checked_bound(self.variables, name, bound),
+                                         bnd.get(name, (None, None)))
         return self._derive(bounds=bnd)

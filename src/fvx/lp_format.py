@@ -14,19 +14,21 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from .core import parse_rational, refuse_long_numeral, too_long_to_print
-from .errors import DomainError
+from .core import _exact, refuse_long_numeral, too_long_to_print
+from .errors import DomainError, NumeralTooLong
 from .linsys import LinearSystem
 
 _HEADER = "\\ fvx-lp v1"
 
 
-def _is_number(token: str) -> bool:
+def _number(token: str):
+    """`_exact` of a numeral token, None for any other; NumeralTooLong passes."""
     try:
-        parse_rational(token)
-        return True
+        return _exact(token)
+    except NumeralTooLong:
+        raise
     except DomainError:
-        return False
+        return None
 
 
 def _bounds_line(name: str, lo, hi) -> str:
@@ -170,21 +172,23 @@ def parse_lp(text: str) -> LinearSystem:
             if len(tokens) == 2 and tokens[1] == "free":
                 name, lo, hi = tokens[0], None, None
             elif len(tokens) == 3 and tokens[1] == "=":
-                q = parse_rational(tokens[2])
+                q = _exact(tokens[2])
                 name, lo, hi = tokens[0], q, q
             elif len(tokens) == 3 and tokens[1] == "<=":
-                if _is_number(tokens[0]):  # "lo <= name"
-                    name, lo, hi = tokens[2], parse_rational(tokens[0]), None
-                else:                      # "name <= hi"
-                    name, lo, hi = tokens[0], None, parse_rational(tokens[2])
+                q = _number(tokens[0])
+                if q is not None:  # "lo <= name"
+                    name, lo, hi = tokens[2], q, None
+                else:              # "name <= hi"
+                    name, lo, hi = tokens[0], None, _exact(tokens[2])
             elif len(tokens) == 3 and tokens[1] == ">=":
-                if _is_number(tokens[0]):  # "hi >= name"
-                    name, lo, hi = tokens[2], None, parse_rational(tokens[0])
-                else:                      # "name >= lo"
-                    name, lo, hi = tokens[0], parse_rational(tokens[2]), None
+                q = _number(tokens[0])
+                if q is not None:  # "hi >= name"
+                    name, lo, hi = tokens[2], None, q
+                else:              # "name >= lo"
+                    name, lo, hi = tokens[0], _exact(tokens[2]), None
             elif (len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<="):
                 name = tokens[2]
-                lo, hi = parse_rational(tokens[0]), parse_rational(tokens[4])
+                lo, hi = _exact(tokens[0]), _exact(tokens[4])
             else:
                 raise DomainError(f"malformed bounds line {line!r}")
             if name in bounds:

@@ -65,7 +65,8 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import BinaryPoint, LatticePoint, _scale, format_rational, int_coords, point_coords
+from .core import (BinaryPoint, LatticePoint, _exact, _scale, format_rational, int_coords,
+                   point_coords)
 from .errors import DomainError, GuardExceeded
 from .exactlp import solve_lp
 from .linsys import LinearSystem
@@ -179,7 +180,7 @@ def in_convex_hull(point, points: Sequence) -> bool:
         coeffs = {names[j]: p[i] for j, p in enumerate(pts) if p[i]}
         rows.append((coeffs, "=", target[i]))
     rows.append(({name: 1 for name in names}, "=", 1))
-    bounds = {name: (Fraction(0), None) for name in names}
+    bounds = {name: (0, None) for name in names}
     system = LinearSystem.build(0, names, rows, bounds)
     return solve_lp(system, {}).is_optimal
 
@@ -230,7 +231,7 @@ def _projection_box(run: _Witnesses) -> Optional[list]:
         hi = run.solve({name: 1}, sense="max")
         if not hi.is_optimal:
             return None
-        box.append(tuple(q.numerator if q.denominator == 1 else q for q in (lo.value, hi.value)))
+        box.append((_exact(lo.value), _exact(hi.value)))
     return box
 
 

@@ -656,9 +656,10 @@ class TestHrepEntries:
 
     def test_integral_entries_are_ints(self, tmp_path):
         path = self.hrep_file(tmp_path, [1, "4", "6/3", "1/2"], "10/2")
+        # 1, 4, 2, 1/2 <= 5 is stored scaled to ints once
         (a, rel, b), *_ = fvx.cli.load_problem(path).hpolytope().rows
-        assert a == (1, 4, 2, Fraction(1, 2)) and (rel, b) == ("<=", 5)
-        assert [type(v) for v in (*a, b)] == [int, int, int, Fraction, int]
+        assert a == (2, 8, 4, 1) and (rel, b) == ("<=", 10)
+        assert [type(v) for v in (*a, b)] == [int] * 5
 
 
 class TestValuesTooLongToPrint:

@@ -143,7 +143,7 @@ class TestBasics:
         def refuse(value):
             raise AssertionError(f"parsed {value!r}")
 
-        monkeypatch.setattr(exactlp, "parse_rational", refuse)
+        monkeypatch.setattr(exactlp, "_exact", refuse)
         for c in ([3, -2], (3, -2)):
             assert [repr(solve_lp(s, c, sense)) for sense in ("min", "max")] == expect
         monkeypatch.undo()
@@ -767,9 +767,9 @@ class TestIntegerBuild:
 
     def test_hpolytope_int_rows_match_build(self):
         # entries as a problem file gives them (JSON ints, integral and "p/q"
-        # strings) and as a library caller may (Fractions); the vector of a
-        # row of ints with an integral rhs is shared by `rows` and `int_rows`,
-        # and `satisfies`, summed in ints, agrees with a Fraction evaluation
+        # strings) and as a library caller may (Fractions); the polytope's
+        # rows are the integer rows `build` makes, and `satisfies`, summed in
+        # ints, agrees with a Fraction evaluation
         rng = random.Random(71)
 
         def meets(rows, coords):
@@ -788,7 +788,7 @@ class TestIntegerBuild:
                 forms += [q.numerator, str(q.numerator)]
             return rng.choice(forms)
 
-        shared = met = 0
+        met = 0
         for _ in range(300):
             n = rng.randint(1, 6)
             names = [f"x{i + 1}" for i in range(n)]
@@ -809,10 +809,8 @@ class TestIntegerBuild:
             assert system.rows == built.rows
             assert system.counted_inequalities() == built.counted_inequalities()
             assert write_lp(system) == write_lp(built)
-            for (a, _, b), row, int_row in zip(rows, P.rows, P.int_rows):
-                if all(type(v) is int for v in a) and Fraction(b).denominator == 1:
-                    assert int_row[0] is row[0]
-                    shared += 1
+            assert [(tuple(c.get(name, 0) for name in names), rel, b)
+                     for c, rel, b in built.rows] == list(P.rows)
             for _ in range(4):
                 point = rng.choice((BinaryPoint(n, rng.randrange(1 << n)),
                                     LatticePoint.from_coords([rng.randint(-3, 3)
@@ -820,7 +818,7 @@ class TestIntegerBuild:
                 expect = meets(rows, point_coords(point))
                 assert P.satisfies(point) == expect
                 met += expect
-        assert shared > 100 and met > 100
+        assert met > 100
 
     def test_objective_value_is_exact(self):
         system = LinearSystem.build(2, bounds={"x1": ("1/3", "1/3"), "x2": (0, "5/2")})
@@ -864,6 +862,32 @@ class TestWithBounds:
         with pytest.raises(DomainError, match="undeclared variable 'z'"):
             parent.with_bounds({"z": (0, 0)})
         assert solve_lp(child, [1, -1]).value == Fraction(1) - Fraction(1, 2)
+
+    @pytest.mark.parametrize("entry", ["constructor", "with_bounds"])
+    @pytest.mark.parametrize("bound, message", [
+        ((0.5, None), "bound 0.5 on x1 is not None, an int or a Fraction"),
+        ((None, "1"), "bound '1' on x1 is not None, an int or a Fraction"),
+        ((True, None), "bound True on x1 is not None, an int or a Fraction"),
+        ((0,), r"bound \(0,\) on x1 is not a \(lower, upper\) pair"),
+        (None, r"bound None on x1 is not a \(lower, upper\) pair"),
+    ], ids=["float", "str", "bool", "one-entry", "none"])
+    def test_bounds_are_checked(self, entry, bound, message):
+        with pytest.raises(DomainError, match=message):
+            if entry == "constructor":
+                LinearSystem(("x1",), 1, (), {"x1": bound})
+            else:
+                LinearSystem(("x1",), 1, (), {}).with_bounds({"x1": bound})
+
+    @pytest.mark.parametrize("entry", ["constructor", "with_bounds"])
+    def test_integral_bounds_are_stored_as_ints(self, entry):
+        bound = (Fraction(-4, 2), Fraction(7, 2))
+        if entry == "constructor":
+            system = LinearSystem(("x1",), 1, (), {"x1": bound})
+        else:
+            system = LinearSystem(("x1",), 1, (), {}).with_bounds({"x1": bound})
+        lo, hi = system.bound("x1")
+        assert (type(lo), lo, hi) == (int, -2, Fraction(7, 2))
+        assert solve_lp(system, [1], "max").value == Fraction(7, 2)
 
 
 class TestFold:

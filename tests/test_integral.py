@@ -21,7 +21,7 @@ from fvx import (
     tu_check,
     cube_oracle,
 )
-from fvx.errors import AllForbidden, DomainError, NonIntegralRhs, NotTU, SizeCap
+from fvx.errors import AllForbidden, DomainError, NotTU, SizeCap
 from fvx.separation import box_family
 from conftest import brute_min, feasible_at
 
@@ -293,9 +293,22 @@ class TestRemoveFacetTu:
             remove_facet_tu(bad, 0)
 
     def test_non_integral_rhs(self):
+        # x1 <= 1/2 is stored as 2 x1 <= 1, whose entry 2 is not TU
         P = HPolytope.of(1, [((1,), "<=", Fraction(1, 2)), ((1,), ">=", 0)])
-        with pytest.raises(NonIntegralRhs):
+        with pytest.raises(NotTU):
             remove_facet_tu(P, 0)
+
+    def test_triangle_given_in_halves(self):
+        # x/2 >= 0, x/2 <= 1/2 and x1/2 + x2/2 <= 1/2 as "p/q" strings: the
+        # integer rows are the triangle's, which is TU
+        triangle = cube_hrep(2).rows + (((1, 1), "<=", 1),)
+        P = HPolytope.of(2, [([str(Fraction(v, 2)) for v in a], rel, str(Fraction(b, 2)))
+                             for a, rel, b in triangle])
+        assert P.rows == triangle
+        P2 = remove_facet_tu(P, 4)
+        remaining = [p.to_string() for p in
+                     (BinaryPoint(2, b) for b in range(4)) if P2.satisfies(p)]
+        assert remaining == ["00"]
 
     def test_equality_row_rejected(self):
         P = HPolytope.of(1, [((1,), "=", 1)])

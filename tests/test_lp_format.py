@@ -14,7 +14,7 @@ from fvx import (
     solve_lp,
     write_lp,
 )
-from fvx.errors import DomainError
+from fvx.errors import DomainError, NumeralTooLong
 from conftest import random_forbidden
 
 
@@ -106,4 +106,14 @@ class TestParserErrors:
         text = (f"\\ meta: {meta}\nMinimize\n obj: 0 x1\nSubject To\n r1: {row}\n"
                 "Bounds\n 0 <= x1 <= 1\nEnd\n")
         with pytest.raises(DomainError, match=message):
+            parse_lp(text)
+
+    @pytest.mark.parametrize("line", [
+        "x1 = {big}", "{big} <= x1", "x1 <= {big}", "{big} >= x1", "x1 >= {big}",
+        "{big} <= x1 <= 1", "0 <= x1 <= {big}"])
+    def test_long_bound_names_the_digit_limit(self, line):
+        # every bound form: the numeral is refused as too long, not read as a name
+        text = ("\\ meta: n_original=1\nMinimize\n obj: 0 x1\nSubject To\n r1: 1 x1 >= 0\n"
+                f"Bounds\n {line.format(big='9' * 5000)}\nEnd\n")
+        with pytest.raises(NumeralTooLong, match="value too long to parse: more than"):
             parse_lp(text)
