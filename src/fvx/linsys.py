@@ -88,13 +88,15 @@ class LinearSystem:
     @classmethod
     def build(cls, n_original: int, aux: Sequence[str] = (), rows: Iterable = (),
               bounds: Mapping[str, Bound] = None, meta: Mapping = None) -> "LinearSystem":
-        """Normalize (possibly rational) rows and bound numerals into a system."""
+        """Normalize (possibly rational) rows and bound numerals into a system;
+        a bound that is not a pair is left for the constructor to refuse."""
         variables = tuple(f"x{i + 1}" for i in range(n_original)) + tuple(aux)
         norm_rows = []
         for coeffs, rel, rhs in rows:
             c, b = _int_row(coeffs.values(), rhs)
             norm_rows.append(({k: v for k, v in zip(coeffs, c) if v}, rel, b))
         bnd = {name: tuple(None if v is None else _exact(v) for v in bound)
+               if isinstance(bound, (tuple, list)) else bound
                for name, bound in (bounds or {}).items()}
         return cls(variables, n_original, tuple(norm_rows), bnd, dict(meta or {}))
 

@@ -1,25 +1,38 @@
-"""Formulation verification against brute-force ground truth.
+"""Formulation verification against brute-force ground truth T.
 
-Support sampling (random integer objectives, LP versus brute-force minimum)
-is probabilistic; the membership and exclusion probes are exhaustive.  The
-combination certifies that the projection's integral points are exactly the
-ground truth: an excluded point is a vertex of the ambient polytope, so it
-can never lie in the hull of the remaining points.
+The membership probes prove T inside proj Q, the projection of the system
+Q onto x1..xn.  When conv(T) has few facets the run proves the other half
+too: `_hull` enumerates the equations and facets of conv(T) exactly, in
+ints, and one LP per facet a.x >= b (min a.x >= b) and two per equation
+a.x = b (min = max = b) show proj Q inside conv(T).  These LPs may number
+n + trials / 2, and never more than `FACET_GUARD`.  With both halves proj Q =
+conv(T): every support trial's LP minimum is the brute-force one and every
+removed point is in proj Q exactly when it is in conv(T), so neither runs
+an LP.  Otherwise (too many facets, no truth, a failed facet or a failed
+membership) the support trials sample random integer objectives, which
+can refute but not prove, and the removed points are probed (once the
+facets hold, only those inside conv(T)).
 
-A run has three phases, in this order: the box LPs, the support trials, the
-probes.  Every box LP, trial LP and L1 objective is a `solve_lp` call on the
-one system under test, and `solve_lp` keeps the post-phase-1 tableau on
-that system object, so phase 1 runs once for all of them.  A trial c runs
-no LP when its least witnessed ground-truth point (see Starts) and the box
-bound sum_i min(c_i l_i, c_i h_i) both equal the brute-force minimum: the
-system projects into the box, so its LP minimum is at least the bound, and
-the witness is a point of the system, so it is at most the witness's value.
+A run has one phase order: the hull and its facet LPs, the box, the
+membership probes, the exclusion probes, the support trials.  Every LP is
+a `solve_lp` call on the one system under test, and `solve_lp` keeps the
+post-phase-1 tableau on that system object, so phase 1 runs once for all
+of them.  The box is T's own when the facets hold, else the projection's,
+from 2n box LPs.  A facet LP whose minimum v exceeds b proves the cut
+a.x >= v on proj Q, which refutes the points breaking it with no LP.
+conv(T) membership is read off the facets whenever `_hull` ran, else asked
+of `in_convex_hull`.  A trial c runs no LP when its least member (a
+ground-truth point whose probe passed) and a lower bound on the LP minimum
+both reach the brute-force minimum: the bound is that minimum itself when
+the facets hold, else the box bound sum_i min(c_i l_i, c_i h_i).
 
-Witnesses: every optimal LP of those phases returns a feasible point of the
+Witnesses: every optimal LP of a run returns a feasible point of the
 system.  When the point projects onto an integral point p, and the integer
 core of `satisfies` (plain substitution into the system's own rows and
 bounds, with no tableau code) confirms it, p is a proven member of the
 projection and the run keeps that LP result as p's witness, one per point.
+A corner probe of p that reaches distance 0 keeps its result as p's
+witness with no substitution: its verdict already rests on that value.
 A membership or exclusion probe of a witnessed point is skipped: the point
 is a member.  All of this is in ints: an LP reads x1..xn as ints
 (`LpResult.int_coords`, None when one is fractional), and only a new
@@ -27,30 +40,27 @@ integral candidate reads its whole point, once, as (L, ints)
 (`LpResult.scaled_point`), which `_holds` checks as the point ints / L
 against the system's rows and its bounds, read as int pairs once per run.
 
-Starts: every trial and corner probe starts from the optimal basis of the
-witness nearest its optimum, when there is one.  A trial takes the
-(value, coords)-least witnessed ground-truth point under its objective (the
-brute-force scan has the values; one dict lookup per point), so it starts
-at its optimum whenever the brute-force minimizer is witnessed.  A corner
-probe of p takes the witnessed corner that differs from p in one
-coordinate, least by (distance, coords); at most n lookups.  Pinned
-probes start from a witness too (see Probes).  The box LPs start cold.  Any
-feasible basis is a valid phase-2 start: a start changes no status and no
-value, only the pivots taken to reach them, and the point when there are
-several optima.
+Starts: a facet LP starts from the witness least under its objective,
+an equation LP from the first witness, a trial from the witness of its
+(value, coords)-least member, and a corner probe of p from the witnessed
+corner that differs from p in one coordinate, least by (distance,
+coords); each cold when there is none.  Pinned probes start from a
+witness too (see Probes); the box LPs start cold.  Any feasible basis is
+a valid phase-2 start: a start changes no status and no value, only the
+pivots taken to reach them, and the point when there are several optima.
 
-Probes: the min and max of each x_i give the projection's bounding box
-[l, h]; a point outside it is not a member, and a point with every p_i in
-{l_i, h_i} (every binary point when the box is [0,1]^n, every corner of a
-lattice box) is a member exactly when the L1 distance
-sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i} (h_i - x_i) has minimum 0.
-Other points (strictly inside the box, or any point when the projection is
-unbounded or the system infeasible) ask a zero-objective `solve_lp` with x
-pinned to p by its `fix`, which is optimal exactly when that is feasible.
-Such a pinned probe starts from the witness of p's least unit neighbour
-(p +- e_i, at most 2n lookups), else from the run's first witness: its
-fixings become rows on that feasible basis, and a phase 1 over their
-artificials alone answers it.  With no witness at all it is the cold `fix`.
+Probes: the box [l, h] holds the projection; a point outside it is not a
+member, and a point with every p_i in {l_i, h_i} (every binary point when
+the box is [0,1]^n, every corner of a lattice box) is a member exactly
+when the L1 distance sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i}
+(h_i - x_i) has minimum 0.  Other points (strictly inside the box, or any
+point when the projection is unbounded or the system infeasible) ask a
+zero-objective `solve_lp` with x pinned to p by its `fix`, which is
+optimal exactly when that is feasible.  Such a pinned probe starts from
+the witness of p's least unit neighbour (p +- e_i, at most 2n lookups),
+else from the run's first witness: its fixings become rows on that
+feasible basis, and a phase 1 over their artificials alone answers it.
+With no witness at all it is the cold `fix`.
 
 Points may be BinaryPoints, LatticePoints or sequences of ints (lists are
 read as tuples); anything else, or a point whose length is not the
@@ -62,6 +72,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -77,6 +88,10 @@ MAX_TRIALS = 10_000  # one LP each; far above the default 50
 # pinned probes x system rows; each probe runs a phase 1 of its own, over
 # its n fixing rows on a witness's basis, or cold when there is no witness
 PIN_GUARD = 20_000
+# most LPs the facet proof may take (one per live facet while `_hull` runs,
+# two per equation), whatever the trials: it bounds the enumeration's time
+# (the 10-cube less 512 random points has about 1,500 facets, 23 s unguarded)
+FACET_GUARD = 256
 
 
 def _coords(points: Iterable, n: Optional[int] = None) -> list:
@@ -185,6 +200,113 @@ def in_convex_hull(point, points: Sequence) -> bool:
     return solve_lp(system, {}).is_optimal
 
 
+def _primitive(v: list) -> list:
+    """v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _echelon(vectors: Iterable, basis: list) -> list:
+    """Grow `basis`, echelon rows (pivot, row) of ints, by each of the vectors
+    (lists) independent of it; the indices of those vectors."""
+    grew = []
+    for i, v in enumerate(vectors):
+        if len(basis) == len(v):
+            break
+        for c, row in basis:
+            if v[c]:
+                v = _primitive([x * row[c] - r * v[c] for x, r in zip(v, row)])
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            basis.append((c, v))
+            grew.append(i)
+    return grew
+
+
+def _kernel(basis: list, k: int) -> list:
+    """Primitive int vectors spanning {a : row . a = 0 for each row of `basis`} in Z^k."""
+    rows = [row for _, row in basis]
+    for i, (c, _) in enumerate(basis):  # clear each pivot column above its row
+        for j in range(i):
+            if rows[j][c]:
+                rows[j] = _primitive([x * rows[i][c] - r * rows[j][c]
+                                      for x, r in zip(rows[j], rows[i])])
+    pivots = [c for c, _ in basis]
+    L, out = lcm(*(row[c] for c, row in zip(pivots, rows))), []
+    for f in range(k):
+        if f not in pivots:
+            a = [0] * k
+            a[f] = L
+            for c, row in zip(pivots, rows):
+                a[c] = -row[f] * L // row[c]
+            out.append(_primitive(a))
+    return out
+
+
+def _hull(truth: list, limit: int) -> Optional[tuple]:
+    """(equations, facets) of conv(truth), each a list of (a, b) of ints: the
+    hull is {x : a.x = b for each equation, a.x >= b for each facet}; None
+    once two per equation and one per live facet number more than `limit`.
+
+    The equations are the kernel of the echelon rows of the p - p0.  Their
+    d pivot columns are coordinates y that the affine hull projects onto one
+    to one, so the facets are found there, as the extreme rays h = (a, b) of
+    the cone {h : h.(p_y, -1) >= 0 for each point p}, by the double
+    description method: start from the simplex of p0 and the points that
+    grew the echelon, then add each other point q.  Each ray keeps the
+    bitmask of the points it is tight on.  The rays that q cuts (h.q < 0)
+    go; each pair of a kept ray and a cut one that are adjacent (their
+    common tight points number at least d - 1 and lie on no third ray)
+    combines into a ray tight on q."""
+    points = list(dict.fromkeys(truth))
+    p0, basis = points[0], []
+    simplex = [0, *(i + 1 for i in _echelon(([x - y for x, y in zip(p, p0)]
+                                              for p in points[1:]), basis))]
+    equations = [(tuple(a), sum(map(mul, a, p0))) for a in _kernel(basis, len(p0))]
+    limit -= 2 * len(equations)
+    if limit < 0:
+        return None
+    cols = [c for c, _ in basis]
+    d = len(cols)
+    if not d:
+        return equations, []
+    ws = [[p[c] for c in cols] + [-1] for p in points]
+    # the simplex's rays, W^-1's columns: the kernel of [W | -I] over its rows w
+    basis, full = [], sum(1 << i for i in simplex)
+    _echelon([ws[i] + [-(i == j) for j in simplex] for i in simplex], basis)
+    rays = [(_primitive(a[:d + 1]), full & ~(1 << i))
+            for i, a in zip(simplex, _kernel(basis, 2 * d + 2))]
+    done = set(simplex)
+    for k, w in enumerate(ws):
+        if len(rays) > limit:
+            return None
+        if k in done:
+            continue
+        s = [sum(map(mul, h, w)) for h, _ in rays]
+        cut = [(h, m, v) for (h, m), v in zip(rays, s) if v < 0]
+        masks = [m for _, m in rays] if cut else ()
+        new = [(_primitive([sp * y - sn * x for x, y in zip(hp, hn)]), z | 1 << k)
+               for (hp, mp), sp in zip(rays, s) if sp > 0 for hn, mn, sn in cut
+               if (z := mp & mn).bit_count() >= d - 1 and sum(z & m == z for m in masks) == 2]
+        rays = [(h, m | 1 << k if v == 0 else m) for (h, m), v in zip(rays, s) if v >= 0] + new
+    if len(rays) > limit:
+        return None
+    facets = []
+    for h, _ in rays:
+        a = [0] * len(p0)
+        for c, v in zip(cols, h):
+            a[c] = v
+        facets.append((tuple(a), h[-1]))
+    return equations, facets
+
+
+def _in_hull(hull: tuple, p: tuple) -> bool:
+    """Does p meet every equation and facet of `_hull`?"""
+    equations, facets = hull
+    return (all(sum(map(mul, a, p)) == b for a, b in equations)
+            and all(sum(map(mul, a, p)) >= b for a, b in facets))
+
+
 @dataclass
 class VerificationReport:
     trials: int
@@ -235,6 +357,31 @@ def _projection_box(run: _Witnesses) -> Optional[list]:
     return box
 
 
+def _facet_cuts(run: _Witnesses, hull: tuple) -> Optional[list]:
+    """The cuts a.x >= v that the facet LPs prove on the projection, or None
+    unless it lies in conv(truth): each facet a.x >= b of `_hull` must have
+    LP minimum v >= b (a cut when v > b), and each equation a.x = b minimum
+    and maximum b."""
+    equations, facets = hull
+    cuts = []
+    for a, b in facets:
+        near = min(run, key=lambda p: sum(map(mul, a, p)), default=None)
+        lp = run.solve(a, start=run.get(near))
+        if not lp.is_optimal or lp.value < b:
+            return None
+        if lp.value > b:
+            cuts.append((a, lp.value))
+    if all(run.solve(a, sense, start=next(iter(run.values()), None)).value == b
+           for a, b in equations for sense in ("min", "max")):  # value None unless optimal
+        return cuts
+    return None
+
+
+def _cut(cuts: list, p: tuple) -> bool:
+    """Does p break one of the cuts, and so lie outside the projection?"""
+    return any(sum(map(mul, a, p)) < v for a, v in cuts)
+
+
 def _box_bound(c: list, box: list):
     """The least of c.x over the box: sum of min(c_i l_i, c_i h_i)."""
     return sum(ci * (lo if ci > 0 else hi) for ci, (lo, hi) in zip(c, box) if ci)
@@ -254,6 +401,17 @@ def _needs_pin(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
     return p not in run and (box is None or (
         all(lo <= v <= hi for v, (lo, hi) in zip(p, box))
         and not all(v == lo or v == hi for v, (lo, hi) in zip(p, box))))
+
+
+def _pin_guard(run: _Witnesses, box: Optional[list], cuts: list, points: list,
+               pinned: int) -> int:
+    """`pinned` plus the pinned probes the points need; GuardExceeded when
+    that many times the system's rows passes `PIN_GUARD`."""
+    pinned += sum(_needs_pin(run, box, p) and not _cut(cuts, p) for p in points)
+    if pinned * len(run.system.rows) > PIN_GUARD:
+        raise GuardExceeded(f"{pinned} pinned probes on {len(run.system.rows)} rows exceed "
+                            f"the pinned-probe guard {PIN_GUARD} (probes x rows)")
+    return pinned
 
 
 def _pin_start(run: _Witnesses, p: tuple):
@@ -285,8 +443,11 @@ def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
             q = (*p[:i], hi if v == lo else lo, *p[i + 1:])
             if q in run:
                 near.append((hi - lo, q))
-    lp = run.solve(objective, sense="min", start=run[min(near)[1]] if near else None)
-    return lp.is_optimal and lp.value == target
+    lp = solve_lp(run.system, objective, start=run[min(near)[1]] if near else None)
+    if lp.is_optimal and lp.value == target:
+        run[p] = lp  # at distance 0 the LP's point projects onto p
+        return True
+    return False
 
 
 def verify_formulation(system: LinearSystem, ground_truth: Iterable,
@@ -294,34 +455,22 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
                        seed: int = 0) -> VerificationReport:
     """Check a formulation against an explicit allowed-vertex list.
 
-    Runs `trials` random integer objectives in [-100, 100]^n comparing the LP
-    minimum with the brute-force minimum over `ground_truth`, then probes
-    every allowed point for membership and every point of X for exclusion
-    (exclusion expected exactly when the point is outside the hull of the
-    ground truth, which for removed vertices is always), then audits the
-    size certificate.  Deterministic for a fixed seed.  A negative `trials`
-    or a point whose length is not `system.n_original` raises DomainError,
-    more than `MAX_TRIALS` trials GuardExceeded, and so does a run whose
-    pinned probes left after the trials, times the system's rows, exceed
-    `PIN_GUARD` (checked before any probe runs).
-
-    The phases run in this order: 2n box LPs (min and max of each x_i)
-    give the projection's bounding box, then the trials, then the probes.
-    Each optimal LP on the system whose point projects onto an integral
-    point, and passes the integer check of `satisfies`, witnesses that
-    point; each trial starts from the witness of its (value, coords)-least
-    witnessed ground-truth point, and runs no LP when that point's value and
-    the box bound sum_i min(c_i l_i, c_i h_i) are both the brute-force
-    minimum (bound <= LP minimum <= witness value, so they match).  A
-    witnessed point needs no probe.  Of the others, a point
-    outside the box needs no LP; a point on a corner of it is one
-    L1-distance objective on the same system, started from the nearest
-    witnessed corner next to it; any other point, or every point when the
-    box LPs are not all optimal, is a zero-objective `solve_lp` with x
-    pinned to the point, started from the witness of its least witnessed
-    unit neighbour, else from the first witness.  All of these answer the
-    same question, and a start changes no LP status or value, so the report
-    does not depend on which one ran.
+    Proves the projection inside conv(`ground_truth`) from its facets when
+    `_hull` gives them, probes every allowed point for membership and every
+    point of X for exclusion (expected exactly when the point is outside
+    the hull of the ground truth, which for removed vertices is always),
+    compares the LP minimum of `trials` random integer objectives in
+    [-100, 100]^n with the brute-force minimum unless the proof and the
+    memberships decide them all, then audits the size certificate.  The
+    module docstring gives the phase order and the route of each probe and
+    trial; a start changes no LP status or value, so the report does not
+    depend on the route.  Deterministic for a fixed seed.  A negative
+    `trials` or a point whose length is not `system.n_original` raises
+    DomainError, more than `MAX_TRIALS` trials GuardExceeded, and so does a
+    run whose pinned probes times the system's rows exceed `PIN_GUARD`
+    (counted before the membership probes, and again with the exclusion
+    probes that will run before those run; the trials come last, so their
+    witnesses do not lower the count).
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -340,38 +489,46 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     rng = random.Random(seed)
     run = _Witnesses(system, [f"x{i + 1}" for i in range(n)])
 
-    box = _projection_box(run) if truth or removed else None
+    # one LP per facet and two per equation: in paired runs the proof stopped
+    # beating the 2n box LPs and the trials it decides at about n + trials / 2
+    hull = _hull(truth, min(FACET_GUARD, n + trials // 2)) if truth else None
+    cuts = None if hull is None else _facet_cuts(run, hull)
+    proved = cuts is not None
     columns = list(zip(*truth))
-    for _ in range(trials):
+    if proved:  # the projection lies in conv(truth), so in the truth's box
+        box = [(min(column), max(column)) for column in columns]
+    else:
+        box, cuts = _projection_box(run) if truth or removed else None, []
+    # a removed vertex must probe infeasible; a removed non-vertex point may
+    # lie in the hull of the rest, so each probe is compared with the exact
+    # hull membership
+    inside = [_in_hull(hull, p) if hull else in_convex_hull(p, truth) for p in removed]
+    pinned = _pin_guard(run, box, cuts, truth, 0)
+    member = [not _cut(cuts, p) and _in_projection(run, box, p) for p in truth]
+    report.membership_failures = [p for p, ok in zip(truth, member) if not ok]
+    # truth <= proj Q <= conv(truth): the probes below and every trial are decided
+    decided = proved and not report.membership_failures
+    # with the facets proved, a removed point outside conv(truth) is outside
+    # the projection, and so is not probed
+    probed = [(p, hit) for p, hit in zip(removed, inside) if not proved or hit and not decided]
+    _pin_guard(run, box, cuts, [p for p, _ in probed], pinned)
+    report.excluded_failures = [p for p, hit in probed
+                                if (not _cut(cuts, p) and _in_projection(run, box, p)) != hit]
+    for _ in range(0 if decided else trials):
         c = [rng.randint(-100, 100) for _ in range(n)]
         if truth:
             scores = _scores(c, columns, len(truth))
             brute = min(scores)
-            near = min(((v, p) for v, p in zip(scores, truth) if p in run), default=None)
-            if near and near[0] == brute and box and _box_bound(c, box) == brute:
-                continue  # box bound <= LP min <= the witness's value: no mismatch
-            lp = run.solve(c, start=None if near is None else run[near[1]])
+            near = min(((v, p) for v, p, ok in zip(scores, truth, member) if ok), default=None)
+            if near and near[0] == brute and (proved or box and _box_bound(c, box) == brute):
+                continue  # lower bound <= LP min <= a member's value: no mismatch
+            lp = run.solve(c, start=None if near is None else run.get(near[1]))
             if lp.value != brute:  # None unless optimal
                 report.support_mismatches.append((tuple(c), lp.value, Fraction(brute)))
         else:
             lp = run.solve(c)
             if not lp.is_infeasible:
                 report.support_mismatches.append((tuple(c), lp.value, None))
-
-    pinned = sum(_needs_pin(run, box, p) for p in (*truth, *removed))
-    if pinned * len(system.rows) > PIN_GUARD:
-        raise GuardExceeded(f"{pinned} pinned probes on {len(system.rows)} rows exceed "
-                            f"the pinned-probe guard {PIN_GUARD} (probes x rows)")
-    for p in truth:
-        if not _in_projection(run, box, p):
-            report.membership_failures.append(p)
-    for p in removed:
-        probe = _in_projection(run, box, p)
-        # a removed vertex must probe infeasible; a removed non-vertex point
-        # may lie in the hull of the rest, so compare against the exact
-        # explicit-point hull membership
-        if probe != in_convex_hull(p, truth):
-            report.excluded_failures.append(p)
 
     report.counted = system.counted_inequalities()
     report.certified = system.meta.get("certified")

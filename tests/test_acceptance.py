@@ -42,6 +42,7 @@ from fvx import (
     spanning_tree_oracle,
     verify_formulation,
 )
+import fvx.verify
 from fvx.cli import main as cli_main
 from fvx.separation import box_family
 from conftest import all_binary, brute_min, random_forbidden, spanning_trees
@@ -170,10 +171,14 @@ def _verify_builder(builder, make_x, count, rng, integral=False):
         checked += 1
 
 
-def test_criterion_04_projection_exactness():
-    """Every builder: support + membership + exclusion on 100 instances each."""
+def test_criterion_04_projection_exactness(monkeypatch):
+    """Every builder: support + membership + exclusion on 100 instances each,
+    and every projection proved inside the hull of the truth by its facets."""
     start = time.monotonic()
     rng = random.Random(4)
+    proofs, facet_cuts = [], fvx.verify._facet_cuts
+    monkeypatch.setattr(fvx.verify, "_facet_cuts",
+                        lambda run, hull: proofs.append(facet_cuts(run, hull)) or proofs[-1])
 
     def forb_truth(n, X):
         codes = {p.bits for p in X}
@@ -195,10 +200,11 @@ def test_criterion_04_projection_exactness():
     ]
     for name, make_x, builder in builders:
         _verify_builder(builder, make_x, 100, rng)
+    assert len(proofs) == 400 and None not in proofs
     elapsed = time.monotonic() - start
     assert elapsed < 300
-    report(4, "projection exactness: 4 builders x 100 instances, zero failures",
-           elapsed)
+    report(4, "projection exactness: 4 builders x 100 instances, zero failures, "
+           "every projection inside the hull by its facets", elapsed)
 
 
 def test_criterion_05_intersection_identity():

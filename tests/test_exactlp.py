@@ -870,13 +870,22 @@ class TestWithBounds:
         ((True, None), "bound True on x1 is not None, an int or a Fraction"),
         ((0,), r"bound \(0,\) on x1 is not a \(lower, upper\) pair"),
         (None, r"bound None on x1 is not a \(lower, upper\) pair"),
-    ], ids=["float", "str", "bool", "one-entry", "none"])
+        (5, r"bound 5 on x1 is not a \(lower, upper\) pair"),
+    ], ids=["float", "str", "bool", "one-entry", "none", "int"])
     def test_bounds_are_checked(self, entry, bound, message):
         with pytest.raises(DomainError, match=message):
             if entry == "constructor":
                 LinearSystem(("x1",), 1, (), {"x1": bound})
             else:
                 LinearSystem(("x1",), 1, (), {}).with_bounds({"x1": bound})
+
+    @pytest.mark.parametrize("bound, shown", [(None, "None"), (5, "5"), ((0,), r"\(0,\)")],
+                             ids=["none", "int", "one-entry"])
+    def test_build_refuses_a_bound_that_is_not_a_pair(self, bound, shown):
+        # build reads the numerals of a pair; anything else used to raise a
+        # bare TypeError while it iterated the bound
+        with pytest.raises(DomainError, match=rf"bound {shown} on x1 is not a \(lower, upper\) pair"):
+            LinearSystem.build(1, bounds={"x1": bound})
 
     @pytest.mark.parametrize("entry", ["constructor", "with_bounds"])
     def test_integral_bounds_are_stored_as_ints(self, entry):

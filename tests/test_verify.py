@@ -1,6 +1,10 @@
 import dataclasses
+import itertools
 import random
+import time
 from fractions import Fraction
+from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -477,11 +481,12 @@ def lp_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("doc, method, total, warm", [
-    # 8 box LPs, 14 trial LPs (the box bound and a witness decide the other
-    # 36 trials) and 2 probes; the 14 members are witnessed, and the hull
-    # tests of the binary points take no LP
-    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 24, 16),
-    (LATTICE, "boxes", 33, 25),
+    # 10 facet LPs, the first cold, witness 5 members; the other 9 are
+    # corner probes.  The proof and the memberships decide every trial and
+    # both removed points, so no trial or exclusion probe runs an LP
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 19, 18),
+    # 6 facet LPs (the first cold), 2 cold corner probes, 1 pinned probe
+    (LATTICE, "boxes", 9, 6),
 ], ids=["cube4-faces", "lattice-boxes"])
 def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     """A change in probe routing or warm starts shows here as a count diff."""
@@ -517,15 +522,20 @@ def test_pinned_probes_start_from_a_witnessed_unit_neighbour(monkeypatch):
     problem = Problem(LATTICE)
     system = compile_system(problem, "boxes")
     probes = pin_starts(monkeypatch)
-    assert verify_formulation(system, problem.enumerate_allowed(), problem.forbidden).passed
-    near = 0
-    for p, start, witnesses in probes:
-        neighbours = [q for i in range(len(p)) for d in (-1, 1)
-                      if (q := (*p[:i], p[i] + d, *p[i + 1:])) in witnesses]
-        near += bool(neighbours)
-        assert start is (witnesses[min(neighbours)] if neighbours
-                         else next(iter(witnesses.values())))
-    assert near == len(probes) == 3  # (2, 0), and the removed (1, 1) and (2, 1)
+    # with the facets proved, (2, 0); without (as past FACET_GUARD), also
+    # (2, 2), (3, 1) and the removed (1, 1) and (2, 1), inside the hull
+    for guard, expect in ((fvx.verify.FACET_GUARD, (1, 1)), (0, (4, 5))):
+        monkeypatch.setattr(fvx.verify, "FACET_GUARD", guard)
+        del probes[:]
+        assert verify_formulation(system, problem.enumerate_allowed(), problem.forbidden).passed
+        near = 0
+        for p, start, witnesses in probes:
+            neighbours = [q for i in range(len(p)) for d in (-1, 1)
+                          if (q := (*p[:i], p[i] + d, *p[i + 1:])) in witnesses]
+            near += bool(neighbours)
+            assert start is (witnesses[min(neighbours)] if neighbours
+                             else next(iter(witnesses.values())))
+        assert (near, len(probes)) == expect
 
 
 def test_pinned_probe_with_no_witness_stays_cold(monkeypatch):
@@ -563,20 +573,24 @@ def test_pinned_probe_results_never_become_witnesses(monkeypatch):
 
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     monkeypatch.setattr(fvx.verify._Witnesses, "__setitem__", storing)
-    report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden)
-    assert stored and not any(lp is witness for lp in pinned for witness in stored)
-    # the member (2, 0), then the removed (1, 1) and (2, 1), both inside the
-    # hull of the rest: each result is optimal, so each could have been kept
-    assert len(pinned) == 3 and all(lp.is_optimal for lp in pinned)
-    assert report.passed
+    # with the facets proved, the member (2, 0); without, also (2, 2), (3, 1)
+    # and the removed (1, 1) and (2, 1), both inside the hull of the rest:
+    # each result is optimal, so each could have been kept
+    for guard, expect in ((fvx.verify.FACET_GUARD, 1), (0, 5)):
+        monkeypatch.setattr(fvx.verify, "FACET_GUARD", guard)
+        del pinned[:], stored[:]
+        report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden)
+        assert stored and not any(lp is witness for lp in pinned for witness in stored)
+        assert len(pinned) == expect and all(lp.is_optimal for lp in pinned)
+        assert report.passed
 
 
 @pytest.mark.parametrize("doc, method, phase1, phase2", [
-    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 1, 57),
-    (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 3, 18),
-    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 1, 29),
-    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 1, 117),
-    (LATTICE, "boxes", 31, 17),
+    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 1, 60),
+    (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 3, 15),
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 1, 18),
+    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 1, 120),
+    (LATTICE, "boxes", 14, 12),
 ], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
 def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
     """A change in the tableau, the phase-1 pricing or the pivot rule shows here
@@ -675,3 +689,183 @@ def test_support_mismatches_match_a_cold_lp_per_trial(doc, method, defect, monke
         assert report.support_mismatches == expect
         assert bool(expect) == (defect is not None)
     assert len(calls) < 3 * 50  # some trials took no LP
+
+
+def brute_facets(points):
+    """Reference for a full-dimensional set: every hyperplane a.x = b through
+    n affinely independent points with all points on one side, as a
+    primitive (a, b) oriented so that a.x >= b; a from cofactors."""
+    n = len(points[0])
+
+    def det(m):
+        return sum((-1) ** sum(s[j] > s[i] for i in range(len(s)) for j in range(i))
+                   * prod(row[c] for row, c in zip(m, s))
+                   for s in itertools.permutations(range(len(m)))) if m else 1
+
+    out = set()
+    for base, *rest in itertools.combinations(points, n):
+        m = [[x - y for x, y in zip(q, base)] for q in rest]
+        a = [(-1) ** i * det([row[:i] + row[i + 1:] for row in m]) for i in range(n)]
+        if not any(a):
+            continue
+        b = sum(map(mul, a, base))
+        values = [sum(map(mul, a, p)) - b for p in points]
+        if max(values) <= 0:
+            a, b = [-x for x in a], -b
+        elif min(values) < 0:
+            continue
+        g = gcd(*a, b)
+        out.add((tuple(x // g for x in a), b // g))
+    return out
+
+
+def rank(rows):
+    """Rank of a list of rational rows, by Fraction elimination."""
+    rows, r = [[Fraction(v) for v in row] for row in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def hull_members(hull, points):
+    return [fvx.verify._in_hull(hull, p) for p in points]
+
+
+class TestHull:
+    """`_hull` gives the equations and facets of conv(T), in ints."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_facets_equal_a_brute_force_list(self, n):
+        rng = random.Random(n)
+        grid = list(itertools.product(range(3), repeat=n))
+        full = 0
+        for _ in range(40):
+            points = rng.sample(grid, rng.randint(1, min(len(grid), 12)))
+            equations, facets = fvx.verify._hull(points, fvx.verify.FACET_GUARD)
+            if equations:
+                continue
+            full += 1
+            assert len(set(facets)) == len(facets)
+            assert set(facets) == brute_facets(points)
+        assert full >= 10
+
+    def test_random_binary_sets_meet_the_facets_exactly_at_their_points(self):
+        # a 0/1 point is a vertex of the cube, so it is in conv(T) iff it is in T
+        rng = random.Random(7)
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            cube = list(itertools.product((0, 1), repeat=n))
+            truth = rng.sample(cube, rng.randint(1, len(cube)))
+            hull = fvx.verify._hull(truth, fvx.verify.FACET_GUARD)
+            assert hull is not None
+            assert hull_members(hull, cube) == [p in truth for p in cube]
+
+    def test_lattice_facets_are_valid_and_tight(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            grid = list(itertools.product(range(4), repeat=n))
+            truth = rng.sample(grid, rng.randint(1, min(10, len(grid))))
+            if rng.random() < 0.3:  # a set on a hyperplane: one equation or more
+                truth = [p for p in truth if sum(p) == sum(truth[0])]
+            equations, facets = fvx.verify._hull(truth, fvx.verify.FACET_GUARD)
+            d = n - len(equations)
+            for a, b in equations:
+                assert all(sum(map(mul, a, p)) == b for p in truth)
+            for a, b in facets:
+                tight = [p for p in truth if sum(map(mul, a, p)) == b]
+                assert all(sum(map(mul, a, p)) >= b for p in truth)
+                # a facet holds d affinely independent points of T
+                assert rank([[x - y for x, y in zip(p, tight[0])] for p in tight]) == d - 1
+            probes = [tuple(rng.randint(-1, 4) for _ in range(n)) for _ in range(8)]
+            assert hull_members((equations, facets), probes) == [
+                in_convex_hull(p, truth) for p in probes]
+
+    def test_past_the_limit_is_none(self):
+        # one LP per live facet, two per equation; the 4-cube's live facets
+        # reach 10 before its last points cut them to 8
+        cube = list(itertools.product((0, 1), repeat=4))
+        assert len(fvx.verify._hull(cube, 10)[1]) == 8
+        assert fvx.verify._hull(cube, 9) is None
+        simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]  # no point past the first d+1
+        assert len(fvx.verify._hull(simplex, 4)[1]) == 4
+        assert fvx.verify._hull(simplex, 3) is None
+        segment = [(0, 0), (1, 1), (2, 2)]  # one equation, two facets
+        assert [len(part) for part in fvx.verify._hull(segment, 4)] == [1, 2]
+        assert fvx.verify._hull(segment, 3) is None
+        assert fvx.verify._hull([(1, 2)], 4) == ([((1, 0), 1), ((0, 1), 2)], [])
+        assert fvx.verify._hull([(1, 2)], 3) is None
+
+    def test_the_proof_may_take_n_plus_half_the_trials_lps(self, monkeypatch):
+        # the 4-cube's live facets reach 10: n + trials // 2 = 10 at 12 trials
+        proofs, facet_cuts = [], fvx.verify._facet_cuts
+        monkeypatch.setattr(fvx.verify, "_facet_cuts",
+                            lambda run, hull: proofs.append(len(hull[1])) or facet_cuts(run, hull))
+        cube = LinearSystem.build(4, bounds={f"x{i + 1}": (0, 1) for i in range(4)})
+        truth = list(itertools.product((0, 1), repeat=4))
+        for trials in (11, 12):
+            assert verify_formulation(cube, truth, [], trials=trials).passed
+        assert proofs == [8]
+
+    def test_a_large_random_truth_falls_back_quickly(self):
+        # n=10 less 512 random points has about 1,500 facets, which take
+        # 23 s to enumerate unguarded; the guard stops it early, and the run
+        # samples trials instead
+        rng = random.Random(10)
+        X = sorted(rng.sample(list(itertools.product((0, 1), repeat=10)), 512))
+        truth = [p for p in itertools.product((0, 1), repeat=10) if p not in set(X)]
+        start = time.perf_counter()
+        assert fvx.verify._hull(truth, fvx.verify.FACET_GUARD) is None
+        assert time.perf_counter() - start < 5
+        cube = LinearSystem.build(10, bounds={f"x{i + 1}": (0, 1) for i in range(10)})
+        report = verify_formulation(cube, truth, X, trials=10, seed=1)
+        assert report.to_dict() == fixings_only_report(cube, truth, X, 10, 1).to_dict()
+        assert len(report.excluded_failures) == 512 and not report.membership_failures
+
+
+EVERY = EQUIVALENCE + PLANTED[1:]  # PLANTED[0] is in EQUIVALENCE too
+
+
+@pytest.mark.parametrize("doc, method, defect", EVERY,
+                         ids=[f"{d['polytope']['type']}{d['n']}-{m}" for d, m in COMPILED]
+                         + ["interval-r10-dropped", "no-good-weakened", "faces-fix-bound",
+                            "boxes-certificate"])
+def test_facet_proof_never_changes_a_report(doc, method, defect, monkeypatch):
+    """The sampled run (no hull, as past FACET_GUARD) reports what the proof does."""
+    problem = Problem(doc)
+    system = compile_system(problem, method)
+    if defect is not None:
+        system = defect(system)
+    truth = problem.enumerate_allowed()
+    # the proof's default limit at 50 trials: n + 25 LPs
+    assert fvx.verify._hull(fvx.verify._coords(truth), doc["n"] + 25) is not None
+    proved = [verify_formulation(system, truth, problem.forbidden, seed=seed).to_dict()
+              for seed in (0, 1, 2)]
+    monkeypatch.setattr(fvx.verify, "FACET_GUARD", 0)
+    assert fvx.verify._hull(fvx.verify._coords(truth), fvx.verify.FACET_GUARD) is None
+    assert [verify_formulation(system, truth, problem.forbidden, seed=seed).to_dict()
+            for seed in (0, 1, 2)] == proved
+    assert {r["verdict"] for r in proved} == {"pass" if defect is None else "fail"}
+
+
+def test_an_equation_must_hold_at_its_min_and_max():
+    # the truth lies on x1 + x2 + x3 = 1; the system meets each facet of its
+    # hull (x_i >= 0, x_i + x_j <= 1) and x1 + x2 + x3 >= 1, but holds
+    # (1/2, 1/2, 1/2): the equation's min holds and its max does not, so
+    # nothing is proved, and the trials find the mismatch
+    system = LinearSystem.build(3, rows=[({"x1": 1, "x2": 1, "x3": 1}, ">=", 1)] + [
+        ({f"x{i}": 1, f"x{j}": 1}, "<=", 1) for i, j in ((1, 2), (1, 3), (2, 3))],
+        bounds={f"x{i}": (0, 1) for i in (1, 2, 3)})
+    truth, X = [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 0), (1, 1, 0)]
+    equations, facets = fvx.verify._hull(truth, fvx.verify.FACET_GUARD)
+    assert len(equations) == 1 and len(facets) == 3
+    report = verify_formulation(system, truth, X, trials=50, seed=0)
+    assert report.support_mismatches and not report.excluded_failures
+    assert report.to_dict() == fixings_only_report(system, truth, X, 50, 0).to_dict()
