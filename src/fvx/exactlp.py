@@ -7,10 +7,9 @@ and in Python ints from the tableau build to the objective value:
 - build: each variable is one affine map x = offset + sum of coef * column
   (`var_cols`: no column for a fixed variable, one for a one-sided or boxed
   one, a +/- pair for a free one, coefficients +-1; a substituted variable,
-  below, maps to the int combination of its variables' columns); an int
-  bound (a `LinearSystem` stores every integral bound as an int) becomes an
-  int offset, a row's rhs stays an int unless a non-integral offset is
-  subtracted from it, and only such a row is rescaled by its rhs denominator;
+  below, maps to the int combination of its variables' columns); every
+  bound is an int (`_folded` writes a non-integral one as an integer row),
+  so every offset and every row's rhs is an int;
 - pivots: tableau rows are sparse integer numerator dicts with one positive
   denominator per row, so a pivot is integer multiply/subtract plus a gcd
   normalization;
@@ -22,19 +21,18 @@ and in Python ints from the tableau build to the objective value:
 - readout: the objective value is read off the final z row, with no
   point, when it is first asked for: (sum of cost * offset -+ zrhs/zden)
   / L for the integer costs, scaled by L, made one Fraction.  Every
-  coordinate readout is one walk of the basis,
-  `_Simplex.scaled(names)`: (L, the named variables' values
-  times L as ints), L the lcm of the basic rows' denominators and of the
-  named variables' non-integral offsets.  The point (one Fraction per
-  variable), `int_coords(names)` (the named coordinates as ints, None when
-  one is not integral) and `scaled_point()` (the whole point as (L, an int
-  per variable)) are views of it, read only when asked for.
+  coordinate readout is one walk of the basis, `_Simplex.scaled(names)`:
+  (L, the named variables' values times L as ints), L the lcm of the basic
+  rows' denominators.  The point (one Fraction per variable),
+  `int_coords(names)` (the named coordinates as ints, None when one is not
+  integral) and `scaled_point()` (the whole point as (L, an int per
+  variable)) are views of it, read only when asked for.
   `LpResult.penalties` reads Driebeek's penalties off the final tableau.
 
-`Fraction`s remain only where non-integral values enter (objectives,
-bounds) and where they leave (`LpResult.point` and `value`).  A list or
-tuple of plain ints is taken as the integer costs themselves, with L = 1; the
-library's own callers price this way.  Any other objective (a mapping, a
+`Fraction`s remain only where non-integral values enter (objectives) and
+where they leave (`LpResult.point` and `value`).  A list or tuple of plain
+ints is taken as the integer costs themselves, with L = 1; the library's
+own callers price this way.  Any other objective (a mapping, a
 sequence of rationals or an `Objective`) is parsed on each call and scaled
 to ints by `core._scale`, the package's one rational-to-integer scaler.
 Pricing (`_Simplex._iterate`) enters the most negative z-row entry (Dantzig
@@ -47,21 +45,22 @@ is deterministic.
 Presolve is the solver's own (Andersen & Andersen 1995), and points are
 the original system's.  A tableau build turns each one-variable row into a
 bound (`_folded`), so it adds no tableau row and its variable no split
-column pair.  Then `_presolve` substitutes variables out through equality
-rows of unit form (every nonzero coefficient +-m, the rhs a multiple of
-m): a free variable through any such row, a bounded one through such a row
-of two variables, its bounds moved onto the other one.  Rows go in order
-and variables in row order, so the tableau stays deterministic.  The row
-leaves the tableau, with its artificial, and so do the variable's columns:
-its map is an int offset plus an int combination of the columns of the
-variables left (x = r + sum of +-y, composed), so every readout
-(`scaled`, `point`, `int_coords`, `column_objective`, `objective_value`)
-reads it as any other map.  The disjunctive hull has such rows by
-construction: x_i = sum_j y_ij, and copy = lam_j for each coordinate that a
-block fixes to 1.  Only the tableau changes: LP files, size counts and
-`verify`'s substitution checks read the system's own rows.  The fold and
-the presolve run once per solved system (its solver is kept, below) and
-never for a system that is not solved, such as a `with_bounds` child.
+column pair, and a non-integral bound into an integer row.  Then
+`_presolve` substitutes variables out through equality rows of unit form
+(every nonzero coefficient +-m, the rhs a multiple of m): a free variable
+through any such row, a bounded one through such a row of two variables,
+its bounds moved onto the other one.  Rows go in order and variables in
+row order, so the tableau stays deterministic.  The row leaves the tableau, with its artificial, and so do
+the variable's columns: its map is an int offset plus an int combination
+of the columns of the variables left (x = r + sum of +-y, composed), so
+every readout (`scaled`, `point`, `int_coords`, `column_objective`,
+`objective_value`) reads it as any other map.  The disjunctive hull has
+such rows by construction: x_i = sum_j y_ij, and copy = lam_j for each
+coordinate that a block fixes to 1.  Only the tableau changes: LP files,
+size counts and `verify`'s substitution checks read the system's own rows
+and bounds.  The fold and the presolve run once per solved system (its
+solver is kept, below) and never for a system that is not solved, such as
+a `with_bounds` child.
 
 `solve_lp` runs phase 1 once per system object and keeps the post-phase-1
 solver on it as `_phase1` (None when infeasible).  That solver is never
@@ -116,7 +115,7 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import ceil, floor, gcd, inf, lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
@@ -286,9 +285,12 @@ _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 def _folded(system: LinearSystem) -> tuple:
-    """(bounds, rows): the system's bounds tightened by each one-variable row
-    a*v rel b (to b/a, an int when a divides b, the sense flipped when a < 0;
-    crossed bounds stay crossed) and the other rows in order, as a tuple."""
+    """(bounds, rows) in ints: the system's bounds tightened by each
+    one-variable row a*v rel b (to b/a, the sense flipped when a < 0), then
+    each bound p/q that is not an int written as the row q*v >= p (<= p for
+    an upper bound, = p for a fixing) and relaxed to its floor (ceil);
+    crossed bounds stay crossed, as (ceil lo, floor hi), with no row.  The
+    rows are the system's others in order, then these, as a tuple."""
     bounds, rows = dict(system.bounds), []
     for row in system.rows:
         coeffs, rel, rhs = row
@@ -300,6 +302,18 @@ def _folded(system: LinearSystem) -> tuple:
         rel = rel if a > 0 else _FLIPPED[rel]
         bound = (None if rel == "<=" else q, None if rel == ">=" else q)
         bounds[name] = intersect_bounds(bound, bounds.get(name, (None, None)))
+    for name, (lo, hi) in list(bounds.items()):
+        if type(lo) is not Fraction and type(hi) is not Fraction:
+            continue
+        if lo is not None and hi is not None and lo > hi:
+            bounds[name] = (ceil(lo), floor(hi))
+            continue
+        if lo == hi:
+            rows.append(({name: lo.denominator}, "=", lo.numerator))
+        else:
+            rows += [({name: q.denominator}, rel, q.numerator)
+                     for q, rel in ((lo, ">="), (hi, "<=")) if type(q) is Fraction]
+        bounds[name] = (None if lo is None else floor(lo), None if hi is None else ceil(hi))
     return bounds, tuple(rows)
 
 
@@ -326,8 +340,8 @@ class _Simplex:
     def __init__(self, system: LinearSystem):
         self.variables = system.variables  # not the system, which keeps this solver
         self.folded = _folded(system)
-        # the names the presolve reads: a fix of any other name changes none
-        # of its substitutions
+        # the names the presolve reads (a fixed bound's row among them): a
+        # fix of any other name changes none of its substitutions
         self.reads = {name for coeffs, rel, _ in self.folded[1] if rel == "=" for name in coeffs}
         self._build(*self.folded)
 
@@ -335,9 +349,8 @@ class _Simplex:
         """Presolve, then build the columns, the substituted maps and the rows."""
         self.trivially_infeasible = False
         self.var_cols = {}    # name -> (offset, ((col, coef), ...)): x = offset +
-                              # sum of coef * col, coef a nonzero int (+-1 unless
-                              # substituted); the offset is an int when
-                              # integral, else a Fraction
+                              # sum of coef * col, the offset an int, coef a
+                              # nonzero int (+-1 unless substituted)
         self.rows = []        # [cols dict, rhs int, den int] in standard equality form
         self.basis = []
         bounds, rows, self.substituted = self._presolve(bounds, rows)
@@ -438,7 +451,7 @@ class _Simplex:
 
     def _substitute(self):
         """Give each substituted variable its map over columns: r plus t times
-        each of its variables' maps, the offset an int when integral."""
+        each of its variables' maps."""
         var_cols = self.var_cols
         for name, (r, expr) in self.substituted.items():
             offset, cols = r, []
@@ -446,8 +459,6 @@ class _Simplex:
                 o, terms = var_cols[y]
                 offset += t * o
                 cols += [(col, t * coef) for col, coef in terms]
-            if type(offset) is not int and offset.denominator == 1:
-                offset = offset.numerator
             var_cols[name] = (offset, tuple(cols))
 
     def _build_columns(self, bounds: Mapping[str, tuple]):
@@ -479,7 +490,6 @@ class _Simplex:
         """Rewrite a row over variables into one over columns; returns (cols, rhs).
 
         Every variable has columns of its own, so no two terms share a column.
-        The rhs stays an int unless a non-integral offset is subtracted from it.
         """
         out = {}
         b = rhs
@@ -495,19 +505,17 @@ class _Simplex:
     def _build_rows(self, rows: tuple):
         """Keep the template, then normalize: each presolved row as (cols, rhs,
         rel) from `_transform_row`, before any sign flip and even with no
-        column, then each boxed column's bound row ({col: 1}, limit, "<=").
-        A rhs that a non-integral bound made a Fraction is rescaled to an
-        integer per row by `_normalize`."""
+        column, then each boxed column's bound row ({col: 1}, limit, "<=")."""
         self.template = [(*self._transform_row(coeffs, rhs), rel) for coeffs, rel, rhs in rows]
         self.template += [({col: 1}, limit, "<=") for col, limit in self.bound_rows]
         self._normalize({})
 
-    def _normalize(self, shift: Mapping[int, object]):
+    def _normalize(self, shift: Mapping[int, int]):
         """Build the tableau rows from the template with columns fixed to values.
 
-        Each column in `shift` (col -> value) leaves every row: its value
-        times its coefficient moves into the rhs.  A row with no column left
-        is checked and dropped.  Then each row becomes an equality with a
+        Each column in `shift` (col -> int) leaves every row: its value
+        times its coefficient moves into the int rhs.  A row with no column
+        left is checked and dropped.  Then each row becomes an equality with a
         slack (<=, >=) and, where the slack cannot be basic, an artificial.
         Every other column keeps its number, so the pivot rule, which
         compares only z-row entries and column order, takes the pivots of a
@@ -533,12 +541,7 @@ class _Simplex:
         slack = self.nstruct
         art = self.art_start = slack + nslack
         for cols, rel, bi in pending:
-            if isinstance(bi, Fraction):
-                den = bi.denominator
-                cols = {c: v * den for c, v in cols.items()} if den != 1 else dict(cols)
-                bi = bi.numerator
-            else:
-                cols = dict(cols)  # the template keeps its own
+            cols = dict(cols)  # the template keeps its own
             if rel == ">=":
                 cols, bi = {c: -v for c, v in cols.items()}, -bi
             basis_col = None
@@ -602,8 +605,8 @@ class _Simplex:
 
         The row is sum of coef * col = value - offset over the variable's
         map (a substituted variable needs no special case), its basic columns
-        eliminated against their rows by `_combine`, a non-integral offset
-        scaled to ints, the sign set so that rhs >= 0, and one new artificial,
+        eliminated against their rows by `_combine`, the sign set so that
+        rhs >= 0, and one new artificial,
         numbered from `ncols`, basic in it.  With `art_start` at the old
         `ncols`, `phase1` prices only these artificials, then drives them out
         and deletes them; `phase2` follows.  A row left with no column and a
@@ -615,8 +618,6 @@ class _Simplex:
         for name, v in values.items():
             offset, terms = self.var_cols[name]
             b, cols = v - offset, dict(terms)
-            if type(b) is not int:
-                cols, b = {c: a * b.denominator for c, a in cols.items()}, b.numerator
             for col, _ in terms:
                 if col in row_of:
                     cols, b = self._combine(cols, b, 1, cols[col], *row_of[col])[:2]
@@ -782,16 +783,14 @@ class _Simplex:
     def scaled(self, names: Sequence[str]) -> tuple:
         """(L, the named variables' values at the basic point times L, as
         ints), the one walk of the basis: L is the lcm of the basic rows'
-        denominators and of the named variables' non-integral offsets."""
+        denominators."""
         var_cols = self.var_cols
-        L = lcm(*set(map(itemgetter(2), self.rows)),
-                *{offset.denominator for offset, _ in map(var_cols.__getitem__, names)
-                  if type(offset) is not int})
+        L = lcm(*set(map(itemgetter(2), self.rows)))
         row_of = dict(zip(self.basis, self.rows))
         out = []
         for name in names:
             offset, cols = var_cols[name]
-            v = offset * L if type(offset) is int else offset.numerator * (L // offset.denominator)
+            v = offset * L
             for col, coef in cols:
                 if col in row_of:
                     _cols, n, d = row_of[col]
@@ -815,8 +814,8 @@ class _Simplex:
 
         zden * (column objective) = sum of zc_j * x_j - zrhs, and every basic
         zc_j and nonbasic x_j is 0, so the columns contribute -zrhs/zden
-        (+zrhs/zden for a max, whose column costs were negated); the offsets
-        contribute sum of cost * offset.
+        (+zrhs/zden for a max, whose column costs were negated); the offsets,
+        all ints, contribute sum of cost * offset.
         """
         shift = 0
         for name, c in costs.items():
@@ -824,10 +823,7 @@ class _Simplex:
             if offset:
                 shift += c * offset
         z = self.zrhs if negate else -self.zrhs
-        if type(shift) is int:
-            return Fraction(shift * self.zden + z, self.zden * scale)
-        return Fraction(shift.numerator * self.zden + z * shift.denominator,
-                        shift.denominator * self.zden * scale)
+        return Fraction(shift * self.zden + z, self.zden * scale)
 
     def column_objective(self, costs: Mapping[str, int], negate: bool) -> dict:
         """Integer column costs of integer costs by name, negated for a max."""

@@ -8,10 +8,12 @@ a.x = b (min = max = b) show proj Q inside conv(T).  These LPs may number
 n + trials / 2, and never more than `FACET_GUARD`.  With both halves proj Q =
 conv(T): every support trial's LP minimum is the brute-force one and every
 removed point is in proj Q exactly when it is in conv(T), so neither runs
-an LP.  Otherwise (too many facets, no truth, a failed facet or a failed
-membership) the support trials sample random integer objectives, which
-can refute but not prove, and the removed points are probed (once the
-facets hold, only those inside conv(T)).
+an LP.  Every facet and equation LP runs, and each one that fails is
+reported as the support mismatch it is, before any trial's.  Otherwise (too
+many facets, no truth, a failed facet or a failed membership) the support
+trials sample random integer objectives, which can refute but not prove,
+and the removed points are probed (once the facets hold, only those inside
+conv(T)).
 
 A run has one phase order: the hull and its facet LPs, the box, the
 membership probes, the exclusion probes, the support trials.  Every LP is
@@ -357,24 +359,30 @@ def _projection_box(run: _Witnesses) -> Optional[list]:
     return box
 
 
-def _facet_cuts(run: _Witnesses, hull: tuple) -> Optional[list]:
-    """The cuts a.x >= v that the facet LPs prove on the projection, or None
-    unless it lies in conv(truth): each facet a.x >= b of `_hull` must have
-    LP minimum v >= b (a cut when v > b), and each equation a.x = b minimum
-    and maximum b."""
+def _facet_cuts(run: _Witnesses, hull: tuple) -> tuple:
+    """(cuts, failures) of the facet LPs, one per facet and two per equation
+    of `_hull`: the projection lies in conv(truth) exactly when there is no
+    failure.  A facet a.x >= b must have LP minimum v >= b, and proves the
+    cut a.x >= v when v > b; an equation a.x = b must have minimum and
+    maximum b.  Each failure is the support mismatch it is, (a, the LP
+    minimum or None, b), and (-a, -max or None, -b) for an equation's
+    maximum."""
     equations, facets = hull
-    cuts = []
+    cuts, failures = [], []
     for a, b in facets:
         near = min(run, key=lambda p: sum(map(mul, a, p)), default=None)
         lp = run.solve(a, start=run.get(near))
         if not lp.is_optimal or lp.value < b:
-            return None
-        if lp.value > b:
+            failures.append((a, lp.value, Fraction(b)))  # value None unless optimal
+        elif lp.value > b:
             cuts.append((a, lp.value))
-    if all(run.solve(a, sense, start=next(iter(run.values()), None)).value == b
-           for a, b in equations for sense in ("min", "max")):  # value None unless optimal
-        return cuts
-    return None
+    for a, b in equations:
+        for sign, sense in ((1, "min"), (-1, "max")):
+            v = run.solve(a, sense, start=next(iter(run.values()), None)).value
+            if v != b:
+                failures.append((tuple(sign * x for x in a), None if v is None else sign * v,
+                                 Fraction(sign * b)))
+    return cuts, failures
 
 
 def _cut(cuts: list, p: tuple) -> bool:
@@ -456,15 +464,17 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     """Check a formulation against an explicit allowed-vertex list.
 
     Proves the projection inside conv(`ground_truth`) from its facets when
-    `_hull` gives them, probes every allowed point for membership and every
+    `_hull` gives them (listing each facet or equation LP that fails as a
+    support mismatch, first), probes every allowed point for membership and every
     point of X for exclusion (expected exactly when the point is outside
     the hull of the ground truth, which for removed vertices is always),
     compares the LP minimum of `trials` random integer objectives in
     [-100, 100]^n with the brute-force minimum unless the proof and the
     memberships decide them all, then audits the size certificate.  The
     module docstring gives the phase order and the route of each probe and
-    trial; a start changes no LP status or value, so the report does not
-    depend on the route.  Deterministic for a fixed seed.  A negative
+    trial; a start changes no LP status or value, so the report depends on
+    the route only through the failed facets, which only `_hull`'s route
+    lists.  Deterministic for a fixed seed.  A negative
     `trials` or a point whose length is not `system.n_original` raises
     DomainError, more than `MAX_TRIALS` trials GuardExceeded, and so does a
     run whose pinned probes times the system's rows exceed `PIN_GUARD`
@@ -492,13 +502,13 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     # one LP per facet and two per equation: in paired runs the proof stopped
     # beating the 2n box LPs and the trials it decides at about n + trials / 2
     hull = _hull(truth, min(FACET_GUARD, n + trials // 2)) if truth else None
-    cuts = None if hull is None else _facet_cuts(run, hull)
-    proved = cuts is not None
+    cuts, report.support_mismatches = _facet_cuts(run, hull) if hull is not None else ([], [])
+    proved = hull is not None and not report.support_mismatches
     columns = list(zip(*truth))
     if proved:  # the projection lies in conv(truth), so in the truth's box
         box = [(min(column), max(column)) for column in columns]
     else:
-        box, cuts = _projection_box(run) if truth or removed else None, []
+        box = _projection_box(run) if truth or removed else None
     # a removed vertex must probe infeasible; a removed non-vertex point may
     # lie in the hull of the rest, so each probe is compared with the exact
     # hull membership

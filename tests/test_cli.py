@@ -340,6 +340,32 @@ class TestVerifyCommand:
         code, out = run(capsys, ["verify", path, "--lp", str(bad_lp)])
         assert code == 3 and json.loads(out)["verdict"] == "fail"
 
+    def test_failed_facet_exit_3(self, tmp_path, capsys):
+        # [0,1]^6 and x1 + ... + x6 >= 1/2 for the 6-cube less 000000: the
+        # hull's facet x1 + ... + x6 >= 1 has LP minimum 1/2, and no seed-0
+        # trial draws an objective that shows it
+        path = cube_problem(tmp_path, 6, ["0"] * 6, ["000000"])
+        names = [f"x{i + 1}" for i in range(6)]
+        system = LinearSystem.build(6, rows=[(dict.fromkeys(names, 1), ">=", "1/2")],
+                                    bounds=dict.fromkeys(names, (0, 1)))
+        lp = tmp_path / "weakened.lp"
+        lp.write_text(write_lp(system))
+        code, out = run(capsys, ["verify", path, "--lp", str(lp)])
+        report = json.loads(out)
+        assert code == 3 and report["support_mismatches"] == [
+            {"objective": [1] * 6, "lp": "1/2", "brute": "1"}]
+        assert report["membership_failures"] == report["excluded_failures"] == []
+
+    def test_non_integral_bounds_golden(self, tmp_path, capsys):
+        # bounds x1 <= 1/2, x2 >= 1/3 and y = 1/2, and the row 3 x3 <= 2,
+        # which folds to no int bound: the report is pinned byte for byte
+        # from the solver that read them as Fraction column offsets
+        path = cube_problem(tmp_path, 3, ["0"] * 3, ["000"])
+        code, out = run(capsys, ["verify", path, "--lp", str(GOLDEN / "fractional_bounds_n3.lp"),
+                                 "--trials", "6", "--seed", "3"])
+        assert code == 3
+        assert out == (GOLDEN / "verify_fractional_bounds_n3.json").read_text()
+
     def test_seed_reproducible_bytes(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], ["10"])
         _, out1 = run(capsys, ["verify", path, "--method", "interval",

@@ -27,6 +27,7 @@ from fvx import (
 )
 from fvx.core import point_coords
 from fvx.errors import DomainError
+from fvx.linsys import intersect_bounds
 from conftest import phase_pivots, random_forbidden
 
 
@@ -708,12 +709,7 @@ class TestIntegerBuild:
             got, ref = exactlp._Simplex(system), FractionSimplex(system)
             for name in system.variables:
                 assert got.var_cols[name] == ref.var_cols[name]
-                offset = got.var_cols[name][0]
-                if offset.denominator == 1:
-                    assert type(offset) is int
-            assert got.rows == ref.rows
-            assert all(type(v) is int for cols, rhs, den in got.rows
-                       for v in (*cols.values(), rhs, den))
+            assert got.rows == ref.rows and int_tableau(got)
             assert (got.basis, got.art_start, got.ncols, got.bound_rows) == \
                 (ref.basis, ref.art_start, ref.ncols, ref.bound_rows)
             feasible = got.phase1()
@@ -908,10 +904,13 @@ class TestFold:
                 ({"x1": 1, "x2": 1}, "<=", 4),
                 ({"x1": 4}, "<=", 6)]            # x1 <= 3/2, under the bound 5
         system = LinearSystem.build(2, (), rows, {"x1": (None, 5)})
+        assert exact_bounds(system) == {"x1": (Fraction(-3, 2), Fraction(3, 2)),
+                                        "x2": (Fraction(2, 3), Fraction(2, 3))}
+        # each non-integral bound is an integer row, relaxed to its floor or ceil
         bounds, kept = exactlp._folded(system)
-        assert bounds == {"x1": (Fraction(-3, 2), Fraction(3, 2)),
-                          "x2": (Fraction(2, 3), Fraction(2, 3))}
-        assert kept == (({"x1": 1, "x2": 1}, "<=", 4),)
+        assert bounds == {"x1": (-2, 2), "x2": (0, 1)}
+        assert kept == (({"x1": 1, "x2": 1}, "<=", 4), ({"x1": 2}, ">=", -3),
+                        ({"x1": 2}, "<=", 3), ({"x2": 3}, "=", 2))
         assert len(system.rows) == 4 and system.bounds == {"x1": (None, 5)}
         assert system.counted_inequalities() == 4
         assert solve_lp(system, ["-1", "3"]).value == Fraction(-3, 2) + 2
@@ -922,10 +921,9 @@ class TestFold:
                 ({"x1": 1, "x2": 1, "x3": 1}, "<=", 4), ({"x1": 1, "x3": -1}, ">=", -1)]
         system = LinearSystem.build(3, (), rows, {name: (0, None) for name in ("x1", "x2", "x3")})
         bounds, kept = exactlp._folded(system)
-        assert [(type(hi), hi) for _, hi in bounds.values()] == \
-            [(int, 2), (int, 1), (Fraction, Fraction(3, 2))]
-        assert kept == tuple(rows[3:])
-        # the answers and pivot counts of the build that folded to Fractions
+        # x3 <= 3/2 stays the row 2 x3 <= 3, under the bound 2
+        assert [(type(hi), hi) for _, hi in bounds.values()] == [(int, 2), (int, 1), (int, 2)]
+        assert kept == (*rows[3:], ({"x3": 2}, "<=", 3))
         counts = phase_pivots(monkeypatch)
         for c, point, value, pivots in (([-1, -2, -1], (2, 1, 1), -5, 3),
                                         ([-1, -1, -3], ("3/2", 1, "3/2"), -7, 4)):
@@ -946,6 +944,33 @@ class TestFold:
         assert hi < lo
         assert solve_lp(system, {}).is_infeasible
         assert solve_lp(system.with_bounds({"x2": (Fraction(0), None)}), {}).is_infeasible
+
+    def test_bounds_written_as_rows_solve_alike(self):
+        # each non-integral bound p/q of a random system written out as its
+        # own row q*x + z >= p (<= p), with z fixed to 0 so that no fold
+        # reads it: the status and the value stay
+        rng = random.Random(101)
+        seen, written = set(), 0
+        for _ in range(300):
+            system = mixed_system(rng)
+            rows, bounds = list(system.rows), {"z": (0, 0)}
+            for name, (lo, hi) in system.bounds.items():
+                rows += [({name: q.denominator, "z": 1}, rel, q.numerator)
+                         for q, rel in ((lo, ">="), (hi, "<=")) if type(q) is Fraction]
+                bounds[name] = tuple(None if type(q) is Fraction else q for q in (lo, hi))
+            written += len(rows) - len(system.rows)
+            other = LinearSystem((*system.variables, "z"), system.n_original, tuple(rows),
+                                 bounds)
+            for _ in range(2):
+                c = {name: rng.randint(-5, 5) for name in system.variables}
+                sense = rng.choice(("min", "max"))
+                got, expect = solve_lp(other, c, sense), solve_lp(system, c, sense)
+                assert (got.status, got.value) == (expect.status, expect.value)
+                if got.is_optimal:
+                    assert satisfies(system, got.point)
+                    assert satisfies(other, {**expect.point, "z": 0})
+                seen.add(got.status)
+        assert seen == {"optimal", "infeasible", "unbounded"} and written > 100
 
     def test_zero_coefficient_row_is_kept(self):
         system = LinearSystem(("x1",), 1, (({"x1": 0}, "<=", -1),), {})
@@ -982,9 +1007,38 @@ class TestFold:
         assert statuses == {"optimal", "infeasible", "unbounded"} and folds > 50
 
 
+def exact_bounds(system):
+    """The system's bounds tightened by each one-variable row, as rationals:
+    the bounds that the tableau build writes as int bounds and integer rows."""
+    bounds = dict(system.bounds)
+    for coeffs, rel, rhs in system.rows:
+        if len(coeffs) == 1 and 0 not in coeffs.values():
+            (name, a), = coeffs.items()
+            q, rel = Fraction(rhs, a), rel if a > 0 else {"<=": ">=", ">=": "<="}.get(rel, rel)
+            bounds[name] = intersect_bounds((None if rel == "<=" else q,
+                                             None if rel == ">=" else q),
+                                            bounds.get(name, (None, None)))
+    return bounds
+
+
+def has_fractional_bounds(system):
+    """Does a bound of the system, or a one-variable row, bound a variable by
+    a non-integral value?"""
+    return any(q is not None and q.denominator != 1
+               for bound in exact_bounds(system).values() for q in bound)
+
+
+def int_tableau(solver):
+    """Are every offset and every entry of every tableau row ints?"""
+    return (all(type(offset) is int for offset, _ in solver.var_cols.values())
+            and all(type(v) is int for cols, rhs, den in solver.rows
+                    for v in (*cols.values(), rhs, den)))
+
+
 def fix_value(rng, system, name):
-    """An int inside, on or outside the folded bounds of a variable."""
-    lo, hi = exactlp._folded(system)[0].get(name, (None, None))
+    """An int inside, on or outside the bounds of a variable (its one-variable
+    rows included)."""
+    lo, hi = exact_bounds(system).get(name, (None, None))
     q = rng.choice([b for b in (lo, hi) if b is not None] or [Fraction(rng.randint(-3, 3))])
     return rng.choice((floor(q) - 1, floor(q), ceil(q), ceil(q) + 1))
 
@@ -1253,16 +1307,14 @@ class TestWarmFix:
 
     def test_matches_with_bounds_children(self):
         rng = random.Random(97)
-        seen, kinds, refixed = set(), set(), 0
+        seen, kinds, refixed, fractions = set(), set(), 0, 0
         for system in presolved_systems(rng, 300):
             names = system.variables
             kinds.add("substituted" if exactlp._Simplex(system).substituted else "none")
             bounds = exactlp._folded(system)[0]
-            for lo, hi in (bounds.get(name, (None, None)) for name in names):
-                if lo is None and hi is None:
-                    kinds.add("free")
-                elif any(q is not None and q.denominator != 1 for q in (lo, hi)):
-                    kinds.add("fraction")
+            if any(bounds.get(name, (None, None)) == (None, None) for name in names):
+                kinds.add("free")
+            fractions += has_fractional_bounds(system)
 
             def costs():
                 return {name: rng.randint(-5, 5) for name in names}
@@ -1295,12 +1347,13 @@ class TestWarmFix:
                 assert (got.status, got.value) == (expect.status, expect.value)
                 if got.is_optimal:
                     assert verify.satisfies(child, got.point)
+                    assert int_tableau(got._tableau[1])  # the pinned rows too
                 assert repr(start) == before and (solver.rows, solver.basis) == tableau
                 assert solver.point() == start.point  # a fresh readout of the start
                 seen.add((kind, got.status))
         assert {(kind, status) for kind in ("cold", "start", "fix")
                 for status in ("optimal", "infeasible", "unbounded")} <= seen
-        assert kinds == {"substituted", "none", "free", "fraction"} and refixed > 0
+        assert kinds == {"substituted", "none", "free"} and refixed > 0 and fractions > 50
 
     def test_refixing_a_fixed_variable_is_infeasible(self):
         # y is fixed by its bounds, x1 by the start's own fixing
@@ -1343,9 +1396,10 @@ class TestLazyReadout:
         # min and max, fix= and start=, on systems with free variables and
         # non-integral bounds; objectives by name, as an Objective and as ints
         rng = random.Random(79)
-        seen, kinds, offsets = set(), set(), False
+        seen, kinds, fractions = set(), set(), 0
         for _ in range(300):
             system = mixed_system(rng)
+            fractions += has_fractional_bounds(system)
             names, n = system.variables, system.n_original
             ints = [rng.randint(-5, 5) for _ in range(n)]
             objectives = [
@@ -1395,8 +1449,7 @@ class TestLazyReadout:
                 assert {name: Fraction(v, given.scaled_point()[0])
                         for name, v in given.scaled_point()[1].items()} == point
                 kinds.add(fractional)
-                offsets |= any(type(offset) is not int
-                               for offset, _ in result._tableau[1].var_cols.values())
+                assert int_tableau(result._tableau[1])
         assert seen == {(how, sense) for how in ("cold", "fix", "start")
                         for sense in ("min", "max")}
-        assert kinds == {True, False} and offsets  # Fraction offsets were read
+        assert kinds == {True, False} and fractions > 100  # non-integral bounds were read

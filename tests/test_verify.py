@@ -204,11 +204,49 @@ class TestBinaryHull:
         assert in_convex_hull((1, 1), [(0, 0), (2, 2)]) and calls == [False]
 
 
+def facet_mismatches(system, ground_truth, trials):
+    """Reference: the support mismatches of the facet proof, one cold
+    `solve_lp` per facet a.x >= b of `_hull` (at the run's limit) and two
+    per equation a.x = b, as min a.x and min -a.x; [] when `_hull` gives
+    no hull."""
+    truth = [p if isinstance(p, tuple) else point_coords(p) for p in ground_truth]
+    limit = min(fvx.verify.FACET_GUARD, system.n_original + trials // 2)
+    hull = fvx.verify._hull(truth, limit) if truth else None
+    if hull is None:
+        return []
+    equations, facets = hull
+    out = []
+    for a, b in facets:
+        lp = solve_lp(system, list(a))
+        if not lp.is_optimal or lp.value < b:
+            out.append((a, lp.value if lp.is_optimal else None, Fraction(b)))
+    for a, b in equations:
+        for c, v in ((a, b), (tuple(-x for x in a), -b)):
+            lp = solve_lp(system, list(c))
+            if not lp.is_optimal or lp.value != v:
+                out.append((c, lp.value if lp.is_optimal else None, Fraction(v)))
+    return out
+
+
+def mismatch_dicts(mismatches):
+    """Support mismatches as a report dict lists them."""
+    report = VerificationReport(0, 0, support_mismatches=mismatches)
+    return report.to_dict()["support_mismatches"]
+
+
+def with_facets(report, mismatches):
+    """The report dict with the facet mismatches listed first."""
+    return {**report, "support_mismatches": mismatch_dicts(mismatches)
+            + report["support_mismatches"]}
+
+
 def fixings_only_report(system, ground_truth, X, trials, seed):
-    """Reference: the verifier with every probe a feasibility test with x pinned."""
+    """Reference: the verifier with every probe a feasibility test with x
+    pinned, after the facet proof's mismatches."""
     truth = [p if isinstance(p, tuple) else point_coords(p) for p in ground_truth]
     removed = [p if isinstance(p, tuple) else point_coords(p) for p in X]
-    report = VerificationReport(trials=trials, seed=seed)
+    report = VerificationReport(trials=trials, seed=seed,
+                                support_mismatches=facet_mismatches(system, truth, trials))
     rng = random.Random(seed)
     for _ in range(trials):
         c = [rng.randint(-100, 100) for _ in range(system.n_original)]
@@ -308,6 +346,9 @@ class TestProbesMatchFixings:
         pinned = pinned_probes(monkeypatch)
         report = self.check(system, truth, X)
         assert report["membership_failures"] == [[2, 1]]
+        # the facet x2 <= 1 fails first: x2 reaches 3/2
+        assert report["support_mismatches"][0] == {"objective": [0, -1], "lp": "-3/2",
+                                                   "brute": "-1"}
         # corners (0, -1) and (2, -1) are L1 probes; (3, 0), (-1, -1) and
         # (0, 2) are outside the box [0, 2] x [-1, 3/2]
         assert pinned == [(0, 0), (1, 1), (2, 0), (0, 1), (2, 1), (1, 0), (1, -1)]
@@ -318,7 +359,10 @@ class TestProbesMatchFixings:
         truth = [(0, 0), (1, 0), (1, 1), (2, 1)]
         X = [(0, 1), (5, 0)]
         pinned = pinned_probes(monkeypatch)
-        self.check(system, truth, X)
+        report = self.check(system, truth, X)
+        # the facet x1 - x2 <= 1 has no minimum
+        assert report["support_mismatches"][0] == {"objective": [-1, 1], "lp": None,
+                                                   "brute": "-1"}
         # no box (max x1 is unbounded), so every point is pinned except
         # (0, 0), which the optimal min-x1 box LP witnesses
         assert pinned == [(1, 0), (2, 1), (0, 1), (5, 0)]
@@ -328,7 +372,11 @@ class TestProbesMatchFixings:
                                     {"x2": (0, 1)})
         truth, X = [(1, 0)], [(0, 0)]
         pinned = pinned_probes(monkeypatch)
-        assert self.check(system, truth, X)["verdict"] == "fail"
+        report = self.check(system, truth, X)
+        assert report["verdict"] == "fail"
+        # conv(truth) is the point (1, 0): x1 = 1 and x2 = 0 fail at their min and max
+        assert [m["objective"] for m in report["support_mismatches"][:4]] == \
+            [[1, 0], [-1, 0], [0, 1], [0, -1]]
         assert pinned == truth + X
 
     def test_random_removed_points(self):
@@ -647,7 +695,10 @@ def test_starts_never_change_a_report(doc, method, mutate, monkeypatch):
     assert verify_formulation(system, truth, problem.forbidden).to_dict() == warm
     assert warm["verdict"] == ("pass" if mutate is None else "fail")
     if method == "interval" and mutate is not None:
-        assert (len(warm["support_mismatches"]), warm["excluded_failures"]) == (2, [[1, 0, 1, 1]])
+        facets = mismatch_dicts(facet_mismatches(system, truth, 50))
+        assert facets and warm["support_mismatches"][:len(facets)] == facets
+        assert (len(warm["support_mismatches"]) - len(facets), warm["excluded_failures"]) == \
+            (2, [[1, 0, 1, 1]])
 
 
 def weakened_no_good_cut():
@@ -669,7 +720,8 @@ EQUIVALENCE = [(doc, method, None) for doc, method in COMPILED] + [
                          + ["interval-r10-dropped", "no-good-weakened"])
 def test_support_mismatches_match_a_cold_lp_per_trial(doc, method, defect, monkeypatch):
     """Trials that the box bound and a witness decide skip their LP; the
-    mismatches must be those of one cold `solve_lp` per seeded objective."""
+    mismatches must be those of one cold `solve_lp` per failed facet, then
+    per seeded objective."""
     problem = Problem(doc)
     system = compile_system(problem, method)
     if defect is not None:
@@ -678,7 +730,7 @@ def test_support_mismatches_match_a_cold_lp_per_trial(doc, method, defect, monke
     calls = lp_calls(monkeypatch)
     for seed in (0, 1, 2):
         rng = random.Random(seed)
-        expect = []
+        expect = facet_mismatches(system, truth, 50)
         for _ in range(50):
             c = [rng.randint(-100, 100) for _ in range(system.n_original)]
             lp = solve_lp(system, c)
@@ -838,7 +890,8 @@ EVERY = EQUIVALENCE + PLANTED[1:]  # PLANTED[0] is in EQUIVALENCE too
                          + ["interval-r10-dropped", "no-good-weakened", "faces-fix-bound",
                             "boxes-certificate"])
 def test_facet_proof_never_changes_a_report(doc, method, defect, monkeypatch):
-    """The sampled run (no hull, as past FACET_GUARD) reports what the proof does."""
+    """The sampled run (no hull, as past FACET_GUARD) reports what the proof
+    does, after the failed facets that only the proof lists."""
     problem = Problem(doc)
     system = compile_system(problem, method)
     if defect is not None:
@@ -846,12 +899,14 @@ def test_facet_proof_never_changes_a_report(doc, method, defect, monkeypatch):
     truth = problem.enumerate_allowed()
     # the proof's default limit at 50 trials: n + 25 LPs
     assert fvx.verify._hull(fvx.verify._coords(truth), doc["n"] + 25) is not None
+    facets = facet_mismatches(system, truth, 50)
+    assert bool(facets) == (method == "interval" and defect is not None)
     proved = [verify_formulation(system, truth, problem.forbidden, seed=seed).to_dict()
               for seed in (0, 1, 2)]
     monkeypatch.setattr(fvx.verify, "FACET_GUARD", 0)
     assert fvx.verify._hull(fvx.verify._coords(truth), fvx.verify.FACET_GUARD) is None
-    assert [verify_formulation(system, truth, problem.forbidden, seed=seed).to_dict()
-            for seed in (0, 1, 2)] == proved
+    assert [with_facets(verify_formulation(system, truth, problem.forbidden, seed=seed).to_dict(),
+                        facets) for seed in (0, 1, 2)] == proved
     assert {r["verdict"] for r in proved} == {"pass" if defect is None else "fail"}
 
 
@@ -859,7 +914,7 @@ def test_an_equation_must_hold_at_its_min_and_max():
     # the truth lies on x1 + x2 + x3 = 1; the system meets each facet of its
     # hull (x_i >= 0, x_i + x_j <= 1) and x1 + x2 + x3 >= 1, but holds
     # (1/2, 1/2, 1/2): the equation's min holds and its max does not, so
-    # nothing is proved, and the trials find the mismatch
+    # nothing is proved; the failed max comes first, then the trials' mismatches
     system = LinearSystem.build(3, rows=[({"x1": 1, "x2": 1, "x3": 1}, ">=", 1)] + [
         ({f"x{i}": 1, f"x{j}": 1}, "<=", 1) for i, j in ((1, 2), (1, 3), (2, 3))],
         bounds={f"x{i}": (0, 1) for i in (1, 2, 3)})
@@ -867,5 +922,6 @@ def test_an_equation_must_hold_at_its_min_and_max():
     equations, facets = fvx.verify._hull(truth, fvx.verify.FACET_GUARD)
     assert len(equations) == 1 and len(facets) == 3
     report = verify_formulation(system, truth, X, trials=50, seed=0)
-    assert report.support_mismatches and not report.excluded_failures
+    assert report.support_mismatches[0] == ((-1, -1, -1), Fraction(-3, 2), -1)
+    assert len(report.support_mismatches) > 1 and not report.excluded_failures
     assert report.to_dict() == fixings_only_report(system, truth, X, 50, 0).to_dict()
