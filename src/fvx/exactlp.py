@@ -58,9 +58,9 @@ every readout (`scaled`, `point`, `int_coords`, `column_objective`,
 such rows by construction: x_i = sum_j y_ij, and copy = lam_j for each
 coordinate that a block fixes to 1.  Only the tableau changes: LP files,
 size counts and `verify`'s substitution checks read the system's own rows
-and bounds.  The fold and the presolve run once per solved system (its
-solver is kept, below) and never for a system that is not solved, such as
-a `with_bounds` child.
+and bounds.  The fold and the presolve run once per solved system object
+(its solver is kept, below): never for a fixing, and never for a system
+that is not solved, such as a `with_bounds` child.
 
 `solve_lp` runs phase 1 once per system object and keeps the post-phase-1
 solver on it as `_phase1` (None when infeasible).  That solver is never
@@ -83,20 +83,21 @@ Fixings: each solver keeps one row list over columns, before any sign flip,
 as `template`: every presolved row, then the bound row col <= hi - lo of
 each boxed column (with `var_cols` and `bound_rows`, pivots never touch
 it).  `solve_lp(system, objective, fix={name: int})` takes the kept
-solver's `fixed(fix)`, whose phase 1 and phase 2 take exactly the pivots of
-a cold build of `system.with_bounds({name: (v, v)})`, with no `with_bounds`
-child and no fold per call:
-- when no fixed variable is in an equality row, the presolve of that child
-  makes the same substitutions, so the copy's fixed variables map to their
-  values with no column, and its tableau `_normalize`, the one place that
-  checks and drops a row left with no column, rebuilds from the template
-  with each dropped column's value moved into the right-hand sides.  No
-  substituted map uses a dropped column.  Every other column keeps its
-  number, and the pivot rule compares only z-row entries and column order;
-- otherwise fixing can change what the presolve substitutes (the child's
-  fixed x_i leaves its coupling row to another variable, or a row becomes
-  a doubleton), so the copy is built again, presolve included, from the
-  kept folded rows and the folded bounds intersected with the fixings.
+solver's `fixed(fix)`, built from the template by `_normalize` (the one
+place that checks and drops a row left with no column) with no
+`with_bounds` child, fold or presolve: a fixed variable with columns of its
+own leaves through the shift, its value moved into the right-hand sides
+and into the offset of every substituted map that uses its columns; a
+fixed substituted variable adds the template row sum of coef * col =
+v - offset over its map, the row `pinned` writes (below).  Every other
+column keeps its number, and the pivot rule compares only z-row entries
+and column order, so when no fixed variable is in a folded equality row
+(the child's presolve then substitutes as this one did) the pivots are
+those of a cold solve of `system.with_bounds({name: (v, v)})`.  Otherwise
+fixing can change what the child's presolve substitutes (its fixed x_i
+leaves its coupling row to another variable, or a row becomes a
+doubleton) and the pivots may differ.  The status and the value are the
+child's, and so was the point on every such fixing the tests draw.
 A restriction of an infeasible system is infeasible with no tableau at all.
 With `start` as well, `fix` re-optimizes instead (Chvatal 1983, *Linear
 Programming*, ch. 10): `_Simplex.pinned` adds one row per fixing,
@@ -339,21 +340,13 @@ class _Simplex:
 
     def __init__(self, system: LinearSystem):
         self.variables = system.variables  # not the system, which keeps this solver
-        self.folded = _folded(system)
-        # the names the presolve reads (a fixed bound's row among them): a
-        # fix of any other name changes none of its substitutions
-        self.reads = {name for coeffs, rel, _ in self.folded[1] if rel == "=" for name in coeffs}
-        self._build(*self.folded)
-
-    def _build(self, bounds: Mapping[str, tuple], rows: tuple):
-        """Presolve, then build the columns, the substituted maps and the rows."""
         self.trivially_infeasible = False
         self.var_cols = {}    # name -> (offset, ((col, coef), ...)): x = offset +
                               # sum of coef * col, the offset an int, coef a
                               # nonzero int (+-1 unless substituted)
         self.rows = []        # [cols dict, rhs int, den int] in standard equality form
         self.basis = []
-        bounds, rows, self.substituted = self._presolve(bounds, rows)
+        bounds, rows, self.substituted = self._presolve(*_folded(system))
         self._build_columns(bounds)
         self._substitute()
         self._build_rows(rows)
@@ -562,28 +555,25 @@ class _Simplex:
     def fixed(self, values: Mapping[str, int]) -> "_Simplex":
         """A solver for this system with each named variable fixed to its int value.
 
-        When no named variable is in an equality row, the presolve makes the
-        substitutions it made here, and the tableau comes from this solver's
-        template: each fixed variable's map becomes (value, ()), and the value
-        of each column it drops goes into `_normalize`'s shift (no map uses
-        it).  A value outside the variable's bounds makes the copy trivially
-        infeasible.  Otherwise the copy is built again from the kept folded
-        rows with the fixings intersected onto the folded bounds, so its
-        presolve makes the substitutions of the `with_bounds` child.  The
-        copy has rows of its own; `phase1` runs on it before `phase2`.
+        The tableau comes from this solver's template, with no presolve: a
+        variable with columns of its own leaves through `_normalize`'s shift
+        (a value outside its bounds makes the copy trivially infeasible), and
+        every substituted map that uses a shifted column takes that column's
+        value into its offset.  A substituted variable adds the template row
+        sum of coef * col = value - offset over its map, the row `pinned`
+        writes, which `_normalize` gives its artificial.  Each fixed
+        variable's map becomes (value, ()).  The copy has rows of its own;
+        `phase1` runs on it before `phase2`.
         """
         other = copy.copy(self)
-        if not self.reads.isdisjoint(values):
-            bounds = dict(self.folded[0])
-            for name, v in values.items():
-                bounds[name] = intersect_bounds((v, v), bounds.get(name, (None, None)))
-            other._build(bounds, self.folded[1])
-            return other
         other.var_cols, other.rows, other.basis = dict(self.var_cols), [], []
-        shift = {}
+        shift, pins = {}, []
         for name, v in values.items():
             offset, cols = self.var_cols[name]
-            if not cols:  # already fixed
+            if name in self.substituted:
+                pins.append((dict(cols), v - offset, "="))
+                ok = True
+            elif not cols:  # already fixed
                 ok = v == offset
             elif len(cols) == 1:
                 (col, sign), = cols
@@ -596,6 +586,14 @@ class _Simplex:
                 other.trivially_infeasible = True
                 return other
             other.var_cols[name] = (v, ())
+        for name in self.substituted if shift else ():
+            offset, cols = other.var_cols[name]
+            if any(col in shift for col, _ in cols):
+                other.var_cols[name] = (
+                    offset + sum(coef * shift[col] for col, coef in cols if col in shift),
+                    tuple(term for term in cols if term[0] not in shift))
+        if pins:
+            other.template = self.template + pins
         other._normalize(shift)
         return other
 
@@ -867,9 +865,9 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     `with_bounds` children do not inherit it.
 
     `fix`, a mapping from variable names to ints, answers for the system
-    with those variables fixed: the same answer, pivots included, as a cold
-    solve of `system.with_bounds({name: (v, v)})`, from a tableau derived
-    from the kept one (`_Simplex.fixed`) with a phase 1 of its own.  An
+    with those variables fixed: the status, value and point of a cold solve
+    of `system.with_bounds({name: (v, v)})`, from the kept solver's
+    template (`_Simplex.fixed`) with a phase 1 of its own.  An
     undeclared name or a value that is not an int (bools, floats, Fractions
     and strings are refused) raises DomainError.
 

@@ -1121,14 +1121,20 @@ class TestFix:
         assert repr(solve_lp(system, [1, -1], fix={})) == repr(solve_lp(system, [1, -1]))
 
     def test_one_tableau_build_per_system(self, monkeypatch):
-        builds = []
-        init = exactlp._Simplex.__init__
+        # the x's of the interval formulation are substituted, so each fixing
+        # pins a substituted variable: still no second build or presolve
+        builds, presolves = [], []
+        init, presolve = exactlp._Simplex.__init__, exactlp._Simplex._presolve
         monkeypatch.setattr(exactlp._Simplex, "__init__",
                             lambda self, system: builds.append(system) or init(self, system))
+        monkeypatch.setattr(exactlp._Simplex, "_presolve", staticmethod(
+            lambda bounds, rows: presolves.append(rows) or presolve(bounds, rows)))
         system = interval_formulation([BinaryPoint.from_string(s) for s in ("000", "110")], 3)
         for v in itertools.product((0, 1), repeat=3):
             solve_lp(system, [1, 2, 3], fix=dict(zip(("x1", "x2", "x3"), v)))
+        assert {"x1", "x2", "x3"} <= system._phase1.substituted.keys()
         assert builds == [system]
+        assert len(presolves) == 1
 
     def test_saved_solver_is_untouched(self):
         system = interval_formulation([BinaryPoint.from_string("101")], 3)
@@ -1275,7 +1281,8 @@ class TestPresolve:
 
     def test_fixing_substituted_variables_matches_with_bounds_children(self):
         # fix a substituted variable, a variable its map uses, or both: the
-        # copy is built again with the fixings, as the cold child is
+        # copy comes from the kept template, whose presolve may differ from
+        # the cold child's, and answers as the child does
         rng = random.Random(89)
         seen = set()
         for system in presolved_systems(rng, 400):

@@ -164,7 +164,7 @@ class TestHrepOracle:
 
     def test_kbest_with_equality_rows_matches_brute_force(self):
         # x1 + x2 = 1 and x3 - x4 = 0 in the 5-cube: the tableau substitutes x1
-        # and x3 out (unit doubletons), and a face fixing either is built again
+        # and x3 out (unit doubletons), and a face fixing either adds its row
         rows = list(cube_hrep(5).rows) + [((1, 1, 0, 0, 0), "=", 1), ((0, 0, 1, -1, 0), "=", 0)]
         P = HPolytope.of(5, rows)
         vertices = [v for v in all_binary(5) if P.satisfies(v)]
