@@ -77,7 +77,8 @@ solver's own row and basis lists, not copied), and
 instead of the post-phase-1 one.  Any feasible basis is a valid phase-2
 start, so the status and the value are the cold ones; only the point may be
 another optimum.  `start` must come from the same system object, and a
-start that `fix` made carries its fixings.
+start that `fix` made carries its fixings.  `start` with `fix` is refused:
+`fix` is always a cold solve.
 
 Fixings: each solver keeps one row list over columns, before any sign flip,
 as `template`: every presolved row, then the bound row col <= hi - lo of
@@ -89,23 +90,16 @@ place that checks and drops a row left with no column) with no
 own leaves through the shift, its value moved into the right-hand sides
 and into the offset of every substituted map that uses its columns; a
 fixed substituted variable adds the template row sum of coef * col =
-v - offset over its map, the row `pinned` writes (below).  Every other
-column keeps its number, and the pivot rule compares only z-row entries
-and column order, so when no fixed variable is in a folded equality row
-(the child's presolve then substitutes as this one did) the pivots are
-those of a cold solve of `system.with_bounds({name: (v, v)})`.  Otherwise
+v - offset over its map.  Every other column keeps its number, and the
+pivot rule compares only z-row entries and column order, so when no fixed
+variable is in a folded equality row (the child's presolve then
+substitutes as this one did) the pivots are those of a cold solve of
+`system.with_bounds({name: (v, v)})`.  Otherwise
 fixing can change what the child's presolve substitutes (its fixed x_i
 leaves its coupling row to another variable, or a row becomes a
 doubleton) and the pivots may differ.  The status and the value are the
 child's, and so was the point on every such fixing the tests draw.
 A restriction of an infeasible system is infeasible with no tableau at all.
-With `start` as well, `fix` re-optimizes instead (Chvatal 1983, *Linear
-Programming*, ch. 10): `_Simplex.pinned` adds one row per fixing,
-sum of coef * col = v - offset over the variable's map, to a `restart()`
-copy of the start's feasible basis, its basic columns eliminated and one
-new artificial basic in it, so phase 1 prices only those artificials and
-phase 2 follows.  The status and the value are the cold child's; the
-point may be another optimum, as with any `start`.
 
 `solve_lp` is the only entry point.  A feasibility question is
 `solve_lp(system, {})`: phase 2 then makes no pivot, so the answer is optimal
@@ -143,9 +137,9 @@ class LpResult:
     kept pricing, `(costs, scale, negate)`), the point, and the ints of
     `int_coords` and `scaled_point` are read out of the solver only when
     asked for; the value and the point are kept.  The solver is
-    never pivoted after it is returned (`start`, with or without `fix`,
-    pivots a `restart()` copy of it, and a solver built for `fix` belongs to
-    its result alone), so a late readout equals an eager one.
+    never pivoted after it is returned (`start` pivots a `restart()` copy of
+    it, and a solver built for `fix` belongs to its result alone), so a late
+    readout equals an eager one.
     `LpResult(status, point, value)` is a result with the given point and
     value; `repr` and `==` compare `(status, point, value)`.
     """
@@ -560,10 +554,9 @@ class _Simplex:
         (a value outside its bounds makes the copy trivially infeasible), and
         every substituted map that uses a shifted column takes that column's
         value into its offset.  A substituted variable adds the template row
-        sum of coef * col = value - offset over its map, the row `pinned`
-        writes, which `_normalize` gives its artificial.  Each fixed
-        variable's map becomes (value, ()).  The copy has rows of its own;
-        `phase1` runs on it before `phase2`.
+        sum of coef * col = value - offset over its map, which `_normalize`
+        gives its artificial.  Each fixed variable's map becomes (value, ()).
+        The copy has rows of its own; `phase1` runs on it before `phase2`.
         """
         other = copy.copy(self)
         other.var_cols, other.rows, other.basis = dict(self.var_cols), [], []
@@ -595,43 +588,6 @@ class _Simplex:
         if pins:
             other.template = self.template + pins
         other._normalize(shift)
-        return other
-
-    def pinned(self, values: Mapping[str, int]) -> "_Simplex":
-        """A `restart()` copy of this solver, which holds a feasible basis,
-        with each named variable fixed to its int value by one new row.
-
-        The row is sum of coef * col = value - offset over the variable's
-        map (a substituted variable needs no special case), its basic columns
-        eliminated against their rows by `_combine`, the sign set so that
-        rhs >= 0, and one new artificial,
-        numbered from `ncols`, basic in it.  With `art_start` at the old
-        `ncols`, `phase1` prices only these artificials, then drives them out
-        and deletes them; `phase2` follows.  A row left with no column and a
-        nonzero rhs makes the copy trivially infeasible.
-        """
-        other = self.restart()
-        row_of = dict(zip(self.basis, self.rows))
-        art = other.art_start = self.ncols
-        for name, v in values.items():
-            offset, terms = self.var_cols[name]
-            b, cols = v - offset, dict(terms)
-            for col, _ in terms:
-                if col in row_of:
-                    cols, b = self._combine(cols, b, 1, cols[col], *row_of[col])[:2]
-            if not cols:
-                other.trivially_infeasible |= b != 0
-                continue
-            if b < 0:
-                cols, b = {c: -a for c, a in cols.items()}, -b
-            g = gcd(b, *cols.values())
-            if g > 1:
-                cols, b = {c: a // g for c, a in cols.items()}, b // g
-            cols[art] = 1
-            other.rows.append([cols, b, 1])
-            other.basis.append(art)
-            art += 1
-        other.ncols = art
         return other
 
     # -- pivoting ---------------------------------------------------------------
@@ -874,19 +830,17 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     `start`, an earlier optimal result of this same system object, makes
     phase 2 start from that result's optimal basis instead.  The status and
     the value then still equal the cold ones, but the point may be another
-    optimum.  A start made with `fix` carries its fixings.  With `fix` as
-    well, each fixing becomes a row on the start's basis
-    (`_Simplex.pinned`), and a phase 1 over their artificials alone reaches
-    a feasible basis: the status and the value are the cold `with_bounds`
-    child's (of the start's fixings and these), the point may be another
-    optimum.  A `start` of another system, or one that is not optimal,
-    raises DomainError.
+    optimum.  A start made with `fix` carries its fixings.  A `start` of
+    another system, or one that is not optimal, raises DomainError, and so
+    does a `start` with a nonempty `fix`.
     """
     if sense not in ("min", "max"):
         raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
     if not system.variables:
         raise DomainError("system has no variables")
     if fix:
+        if start is not None:
+            raise DomainError("start and fix cannot be combined: fix is a cold solve")
         for name, v in fix.items():
             if name not in system.variables:
                 raise DomainError(f"fix references undeclared variable {name!r}")
@@ -898,12 +852,12 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
         if base is None:
             return _INFEASIBLE  # so is every restriction of it
         solver = base.fixed(fix) if fix else base.restart()
+        if fix and not solver.phase1():
+            return _INFEASIBLE
     elif start._tableau is None or start._tableau[0] is not system:
         raise DomainError("start must be an optimal result of this same system")
     else:
-        solver = start._tableau[1].pinned(fix) if fix else start._tableau[1].restart()
-    if fix and not solver.phase1():
-        return _INFEASIBLE
+        solver = start._tableau[1].restart()
     negate = sense == "max"
     if solver.phase2(solver.column_objective(costs, negate)) == UNBOUNDED:
         return _UNBOUNDED

@@ -46,10 +46,10 @@ Starts: a facet LP starts from the witness least under its objective,
 an equation LP from the first witness, a trial from the witness of its
 (value, coords)-least member, and a corner probe of p from the witnessed
 corner that differs from p in one coordinate, least by (distance,
-coords); each cold when there is none.  Pinned probes start from a
-witness too (see Probes); the box LPs start cold.  Any feasible basis is
-a valid phase-2 start: a start changes no status and no value, only the
-pivots taken to reach them, and the point when there are several optima.
+coords); each cold when there is none.  The box LPs and the pinned probes
+(see Probes) start cold.  Any feasible basis is a valid phase-2 start: a
+start changes no status and no value, only the pivots taken to reach
+them, and the point when there are several optima.
 
 Probes: the box [l, h] holds the projection; a point outside it is not a
 member, and a point with every p_i in {l_i, h_i} (every binary point when
@@ -57,12 +57,16 @@ the box is [0,1]^n, every corner of a lattice box) is a member exactly
 when the L1 distance sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i}
 (h_i - x_i) has minimum 0.  Other points (strictly inside the box, or any
 point when the projection is unbounded or the system infeasible) ask a
-zero-objective `solve_lp` with x pinned to p by its `fix`, which is
-optimal exactly when that is feasible.  Such a pinned probe starts from
-the witness of p's least unit neighbour (p +- e_i, at most 2n lookups),
-else from the run's first witness: its fixings become rows on that
-feasible basis, and a phase 1 over their artificials alone answers it.
-With no witness at all it is the cold `fix`.
+zero-objective `solve_lp` with x pinned to p by its `fix`, a cold solve,
+which is optimal exactly when that is feasible.
+
+Membership by convexity: the projection is convex, and no vertex of
+conv(T) is the midpoint of two other points of T, so the truth points p
+with no coordinate i where both p - e_i and p + e_i are in T include every
+vertex of conv(T).  They are probed first; when all are members, conv(T)
+lies in the projection and so does every truth point, with no probe.
+When one fails, the rest are probed too, so the membership failures are
+exact.
 
 Points may be BinaryPoints, LatticePoints or sequences of ints (lists are
 read as tuples); anything else, or a point whose length is not the
@@ -87,8 +91,8 @@ from .linsys import LinearSystem
 ENUM_GUARD_POINTS = 4096
 ENUM_GUARD_DIM = 12
 MAX_TRIALS = 10_000  # one LP each; far above the default 50
-# pinned probes x system rows; each probe runs a phase 1 of its own, over
-# its n fixing rows on a witness's basis, or cold when there is no witness
+# pinned probes x system rows: each probe is a cold phase 1 over every row
+# of the system
 PIN_GUARD = 20_000
 # most LPs the facet proof may take (one per live facet while `_hull` runs,
 # two per equation), whatever the trials: it bounds the enumeration's time
@@ -422,19 +426,20 @@ def _pin_guard(run: _Witnesses, box: Optional[list], cuts: list, points: list,
     return pinned
 
 
-def _pin_start(run: _Witnesses, p: tuple):
-    """The witness of p's least unit neighbour (p +- e_i, at most 2n lookups),
-    else the run's first witness, else None."""
-    near = [q for i, v in enumerate(p) for w in (v - 1, v + 1)
-            if (q := (*p[:i], w, *p[i + 1:])) in run]
-    return run[min(near)] if near else next(iter(run.values()), None)
+def _unstraddled(truth: list) -> list:
+    """The distinct truth points p with no coordinate i where both p - e_i and
+    p + e_i are truth points.  No vertex of conv(truth) is the midpoint of
+    two other points, so every vertex is one of them."""
+    points = dict.fromkeys(truth)
+    return [p for p in points if not any((*p[:i], v - 1, *p[i + 1:]) in points
+                                         and (*p[:i], v + 1, *p[i + 1:]) in points
+                                         for i, v in enumerate(p))]
 
 
 def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
     """Is the integral point p in the projection of the system onto x1..xn?"""
     if _needs_pin(run, box, p):
-        return solve_lp(run.system, {}, start=_pin_start(run, p),
-                        fix=dict(zip(run.names, p))).is_optimal
+        return solve_lp(run.system, {}, fix=dict(zip(run.names, p))).is_optimal
     if p in run:
         return True
     if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):
@@ -465,8 +470,9 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
 
     Proves the projection inside conv(`ground_truth`) from its facets when
     `_hull` gives them (listing each facet or equation LP that fails as a
-    support mismatch, first), probes every allowed point for membership and every
-    point of X for exclusion (expected exactly when the point is outside
+    support mismatch, first), probes the allowed points for membership (see
+    Membership by convexity in the module docstring) and every point of X
+    for exclusion (expected exactly when the point is outside
     the hull of the ground truth, which for removed vertices is always),
     compares the LP minimum of `trials` random integer objectives in
     [-100, 100]^n with the brute-force minimum unless the proof and the
@@ -478,8 +484,8 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     `trials` or a point whose length is not `system.n_original` raises
     DomainError, more than `MAX_TRIALS` trials GuardExceeded, and so does a
     run whose pinned probes times the system's rows exceed `PIN_GUARD`
-    (counted before the membership probes, and again with the exclusion
-    probes that will run before those run; the trials come last, so their
+    (counted before each batch of membership probes, and again with the
+    exclusion probes before those run; the trials come last, so their
     witnesses do not lower the count).
     """
     if trials < 0:
@@ -513,8 +519,17 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     # lie in the hull of the rest, so each probe is compared with the exact
     # hull membership
     inside = [_in_hull(hull, p) if hull else in_convex_hull(p, truth) for p in removed]
-    pinned = _pin_guard(run, box, cuts, truth, 0)
-    member = [not _cut(cuts, p) and _in_projection(run, box, p) for p in truth]
+    # the projection is convex, so it holds every truth point once it holds
+    # those that no unit pair straddles, every vertex of conv(truth) among
+    # them; the rest are probed only when one of those fails
+    first = _unstraddled(truth)
+    pinned = _pin_guard(run, box, cuts, first, 0)
+    found = {p: not _cut(cuts, p) and _in_projection(run, box, p) for p in first}
+    if not all(found.values()):
+        rest = [p for p in dict.fromkeys(truth) if p not in found]
+        pinned = _pin_guard(run, box, cuts, rest, pinned)
+        found.update((p, not _cut(cuts, p) and _in_projection(run, box, p)) for p in rest)
+    member = [found.get(p, True) for p in truth]
     report.membership_failures = [p for p, ok in zip(truth, member) if not ok]
     # truth <= proj Q <= conv(truth): the probes below and every trial are decided
     decided = proved and not report.membership_failures

@@ -547,8 +547,23 @@ class TestInputValidation:
             assert code == 1 and "trials guard" in json.loads(out)["message"], extra
 
     def test_pinned_probe_guard(self, tmp_path, capsys):
-        # over 200 inner points to pin on a system of about 200 rows: without
-        # the guard this passes after one cold phase 1 per inner point
+        # [0,5]^3 less every point of even coordinate sum: no allowed point is
+        # the midpoint of two others, so 99 inner points with no witness are
+        # pinned on a system of 922 rows, one cold phase 1 each
+        forbidden = [[x, y, z] for x in range(6) for y in range(6) for z in range(6)
+                     if (x + y + z) % 2 == 0]
+        path = write_json(tmp_path, "g.json", {
+            "kind": "integral", "n": 3, "forbidden": forbidden,
+            "polytope": {"type": "lattice-box", "l": [0, 0, 0], "u": [5, 5, 5]}})
+        start = time.perf_counter()
+        code, out = run(capsys, ["verify", path, "--method", "boxes"])
+        assert time.perf_counter() - start < 2
+        assert code == 1 and "99 pinned probes on 922 rows exceed the pinned-probe guard" \
+            in json.loads(out)["message"]
+
+    def test_midpoints_are_not_pinned(self, tmp_path, capsys):
+        # [0,5]^3 less 8 points: over 200 inner points, but nearly all are the
+        # midpoint of two allowed unit neighbours, and every other probe passes
         forbidden = [[1, 2, 3], [4, 4, 1], [2, 0, 5], [3, 3, 3],
                      [0, 5, 2], [5, 1, 1], [2, 4, 4], [1, 1, 0]]
         path = write_json(tmp_path, "g.json", {
@@ -557,7 +572,7 @@ class TestInputValidation:
         start = time.perf_counter()
         code, out = run(capsys, ["verify", path, "--method", "boxes", "--trials", "0"])
         assert time.perf_counter() - start < 2
-        assert code == 1 and "pinned-probe guard" in json.loads(out)["message"]
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
 
     @pytest.mark.parametrize("facets, field", [
         (5, "polytope.facets'"), (["a"], "polytope.facets[0]"), ([0, 1.5], "polytope.facets[1]"),

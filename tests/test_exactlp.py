@@ -833,11 +833,11 @@ class TestIntegerBuild:
                                     {"x1": (0, 2), "x2": ("1/2", 2)})
         low = solve_lp(system, ["1/3", 1])
         high = solve_lp(system, [2, 1], "max", start=low)
-        warm = solve_lp(system, [-1, 0], start=high, fix={"x2": 1})
+        fixed = solve_lp(system, [-1, 0], fix={"x2": 1})
         assert reads == []
-        assert (low.value, high.value, warm.value) == (Fraction(1, 2), 5, -2)
+        assert (low.value, high.value, fixed.value) == (Fraction(1, 2), 5, -2)
         assert high.value == 5 and len(reads) == 3
-        assert LpResult("optimal", dict(low.point), low.value) == low and repr(warm) == \
+        assert LpResult("optimal", dict(low.point), low.value) == low and repr(fixed) == \
             "LpResult(status='optimal', point={'x1': Fraction(2, 1), 'x2': Fraction(1, 1)}, value=Fraction(-2, 1))"
 
 
@@ -1162,22 +1162,18 @@ class TestFix:
         with pytest.raises(DomainError, match="undeclared variable 'y'"):
             solve_lp(system, {}, fix={"y": 1})
 
-    def test_fix_with_start_adds_rows(self, monkeypatch):
-        # the fixings become rows on the start's basis: no tableau is built
-        # and no `fixed` copy is made
+    def test_fix_with_start_is_refused(self):
+        # fix is a cold solve; a start made with fix carries its fixings
         system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
         start = solve_lp(system, [1, 1])
-        made = []
-        for name in ("__init__", "fixed"):
-            original = getattr(exactlp._Simplex, name)
-            monkeypatch.setattr(exactlp._Simplex, name,
-                                lambda self, arg, f=original: made.append(arg) or f(self, arg))
-        got = solve_lp(system, [1, 1], start=start, fix={"x1": 1})
-        assert (got.status, got.value, got.point) == ("optimal", 1, {"x1": 1, "x2": 0})
-        assert solve_lp(system, [1, 1], start=start, fix={"x1": 2}).is_infeasible
-        assert made == []
-        with pytest.raises(DomainError, match="same system"):
-            solve_lp(system.with_bounds({}), [1, 1], start=start, fix={"x1": 1})
+        for target in (system, system.with_bounds({})):
+            with pytest.raises(DomainError, match="start and fix cannot be combined"):
+                solve_lp(target, [1, 1], start=start, fix={"x1": 1})
+        assert solve_lp(system, [1, 1], start=start, fix={}) == start
+        fixed = solve_lp(system, [1, 1], fix={"x1": 1})
+        got = solve_lp(system, [-1, -1], start=fixed)
+        assert (got.status, got.value, got.point) == ("optimal", -2, {"x1": 1, "x2": 1})
+        assert solve_lp(system, [1, 1], start=fixed).value == 1
 
     def test_objective_of_wrong_length(self):
         system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
@@ -1306,73 +1302,6 @@ class TestPresolve:
                 seen.add((got.status, kind))
         assert {(status, kind) for status in ("optimal", "infeasible")
                 for kind in ("substituted", "used", "both")} <= seen
-
-
-class TestWarmFix:
-    """`fix` with `start` answers with the status and value of the cold
-    `with_bounds` child, the start's own fixings included."""
-
-    def test_matches_with_bounds_children(self):
-        rng = random.Random(97)
-        seen, kinds, refixed, fractions = set(), set(), 0, 0
-        for system in presolved_systems(rng, 300):
-            names = system.variables
-            kinds.add("substituted" if exactlp._Simplex(system).substituted else "none")
-            bounds = exactlp._folded(system)[0]
-            if any(bounds.get(name, (None, None)) == (None, None) for name in names):
-                kinds.add("free")
-            fractions += has_fractional_bounds(system)
-
-            def costs():
-                return {name: rng.randint(-5, 5) for name in names}
-
-            # (kind, the fixings the start carries, the start); a zero
-            # objective is optimal on every feasible system, bounded or not
-            starts = []
-            cold = solve_lp(system, {})
-            if cold.is_optimal:
-                starts.append(("cold", {}, cold))
-                warm = solve_lp(system, costs(), rng.choice(("min", "max")), start=cold)
-                if warm.is_optimal:
-                    starts.append(("start", {}, warm))
-            carried = {name: fix_value(rng, system, name) for name in rng.sample(names, 1)}
-            fixed = solve_lp(system, {}, fix=carried)
-            if fixed.is_optimal:
-                starts.append(("fix", carried, fixed))
-            for kind, carried, start in starts * 3:
-                k = rng.choice((1, 1, rng.randint(1, len(names)), len(names)))
-                # near the start's point, as a pinned probe is, or anywhere
-                fix = {name: rng.choice((floor(q), ceil(q), fix_value(rng, system, name)))
-                       for name in rng.sample(names, k) for q in [start.point[name]]}
-                refixed += any(carried.get(name, v) != v for name, v in fix.items())
-                child = pinned(pinned(system, carried), fix)
-                solver = start._tableau[1]
-                before, tableau = repr(start), copy.deepcopy((solver.rows, solver.basis))
-                c, sense = costs(), rng.choice(("min", "max"))
-                got = solve_lp(system, c, sense, start=start, fix=fix)
-                expect = solve_lp(child, c, sense)
-                assert (got.status, got.value) == (expect.status, expect.value)
-                if got.is_optimal:
-                    assert verify.satisfies(child, got.point)
-                    assert int_tableau(got._tableau[1])  # the pinned rows too
-                assert repr(start) == before and (solver.rows, solver.basis) == tableau
-                assert solver.point() == start.point  # a fresh readout of the start
-                seen.add((kind, got.status))
-        assert {(kind, status) for kind in ("cold", "start", "fix")
-                for status in ("optimal", "infeasible", "unbounded")} <= seen
-        assert kinds == {"substituted", "none", "free"} and refixed > 0 and fractions > 50
-
-    def test_refixing_a_fixed_variable_is_infeasible(self):
-        # y is fixed by its bounds, x1 by the start's own fixing
-        system = LinearSystem.build(2, ("y",), [({"x1": 1, "x2": 1, "y": 1}, "<=", 3)],
-                                    {"x1": (0, 2), "x2": (0, 2), "y": (1, 1)})
-        cold = solve_lp(system, [1, 1])
-        start = solve_lp(system, [1, 1], fix={"x1": 1})
-        assert cold.is_optimal and start.is_optimal
-        assert solve_lp(system, [1, 1], start=start, fix={"x1": 2}).is_infeasible
-        assert solve_lp(system, [1, 1], start=start, fix={"x1": 1}).value == 1
-        assert solve_lp(system, [1, 1], start=cold, fix={"y": 0}).is_infeasible
-        assert solve_lp(system, [1, 1], start=cold, fix={"y": 1, "x2": 2}).value == 2
 
 
 class TestLazyReadout:

@@ -329,11 +329,10 @@ class TestProbesMatchFixings:
         pinned = pinned_probes(monkeypatch)
         assert self.check(system, truth, problem.forbidden)["verdict"] == "pass"
         assert self.check(pin_x1_to_zero(system), truth, problem.forbidden)["verdict"] == "fail"
-        if doc["kind"] == "binary":
-            assert pinned == []  # every binary point is a corner of [0,1]^n
-        else:
-            # only lattice points off the corners of [0,3]x[0,2] are pinned
-            assert pinned and not any(x in (0, 3) and y in (0, 2) for x, y in pinned)
+        # every binary point is a corner of [0,1]^n; the one lattice point
+        # off the corners of [0,3]x[0,2] with no witness, (2, 0), is the
+        # midpoint of the members (1, 0) and (3, 0), so it is not probed
+        assert pinned == []
 
     def test_projection_not_in_unit_cube(self, monkeypatch):
         # x1 = 2y with y in [0, 1]; x2 in [-1, 3/2]; x1 + x2 <= 2
@@ -350,8 +349,10 @@ class TestProbesMatchFixings:
         assert report["support_mismatches"][0] == {"objective": [0, -1], "lp": "-3/2",
                                                    "brute": "-1"}
         # corners (0, -1) and (2, -1) are L1 probes; (3, 0), (-1, -1) and
-        # (0, 2) are outside the box [0, 2] x [-1, 3/2]
-        assert pinned == [(0, 0), (1, 1), (2, 0), (0, 1), (2, 1), (1, 0), (1, -1)]
+        # (0, 2) are outside the box [0, 2] x [-1, 3/2].  No unit pair
+        # straddles (0, 1) or (2, 1), so they are probed first; (2, 1) fails,
+        # so the rest of the truth is probed too
+        assert pinned == [(0, 1), (2, 1), (0, 0), (1, 1), (2, 0), (1, 0), (1, -1)]
 
     def test_unbounded_projection_pins_every_point(self, monkeypatch):
         system = LinearSystem.build(2, (), [({"x1": 1, "x2": -1}, ">=", 0)],
@@ -379,7 +380,7 @@ class TestProbesMatchFixings:
             [[1, 0], [-1, 0], [0, 1], [0, -1]]
         assert pinned == truth + X
 
-    def test_random_removed_points(self):
+    def test_random_removed_points(self, monkeypatch):
         rng = random.Random(13)
         for _ in range(6):
             n = rng.randint(2, 4)
@@ -389,6 +390,32 @@ class TestProbesMatchFixings:
                 system = pin_x1_to_zero(system)
             truth = [p for p in all_binary(n) if p not in X]
             self.check(system, truth, X, trials=4, seed=rng.randint(0, 99))
+        # lattice boxes: the points no unit pair straddles are probed first,
+        # and the rest only when one of those fails (x1 pinned to 0 fails
+        # every point with x1 = u), each batch counted by the guard before it
+        # runs, then the exclusion probes
+        batches, seen = [], set()
+        guard = fvx.verify._pin_guard
+        monkeypatch.setattr(fvx.verify, "_pin_guard", lambda run, box, cuts, points, pinned:
+                            batches.append(points) or guard(run, box, cuts, points, pinned))
+        for _ in range(6):
+            n, u = rng.randint(2, 3), rng.randint(1, 3)
+            forbidden = [[rng.randint(0, u) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+            problem = Problem({"kind": "integral", "n": n, "forbidden": forbidden,
+                               "polytope": {"type": "lattice-box", "l": [0] * n, "u": [u] * n}})
+            system, truth = compile_system(problem, "boxes"), problem.enumerate_allowed()
+            coords = [point_coords(p) for p in truth]
+            for mutant in (system, pin_x1_to_zero(system)):
+                del batches[:]
+                report = self.check(mutant, truth, problem.forbidden, trials=4,
+                                    seed=rng.randint(0, 99))
+                passed = not report["membership_failures"]
+                assert passed or mutant is not system
+                assert batches[0] == fvx.verify._unstraddled(coords)
+                rest = [p for p in coords if p not in batches[0]]
+                assert batches[1:-1] == ([] if passed else [rest])
+                seen.add((passed, bool(rest)))
+        assert seen >= {(True, True), (False, True)}
 
 
 class TestSatisfies:
@@ -533,8 +560,9 @@ def lp_calls(monkeypatch):
     # corner probes.  The proof and the memberships decide every trial and
     # both removed points, so no trial or exclusion probe runs an LP
     (binary_doc("cube", 4, ["0110", "1011"]), "faces", 19, 18),
-    # 6 facet LPs (the first cold), 2 cold corner probes, 1 pinned probe
-    (LATTICE, "boxes", 9, 6),
+    # 6 facet LPs (the first cold) and 2 cold corner probes; the one point
+    # pinned before, (2, 0), is the midpoint of (1, 0) and (3, 0)
+    (LATTICE, "boxes", 8, 5),
 ], ids=["cube4-faces", "lattice-boxes"])
 def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     """A change in probe routing or warm starts shows here as a count diff."""
@@ -546,60 +574,42 @@ def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
     assert (len(calls), sum(calls)) == (total, warm)
 
 
-def pin_starts(monkeypatch):
-    """Record each pinned probe of fvx.verify as (p, its start, a copy of the
-    run's witnesses when it ran)."""
-    probes, runs = [], []
-    in_projection = fvx.verify._in_projection
-
-    def probing(run, box, p):
-        runs.append(run)
-        return in_projection(run, box, p)
+def cold_pins(monkeypatch):
+    """Record each pinned probe of fvx.verify as (p, its start)."""
+    probes = []
 
     def recording(system, objective, sense="min", start=None, fix=None):
         if fix:
-            probes.append((tuple(fix[name] for name in runs[-1].names), start, dict(runs[-1])))
+            probes.append((tuple(fix.values()), start))
         return solve_lp(system, objective, sense, start=start, fix=fix)
 
-    monkeypatch.setattr(fvx.verify, "_in_projection", probing)
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     return probes
 
 
-def test_pinned_probes_start_from_a_witnessed_unit_neighbour(monkeypatch):
+def test_pinned_probes_start_cold(monkeypatch):
+    # every pinned probe is the cold template `fix`, also on the lattice box
+    # past FACET_GUARD, where the witnesses have unit neighbours to offer
+    probes = cold_pins(monkeypatch)
+    monkeypatch.setattr(fvx.verify, "FACET_GUARD", 0)
     problem = Problem(LATTICE)
-    system = compile_system(problem, "boxes")
-    probes = pin_starts(monkeypatch)
-    # with the facets proved, (2, 0); without (as past FACET_GUARD), also
-    # (2, 2), (3, 1) and the removed (1, 1) and (2, 1), inside the hull
-    for guard, expect in ((fvx.verify.FACET_GUARD, (1, 1)), (0, (4, 5))):
-        monkeypatch.setattr(fvx.verify, "FACET_GUARD", guard)
-        del probes[:]
-        assert verify_formulation(system, problem.enumerate_allowed(), problem.forbidden).passed
-        near = 0
-        for p, start, witnesses in probes:
-            neighbours = [q for i in range(len(p)) for d in (-1, 1)
-                          if (q := (*p[:i], p[i] + d, *p[i + 1:])) in witnesses]
-            near += bool(neighbours)
-            assert start is (witnesses[min(neighbours)] if neighbours
-                             else next(iter(witnesses.values())))
-        assert (near, len(probes)) == expect
+    assert verify_formulation(compile_system(problem, "boxes"), problem.enumerate_allowed(),
+                              problem.forbidden).passed
+    assert probes == [(p, None) for p in [(2, 2), (3, 1), (1, 1), (2, 1)]]
 
 
 def test_pinned_probe_with_no_witness_stays_cold(monkeypatch):
     # an infeasible system has no box (None) and no witness; an unbounded
     # projection has no box either, but the min-x1 box LP witnesses (0, 0)
-    probes = pin_starts(monkeypatch)
+    probes = cold_pins(monkeypatch)
     system = LinearSystem.build(2, (), [({"x1": 1}, ">=", 1), ({"x1": 1}, "<=", 0)],
                                 {"x2": (0, 1)})
     verify_formulation(system, [(1, 0)], [(0, 0)])
-    assert [(p, start) for p, start, _ in probes] == [((1, 0), None), ((0, 0), None)]
+    assert probes == [((1, 0), None), ((0, 0), None)]
     del probes[:]
     system = LinearSystem.build(2, (), [({"x1": 1, "x2": -1}, ">=", 0)], {"x2": (0, 1)})
     verify_formulation(system, [(0, 0), (1, 0), (1, 1), (2, 1)], [(0, 1), (5, 0)])
-    assert [p for p, start, _ in probes if start is not None] == [(1, 0), (2, 1), (0, 1), (5, 0)]
-    p, start, witnesses = probes[-1]  # no unit neighbour is witnessed: the first witness
-    assert next(iter(witnesses)) == (0, 0) and start is witnesses[(0, 0)]
+    assert probes == [(p, None) for p in [(1, 0), (2, 1), (0, 1), (5, 0)]]
 
 
 def test_pinned_probe_results_never_become_witnesses(monkeypatch):
@@ -621,10 +631,11 @@ def test_pinned_probe_results_never_become_witnesses(monkeypatch):
 
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     monkeypatch.setattr(fvx.verify._Witnesses, "__setitem__", storing)
-    # with the facets proved, the member (2, 0); without, also (2, 2), (3, 1)
-    # and the removed (1, 1) and (2, 1), both inside the hull of the rest:
-    # each result is optimal, so each could have been kept
-    for guard, expect in ((fvx.verify.FACET_GUARD, 1), (0, 5)):
+    # with the facets proved, none ((2, 0) is the midpoint of (1, 0) and
+    # (3, 0)); without, (2, 2), (3, 1) and the removed (1, 1) and (2, 1),
+    # both inside the hull of the rest: each result is optimal, so each could
+    # have been kept
+    for guard, expect in ((fvx.verify.FACET_GUARD, 0), (0, 4)):
         monkeypatch.setattr(fvx.verify, "FACET_GUARD", guard)
         del pinned[:], stored[:]
         report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden)
@@ -638,7 +649,7 @@ def test_pinned_probe_results_never_become_witnesses(monkeypatch):
     (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 3, 15),
     (binary_doc("cube", 4, ["0110", "1011"]), "faces", 1, 18),
     (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 1, 120),
-    (LATTICE, "boxes", 14, 12),
+    (LATTICE, "boxes", 12, 12),
 ], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
 def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
     """A change in the tableau, the phase-1 pricing or the pivot rule shows here
