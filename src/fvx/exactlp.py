@@ -19,7 +19,7 @@ and in Python ints from the tableau build to the objective value:
   rows' denominators; the z row is one positive multiple of the reduced
   costs, so the scaling changes no pivot;
 - readout: the objective value is read off the final z row, with no
-  point, when it is first asked for: (sum of cost * offset -+ zrhs/zden)
+  point, when it is first asked for: (sum of cost * offset - zrhs/zden)
   / L for the integer costs, scaled by L, made one Fraction.  Every
   coordinate readout is one walk of the basis, `_Simplex.scaled(names)`:
   (L, the named variables' values times L as ints), L the lcm of the basic
@@ -134,7 +134,7 @@ class LpResult:
     system and `value` is the objective evaluated at that point; the result
     then also keeps `(system, solver, pricing)` for `solve_lp`'s `start`,
     outside `repr` and `==`.  The value (read off the final z row under the
-    kept pricing, `(costs, scale, negate)`), the point, and the ints of
+    kept pricing, `(costs, scale)`), the point, and the ints of
     `int_coords` and `scaled_point` are read out of the solver only when
     asked for; the value and the point are kept.  The solver is
     never pivoted after it is returned (`start` pivots a `restart()` copy of
@@ -762,30 +762,26 @@ class _Simplex:
         L, ints = self.scaled(self.variables)
         return L, dict(zip(self.variables, ints))
 
-    def objective_value(self, costs: Mapping[str, int], scale: int, negate: bool) -> Fraction:
+    def objective_value(self, costs: Mapping[str, int], scale: int) -> Fraction:
         """The optimal value of the integer costs (the objective times `scale`)
         that `phase2` priced, read off the final z row, with no point.
 
         zden * (column objective) = sum of zc_j * x_j - zrhs, and every basic
-        zc_j and nonbasic x_j is 0, so the columns contribute -zrhs/zden
-        (+zrhs/zden for a max, whose column costs were negated); the offsets,
-        all ints, contribute sum of cost * offset.
+        zc_j and nonbasic x_j is 0, so the columns contribute -zrhs/zden; the
+        offsets, all ints, contribute sum of cost * offset.
         """
         shift = 0
         for name, c in costs.items():
             offset = self.var_cols[name][0]
             if offset:
                 shift += c * offset
-        z = self.zrhs if negate else -self.zrhs
-        return Fraction(shift * self.zden + z, self.zden * scale)
+        return Fraction(shift * self.zden - self.zrhs, self.zden * scale)
 
-    def column_objective(self, costs: Mapping[str, int], negate: bool) -> dict:
-        """Integer column costs of integer costs by name, negated for a max."""
+    def column_objective(self, costs: Mapping[str, int]) -> dict:
+        """Integer column costs of integer costs by name."""
         col_obj = {}
         var_cols = self.var_cols
         for name, c in costs.items():
-            if negate:
-                c = -c
             for col, coef in var_cols[name][1]:
                 col_obj[col] = col_obj.get(col, 0) + coef * c
         return {c: v for c, v in col_obj.items() if v}
@@ -805,14 +801,14 @@ def _after_phase1(system: LinearSystem) -> Optional[_Simplex]:
     return system.__dict__["_phase1"]
 
 
-def solve_lp(system: LinearSystem, objective, sense: str = "min",
-             start: Optional[LpResult] = None,
+def solve_lp(system: LinearSystem, objective, start: Optional[LpResult] = None,
              fix: Optional[Mapping[str, int]] = None) -> LpResult:
-    """Minimize (or maximize) a linear objective over a LinearSystem, exactly.
+    """Minimize a linear objective over a LinearSystem, exactly.
 
     `objective` may be an Objective (over x1..xn), a mapping from variable
     names to rationals, or a sequence aligned with the original variables
     (a list or tuple of plain ints is used as is, with no rational parsing).
+    A maximum is the negated minimum of the negated objective.
     Returns an optimal basic solution, `infeasible`, or `unbounded`; results
     are deterministic for identical inputs.  Phase 1 runs on the first call
     on a system object; every call after the first on the same object
@@ -834,8 +830,6 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
     another system, or one that is not optimal, raises DomainError, and so
     does a `start` with a nonempty `fix`.
     """
-    if sense not in ("min", "max"):
-        raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
     if not system.variables:
         raise DomainError("system has no variables")
     if fix:
@@ -858,7 +852,6 @@ def solve_lp(system: LinearSystem, objective, sense: str = "min",
         raise DomainError("start must be an optimal result of this same system")
     else:
         solver = start._tableau[1].restart()
-    negate = sense == "max"
-    if solver.phase2(solver.column_objective(costs, negate)) == UNBOUNDED:
+    if solver.phase2(solver.column_objective(costs)) == UNBOUNDED:
         return _UNBOUNDED
-    return LpResult(OPTIMAL, _tableau=(system, solver, (costs, scale, negate)))
+    return LpResult(OPTIMAL, _tableau=(system, solver, (costs, scale)))

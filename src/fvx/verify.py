@@ -3,25 +3,26 @@
 The membership probes prove T inside proj Q, the projection of the system
 Q onto x1..xn.  When conv(T) has few facets the run proves the other half
 too: `_hull` enumerates the equations and facets of conv(T) exactly, in
-ints, and one LP per facet a.x >= b (min a.x >= b) and two per equation
-a.x = b (min = max = b) show proj Q inside conv(T).  These LPs may number
-n + trials / 2, and never more than `FACET_GUARD`.  With both halves proj Q =
+ints, and one LP min a.x >= b per facet a.x >= b, and per side (a, b) and
+(-a, -b) of each equation a.x = b, shows proj Q inside conv(T).  These LPs
+may number `FACET_GUARD`, whatever the trials.  With both halves proj Q =
 conv(T): every support trial's LP minimum is the brute-force one and every
 removed point is in proj Q exactly when it is in conv(T), so neither runs
-an LP.  Every facet and equation LP runs, and each one that fails is
-reported as the support mismatch it is, before any trial's.  Otherwise (too
-many facets, no truth, a failed facet or a failed membership) the support
-trials sample random integer objectives, which can refute but not prove,
-and the removed points are probed (once the facets hold, only those inside
-conv(T)).
+an LP.  Every facet LP runs, and each one that fails is reported as the
+support mismatch it is, before any trial's.  Otherwise (too many facets, no
+truth, a failed facet or a failed membership) the support trials sample
+random integer objectives, which can refute but not prove, and the removed
+points are probed (once the facets hold, only those inside conv(T)).  So
+the trials size only that sample: they never turn the proof off.
 
 A run has one phase order: the hull and its facet LPs, the box, the
 membership probes, the exclusion probes, the support trials.  Every LP is
 a `solve_lp` call on the one system under test, and `solve_lp` keeps the
 post-phase-1 tableau on that system object, so phase 1 runs once for all
 of them.  The box is T's own when the facets hold, else the projection's,
-from 2n box LPs.  A facet LP whose minimum v exceeds b proves the cut
-a.x >= v on proj Q, which refutes the points breaking it with no LP.
+from 2n box LPs, min x_i and min -x_i.  A facet LP whose minimum v exceeds
+b proves the cut a.x >= v on proj Q, which refutes the points breaking it
+with no LP; for an equation side, the other side's LP then fails.
 conv(T) membership is read off the facets whenever `_hull` ran, else asked
 of `in_convex_hull`.  A trial c runs no LP when its least member (a
 ground-truth point whose probe passed) and a lower bound on the LP minimum
@@ -42,14 +43,14 @@ integral candidate reads its whole point, once, as (L, ints)
 (`LpResult.scaled_point`), which `_holds` checks as the point ints / L
 against the system's rows and its bounds, read as int pairs once per run.
 
-Starts: a facet LP starts from the witness least under its objective,
-an equation LP from the first witness, a trial from the witness of its
-(value, coords)-least member, and a corner probe of p from the witnessed
-corner that differs from p in one coordinate, least by (distance,
-coords); each cold when there is none.  The box LPs and the pinned probes
-(see Probes) start cold.  Any feasible basis is a valid phase-2 start: a
-start changes no status and no value, only the pivots taken to reach
-them, and the point when there are several optima.
+Starts: every facet, equation side, box and trial LP is one min a.x
+(`_Witnesses.solve`, a an int vector) and starts from the witness least
+under a, the first such; a corner probe of p starts from the witnessed
+corner that differs from p in one coordinate, least by (distance, coords);
+each cold when there is none.  The pinned probes (see Probes) start cold.
+Any feasible basis is a valid phase-2 start: a start changes no status and
+no value, only the pivots taken to reach them, and the point when there
+are several optima.
 
 Probes: the box [l, h] holds the projection; a point outside it is not a
 member, and a point with every p_i in {l_i, h_i} (every binary point when
@@ -62,11 +63,12 @@ which is optimal exactly when that is feasible.
 
 Membership by convexity: the projection is convex, and no vertex of
 conv(T) is the midpoint of two other points of T, so the truth points p
-with no coordinate i where both p - e_i and p + e_i are in T include every
-vertex of conv(T).  They are probed first; when all are members, conv(T)
-lies in the projection and so does every truth point, with no probe.
-When one fails, the rest are probed too, so the membership failures are
-exact.
+with no direction d among e_i and e_i +- e_j (over the coordinates that T
+spans by two units or more; none for a binary T) where both p - d and
+p + d are in T include every vertex of conv(T).  They are probed first;
+when all are members, conv(T) lies in the projection and so does every
+truth point, with no probe.  When one fails, the rest are probed too, so
+the membership failures are exact.
 
 Points may be BinaryPoints, LatticePoints or sequences of ints (lists are
 read as tuples); anything else, or a point whose length is not the
@@ -79,7 +81,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (BinaryPoint, LatticePoint, _exact, _scale, format_rational, int_coords,
@@ -97,6 +99,7 @@ PIN_GUARD = 20_000
 # most LPs the facet proof may take (one per live facet while `_hull` runs,
 # two per equation), whatever the trials: it bounds the enumeration's time
 # (the 10-cube less 512 random points has about 1,500 facets, 23 s unguarded)
+# and, past it, the run samples trials instead
 FACET_GUARD = 256
 
 
@@ -169,9 +172,12 @@ class _Witnesses(dict):
         self.system, self.names = system, names
         self.bounds = _int_bounds(system)  # read once per run
 
-    def solve(self, objective, sense: str = "min", start=None):
-        """`solve_lp` on the system under test; an optimal point may become a witness."""
-        lp = solve_lp(self.system, objective, sense, start=start)
+    def solve(self, a: Sequence[int]):
+        """`solve_lp` of min a.x, a an int vector over x1..xn, from the witness
+        least under a (the first such), cold when there is none; an optimal
+        point may become a witness."""
+        near = min(self, key=lambda p: sum(map(mul, a, p)), default=None)
+        lp = solve_lp(self.system, a, start=self.get(near))
         if lp.is_optimal:
             p = lp.int_coords(self.names)
             if p is not None and p not in self and _holds(self.system, self.bounds,
@@ -349,43 +355,35 @@ class VerificationReport:
 
 
 def _projection_box(run: _Witnesses) -> Optional[list]:
-    """[(min x_i, max x_i)] over the system, each an int when integral, or
+    """[(min x_i, -min -x_i)] over the system, each an int when integral, or
     None unless all 2n LPs are optimal."""
     box = []
-    for name in run.names:
-        lo = run.solve({name: 1}, sense="min")
-        if not lo.is_optimal:
-            return None
-        hi = run.solve({name: 1}, sense="max")
+    for i in range(len(run.names)):
+        e = [int(j == i) for j in range(len(run.names))]
+        lo = run.solve(e)
+        hi = run.solve([-x for x in e]) if lo.is_optimal else lo
         if not hi.is_optimal:
             return None
-        box.append((_exact(lo.value), _exact(hi.value)))
+        box.append((_exact(lo.value), _exact(-hi.value)))
     return box
 
 
 def _facet_cuts(run: _Witnesses, hull: tuple) -> tuple:
-    """(cuts, failures) of the facet LPs, one per facet and two per equation
-    of `_hull`: the projection lies in conv(truth) exactly when there is no
-    failure.  A facet a.x >= b must have LP minimum v >= b, and proves the
-    cut a.x >= v when v > b; an equation a.x = b must have minimum and
-    maximum b.  Each failure is the support mismatch it is, (a, the LP
-    minimum or None, b), and (-a, -max or None, -b) for an equation's
-    maximum."""
+    """(cuts, failures) of the facet LPs, one per facet of `_hull` and one per
+    side (a, b) and (-a, -b) of each equation a.x = b, read as facets: the
+    projection lies in conv(truth) exactly when there is no failure.  A
+    facet a.x >= b must have LP minimum v >= b, and proves the cut a.x >= v
+    when v > b (an equation side then fails on its other side).  Each
+    failure is the support mismatch it is, (a, the LP minimum or None, b)."""
     equations, facets = hull
     cuts, failures = [], []
-    for a, b in facets:
-        near = min(run, key=lambda p: sum(map(mul, a, p)), default=None)
-        lp = run.solve(a, start=run.get(near))
+    for a, b in facets + [side for a, b in equations
+                          for side in ((a, b), (tuple(-x for x in a), -b))]:
+        lp = run.solve(a)
         if not lp.is_optimal or lp.value < b:
             failures.append((a, lp.value, Fraction(b)))  # value None unless optimal
         elif lp.value > b:
             cuts.append((a, lp.value))
-    for a, b in equations:
-        for sign, sense in ((1, "min"), (-1, "max")):
-            v = run.solve(a, sense, start=next(iter(run.values()), None)).value
-            if v != b:
-                failures.append((tuple(sign * x for x in a), None if v is None else sign * v,
-                                 Fraction(sign * b)))
     return cuts, failures
 
 
@@ -427,13 +425,18 @@ def _pin_guard(run: _Witnesses, box: Optional[list], cuts: list, points: list,
 
 
 def _unstraddled(truth: list) -> list:
-    """The distinct truth points p with no coordinate i where both p - e_i and
-    p + e_i are truth points.  No vertex of conv(truth) is the midpoint of
-    two other points, so every vertex is one of them."""
+    """The distinct truth points p with no direction d among e_i and e_i +- e_j,
+    over the coordinates the truth spans by two units or more, where both
+    p - d and p + d are truth points.  No vertex of conv(truth) is the
+    midpoint of two other points, so every vertex is one of them."""
     points = dict.fromkeys(truth)
-    return [p for p in points if not any((*p[:i], v - 1, *p[i + 1:]) in points
-                                         and (*p[:i], v + 1, *p[i + 1:]) in points
-                                         for i, v in enumerate(p))]
+    columns = list(zip(*points))
+    units = [tuple(int(k == i) for k in range(len(columns))) for i, column in enumerate(columns)
+             if max(column) - min(column) >= 2]
+    steps = units + [tuple(map(op, u, w)) for k, u in enumerate(units) for w in units[k + 1:]
+                     for op in (add, sub)]
+    return [p for p in points if not any(tuple(map(sub, p, d)) in points
+                                         and tuple(map(add, p, d)) in points for d in steps)]
 
 
 def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
@@ -446,12 +449,10 @@ def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
         return False
     # p is on a corner: each term x_i - l_i or h_i - x_i is nonnegative on
     # the projection
-    objective, target, near = {}, 0, []
-    for i, (name, v, (lo, hi)) in enumerate(zip(run.names, p, box)):
-        if v == lo:
-            objective[name], target = 1, target + lo
-        else:
-            objective[name], target = -1, target - hi
+    objective, target, near = [], 0, []
+    for i, (v, (lo, hi)) in enumerate(zip(p, box)):
+        objective.append(1 if v == lo else -1)
+        target += lo if v == lo else -hi
         if lo != hi:  # the corner across coordinate i
             q = (*p[:i], hi if v == lo else lo, *p[i + 1:])
             if q in run:
@@ -469,12 +470,12 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     """Check a formulation against an explicit allowed-vertex list.
 
     Proves the projection inside conv(`ground_truth`) from its facets when
-    `_hull` gives them (listing each facet or equation LP that fails as a
-    support mismatch, first), probes the allowed points for membership (see
-    Membership by convexity in the module docstring) and every point of X
-    for exclusion (expected exactly when the point is outside
-    the hull of the ground truth, which for removed vertices is always),
-    compares the LP minimum of `trials` random integer objectives in
+    `_hull` gives them (listing each facet LP that fails, an equation
+    being two facets, as a support mismatch, first), probes the allowed
+    points for membership (see Membership by convexity in the module
+    docstring) and every point of X for exclusion (expected exactly when
+    the point is outside the hull of the ground truth, which for removed
+    vertices is always), compares the LP minimum of `trials` random integer objectives in
     [-100, 100]^n with the brute-force minimum unless the proof and the
     memberships decide them all, then audits the size certificate.  The
     module docstring gives the phase order and the route of each probe and
@@ -505,9 +506,7 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     rng = random.Random(seed)
     run = _Witnesses(system, [f"x{i + 1}" for i in range(n)])
 
-    # one LP per facet and two per equation: in paired runs the proof stopped
-    # beating the 2n box LPs and the trials it decides at about n + trials / 2
-    hull = _hull(truth, min(FACET_GUARD, n + trials // 2)) if truth else None
+    hull = _hull(truth, FACET_GUARD) if truth else None
     cuts, report.support_mismatches = _facet_cuts(run, hull) if hull is not None else ([], [])
     proved = hull is not None and not report.support_mismatches
     columns = list(zip(*truth))
@@ -544,10 +543,10 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
         if truth:
             scores = _scores(c, columns, len(truth))
             brute = min(scores)
-            near = min(((v, p) for v, p, ok in zip(scores, truth, member) if ok), default=None)
-            if near and near[0] == brute and (proved or box and _box_bound(c, box) == brute):
+            least = min((v for v, ok in zip(scores, member) if ok), default=None)
+            if least == brute and (proved or box and _box_bound(c, box) == brute):
                 continue  # lower bound <= LP min <= a member's value: no mismatch
-            lp = run.solve(c, start=None if near is None else run.get(near[1]))
+            lp = run.solve(c)
             if lp.value != brute:  # None unless optimal
                 report.support_mismatches.append((tuple(c), lp.value, Fraction(brute)))
         else:

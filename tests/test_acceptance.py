@@ -244,10 +244,10 @@ def test_criterion_05_intersection_identity():
         allowed = [p for p in all_binary(n) if p.bits not in codes]
         for _ in range(20):
             c = [rng.randint(-30, 30) for _ in range(n)]
-            lp = solve_lp(joint, c, sense="max")
+            lp = solve_lp(joint, [-ci for ci in c])  # the max of c
             expect = max(sum(ci * vi for ci, vi in zip(c, p.coords()))
                          for p in allowed)
-            assert lp.is_optimal and lp.value == expect
+            assert lp.is_optimal and -lp.value == expect
         built += 1
     elapsed = time.monotonic() - start
     report(5, "independent-part intersection identity on 100 instances", elapsed)

@@ -547,9 +547,27 @@ class TestInputValidation:
             assert code == 1 and "trials guard" in json.loads(out)["message"], extra
 
     def test_pinned_probe_guard(self, tmp_path, capsys):
-        # [0,5]^3 less every point of even coordinate sum: no allowed point is
-        # the midpoint of two others, so 99 inner points with no witness are
-        # pinned on a system of 922 rows, one cold phase 1 each
+        # [0,5]^3 less every point whose coordinate sum is 0 mod 3: along e_i
+        # and e_i + e_j one neighbour of an allowed point is removed, so only
+        # e_i - e_j pairs straddle, and 36 allowed points on the box's faces
+        # are probed first; 27 of them, off the corners and with no witness,
+        # are pinned on a system of 768 rows, one cold phase 1 each
+        forbidden = [[x, y, z] for x in range(6) for y in range(6) for z in range(6)
+                     if (x + y + z) % 3 == 0]
+        path = write_json(tmp_path, "g.json", {
+            "kind": "integral", "n": 3, "forbidden": forbidden,
+            "polytope": {"type": "lattice-box", "l": [0, 0, 0], "u": [5, 5, 5]}})
+        start = time.perf_counter()
+        code, out = run(capsys, ["verify", path, "--method", "boxes"])
+        assert time.perf_counter() - start < 2
+        assert code == 1 and "27 pinned probes on 768 rows exceed the pinned-probe guard" \
+            in json.loads(out)["message"]
+
+    def test_even_sum_removals_stay_under_the_guard(self, tmp_path, capsys):
+        # [0,5]^3 less every point of even coordinate sum: no unit pair
+        # straddles an allowed point, but p +- (e_i + e_j) and p +- (e_i - e_j)
+        # do wherever they stay in the box, so only 28 allowed points, all on
+        # the box's faces, are probed first, under the guard
         forbidden = [[x, y, z] for x in range(6) for y in range(6) for z in range(6)
                      if (x + y + z) % 2 == 0]
         path = write_json(tmp_path, "g.json", {
@@ -557,9 +575,8 @@ class TestInputValidation:
             "polytope": {"type": "lattice-box", "l": [0, 0, 0], "u": [5, 5, 5]}})
         start = time.perf_counter()
         code, out = run(capsys, ["verify", path, "--method", "boxes"])
-        assert time.perf_counter() - start < 2
-        assert code == 1 and "99 pinned probes on 922 rows exceed the pinned-probe guard" \
-            in json.loads(out)["message"]
+        assert time.perf_counter() - start < 10
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
 
     def test_midpoints_are_not_pinned(self, tmp_path, capsys):
         # [0,5]^3 less 8 points: over 200 inner points, but nearly all are the

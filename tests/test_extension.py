@@ -111,7 +111,7 @@ class TestDisjunctiveHull:
         one = LinearSystem.build(1, bounds={"x1": (1, 1)})
         hull = disjunctive_hull([zero, one])
         assert solve_lp(hull, [1]).value == 0
-        assert solve_lp(hull, [1], sense="max").value == 1
+        assert solve_lp(hull, [-1]).value == -1
 
     def test_single_block_identity(self):
         rng = random.Random(37)
@@ -125,7 +125,7 @@ class TestDisjunctiveHull:
         sq1 = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
         sq2 = LinearSystem.build(2, bounds={"x1": (2, 3), "x2": (0, 1)})
         hull = disjunctive_hull([sq1, sq2])
-        assert solve_lp(hull, [1, 0], sense="max").value == 3
+        assert solve_lp(hull, [-1, 0]).value == -3
         assert solve_lp(hull, [1, 0]).value == 0
 
     def test_empty_union(self):
@@ -218,7 +218,7 @@ class TestIntervalFormulation:
     def test_single_forbidden_origin(self):
         system = interval_formulation([BinaryPoint.from_string("00")], 2)
         assert system.meta["intervals"] == [(1, 3)]
-        assert solve_lp(system, [1, 1], sense="max").value == 2
+        assert solve_lp(system, [-1, -1]).value == -2
         assert solve_lp(system, [1, 1]).value == 1
 
     def test_empty_forbidden(self):
@@ -254,7 +254,7 @@ class TestRecursiveFormulation:
 
     def test_base_case(self):
         system = recursive_formulation([BinaryPoint.from_string("1")], 1)
-        assert solve_lp(system, [1], sense="max").value == 0
+        assert solve_lp(system, [-1]).value == 0
 
     def test_random_instances_size_and_support(self):
         rng = random.Random(59)
@@ -314,7 +314,7 @@ class TestFaceFormulation:
         P = HPolytope.of(2, rows)
         system = face_formulation(P, [BinaryPoint.from_string("00")])
         assert solve_lp(system, [1, 1]).value == 1
-        assert solve_lp(system, [1, 1], sense="max").value == 1
+        assert solve_lp(system, [-1, -1]).value == -1
 
     def test_all_forbidden(self):
         with pytest.raises(AllForbidden):
@@ -344,9 +344,9 @@ class TestFacetIntersection:
         assert system.meta["candidate_faces"] == 1
         # projection is the edge conv{(1,0),(0,1)}
         assert solve_lp(system, [1, 1]).value == 1
-        assert solve_lp(system, [1, 1], sense="max").value == 1
+        assert solve_lp(system, [-1, -1]).value == -1
         assert solve_lp(system, [1, 0]).value == 0
-        assert solve_lp(system, [1, 0], sense="max").value == 1
+        assert solve_lp(system, [-1, 0]).value == -1
 
     def test_cube_single_vertex(self):
         system = facet_intersection_formulation(

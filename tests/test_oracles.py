@@ -207,8 +207,8 @@ class TestHrepOracle:
         # the re-price from it) answer as on a cold with_bounds child
         calls = []
 
-        def recording(system, objective, sense="min", start=None, fix=None):
-            result = exactlp.solve_lp(system, objective, sense, start=start, fix=fix)
+        def recording(system, objective, start=None, fix=None):
+            result = exactlp.solve_lp(system, objective, start=start, fix=fix)
             calls.append((system, objective, start, fix, result))
             return result
 

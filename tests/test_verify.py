@@ -204,14 +204,13 @@ class TestBinaryHull:
         assert in_convex_hull((1, 1), [(0, 0), (2, 2)]) and calls == [False]
 
 
-def facet_mismatches(system, ground_truth, trials):
+def facet_mismatches(system, ground_truth):
     """Reference: the support mismatches of the facet proof, one cold
-    `solve_lp` per facet a.x >= b of `_hull` (at the run's limit) and two
-    per equation a.x = b, as min a.x and min -a.x; [] when `_hull` gives
-    no hull."""
+    `solve_lp` per facet a.x >= b of `_hull` (at `FACET_GUARD`) and two
+    per equation a.x = b, as min a.x >= b and min -a.x >= -b; [] when
+    `_hull` gives no hull."""
     truth = [p if isinstance(p, tuple) else point_coords(p) for p in ground_truth]
-    limit = min(fvx.verify.FACET_GUARD, system.n_original + trials // 2)
-    hull = fvx.verify._hull(truth, limit) if truth else None
+    hull = fvx.verify._hull(truth, fvx.verify.FACET_GUARD) if truth else None
     if hull is None:
         return []
     equations, facets = hull
@@ -223,7 +222,7 @@ def facet_mismatches(system, ground_truth, trials):
     for a, b in equations:
         for c, v in ((a, b), (tuple(-x for x in a), -b)):
             lp = solve_lp(system, list(c))
-            if not lp.is_optimal or lp.value != v:
+            if not lp.is_optimal or lp.value < v:
                 out.append((c, lp.value if lp.is_optimal else None, Fraction(v)))
     return out
 
@@ -246,11 +245,11 @@ def fixings_only_report(system, ground_truth, X, trials, seed):
     truth = [p if isinstance(p, tuple) else point_coords(p) for p in ground_truth]
     removed = [p if isinstance(p, tuple) else point_coords(p) for p in X]
     report = VerificationReport(trials=trials, seed=seed,
-                                support_mismatches=facet_mismatches(system, truth, trials))
+                                support_mismatches=facet_mismatches(system, truth))
     rng = random.Random(seed)
     for _ in range(trials):
         c = [rng.randint(-100, 100) for _ in range(system.n_original)]
-        lp = solve_lp(system, c, sense="min")
+        lp = solve_lp(system, c)
         if truth:
             brute = min(sum(ci * vi for ci, vi in zip(c, p)) for p in truth)
             if not lp.is_optimal or lp.value != brute:
@@ -276,13 +275,13 @@ def pinned_probes(monkeypatch):
     """Record the points that verify_formulation probes by pinning x."""
     pinned = []
 
-    def recording(system, objective, sense="min", **kwargs):
+    def recording(system, objective, **kwargs):
         # a pinned probe is a zero objective with x1..xn fixed by `fix`
         fix = kwargs.get("fix")
         if fix:
             assert objective == {}
             pinned.append(tuple(fix[f"x{i + 1}"] for i in range(system.n_original)))
-        return solve_lp(system, objective, sense, **kwargs)
+        return solve_lp(system, objective, **kwargs)
 
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     return pinned
@@ -531,8 +530,8 @@ class TestWitnesses:
         expect = fixings_only_report(system, truth, problem.forbidden, 20, 3).to_dict()
         assert expect["membership_failures"]
 
-        def forging(target, objective, sense="min", start=None):
-            lp = solve_lp(target, objective, sense, start=start)
+        def forging(target, objective, start=None):
+            lp = solve_lp(target, objective, start=start)
             if target is system and lp.is_optimal:
                 forged = dict(lp.point, x1=Fraction(1))
                 return type(lp)(lp.status, forged, lp.value, lp._tableau)
@@ -547,9 +546,9 @@ def lp_calls(monkeypatch):
     """Record each solve_lp call of fvx.verify: True when it is warm-started."""
     calls = []
 
-    def recording(system, objective, sense="min", start=None, fix=None):
+    def recording(system, objective, start=None, fix=None):
         calls.append(start is not None)
-        return solve_lp(system, objective, sense, start=start, fix=fix)
+        return solve_lp(system, objective, start=start, fix=fix)
 
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     return calls
@@ -578,10 +577,10 @@ def cold_pins(monkeypatch):
     """Record each pinned probe of fvx.verify as (p, its start)."""
     probes = []
 
-    def recording(system, objective, sense="min", start=None, fix=None):
+    def recording(system, objective, start=None, fix=None):
         if fix:
             probes.append((tuple(fix.values()), start))
-        return solve_lp(system, objective, sense, start=start, fix=fix)
+        return solve_lp(system, objective, start=start, fix=fix)
 
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     return probes
@@ -589,13 +588,15 @@ def cold_pins(monkeypatch):
 
 def test_pinned_probes_start_cold(monkeypatch):
     # every pinned probe is the cold template `fix`, also on the lattice box
-    # past FACET_GUARD, where the witnesses have unit neighbours to offer
+    # past FACET_GUARD, where the witnesses have unit neighbours to offer;
+    # the box LPs start from the least witness, and none of them lands on
+    # (1, 0), so it is pinned too
     probes = cold_pins(monkeypatch)
     monkeypatch.setattr(fvx.verify, "FACET_GUARD", 0)
     problem = Problem(LATTICE)
     assert verify_formulation(compile_system(problem, "boxes"), problem.enumerate_allowed(),
                               problem.forbidden).passed
-    assert probes == [(p, None) for p in [(2, 2), (3, 1), (1, 1), (2, 1)]]
+    assert probes == [(p, None) for p in [(1, 0), (2, 2), (3, 1), (1, 1), (2, 1)]]
 
 
 def test_pinned_probe_with_no_witness_stays_cold(monkeypatch):
@@ -619,8 +620,8 @@ def test_pinned_probe_results_never_become_witnesses(monkeypatch):
     system = compile_system(problem, "boxes")
     pinned, stored = [], []
 
-    def recording(system, objective, sense="min", start=None, fix=None):
-        lp = solve_lp(system, objective, sense, start=start, fix=fix)
+    def recording(system, objective, start=None, fix=None):
+        lp = solve_lp(system, objective, start=start, fix=fix)
         if fix:
             pinned.append(lp)
         return lp
@@ -632,10 +633,10 @@ def test_pinned_probe_results_never_become_witnesses(monkeypatch):
     monkeypatch.setattr(fvx.verify, "solve_lp", recording)
     monkeypatch.setattr(fvx.verify._Witnesses, "__setitem__", storing)
     # with the facets proved, none ((2, 0) is the midpoint of (1, 0) and
-    # (3, 0)); without, (2, 2), (3, 1) and the removed (1, 1) and (2, 1),
-    # both inside the hull of the rest: each result is optimal, so each could
-    # have been kept
-    for guard, expect in ((fvx.verify.FACET_GUARD, 0), (0, 4)):
+    # (3, 0)); without, (1, 0), (2, 2), (3, 1) and the removed (1, 1) and
+    # (2, 1), both inside the hull of the rest: each result is optimal, so
+    # each could have been kept
+    for guard, expect in ((fvx.verify.FACET_GUARD, 0), (0, 5)):
         monkeypatch.setattr(fvx.verify, "FACET_GUARD", guard)
         del pinned[:], stored[:]
         report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden)
@@ -699,14 +700,14 @@ def test_starts_never_change_a_report(doc, method, mutate, monkeypatch):
     warm = verify_formulation(system, truth, problem.forbidden).to_dict()
     assert any(calls)
 
-    def cold(target, objective, sense="min", start=None, fix=None):
-        return solve_lp(target, objective, sense, fix=fix)
+    def cold(target, objective, start=None, fix=None):
+        return solve_lp(target, objective, fix=fix)
 
     monkeypatch.setattr(fvx.verify, "solve_lp", cold)
     assert verify_formulation(system, truth, problem.forbidden).to_dict() == warm
     assert warm["verdict"] == ("pass" if mutate is None else "fail")
     if method == "interval" and mutate is not None:
-        facets = mismatch_dicts(facet_mismatches(system, truth, 50))
+        facets = mismatch_dicts(facet_mismatches(system, truth))
         assert facets and warm["support_mismatches"][:len(facets)] == facets
         assert (len(warm["support_mismatches"]) - len(facets), warm["excluded_failures"]) == \
             (2, [[1, 0, 1, 1]])
@@ -741,7 +742,7 @@ def test_support_mismatches_match_a_cold_lp_per_trial(doc, method, defect, monke
     calls = lp_calls(monkeypatch)
     for seed in (0, 1, 2):
         rng = random.Random(seed)
-        expect = facet_mismatches(system, truth, 50)
+        expect = facet_mismatches(system, truth)
         for _ in range(50):
             c = [rng.randint(-100, 100) for _ in range(system.n_original)]
             lp = solve_lp(system, c)
@@ -866,16 +867,25 @@ class TestHull:
         assert fvx.verify._hull([(1, 2)], 4) == ([((1, 0), 1), ((0, 1), 2)], [])
         assert fvx.verify._hull([(1, 2)], 3) is None
 
-    def test_the_proof_may_take_n_plus_half_the_trials_lps(self, monkeypatch):
-        # the 4-cube's live facets reach 10: n + trials // 2 = 10 at 12 trials
+    def test_the_proof_budget_is_facet_guard_at_any_trials(self, monkeypatch):
+        # no trial runs at --trials 0, so only the proof's 7 LPs can refute
+        # the weakened no-good cut
+        truth = [p for p in itertools.product((0, 1), repeat=3) if any(p)]
+        report = verify_formulation(weakened_no_good_cut(), truth, [(0, 0, 0)], trials=0)
+        assert report.support_mismatches == [((1, 1, 1), Fraction(1, 2), 1)]
+        assert not report.passed
+        # the 4-cube's live facets reach 10: the proof runs at FACET_GUARD =
+        # 10 and not at 9, whatever the trials
         proofs, facet_cuts = [], fvx.verify._facet_cuts
         monkeypatch.setattr(fvx.verify, "_facet_cuts",
                             lambda run, hull: proofs.append(len(hull[1])) or facet_cuts(run, hull))
         cube = LinearSystem.build(4, bounds={f"x{i + 1}": (0, 1) for i in range(4)})
         truth = list(itertools.product((0, 1), repeat=4))
-        for trials in (11, 12):
-            assert verify_formulation(cube, truth, [], trials=trials).passed
-        assert proofs == [8]
+        for guard in (9, 10):
+            monkeypatch.setattr(fvx.verify, "FACET_GUARD", guard)
+            for trials in (0, 1, 50):
+                assert verify_formulation(cube, truth, [], trials=trials).passed
+        assert proofs == [8, 8, 8]
 
     def test_a_large_random_truth_falls_back_quickly(self):
         # n=10 less 512 random points has about 1,500 facets, which take
@@ -908,9 +918,8 @@ def test_facet_proof_never_changes_a_report(doc, method, defect, monkeypatch):
     if defect is not None:
         system = defect(system)
     truth = problem.enumerate_allowed()
-    # the proof's default limit at 50 trials: n + 25 LPs
-    assert fvx.verify._hull(fvx.verify._coords(truth), doc["n"] + 25) is not None
-    facets = facet_mismatches(system, truth, 50)
+    assert fvx.verify._hull(fvx.verify._coords(truth), fvx.verify.FACET_GUARD) is not None
+    facets = facet_mismatches(system, truth)
     assert bool(facets) == (method == "interval" and defect is not None)
     proved = [verify_formulation(system, truth, problem.forbidden, seed=seed).to_dict()
               for seed in (0, 1, 2)]
@@ -936,3 +945,88 @@ def test_an_equation_must_hold_at_its_min_and_max():
     assert report.support_mismatches[0] == ((-1, -1, -1), Fraction(-3, 2), -1)
     assert len(report.support_mismatches) > 1 and not report.excluded_failures
     assert report.to_dict() == fixings_only_report(system, truth, X, 50, 0).to_dict()
+
+
+
+def support_lps(monkeypatch):
+    """Record each `_Witnesses.solve` of fvx.verify as (phase, a, start,
+    least): phase "facets", "box" or "trials", the start it passed to
+    `solve_lp`, and the witness least under a (the first such) when it was
+    called, or None.  Also record every `solve_lp` call as (start, fix)."""
+    lps, calls, phase = [], [], ["trials"]
+
+    def recording(system, objective, start=None, fix=None):
+        calls.append((start, fix))
+        return solve_lp(system, objective, start=start, fix=fix)
+
+    solve = fvx.verify._Witnesses.solve
+
+    def checking(run, a):
+        values = [sum(map(mul, a, p)) for p in run]
+        least = list(run.values())[values.index(min(values))] if values else None
+        lp = solve(run, a)
+        lps.append((phase[0], tuple(a), calls[-1][0], least))
+        return lp
+
+    def labelled(name, label):
+        inner = getattr(fvx.verify, name)
+
+        def wrapped(*args):
+            phase[0] = label
+            try:
+                return inner(*args)
+            finally:
+                phase[0] = "trials"
+
+        monkeypatch.setattr(fvx.verify, name, wrapped)
+
+    monkeypatch.setattr(fvx.verify, "solve_lp", recording)
+    monkeypatch.setattr(fvx.verify._Witnesses, "solve", checking)
+    labelled("_facet_cuts", "facets")
+    labelled("_projection_box", "box")
+    return lps, calls
+
+
+def test_every_support_lp_starts_from_the_witness_least_under_its_vector(monkeypatch):
+    lps, _ = support_lps(monkeypatch)
+    # the truth on x1 + x2 + x3 = 1 and a system whose projection holds
+    # (1/2, 1/2, 1/2): 3 facet LPs, then the equation's sides, and the
+    # failed side leaves the box and the trials to run
+    system = LinearSystem.build(3, rows=[({"x1": 1, "x2": 1, "x3": 1}, ">=", 1)] + [
+        ({f"x{i}": 1, f"x{j}": 1}, "<=", 1) for i, j in ((1, 2), (1, 3), (2, 3))],
+        bounds={f"x{i}": (0, 1) for i in (1, 2, 3)})
+    assert not verify_formulation(system, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], []).passed
+    facets = [(a, start) for phase, a, start, _ in lps if phase == "facets"]
+    assert [a for a, _ in facets[3:]] == [(1, 1, 1), (-1, -1, -1)]
+    assert all(start is not None for _, start in facets[3:])
+    # past FACET_GUARD the lattice run takes its 2n box LPs too, then trials
+    monkeypatch.setattr(fvx.verify, "FACET_GUARD", 0)
+    problem = Problem(LATTICE)
+    assert verify_formulation(compile_system(problem, "boxes"), problem.enumerate_allowed(),
+                              problem.forbidden).passed
+    box = [a for phase, a, _, _ in lps if phase == "box"]
+    assert box == [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                   (1, 0), (-1, 0), (0, 1), (0, -1)]
+    assert all(start is least for *_, start, least in lps)
+    assert {phase for phase, _, start, _ in lps if start is not None} == \
+        {"facets", "box", "trials"}
+
+
+def test_an_equation_side_above_b_is_a_cut(monkeypatch):
+    # the truth lies on x3 = 0 and the projection, its hull moved to x3 = 1,
+    # meets every facet: min x3 = 1 > 0 cuts every truth point off with no
+    # probe LP, and only the far side, min -x3 = -1 < 0, is a mismatch
+    system = LinearSystem.build(3, rows=[({"x1": 1, "x2": 1}, "<=", 1)],
+                                bounds={"x1": (0, None), "x2": (0, None), "x3": (1, 1)})
+    truth, X = [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(1, 1, 0)]
+    equations, facets = fvx.verify._hull(truth, fvx.verify.FACET_GUARD)
+    assert equations == [((0, 0, 1), 0)] and len(facets) == 3
+    expect = facet_mismatches(system, truth)
+    lps, calls = support_lps(monkeypatch)
+    report = verify_formulation(system, truth, X, trials=0)
+    assert report.support_mismatches == expect == [((0, 0, -1), -1, 0)]
+    assert report.membership_failures == truth and report.excluded_failures == []
+    # 3 facets and 2 equation sides, then 6 box LPs: every LP is a support
+    # LP, so none is a corner probe or pins x
+    assert [phase for phase, *_ in lps] == ["facets"] * 5 + ["box"] * 6
+    assert len(calls) == len(lps) and not any(fix for _, fix in calls)
