@@ -516,9 +516,17 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line usage errors raise InputError: exit 1 with a JSON error,
+    not argparse's exit 2, which is the code for infeasible."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fvx",
         description="Optimize over polytope vertices with forbidden points; "
                     "compile and verify extended formulations.")
@@ -558,9 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except FvxError as exc:
         _emit({"status": "error", "message": str(exc)})

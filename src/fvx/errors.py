@@ -30,7 +30,8 @@ class NoFaceExcludes(FvxError):
 
 
 class NotBinaryPolytope(FvxError):
-    """An H-polytope assumed to have 0/1 vertices produced a fractional one."""
+    """An H-polytope assumed to have 0/1 vertices produced a vertex with a
+    coordinate other than 0 or 1, fractional or not."""
 
 
 class UnboundedInput(FvxError):

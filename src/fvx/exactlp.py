@@ -14,27 +14,24 @@ and in Python ints from the tableau build to the objective value:
   denominator per row, so a pivot is integer multiply/subtract plus a gcd
   normalization;
 - phase 1 is phase 2 with cost 1 on every artificial column;
-- phase 2: the objective is scaled to integers by the lcm of its
-  denominators and priced against the basis scaled by the lcm of the basic
-  rows' denominators; the z row is one positive multiple of the reduced
-  costs, so the scaling changes no pivot;
+- phase 2: the integer costs are priced against the basis scaled by the
+  lcm of the basic rows' denominators; the z row is one positive multiple
+  of the reduced costs, so the scaling changes no pivot;
 - readout: the objective value is read off the final z row, with no
-  point, when it is first asked for: (sum of cost * offset - zrhs/zden)
-  / L for the integer costs, scaled by L, made one Fraction.  Every
-  coordinate readout is one walk of the basis, `_Simplex.scaled(names)`:
-  (L, the named variables' values times L as ints), L the lcm of the basic
-  rows' denominators.  The point (one Fraction per variable),
+  point, when it is first asked for: sum of cost * offset - zrhs/zden,
+  made one Fraction.  Every coordinate readout is one walk of the basis,
+  `_Simplex.scaled(names)`: (L, the named variables' values times L as
+  ints), L the lcm of the basic rows' denominators.  The point (one Fraction per variable),
   `int_coords(names)` (the named coordinates as ints, None when one is not
   integral) and `scaled_point()` (the whole point as (L, an int per
   variable)) are views of it, read only when asked for.
   `LpResult.penalties` reads Driebeek's penalties off the final tableau.
 
-`Fraction`s remain only where non-integral values enter (objectives) and
-where they leave (`LpResult.point` and `value`).  A list or tuple of plain
-ints is taken as the integer costs themselves, with L = 1; the library's
-own callers price this way.  Any other objective (a mapping, a
-sequence of rationals or an `Objective`) is parsed on each call and scaled
-to ints by `core._scale`, the package's one rational-to-integer scaler.
+An objective is a list or tuple of exactly n_original ints, the costs of
+x1..xn, priced as given; a rational objective is the caller's to scale
+(`Objective.scaled`).  `Fraction`s remain only where non-integral values
+enter (a bound, which `_folded` writes as an integer row) and where they
+leave (`LpResult.point` and `value`).
 Pricing (`_Simplex._iterate`) enters the most negative z-row entry (Dantzig
 1963), the lowest column on ties, and falls back to Bland's lowest-index rule
 (Bland 1977) after `DEGENERATE_RUN` degenerate pivots in a row, until the
@@ -102,8 +99,9 @@ child's, and so was the point on every such fixing the tests draw.
 A restriction of an infeasible system is infeasible with no tableau at all.
 
 `solve_lp` is the only entry point.  A feasibility question is
-`solve_lp(system, {})`: phase 2 then makes no pivot, so the answer is optimal
-(value 0) exactly when the system is feasible, bounded or not.
+`solve_lp(system, [0] * system.n_original)`: phase 2 then makes no pivot, so
+the answer is optimal (value 0) exactly when the system is feasible, bounded
+or not.
 """
 
 from __future__ import annotations
@@ -114,7 +112,7 @@ from math import ceil, floor, gcd, inf, lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .core import Objective, _exact, _scale
+from .core import _scale
 from .errors import DomainError
 from .linsys import LinearSystem, intersect_bounds
 
@@ -132,9 +130,9 @@ class LpResult:
 
     When optimal, `point` assigns an exact rational to every variable of the
     system and `value` is the objective evaluated at that point; the result
-    then also keeps `(system, solver, pricing)` for `solve_lp`'s `start`,
+    then also keeps `(system, solver, costs)` for `solve_lp`'s `start`,
     outside `repr` and `==`.  The value (read off the final z row under the
-    kept pricing, `(costs, scale)`), the point, and the ints of
+    kept costs), the point, and the ints of
     `int_coords` and `scaled_point` are read out of the solver only when
     asked for; the value and the point are kept.  The solver is
     never pivoted after it is returned (`start` pivots a `restart()` copy of
@@ -153,7 +151,7 @@ class LpResult:
     @property
     def value(self) -> Optional[Fraction]:
         if self._value is None and self._tableau is not None:
-            self._value = self._tableau[1].objective_value(*self._tableau[2])
+            self._value = self._tableau[1].objective_value(self._tableau[2])
         return self._value
 
     @property
@@ -184,11 +182,10 @@ class LpResult:
     def penalties(self, steps: Mapping[str, int]) -> list:
         """Driebeek's penalties (Driebeek 1966, *Management Sci.* 12) off the
         optimal tableau: per name of `steps`, in order, a lower bound on the
-        rise of the integer costs (the objective times L) from this optimum
-        to any feasible point where the variable has moved at least one unit
-        the way of its step (+1 up, -1 down), rounded up to an int.  It is
-        inf when no feasible point moves the variable so, and None when its
-        map is not one +-1 column.
+        rise of the objective from this optimum to any feasible point where
+        the variable has moved at least one unit the way of its step (+1 up,
+        -1 down), rounded up to an int.  It is inf when no feasible point
+        moves the variable so, and None when its map is not one +-1 column.
 
         Every column is >= 0 and the objective is its optimum plus the sum of
         zc_j/zden * col_j over the nonbasic columns.  A nonbasic column sits
@@ -243,37 +240,6 @@ class LpResult:
 
 _INFEASIBLE = LpResult(INFEASIBLE, None, None)
 _UNBOUNDED = LpResult(UNBOUNDED, None, None)
-
-
-def _objective_map(system: LinearSystem, objective) -> dict:
-    """An objective (mapping, sequence, or Objective) as its nonzero `_exact` entries by name."""
-    if isinstance(objective, Mapping):
-        out = {}
-        for name, v in objective.items():
-            if name not in system.variables:
-                raise DomainError(f"objective references undeclared variable {name!r}")
-            q = _exact(v)
-            if q:
-                out[name] = q
-        return out
-    # positional: applies to the original variables
-    terms = objective.c if isinstance(objective, Objective) else list(objective)
-    if len(terms) != system.n_original:
-        raise DomainError(f"objective has {len(terms)} terms, expected {system.n_original}")
-    return {name: q for name, q in zip(system.variables, map(_exact, terms)) if q}
-
-
-def _costs(system: LinearSystem, objective) -> tuple:
-    """(L, the nonzero terms of the objective times L, as ints by name): a list
-    or tuple of plain ints is the integer costs themselves, with L = 1; any
-    other objective is parsed to rationals and scaled by `core._scale`, L the
-    lcm of the denominators."""
-    if (isinstance(objective, (list, tuple)) and len(objective) == system.n_original
-            and all(type(v) is int for v in objective)):
-        return 1, {name: v for name, v in zip(system.variables, objective) if v}
-    terms = _objective_map(system, objective)
-    scale, ints = _scale(terms.values())
-    return scale, dict(zip(terms, ints))
 
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
@@ -706,8 +672,8 @@ class _Simplex:
     def phase2(self, col_obj: Mapping[int, int]) -> str:
         """Price integer column costs against the basis, then pivot (`_iterate`).
 
-        The z row is a positive multiple of the reduced costs: the costs come
-        scaled from `column_objective`, and pricing scales them again by the
+        The z row is a positive multiple of the reduced costs: the column
+        costs are ints (`column_objective`), and pricing scales them by the
         lcm of the priced basic rows' denominators, so it is built in
         integers.  `_iterate` compares entries of this one row and
         `_combine` renormalizes, so the scaling changes no pivot.
@@ -762,28 +728,26 @@ class _Simplex:
         L, ints = self.scaled(self.variables)
         return L, dict(zip(self.variables, ints))
 
-    def objective_value(self, costs: Mapping[str, int], scale: int) -> Fraction:
-        """The optimal value of the integer costs (the objective times `scale`)
-        that `phase2` priced, read off the final z row, with no point.
+    def objective_value(self, costs: Sequence[int]) -> Fraction:
+        """The optimal value of the integer costs of x1..xn that `phase2`
+        priced, read off the final z row, with no point.
 
         zden * (column objective) = sum of zc_j * x_j - zrhs, and every basic
         zc_j and nonbasic x_j is 0, so the columns contribute -zrhs/zden; the
         offsets, all ints, contribute sum of cost * offset.
         """
-        shift = 0
-        for name, c in costs.items():
-            offset = self.var_cols[name][0]
-            if offset:
-                shift += c * offset
-        return Fraction(shift * self.zden - self.zrhs, self.zden * scale)
+        var_cols = self.var_cols
+        shift = sum(c * var_cols[name][0] for name, c in zip(self.variables, costs) if c)
+        return Fraction(shift * self.zden - self.zrhs, self.zden)
 
-    def column_objective(self, costs: Mapping[str, int]) -> dict:
-        """Integer column costs of integer costs by name."""
+    def column_objective(self, costs: Sequence[int]) -> dict:
+        """Integer column costs of the integer costs of x1..xn."""
         col_obj = {}
         var_cols = self.var_cols
-        for name, c in costs.items():
-            for col, coef in var_cols[name][1]:
-                col_obj[col] = col_obj.get(col, 0) + coef * c
+        for name, c in zip(self.variables, costs):
+            if c:
+                for col, coef in var_cols[name][1]:
+                    col_obj[col] = col_obj.get(col, 0) + coef * c
         return {c: v for c, v in col_obj.items() if v}
 
 
@@ -805,10 +769,11 @@ def solve_lp(system: LinearSystem, objective, start: Optional[LpResult] = None,
              fix: Optional[Mapping[str, int]] = None) -> LpResult:
     """Minimize a linear objective over a LinearSystem, exactly.
 
-    `objective` may be an Objective (over x1..xn), a mapping from variable
-    names to rationals, or a sequence aligned with the original variables
-    (a list or tuple of plain ints is used as is, with no rational parsing).
-    A maximum is the negated minimum of the negated objective.
+    `objective` is a list or tuple of exactly `system.n_original` ints, the
+    costs of x1..xn, priced as given; any other value (a mapping, an
+    Objective, a sequence of another length or with an entry that is not an
+    int: bools, floats, Fractions and strings are refused) raises
+    DomainError.  A maximum is the negated minimum of the negated objective.
     Returns an optimal basic solution, `infeasible`, or `unbounded`; results
     are deterministic for identical inputs.  Phase 1 runs on the first call
     on a system object; every call after the first on the same object
@@ -840,7 +805,11 @@ def solve_lp(system: LinearSystem, objective, start: Optional[LpResult] = None,
                 raise DomainError(f"fix references undeclared variable {name!r}")
             if type(v) is not int:
                 raise DomainError(f"fix value {v!r} of {name} is not an int")
-    scale, costs = _costs(system, objective)
+    if (not isinstance(objective, (list, tuple)) or len(objective) != system.n_original
+            or not all(type(v) is int for v in objective)):
+        raise DomainError(f"objective must be a list or tuple of {system.n_original} ints, "
+                          "the costs of x1..xn")
+    costs = tuple(objective)  # the caller's list may change before a late readout
     if start is None:
         base = _after_phase1(system)
         if base is None:
@@ -854,4 +823,4 @@ def solve_lp(system: LinearSystem, objective, start: Optional[LpResult] = None,
         solver = start._tableau[1].restart()
     if solver.phase2(solver.column_objective(costs)) == UNBOUNDED:
         return _UNBOUNDED
-    return LpResult(OPTIMAL, _tableau=(system, solver, (costs, scale)))
+    return LpResult(OPTIMAL, _tableau=(system, solver, costs))

@@ -148,7 +148,7 @@ def feasible_blocks(blocks: Iterable[LinearSystem]) -> Tuple[list, int]:
     kept = []
     dropped = 0
     for block in blocks:
-        if solve_lp(block, {}).is_optimal:
+        if solve_lp(block, [0] * block.n_original).is_optimal:
             kept.append((block, block.counted_inequalities()))
         else:
             dropped += 1

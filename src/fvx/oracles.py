@@ -278,7 +278,7 @@ class HrepBinaryOracle(BinaryOracle):
         if result.is_infeasible:
             return INFEASIBLE
         if result.is_optimal:
-            # only the point is read, never the value, so L = 1 will do
+            # only the point is read, never the value, so c' will do for c
             result = solve_lp(system, c.scaled[1], start=result)
         if result.is_unbounded:
             raise UnboundedInput("H-description is unbounded; not a polytope")
@@ -287,7 +287,7 @@ class HrepBinaryOracle(BinaryOracle):
             point = result.point  # only for the message
             name = next(name for name in names if point[name] not in (0, 1))
             raise NotBinaryPolytope(
-                f"LP vertex has fractional coordinate {name} = {format_rational(point[name])}")
+                f"LP vertex has coordinate {name} = {format_rational(point[name])}, not 0 or 1")
         vertex = BinaryPoint(self.n, sum(v << i for i, v in enumerate(coords)))
         score = c.scaled_dot(vertex)
 

@@ -209,7 +209,7 @@ def in_convex_hull(point, points: Sequence) -> bool:
     rows.append(({name: 1 for name in names}, "=", 1))
     bounds = {name: (0, None) for name in names}
     system = LinearSystem.build(0, names, rows, bounds)
-    return solve_lp(system, {}).is_optimal
+    return solve_lp(system, ()).is_optimal
 
 
 def _primitive(v: list) -> list:
@@ -442,7 +442,7 @@ def _unstraddled(truth: list) -> list:
 def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
     """Is the integral point p in the projection of the system onto x1..xn?"""
     if _needs_pin(run, box, p):
-        return solve_lp(run.system, {}, fix=dict(zip(run.names, p))).is_optimal
+        return solve_lp(run.system, [0] * len(run.names), fix=dict(zip(run.names, p))).is_optimal
     if p in run:
         return True
     if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):

@@ -8,7 +8,7 @@ from fvx import BinaryPoint, HPolytope, Objective, cube_hrep, exactlp, solve_lp
 def feasible_at(system, p):
     """Is the system feasible with x1..xn pinned to the point p?"""
     pins = {f"x{i + 1}": (Fraction(v), Fraction(v)) for i, v in enumerate(p)}
-    return solve_lp(system.with_bounds(pins), {}).is_optimal
+    return solve_lp(system.with_bounds(pins), [0] * system.n_original).is_optimal
 
 
 def phase_pivots(monkeypatch):

@@ -502,6 +502,32 @@ class TestInputValidation:
         code, out = run(capsys, ["solve", str(path)])
         assert code == 1 and f"{path} is not valid JSON" in json.loads(out)["message"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["kbest", "FILE", "-k", "x"], "argument -k: invalid int value: 'x'"),
+        (["compile", "FILE"], "the following arguments are required: --method"),
+        (["compile", "FILE", "--method", "nope"], "argument --method: invalid choice: 'nope'"),
+        (["solve"], "the following arguments are required: file"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["kbest-k", "compile-no-method", "compile-bad-method", "solve-no-file", "bogus",
+            "bare"])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv, message):
+        # a usage error is an input error, never exit 2 (infeasible)
+        path = cube_problem(tmp_path, 2, ["0", "0"], [])
+        code = main([path if arg == "FILE" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "error" and doc["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["fvx", "solve"])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 0 and captured.out.startswith("usage: fvx")
+        assert captured.err == ""
+
     def test_negative_trials(self, tmp_path, capsys):
         path = cube_problem(tmp_path, 2, ["0", "0"], ["00"])
         code, out = run(capsys, ["verify", path, "--method", "interval", "--trials", "-3"])

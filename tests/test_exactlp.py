@@ -120,41 +120,44 @@ class TestBasics:
     def test_exactness_with_rationals(self):
         s = LinearSystem.build(2, rows=[({"x1": 3, "x2": 7}, "<=", 1)],
                                bounds={"x1": (0, None), "x2": (0, None)})
-        r = solve_lp(s, ["-1", "-1"])
+        r = solve_lp(s, [-1, -1])
         assert r.value == Fraction(-1, 3)
 
     def test_objective_forms(self):
-        s = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
-        assert solve_lp(s, {"x2": "-1/2"}).value == Fraction(-1, 2)
-        with pytest.raises(DomainError):
-            solve_lp(s, {"zz": 1})
-        with pytest.raises(DomainError):
-            solve_lp(s, [1])
+        # a list or a tuple of n_original ints, the costs of x1..xn; the
+        # auxiliary variable y1 takes no cost
+        s = LinearSystem.build(2, ("y1",), [({"x1": 1, "y1": 1}, "=", 1)],
+                               {"x1": (0, 1), "x2": (0, 1), "y1": (0, 1)})
+        assert solve_lp(s, [0, -1]).value == -1
+        assert repr(solve_lp(s, (-1, 2))) == repr(solve_lp(s, [-1, 2]))
         with pytest.raises(TypeError):  # a maximum is -min of the negated objective
             solve_lp(s, [1, 1], sense="max")
-        assert solve_lp(s, Objective.of([1, "-1/2"])).value == Fraction(-1, 2)
-        with pytest.raises(DomainError, match="3 terms, expected 2"):
-            solve_lp(s, Objective.of([1, 1, 1]))
 
-    def test_int_objectives_are_the_costs(self, monkeypatch):
+    @pytest.mark.parametrize("objective", [
+        {}, {"x1": 1, "x2": 1}, Objective.of([1, 1]), [1, Fraction(1)], [1, Fraction(1, 2)],
+        [1, "1"], [1, 1.0], [True, 1], [1], [1, 1, 1], (1,), [], (i for i in (1, 1)), 1, None,
+        "11",
+    ], ids=["empty-mapping", "mapping", "Objective", "Fraction", "rational", "str", "float",
+            "bool", "short", "long", "short-tuple", "empty", "generator", "int", "None",
+            "string"])
+    def test_other_objectives_are_refused(self, objective):
+        s = LinearSystem.build(2, ("y1",), [({"x1": 1, "y1": 1}, "=", 1)],
+                               {"x1": (0, 1), "x2": (0, 1), "y1": (0, 1)})
+        for fix in (None, {"x1": 1}):
+            with pytest.raises(DomainError, match="list or tuple of 2 ints"):
+                solve_lp(s, objective, fix=fix)
+
+    def test_int_objectives_are_the_costs(self):
+        # priced as given, with no scale: the value is c.x at the point, also
+        # when the caller's list has changed before the value is first read
         s = LinearSystem.build(2, rows=[({"x1": 1, "x2": 2}, "<=", 3)],
                                bounds={"x1": ("-1/2", 1), "x2": (0, None)})
-        expect = [repr(solve_lp(s, [Fraction(sign * 3), Fraction(sign * -2)]))
-                  for sign in (1, -1)]
-
-        def refuse(value):
-            raise AssertionError(f"parsed {value!r}")
-
-        monkeypatch.setattr(exactlp, "_exact", refuse)
-        for c in ([3, -2], (3, -2)):
-            assert [repr(solve_lp(s, type(c)(sign * v for v in c))) for sign in (1, -1)] == expect
-        monkeypatch.undo()
-        # bools, floats and wrong lengths keep the parsed path's errors
-        for c, message in (([True, 1], "refusing boolean"), ([1, 1.0], "refusing float"),
-                           ([1, 2, 3], "objective has 3 terms, expected 2"),
-                           ((1,), "objective has 1 terms, expected 2")):
-            with pytest.raises(DomainError, match=message):
-                solve_lp(s, c)
+        c = [3, -2]
+        low, high = solve_lp(s, c), solve_lp(s, (-3, 2))
+        c[:] = [0, 0]
+        assert (low.value, high.value) == (-5, -3)
+        assert low.point == {"x1": Fraction(-1, 2), "x2": Fraction(7, 4)}
+        assert high.point == {"x1": 1, "x2": 0}
 
     def test_equality_rows(self):
         s = LinearSystem.build(2, rows=[({"x1": 1, "x2": 1}, "=", 1)],
@@ -208,7 +211,8 @@ class TestPricing:
 
     def test_beale_cycling_example_stops(self, monkeypatch):
         # Beale (1955): min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 over x >= 0, two
-        # degenerate rows and x6 <= 1, here over x3..x6.  The rows' slacks are
+        # degenerate rows and x6 <= 1, here over x3..x6 with the objective
+        # times 4, which changes no pivot.  The rows' slacks are
         # the columns x1, x2 of their own: the tableau scales each row to
         # ints, which would scale its implicit slack's reduced cost.  Each
         # pivot is degenerate, and from the sixth on Dantzig's rule returns to
@@ -218,8 +222,8 @@ class TestPricing:
             ({"x2": 1, "x3": "1/2", "x4": -12, "x5": "-1/2", "x6": 3}, "<=", 0)],
             bounds={**{f"x{i}": (0, None) for i in range(1, 7)}, "x5": (0, 1)})
         log = entering_columns(monkeypatch)
-        result = solve_lp(system, [0, 0, "-3/4", 20, "-1/2", 6])
-        assert result.value == Fraction(-5, 4)
+        result = solve_lp(system, [0, 0, -3, 80, -2, 24])
+        assert result.value == -5
         assert result.point == {"x1": Fraction(3, 4), "x2": 0, "x3": 1, "x4": 0,
                                 "x5": 1, "x6": 0}
         run = exactlp.DEGENERATE_RUN
@@ -253,14 +257,14 @@ class TestFeasibleWithFixings:
 
     def test_formulation_membership(self):
         system = interval_formulation([BinaryPoint.from_string("00")], 2)
-        assert not solve_lp(pinned(system, {"x1": 0, "x2": 0}), {}).is_optimal
-        assert solve_lp(pinned(system, {"x1": 1, "x2": 1}), {}).is_optimal
-        assert solve_lp(system, {}).is_optimal
+        assert not solve_lp(pinned(system, {"x1": 0, "x2": 0}), [0, 0]).is_optimal
+        assert solve_lp(pinned(system, {"x1": 1, "x2": 1}), [0, 0]).is_optimal
+        assert solve_lp(system, [0, 0]).is_optimal
 
     def test_fixing_validation(self):
         s = LinearSystem.build(1, bounds={"x1": (0, 1)})
         with pytest.raises(DomainError, match="undeclared variable 'y'"):
-            solve_lp(pinned(s, {"y": 1}), {})
+            solve_lp(pinned(s, {"y": 1}), [0])
 
     def test_zero_objective_matches_cold_phase1(self):
         rng = random.Random(43)
@@ -270,17 +274,19 @@ class TestFeasibleWithFixings:
             maker = rng.choice(makers)
             system = maker(rng, rng.randint(1, 4))
             child = pinned(system, {"x1": rng.randint(-3, 3)})
+            zero = [0] * system.n_original
             for s in (system, child):
                 feasible = exactlp._Simplex(s).phase1()  # cold reference
-                got = solve_lp(s, {})
-                assert got.is_optimal == feasible and got.is_infeasible == (not feasible)
-                if feasible:
-                    assert got.value == 0 and satisfies(s, got.point)
+                for c in (zero, tuple(zero)):
+                    got = solve_lp(s, c)
+                    assert got.is_optimal == feasible and got.is_infeasible == (not feasible)
+                    if feasible:
+                        assert got.value == 0 and satisfies(s, got.point)
                 seen.add((maker.__name__, s is child, feasible))
             if maker is unbounded_system:
                 # feasible and unbounded below in x1, yet the zero objective is optimal
-                assert solve_lp(system, {"x1": 1}).is_unbounded
-                assert solve_lp(system, {}).is_optimal
+                assert solve_lp(system, [1, *zero[1:]]).is_unbounded
+                assert solve_lp(system, zero).is_optimal
         assert {("random_bounded_system", False, True), ("infeasible_system", False, False),
                 ("unbounded_system", False, True), ("random_bounded_system", True, True),
                 ("random_bounded_system", True, False)} <= seen
@@ -325,35 +331,28 @@ class TestAgainstVertexEnumeration:
             assert repr(first) == repr(second)
 
 
-def int_scaled(terms):
-    """The terms by name times the lcm of their denominators, as ints."""
-    return dict(zip(terms, exactlp._scale(terms.values())[1]))
-
-
 def signed(c, sign):
-    """The objective c times sign, in c's own form (a mapping, an Objective or
-    a list or tuple): a maximum is minus the minimum of the negated objective."""
-    if sign == 1:
-        return c
-    if isinstance(c, Objective):
-        return Objective.of([-v for v in c.c])
-    if isinstance(c, dict):
-        return {name: -v for name, v in c.items()}
-    return type(c)(-v for v in c)
+    """The objective c times sign, a list or tuple as c is: a maximum is minus
+    the minimum of the negated objective."""
+    return c if sign == 1 else type(c)(-v for v in c)
+
+
+def costs_of(rng, system):
+    """Random int costs of x1..xn of the system, each in -5..5."""
+    return [rng.randint(-5, 5) for _ in range(system.n_original)]
 
 
 def cold_solve(system, objective):
     """Reference: a fresh tableau, phase 1, then phase 2, as before any reuse."""
-    obj_map = exactlp._objective_map(system, objective)
     solver = exactlp._Simplex(system)
     if not solver.phase1():
         return LpResult("infeasible", None, None)
-    costs = int_scaled(obj_map)
-    status = solver.phase2(solver.column_objective(costs))
+    status = solver.phase2(solver.column_objective(objective))
     if status == "unbounded":
         return LpResult("unbounded", None, None)
     point = solver.point()
-    value = sum((c * point[name] for name, c in obj_map.items()), start=Fraction(0))
+    value = sum((c * point[name] for name, c in zip(system.variables, objective)),
+                start=Fraction(0))
     return LpResult("optimal", point, value)
 
 
@@ -523,7 +522,7 @@ class TestWarmStart:
             return original(self, r, s)
 
         monkeypatch.setattr(exactlp._Simplex, "_pivot", counting)
-        solve_lp(system, {})  # phase 1
+        solve_lp(system, [0, 0, 0])  # phase 1
         del pivots[:]
         first = solve_lp(system, [3, -2, 1])
         assert first.is_optimal and pivots
@@ -649,9 +648,9 @@ class FractionSimplex(exactlp._Simplex):
             self.basis.append(basis_col)
         self.ncols = art
 
-    def column_objective(self, obj_map):
+    def column_objective(self, costs):
         col_obj = {}
-        for name, c in obj_map.items():
+        for name, c in zip(self.variables, costs):
             for col, sign in self.var_cols[name][1]:
                 col_obj[col] = col_obj.get(col, 0) + sign * c
         return {c: Fraction(v) for c, v in col_obj.items() if v}
@@ -734,12 +733,13 @@ class TestIntegerBuild:
                 continue
             saved_got, saved_ref = got, ref
             for _ in range(3):
-                c = {name: value for name in system.variables
-                     if (value := Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 6))))}
+                c = [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 6)))
+                     for _ in range(system.n_original)]
                 if rng.random() < 0.5:  # a maximum
-                    c = {name: -v for name, v in c.items()}
+                    c = [-v for v in c]
                 got, ref = saved_got.restart(), saved_ref.restart()
-                status = got.phase2(got.column_objective(int_scaled(c)))
+                # the integer costs are c times the lcm of its denominators
+                status = got.phase2(got.column_objective(exactlp._scale(c)[1]))
                 assert status == ref.phase2(ref.column_objective(c))
                 seen.add(status)
                 if status == "optimal":
@@ -833,12 +833,12 @@ class TestIntegerBuild:
 
     def test_objective_value_is_exact(self):
         system = LinearSystem.build(2, bounds={"x1": ("1/3", "1/3"), "x2": (0, "5/2")})
-        r = solve_lp(system, ["3/2", "-2/7"])
-        assert r.value == Fraction(3, 2) * Fraction(1, 3) - Fraction(2, 7) * Fraction(5, 2)
+        r = solve_lp(system, [21, -4])  # 3/2 x1 - 2/7 x2, times 14
+        assert r.value == 14 * (Fraction(3, 2) * Fraction(1, 3) - Fraction(2, 7) * Fraction(5, 2))
         assert type(r.value) is Fraction and all(type(v) is Fraction for v in r.point.values())
 
     def test_value_is_read_when_first_asked_for(self, monkeypatch):
-        # the z row is read on the first access, under the pricing of its own
+        # the z row is read on the first access, under the costs of its own
         # solve, however many solves from it came in between; the value is kept
         reads = []
         value = exactlp._Simplex.objective_value
@@ -846,11 +846,11 @@ class TestIntegerBuild:
                             lambda self, *pricing: reads.append(pricing) or value(self, *pricing))
         system = LinearSystem.build(2, (), [({"x1": 1, "x2": 1}, "<=", 3)],
                                     {"x1": (0, 2), "x2": ("1/2", 2)})
-        low = solve_lp(system, ["1/3", 1])
+        low = solve_lp(system, [1, 3])
         high = solve_lp(system, [-2, -1], start=low)
         fixed = solve_lp(system, [-1, 0], fix={"x2": 1})
         assert reads == []
-        assert (low.value, high.value, fixed.value) == (Fraction(1, 2), -5, -2)
+        assert (low.value, high.value, fixed.value) == (Fraction(3, 2), -5, -2)
         assert high.value == -5 and len(reads) == 3
         assert LpResult("optimal", dict(low.point), low.value) == low and repr(fixed) == \
             "LpResult(status='optimal', point={'x1': Fraction(2, 1), 'x2': Fraction(1, 1)}, value=Fraction(-2, 1))"
@@ -928,8 +928,8 @@ class TestFold:
                         ({"x1": 2}, "<=", 3), ({"x2": 3}, "=", 2))
         assert len(system.rows) == 4 and system.bounds == {"x1": (None, 5)}
         assert system.counted_inequalities() == 4
-        assert solve_lp(system, ["-1", "3"]).value == Fraction(-3, 2) + 2
-        assert solve_lp(system, ["1", "-3"]).value == -Fraction(3, 2) - 2
+        assert solve_lp(system, [-1, 3]).value == Fraction(-3, 2) + 2
+        assert solve_lp(system, [1, -3]).value == -Fraction(3, 2) - 2
 
     def test_divisible_rows_fold_to_int_bounds(self, monkeypatch):
         rows = [({"x1": 2}, "<=", 4), ({"x2": -3}, ">=", -3), ({"x3": 2}, "<=", 3),
@@ -957,8 +957,8 @@ class TestFold:
         system = LinearSystem.build(2, (), rows + [({"x1": 1, "x2": 1}, "<=", 9)], bounds)
         lo, hi = exactlp._folded(system)[0]["x1"]
         assert hi < lo
-        assert solve_lp(system, {}).is_infeasible
-        assert solve_lp(system.with_bounds({"x2": (Fraction(0), None)}), {}).is_infeasible
+        assert solve_lp(system, [0, 0]).is_infeasible
+        assert solve_lp(system.with_bounds({"x2": (Fraction(0), None)}), [0, 0]).is_infeasible
 
     def test_bounds_written_as_rows_solve_alike(self):
         # each non-integral bound p/q of a random system written out as its
@@ -977,8 +977,7 @@ class TestFold:
             other = LinearSystem((*system.variables, "z"), system.n_original, tuple(rows),
                                  bounds)
             for _ in range(2):
-                c = {name: rng.randint(-5, 5) for name in system.variables}
-                c = signed(c, rng.choice((1, -1)))
+                c = signed(costs_of(rng, system), rng.choice((1, -1)))
                 got, expect = solve_lp(other, c), solve_lp(system, c)
                 assert (got.status, got.value) == (expect.status, expect.value)
                 if got.is_optimal:
@@ -990,13 +989,13 @@ class TestFold:
     def test_zero_coefficient_row_is_kept(self):
         system = LinearSystem(("x1",), 1, (({"x1": 0}, "<=", -1),), {})
         assert exactlp._folded(system) == ({}, system.rows)
-        assert solve_lp(system, {}).is_infeasible
+        assert solve_lp(system, [0]).is_infeasible
 
     def test_child_crossing_a_folded_bound(self):
         parent = LinearSystem.build(1, (), [({"x1": 1}, "<=", 1)])
         child = parent.with_bounds({"x1": (Fraction(2), None)})
         assert child.bounds == {"x1": (2, None)} and exactlp._folded(child)[0] == {"x1": (2, 1)}
-        assert solve_lp(child, {}).is_infeasible
+        assert solve_lp(child, [0]).is_infeasible
 
     def test_children_solve_as_a_fresh_system(self):
         rng = random.Random(67)
@@ -1015,7 +1014,7 @@ class TestFold:
                 fresh = LinearSystem(system.variables, system.n_original, system.rows,
                                      system.bounds)
                 assert exactlp._folded(system) == exactlp._folded(fresh)
-                c = {name: rng.randint(-5, 5) for name in system.variables}
+                c = costs_of(rng, system)
                 got = solve_lp(system, c)
                 assert repr(got) == repr(solve_lp(fresh, c))
                 statuses.add(got.status)
@@ -1072,10 +1071,11 @@ class TestFix:
             fix = {name: fix_value(rng, system, name) for name in rng.sample(names, k)}
             pins = {name: (Fraction(v), Fraction(v)) for name, v in fix.items()}
             n = system.n_original
-            objectives = [{name: rng.randint(-5, 5) for name in names},
-                          Objective.of([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
-                                        for _ in range(n)])]
-            base_feasible = solve_lp(system, {}).is_optimal  # the kept phase 1 runs here
+            # int costs, and rational ones times the lcm of their denominators
+            objectives = [costs_of(rng, system),
+                          list(exactlp._scale([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                                               for _ in range(n)])[1])]
+            base_feasible = solve_lp(system, [0] * n).is_optimal  # the kept phase 1 runs here
             for c in objectives:
                 c = signed(c, rng.choice((1, -1)))
                 before = dict(pivots)
@@ -1112,7 +1112,7 @@ class TestFix:
              ({"x1": 1, "y3": -1}, ">=", "-5/2")],
             {"x2": (0, None), "x3": (None, 2), "y1": ("1/2", "7/2"), "y2": (1, 1),
              "y3": (-2, 3)})
-        c = {"x1": 1, "x2": -1, "x3": 2, "y1": -3, "y2": 1, "y3": 1}
+        c = [1, -1, 2]
         statuses = set()
         for fix in ({"x1": -4}, {"x2": 0}, {"x2": -1}, {"x3": 2}, {"x3": 3},
                     {"y1": 1}, {"y1": 0}, {"y1": 4}, {"y2": 1}, {"y2": 0},
@@ -1128,7 +1128,7 @@ class TestFix:
     def test_restriction_of_an_infeasible_system(self):
         system = LinearSystem.build(2, (), [({"x1": 1, "x2": 1}, "<=", -1)],
                                     {"x1": (0, 1), "x2": (0, 1)})
-        assert solve_lp(system, {}, fix={"x1": 0}).is_infeasible
+        assert solve_lp(system, [0, 0], fix={"x1": 0}).is_infeasible
         assert system._phase1 is None
 
     def test_empty_fix_is_the_plain_solve(self):
@@ -1153,7 +1153,7 @@ class TestFix:
 
     def test_saved_solver_is_untouched(self):
         system = interval_formulation([BinaryPoint.from_string("101")], 3)
-        solve_lp(system, {})
+        solve_lp(system, [0, 0, 0])
         saved = system._phase1
         snapshot = copy.deepcopy((saved.rows, saved.basis, saved.template, saved.var_cols,
                                   saved.bound_rows))
@@ -1170,12 +1170,12 @@ class TestFix:
     def test_value_must_be_an_int(self, value):
         system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
         with pytest.raises(DomainError, match="x2"):
-            solve_lp(system, {}, fix={"x1": 0, "x2": value})
+            solve_lp(system, [0, 0], fix={"x1": 0, "x2": value})
 
     def test_undeclared_name(self):
         system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
         with pytest.raises(DomainError, match="undeclared variable 'y'"):
-            solve_lp(system, {}, fix={"y": 1})
+            solve_lp(system, [0, 0], fix={"y": 1})
 
     def test_fix_with_start_is_refused(self):
         # fix is a cold solve; a start made with fix carries its fixings
@@ -1193,8 +1193,8 @@ class TestFix:
     def test_objective_of_wrong_length(self):
         system = LinearSystem.build(2, bounds={"x1": (0, 1), "x2": (0, 1)})
         for fix in (None, {"x1": 1}):
-            with pytest.raises(DomainError, match="objective has 3 terms, expected 2"):
-                solve_lp(system, Objective.of([1, 1, 1]), fix=fix)
+            with pytest.raises(DomainError, match="objective must be a list or tuple of 2 ints"):
+                solve_lp(system, [1, 1, 1], fix=fix)
 
 
 class NoPresolve(exactlp._Simplex):
@@ -1206,14 +1206,14 @@ class NoPresolve(exactlp._Simplex):
 
 
 def solved(cls, system, costs):
-    """(status, value, point) of a cold solve of integer costs by name with
+    """(status, value, point) of a cold solve of integer costs of x1..xn with
     the solver class `cls`."""
     solver = cls(system)
     if not solver.phase1():
         return "infeasible", None, None
     if solver.phase2(solver.column_objective(costs)) == "unbounded":
         return "unbounded", None, None
-    return "optimal", solver.objective_value(costs, 1), solver.point()
+    return "optimal", solver.objective_value(costs), solver.point()
 
 
 def presolved_systems(rng, count):
@@ -1260,8 +1260,7 @@ class TestPresolve:
         assert solver.var_cols["x1"] == (2, ((0, -1),)) and solver.var_cols["x2"] == (1, ((0, 1),))
         for c in ([1, 0, 0], [0, 1, 0], [1, 1, 1], [-1, 0, 0], [0, -1, 0], [-1, -1, -1]):
             got = solve_lp(system, c)
-            assert (got.status, got.value) == solved(NoPresolve, system, dict(
-                zip(system.variables, c)))[:2]
+            assert (got.status, got.value) == solved(NoPresolve, system, c)[:2]
             assert verify.satisfies(system, got.point)
 
     def test_presolve_on_and_off_agree(self):
@@ -1273,8 +1272,7 @@ class TestPresolve:
             kinds.update(bounds.get(name, (None, None)) == (None, None) for name in names)
             substituted += len(names)
             for _ in range(3):
-                costs = {name: v for name in system.variables if (v := rng.randint(-5, 5))}
-                costs = signed(costs, rng.choice((1, -1)))
+                costs = signed(costs_of(rng, system), rng.choice((1, -1)))
                 status, value, point = solved(exactlp._Simplex, system, costs)
                 assert (status, value) == solved(NoPresolve, system, costs)[:2]
                 # the Fraction reference build of the same presolved data
@@ -1282,7 +1280,7 @@ class TestPresolve:
                     repr((status, value, point))
                 if status == "optimal":
                     assert verify.satisfies(system, point)
-                    assert value == sum(c * point[name] for name, c in costs.items())
+                    assert value == sum(c * point[name] for name, c in zip(system.variables, costs))
                 seen.add((status, system.meta.get("method")))
         assert {("optimal", None), ("infeasible", None), ("unbounded", None),
                 ("optimal", "interval"), ("optimal", "recursive")} <= seen
@@ -1306,8 +1304,7 @@ class TestPresolve:
             fix = {name: rng.choice((0, 1, fix_value(rng, system, name))) for name in names}
             child = pinned(system, fix)
             for _ in range(2):
-                c = {name: rng.randint(-5, 5) for name in system.variables}
-                c = signed(c, rng.choice((1, -1)))
+                c = signed(costs_of(rng, system), rng.choice((1, -1)))
                 got = solve_lp(system, c, fix=fix)
                 expect = solve_lp(child, c)
                 assert (got.status, got.value) == (expect.status, expect.value)
@@ -1327,23 +1324,25 @@ class TestLazyReadout:
         rng = random.Random(73)
         for _ in range(40):
             system = mixed_system(rng)
-            c = {name: rng.randint(-5, 5) for name in system.variables}
+            c = costs_of(rng, system)
             result = solve_lp(system, c)
             if not result.is_optimal:
                 continue
             expect = cold_solve(system, c)  # reads its point out eagerly
             del reads[:]
-            ones = {name: 1 for name in system.variables}
-            later = solve_lp(system, ones, start=result)
+            originals = system.variables[:system.n_original]
+            later = solve_lp(system, [1] * len(originals), start=result)
             assert reads == []  # neither result has been read out yet
             assert (result.point, result.value) == (expect.point, expect.value)
             assert result.point is result.point and len(reads) == 1
             if later.is_optimal:
-                assert later.value == sum(later.point.values()) and len(reads) == 2
+                assert later.value == sum(map(later.point.get, originals)) and len(reads) == 2
 
     def test_z_row_value_and_coords_match_the_point(self):
         # min and max, fix= and start=, on systems with free variables and
-        # non-integral bounds; objectives by name, as an Objective and as ints
+        # non-integral bounds; rational objectives as their ints, c times the
+        # lcm of its denominators (the value is then that scale times c.x),
+        # and int ones as lists and tuples
         rng = random.Random(79)
         seen, kinds, fractions = set(), set(), 0
         for _ in range(300):
@@ -1352,15 +1351,15 @@ class TestLazyReadout:
             names, n = system.variables, system.n_original
             ints = [rng.randint(-5, 5) for _ in range(n)]
             objectives = [
-                {name: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for name in names},
-                Objective.of([Fraction(rng.randint(-9, 9), rng.choice((1, 4))) for _ in range(n)]),
+                [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)],
+                [Fraction(rng.randint(-9, 9), rng.choice((1, 4))) for _ in range(n)],
                 ints, tuple(ints)]
             earlier = None
-            for c in objectives:
+            for terms in objectives:
                 sign = rng.choice((1, -1))
-                c = signed(c, sign)
-                terms = dict(zip(names, c.c)) if isinstance(c, Objective) else \
-                    dict(zip(names, c)) if isinstance(c, (list, tuple)) else c
+                terms = signed(terms, sign)
+                scale, c = exactlp._scale(terms)
+                c = c if type(terms) is tuple else list(c)
                 how = rng.choice(("cold", "fix", "start"))
                 if how == "fix":
                     fix = {name: fix_value(rng, system, name)
@@ -1382,8 +1381,8 @@ class TestLazyReadout:
                 assert result._point is None  # no readout built the point
                 point = result.point
                 assert type(value) is Fraction
-                assert value == sum((q * point[name] for name, q in terms.items()),
-                                    start=Fraction(0))
+                assert value == scale * sum((q * point[name] for name, q in zip(names, terms)),
+                                            start=Fraction(0))
                 # None exactly when a named coordinate is fractional
                 fractional = any(point[name].denominator != 1 for name in picked)
                 assert (ints is None) == fractional

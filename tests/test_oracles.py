@@ -126,7 +126,7 @@ class TestHrepOracle:
             o = hrep_binary_oracle(HPolytope.of(3, rows))
             with pytest.raises(NotBinaryPolytope) as err:
                 o.minimize(Objective.of([-1, -1, -1]))
-            assert str(err.value) == f"LP vertex has fractional coordinate {message}"
+            assert str(err.value) == f"LP vertex has coordinate {message}, not 0 or 1"
 
     def test_face_infeasible(self):
         rows = list(cube_hrep(2).rows) + [((Fraction(1), Fraction(1)), "<=", Fraction(1))]
