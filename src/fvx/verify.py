@@ -36,10 +36,10 @@ bounds, with no tableau code) confirms it, p is a proven member of the
 projection and the run keeps that LP result as p's witness, one per point.
 A corner probe of p that reaches distance 0 keeps its result as p's
 witness with no substitution: its verdict already rests on that value.
-A membership or exclusion probe of a witnessed point is skipped: the point
-is a member.  All of this is in ints: an LP reads x1..xn as ints
-(`LpResult.int_coords`, None when one is fractional), and only a new
-integral candidate reads its whole point, once, as (L, ints)
+A membership or exclusion probe of a witnessed or lifted point (see Lifts)
+is skipped: the point is a member.  All of this is in ints: an LP reads
+x1..xn as ints (`LpResult.int_coords`, None when one is fractional), and
+only a new integral candidate reads its whole point, once, as (L, ints)
 (`LpResult.scaled_point`), which `_holds` checks as the point ints / L
 against the system's rows and its bounds, read as int pairs once per run.
 
@@ -52,6 +52,22 @@ Any feasible basis is a valid phase-2 start: a start changes no status and
 no value, only the pivots taken to reach them, and the point when there
 are several optima.
 
+Lifts: every compile method writes a disjunctive hull, x = sum_j y_j,
+sum_j lam_j = 1 and block j's rows homogenized in (y_j, lam_j), with y_j
+named b{j}_y1.., lam_j named lam{j}.  A point t lies in block j's polytope
+exactly when its lift, x = t, b{j}_y{i} = t_i (i <= n), lam{j} = 1 and
+every other variable 0, meets the system.  Once per run, at the first
+probe, `_lifts` substitutes each block's lift into every row and bound of
+the system, the identity `_holds` computes on a whole point: a row that
+reads a constant is checked once, and a block that fails one is dropped;
+the others leave int rows over t, checked per point shortest first (the
+rows every block has once, before any block's own).  The first block whose rows all hold makes t a
+member, kept in `_Witnesses.lifted`, with no LP; a lifted point has no LP
+basis, so it is no witness and starts no LP.  A failed lift proves nothing,
+and a point no block lifts (an auxiliary column, such as a nested hull's,
+reads 0 in the lift; a system with other names has no block) takes its
+probe.  So a lift never changes a verdict, only the LPs run.
+
 Probes: the box [l, h] holds the projection; a point outside it is not a
 member, and a point with every p_i in {l_i, h_i} (every binary point when
 the box is [0,1]^n, every corner of a lattice box) is a member exactly
@@ -59,16 +75,17 @@ when the L1 distance sum_{p_i = l_i} (x_i - l_i) + sum_{p_i = h_i}
 (h_i - x_i) has minimum 0.  Other points (strictly inside the box, or any
 point when the projection is unbounded or the system infeasible) ask a
 zero-objective `solve_lp` with x pinned to p by its `fix`, a cold solve,
-which is optimal exactly when that is feasible.
+which is optimal exactly when that is feasible.  Each probe runs only
+when no lift answers the point first.
 
 Membership by convexity: the projection is convex, and no vertex of
 conv(T) is the midpoint of two other points of T, so the truth points p
 with no direction d among e_i and e_i +- e_j (over the coordinates that T
 spans by two units or more; none for a binary T) where both p - d and
-p + d are in T include every vertex of conv(T).  They are probed first;
-when all are members, conv(T) lies in the projection and so does every
-truth point, with no probe.  When one fails, the rest are probed too, so
-the membership failures are exact.
+p + d are in T include every vertex of conv(T).  They are probed first
+(a lifted point runs no LP); when all are members, conv(T) lies in the
+projection and so does every truth point, with no probe.  When one fails,
+the rest are probed too, so the membership failures are exact.
 
 Points may be BinaryPoints, LatticePoints or sequences of ints (lists are
 read as tuples); anything else, or a point whose length is not the
@@ -78,6 +95,7 @@ dimension (the system's `n_original`), raises DomainError.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -101,6 +119,7 @@ PIN_GUARD = 20_000
 # (the 10-cube less 512 random points has about 1,500 facets, 23 s unguarded)
 # and, past it, the run samples trials instead
 FACET_GUARD = 256
+_BLOCK_NAME = re.compile(r"b(\d+)_y(\d+)|lam(\d+)")  # a union hull's block columns
 
 
 def _coords(points: Iterable, n: Optional[int] = None) -> list:
@@ -164,6 +183,72 @@ def _holds(system: LinearSystem, bounds: tuple, den: int, x: Mapping[str, int]) 
     return True
 
 
+def _meets(lhs: int, rel: str, rhs: int) -> bool:
+    """Does lhs rel rhs hold?"""
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def _lifts(system: LinearSystem, bounds: tuple) -> tuple:
+    """The rows over t that the blocks' lifts leave (see Lifts): (the rows
+    every block has, [each block's other rows]), over the blocks whose rows
+    that read a constant all hold; each row (terms, rel, b) compares the sum
+    of a * t_i over its terms (i, a) with b, shortest first."""
+    n = system.n_original
+    # a variable's lift: t_i for x_i, and for block j's b{j}_y{i} (i <= n);
+    # 1 (column n) for lam{j}; 0 for any other
+    column = {f"x{i + 1}": (None, i) for i in range(n)}
+    for name in system.variables[n:]:
+        m = _BLOCK_NAME.fullmatch(name)
+        if m and (m[3] or int(m[2]) <= n):
+            column[name] = (m[3], n) if m[3] else (m[1], int(m[2]) - 1)
+    lower, upper = bounds
+    rows = [*system.rows, *(({v: q}, ">=", p) for v, p, q in lower),
+            *(({v: q}, "<=", p) for v, p, q in upper)]
+    parts, own = [], {}  # per row, block (None for x) -> its coefficients over (t, 1)
+    for r, (coeffs, _, _) in enumerate(rows):
+        part = {}
+        for name, a in coeffs.items():
+            if name in column:
+                j, i = column[name]
+                if j not in part:
+                    part[j] = {}
+                    own.setdefault(j, []).append(r)
+                part[j][i] = part[j].get(i, 0) + a
+        parts.append(part)
+    shared = own.pop(None, [])
+    # a row with no term in x or in block j reads 0 on j's lift
+    zero = {r for r, (_, rel, rhs) in enumerate(rows) if not _meets(0, rel, rhs)}
+    blocks = []
+    for j, mine in own.items():
+        if not zero.issubset(mine + shared):
+            continue
+        kept = {}
+        for r in dict.fromkeys(mine + shared):
+            a = dict(parts[r].get(j, {}))
+            for i, v in parts[r].get(None, {}).items():
+                a[i] = a.get(i, 0) + v
+            _, rel, rhs = rows[r]
+            rhs -= a.pop(n, 0)
+            terms = tuple((i, v) for i, v in a.items() if v)
+            if terms:
+                kept[terms, rel, rhs] = None
+            elif not _meets(0, rel, rhs):
+                break
+        else:
+            blocks.append(kept)
+    common = [row for row in blocks[0] if all(row in k for k in blocks[1:])] if blocks else []
+    return _shortest(common), [_shortest(row for row in k if row not in common) for k in blocks]
+
+
+def _shortest(rows: Iterable) -> list:
+    return sorted(rows, key=lambda row: len(row[0]))
+
+
+def _hold(rows: list, p: tuple) -> bool:
+    """Does p meet every row (terms, rel, b) of `_lifts`?"""
+    return all(_meets(sum(a * p[i] for i, a in terms), rel, b) for terms, rel, b in rows)
+
+
 class _Witnesses(dict):
     """Integral projected points of one run -> the optimal LP result proving each."""
 
@@ -171,6 +256,19 @@ class _Witnesses(dict):
         super().__init__()
         self.system, self.names = system, names
         self.bounds = _int_bounds(system)  # read once per run
+        self.lifted, self.lifts = set(), None  # lifts are read at the first `member`
+
+    def member(self, p: tuple) -> bool:
+        """Is p witnessed, or lifted into a block (see Lifts)?"""
+        if p in self or p in self.lifted:
+            return True
+        if self.lifts is None:
+            self.lifts = _lifts(self.system, self.bounds)
+        common, blocks = self.lifts
+        if _hold(common, p) and any(_hold(rows, p) for rows in blocks):
+            self.lifted.add(p)
+            return True
+        return False
 
     def solve(self, a: Sequence[int]):
         """`solve_lp` of min a.x, a an int vector over x1..xn, from the witness
@@ -406,18 +504,19 @@ def _scores(c: list, columns: list, size: int) -> list:
     return scores
 
 
-def _needs_pin(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
-    """Does p have no witness yet, and neither lie outside the box nor on a corner?"""
-    return p not in run and (box is None or (
-        all(lo <= v <= hi for v, (lo, hi) in zip(p, box))
-        and not all(v == lo or v == hi for v, (lo, hi) in zip(p, box))))
+def _off_corners(box: Optional[list], p: tuple) -> bool:
+    """Is there no box, or is p inside it but not on a corner?"""
+    return box is None or (all(lo <= v <= hi for v, (lo, hi) in zip(p, box))
+                           and not all(v == lo or v == hi for v, (lo, hi) in zip(p, box)))
 
 
 def _pin_guard(run: _Witnesses, box: Optional[list], cuts: list, points: list,
                pinned: int) -> int:
-    """`pinned` plus the pinned probes the points need; GuardExceeded when
-    that many times the system's rows passes `PIN_GUARD`."""
-    pinned += sum(_needs_pin(run, box, p) and not _cut(cuts, p) for p in points)
+    """`pinned` plus the pinned probes the points need: those off the box's
+    corners, neither cut, witnessed nor lifted; GuardExceeded when that many
+    times the system's rows passes `PIN_GUARD`."""
+    pinned += sum(_off_corners(box, p) and not _cut(cuts, p) and not run.member(p)
+                  for p in points)
     if pinned * len(run.system.rows) > PIN_GUARD:
         raise GuardExceeded(f"{pinned} pinned probes on {len(run.system.rows)} rows exceed "
                             f"the pinned-probe guard {PIN_GUARD} (probes x rows)")
@@ -441,10 +540,10 @@ def _unstraddled(truth: list) -> list:
 
 def _in_projection(run: _Witnesses, box: Optional[list], p: tuple) -> bool:
     """Is the integral point p in the projection of the system onto x1..xn?"""
-    if _needs_pin(run, box, p):
-        return solve_lp(run.system, [0] * len(run.names), fix=dict(zip(run.names, p))).is_optimal
-    if p in run:
+    if run.member(p):
         return True
+    if _off_corners(box, p):
+        return solve_lp(run.system, [0] * len(run.names), fix=dict(zip(run.names, p))).is_optimal
     if any(v < lo or v > hi for v, (lo, hi) in zip(p, box)):
         return False
     # p is on a corner: each term x_i - l_i or h_i - x_i is nonnegative on
@@ -479,15 +578,16 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     [-100, 100]^n with the brute-force minimum unless the proof and the
     memberships decide them all, then audits the size certificate.  The
     module docstring gives the phase order and the route of each probe and
-    trial; a start changes no LP status or value, so the report depends on
-    the route only through the failed facets, which only `_hull`'s route
+    trial; a start changes no LP status or value, and a lift answers only
+    "member" after an exact substitution, so the report depends on the
+    route only through the failed facets, which only `_hull`'s route
     lists.  Deterministic for a fixed seed.  A negative
     `trials` or a point whose length is not `system.n_original` raises
     DomainError, more than `MAX_TRIALS` trials GuardExceeded, and so does a
     run whose pinned probes times the system's rows exceed `PIN_GUARD`
     (counted before each batch of membership probes, and again with the
-    exclusion probes before those run; the trials come last, so their
-    witnesses do not lower the count).
+    exclusion probes before those run, with no probe for a lifted point;
+    the trials come last, so their witnesses do not lower the count).
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")

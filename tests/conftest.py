@@ -1,14 +1,28 @@
 """Shared helpers for the test suite."""
 
+import re
 from fractions import Fraction
 
 from fvx import BinaryPoint, HPolytope, Objective, cube_hrep, exactlp, solve_lp
+from fvx.lp_format import parse_lp, write_lp
 
 
 def feasible_at(system, p):
     """Is the system feasible with x1..xn pinned to the point p?"""
     pins = {f"x{i + 1}": (Fraction(v), Fraction(v)) for i, v in enumerate(p)}
     return solve_lp(system.with_bounds(pins), [0] * system.n_original).is_optimal
+
+
+def renamed_lp(text):
+    """LP text with each block column b{j}_y{i} renamed u{j}_{i} and each
+    multiplier lam{j} renamed m{j}: the same LP, but `verify` reads no block
+    off it, so no point is lifted and every probe takes the LP route."""
+    return re.sub(r"\blam(\d+)\b", r"m\1", re.sub(r"\bb(\d+)_y(\d+)\b", r"u\1_\2", text))
+
+
+def renamed(system):
+    """The system through `write_lp` and `parse_lp`, renamed by `renamed_lp`."""
+    return parse_lp(renamed_lp(write_lp(system)))
 
 
 def phase_pivots(monkeypatch):

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import fvx.cli
-from fvx import BinaryPoint, LinearSystem, extension, interval_formulation, write_lp
+import fvx.verify
+from fvx import BinaryPoint, LinearSystem, extension, interval_formulation, solve_lp, write_lp
 from fvx.cli import KBEST_GUARD, main
+from conftest import renamed_lp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,6 +27,32 @@ def write_json(tmp_path, name, doc):
 def run(capsys, args):
     code = main(args)
     return code, capsys.readouterr().out
+
+
+def lattice_removals(tmp_path, modulus):
+    """[0,5]^3 less every point whose coordinate sum is 0 mod `modulus`."""
+    forbidden = [[x, y, z] for x in range(6) for y in range(6) for z in range(6)
+                 if (x + y + z) % modulus == 0]
+    return write_json(tmp_path, "g.json", {
+        "kind": "integral", "n": 3, "forbidden": forbidden,
+        "polytope": {"type": "lattice-box", "l": [0, 0, 0], "u": [5, 5, 5]}})
+
+
+def verify_lifted(path, capsys, monkeypatch):
+    """`verify --method boxes` on the file passes in under 1 s with LPs but
+    no pinned probe."""
+    fixes = []
+
+    def recording(system, objective, start=None, fix=None):
+        fixes.append(fix)
+        return solve_lp(system, objective, start=start, fix=fix)
+
+    monkeypatch.setattr(fvx.verify, "solve_lp", recording)
+    start = time.perf_counter()
+    code, out = run(capsys, ["verify", path, "--method", "boxes"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    assert fixes and not any(fixes)
 
 
 def cube_problem(tmp_path, n, objective, forbidden, name="p.json", **extra):
@@ -573,36 +601,32 @@ class TestInputValidation:
             assert code == 1 and "trials guard" in json.loads(out)["message"], extra
 
     def test_pinned_probe_guard(self, tmp_path, capsys):
-        # [0,5]^3 less every point whose coordinate sum is 0 mod 3: along e_i
-        # and e_i + e_j one neighbour of an allowed point is removed, so only
-        # e_i - e_j pairs straddle, and 36 allowed points on the box's faces
-        # are probed first; 27 of them, off the corners and with no witness,
-        # are pinned on a system of 768 rows, one cold phase 1 each
-        forbidden = [[x, y, z] for x in range(6) for y in range(6) for z in range(6)
-                     if (x + y + z) % 3 == 0]
-        path = write_json(tmp_path, "g.json", {
-            "kind": "integral", "n": 3, "forbidden": forbidden,
-            "polytope": {"type": "lattice-box", "l": [0, 0, 0], "u": [5, 5, 5]}})
+        # [0,5]^3 less every point whose coordinate sum is 0 mod 3, its block
+        # columns renamed so that no point is lifted: along e_i and e_i + e_j
+        # one neighbour of an allowed point is removed, so only e_i - e_j
+        # pairs straddle, and 36 allowed points on the box's faces are probed
+        # first; 27 of them, off the corners and with no witness, are pinned
+        # on a system of 768 rows, one cold phase 1 each
+        path = lattice_removals(tmp_path, 3)
+        lp = tmp_path / "g.lp"
+        assert run(capsys, ["compile", path, "--method", "boxes", "-o", str(lp)])[0] == 0
+        lp.write_text(renamed_lp(lp.read_text()))
         start = time.perf_counter()
-        code, out = run(capsys, ["verify", path, "--method", "boxes"])
+        code, out = run(capsys, ["verify", path, "--lp", str(lp)])
         assert time.perf_counter() - start < 2
         assert code == 1 and "27 pinned probes on 768 rows exceed the pinned-probe guard" \
             in json.loads(out)["message"]
 
-    def test_even_sum_removals_stay_under_the_guard(self, tmp_path, capsys):
-        # [0,5]^3 less every point of even coordinate sum: no unit pair
-        # straddles an allowed point, but p +- (e_i + e_j) and p +- (e_i - e_j)
-        # do wherever they stay in the box, so only 28 allowed points, all on
-        # the box's faces, are probed first, under the guard
-        forbidden = [[x, y, z] for x in range(6) for y in range(6) for z in range(6)
-                     if (x + y + z) % 2 == 0]
-        path = write_json(tmp_path, "g.json", {
-            "kind": "integral", "n": 3, "forbidden": forbidden,
-            "polytope": {"type": "lattice-box", "l": [0, 0, 0], "u": [5, 5, 5]}})
-        start = time.perf_counter()
-        code, out = run(capsys, ["verify", path, "--method", "boxes"])
-        assert time.perf_counter() - start < 10
-        assert code == 0 and json.loads(out)["verdict"] == "pass"
+    def test_even_sum_removals_stay_under_the_guard(self, tmp_path, capsys, monkeypatch):
+        # [0,5]^3 less every point of even coordinate sum: every allowed point
+        # probed lies in one box block, so a lift proves it a member with no
+        # pinned probe (unlifted, 19 of them are pinned, for 3.5 s)
+        verify_lifted(lattice_removals(tmp_path, 2), capsys, monkeypatch)
+
+    def test_sum_0_mod_3_removals_are_lifted(self, tmp_path, capsys, monkeypatch):
+        # the file of test_pinned_probe_guard, block columns as compiled:
+        # the 27 points it pins are lifted, and it passes
+        verify_lifted(lattice_removals(tmp_path, 3), capsys, monkeypatch)
 
     def test_midpoints_are_not_pinned(self, tmp_path, capsys):
         # [0,5]^3 less 8 points: over 200 inner points, but nearly all are the

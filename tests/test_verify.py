@@ -27,7 +27,7 @@ from fvx.cli import Problem, compile_system
 from fvx.core import point_coords
 from fvx.errors import DomainError, GuardExceeded
 from fvx.lp_format import parse_lp, write_lp
-from conftest import all_binary, feasible_at, phase_pivots
+from conftest import all_binary, feasible_at, phase_pivots, renamed
 
 
 def corrupt_system(system):
@@ -564,9 +564,10 @@ def lp_calls(monkeypatch):
     (LATTICE, "boxes", 8, 5),
 ], ids=["cube4-faces", "lattice-boxes"])
 def test_pinned_lp_call_counts(doc, method, total, warm, monkeypatch):
-    """A change in probe routing or warm starts shows here as a count diff."""
+    """A change in probe routing or warm starts shows here as a count diff
+    (on renamed block columns, so that no point is lifted)."""
     problem = Problem(doc)
-    system = compile_system(problem, method)
+    system = renamed(compile_system(problem, method))
     calls = lp_calls(monkeypatch)
     report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden)
     assert report.passed
@@ -594,8 +595,8 @@ def test_pinned_probes_start_cold(monkeypatch):
     probes = cold_pins(monkeypatch)
     monkeypatch.setattr(fvx.verify, "FACET_GUARD", 0)
     problem = Problem(LATTICE)
-    assert verify_formulation(compile_system(problem, "boxes"), problem.enumerate_allowed(),
-                              problem.forbidden).passed
+    assert verify_formulation(renamed(compile_system(problem, "boxes")),
+                              problem.enumerate_allowed(), problem.forbidden).passed
     assert probes == [(p, None) for p in [(1, 0), (2, 2), (3, 1), (1, 1), (2, 1)]]
 
 
@@ -616,8 +617,9 @@ def test_pinned_probe_with_no_witness_stays_cold(monkeypatch):
 def test_pinned_probe_results_never_become_witnesses(monkeypatch):
     # a result solved with `fix` would carry its fixings into every later
     # `start=` solve, and each point is probed once, so it proves nothing new
+    # (on renamed block columns, so that no point is lifted)
     problem = Problem(LATTICE)
-    system = compile_system(problem, "boxes")
+    system = renamed(compile_system(problem, "boxes"))
     pinned, stored = [], []
 
     def recording(system, objective, start=None, fix=None):
@@ -654,14 +656,173 @@ def test_pinned_probe_results_never_become_witnesses(monkeypatch):
 ], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
 def test_pinned_pivot_count(doc, method, phase1, phase2, monkeypatch):
     """A change in the tableau, the phase-1 pricing or the pivot rule shows here
-    as a count diff in its phase (drive-out pivots count in phase 1)."""
+    as a count diff in its phase (drive-out pivots count in phase 1), on
+    renamed block columns, so that no point is lifted."""
     problem = Problem(doc)
-    system = compile_system(problem, method)
+    system = renamed(compile_system(problem, method))
     pivots = phase_pivots(monkeypatch)
     report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden,
                                 trials=20, seed=0)
     assert report.passed
     assert pivots == {1: phase1, 2: phase2}
+
+
+def lifted_runs(monkeypatch):
+    """Record each run of fvx.verify, and each point that enters its witness
+    dict, as [(run, [points stored])]."""
+    runs, init = [], fvx.verify._Witnesses.__init__
+
+    def recording(run, system, names):
+        init(run, system, names)
+        runs.append((run, []))
+
+    def storing(run, p, lp):
+        next(stored for r, stored in runs if r is run).append(p)
+        dict.__setitem__(run, p, lp)
+
+    monkeypatch.setattr(fvx.verify._Witnesses, "__init__", recording)
+    monkeypatch.setattr(fvx.verify._Witnesses, "__setitem__", storing)
+    return runs
+
+
+@pytest.mark.parametrize("doc, method, pivots, lps, warm, lifted", [
+    # every truth point probed that no facet LP witnesses is lifted, but
+    # those of recursive's nested block, which keep their corner probes
+    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 26, 10, 9, 10),
+    (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 14, 17, 16, 2),
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 10, 10, 9, 9),
+    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 50, 10, 9, 8),
+    # (2, 0) is the midpoint of (1, 0) and (3, 0), so it is neither
+    (LATTICE, "boxes", 20, 6, 5, 2),
+], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
+def test_lifted_route_counts(doc, method, pivots, lps, warm, lifted, monkeypatch):
+    """`test_pinned_pivot_count` on the compiled names: a point that a
+    block's lift meets runs no LP, and no lifted point enters the witness dict."""
+    problem = Problem(doc)
+    system = compile_system(problem, method)
+    counts = phase_pivots(monkeypatch)
+    calls = lp_calls(monkeypatch)
+    runs = lifted_runs(monkeypatch)
+    report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden,
+                                trials=20, seed=0)
+    assert report.passed
+    assert (sum(counts.values()), len(calls), sum(calls)) == (pivots, lps, warm)
+    [(run, stored)] = runs
+    assert len(run.lifted) == lifted and not run.lifted & {*stored, *run}
+
+
+def lift_assignment(system, t, j):
+    """Block j's lift of t: x = t, b{j}_y{i} = t_i (i <= n), lam{j} = 1 and
+    every other variable 0."""
+    values = {f"x{i + 1}": v for i, v in enumerate(t)}
+    values.update({f"b{j}_y{i + 1}": v for i, v in enumerate(t)}, **{f"lam{j}": 1})
+    return {name: Fraction(values.get(name, 0)) for name in system.variables}
+
+
+def lifting_blocks(system, t):
+    """The blocks j whose lift of t satisfies the system, by `satisfies`."""
+    blocks = [name[3:] for name in system.variables if name.startswith("lam")]
+    return [j for j in blocks if fvx.verify.satisfies(system, lift_assignment(system, t, j))]
+
+
+def rescaled(system, row, name, a):
+    """The system with the coefficient of `name` in its row `row` set to a."""
+    rows = list(system.rows)
+    coeffs, rel, rhs = rows[row]
+    rows[row] = (dict(coeffs, **{name: a}), rel, rhs)
+    return LinearSystem(system.variables, system.n_original, tuple(rows), system.bounds,
+                        dict(system.meta))
+
+
+def lift_suite():
+    """Every compile method at n = 3..5, seeded removed points."""
+    rng, out = random.Random(41), []
+    for n in (3, 4, 5):
+        vertices = ["".join(map(str, p)) for p in itertools.product((0, 1), repeat=n)]
+        for method, size in (("interval", 3), ("recursive", 3), ("faces", 3),
+                             ("facet-intersection", 2)):
+            out.append((binary_doc("cube", n, rng.sample(vertices, size)), method))
+        out.append((binary_doc("cardinality", n, [], s=n // 2), "faces"))
+        u = 2 if n == 3 else 1
+        forbidden = [[rng.randint(0, u) for _ in range(n)] for _ in range(3)]
+        out.append(({"kind": "integral", "n": n, "forbidden": forbidden, "polytope":
+                     {"type": "lattice-box", "l": [0] * n, "u": [u] * n}}, "boxes"))
+    return out
+
+
+def test_every_lifted_point_is_a_member(monkeypatch):
+    # each point the lift answers has a block whose whole lifted assignment
+    # meets every row and bound, and its cold pinned probe is optimal; in the
+    # faces, facet-intersection and boxes files the lift answers every point
+    # probed that no LP witnessed
+    runs = lifted_runs(monkeypatch)
+    seen = set()
+    for doc, method in lift_suite():
+        problem = Problem(doc)
+        system = compile_system(problem, method)
+        truth = [point_coords(p) for p in problem.enumerate_allowed()]
+        del runs[:]
+        assert verify_formulation(system, truth, problem.forbidden, trials=4).passed
+        [(run, stored)] = runs
+        names = [f"x{i + 1}" for i in range(system.n_original)]
+        for t in run.lifted:
+            assert lifting_blocks(system, t)
+            assert solve_lp(system, [0] * len(t), fix=dict(zip(names, t))).is_optimal
+        assert not run.lifted & {*stored, *run}
+        if method in ("faces", "facet-intersection", "boxes"):
+            assert run.lifted == set(fvx.verify._unstraddled(truth)) - run.keys()
+        seen.add((method, bool(run.lifted)))
+    assert {method for method, lifted in seen if lifted} == {
+        "interval", "recursive", "faces", "facet-intersection", "boxes"}
+
+
+@pytest.mark.parametrize("doc, method", [
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces"),
+    (binary_doc("cube", 4, ["0110", "1011"]), "interval"),
+    (binary_doc("cube", 4, ["0110", "1011"]), "recursive"),
+    (LATTICE, "boxes"),
+], ids=["faces", "interval", "recursive", "boxes"])
+def test_the_lift_checks_every_row(doc, method):
+    # block j's lift of a point with t_1 != 0 keeps meeting block j's own
+    # rows when the coupling row of x1 reads b{j}_y1 twice, when the
+    # convexity row reads lam{j} twice, or when another block k gets the
+    # bound lam{k} >= 1, but breaks that row or bound.  On the system and on
+    # each mutant, the lift accepts exactly the points of the truth's box,
+    # one wider on each side, that some block's whole lift satisfies, and
+    # the report is the LP route's (renamed block columns)
+    problem = Problem(doc)
+    system = compile_system(problem, method)
+    truth = [point_coords(p) for p in problem.enumerate_allowed()]
+    names = [f"x{i + 1}" for i in range(system.n_original)]
+    grid = list(itertools.product(*(range(min(c) - 1, max(c) + 2) for c in zip(*truth))))
+    blocks = [name[3:] for name in system.variables if name.startswith("lam")]
+    j = max(blocks, key=lambda j: sum(t[0] != 0 and j in lifting_blocks(system, t)
+                                      for t in truth))
+    coupling = next(r for r, (coeffs, _, _) in enumerate(system.rows) if "x1" in coeffs)
+    convexity = next(r for r, (coeffs, _, rhs) in enumerate(system.rows) if rhs == 1)
+    lifted = set()
+    for mutant in (system, rescaled(system, coupling, f"b{j}_y1", -2),
+                   rescaled(system, convexity, f"lam{j}", 2),
+                   system.with_bounds({f"lam{next(k for k in blocks if k != j)}": (1, None)})):
+        run = fvx.verify._Witnesses(mutant, names)
+        assert [run.member(t) for t in grid] == [bool(lifting_blocks(mutant, t)) for t in grid]
+        if mutant is system:
+            lifted = run.lifted
+        else:
+            assert lifted - run.lifted
+        expect = verify_formulation(renamed(mutant), truth, problem.forbidden).to_dict()
+        assert verify_formulation(mutant, truth, problem.forbidden).to_dict() == expect
+
+
+def test_fix_bound_mutant_fails_every_lifted_point_off_x1_0():
+    # the benchmark's fix-bound mutant: every truth point with x1 != 0 is a
+    # membership failure, though its block's own rows still hold
+    for doc, method in lift_suite():
+        problem = Problem(doc)
+        truth = [point_coords(p) for p in problem.enumerate_allowed()]
+        report = verify_formulation(pin_x1_to_zero(compile_system(problem, method)), truth,
+                                    problem.forbidden, trials=4)
+        assert report.membership_failures == [t for t in truth if t[0]]
 
 
 def drop_row(system, label):
