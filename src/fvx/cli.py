@@ -26,6 +26,7 @@ from .core import (
 )
 from .errors import FvxError, GuardExceeded, IncompatibleMethod
 from .extension import (
+    CERTIFICATES,
     face_formulation,
     facet_intersection_formulation,
     interval_formulation,
@@ -434,7 +435,9 @@ def cmd_alldiff(args) -> int:
     return EXIT_OK
 
 
-def compile_system(problem: Problem, method: str):
+def _builder(problem: Problem, method: str) -> tuple:
+    """The formulation function that compiles `problem` by `method`, and its
+    arguments, once the problem meets the method's requirements."""
     if method not in ALL_METHODS:
         raise IncompatibleMethod(f"unknown method {method!r}")
     if problem.polytope is None:
@@ -444,8 +447,7 @@ def compile_system(problem: Problem, method: str):
             raise IncompatibleMethod("method 'boxes' requires kind 'integral'")
         if problem.ambient is None:
             _fail("ambient", "required for method 'boxes'")
-        return forbI_formulation(problem.hpolytope(), problem.forbidden,
-                                 problem.ambient)
+        return forbI_formulation, (problem.hpolytope(), problem.forbidden, problem.ambient)
     if problem.kind != "binary":
         raise IncompatibleMethod(f"method '{method}' requires kind 'binary'")
     if method in ("interval", "recursive"):
@@ -453,14 +455,19 @@ def compile_system(problem: Problem, method: str):
             raise IncompatibleMethod(
                 f"method '{method}' requires the cube ambient polytope")
         builder = interval_formulation if method == "interval" else recursive_formulation
-        return builder(problem.forbidden, problem.n)
+        return builder, (problem.forbidden, problem.n)
     poly = problem.hpolytope()
     if method == "faces":
-        return face_formulation(poly, problem.forbidden)
+        return face_formulation, (poly, problem.forbidden)
     facets = problem.facets
     if facets is None:  # the inequality rows: a vertex meets every equality row
         facets = [i for i, (_, rel, _) in enumerate(poly.rows) if rel != "="]
-    return facet_intersection_formulation(poly, facets, problem.forbidden)
+    return facet_intersection_formulation, (poly, facets, problem.forbidden)
+
+
+def compile_system(problem: Problem, method: str):
+    builder, args = _builder(problem, method)
+    return builder(*args)
 
 
 def cmd_compile(args) -> int:
@@ -475,6 +482,18 @@ def cmd_compile(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _certified_bound(problem: Problem, method) -> Optional[int]:
+    """The closed-form certificate (`extension.CERTIFICATES`) of the
+    formulation that `method` compiles from `problem`; None when the method
+    does not compile the problem or its certificate has no closed form."""
+    try:
+        builder, args = _builder(problem, method)
+    except FvxError:
+        return None
+    closed_form = CERTIFICATES.get(builder)
+    return closed_form(*args) if closed_form else None
 
 
 def cmd_verify(args) -> int:
@@ -503,6 +522,10 @@ def cmd_verify(args) -> int:
         raise InputError("need --lp FILE or --method NAME to know what to verify")
     report = verify_formulation(system, truth, problem.forbidden,
                                 trials=args.trials, seed=args.seed)
+    # the file's own size claim may be no more than its method's closed form
+    bound = _certified_bound(problem, system.meta.get("method"))
+    if bound is not None and report.certified is not None and report.certified > bound:
+        report.size_ok = False
     _emit(report.to_dict())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 

@@ -214,12 +214,19 @@ def conv_K(code: IntervalCode) -> LinearSystem:
     return _finalize(LinearSystem._trusted(tuple(bounds), n, tuple(rows), bounds, meta), meta)
 
 
+def interval_certificate(X: Iterable[BinaryPoint], n: int) -> int:
+    """`interval_formulation`'s certificate (|X|+1)(4n+3), |X| counting
+    distinct points, with no block built."""
+    return (len(_Faces(n).codes(X)) + 1) * (4 * n + 3)
+
+
 def interval_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
     """Union-of-code-intervals formulation of the cube minus X.
 
     Sorts the forbidden codes, hulls the at most |X|+1 nonempty code
     intervals between them; certificate (|X|+1)(4n+3).
     """
+    X = list(X)
     codes = sorted(_Faces(n).codes(X))
     boundaries = [-1] + codes + [1 << n]
     intervals = []
@@ -228,8 +235,7 @@ def interval_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
             intervals.append(IntervalCode(lo + 1, hi - 1, n))
     meta = {"method": "interval", "n": n, "forbidden": len(codes),
             "intervals": [(c.a, c.b) for c in intervals],
-            "certified": (len(codes) + 1) * (4 * n + 3),
-            "formula": "(|X|+1)(4n+3)"}
+            "certified": interval_certificate(X, n), "formula": "(|X|+1)(4n+3)"}
     blocks = [conv_K(code) for code in intervals]
     return union_formulation([(b, b.meta["counted"]) for b in blocks], meta,
                              "every binary point is forbidden")
@@ -249,6 +255,12 @@ def _extend_cube_coordinate(system: LinearSystem, k: int) -> LinearSystem:
     return system._derive(variables=variables, n_original=k, bounds=bounds)
 
 
+def recursive_certificate(X: Iterable[BinaryPoint], n: int) -> int:
+    """`recursive_formulation`'s certificate n(|X|+4), |X| counting distinct
+    points, with no block built."""
+    return n * (len(_Faces(n).codes(X)) + 4)
+
+
 def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
     """Dimension recursion: hull of [formulation(X') x {0,1}] and the flip set.
 
@@ -259,6 +271,7 @@ def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
     (a point fixes every coordinate, x_k in [0,1] adds two, a hull counts
     its certificate), so the result alone is counted and checked.
     """
+    X = list(X)
     codes = _Faces(n).codes(X)
 
     def blocks(bits: set, k: int) -> list:
@@ -282,8 +295,14 @@ def recursive_formulation(X: Iterable[BinaryPoint], n: int) -> LinearSystem:
         return out
 
     meta = {"method": "recursive", "n": n, "forbidden": len(codes),
-            "certified": n * (len(codes) + 4), "formula": "n(|X|+4)"}
+            "certified": recursive_certificate(X, n), "formula": "n(|X|+4)"}
     return union_formulation(blocks(codes, n), meta, "every binary point is forbidden")
+
+
+def face_certificate(P: HPolytope, X: Iterable[BinaryPoint]) -> int:
+    """`face_formulation`'s certificate |family| (counted(P)+1), counted(P)
+    the inequality rows of P, with no face or block built."""
+    return _Faces(P.n).count(X) * (sum(rel != "=" for _, rel, _ in P.rows) + 1)
 
 
 def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
@@ -297,13 +316,13 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
     """
     n = P.n
     pts = list(X)
-    size = _Faces(n).count(pts)  # checks the points' dimension
+    certified = face_certificate(P, pts)  # checks the points' dimension
     base = LinearSystem.from_hpolytope(P)
     counted = base.counted_inequalities()  # so does every block: a fixing counts zero
-    certified = size * (counted + 1)
     if certified > FACES_GUARD:
         raise GuardExceeded(f"the faces formulation would certify {certified} inequalities "
-                            f"({size} faces), above the guard FACES_GUARD = {FACES_GUARD}")
+                            f"({certified // (counted + 1)} faces), above the guard "
+                            f"FACES_GUARD = {FACES_GUARD}")
     family = separating_faces(pts, n)
     blocks = []
     for face in family:
@@ -313,6 +332,13 @@ def face_formulation(P: HPolytope, X: Iterable[BinaryPoint]) -> LinearSystem:
             "family": len(family), "certified": certified,
             "formula": "|family| (counted(P)+1)"}
     return union_formulation(blocks, meta, "every binary point is forbidden")
+
+
+#: the builders whose certificate has a closed form -> that form, which
+#: takes the builder's own arguments
+CERTIFICATES = {interval_formulation: interval_certificate,
+                recursive_formulation: recursive_certificate,
+                face_formulation: face_certificate}
 
 
 def facet_intersection_formulation(P: HPolytope, facets: Sequence[int],

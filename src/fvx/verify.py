@@ -1,33 +1,39 @@
 """Formulation verification against brute-force ground truth T.
 
 The membership probes prove T inside proj Q, the projection of the system
-Q onto x1..xn.  When conv(T) has few facets the run proves the other half
-too: `_hull` enumerates the equations and facets of conv(T) exactly, in
-ints, and one LP min a.x >= b per facet a.x >= b, and per side (a, b) and
-(-a, -b) of each equation a.x = b, shows proj Q inside conv(T).  These LPs
-may number `FACET_GUARD`, whatever the trials.  With both halves proj Q =
-conv(T): every support trial's LP minimum is the brute-force one and every
-removed point is in proj Q exactly when it is in conv(T), so neither runs
-an LP.  Every facet LP runs, and each one that fails is reported as the
-support mismatch it is, before any trial's.  Otherwise (too many facets, no
-truth, a failed facet or a failed membership) the support trials sample
-random integer objectives, which can refute but not prove, and the removed
-points are probed (once the facets hold, only those inside conv(T)).  So
-the trials size only that sample: they never turn the proof off.
+Q onto x1..xn.  The run proves the other half from Q's blocks alone when Q
+is a plain union hull of integral blocks (see Structural proof), else,
+when conv(T) has few facets, from those: `_hull` enumerates the equations
+and facets of conv(T) exactly, in ints, and one LP min a.x >= b per facet
+a.x >= b, and per side (a, b) and (-a, -b) of each equation a.x = b,
+shows proj Q inside conv(T).  These LPs may number `FACET_GUARD`,
+whatever the trials.  With both halves proj Q = conv(T): every support
+trial's LP minimum is the brute-force one and every removed point is in
+proj Q exactly when it is in conv(T), so neither runs an LP.  Every facet
+LP runs, and each one that fails is reported as the support mismatch it
+is, before any trial's.  Otherwise (no structural proof and too many
+facets, no truth, a failed facet or a failed membership) the support
+trials sample random integer objectives, which can refute but not prove,
+and the removed points are probed (once the facets hold, only those
+inside conv(T)).  So the trials size only that sample: they never turn
+the proof off.
 
-A run has one phase order: the hull and its facet LPs, the box, the
-membership probes, the exclusion probes, the support trials.  Every LP is
-a `solve_lp` call on the one system under test, and `solve_lp` keeps the
+A run has one phase order: the structural proof, else the hull and its
+facet LPs; the box, the membership probes, the exclusion probes, the
+support trials.  The report's "proof" names the route: "structural",
+"facets" (the facet LPs ran) or "sampled" (neither).  Every LP is a
+`solve_lp` call on the one system under test, and `solve_lp` keeps the
 post-phase-1 tableau on that system object, so phase 1 runs once for all
-of them.  The box is T's own when the facets hold, else the projection's,
+of them.  The box is T's own when the proof holds, else the projection's,
 from 2n box LPs, min x_i and min -x_i.  A facet LP whose minimum v exceeds
 b proves the cut a.x >= v on proj Q, which refutes the points breaking it
 with no LP; for an equation side, the other side's LP then fails.
-conv(T) membership is read off the facets whenever `_hull` ran, else asked
-of `in_convex_hull`.  A trial c runs no LP when its least member (a
-ground-truth point whose probe passed) and a lower bound on the LP minimum
-both reach the brute-force minimum: the bound is that minimum itself when
-the facets hold, else the box bound sum_i min(c_i l_i, c_i h_i).
+conv(T) membership of a removed point is read only when its probe may run,
+off the facets whenever `_hull` ran, else asked of `in_convex_hull`.  A
+trial c runs no LP when its least member (a ground-truth point whose probe
+passed) and a lower bound on the LP minimum both reach the brute-force
+minimum: the bound is that minimum itself when the proof holds, else the
+box bound sum_i min(c_i l_i, c_i h_i).
 
 Witnesses: every optimal LP of a run returns a feasible point of the
 system.  When the point projects onto an integral point p, and the integer
@@ -56,17 +62,51 @@ Lifts: every compile method writes a disjunctive hull, x = sum_j y_j,
 sum_j lam_j = 1 and block j's rows homogenized in (y_j, lam_j), with y_j
 named b{j}_y1.., lam_j named lam{j}.  A point t lies in block j's polytope
 exactly when its lift, x = t, b{j}_y{i} = t_i (i <= n), lam{j} = 1 and
-every other variable 0, meets the system.  Once per run, at the first
-probe, `_lifts` substitutes each block's lift into every row and bound of
-the system, the identity `_holds` computes on a whole point: a row that
-reads a constant is checked once, and a block that fails one is dropped;
-the others leave int rows over t, checked per point shortest first (the
-rows every block has once, before any block's own).  The first block whose rows all hold makes t a
+every other variable 0, meets the system.  Once per run, before any LP,
+`_lifts` substitutes each block's lift into every row and bound of the
+system, the identity `_holds` computes on a whole point: a row that reads
+a constant is checked once, and a block that fails one is dropped; the
+others leave int rows over t, checked per point shortest first (the rows
+every block has once, before any block's own), and read by the
+structural proof too.  The first block whose rows all hold makes t a
 member, kept in `_Witnesses.lifted`, with no LP; a lifted point has no LP
 basis, so it is no witness and starts no LP.  A failed lift proves nothing,
 and a point no block lifts (an auxiliary column, such as a nested hull's,
 reads 0 in the lift; a system with other names has no block) takes its
 probe.  So a lift never changes a verdict, only the LPs run.
+
+Structural proof: by Balas (1998, "Disjunctive programming: properties of
+the convex hull of feasible points", Discrete Appl. Math. 89) a union hull
+of blocks B_j projects into conv(the union of the B_j) once lam_j = 0
+forces y_j = 0, and a block that is an integral polytope lies in conv(T)
+when its lattice points are in T.  So proj Q lies in conv(T) under checks
+1-6, made exactly in ints on the file alone (block names only group
+columns), and proj Q = conv(T) under check 7 too:
+1. after x1..xn the variables are exactly b{j}_y1..b{j}_y{n} and lam{j}
+   per block j (a nested hull fails here);
+2. every x_i is free, every lam{j} in [0, inf), every copy's bound 0 or
+   absent;
+3. the rows are one x_i - sum_j b{j}_y{i} = 0 per i, with every block, one
+   sum_j lam{j} = 1, and rows of rhs 0 inside one block, and every block
+   lifts (`_shaped`, with `_lifts`); so B_j is block j's lift rows over t;
+4. each row of B_j divided by its gcd has an int rhs, and one variable or,
+   up to sign, the block's one +-1 vector: a totally unimodular matrix
+   (Schrijver 1986, Theory of Linear and Integer Programming, ch. 19), so
+   B_j is integral;
+5. every t_i has a lower and an upper one-variable side in B_j, so B_j is
+   bounded and its homogenized sides force y_j = 0 at lam_j = 0;
+6. every lattice point of B_j's box that meets its rows is in T, over at
+   most `ENUM_GUARD_POINTS` box points in all (`_structural`);
+7. every truth point that no unit pair straddles, every vertex of conv(T)
+   among them (see Membership by convexity), lifts into a block.
+Then every facet LP of `_hull`'s route would reach its facet's b, and so
+cut off nothing, and every probe and trial is decided as the facets
+decide it, with no `_hull`, facet LP or box LP.  Without check 7 a shrunk
+block (a one-variable side tightened, say) passes 1-6, and the facet
+LPs' cuts would refute points that the run must otherwise probe.  A
+system failing any check takes the facet route unchanged, so the checks
+only skip LPs (which can spare a run the pinned-probe guard) and never
+move a verdict.
 
 Probes: the box [l, h] holds the projection; a point outside it is not a
 member, and a point with every p_i in {l_i, h_i} (every binary point when
@@ -98,7 +138,8 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -190,9 +231,11 @@ def _meets(lhs: int, rel: str, rhs: int) -> bool:
 
 def _lifts(system: LinearSystem, bounds: tuple) -> tuple:
     """The rows over t that the blocks' lifts leave (see Lifts): (the rows
-    every block has, [each block's other rows]), over the blocks whose rows
-    that read a constant all hold; each row (terms, rel, b) compares the sum
-    of a * t_i over its terms (i, a) with b, shortest first."""
+    every block has, [each block's other rows], shaped), over the blocks
+    whose rows that read a constant all hold; each row (terms, rel, b)
+    compares the sum of a * t_i over its terms (i, a) with b, shortest
+    first.  `shaped` says the system is a plain union hull of the blocks
+    listed, all of them (checks 1-3 of Structural proof)."""
     n = system.n_original
     # a variable's lift: t_i for x_i, and for block j's b{j}_y{i} (i <= n);
     # 1 (column n) for lam{j}; 0 for any other
@@ -237,7 +280,44 @@ def _lifts(system: LinearSystem, bounds: tuple) -> tuple:
         else:
             blocks.append(kept)
     common = [row for row in blocks[0] if all(row in k for k in blocks[1:])] if blocks else []
-    return _shortest(common), [_shortest(row for row in k if row not in common) for k in blocks]
+    shaped = len(blocks) == len(own) and _shaped(system, column, parts, len(own))
+    return (_shortest(common), [_shortest(row for row in k if row not in common) for k in blocks],
+            shaped)
+
+
+def _shaped(system: LinearSystem, column: dict, parts: list, k: int) -> bool:
+    """Checks 1-3 of Structural proof, on `_lifts`' reading of the k blocks
+    that have rows: per block j exactly the columns b{j}_y1..b{j}_y{n} and
+    lam{j}; every x_i free, every lam{j} >= 0 and every copy's bound 0 or
+    absent; the rows one x_i - sum_j b{j}_y{i} = 0 per i, one
+    sum_j lam{j} = 1 and rows with rhs 0 inside one block."""
+    n = system.n_original
+    cols = [column.get(name) for name in system.variables[n:]]
+    if (not k or None in cols or len({j for j, _ in cols}) != k
+            or not len(set(cols)) == len(cols) == (n + 1) * k):
+        return False
+    for name in system.variables:
+        lo, hi = system.bound(name)
+        j, i = column[name]
+        if not (lo is hi is None if j is None else (lo, hi) == (0, None) if i == n
+                else lo in (None, 0) and hi in (None, 0)):
+            return False
+    coupled, convexity = set(), 0
+    for (_, rel, rhs), part in zip(system.rows, parts):
+        x = part.get(None)
+        if x:  # x_i - sum_j b{j}_y{i} = 0
+            i = next(iter(x))
+            if (rel, rhs, x, len(part)) != ("=", 0, {i: 1}, k + 1) or i in coupled or any(
+                    a != {i: -1} for j, a in part.items() if j is not None):
+                return False
+            coupled.add(i)
+        elif rhs:  # sum_j lam{j} = 1
+            if (rel, rhs, len(part)) != ("=", 1, k) or any(a != {n: 1} for a in part.values()):
+                return False
+            convexity += 1
+        elif len(part) != 1:
+            return False
+    return convexity == 1 and len(coupled) == n
 
 
 def _shortest(rows: Iterable) -> list:
@@ -249,6 +329,48 @@ def _hold(rows: list, p: tuple) -> bool:
     return all(_meets(sum(a * p[i] for i, a in terms), rel, b) for terms, rel, b in rows)
 
 
+def _structural(lifts: tuple, truth: list) -> bool:
+    """Checks 4-6 of Structural proof on `_lifts` of a shaped system: each
+    block B_j, its rows over t read off its lift, is integral (divided by
+    its gcd each row has an int rhs, and one variable or, up to sign, the
+    block's one +-1 vector u), bounded (each t_i has a lower and an upper
+    one-variable side) and has no lattice point outside the truth, among at
+    most `ENUM_GUARD_POINTS` box points in all."""
+    common, blocks, shaped = lifts
+    if not shaped:
+        return False
+    n, flip = len(truth[0]), {">=": "<=", "<=": ">=", "=": "="}
+    boxes = []
+    for own in blocks:
+        lo, hi, u, rows = [None] * n, [None] * n, None, []
+        for terms, rel, b in (*common, *own):
+            terms = sorted(terms)
+            g = gcd(*(a for _, a in terms)) * (1 if terms[0][1] > 0 else -1)
+            if b % g or any(abs(a) != abs(g) for _, a in terms):
+                return False
+            rel, b = rel if g > 0 else flip[rel], b // g
+            if len(terms) == 1:
+                (i, _), = terms
+                if rel != "<=":
+                    lo[i] = b if lo[i] is None else max(lo[i], b)
+                if rel != ">=":
+                    hi[i] = b if hi[i] is None else min(hi[i], b)
+                continue
+            v = tuple((i, a // g) for i, a in terms)
+            if v != (u := u or v):
+                return False
+            rows.append((v, rel, b))
+        if None in lo or None in hi:
+            return False
+        boxes.append((lo, hi, rows))
+    if sum(prod(max(h - l + 1, 0) for l, h in zip(lo, hi)) for lo, hi, _ in boxes) \
+            > ENUM_GUARD_POINTS:
+        return False
+    points = set(truth)
+    return all(p in points or not _hold(rows, p) for lo, hi, rows in boxes
+               for p in product(*(range(l, h + 1) for l, h in zip(lo, hi))))
+
+
 class _Witnesses(dict):
     """Integral projected points of one run -> the optimal LP result proving each."""
 
@@ -256,15 +378,13 @@ class _Witnesses(dict):
         super().__init__()
         self.system, self.names = system, names
         self.bounds = _int_bounds(system)  # read once per run
-        self.lifted, self.lifts = set(), None  # lifts are read at the first `member`
+        self.lifted, self.lifts = set(), _lifts(system, self.bounds)
 
     def member(self, p: tuple) -> bool:
         """Is p witnessed, or lifted into a block (see Lifts)?"""
         if p in self or p in self.lifted:
             return True
-        if self.lifts is None:
-            self.lifts = _lifts(self.system, self.bounds)
-        common, blocks = self.lifts
+        common, blocks, _ = self.lifts
         if _hold(common, p) and any(_hold(rows, p) for rows in blocks):
             self.lifted.add(p)
             return True
@@ -427,6 +547,7 @@ class VerificationReport:
     size_ok: bool = True
     counted: int = 0
     certified: Optional[int] = None
+    proof: str = "sampled"  # or "structural" or "facets": the route of proj Q in conv(T)
 
     @property
     def passed(self) -> bool:
@@ -449,6 +570,7 @@ class VerificationReport:
             "size_ok": self.size_ok,
             "counted_inequalities": self.counted,
             "certified": self.certified,
+            "proof": self.proof,
         }
 
 
@@ -568,9 +690,10 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
                        seed: int = 0) -> VerificationReport:
     """Check a formulation against an explicit allowed-vertex list.
 
-    Proves the projection inside conv(`ground_truth`) from its facets when
-    `_hull` gives them (listing each facet LP that fails, an equation
-    being two facets, as a support mismatch, first), probes the allowed
+    Proves the projection inside conv(`ground_truth`) from the system's
+    blocks (see Structural proof in the module docstring), else from its
+    facets when `_hull` gives them (listing each facet LP that fails, an
+    equation being two facets, as a support mismatch, first), probes the allowed
     points for membership (see Membership by convexity in the module
     docstring) and every point of X for exclusion (expected exactly when
     the point is outside the hull of the ground truth, which for removed
@@ -580,8 +703,8 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     module docstring gives the phase order and the route of each probe and
     trial; a start changes no LP status or value, and a lift answers only
     "member" after an exact substitution, so the report depends on the
-    route only through the failed facets, which only `_hull`'s route
-    lists.  Deterministic for a fixed seed.  A negative
+    route only through its "proof" and the failed facets, which only
+    `_hull`'s route lists.  Deterministic for a fixed seed.  A negative
     `trials` or a point whose length is not `system.n_original` raises
     DomainError, more than `MAX_TRIALS` trials GuardExceeded, and so does a
     run whose pinned probes times the system's rows exceed `PIN_GUARD`
@@ -606,22 +729,22 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     rng = random.Random(seed)
     run = _Witnesses(system, [f"x{i + 1}" for i in range(n)])
 
-    hull = _hull(truth, FACET_GUARD) if truth else None
+    # the projection is convex, so it holds every truth point once it holds
+    # those that no unit pair straddles, every vertex of conv(truth) among
+    # them; the rest are probed only when one of those fails
+    first = _unstraddled(truth)
+    # the blocks prove proj Q inside conv(truth) and the lifts put `first` in
+    # proj Q, so proj Q = conv(truth): the facet LPs would cut off nothing
+    structural = bool(truth) and _structural(run.lifts, truth) and all(map(run.member, first))
+    hull = _hull(truth, FACET_GUARD) if truth and not structural else None
     cuts, report.support_mismatches = _facet_cuts(run, hull) if hull is not None else ([], [])
-    proved = hull is not None and not report.support_mismatches
+    proved = structural or hull is not None and not report.support_mismatches
+    report.proof = "structural" if structural else "sampled" if hull is None else "facets"
     columns = list(zip(*truth))
     if proved:  # the projection lies in conv(truth), so in the truth's box
         box = [(min(column), max(column)) for column in columns]
     else:
         box = _projection_box(run) if truth or removed else None
-    # a removed vertex must probe infeasible; a removed non-vertex point may
-    # lie in the hull of the rest, so each probe is compared with the exact
-    # hull membership
-    inside = [_in_hull(hull, p) if hull else in_convex_hull(p, truth) for p in removed]
-    # the projection is convex, so it holds every truth point once it holds
-    # those that no unit pair straddles, every vertex of conv(truth) among
-    # them; the rest are probed only when one of those fails
-    first = _unstraddled(truth)
     pinned = _pin_guard(run, box, cuts, first, 0)
     found = {p: not _cut(cuts, p) and _in_projection(run, box, p) for p in first}
     if not all(found.values()):
@@ -632,9 +755,13 @@ def verify_formulation(system: LinearSystem, ground_truth: Iterable,
     report.membership_failures = [p for p, ok in zip(truth, member) if not ok]
     # truth <= proj Q <= conv(truth): the probes below and every trial are decided
     decided = proved and not report.membership_failures
-    # with the facets proved, a removed point outside conv(truth) is outside
-    # the projection, and so is not probed
-    probed = [(p, hit) for p, hit in zip(removed, inside) if not proved or hit and not decided]
+    # a removed vertex must probe infeasible; a removed non-vertex point may
+    # lie in the hull of the rest, so each probe is compared with the exact
+    # hull membership, read only for the probes that may run: with the proof,
+    # a removed point outside conv(truth) is outside the projection
+    probed = [] if decided else [
+        (p, hit) for p in removed
+        if (hit := _in_hull(hull, p) if hull else in_convex_hull(p, truth)) or not proved]
     _pin_guard(run, box, cuts, [p for p, _ in probed], pinned)
     report.excluded_failures = [p for p, hit in probed
                                 if (not _cut(cuts, p) and _in_projection(run, box, p)) != hit]

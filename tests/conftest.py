@@ -25,6 +25,12 @@ def renamed(system):
     return parse_lp(renamed_lp(write_lp(system)))
 
 
+def outcome(report):
+    """The report as a dict less its "proof", the route that proved the
+    projection inside the hull: what every route must agree on."""
+    return {k: v for k, v in report.to_dict().items() if k != "proof"}
+
+
 def phase_pivots(monkeypatch):
     """Count pivots per phase, {1: ..., 2: ...} (drive-out pivots in phase 1)."""
     counts, phase = {1: 0, 2: 0}, [2]

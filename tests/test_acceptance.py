@@ -8,6 +8,7 @@ budgets.
 
 import itertools
 import json
+from collections import Counter
 import random
 import time
 from fractions import Fraction
@@ -42,10 +43,9 @@ from fvx import (
     spanning_tree_oracle,
     verify_formulation,
 )
-import fvx.verify
 from fvx.cli import main as cli_main
 from fvx.separation import box_family
-from conftest import all_binary, brute_min, random_forbidden, spanning_trees
+from conftest import all_binary, brute_min, outcome, random_forbidden, renamed, spanning_trees
 from test_exactlp import random_bounded_system, vertices_by_basis_enumeration
 
 
@@ -157,28 +157,43 @@ def test_criterion_03_size_certificates():
     report(3, "size certificates hold on 200 instances; cmd_verify audits pass")
 
 
-def _verify_builder(builder, make_x, count, rng, integral=False):
-    checked = 0
-    while checked < count:
+def _verify_builder(builder, make_x, count, rng):
+    """(the proof kind, whether it has block columns) of each of `count`
+    passing instances, each reported alike with its block columns renamed
+    (no block read off the names)."""
+    proofs = []
+    while len(proofs) < count:
         n = rng.randint(2, 4)
         X = make_x(rng, n)
         system, truth = builder(n, X)
         if system is None:
             continue
-        rep = verify_formulation(system, truth, X, trials=50,
-                                 seed=rng.randint(0, 10 ** 6))
+        seed = rng.randint(0, 10 ** 6)
+        rep = verify_formulation(system, truth, X, trials=50, seed=seed)
         assert rep.passed, (n, [str(p) for p in X], rep.to_dict())
-        checked += 1
+        assert outcome(verify_formulation(renamed(system), truth, X, trials=50,
+                                          seed=seed)) == outcome(rep)
+        proofs.append((rep.proof, len(system.variables) > n))
+    return proofs
 
 
-def test_criterion_04_projection_exactness(monkeypatch):
+# the proof kinds of criterion 04: a one-block file is the block itself,
+# with no block columns, so it takes the facets; so do the interval and
+# recursive hulls whose blocks are not integral boxes or whose nesting
+# hides their blocks; the rest are proved from their blocks
+PROOFS_04 = {"interval": Counter(facets=80, structural=20),
+             "recursive": Counter(facets=71, structural=29),
+             "faces": Counter(structural=68, facets=32),
+             "facet-intersection": Counter(structural=70, facets=30)}
+
+
+def test_criterion_04_projection_exactness():
     """Every builder: support + membership + exclusion on 100 instances each,
-    and every projection proved inside the hull of the truth by its facets."""
+    the same report on renamed block columns, and every projection proved
+    inside the hull of the truth: from the blocks alone for every union of
+    faces and of facet intersections, by the hull's facets otherwise."""
     start = time.monotonic()
     rng = random.Random(4)
-    proofs, facet_cuts = [], fvx.verify._facet_cuts
-    monkeypatch.setattr(fvx.verify, "_facet_cuts",
-                        lambda run, hull: proofs.append(facet_cuts(run, hull)) or proofs[-1])
 
     def forb_truth(n, X):
         codes = {p.bits for p in X}
@@ -198,13 +213,14 @@ def test_criterion_04_projection_exactness(monkeypatch):
          lambda n, X: (facet_intersection_formulation(cube_hrep(n), list(range(2 * n)), X),
                        forb_truth(n, X))),
     ]
-    for name, make_x, builder in builders:
-        _verify_builder(builder, make_x, 100, rng)
-    assert len(proofs) == 400 and None not in proofs
+    runs = {name: _verify_builder(builder, make_x, 100, rng) for name, make_x, builder in builders}
+    assert {name: Counter(proof for proof, _ in r) for name, r in runs.items()} == PROOFS_04
+    assert all((proof == "structural") == blocks
+               for name in ("faces", "facet-intersection") for proof, blocks in runs[name])
     elapsed = time.monotonic() - start
     assert elapsed < 300
     report(4, "projection exactness: 4 builders x 100 instances, zero failures, "
-           "every projection inside the hull by its facets", elapsed)
+           "every projection inside the hull, by its blocks or by its facets", elapsed)
 
 
 def test_criterion_05_intersection_identity():

@@ -39,8 +39,9 @@ def lattice_removals(tmp_path, modulus):
 
 
 def verify_lifted(path, capsys, monkeypatch):
-    """`verify --method boxes` on the file passes in under 1 s with LPs but
-    no pinned probe."""
+    """`verify --method boxes` on the file passes in under 1 s with no LP:
+    its blocks prove the projection inside the hull of the truth, and the
+    lifts prove every truth point probed a member."""
     fixes = []
 
     def recording(system, objective, start=None, fix=None):
@@ -51,8 +52,9 @@ def verify_lifted(path, capsys, monkeypatch):
     start = time.perf_counter()
     code, out = run(capsys, ["verify", path, "--method", "boxes"])
     assert time.perf_counter() - start < 1
-    assert code == 0 and json.loads(out)["verdict"] == "pass"
-    assert fixes and not any(fixes)
+    report = json.loads(out)
+    assert code == 0 and (report["verdict"], report["proof"]) == ("pass", "structural")
+    assert fixes == []
 
 
 def cube_problem(tmp_path, n, objective, forbidden, name="p.json", **extra):
@@ -461,6 +463,116 @@ class TestVerifyCommand:
         path = cube_problem(tmp_path, 2, ["0", "0"], [])
         code, _ = run(capsys, ["verify", path])
         assert code == 1
+
+
+def verify_lp_text(tmp_path, capsys, path, text):
+    """`verify` of the problem file against the LP text: (exit code, report)."""
+    lp = tmp_path / "planted.lp"
+    lp.write_text(text)
+    code, out = run(capsys, ["verify", path, "--lp", str(lp)])
+    return code, json.loads(out)
+
+
+def swap(text, old, new):
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+class TestStructuralProof:
+    """A file the blocks prove passes with "proof": "structural"; a planted
+    defect that keeps the inequality count fails the shape, integrality or
+    lattice-point checks, takes the facet route and exits 3."""
+
+    # the faces file of the 3-cube less {000, 111}: block 1 is the face
+    # x1 = 1, x2 = 0 (r7 and the fixing b1_y2 = 0), block 4 the face x1 = x2 = 0
+    PLANTED = {
+        "dropped-fixing": lambda t: swap(t, " b1_y2 = 0\n", " b1_y2 free\n"),
+        "changed-block-row": lambda t: swap(t, " r6: 1 b1_y3 - 1 lam1 <= 0",
+                                            " r6: 1 b1_y3 - 2 lam1 <= 0"),
+        "row-spanning-two-blocks": lambda t: swap(t, " r4: 1 b1_y1 - 1 lam1 <= 0",
+                                                  " r4: 1 lam1 + 1 lam4 <= 0"),
+        "x-bound": lambda t: swap(t, " x1 free\n", " x1 = 0\n"),
+        # lam1 <= 0 empties block 1 at lam1 = 1, but leaves b1_y3 >= 0 its
+        # only side: x3 is unbounded, though blocks 2-4 pass every check
+        "unbounded-empty-block": lambda t: swap(t, " r6: 1 b1_y3 - 1 lam1 <= 0",
+                                                " r6: 1 lam1 <= 0"),
+    }
+
+    def faces_file(self, tmp_path, capsys):
+        path = cube_problem(tmp_path, 3, ["0"] * 3, ["000", "111"])
+        lp = tmp_path / "faces.lp"
+        assert run(capsys, ["compile", path, "--method", "faces", "-o", str(lp)])[0] == 0
+        return path, lp.read_text()
+
+    def test_the_compiled_file_is_proved_by_its_blocks(self, tmp_path, capsys):
+        path, text = self.faces_file(tmp_path, capsys)
+        code, report = verify_lp_text(tmp_path, capsys, path, text)
+        assert (code, report["verdict"], report["proof"]) == (0, "pass", "structural")
+        code, report = verify_lp_text(tmp_path, capsys, path, renamed_lp(text))
+        assert (code, report["verdict"], report["proof"]) == (0, "pass", "facets")
+
+    @pytest.mark.parametrize("defect", PLANTED)
+    def test_planted_defect_exits_3(self, tmp_path, capsys, defect):
+        path, text = self.faces_file(tmp_path, capsys)
+        code, report = verify_lp_text(tmp_path, capsys, path, self.PLANTED[defect](text))
+        assert code == 3 and report["proof"] == "facets" and report["size_ok"]
+        assert report["support_mismatches"] or report["membership_failures"]
+
+    def test_a_shrunk_block_takes_the_facet_route(self, tmp_path, capsys, monkeypatch):
+        # the boxes file of [0,3]x[0,2] less {00, 11, 21, 32}: block 6 is
+        # x1 = 3, 0 <= x2 <= 1, and x2 <= 1 tightened to x2 <= -1 empties it.
+        # Checks 1-6 still hold, but 30 and 31 do not lift, and the facet LP
+        # of x1 <= 3 cuts 31 off: the run pins only 11 and 21, while the
+        # renamed copy, whose facet route lifts nothing, pins 11, 21 and 31
+        path = write_json(tmp_path, "g.json", {
+            "kind": "integral", "n": 2, "forbidden": [[0, 0], [1, 1], [2, 1], [3, 2]],
+            "polytope": {"type": "lattice-box", "l": [0, 0], "u": [3, 2]},
+            "ambient": {"l": [0, 0], "u": [3, 2]}})
+        lp = tmp_path / "boxes.lp"
+        assert run(capsys, ["compile", path, "--method", "boxes", "-o", str(lp)])[0] == 0
+        text = swap(lp.read_text(), " r34: 1 b6_y2 - 1 lam6 <= 0", " r34: 1 b6_y2 + 1 lam6 <= 0")
+        code, report = verify_lp_text(tmp_path, capsys, path, text)
+        assert (code, report["proof"], report["membership_failures"]) == \
+            (3, "facets", [[3, 0], [3, 1]])
+        assert verify_lp_text(tmp_path, capsys, path, renamed_lp(text)) == (code, report)
+        monkeypatch.setattr(fvx.verify, "PIN_GUARD", 2 * 37)  # two pinned probes on 37 rows
+        assert verify_lp_text(tmp_path, capsys, path, text) == (code, report)
+        code, report = verify_lp_text(tmp_path, capsys, path, renamed_lp(text))
+        assert code == 1 and "3 pinned probes on 37 rows" in report["message"]
+
+    def test_fractional_hrep_row_falls_back(self, tmp_path, capsys):
+        # P = [0,1]^2 with x1 + x2 <= 3/2 has the vertex (1, 1/2) outside the
+        # hull of its 0/1 points: the block row 2 y1 + 2 y2 - 3 lam <= 0 is
+        # not integral after its gcd, and the equation side -x1 - x2 >= -1
+        # of conv({01, 10}) has LP minimum -3/2
+        rows = [{"a": a, "rel": rel, "b": b} for a in ([1, 0], [0, 1])
+                for rel, b in ((">=", "0"), ("<=", "1"))]
+        rows.append({"a": [1, 1], "rel": "<=", "b": "3/2"})
+        path = write_json(tmp_path, "h.json", {
+            "kind": "binary", "n": 2, "polytope": {"type": "hrep", "rows": rows},
+            "objective": ["0", "0"], "forbidden": ["00"]})
+        code, out = run(capsys, ["verify", path, "--method", "faces"])
+        report = json.loads(out)
+        assert code == 3 and report["proof"] == "facets"
+        assert {"objective": [-1, -1], "lp": "-3/2", "brute": "-1"} in \
+            report["support_mismatches"]
+
+    @pytest.mark.parametrize("method", ["interval", "recursive", "faces"])
+    def test_a_size_claim_above_the_closed_form_fails(self, tmp_path, capsys, method):
+        # the 5-cube less 3 points: a file may claim no more than its
+        # method's certificate for the problem, recomputed from the problem
+        path = cube_problem(tmp_path, 5, ["0"] * 5, ["01101", "10011", "11111"])
+        lp = tmp_path / "f.lp"
+        assert run(capsys, ["compile", path, "--method", method, "-o", str(lp)])[0] == 0
+        text = lp.read_text()
+        certified = int(text.split("\\ meta: certified=")[1].split("\n")[0])
+        assert certified == {"interval": 92, "recursive": 35, "faces": 110}[method]
+        for claim, passed in ((certified, True), (certified + 1, False), (999999, False)):
+            code, report = verify_lp_text(
+                tmp_path, capsys, path,
+                swap(text, f"certified={certified}\n", f"certified={claim}\n"))
+            assert (code, report["size_ok"], report["certified"]) == \
+                ((0, True, claim) if passed else (3, False, claim))
 
 
 class TestEnumerate:

@@ -27,7 +27,7 @@ from fvx.cli import Problem, compile_system
 from fvx.core import point_coords
 from fvx.errors import DomainError, GuardExceeded
 from fvx.lp_format import parse_lp, write_lp
-from conftest import all_binary, feasible_at, phase_pivots, renamed
+from conftest import all_binary, feasible_at, outcome, phase_pivots, renamed
 
 
 def corrupt_system(system):
@@ -315,8 +315,8 @@ class TestProbesMatchFixings:
     """Box LPs and L1 probes give the report the fixings-only probes give."""
 
     def check(self, system, truth, X, trials=8, seed=5):
-        expect = fixings_only_report(system, truth, X, trials, seed).to_dict()
-        assert verify_formulation(system, truth, X, trials, seed).to_dict() == expect
+        expect = outcome(fixings_only_report(system, truth, X, trials, seed))
+        assert outcome(verify_formulation(system, truth, X, trials, seed)) == expect
         return expect
 
     @pytest.mark.parametrize("doc, method", COMPILED,
@@ -527,7 +527,7 @@ class TestWitnesses:
         problem = Problem(binary_doc("cube", 3, ["010"]))
         system = pin_x1_to_zero(compile_system(problem, "recursive"))
         truth = problem.enumerate_allowed()
-        expect = fixings_only_report(system, truth, problem.forbidden, 20, 3).to_dict()
+        expect = outcome(fixings_only_report(system, truth, problem.forbidden, 20, 3))
         assert expect["membership_failures"]
 
         def forging(target, objective, start=None):
@@ -539,7 +539,7 @@ class TestWitnesses:
 
         monkeypatch.setattr(fvx.verify, "solve_lp", forging)
         got = verify_formulation(system, truth, problem.forbidden, 20, 3)
-        assert got.to_dict() == expect
+        assert outcome(got) == expect
 
 
 def lp_calls(monkeypatch):
@@ -685,30 +685,44 @@ def lifted_runs(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("doc, method, pivots, lps, warm, lifted", [
+@pytest.mark.parametrize("doc, method, rename, pivots, lps, warm, lifted, proof", [
     # every truth point probed that no facet LP witnesses is lifted, but
     # those of recursive's nested block, which keep their corner probes
-    (binary_doc("cube", 4, ["0110", "1011"]), "interval", 26, 10, 9, 10),
-    (binary_doc("cube", 4, ["0110", "1011"]), "recursive", 14, 17, 16, 2),
-    (binary_doc("cube", 4, ["0110", "1011"]), "faces", 10, 10, 9, 9),
-    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", 50, 10, 9, 8),
+    (binary_doc("cube", 4, ["0110", "1011"]), "interval", False, 26, 10, 9, 10, "facets"),
+    (binary_doc("cube", 4, ["0110", "1011"]), "recursive", False, 14, 17, 16, 2, "facets"),
+    # the blocks prove the projection inside the hull, and the lifts the
+    # truth inside the projection: no LP; every binary point is probed
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", False, 0, 0, 0, 14, "structural"),
+    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", False, 0, 0, 0, 14,
+     "structural"),
     # (2, 0) is the midpoint of (1, 0) and (3, 0), so it is neither
-    (LATTICE, "boxes", 20, 6, 5, 2),
-], ids=["interval", "recursive", "faces", "facet-intersection", "boxes"])
-def test_lifted_route_counts(doc, method, pivots, lps, warm, lifted, monkeypatch):
+    (LATTICE, "boxes", False, 0, 0, 0, 6, "structural"),
+    # renamed, the same files take the facet LPs and a corner LP per point
+    (binary_doc("cube", 4, ["0110", "1011"]), "faces", True, 19, 19, 18, 0, "facets"),
+    (binary_doc("cube", 4, ["0110", "1011"]), "facet-intersection", True, 121, 18, 17, 0,
+     "facets"),
+    (LATTICE, "boxes", True, 24, 8, 5, 0, "facets"),
+], ids=["interval", "recursive", "faces", "facet-intersection", "boxes", "faces-renamed",
+        "facet-intersection-renamed", "boxes-renamed"])
+def test_lifted_route_counts(doc, method, rename, pivots, lps, warm, lifted, proof,
+                             monkeypatch):
     """`test_pinned_pivot_count` on the compiled names: a point that a
-    block's lift meets runs no LP, and no lifted point enters the witness dict."""
+    block's lift meets runs no LP, and no lifted point enters the witness
+    dict; and with the proof from the blocks, no LP at all."""
     problem = Problem(doc)
     system = compile_system(problem, method)
+    if rename:
+        system = renamed(system)
     counts = phase_pivots(monkeypatch)
     calls = lp_calls(monkeypatch)
     runs = lifted_runs(monkeypatch)
     report = verify_formulation(system, problem.enumerate_allowed(), problem.forbidden,
                                 trials=20, seed=0)
-    assert report.passed
-    assert (sum(counts.values()), len(calls), sum(calls)) == (pivots, lps, warm)
+    assert report.passed and report.proof == proof
+    assert (sum(counts.values()), len(calls), sum(calls), len(runs[0][0].lifted)) == \
+        (pivots, lps, warm, lifted)
     [(run, stored)] = runs
-    assert len(run.lifted) == lifted and not run.lifted & {*stored, *run}
+    assert not run.lifted & {*stored, *run}
 
 
 def lift_assignment(system, t, j):
@@ -810,8 +824,8 @@ def test_the_lift_checks_every_row(doc, method):
             lifted = run.lifted
         else:
             assert lifted - run.lifted
-        expect = verify_formulation(renamed(mutant), truth, problem.forbidden).to_dict()
-        assert verify_formulation(mutant, truth, problem.forbidden).to_dict() == expect
+        expect = outcome(verify_formulation(renamed(mutant), truth, problem.forbidden))
+        assert outcome(verify_formulation(mutant, truth, problem.forbidden)) == expect
 
 
 def test_fix_bound_mutant_fails_every_lifted_point_off_x1_0():
@@ -858,8 +872,19 @@ def test_starts_never_change_a_report(doc, method, mutate, monkeypatch):
         system = mutate(system)
     truth = problem.enumerate_allowed()
     calls = lp_calls(monkeypatch)
-    warm = verify_formulation(system, truth, problem.forbidden).to_dict()
-    assert any(calls)
+    warm = verify_formulation(system, truth, problem.forbidden)
+    # the unmutated faces, facet-intersection and boxes files (and a size
+    # claim, which no LP reads) are proved from their blocks with no LP, so
+    # their starts are checked on renamed copies, which take the facet LPs
+    structural = method in ("faces", "facet-intersection", "boxes") \
+        and mutate in (None, certificate_mutation)
+    assert (warm.proof == "structural") == structural
+    if structural:
+        assert not calls
+        system = renamed(system)
+        warm = verify_formulation(system, truth, problem.forbidden)
+    warm = warm.to_dict()
+    assert warm["proof"] == "facets" and any(calls)
 
     def cold(target, objective, start=None, fix=None):
         return solve_lp(target, objective, fix=fix)
@@ -1073,21 +1098,30 @@ EVERY = EQUIVALENCE + PLANTED[1:]  # PLANTED[0] is in EQUIVALENCE too
                             "boxes-certificate"])
 def test_facet_proof_never_changes_a_report(doc, method, defect, monkeypatch):
     """The sampled run (no hull, as past FACET_GUARD) reports what the proof
-    does, after the failed facets that only the proof lists."""
+    does, after the failed facets that only the proof lists; a file whose
+    blocks prove the projection first runs with renamed block columns."""
     problem = Problem(doc)
     system = compile_system(problem, method)
     if defect is not None:
         system = defect(system)
     truth = problem.enumerate_allowed()
     assert fvx.verify._hull(fvx.verify._coords(truth), fvx.verify.FACET_GUARD) is not None
+    reports = [verify_formulation(system, truth, problem.forbidden, seed=seed)
+               for seed in (0, 1, 2)]
+    if reports[0].proof == "structural":
+        system = renamed(system)
+        reports = [verify_formulation(system, truth, problem.forbidden, seed=seed)
+                   for seed in (0, 1, 2)]
+    assert {r.proof for r in reports} == {"facets"}
     facets = facet_mismatches(system, truth)
     assert bool(facets) == (method == "interval" and defect is not None)
-    proved = [verify_formulation(system, truth, problem.forbidden, seed=seed).to_dict()
-              for seed in (0, 1, 2)]
+    proved = [outcome(r) for r in reports]
     monkeypatch.setattr(fvx.verify, "FACET_GUARD", 0)
     assert fvx.verify._hull(fvx.verify._coords(truth), fvx.verify.FACET_GUARD) is None
-    assert [with_facets(verify_formulation(system, truth, problem.forbidden, seed=seed).to_dict(),
-                        facets) for seed in (0, 1, 2)] == proved
+    sampled = [verify_formulation(system, truth, problem.forbidden, seed=seed)
+               for seed in (0, 1, 2)]
+    assert {r.proof for r in sampled} == {"sampled"}
+    assert [with_facets(outcome(r), facets) for r in sampled] == proved
     assert {r["verdict"] for r in proved} == {"pass" if defect is None else "fail"}
 
 
@@ -1105,7 +1139,7 @@ def test_an_equation_must_hold_at_its_min_and_max():
     report = verify_formulation(system, truth, X, trials=50, seed=0)
     assert report.support_mismatches[0] == ((-1, -1, -1), Fraction(-3, 2), -1)
     assert len(report.support_mismatches) > 1 and not report.excluded_failures
-    assert report.to_dict() == fixings_only_report(system, truth, X, 50, 0).to_dict()
+    assert outcome(report) == outcome(fixings_only_report(system, truth, X, 50, 0))
 
 
 
@@ -1160,11 +1194,15 @@ def test_every_support_lp_starts_from_the_witness_least_under_its_vector(monkeyp
     facets = [(a, start) for phase, a, start, _ in lps if phase == "facets"]
     assert [a for a, _ in facets[3:]] == [(1, 1, 1), (-1, -1, -1)]
     assert all(start is not None for _, start in facets[3:])
-    # past FACET_GUARD the lattice run takes its 2n box LPs too, then trials
+    # past FACET_GUARD the lattice run takes its 2n box LPs too, then trials:
+    # renamed, since its blocks prove the compiled file with no LP
     monkeypatch.setattr(fvx.verify, "FACET_GUARD", 0)
     problem = Problem(LATTICE)
-    assert verify_formulation(compile_system(problem, "boxes"), problem.enumerate_allowed(),
-                              problem.forbidden).passed
+    system, truth = compile_system(problem, "boxes"), problem.enumerate_allowed()
+    before = len(lps)
+    assert verify_formulation(system, truth, problem.forbidden).proof == "structural"
+    assert len(lps) == before
+    assert verify_formulation(renamed(system), truth, problem.forbidden).passed
     box = [a for phase, a, _, _ in lps if phase == "box"]
     assert box == [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
                    (1, 0), (-1, 0), (0, 1), (0, -1)]
